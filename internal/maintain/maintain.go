@@ -185,6 +185,17 @@ func newMaintainMetrics(reg *obs.Registry) *maintainMetrics {
 	}
 }
 
+// windowSession is what the window and the staging buffer keep of one
+// observed session: its start time, for trimming, and its clicked URLs,
+// for ranking and training. Observe copies the URLs into an
+// exactly-sized slice, so the caller's page views (72 bytes a click,
+// plus whatever backs them) are not kept alive. The window and the
+// staging buffer share one copy; training only reads it.
+type windowSession struct {
+	start time.Time
+	urls  []string
+}
+
 // Maintainer keeps the sliding session window, the delta staging
 // buffer, and the current model.
 type Maintainer struct {
@@ -193,12 +204,12 @@ type Maintainer struct {
 	log     *slog.Logger
 
 	mu       sync.Mutex
-	sessions []session.Session // the sliding window, roughly ordered by start time
+	sessions []windowSession // the sliding window, roughly ordered by start time
 
 	// staged holds sessions observed since the last update, awaiting the
 	// next delta merge; stagedHead indexes its first live element so the
 	// overflow bound drops oldest-first in amortized O(1).
-	staged     []session.Session
+	staged     []windowSession
 	stagedHead int
 
 	// publishMu serializes model updates (Rebuild, DeltaMerge) against
@@ -251,15 +262,17 @@ func New(cfg Config) (*Maintainer, error) {
 // not assume chronological arrival. When staging overflows MaxStaged,
 // the oldest staged sessions are dropped from staging (counted in
 // pbppm_staged_dropped_total) — the window still holds them, so the
-// next compaction trains on them.
+// next compaction trains on them. The maintainer keeps its own copy of
+// the session's URLs: the caller may reuse or modify s afterwards.
 func (m *Maintainer) Observe(s session.Session) {
 	if s.Len() == 0 {
 		return
 	}
+	ws := windowSession{start: s.Start(), urls: s.URLs()}
 	max := m.cfg.maxStaged()
 	m.mu.Lock()
-	m.sessions = append(m.sessions, s)
-	m.staged = append(m.staged, s)
+	m.sessions = append(m.sessions, ws)
+	m.staged = append(m.staged, ws)
 	dropped := 0
 	if live := len(m.staged) - m.stagedHead; live > max {
 		dropped = live - max
@@ -335,12 +348,15 @@ func (m *Maintainer) Ranking() *popularity.Ranking {
 	return m.lastRank.Load()
 }
 
-// takeStaged drains the staging buffer and returns the batch.
-func (m *Maintainer) takeStaged() []session.Session {
+// takeStaged drains the staging buffer and returns the batch's URL
+// sequences, ready for training.
+func (m *Maintainer) takeStaged() [][]string {
 	m.mu.Lock()
 	live := m.staged[m.stagedHead:]
-	batch := make([]session.Session, len(live))
-	copy(batch, live)
+	batch := make([][]string, len(live))
+	for i, ws := range live {
+		batch[i] = ws.urls
+	}
 	m.clearStagedLocked()
 	m.mu.Unlock()
 	m.metrics.stagedSessions.Set(0)
@@ -510,16 +526,18 @@ func (m *Maintainer) rebuildLocked(now time.Time) markov.Predictor {
 	m.mu.Lock()
 	kept := m.sessions[:0]
 	for _, s := range m.sessions {
-		if !s.Start().Before(cutoff) {
+		if !s.start.Before(cutoff) {
 			kept = append(kept, s)
 		}
 	}
-	for i := len(kept); i < len(m.sessions); i++ {
-		m.sessions[i] = session.Session{} // release trimmed views to the GC
-	}
+	clear(m.sessions[len(kept):]) // release trimmed URLs to the GC
 	m.sessions = kept
-	window := make([]session.Session, len(kept))
-	copy(window, kept)
+	// Training reads the stored URL slices directly; they are never
+	// written after Observe, so sharing them with the window is safe.
+	window := make([][]string, len(kept))
+	for i, s := range kept {
+		window[i] = s.urls
+	}
 	m.clearStagedLocked()
 	m.mu.Unlock()
 	m.metrics.stagedSessions.Set(0)
@@ -536,17 +554,13 @@ func (m *Maintainer) rebuildLocked(now time.Time) markov.Predictor {
 	var rank *popularity.Ranking
 	err := guarded(func() {
 		rank = popularity.NewRanking()
-		for _, s := range window {
-			for _, v := range s.Views {
-				rank.Observe(v.URL, 1)
+		for _, urls := range window {
+			for _, u := range urls {
+				rank.Observe(u, 1)
 			}
 		}
 		model = m.cfg.Factory(rank)
-		seqs := make([][]string, len(window))
-		for i, s := range window {
-			seqs[i] = s.URLs()
-		}
-		markov.TrainAllParallel(model, seqs)
+		markov.TrainAllParallel(model, window)
 		if opt, ok := model.(interface{ Optimize() int }); ok {
 			opt.Optimize()
 		}
@@ -620,11 +634,7 @@ func (m *Maintainer) DeltaMerge(now time.Time) markov.Predictor {
 	var merged markov.Predictor
 	err := guarded(func() {
 		shard := inc.NewShard()
-		seqs := make([][]string, len(batch))
-		for i, s := range batch {
-			seqs[i] = s.URLs()
-		}
-		markov.TrainAllParallel(shard, seqs)
+		markov.TrainAllParallel(shard, batch)
 		clone := inc.Clone()
 		clone.(markov.ShardedTrainer).MergeShard(shard)
 		merged = clone

@@ -355,3 +355,53 @@ func TestSubscribeFanOut(t *testing.T) {
 		t.Errorf("fan-out after second publish: a=%d b=%d snapshots", len(aGot), len(bGot))
 	}
 }
+
+// arenaImage returns the published model's frozen arena bytes.
+func arenaImage(t *testing.T, p markov.Predictor) []byte {
+	t.Helper()
+	ah, ok := p.(markov.ArenaHolder)
+	if !ok || ah.Arena() == nil {
+		t.Fatalf("published model %T is not arena-backed", p)
+	}
+	return ah.Arena().Bytes()
+}
+
+// TestObserveOwnsItsCopy checks the window keeps its own copy of each
+// session's URLs, and that training never writes them: rewriting the
+// caller's views after Observe does not change the next Rebuild, and
+// two back-to-back Rebuilds over an unchanged window freeze
+// byte-identical arenas (Freeze is canonical).
+func TestObserveOwnsItsCopy(t *testing.T) {
+	seqs := [][]string{
+		{"/home", "/news", "/news/today"},
+		{"/home", "/news", "/sports"},
+		{"/home", "/about"},
+		{"/news", "/news/today"},
+	}
+	build := func(mutate bool) (*Maintainer, markov.Predictor) {
+		m, err := New(Config{Factory: pbFactory})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			s := mkSession(i%24, seqs[i%len(seqs)]...)
+			m.Observe(s)
+			if mutate {
+				for j := range s.Views {
+					s.Views[j].URL = "/rewritten"
+				}
+			}
+		}
+		return m, m.Rebuild(epoch.Add(30 * time.Hour))
+	}
+	_, clean := build(false)
+	m, mutated := build(true)
+	want := arenaImage(t, clean)
+	if got := arenaImage(t, mutated); string(got) != string(want) {
+		t.Fatal("rewriting the caller's views after Observe changed the rebuilt model")
+	}
+	again := m.Rebuild(epoch.Add(30 * time.Hour))
+	if got := arenaImage(t, again); string(got) != string(want) {
+		t.Fatal("a second Rebuild over the same window froze a different arena: training wrote the stored URLs")
+	}
+}

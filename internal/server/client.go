@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"pbppm/internal/cache"
+	"pbppm/internal/markov"
 	"pbppm/internal/quality"
 )
 
@@ -151,12 +152,12 @@ func (c *Client) Get(url string) (source string, err error) {
 	}
 	c.mu.Unlock()
 
-	body, hints, err := c.fetch(url, false)
+	size, hints, err := c.fetch(url, false)
 	if err != nil {
 		return "", err
 	}
 	c.mu.Lock()
-	c.cache.Put(url, int64(len(body)), false)
+	c.cache.Put(url, size, false)
 	c.mu.Unlock()
 
 	if c.syncPref {
@@ -185,29 +186,39 @@ func (c *Client) prefetch(url string) {
 	}
 	c.mu.Unlock()
 
-	body, _, err := c.fetch(url, true)
+	size, _, err := c.fetch(url, true)
 	if err != nil {
 		c.mu.Lock()
 		c.stats.PrefetchError++
 		c.mu.Unlock()
 		return
 	}
-	if int64(len(body)) > c.maxSize {
+	if size > c.maxSize {
 		return
 	}
 	c.mu.Lock()
 	if !c.cache.Contains(url) {
-		c.cache.Put(url, int64(len(body)), true)
+		c.cache.Put(url, size, true)
 		c.stats.Prefetched++
 	}
 	c.mu.Unlock()
 }
 
-// fetch performs one HTTP GET against the server.
-func (c *Client) fetch(url string, isPrefetch bool) (body []byte, hints []hint, err error) {
+// errorBodyDrain bounds how much of a non-200 response body fetch reads
+// before closing it. Draining a short error page to EOF lets the
+// transport reuse the keep-alive connection; a longer body is cut off
+// and costs the connection instead of the read.
+const errorBodyDrain = 4 << 10
+
+// fetch performs one HTTP GET against the server and returns the body
+// size and the response's prefetch hints. The body is counted while it
+// is drained, never buffered: the cache only needs its size. A read
+// error (a body shorter than its declared length, a cut connection)
+// fails the fetch, so nothing is cached from it.
+func (c *Client) fetch(url string, isPrefetch bool) (size int64, hints []markov.Prediction, err error) {
 	req, err := http.NewRequest(http.MethodGet, c.base+url, nil)
 	if err != nil {
-		return nil, nil, fmt.Errorf("server: building request for %s: %w", url, err)
+		return 0, nil, fmt.Errorf("server: building request for %s: %w", url, err)
 	}
 	req.Header.Set(HeaderClientID, c.id)
 	if isPrefetch {
@@ -220,27 +231,18 @@ func (c *Client) fetch(url string, isPrefetch bool) (body []byte, hints []hint, 
 	resp, err := c.http.Do(req)
 	if err != nil {
 		c.requeueReports(reports)
-		return nil, nil, fmt.Errorf("server: fetching %s: %w", url, err)
+		return 0, nil, fmt.Errorf("server: fetching %s: %w", url, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, nil, fmt.Errorf("server: fetching %s: status %s", url, resp.Status)
+		io.CopyN(io.Discard, resp.Body, errorBodyDrain) //nolint:errcheck // the status is the error
+		return 0, nil, fmt.Errorf("server: fetching %s: status %s", url, resp.Status)
 	}
-	body, err = io.ReadAll(resp.Body)
+	size, err = io.Copy(io.Discard, resp.Body)
 	if err != nil {
-		return nil, nil, fmt.Errorf("server: reading %s: %w", url, err)
+		return 0, nil, fmt.Errorf("server: reading %s: %w", url, err)
 	}
-	for _, p := range ParseHints(resp.Header.Get(HeaderPrefetch)) {
-		hints = append(hints, hint{URL: p.URL, Probability: p.Probability})
-	}
-	return body, hints, nil
-}
-
-// hint mirrors markov.Prediction without importing it into the narrow
-// client path.
-type hint struct {
-	URL         string
-	Probability float64
+	return size, ParseHints(resp.Header.Get(HeaderPrefetch)), nil
 }
 
 // takeReports detaches the pending report batch.

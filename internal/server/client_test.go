@@ -1,7 +1,13 @@
 package server
 
 import (
+	"bytes"
+	"context"
+	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 )
 
@@ -205,5 +211,123 @@ func TestClientDefaultPendingCap(t *testing.T) {
 	}
 	if got := len(cl.takeReports()); got != 2 {
 		t.Fatalf("takeReports returned %d entries, want 2", got)
+	}
+}
+
+// TestClientReusesConnectionAfterErrorStatus checks that a non-200
+// answer does not cost the keep-alive connection: fetch drains the short
+// error body before closing it, so a 404 and the 200 after it travel
+// over one dialed connection.
+func TestClientReusesConnectionAfterErrorStatus(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/missing" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Write(make([]byte, 512)) //nolint:errcheck
+	}))
+	defer ts.Close()
+	var dials atomic.Int64
+	dialer := &net.Dialer{}
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return dialer.DialContext(ctx, network, addr)
+	}}
+	defer tr.CloseIdleConnections()
+	cl, err := NewClient(ClientConfig{ID: "t", BaseURL: ts.URL, HTTPClient: &http.Client{Transport: tr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Get("/missing"); err == nil {
+		t.Fatal("404 fetch did not error")
+	}
+	if _, err := cl.Get("/page"); err != nil {
+		t.Fatal(err)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("dialed %d connections for a 404 and a 200, want 1", n)
+	}
+}
+
+// TestClientShortBodyFailsAndCachesNothing pins the streamed-size
+// contract: a body shorter than its declared Content-Length is a read
+// error — the demand Get fails, a hinted prefetch counts a
+// PrefetchError, and neither caches the URL.
+func TestClientShortBodyFailsAndCachesNothing(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/short" {
+			w.Header().Set("Content-Length", "1000")
+			w.Write(make([]byte, 10)) //nolint:errcheck
+			return
+		}
+		w.Header().Set(HeaderPrefetch, "/short;p=0.900")
+		w.Write(make([]byte, 100)) //nolint:errcheck
+	}))
+	defer ts.Close()
+	cl, err := NewClient(ClientConfig{ID: "t", BaseURL: ts.URL, SynchronousPrefetch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src, err := cl.Get("/page"); err != nil || src != "network" {
+		t.Fatalf("Get(/page) = %q, %v", src, err)
+	}
+	if st := cl.Stats(); st.PrefetchError != 1 || st.Prefetched != 0 {
+		t.Fatalf("after a short hinted body: stats = %+v, want 1 PrefetchError and nothing prefetched", st)
+	}
+	if _, err := cl.Get("/short"); err == nil {
+		t.Fatal("Get of a short body did not error")
+	}
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	if cl.cache.Contains("/short") {
+		t.Fatal("short body was cached")
+	}
+	if !cl.cache.Contains("/page") {
+		t.Fatal("complete body was not cached")
+	}
+}
+
+// docTransport answers every request in process with one fixed body,
+// handed over by reference, so the transport allocates the same for any
+// body size.
+type docTransport struct{ body []byte }
+
+func (d docTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode:    http.StatusOK,
+		Status:        "200 OK",
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        http.Header{},
+		Body:          io.NopCloser(bytes.NewReader(d.body)),
+		ContentLength: int64(len(d.body)),
+		Request:       req,
+	}, nil
+}
+
+// TestClientGetAllocsIndependentOfBodySize checks the client never
+// buffers a body: an in-process Get allocates the same for a 1 KB and a
+// 64 KB document.
+func TestClientGetAllocsIndependentOfBodySize(t *testing.T) {
+	allocs := func(size int) float64 {
+		cl, err := NewClient(ClientConfig{
+			ID: "t", BaseURL: "http://inproc",
+			// A 1-byte cache keeps every Get a network fetch.
+			CacheBytes: 1,
+			HTTPClient: &http.Client{Transport: docTransport{body: make([]byte, size)}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(200, func() {
+			if _, err := cl.Get("/doc"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1<<10), allocs(64<<10)
+	if small != large {
+		t.Fatalf("Get allocs: %v for 1 KB, %v for 64 KB; the body is being buffered", small, large)
 	}
 }

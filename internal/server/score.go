@@ -251,14 +251,14 @@ func (l *liveScore) prefetched(model string, size int64) {
 
 // fetchedHint marks a hint's first prefetch fetch: the per-grade
 // denominator and the Fetched lifecycle event.
-func (l *liveScore) fetchedHint(client string, rec hintRecord, now time.Time) {
+func (l *liveScore) fetchedHint(client string, rec hintRecord, now int64) {
 	grade := l.gradeOf(rec.url)
 	if ms := l.byName(rec.model); ms != nil {
 		ms.fetched[grade].Inc()
 	}
 	l.emit(HintEvent{
 		Type: HintFetched, Client: client, URL: rec.url, Model: rec.model,
-		Grade: grade, Probability: rec.prob, Age: now.Sub(rec.issued),
+		Grade: grade, Probability: rec.prob, Age: time.Duration(now - rec.issued),
 	})
 }
 
@@ -266,7 +266,7 @@ func (l *liveScore) fetchedHint(client string, rec hintRecord, now time.Time) {
 // prefetched copy actually served the request (a client report) — only
 // then does the scorer count a prefetch hit; a demand re-fetch of a
 // hinted URL confirms the prediction without the byte savings.
-func (l *liveScore) hit(client string, rec hintRecord, size int64, served bool, now time.Time) {
+func (l *liveScore) hit(client string, rec hintRecord, size int64, served bool, now int64) {
 	grade := l.gradeOf(rec.url)
 	ms := l.byName(rec.model)
 	if ms != nil {
@@ -277,15 +277,15 @@ func (l *liveScore) hit(client string, rec hintRecord, size int64, served bool, 
 	}
 	l.emit(HintEvent{
 		Type: HintHit, Client: client, URL: rec.url, Model: rec.model,
-		Grade: grade, Probability: rec.prob, Age: now.Sub(rec.issued),
+		Grade: grade, Probability: rec.prob, Age: time.Duration(now - rec.issued),
 	})
 }
 
 // wasted emits the end-of-life event for a fetched-but-never-hit hint.
-func (l *liveScore) wasted(client string, rec hintRecord, now time.Time) {
+func (l *liveScore) wasted(client string, rec hintRecord, now int64) {
 	l.emit(HintEvent{
 		Type: HintWasted, Client: client, URL: rec.url, Model: rec.model,
-		Grade: l.gradeOf(rec.url), Probability: rec.prob, Age: now.Sub(rec.issued),
+		Grade: l.gradeOf(rec.url), Probability: rec.prob, Age: time.Duration(now - rec.issued),
 	})
 }
 

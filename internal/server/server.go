@@ -27,6 +27,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -324,6 +325,10 @@ type Server struct {
 	tracer   *obs.Tracer
 	live     *liveScore
 	identity IdentityPolicy
+
+	// epoch anchors the int64 stamps session contexts and hint records
+	// keep (see now): the clock's reading when the server was built.
+	epoch time.Time
 }
 
 // hintMemory caps how many outstanding hinted URLs are remembered per
@@ -343,20 +348,21 @@ func (s *Server) hintCap() int {
 
 // hintRecord is one outstanding hint issued to a client: enough state
 // to emit lifecycle events and score a later hit against the model
-// that made the prediction.
+// that made the prediction. issued is a server stamp (see Server.now).
 type hintRecord struct {
 	url     string
 	prob    float64
 	model   string
-	issued  time.Time
+	issued  int64
 	fetched bool
 }
 
 // clientContext is one client's open access session, guarded by its
-// shard's lock.
+// shard's lock. urls holds the store's own URL strings (see
+// ServeHTTP); last is the server stamp of the latest demand request.
 type clientContext struct {
 	urls []string
-	last time.Time
+	last int64
 	// hinted holds recently issued, not-yet-confirmed hint records for
 	// this client, consumed when a demand request or client report for
 	// one arrives.
@@ -411,6 +417,7 @@ func New(store ContentStore, cfg Config) *Server {
 		metrics:  newServerMetrics(cfg.Obs),
 		tracer:   cfg.Tracer,
 		identity: NewIdentityPolicy(cfg.TrustedPeers),
+		epoch:    cfg.now(),
 	}
 	// The live-scoring rings cover at least an hour (the SLO engine's
 	// long burn-rate window) at a granularity sized for the live span.
@@ -452,6 +459,15 @@ func (s *Server) SetPredictor(p markov.Predictor) {
 	s.pred.Store(&predictorCell{p: p})
 	s.live.setModel(p.Name())
 }
+
+// now reads the clock as the stamp contexts and hint records keep: the
+// int64 nanoseconds since the server's epoch. A stamp is a third of a
+// time.Time, and the difference of two stamps equals Sub between their
+// readings, monotonic clock included.
+func (s *Server) now() int64 { return int64(s.cfg.now().Sub(s.epoch)) }
+
+// timeAt converts a stamp back to the clock reading it came from.
+func (s *Server) timeAt(stamp int64) time.Time { return s.epoch.Add(time.Duration(stamp)) }
 
 // predictor loads the current model snapshot, or nil.
 func (s *Server) predictor() markov.Predictor {
@@ -601,12 +617,18 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	url := r.URL.Path
-	doc, ok := s.store.Lookup(url)
+	doc, ok := s.store.Lookup(r.URL.Path)
 	if !ok {
 		s.metrics.notFound.Inc()
 		http.NotFound(w, r)
 		return
+	}
+	// Session contexts, hint records and the popularity counts outlive
+	// the request, so they keep the store's copy of the URL: the request
+	// path is a substring of the request line and would pin all of it.
+	url := doc.URL
+	if url != r.URL.Path {
+		url = strings.Clone(r.URL.Path)
 	}
 
 	isPrefetch := r.Header.Get(HeaderPrefetchFetch) != ""
@@ -647,7 +669,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // client's outstanding hints and scores the transfer as prefetch
 // traffic. A prefetch does not open sessions or extend the idle clock.
 func (s *Server) observePrefetchFetch(client, url string, size int64) {
-	now := s.cfg.now()
+	now := s.now()
 	sh := s.shard(client)
 	sh.mu.Lock()
 	ctx := sh.contexts[client]
@@ -686,7 +708,7 @@ func (s *Server) ingestReports(client string, reports []ReportEntry) {
 	if len(reports) == 0 {
 		return
 	}
-	now := s.cfg.now()
+	now := s.now()
 	sh := s.shard(client)
 	for _, rep := range reports {
 		var size int64
@@ -738,7 +760,7 @@ var predBufPool = sync.Pool{
 // and store lookups run lock-free on a context snapshot.
 func (s *Server) observeDemand(client, url string, size int64) []markov.Prediction {
 	span := s.tracer.Start()
-	now := s.cfg.now()
+	now := s.now()
 	s.observeRank(url)
 	// Every demand request that reaches the server is a miss in the
 	// client's caches; hits are scored from client reports instead.
@@ -749,7 +771,7 @@ func (s *Server) observeDemand(client, url string, size int64) []markov.Predicti
 	ctx := sh.contexts[client]
 	var ended *clientContext
 	var endDone chan struct{}
-	if ctx == nil || now.Sub(ctx.last) > s.cfg.idle() {
+	if ctx == nil || now-ctx.last > int64(s.cfg.idle()) {
 		if ctx != nil {
 			ended = ctx
 			endDone = make(chan struct{})
@@ -820,8 +842,14 @@ func (s *Server) observeDemand(client, url string, size int64) []markov.Predicti
 	}
 	out := make([]markov.Prediction, 0, limit)
 	for _, p := range preds {
-		if doc, ok := s.store.Lookup(p.URL); !ok || int64(len(doc.Body)) > s.cfg.maxHintBytes() {
+		doc, ok := s.store.Lookup(p.URL)
+		if !ok || int64(len(doc.Body)) > s.cfg.maxHintBytes() {
 			continue
+		}
+		// The hint record outlives the model snapshot; keep the store's
+		// copy of the URL rather than one pointing into the model.
+		if doc.URL == p.URL {
+			p.URL = doc.URL
 		}
 		out = append(out, p)
 		if len(out) == limit {
@@ -858,7 +886,7 @@ func (s *Server) observeDemand(client, url string, size int64) []markov.Predicti
 // wasteHints emits Wasted lifecycle events for hint records leaving a
 // context (session end or cap eviction) that were fetched but never
 // hit — prefetched transfers that bought nothing.
-func (s *Server) wasteHints(client string, recs []hintRecord, now time.Time) {
+func (s *Server) wasteHints(client string, recs []hintRecord, now int64) {
 	for _, rec := range recs {
 		if rec.fetched {
 			s.live.wasted(client, rec, now)
@@ -886,7 +914,7 @@ func (s *Server) contextURLs(client string) []string {
 // closes done afterwards so the client's next end waits on this one.
 // The registration in sh.ending is cleaned up unless a later end has
 // already replaced it.
-func (s *Server) deliverSessionEnd(sh *contextShard, client string, ctx *clientContext, done chan struct{}, now time.Time) {
+func (s *Server) deliverSessionEnd(sh *contextShard, client string, ctx *clientContext, done chan struct{}, now int64) {
 	defer func() {
 		close(done)
 		sh.mu.Lock()
@@ -900,7 +928,7 @@ func (s *Server) deliverSessionEnd(sh *contextShard, client string, ctx *clientC
 	}
 	s.wasteHints(client, ctx.hinted, now)
 	if s.cfg.OnSessionEnd != nil {
-		s.cfg.OnSessionEnd(client, ctx.urls, ctx.last)
+		s.cfg.OnSessionEnd(client, ctx.urls, s.timeAt(ctx.last))
 	}
 }
 
@@ -941,9 +969,9 @@ func (s *Server) removeSessions(expire func(*clientContext) bool) []endedCtx {
 // deliver the newer session's end first). Each shard is locked
 // independently, so expiry never stalls the whole server.
 func (s *Server) ExpireSessions() int {
-	now := s.cfg.now()
+	now := s.now()
 	ended := s.removeSessions(func(ctx *clientContext) bool {
-		return now.Sub(ctx.last) > s.cfg.idle()
+		return now-ctx.last > int64(s.cfg.idle())
 	})
 	s.metrics.sessionsExpired.Add(int64(len(ended)))
 	for _, e := range ended {
@@ -958,7 +986,7 @@ func (s *Server) ExpireSessions() int {
 // sessions still reach the training window; a server shutting down can
 // use it the same way.
 func (s *Server) FlushSessions() int {
-	now := s.cfg.now()
+	now := s.now()
 	ended := s.removeSessions(func(*clientContext) bool { return true })
 	s.metrics.sessionsExpired.Add(int64(len(ended)))
 	for _, e := range ended {
@@ -987,7 +1015,7 @@ func (s *Server) OpenSessions() []OpenSession {
 		sh.mu.Lock()
 		for c, ctx := range sh.contexts {
 			out = append(out, OpenSession{
-				Client: c, URLs: len(ctx.urls), Hints: len(ctx.hinted), Last: ctx.last,
+				Client: c, URLs: len(ctx.urls), Hints: len(ctx.hinted), Last: s.timeAt(ctx.last),
 			})
 		}
 		sh.mu.Unlock()

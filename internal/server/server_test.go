@@ -337,12 +337,14 @@ func TestOnSessionEndHook(t *testing.T) {
 	clock := func() time.Time { return now }
 	var mu sync.Mutex
 	var ended [][]string
+	var lasts []time.Time
 	srv := New(testStore(), Config{
 		Clock:       clock,
 		SessionIdle: 10 * time.Minute,
 		OnSessionEnd: func(client string, urls []string, last time.Time) {
 			mu.Lock()
 			ended = append(ended, append([]string{client}, urls...))
+			lasts = append(lasts, last)
 			mu.Unlock()
 		},
 	})
@@ -371,6 +373,10 @@ func TestOnSessionEndHook(t *testing.T) {
 	}
 	if strings.Join(ended[0], " ") != "erin /home /news" {
 		t.Errorf("ended = %v", ended[0])
+	}
+	// last is the clock reading of the session's final demand request.
+	if want := time.Date(2026, 7, 5, 12, 0, 0, 0, time.UTC); !lasts[0].Equal(want) {
+		t.Errorf("last = %v, want %v", lasts[0], want)
 	}
 
 	// Expiry also reports the open session.
