@@ -331,6 +331,62 @@ func BenchmarkPredictFrozenPBPPM(b *testing.B) {
 	}
 }
 
+// BenchmarkPredictFrozenPBPPMStreaming measures the frozen model the
+// way the server drives it: each op advances a session's match state by
+// one URL (Step) and predicts from the state (PredictFrom), over the
+// same session prefixes BenchmarkPredictFrozenPBPPM re-matches whole.
+// CI's zero-allocation gate covers it too.
+func BenchmarkPredictFrozenPBPPMStreaming(b *testing.B) {
+	const maxOrder = 16 // the server's context tail
+	w := nasaWorkload(b)
+	train := benchSessions(b, w, 5)
+	rank := experiments.Ranking(train)
+	m := NewPopularityPPM(rank, PopularityPPMConfig{RelProbCutoff: 0.01, DropSingletons: true})
+	sim.Train(m, train)
+	frozen := m.Freeze().(interface {
+		Step(node uint32, url string, maxOrder int) uint32
+		PredictFrom(node uint32, last string, maxOrder int, buf []Prediction) []Prediction
+	})
+	// One step per session prefix: a step that opens a session starts
+	// from the empty match state.
+	type step struct {
+		url   string
+		fresh bool
+	}
+	steps := make([]step, 0, 256)
+	for _, s := range w.DaySessions(5, 6) {
+		for j, u := range s.URLs() {
+			steps = append(steps, step{url: u, fresh: j == 0})
+			if len(steps) == cap(steps) {
+				break
+			}
+		}
+		if len(steps) == cap(steps) {
+			break
+		}
+	}
+	var (
+		buf  []Prediction
+		node uint32
+	)
+	run := func(st step) {
+		if st.fresh {
+			node = 0
+		}
+		node = frozen.Step(node, st.url, maxOrder)
+		buf = frozen.PredictFrom(node, st.url, maxOrder, buf)
+	}
+	// Warm pass: grow the scratch buffer to steady-state capacity.
+	for _, st := range steps {
+		run(st)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(steps[i%len(steps)])
+	}
+}
+
 // BenchmarkTrainAllSerial measures serial session-by-session training
 // of the height-3 standard PPM model over the 5-day window — the
 // baseline for the sharded-training comparison below. CI runs the pair

@@ -100,9 +100,9 @@ type app struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
 	maint  *maintain.Maintainer
-	srv    *server.Server    // single-server mode; nil when sharded
-	clu    *cluster.Cluster  // cluster mode; nil when single-server
-	serve  serving           // whichever of srv/clu is active
+	srv    *server.Server   // single-server mode; nil when sharded
+	clu    *cluster.Cluster // cluster mode; nil when single-server
+	serve  serving          // whichever of srv/clu is active
 	engine *obs.SLOEngine
 	ann    *obs.Annotations
 	pub    *maintain.Publisher // serves /snapshot; nil in follower mode

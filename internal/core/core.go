@@ -400,14 +400,30 @@ func (f *Frozen) Predict(context []string) []markov.Prediction {
 // markov.BufferedPredictor buffer-ownership contract. With a warm
 // buffer the call performs zero allocations.
 func (f *Frozen) PredictInto(context []string, buf []markov.Prediction) []markov.Prediction {
-	buf = buf[:0]
 	if len(context) == 0 {
-		return buf
+		return buf[:0]
 	}
-	if n, order, ok := f.arena.LongestMatch(context); ok {
-		buf = f.arena.AppendPredictions(buf, n, f.threshold, order)
+	node, _, _ := f.arena.LongestMatch(context)
+	return f.PredictFrom(node, context[len(context)-1], len(context), buf)
+}
+
+// Step advances a session's match state by one URL, matching at most
+// maxOrder trailing URLs (see markov.Arena.Step).
+func (f *Frozen) Step(node uint32, url string, maxOrder int) uint32 {
+	return f.arena.Step(node, url, maxOrder)
+}
+
+// PredictFrom is PredictInto for the context whose match state is node
+// and whose current click is last, considered over its trailing
+// maxOrder URLs: the tree candidates come from the state, and the
+// rule-3 links from last. After stepping a context URL by URL it equals
+// PredictInto on the context's last maxOrder URLs.
+func (f *Frozen) PredictFrom(node uint32, last string, maxOrder int, buf []markov.Prediction) []markov.Prediction {
+	buf = buf[:0]
+	if node = f.arena.Clamp(node, maxOrder); node != 0 {
+		buf = f.arena.AppendPredictions(buf, node, f.threshold, f.arena.Depth(node))
 	}
-	if linked := f.links[context[len(context)-1]]; len(linked) > 0 {
+	if linked := f.links[last]; len(linked) > 0 {
 		buf = mergeLinked(buf, linked)
 	}
 	if len(buf) == 0 {

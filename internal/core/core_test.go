@@ -570,3 +570,73 @@ func TestShardedTrainingEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestFrozenStreamingMatchesPredictInto is the streaming path's
+// property test on PB-PPM: over models whose branches run deeper than
+// the 16-URL serving tail (and the default 7/5/3/1 heights), with
+// rule-3 links on, stepping a context URL by URL and predicting from
+// the reached state equals PredictInto on the context's last 16 URLs,
+// unseen URLs included.
+func TestFrozenStreamingMatchesPredictInto(t *testing.T) {
+	const tail = 16
+	rng := rand.New(rand.NewSource(3))
+	urls := make([]string, 10)
+	grades := popularity.FixedGrades{}
+	// Mostly grade 3: equal grades extend the open branch instead of
+	// opening a root (rule 4), so branches grow to their height.
+	for i := range urls {
+		urls[i] = string(rune('a' + i))
+		grades[urls[i]] = popularity.Grade(3 - i/7)
+	}
+	for _, heights := range [][4]int{{}, {2, 9, 17, 24}, {30, 30, 30, 30}} {
+		m := New(grades, Config{Heights: heights, Threshold: 0.05, MaxLinkPredictions: -1})
+		sessions := make([][]string, 300)
+		for i := range sessions {
+			s := make([]string, rng.Intn(35)+1)
+			for j := range s {
+				s[j] = urls[rng.Intn(rng.Intn(len(urls))+1)]
+			}
+			m.TrainSequence(s)
+			sessions[i] = s
+		}
+		f := m.Freeze().(*Frozen)
+		if heights[3] > tail {
+			if d := f.Arena().Stats().MaxDepth; d <= tail {
+				t.Fatalf("heights %v: arena depth %d, want > %d", heights, d, tail)
+			}
+		}
+		for round := 0; round < 300; round++ {
+			ctx := make([]string, rng.Intn(45)+1)
+			for j := range ctx {
+				if rng.Intn(15) == 0 {
+					ctx[j] = "unseen"
+				} else {
+					ctx[j] = urls[rng.Intn(len(urls))]
+				}
+			}
+			// Every other context ends in a training session, so its
+			// matches run as deep as the branches.
+			if round%2 == 0 {
+				ctx = append(ctx[:rng.Intn(len(ctx))], sessions[rng.Intn(len(sessions))]...)
+			}
+			node := uint32(0)
+			for _, u := range ctx {
+				node = f.Step(node, u, tail)
+			}
+			got := f.PredictFrom(node, ctx[len(ctx)-1], tail, nil)
+			last := ctx
+			if len(last) > tail {
+				last = last[len(last)-tail:]
+			}
+			want := f.PredictInto(last, nil)
+			if len(got) != len(want) {
+				t.Fatalf("heights %v, context %q: streamed %+v, PredictInto %+v", heights, ctx, got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("heights %v, context %q: streamed %+v, PredictInto %+v", heights, ctx, got, want)
+				}
+			}
+		}
+	}
+}

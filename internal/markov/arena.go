@@ -75,8 +75,7 @@ const arenaMaxDim = 1 << 31
 // the flat buffer described in the package comment above. It is
 // immutable after construction and safe for unsynchronized concurrent
 // use; its prediction methods perform no writes and no allocations
-// (given a caller-supplied buffer and a context of at most
-// arenaMaxStackMatches URLs).
+// (given a caller-supplied buffer).
 type Arena struct {
 	buf []byte // the full relocatable image, including header
 
@@ -92,6 +91,14 @@ type Arena struct {
 	// index, rebuilt at attach time.
 	urls []string
 	ids  map[string]uint32
+
+	// depth[i] is node i's path length from the pseudo-root (0 for the
+	// root itself), and link[i] its suffix link: the node for the
+	// longest proper suffix of i's path that is itself a path from the
+	// root (0 when only the empty suffix is). Both are derived at
+	// attach time and drive Step; they are not part of the image.
+	depth []uint32
+	link  []uint32
 }
 
 // alignedBuf returns an 8-aligned byte slice of length n, so the int64
@@ -323,6 +330,20 @@ func ArenaFromBytes(buf []byte) (*Arena, error) {
 		a.urls[s] = u
 		a.ids[u] = uint32(s)
 	}
+	// Depths and suffix links, the Aho–Corasick failure function over
+	// the tree's paths. The layout is BFS, so a node's parent and every
+	// node on its parent's link chain precede it: one forward pass finds
+	// each link it follows already set.
+	a.depth = make([]uint32, numNodes)
+	a.link = make([]uint32, numNodes)
+	for i := uint32(0); i < uint32(numNodes); i++ {
+		for c := a.childOff[i]; c < a.childOff[i+1]; c++ {
+			a.depth[c] = a.depth[i] + 1
+			if i != 0 {
+				a.link[c] = a.advance(a.link[i], a.syms[c])
+			}
+		}
+	}
 	return a, nil
 }
 
@@ -362,54 +383,60 @@ func (a *Arena) child(node, sym uint32) (uint32, bool) {
 	return 0, false
 }
 
-// arenaMaxStackMatches is the live-match set size LongestMatch keeps on
-// the stack. One candidate suffix per context position is live at a
-// time, so contexts up to this many URLs match without allocating;
-// longer contexts spill the match set to the heap (correct, just not
-// allocation-free). Serving paths cap contexts far below this.
-const arenaMaxStackMatches = 64
-
-// arenaLive is one surviving suffix match: the context position it
-// started at and the node it has reached.
-type arenaLive struct {
-	start int32
-	node  uint32
+// advance is the uncapped streaming transition: the deepest node whose
+// path is a suffix of node's path extended by sym, or 0 when none is.
+// Each suffix link followed is strictly shallower, so the search ends.
+func (a *Arena) advance(node, sym uint32) uint32 {
+	for {
+		if c, found := a.child(node, sym); found {
+			return c
+		}
+		if node == 0 {
+			return 0
+		}
+		node = a.link[node]
+	}
 }
+
+// Step advances a streaming match by one URL. node is the match state
+// of a context: the deepest node whose path is a suffix of the context,
+// 0 when there is none (as for the empty context). Step returns the
+// state of the context extended by url, matched over its trailing
+// maxOrder URLs only. Stepping a context URL by URL from 0 therefore
+// reaches the node LongestMatch finds for its last maxOrder URLs, for
+// one symbol lookup and an amortized constant number of child searches
+// per step; an unseen URL resets the state to 0.
+func (a *Arena) Step(node uint32, url string, maxOrder int) uint32 {
+	sym, known := a.ids[url]
+	if !known {
+		return 0
+	}
+	return a.Clamp(a.advance(node, sym), maxOrder)
+}
+
+// Clamp returns the deepest node on node's suffix-link chain (node
+// itself included) whose depth is at most maxOrder, or 0: the match
+// state of the same context considered over its last maxOrder URLs.
+func (a *Arena) Clamp(node uint32, maxOrder int) uint32 {
+	for node != 0 && int(a.depth[node]) > maxOrder {
+		node = a.link[node]
+	}
+	return node
+}
+
+// Depth reports a node's path length from the pseudo-root: the matched
+// order of a match state.
+func (a *Arena) Depth(node uint32) int { return int(a.depth[node]) }
 
 // LongestMatch finds the deepest node matching the longest suffix of
 // ctx, returning the node with the matched order (suffix length). ok is
-// false when no suffix of ctx is in the arena. The algorithm is the
-// single-pass live-match scan of Tree.LongestMatch on the flat layout.
+// false when no suffix of ctx is in the arena. It streams ctx through
+// Step, so it visits each URL once whatever the context length.
 func (a *Arena) LongestMatch(ctx []string) (node uint32, order int, ok bool) {
-	if len(ctx) == 0 {
-		return 0, 0, false
+	for _, u := range ctx {
+		node = a.Step(node, u, len(ctx))
 	}
-	var stack [arenaMaxStackMatches]arenaLive
-	live := stack[:0]
-	for i, u := range ctx {
-		sym, known := a.ids[u]
-		if !known {
-			// An unseen URL kills every match running through it.
-			live = live[:0]
-			continue
-		}
-		k := 0
-		for _, lv := range live {
-			if c, found := a.child(lv.node, sym); found {
-				live[k] = arenaLive{start: lv.start, node: c}
-				k++
-			}
-		}
-		live = live[:k]
-		if c, found := a.child(0, sym); found {
-			live = append(live, arenaLive{start: int32(i), node: c})
-		}
-	}
-	if len(live) == 0 {
-		return 0, 0, false
-	}
-	// Ordered by ascending start: the first survivor is the longest.
-	return live[0].node, len(ctx) - int(live[0].start), true
+	return node, a.Depth(node), node != 0
 }
 
 // Match walks the exact path seq from the pseudo-root, mirroring
@@ -492,26 +519,16 @@ func (a *Arena) Stats() TreeStats {
 	if numNodes > 1 {
 		st.Roots = int(a.childOff[1]) - 1
 	}
-	// BFS layout: a node's depth is its parent's plus one, and parents
-	// precede children, so one forward pass suffices. Depth 0 is the
-	// root's children, matching the pointer walk.
-	depth := make([]int32, numNodes)
 	internal, childSum := 0, 0
 	for i := 0; i < numNodes; i++ {
 		fanout := int(a.childOff[i+1] - a.childOff[i])
-		for ci := a.childOff[i]; ci < a.childOff[i+1]; ci++ {
-			if i == 0 {
-				depth[ci] = 0
-			} else {
-				depth[ci] = depth[i] + 1
-			}
-		}
 		if i == 0 {
 			continue
 		}
 		st.Nodes++
 		st.TotalCount += a.counts[i]
-		d := int(depth[i])
+		// Depth 0 is the root's children, matching the pointer walk.
+		d := a.Depth(uint32(i)) - 1
 		for len(st.DepthHistogram) <= d {
 			st.DepthHistogram = append(st.DepthHistogram, 0)
 		}
@@ -530,9 +547,11 @@ func (a *Arena) Stats() TreeStats {
 		st.MeanBranching = float64(childSum) / float64(internal)
 	}
 	st.Bytes = int64(len(a.buf))
-	// Derived attach-time structures: the urls slice and the reverse map.
+	// Derived attach-time structures: the urls slice, the reverse map,
+	// and the depth and suffix-link arrays.
 	st.Bytes += int64(cap(a.urls)) * int64(unsafe.Sizeof(""))
 	st.Bytes += 48 + int64(len(a.ids))*(int64(unsafe.Sizeof(""))+int64(unsafe.Sizeof(uint32(0)))+mapEntryOverhead)
+	st.Bytes += int64(cap(a.depth)+cap(a.link)) * int64(unsafe.Sizeof(uint32(0)))
 	return st
 }
 
@@ -548,7 +567,8 @@ type FrozenTree struct {
 	// freeze time (the config sentinel dance is a training-time affair).
 	threshold float64
 	// clampHeight > 0 trims contexts to the trailing clampHeight-1 URLs
-	// before matching, mirroring the height-capped models.
+	// before matching, mirroring the height-capped models; the streaming
+	// methods apply it as an order cap.
 	clampHeight int
 }
 
@@ -591,6 +611,34 @@ func (f *FrozenTree) PredictInto(context []string, buf []Prediction) []Predictio
 		ctx = ctx[len(ctx)-(f.clampHeight-1):]
 	}
 	return f.arena.PredictInto(ctx, f.threshold, buf)
+}
+
+// maxOrder lowers an order cap to the clamp height's.
+func (f *FrozenTree) maxOrder(n int) int {
+	if f.clampHeight > 0 && f.clampHeight-1 < n {
+		return f.clampHeight - 1
+	}
+	return n
+}
+
+// Step advances a session's match state by one URL (see Arena.Step),
+// matching at most maxOrder trailing URLs and never more than the clamp
+// height allows.
+func (f *FrozenTree) Step(node uint32, url string, maxOrder int) uint32 {
+	return f.arena.Step(node, url, f.maxOrder(maxOrder))
+}
+
+// PredictFrom is PredictInto for the context whose match state is node,
+// considered over its last maxOrder URLs: after stepping a context URL
+// by URL, it equals PredictInto on the context's last maxOrder URLs.
+// The last URL is unused; it keeps the signature of models whose extra
+// candidates are keyed by the current click.
+func (f *FrozenTree) PredictFrom(node uint32, _ string, maxOrder int, buf []Prediction) []Prediction {
+	buf = buf[:0]
+	if node = f.arena.Clamp(node, f.maxOrder(maxOrder)); node == 0 {
+		return buf
+	}
+	return f.arena.AppendPredictions(buf, node, f.threshold, f.arena.Depth(node))
 }
 
 // NodeCount reports the storage requirement in URL nodes.

@@ -315,11 +315,11 @@ func TestFrozenTreeZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestLongestMatchDeepContext exercises the spill path: a context with
-// more live suffix matches than the stack array holds must still return
-// the longest match (it may allocate — correctness over thrift there).
+// TestLongestMatchDeepContext matches a context far deeper than any
+// serving tail: every URL extends the same path, so the match order
+// must reach the full depth.
 func TestLongestMatchDeepContext(t *testing.T) {
-	depth := arenaMaxStackMatches + 36
+	depth := 100
 	seq := make([]string, depth)
 	for i := range seq {
 		seq[i] = "/loop"
@@ -330,6 +330,148 @@ func TestLongestMatchDeepContext(t *testing.T) {
 	_, order, ok := a.LongestMatch(seq)
 	if !ok || order != depth {
 		t.Fatalf("deep LongestMatch = order %d ok %v, want order %d", order, ok, depth)
+	}
+}
+
+// referenceLongestMatch is the live-match scan LongestMatch used before
+// it streamed through suffix links, kept as the oracle: it carries one
+// candidate per context position that starts a root path, extends all
+// of them by each URL, and returns the earliest-starting survivor.
+func referenceLongestMatch(a *Arena, ctx []string) (node uint32, order int, ok bool) {
+	type live struct {
+		start int
+		node  uint32
+	}
+	var lives []live
+	for i, u := range ctx {
+		sym, known := a.ids[u]
+		if !known {
+			lives = lives[:0]
+			continue
+		}
+		k := 0
+		for _, lv := range lives {
+			if c, found := a.child(lv.node, sym); found {
+				lives[k] = live{start: lv.start, node: c}
+				k++
+			}
+		}
+		lives = lives[:k]
+		if c, found := a.child(0, sym); found {
+			lives = append(lives, live{start: i, node: c})
+		}
+	}
+	if len(lives) == 0 {
+		return 0, 0, false
+	}
+	return lives[0].node, len(ctx) - lives[0].start, true
+}
+
+// lastN returns the trailing n elements of ctx (all of it when shorter).
+func lastN(ctx []string, n int) []string {
+	if len(ctx) > n {
+		return ctx[len(ctx)-n:]
+	}
+	return ctx
+}
+
+// checkStreaming steps ctx through a URL by URL under maxOrder and
+// checks every intermediate state against the reference scan of the
+// prefix's last maxOrder URLs.
+func checkStreaming(t *testing.T, a *Arena, ctx []string, maxOrder int) {
+	t.Helper()
+	node := uint32(0)
+	for i, u := range ctx {
+		node = a.Step(node, u, maxOrder)
+		want, wantOrder, wantOK := referenceLongestMatch(a, lastN(ctx[:i+1], maxOrder))
+		if node != want || (wantOK && a.Depth(node) != wantOrder) {
+			t.Fatalf("Step over %q (maxOrder %d) = node %d depth %d, reference node %d order %d",
+				ctx[:i+1], maxOrder, node, a.Depth(node), want, wantOrder)
+		}
+		if maxOrder >= i+1 {
+			if got, order, ok := a.LongestMatch(ctx[:i+1]); got != want || ok != wantOK || order != wantOrder {
+				t.Fatalf("LongestMatch(%q) = %d/%d/%v, reference %d/%d/%v",
+					ctx[:i+1], got, order, ok, want, wantOrder, wantOK)
+			}
+		}
+	}
+}
+
+// deepArenaTree trains long sessions over a small alphabet, so paths
+// run deeper than the 16-URL serving tail and contexts keep matching
+// mid-path.
+func deepArenaTree(rng *rand.Rand, seqs, alphabet, maxLen int) *Tree {
+	tr := NewTree()
+	for i := 0; i < seqs; i++ {
+		s := make([]string, rng.Intn(maxLen)+1)
+		for j := range s {
+			s[j] = url(rng.Intn(alphabet))
+		}
+		tr.Insert(s, 0, int64(rng.Intn(3)+1))
+	}
+	return tr
+}
+
+// randomContext draws a context over the first alphabet URLs, with an
+// unseen URL at roughly one position in twelve.
+func randomContext(rng *rand.Rand, length, alphabet int) []string {
+	ctx := make([]string, length)
+	for j := range ctx {
+		if rng.Intn(12) == 0 {
+			ctx[j] = "/unseen"
+		} else {
+			ctx[j] = url(rng.Intn(alphabet))
+		}
+	}
+	return ctx
+}
+
+// TestStepMatchesReferenceScan is the streaming match's property test:
+// on shallow and deeper-than-16 arenas, stepping a context URL by URL
+// under any order cap reaches the node the reference scan finds over
+// the context's last maxOrder URLs, and an uncapped LongestMatch agrees
+// with the reference on every prefix.
+func TestStepMatchesReferenceScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	arenas := []*Arena{
+		randomArenaTree(rng, 600, 0).Freeze(),
+		deepArenaTree(rng, 200, 4, 40).Freeze(),
+		deepArenaTree(rng, 300, 12, 24).Freeze(),
+	}
+	if d := arenas[1].Stats().MaxDepth; d <= 16 {
+		t.Fatalf("deep arena has depth %d, want > 16", d)
+	}
+	for _, a := range arenas {
+		for round := 0; round < 150; round++ {
+			ctx := randomContext(rng, rng.Intn(40)+1, 12)
+			checkStreaming(t, a, ctx, 1+rng.Intn(20))
+			checkStreaming(t, a, ctx, len(ctx))
+		}
+	}
+}
+
+// TestFrozenTreeStreamingMatchesPredictInto pins the FrozenTree half of
+// the streaming interface: for clamp heights below, at, and above the
+// 16-URL tail, Step then PredictFrom equals PredictInto on the
+// context's last 16 URLs, on an arena deeper than 16.
+func TestFrozenTreeStreamingMatchesPredictInto(t *testing.T) {
+	const tail = 16
+	rng := rand.New(rand.NewSource(9))
+	a := deepArenaTree(rng, 250, 5, 40).Freeze()
+	for _, clamp := range []int{0, 1, 2, 4, tail, tail + 1, 30} {
+		f := NewFrozenTree(a, "test", 0.05, clamp)
+		for round := 0; round < 200; round++ {
+			ctx := randomContext(rng, rng.Intn(45)+1, 6)
+			node := uint32(0)
+			for _, u := range ctx {
+				node = f.Step(node, u, tail)
+			}
+			got := f.PredictFrom(node, ctx[len(ctx)-1], tail, nil)
+			want := f.PredictInto(lastN(ctx, tail), nil)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("clamp %d, context %q: streamed %+v, PredictInto %+v", clamp, ctx, got, want)
+			}
+		}
 	}
 }
 

@@ -83,6 +83,23 @@ func FuzzArenaFromBytes(f *testing.F) {
 		for s := 1; s <= a.SymbolCount() && s <= 8; s++ {
 			buf = a.PredictInto([]string{a.URLOf(uint32(s))}, 0, buf)
 		}
+		// Streaming over contexts of the arena's own URLs (and an unseen
+		// one) must reach the node the reference scan finds over each
+		// prefix's last 16 URLs.
+		if syms := a.SymbolCount(); syms > 0 {
+			rng := rand.New(rand.NewSource(int64(len(data))))
+			for round := 0; round < 4; round++ {
+				ctx := make([]string, rng.Intn(24)+1)
+				for j := range ctx {
+					if s := rng.Intn(syms + 1); s > 0 {
+						ctx[j] = a.URLOf(uint32(s))
+					} else {
+						ctx[j] = "\x00unseen"
+					}
+				}
+				checkStreaming(t, a, ctx, 16)
+			}
+		}
 		b, err := ArenaFromBytes(a.Bytes())
 		if err != nil {
 			t.Fatalf("reattaching an accepted image failed: %v", err)

@@ -270,14 +270,19 @@ func (r *Registry) Histogram(name, help string, bounds []time.Duration, labels .
 	return r.register(name, help, kindHistogram, labels, func() any { return NewHistogram(bounds) }).(*Histogram)
 }
 
-// snapshot returns the families sorted by name with entries in
-// registration order, for rendering.
-func (r *Registry) snapshot() []*family {
+// snapshot returns copies of the families sorted by name with entries
+// in registration order, for rendering. Each copy's entries are taken
+// under the lock: a registration during the render (a model install
+// adding series while /metrics is scraped) appends to the live family,
+// never to the slice being rendered.
+func (r *Registry) snapshot() []family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*family, 0, len(r.families))
+	out := make([]family, 0, len(r.families))
 	for _, f := range r.families {
-		out = append(out, f)
+		cp := *f
+		cp.entries = slices.Clone(f.entries)
+		out = append(out, cp)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out

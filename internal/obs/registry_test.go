@@ -3,6 +3,7 @@ package obs
 import (
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -161,3 +162,41 @@ var errTest = &testError{}
 type testError struct{}
 
 func (*testError) Error() string { return "down for the test" }
+
+// TestScrapeWhileRegistering renders the exposition while another
+// goroutine keeps registering series into the families being rendered,
+// as a model install does during a /metrics scrape. Under -race it
+// fails if rendering reads a family's entries outside the registry
+// lock.
+func TestScrapeWhileRegistering(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("race_total", "Race.", Label{Name: "i", Value: "0"})
+	reg.GaugeFunc("race_gauge", "Race gauge.", func() float64 { return 1 }, Label{Name: "i", Value: "0"})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i < 500; i++ {
+			v := Label{Name: "i", Value: strconv.Itoa(i)}
+			reg.Counter("race_total", "Race.", v).Inc()
+			reg.GaugeFunc("race_gauge", "Race gauge.", func() float64 { return 1 }, v)
+		}
+	}()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(b.String(), "race_total{"); n != 500 {
+		t.Fatalf("final scrape shows %d race_total series, want 500", n)
+	}
+}

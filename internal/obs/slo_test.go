@@ -114,7 +114,7 @@ func TestSLONoDataRecovers(t *testing.T) {
 		t.Fatalf("pre-traffic state = %q, want no_data", got)
 	}
 	for i := 0; i < 100; i++ {
-		hist.Observe(10 * time.Millisecond)
+		hist.Observe(now, 10*time.Millisecond)
 	}
 	if got := state(); got != SLOStateOK {
 		t.Fatalf("under traffic state = %q, want ok", got)
@@ -128,7 +128,7 @@ func TestSLONoDataRecovers(t *testing.T) {
 
 	// Traffic resumes: the engine recovers to ok without any reset call.
 	for i := 0; i < 50; i++ {
-		hist.Observe(10 * time.Millisecond)
+		hist.Observe(now, 10*time.Millisecond)
 	}
 	if got := state(); got != SLOStateOK {
 		t.Fatalf("resumed state = %q, want ok", got)
@@ -138,7 +138,7 @@ func TestSLONoDataRecovers(t *testing.T) {
 	// short window sees only the new observations.
 	now = now.Add(2 * time.Hour)
 	for i := 0; i < 50; i++ {
-		hist.Observe(5 * time.Second)
+		hist.Observe(now, 5*time.Second)
 	}
 	if got := state(); got != SLOStateCritical {
 		t.Fatalf("resumed-bad state = %q, want critical", got)

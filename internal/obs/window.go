@@ -25,7 +25,10 @@ type Window struct {
 	// values round up, keeping bucket epochs on the Unix-seconds clock
 	// (well-defined even for the zero time.Time fake clocks tests use).
 	Granularity time.Duration
-	// Clock supplies time; nil selects time.Now. Tests inject fakes.
+	// Clock supplies the time reads (sums, counts, quantiles) look back
+	// from; nil selects time.Now. Writes carry their own time, so one
+	// reading per request can stamp every write it makes. Tests inject
+	// fakes.
 	Clock func() time.Time
 }
 
@@ -61,10 +64,9 @@ func (w Window) now() time.Time {
 	return time.Now()
 }
 
-// epochNow is the current bucket number on the Unix-seconds clock.
-func (w Window) epochNow() int64 {
-	e := w.now().Unix() / w.granSeconds()
-	return e
+// epoch is t's bucket number on the Unix-seconds clock.
+func (w Window) epoch(t time.Time) int64 {
+	return t.Unix() / w.granSeconds()
 }
 
 // slots is the ring size: enough complete buckets to cover Span plus
@@ -133,14 +135,15 @@ func NewRollingCounter(w Window) *RollingCounter {
 // below any real epoch the Unix clock can produce.
 const epochUnused = -1 << 62
 
-// Inc adds one.
-func (c *RollingCounter) Inc() { c.Add(1) }
+// Inc records one event at time at.
+func (c *RollingCounter) Inc(at time.Time) { c.Add(at, 1) }
 
-// Add records n events now. An Add racing the bucket's reuse for a
-// newer epoch (a writer descheduled across a Granularity tick) is
-// dropped rather than misfiled.
-func (c *RollingCounter) Add(n int64) {
-	e := c.w.epochNow()
+// Add records n events at time at, which the caller reads from the
+// window's clock. An Add racing the bucket's reuse for a newer epoch (a
+// writer descheduled across a Granularity tick) is dropped rather than
+// misfiled.
+func (c *RollingCounter) Add(at time.Time, n int64) {
+	e := c.w.epoch(at)
 	s := &c.slots[ringIndex(e, len(c.slots))]
 	if s.epoch.Load() != e {
 		c.mu.Lock()
@@ -164,7 +167,7 @@ func (c *RollingCounter) Add(n int64) {
 // partially-filled bucket is included, so the effective lookback is
 // span rounded up to whole buckets.
 func (c *RollingCounter) Sum(span time.Duration) int64 {
-	e := c.w.epochNow()
+	e := c.w.epoch(c.w.now())
 	oldest := e - c.w.spanSlots(span) + 1
 	var total int64
 	for i := range c.slots {
@@ -213,9 +216,10 @@ func NewRollingHistogram(w Window, bounds []time.Duration) *RollingHistogram {
 	return h
 }
 
-// Observe records one duration now.
-func (h *RollingHistogram) Observe(d time.Duration) {
-	e := h.w.epochNow()
+// Observe records one duration at time at, which the caller reads from
+// the window's clock.
+func (h *RollingHistogram) Observe(at time.Time, d time.Duration) {
+	e := h.w.epoch(at)
 	s := &h.slots[ringIndex(e, len(h.slots))]
 	if s.epoch.Load() != e {
 		h.mu.Lock()
@@ -238,7 +242,7 @@ func (h *RollingHistogram) Observe(d time.Duration) {
 // (len(bounds)+1 entries, last is overflow), the raw input to
 // QuantileOverCounts.
 func (h *RollingHistogram) Counts(span time.Duration) []int64 {
-	e := h.w.epochNow()
+	e := h.w.epoch(h.w.now())
 	oldest := e - h.w.spanSlots(span) + 1
 	out := make([]int64, len(h.bounds)+1)
 	for i := range h.slots {

@@ -32,9 +32,9 @@ func TestRollingCounterAgesOut(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1_000_000, 0)}
 	c := NewRollingCounter(testWindow(clk))
 
-	c.Add(5)
+	c.Add(clk.Now(), 5)
 	clk.Advance(1 * time.Minute)
-	c.Add(3)
+	c.Add(clk.Now(), 3)
 	if got := c.Sum(0); got != 8 {
 		t.Fatalf("full-window sum = %d, want 8", got)
 	}
@@ -49,7 +49,7 @@ func TestRollingCounterAgesOut(t *testing.T) {
 	}
 
 	// The ring reuses old slots without double counting.
-	c.Add(7)
+	c.Add(clk.Now(), 7)
 	if got := c.Sum(0); got != 7 {
 		t.Fatalf("sum after reuse = %d, want 7", got)
 	}
@@ -60,9 +60,9 @@ func TestRollingCounterNegativeEpochs(t *testing.T) {
 	// must still index correctly (fake clocks in server tests do this).
 	clk := &fakeClock{}
 	c := NewRollingCounter(testWindow(clk))
-	c.Add(2)
+	c.Add(clk.Now(), 2)
 	clk.Advance(20 * time.Second)
-	c.Add(3)
+	c.Add(clk.Now(), 3)
 	if got := c.Sum(0); got != 5 {
 		t.Fatalf("sum with pre-epoch clock = %d, want 5", got)
 	}
@@ -74,11 +74,11 @@ func TestRollingHistogramQuantilesAndAging(t *testing.T) {
 
 	// 90 fast observations, then later 10 slow ones.
 	for i := 0; i < 90; i++ {
-		h.Observe(2 * time.Millisecond)
+		h.Observe(clk.Now(), 2*time.Millisecond)
 	}
 	clk.Advance(2 * time.Minute)
 	for i := 0; i < 10; i++ {
-		h.Observe(1 * time.Second)
+		h.Observe(clk.Now(), 1*time.Second)
 	}
 
 	if got := h.Count(0); got != 100 {
@@ -119,7 +119,7 @@ func TestRollingCounterConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				c.Add(1)
+				c.Add(clk.Now(), 1)
 				_ = c.Sum(0)
 			}
 		}()

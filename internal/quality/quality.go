@@ -4,10 +4,10 @@
 // one) and the live server (internal/server scores its hint lifecycle
 // through one). Both producers report the same two primitive events:
 //
-//   - Demand(size, outcome): one demand page request, classified as a
-//     miss (the bytes crossed the network), an ordinary cache hit, or
-//     a prefetch hit (a previously prefetched copy served it);
-//   - Prefetched(size): one document transferred by prefetching.
+//   - Demand(at, size, outcome): one demand page request, classified
+//     as a miss (the bytes crossed the network), an ordinary cache
+//     hit, or a prefetch hit (a previously prefetched copy served it);
+//   - Prefetched(at, size): one document transferred by prefetching.
 //
 // and the formulas themselves live in internal/metrics.Result, so a
 // live pbppm_live_precision gauge and a simulator report cell are by
@@ -17,7 +17,9 @@
 // A Scorer is cumulative-only by default (single atomic adds, cheap
 // enough for the simulator's replay loop); NewWindowedScorer
 // additionally maintains rolling counters so the same event stream
-// answers "over the last five minutes" as well as "since start".
+// answers "over the last five minutes" as well as "since start". Each
+// event carries its time, which files it in the rolling windows; a
+// cumulative-only scorer ignores it.
 package quality
 
 import (
@@ -155,49 +157,49 @@ func NewWindowedScorer(w obs.Window) *Scorer {
 }
 
 // Demand records one demand page request of the given transfer size,
-// classified by how it was served. Following the paper's accounting
-// (and the simulator's): a miss transfers size bytes, all useful; a
-// prefetch hit makes the earlier prefetched transfer useful
-// retroactively (size bytes are credited to useful, none transferred
-// now); an ordinary cache hit moves no bytes.
-func (s *Scorer) Demand(size int64, o Outcome) {
+// made at time at and classified by how it was served. Following the
+// paper's accounting (and the simulator's): a miss transfers size
+// bytes, all useful; a prefetch hit makes the earlier prefetched
+// transfer useful retroactively (size bytes are credited to useful,
+// none transferred now); an ordinary cache hit moves no bytes.
+func (s *Scorer) Demand(at time.Time, size int64, o Outcome) {
 	s.requests.Add(1)
 	if s.roll != nil {
-		s.roll.requests.Inc()
+		s.roll.requests.Inc(at)
 	}
 	switch o {
 	case CacheHit:
 		s.cacheHits.Add(1)
 		if s.roll != nil {
-			s.roll.cacheHits.Inc()
+			s.roll.cacheHits.Inc(at)
 		}
 	case PrefetchHit:
 		s.prefetchHits.Add(1)
 		s.useful.Add(size)
 		if s.roll != nil {
-			s.roll.prefetchHits.Inc()
-			s.roll.useful.Add(size)
+			s.roll.prefetchHits.Inc(at)
+			s.roll.useful.Add(at, size)
 		}
 	default: // Miss
 		s.transferred.Add(size)
 		s.useful.Add(size)
 		if s.roll != nil {
-			s.roll.transferred.Add(size)
-			s.roll.useful.Add(size)
+			s.roll.transferred.Add(at, size)
+			s.roll.useful.Add(at, size)
 		}
 	}
 }
 
 // Prefetched records one document of the given size transferred by
-// prefetching.
-func (s *Scorer) Prefetched(size int64) {
+// prefetching at time at.
+func (s *Scorer) Prefetched(at time.Time, size int64) {
 	s.prefetchedDocs.Add(1)
 	s.transferred.Add(size)
 	s.prefetchedB.Add(size)
 	if s.roll != nil {
-		s.roll.prefetchedDocs.Inc()
-		s.roll.transferred.Add(size)
-		s.roll.prefetchedB.Add(size)
+		s.roll.prefetchedDocs.Inc(at)
+		s.roll.transferred.Add(at, size)
+		s.roll.prefetchedB.Add(at, size)
 	}
 }
 

@@ -14,12 +14,12 @@ import (
 func TestScorerMirrorsSimAccounting(t *testing.T) {
 	s := NewScorer()
 
-	s.Demand(1000, Miss)       // demand fetch: transferred+useful
-	s.Prefetched(400)          // pushed alongside the response
-	s.Prefetched(600)          // a second push
-	s.Demand(400, PrefetchHit) // the 400-byte push came true
-	s.Demand(1000, CacheHit)   // ordinary cache hit: no bytes move
-	s.Demand(2000, Miss)       // another demand fetch
+	s.Demand(time.Time{}, 1000, Miss)       // demand fetch: transferred+useful
+	s.Prefetched(time.Time{}, 400)          // pushed alongside the response
+	s.Prefetched(time.Time{}, 600)          // a second push
+	s.Demand(time.Time{}, 400, PrefetchHit) // the 400-byte push came true
+	s.Demand(time.Time{}, 1000, CacheHit)   // ordinary cache hit: no bytes move
+	s.Demand(time.Time{}, 2000, Miss)       // another demand fetch
 
 	got := s.Total()
 	want := Snapshot{
@@ -92,10 +92,10 @@ func TestWindowedScorerRollsOff(t *testing.T) {
 		t.Fatal("windowed scorer reports Windowed() == false")
 	}
 
-	s.Demand(100, Miss)
-	s.Prefetched(50)
+	s.Demand(clk.Now(), 100, Miss)
+	s.Prefetched(clk.Now(), 50)
 	clk.Advance(2 * time.Minute)
-	s.Demand(50, PrefetchHit)
+	s.Demand(clk.Now(), 50, PrefetchHit)
 
 	// Full window still sees everything.
 	full := s.Window(0)
@@ -118,7 +118,7 @@ func TestWindowedScorerRollsOff(t *testing.T) {
 
 	// A cumulative-only scorer answers Window with its totals.
 	c := NewScorer()
-	c.Demand(10, CacheHit)
+	c.Demand(time.Time{}, 10, CacheHit)
 	if c.Windowed() {
 		t.Fatal("cumulative scorer reports Windowed() == true")
 	}
@@ -135,8 +135,8 @@ func TestScorerConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				s.Demand(10, Outcome(i%3))
-				s.Prefetched(5)
+				s.Demand(time.Now(), 10, Outcome(i%3))
+				s.Prefetched(time.Now(), 5)
 				_ = s.Total()
 				_ = s.Window(0)
 			}

@@ -138,10 +138,11 @@ func TestStressSameClientContext(t *testing.T) {
 }
 
 // BenchmarkServerServeHTTPParallel measures demand-request throughput
-// on the lock-free read path; run with -cpu 1,2,4,8 to see scaling
-// with GOMAXPROCS.
+// on the lock-free read path, serving the frozen model prefetchd
+// publishes (so sessions take the streaming match); run with
+// -cpu 1,2,4,8 to see scaling with GOMAXPROCS.
 func BenchmarkServerServeHTTPParallel(b *testing.B) {
-	srv := New(benchStore(), Config{Predictor: benchModel()})
+	srv := New(benchStore(), Config{Predictor: benchModel().Freeze()})
 	var id atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -166,7 +167,7 @@ func BenchmarkServerServeHTTPParallel(b *testing.B) {
 func BenchmarkServerServeHTTPParallelObs(b *testing.B) {
 	reg := obs.NewRegistry()
 	srv := New(benchStore(), Config{
-		Predictor: benchModel(),
+		Predictor: benchModel().Freeze(),
 		Obs:       reg,
 		Tracer:    obs.NewTracer(reg, 0),
 	})
@@ -215,12 +216,12 @@ func benchModel() *core.Model {
 }
 
 // BenchmarkServerServeHTTPParallelDeepContext is the parallel demand
-// benchmark with sessions long enough that every request hands the
-// model the full predictContextTail-URL context. It isolates the
-// predict path's longest-match cost on deep contexts (a single tree
-// walk over the context, rather than one walk per suffix).
+// benchmark with sessions long enough that every request's context
+// fills the predictContextTail-URL tail. With the frozen model each
+// request still advances the match by one URL, so its cost should
+// track BenchmarkServerServeHTTPParallel's.
 func BenchmarkServerServeHTTPParallelDeepContext(b *testing.B) {
-	srv := New(benchStore(), Config{Predictor: deepBenchModel()})
+	srv := New(benchStore(), Config{Predictor: deepBenchModel().Freeze()})
 	var id atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()

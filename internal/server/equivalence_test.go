@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pbppm/internal/core"
+	"pbppm/internal/markov"
 	"pbppm/internal/popularity"
 	"pbppm/internal/session"
 	"pbppm/internal/sim"
@@ -22,6 +23,22 @@ import (
 // paths feed the same quality.Scorer implementation, and this test
 // proves the event streams they feed it are equivalent.
 func TestLiveScorerMatchesOfflineSimulator(t *testing.T) {
+	checkLiveScorerMatchesOfflineSimulator(t, func(m *core.Model) markov.Predictor { return m })
+}
+
+// TestLiveScorerMatchesOfflineSimulatorFrozen runs the same replay with
+// the server serving the model's frozen snapshot, as prefetchd does:
+// the live server then advances each session's streaming match state
+// instead of re-matching its context tail, while the simulator still
+// predicts from the live model.
+func TestLiveScorerMatchesOfflineSimulatorFrozen(t *testing.T) {
+	checkLiveScorerMatchesOfflineSimulator(t, func(m *core.Model) markov.Predictor { return m.Freeze() })
+}
+
+// checkLiveScorerMatchesOfflineSimulator replays one trace through the
+// simulator (predicting from the trained model) and through a live
+// server serving serve(model), and requires identical accounting.
+func checkLiveScorerMatchesOfflineSimulator(t *testing.T, serve func(*core.Model) markov.Predictor) {
 	rng := rand.New(rand.NewSource(42))
 	base := time.Date(2026, 7, 5, 12, 0, 0, 0, time.UTC)
 
@@ -105,7 +122,7 @@ func TestLiveScorerMatchesOfflineSimulator(t *testing.T) {
 	var clockNanos atomic.Int64
 	clockNanos.Store(base.UnixNano())
 	srv := New(store, Config{
-		Predictor:    model,
+		Predictor:    serve(model),
 		MaxHints:     1024, // the simulator does not cap hints per response
 		MaxHintBytes: 30 * 1024,
 		Clock:        func() time.Time { return time.Unix(0, clockNanos.Load()) },

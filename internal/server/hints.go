@@ -1,8 +1,7 @@
 package server
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -23,36 +22,37 @@ func hintEscapeNeeded(c byte) bool {
 	return c <= ' ' || c >= 0x7f || c == '%' || c == ',' || c == ';'
 }
 
-// escapeHintURL percent-escapes the bytes of u that collide with the
-// hint-list syntax.
-func escapeHintURL(u string) string {
-	needs := false
+// writeHintURL writes u to b, percent-escaping the bytes that collide
+// with the hint-list syntax.
+func writeHintURL(b *strings.Builder, u string) {
+	start := 0
 	for i := 0; i < len(u); i++ {
-		if hintEscapeNeeded(u[i]) {
-			needs = true
-			break
-		}
-	}
-	if !needs {
-		return u
-	}
-	var b strings.Builder
-	b.Grow(len(u) + 8)
-	for i := 0; i < len(u); i++ {
-		c := u[i]
-		if hintEscapeNeeded(c) {
+		if c := u[i]; hintEscapeNeeded(c) {
+			b.WriteString(u[start:i])
 			b.WriteByte('%')
 			b.WriteByte(upperhex[c>>4])
 			b.WriteByte(upperhex[c&0xf])
-		} else {
-			b.WriteByte(c)
+			start = i + 1
 		}
 	}
-	return b.String()
+	b.WriteString(u[start:])
 }
 
-// unescapeHintURL inverts escapeHintURL. Malformed percent triples are
-// kept literally so legacy unescaped headers still parse.
+// headerElems calls fn with each comma-separated element of a hint or
+// report header, trimmed of surrounding white space, skipping empty
+// ones.
+func headerElems(header string, fn func(elem string)) {
+	for header != "" {
+		elem, rest, _ := strings.Cut(header, ",")
+		if elem = strings.TrimSpace(elem); elem != "" {
+			fn(elem)
+		}
+		header = rest
+	}
+}
+
+// unescapeHintURL inverts writeHintURL's escaping. Malformed percent
+// triples are kept literally so legacy unescaped headers still parse.
 func unescapeHintURL(u string) string {
 	if !strings.Contains(u, "%") {
 		return u
@@ -88,28 +88,43 @@ func unhex(c byte) (byte, bool) {
 }
 
 // FormatHints renders the X-Prefetch header value,
-// "url;p=0.62, url2;p=0.31", percent-escaping each URL.
+// "url;p=0.62, url2;p=0.31", percent-escaping each URL and writing each
+// probability with three decimals.
 func FormatHints(hints []markov.Prediction) string {
-	parts := make([]string, len(hints))
-	for i, h := range hints {
-		parts[i] = fmt.Sprintf("%s;p=%.3f", escapeHintURL(h.URL), h.Probability)
+	if len(hints) == 0 {
+		return ""
 	}
-	return strings.Join(parts, ", ")
+	var b strings.Builder
+	n := 0
+	for _, h := range hints {
+		n += len(h.URL) + len(", ;p=0.000")
+	}
+	b.Grow(n)
+	var num [32]byte
+	for i, h := range hints {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		writeHintURL(&b, h.URL)
+		b.WriteString(";p=")
+		b.Write(strconv.AppendFloat(num[:0], h.Probability, 'f', 3, 64))
+	}
+	return b.String()
 }
 
-// ParseHints inverts FormatHints; malformed elements are skipped.
+// ParseHints inverts FormatHints; malformed elements are skipped. The
+// hints come back stably ordered by probability, highest first.
 func ParseHints(header string) []markov.Prediction {
 	if header == "" {
 		return nil
 	}
 	var out []markov.Prediction
-	for _, part := range strings.Split(header, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
+	headerElems(header, func(elem string) {
+		url, rest, found := strings.Cut(elem, ";")
+		p := markov.Prediction{URL: unescapeHintURL(strings.TrimSpace(url))}
+		if p.URL == "" {
+			return
 		}
-		url, rest, found := strings.Cut(part, ";")
-		p := markov.Prediction{URL: unescapeHintURL(strings.TrimSpace(url)), Probability: 0}
 		if found {
 			if v, ok := strings.CutPrefix(strings.TrimSpace(rest), "p="); ok {
 				if f, err := strconv.ParseFloat(v, 64); err == nil {
@@ -117,10 +132,21 @@ func ParseHints(header string) []markov.Prediction {
 				}
 			}
 		}
-		if p.URL != "" {
-			out = append(out, p)
+		if out == nil {
+			out = make([]markov.Prediction, 0, strings.Count(header, ",")+1)
 		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Probability > out[j].Probability })
+		out = append(out, p)
+	})
+	// Highest probability first; a NaN compares equal to every
+	// probability.
+	slices.SortStableFunc(out, func(a, b markov.Prediction) int {
+		switch {
+		case a.Probability > b.Probability:
+			return -1
+		case a.Probability < b.Probability:
+			return 1
+		}
+		return 0
+	})
 	return out
 }

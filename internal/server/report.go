@@ -35,15 +35,27 @@ type ReportEntry struct {
 
 // FormatReport renders the X-Prefetch-Report header value.
 func FormatReport(entries []ReportEntry) string {
-	parts := make([]string, 0, len(entries))
-	for _, e := range entries {
-		tag := ";h=c"
-		if e.Outcome == quality.PrefetchHit {
-			tag = ";h=p"
-		}
-		parts = append(parts, escapeHintURL(e.URL)+tag)
+	if len(entries) == 0 {
+		return ""
 	}
-	return strings.Join(parts, ", ")
+	var b strings.Builder
+	n := 0
+	for _, e := range entries {
+		n += len(e.URL) + len(", ;h=c")
+	}
+	b.Grow(n)
+	for i, e := range entries {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		writeHintURL(&b, e.URL)
+		if e.Outcome == quality.PrefetchHit {
+			b.WriteString(";h=p")
+		} else {
+			b.WriteString(";h=c")
+		}
+	}
+	return b.String()
 }
 
 // ParseReport inverts FormatReport; malformed elements are skipped.
@@ -52,14 +64,10 @@ func ParseReport(header string) []ReportEntry {
 		return nil
 	}
 	var out []ReportEntry
-	for _, part := range strings.Split(header, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		url, rest, found := strings.Cut(part, ";")
+	headerElems(header, func(elem string) {
+		url, rest, found := strings.Cut(elem, ";")
 		if !found {
-			continue
+			return
 		}
 		var outcome quality.Outcome
 		switch strings.TrimSpace(rest) {
@@ -68,13 +76,16 @@ func ParseReport(header string) []ReportEntry {
 		case "h=c":
 			outcome = quality.CacheHit
 		default:
-			continue
+			return
 		}
 		u := unescapeHintURL(strings.TrimSpace(url))
 		if u == "" {
-			continue
+			return
+		}
+		if out == nil {
+			out = make([]ReportEntry, 0, strings.Count(header, ",")+1)
 		}
 		out = append(out, ReportEntry{URL: u, Outcome: outcome})
-	}
+	})
 	return out
 }

@@ -229,32 +229,36 @@ func (l *liveScore) emit(ev HintEvent) {
 	}
 }
 
+// The methods below take the request's one clock reading: at files
+// rolling-window writes, and now, the same reading as a server stamp,
+// dates hint events against their records' issue stamps.
+
 // demand scores one demand request against the current model.
-func (l *liveScore) demand(size int64, o quality.Outcome) {
+func (l *liveScore) demand(at time.Time, size int64, o quality.Outcome) {
 	if ms := l.current.Load(); ms != nil {
-		ms.score.Demand(size, o)
+		ms.score.Demand(at, size, o)
 	}
 }
 
 // observeLatency feeds the rolling demand-latency histogram.
-func (l *liveScore) observeLatency(d time.Duration) {
-	l.demandLatency.Observe(d)
+func (l *liveScore) observeLatency(at time.Time, d time.Duration) {
+	l.demandLatency.Observe(at, d)
 }
 
 // prefetched scores one hint-driven transfer against the model that
 // issued the hint (empty for unhinted prefetch fetches).
-func (l *liveScore) prefetched(model string, size int64) {
+func (l *liveScore) prefetched(at time.Time, model string, size int64) {
 	if ms := l.byName(model); ms != nil {
-		ms.score.Prefetched(size)
+		ms.score.Prefetched(at, size)
 	}
 }
 
 // fetchedHint marks a hint's first prefetch fetch: the per-grade
 // denominator and the Fetched lifecycle event.
-func (l *liveScore) fetchedHint(client string, rec hintRecord, now int64) {
+func (l *liveScore) fetchedHint(client string, rec hintRecord, at time.Time, now int64) {
 	grade := l.gradeOf(rec.url)
 	if ms := l.byName(rec.model); ms != nil {
-		ms.fetched[grade].Inc()
+		ms.fetched[grade].Inc(at)
 	}
 	l.emit(HintEvent{
 		Type: HintFetched, Client: client, URL: rec.url, Model: rec.model,
@@ -266,14 +270,14 @@ func (l *liveScore) fetchedHint(client string, rec hintRecord, now int64) {
 // prefetched copy actually served the request (a client report) — only
 // then does the scorer count a prefetch hit; a demand re-fetch of a
 // hinted URL confirms the prediction without the byte savings.
-func (l *liveScore) hit(client string, rec hintRecord, size int64, served bool, now int64) {
+func (l *liveScore) hit(client string, rec hintRecord, size int64, served bool, at time.Time, now int64) {
 	grade := l.gradeOf(rec.url)
 	ms := l.byName(rec.model)
 	if ms != nil {
 		if served {
-			ms.score.Demand(size, quality.PrefetchHit)
+			ms.score.Demand(at, size, quality.PrefetchHit)
 		}
-		ms.hits[grade].Inc()
+		ms.hits[grade].Inc(at)
 	}
 	l.emit(HintEvent{
 		Type: HintHit, Client: client, URL: rec.url, Model: rec.model,

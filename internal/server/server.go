@@ -272,8 +272,9 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 // a few kilobytes.
 const contextShards = 64
 
-// predictContextTail caps how many trailing session URLs are handed to
-// Predict per request. The paper's models match at most their maximum
+// predictContextTail caps how many trailing session URLs a prediction
+// considers: the tail handed to Predict, or the order cap of a
+// streaming match. The paper's models match at most their maximum
 // branch height (7), and >95% of sessions have at most 9 clicks (§2.2),
 // so 16 loses nothing while bounding per-request work for clients that
 // never go idle.
@@ -286,10 +287,10 @@ type contextShard struct {
 	contexts map[string]*clientContext
 	// ending tracks in-flight OnSessionEnd deliveries by client: the
 	// channel closes when the ended session's callbacks have run. A
-	// successor session records it as predEnd so its own end waits for
-	// the predecessor's delivery — per-client session ends reach
-	// OnSessionEnd in session order even when expiry and a new request
-	// race (see deliverSessionEnd).
+	// session that ends while its client's previous end is still listed
+	// here waits for that delivery first, so per-client session ends
+	// reach OnSessionEnd in session order even when expiry and a new
+	// request race (see endSession).
 	ending map[string]chan struct{}
 }
 
@@ -305,8 +306,26 @@ type rankShard struct {
 }
 
 // predictorCell boxes the published model so an interface value can sit
-// behind an atomic.Pointer.
-type predictorCell struct{ p markov.Predictor }
+// behind an atomic.Pointer. stream is the model's streaming interface,
+// nil when it has none; gen numbers the publish, so a session can tell
+// whether its stored match state belongs to this model.
+type predictorCell struct {
+	p      markov.Predictor
+	stream streamPredictor
+	gen    uint32
+}
+
+// streamPredictor is implemented by frozen models that follow a
+// session's context one URL at a time (core.Frozen, markov.FrozenTree).
+// Step advances a match state by one URL; PredictFrom predicts from a
+// state and the session's current URL. Both consider only the trailing
+// maxOrder URLs, and stepping a context from state 0 then predicting
+// equals PredictInto on its last maxOrder URLs. Other models (live
+// trees, Top-N, blended PPM, wrappers) take the context-tail path.
+type streamPredictor interface {
+	Step(node uint32, url string, maxOrder int) uint32
+	PredictFrom(node uint32, last string, maxOrder int, buf []markov.Prediction) []markov.Prediction
+}
 
 // Server is an http.Handler serving a ContentStore with prefetch hints.
 type Server struct {
@@ -316,6 +335,8 @@ type Server struct {
 	// pred is the published prediction model, swapped whole and never
 	// mutated in place: the serving read path loads it without locks.
 	pred atomic.Pointer[predictorCell]
+	// gens numbers publishes (see predictorCell.gen).
+	gens atomic.Uint32
 
 	ranks [rankShards]rankShard
 
@@ -367,10 +388,13 @@ type clientContext struct {
 	// this client, consumed when a demand request or client report for
 	// one arrives.
 	hinted []hintRecord
-	// predEnd, when non-nil, is the in-flight end delivery of this
-	// client's previous session; this session's own end waits on it so
-	// OnSessionEnd observes per-client session order.
-	predEnd chan struct{}
+	// node is the session's match state in the streaming model published
+	// as generation gen (see streamPredictor); a session whose gen is
+	// not the current model's rebuilds node from its URL tail once. A
+	// number rather than a model pointer, so an idle session pins no
+	// retired model.
+	gen  uint32
+	node uint32
 }
 
 // hintedIndex returns the position of url in ctx.hinted, or -1.
@@ -456,26 +480,22 @@ func (s *Server) SetPredictor(p markov.Predictor) {
 	if ur, ok := p.(markov.UsageRecorder); ok {
 		ur.SetUsageRecording(false)
 	}
-	s.pred.Store(&predictorCell{p: p})
+	stream, _ := p.(streamPredictor)
+	s.pred.Store(&predictorCell{p: p, stream: stream, gen: s.gens.Add(1)})
 	s.live.setModel(p.Name())
 }
 
-// now reads the clock as the stamp contexts and hint records keep: the
-// int64 nanoseconds since the server's epoch. A stamp is a third of a
-// time.Time, and the difference of two stamps equals Sub between their
-// readings, monotonic clock included.
-func (s *Server) now() int64 { return int64(s.cfg.now().Sub(s.epoch)) }
+// stamp converts a clock reading to the stamp contexts and hint records
+// keep: the int64 nanoseconds since the server's epoch. A stamp is a
+// third of a time.Time, and the difference of two stamps equals Sub
+// between their readings, monotonic clock included.
+func (s *Server) stamp(t time.Time) int64 { return int64(t.Sub(s.epoch)) }
+
+// now reads the clock as a stamp.
+func (s *Server) now() int64 { return s.stamp(s.cfg.now()) }
 
 // timeAt converts a stamp back to the clock reading it came from.
 func (s *Server) timeAt(stamp int64) time.Time { return s.epoch.Add(time.Duration(stamp)) }
-
-// predictor loads the current model snapshot, or nil.
-func (s *Server) predictor() markov.Predictor {
-	if c := s.pred.Load(); c != nil {
-		return c.p
-	}
-	return nil
-}
 
 // fnv1a is the 32-bit FNV-1a hash used to pick shards.
 func fnv1a(key string) uint32 {
@@ -605,13 +625,21 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
+	// One clock reading serves the request: the latency start, the
+	// session and hint stamps, and every rolling-window write. An
+	// injected Clock drives the stamps and windows, while latency stays
+	// on the wall clock.
 	start := time.Now()
+	at := start
+	if s.cfg.Clock != nil {
+		at = s.cfg.Clock()
+	}
 	client := s.identity.ClientOf(r)
 	// Client hit reports ride along on any request (and on report-only
 	// beacons); ingest them before demand accounting so a batch
 	// attached to a navigation scores in client-event order.
 	if rep := r.Header.Get(HeaderPrefetchReport); rep != "" {
-		s.ingestReports(client, ParseReport(rep))
+		s.ingestReports(client, ParseReport(rep), at)
 	}
 	if r.Header.Get(HeaderPrefetchReportOnly) != "" {
 		w.WriteHeader(http.StatusNoContent)
@@ -636,11 +664,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if isPrefetch {
 		s.metrics.prefetchRequests.Inc()
 		s.metrics.prefetchBytes.Add(int64(len(doc.Body)))
-		s.observePrefetchFetch(client, url, int64(len(doc.Body)))
+		s.observePrefetchFetch(client, url, int64(len(doc.Body)), at)
 	} else {
 		s.metrics.demandRequests.Inc()
 		s.metrics.demandBytes.Add(int64(len(doc.Body)))
-		hints = s.observeDemand(client, url, int64(len(doc.Body)))
+		hints = s.observeDemand(client, url, int64(len(doc.Body)), at)
 	}
 
 	if len(hints) > 0 {
@@ -657,7 +685,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.metrics.prefetchLatency.Observe(elapsed)
 	} else {
 		s.metrics.demandLatency.Observe(elapsed)
-		s.live.observeLatency(elapsed)
+		s.live.observeLatency(at, elapsed)
 	}
 	if r.Method == http.MethodHead {
 		return
@@ -668,8 +696,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // observePrefetchFetch credits a hint-driven prefetch against the
 // client's outstanding hints and scores the transfer as prefetch
 // traffic. A prefetch does not open sessions or extend the idle clock.
-func (s *Server) observePrefetchFetch(client, url string, size int64) {
-	now := s.now()
+func (s *Server) observePrefetchFetch(client, url string, size int64, at time.Time) {
+	now := s.stamp(at)
 	sh := s.shard(client)
 	sh.mu.Lock()
 	ctx := sh.contexts[client]
@@ -692,11 +720,11 @@ func (s *Server) observePrefetchFetch(client, url string, size int64) {
 		s.metrics.hintFetches.Inc()
 	}
 	if first {
-		s.live.fetchedHint(client, rec, now)
+		s.live.fetchedHint(client, rec, at, now)
 	}
 	// Every hint-driven transfer counts as prefetch traffic, scored
 	// against the model that issued the hint when we know it.
-	s.live.prefetched(rec.model, size)
+	s.live.prefetched(at, rec.model, size)
 }
 
 // ingestReports scores a client's batched local hit outcomes (see
@@ -704,11 +732,11 @@ func (s *Server) observePrefetchFetch(client, url string, size int64) {
 // hint record and scores a PrefetchHit against the issuing model; a
 // cache-hit report scores an ordinary CacheHit. Sizes come from the
 // content store, mirroring what the client's cached copy held.
-func (s *Server) ingestReports(client string, reports []ReportEntry) {
+func (s *Server) ingestReports(client string, reports []ReportEntry, at time.Time) {
 	if len(reports) == 0 {
 		return
 	}
-	now := s.now()
+	now := s.stamp(at)
 	sh := s.shard(client)
 	for _, rep := range reports {
 		var size int64
@@ -736,9 +764,9 @@ func (s *Server) ingestReports(client string, reports []ReportEntry) {
 			if !matched {
 				s.metrics.reportsUnmatched.Inc()
 			}
-			s.live.hit(client, rec, size, true, now)
+			s.live.hit(client, rec, size, true, at, now)
 		case quality.CacheHit:
-			s.live.demand(size, quality.CacheHit)
+			s.live.demand(at, size, quality.CacheHit)
 		}
 	}
 }
@@ -757,31 +785,29 @@ var predBufPool = sync.Pool{
 // statistics, scores the request against the live quality model, and
 // computes the prefetch hints for this response. Only the client's
 // context shard (and briefly the ranking mutex) is locked; prediction
-// and store lookups run lock-free on a context snapshot.
-func (s *Server) observeDemand(client, url string, size int64) []markov.Prediction {
+// and store lookups run lock-free. A streaming model advances the
+// session's match state by this one URL under the lock; any other model
+// gets a snapshot of the context tail.
+func (s *Server) observeDemand(client, url string, size int64, at time.Time) []markov.Prediction {
 	span := s.tracer.Start()
-	now := s.now()
+	now := s.stamp(at)
 	s.observeRank(url)
 	// Every demand request that reaches the server is a miss in the
 	// client's caches; hits are scored from client reports instead.
-	s.live.demand(size, quality.Miss)
+	s.live.demand(at, size, quality.Miss)
 
+	cell := s.pred.Load()
 	sh := s.shard(client)
 	sh.mu.Lock()
 	ctx := sh.contexts[client]
 	var ended *clientContext
-	var endDone chan struct{}
+	var endPrev, endDone chan struct{}
 	if ctx == nil || now-ctx.last > int64(s.cfg.idle()) {
 		if ctx != nil {
 			ended = ctx
-			endDone = make(chan struct{})
-			sh.ending[client] = endDone
+			endPrev, endDone = sh.endSession(client)
 		}
-		// The successor session chains onto whatever end delivery is in
-		// flight for this client — the rotation just recorded, or one an
-		// earlier ExpireSessions has not finished delivering — so its own
-		// end cannot overtake the predecessor's.
-		ctx = &clientContext{predEnd: sh.ending[client]}
+		ctx = &clientContext{}
 		sh.contexts[client] = ctx
 		s.metrics.sessionsStarted.Inc()
 	}
@@ -797,18 +823,36 @@ func (s *Server) observeDemand(client, url string, size int64) []markov.Predicti
 	ctx.urls = append(ctx.urls, url)
 	ctx.last = now
 	span.Mark(obs.StageSession)
-	// Snapshot the context tail so prediction runs without the shard
-	// lock (a concurrent request from the same client may append to
-	// ctx.urls). Only the tail is copied: every shipped model matches at
-	// most its branch height (≤ 7 URLs), so this keeps the hot path O(1)
-	// even for marathon sessions while the full session is still
-	// recorded for OnSessionEnd training.
+	// Only the trailing predictContextTail URLs reach the model: every
+	// shipped model matches at most its branch height (≤ 7 URLs), so
+	// this keeps the hot path O(1) even for marathon sessions while the
+	// full session is still recorded for OnSessionEnd training.
 	tail := ctx.urls
 	if len(tail) > predictContextTail {
 		tail = tail[len(tail)-predictContextTail:]
 	}
-	snapshot := make([]string, len(tail))
-	copy(snapshot, tail)
+	var node uint32
+	var snapshot []string
+	switch {
+	case cell == nil:
+	case cell.stream == nil:
+		// Snapshot the tail so prediction runs without the shard lock (a
+		// concurrent request from the same client may append to
+		// ctx.urls).
+		snapshot = append([]string(nil), tail...)
+	case ctx.gen == cell.gen:
+		ctx.node = cell.stream.Step(ctx.node, url, predictContextTail)
+		node = ctx.node
+	default:
+		// A new session, or a model published since this session's last
+		// request: rebuild the match state from the tail once.
+		ctx.node = 0
+		for _, u := range tail {
+			ctx.node = cell.stream.Step(ctx.node, u, predictContextTail)
+		}
+		ctx.gen = cell.gen
+		node = ctx.node
+	}
 	sh.mu.Unlock()
 
 	if hintHit {
@@ -816,20 +860,24 @@ func (s *Server) observeDemand(client, url string, size int64) []markov.Predicti
 		// The prediction came true, but the request reached the server,
 		// so the prefetched copy (if any) did not serve it: a lifecycle
 		// hit without the byte savings — already scored as a Miss above.
-		s.live.hit(client, hitRec, size, false, now)
+		s.live.hit(client, hitRec, size, false, at, now)
 	}
 	if ended != nil {
-		s.deliverSessionEnd(sh, client, ended, endDone, now)
+		s.deliverSessionEnd(sh, client, ended, endPrev, endDone, now)
 	}
 	span.Mark(obs.StageContext)
 
-	pred := s.predictor()
-	if pred == nil {
+	if cell == nil {
 		span.Finish(client, url)
 		return nil
 	}
 	bufp := predBufPool.Get().(*[]markov.Prediction)
-	preds := markov.PredictInto(pred, snapshot, *bufp)
+	var preds []markov.Prediction
+	if cell.stream != nil {
+		preds = cell.stream.PredictFrom(node, url, predictContextTail, *bufp)
+	} else {
+		preds = markov.PredictInto(cell.p, snapshot, *bufp)
+	}
 	span.Mark(obs.StagePredict)
 	// Filter into a fresh slice: preds lives in pooled scratch that the
 	// next request will overwrite (the markov.BufferedPredictor contract
@@ -860,7 +908,7 @@ func (s *Server) observeDemand(client, url string, size int64) []markov.Predicti
 	predBufPool.Put(bufp)
 	s.metrics.hintsIssued.Add(int64(len(out)))
 	if len(out) > 0 {
-		model := pred.Name()
+		model := cell.p.Name()
 		recs := make([]hintRecord, len(out))
 		for i, p := range out {
 			recs[i] = hintRecord{url: p.URL, prob: p.Probability, model: model, issued: now}
@@ -907,14 +955,27 @@ func (s *Server) contextURLs(client string) []string {
 	return append([]string(nil), ctx.urls...)
 }
 
+// endSession registers the end of client's open session, whose context
+// the caller (holding sh.mu) is removing: done is the channel the end's
+// delivery closes, and prev the client's previous end delivery if it is
+// still in flight. An end waits for its predecessor's, so chaining each
+// end onto the one listed when it is registered keeps every client's
+// ends in session order.
+func (sh *contextShard) endSession(client string) (prev, done chan struct{}) {
+	prev = sh.ending[client]
+	done = make(chan struct{})
+	sh.ending[client] = done
+	return prev, done
+}
+
 // deliverSessionEnd runs a closed session's callbacks — Wasted hint
 // events and OnSessionEnd — with no server lock held. It first waits
-// for the client's previous session end (if one is still in flight) so
-// the maintainer observes each client's sessions in session order, and
-// closes done afterwards so the client's next end waits on this one.
-// The registration in sh.ending is cleaned up unless a later end has
-// already replaced it.
-func (s *Server) deliverSessionEnd(sh *contextShard, client string, ctx *clientContext, done chan struct{}, now int64) {
+// for the client's previous session end (prev, if one was in flight)
+// so the maintainer observes each client's sessions in session order,
+// and closes done afterwards so the client's next end waits on this
+// one. The registration in sh.ending is cleaned up unless a later end
+// has already replaced it.
+func (s *Server) deliverSessionEnd(sh *contextShard, client string, ctx *clientContext, prev, done chan struct{}, now int64) {
 	defer func() {
 		close(done)
 		sh.mu.Lock()
@@ -923,8 +984,8 @@ func (s *Server) deliverSessionEnd(sh *contextShard, client string, ctx *clientC
 		}
 		sh.mu.Unlock()
 	}()
-	if ctx.predEnd != nil {
-		<-ctx.predEnd
+	if prev != nil {
+		<-prev
 	}
 	s.wasteHints(client, ctx.hinted, now)
 	if s.cfg.OnSessionEnd != nil {
@@ -935,10 +996,10 @@ func (s *Server) deliverSessionEnd(sh *contextShard, client string, ctx *clientC
 // endedCtx is one context removed from its shard, awaiting callback
 // delivery outside the shard lock.
 type endedCtx struct {
-	sh     *contextShard
-	client string
-	ctx    *clientContext
-	done   chan struct{}
+	sh         *contextShard
+	client     string
+	ctx        *clientContext
+	prev, done chan struct{}
 }
 
 // removeSessions removes every context matching keep==false from the
@@ -952,9 +1013,8 @@ func (s *Server) removeSessions(expire func(*clientContext) bool) []endedCtx {
 		for c, ctx := range sh.contexts {
 			if expire(ctx) {
 				delete(sh.contexts, c)
-				done := make(chan struct{})
-				sh.ending[c] = done
-				ended = append(ended, endedCtx{sh: sh, client: c, ctx: ctx, done: done})
+				prev, done := sh.endSession(c)
+				ended = append(ended, endedCtx{sh: sh, client: c, ctx: ctx, prev: prev, done: done})
 			}
 		}
 		sh.mu.Unlock()
@@ -975,7 +1035,7 @@ func (s *Server) ExpireSessions() int {
 	})
 	s.metrics.sessionsExpired.Add(int64(len(ended)))
 	for _, e := range ended {
-		s.deliverSessionEnd(e.sh, e.client, e.ctx, e.done, now)
+		s.deliverSessionEnd(e.sh, e.client, e.ctx, e.prev, e.done, now)
 	}
 	return len(ended)
 }
@@ -990,7 +1050,7 @@ func (s *Server) FlushSessions() int {
 	ended := s.removeSessions(func(*clientContext) bool { return true })
 	s.metrics.sessionsExpired.Add(int64(len(ended)))
 	for _, e := range ended {
-		s.deliverSessionEnd(e.sh, e.client, e.ctx, e.done, now)
+		s.deliverSessionEnd(e.sh, e.client, e.ctx, e.prev, e.done, now)
 	}
 	return len(ended)
 }

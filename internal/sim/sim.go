@@ -379,7 +379,7 @@ func Run(test []session.Session, opt Options) metrics.Result {
 			res.Latencies.Observe(missLat)
 			browser.Put(v.URL, size, false)
 		}
-		score.Demand(size, outcome)
+		score.Demand(v.Time, size, outcome)
 
 		// The server's view of the session: requests that reached it.
 		// Cache hits stay invisible unless PredictOnHitToo is set.
@@ -416,7 +416,7 @@ func Run(test []session.Session, opt Options) metrics.Result {
 					}
 					browser.Put(p.URL, psize, true)
 				}
-				score.Prefetched(psize)
+				score.Prefetched(v.Time, psize)
 			}
 		}
 		if opt.OnProgress != nil && (evIdx+1)%every == 0 {
