@@ -6,8 +6,8 @@
 package cache
 
 import (
-	"container/list"
 	"fmt"
+	"math"
 )
 
 // DefaultBrowserCapacity is the paper's browser cache size (1 MB).
@@ -16,21 +16,30 @@ const DefaultBrowserCapacity = 1 << 20
 // DefaultProxyCapacity is the paper's proxy disk cache size (16 GB).
 const DefaultProxyCapacity = 16 << 30
 
-// entry is one cached document.
+// entry is one cached document, or a free slot. prev and next link it
+// into the recency list (or, free, into the free list through next).
 type entry struct {
 	url        string
 	size       int64
 	prefetched bool
+	prev, next int32
 }
 
 // LRU is a least-recently-used cache bounded by total byte size.
 // It is not safe for concurrent use; the simulator is single-threaded
 // per cache.
+//
+// Entries live in one slice and link to each other by index, so a put
+// allocates nothing once the slice has grown to the working set and a
+// hit moves two indices instead of list pointers. Slot 0 is the list
+// root: its next is the most recent entry and its prev the least recent.
+// Removed slots are kept on a free list for the next put.
 type LRU struct {
 	capacity int64
 	used     int64
-	ll       *list.List               // front = most recent
-	items    map[string]*list.Element // url -> element holding *entry
+	entries  []entry          // entries[0] is the root
+	items    map[string]int32 // url -> slot in entries
+	free     int32            // first free slot, 0 when none
 
 	// statistics
 	hits, misses, puts, evictions int64
@@ -45,8 +54,8 @@ func NewLRU(capacity int64) *LRU {
 	}
 	return &LRU{
 		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
+		entries:  make([]entry, 1),
+		items:    make(map[string]int32),
 	}
 }
 
@@ -69,14 +78,14 @@ func (c *LRU) Contains(url string) bool {
 // Get looks up url, promoting it to most-recently-used on a hit. The
 // second result reports whether the cached copy arrived by prefetch.
 func (c *LRU) Get(url string) (ok, prefetched bool) {
-	el, found := c.items[url]
+	i, found := c.items[url]
 	if !found {
 		c.misses++
 		return false, false
 	}
 	c.hits++
-	c.ll.MoveToFront(el)
-	return true, el.Value.(*entry).prefetched
+	c.moveToFront(i)
+	return true, c.entries[i].prefetched
 }
 
 // Put inserts or refreshes url with the given size. prefetched tags the
@@ -92,15 +101,18 @@ func (c *LRU) Put(url string, size int64, prefetched bool) {
 		return
 	}
 	c.puts++
-	if el, ok := c.items[url]; ok {
-		e := el.Value.(*entry)
+	if i, ok := c.items[url]; ok {
+		e := &c.entries[i]
 		c.used += size - e.size
 		e.size = size
 		e.prefetched = prefetched
-		c.ll.MoveToFront(el)
+		c.moveToFront(i)
 	} else {
-		el := c.ll.PushFront(&entry{url: url, size: size, prefetched: prefetched})
-		c.items[url] = el
+		i := c.alloc()
+		e := &c.entries[i]
+		e.url, e.size, e.prefetched = url, size, prefetched
+		c.linkFront(i)
+		c.items[url] = i
 		c.used += size
 	}
 	for c.used > c.capacity {
@@ -112,35 +124,74 @@ func (c *LRU) Put(url string, size int64, prefetched bool) {
 // prefetched copy has served a real request, later hits are ordinary
 // cache hits.
 func (c *LRU) MarkDemand(url string) {
-	if el, ok := c.items[url]; ok {
-		el.Value.(*entry).prefetched = false
+	if i, ok := c.items[url]; ok {
+		c.entries[i].prefetched = false
 	}
 }
 
 // Remove evicts url if present and reports whether it was cached.
 func (c *LRU) Remove(url string) bool {
-	el, ok := c.items[url]
+	i, ok := c.items[url]
 	if !ok {
 		return false
 	}
-	c.removeElement(el)
+	c.removeSlot(i)
 	return true
 }
 
 func (c *LRU) evictOldest() {
-	el := c.ll.Back()
-	if el == nil {
+	i := c.entries[0].prev
+	if i == 0 {
 		return
 	}
 	c.evictions++
-	c.removeElement(el)
+	c.removeSlot(i)
 }
 
-func (c *LRU) removeElement(el *list.Element) {
-	e := el.Value.(*entry)
-	c.ll.Remove(el)
+// alloc takes a slot from the free list, or grows the slice by one.
+func (c *LRU) alloc() int32 {
+	if i := c.free; i != 0 {
+		c.free = c.entries[i].next
+		return i
+	}
+	if len(c.entries) == math.MaxInt32 {
+		panic("cache: entry index overflow")
+	}
+	c.entries = append(c.entries, entry{})
+	return int32(len(c.entries) - 1)
+}
+
+// removeSlot unlinks slot i, forgets its URL and frees the slot.
+func (c *LRU) removeSlot(i int32) {
+	c.unlink(i)
+	e := &c.entries[i]
 	delete(c.items, e.url)
 	c.used -= e.size
+	*e = entry{next: c.free}
+	c.free = i
+}
+
+func (c *LRU) unlink(i int32) {
+	e := &c.entries[i]
+	c.entries[e.prev].next = e.next
+	c.entries[e.next].prev = e.prev
+}
+
+// linkFront links slot i in as the most recent entry.
+func (c *LRU) linkFront(i int32) {
+	root := &c.entries[0]
+	e := &c.entries[i]
+	e.prev, e.next = 0, root.next
+	c.entries[root.next].prev = i
+	root.next = i
+}
+
+func (c *LRU) moveToFront(i int32) {
+	if c.entries[0].next == i {
+		return
+	}
+	c.unlink(i)
+	c.linkFront(i)
 }
 
 // Stats is a snapshot of cache counters.
@@ -155,8 +206,10 @@ func (c *LRU) Stats() Stats {
 
 // Reset empties the cache and clears statistics, keeping the capacity.
 func (c *LRU) Reset() {
-	c.ll = list.New()
-	c.items = make(map[string]*list.Element)
+	clear(c.entries)
+	c.entries = c.entries[:1]
+	clear(c.items)
+	c.free = 0
 	c.used = 0
 	c.hits, c.misses, c.puts, c.evictions = 0, 0, 0, 0
 }

@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"container/list"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -250,5 +252,196 @@ func TestRePutAccounting(t *testing.T) {
 	}
 	if c.Used() != 90 || c.Len() != 1 {
 		t.Errorf("after repeated re-puts Used=%d Len=%d, want 90/1", c.Used(), c.Len())
+	}
+}
+
+// listLRU is the container/list LRU that LRU replaced, kept as the
+// reference TestLRUMatchesListReference compares against.
+type listLRU struct {
+	capacity int64
+	used     int64
+	ll       *list.List               // front = most recent
+	items    map[string]*list.Element // url -> element holding *entry
+
+	hits, misses, puts, evictions int64
+}
+
+func newListLRU(capacity int64) *listLRU {
+	return &listLRU{capacity: capacity, ll: list.New(), items: make(map[string]*list.Element)}
+}
+
+func (c *listLRU) Contains(url string) bool {
+	_, ok := c.items[url]
+	return ok
+}
+
+func (c *listLRU) Get(url string) (ok, prefetched bool) {
+	el, found := c.items[url]
+	if !found {
+		c.misses++
+		return false, false
+	}
+	c.hits++
+	c.ll.MoveToFront(el)
+	return true, el.Value.(*entry).prefetched
+}
+
+func (c *listLRU) Put(url string, size int64, prefetched bool) {
+	if size > c.capacity {
+		return
+	}
+	c.puts++
+	if el, ok := c.items[url]; ok {
+		e := el.Value.(*entry)
+		c.used += size - e.size
+		e.size = size
+		e.prefetched = prefetched
+		c.ll.MoveToFront(el)
+	} else {
+		el := c.ll.PushFront(&entry{url: url, size: size, prefetched: prefetched})
+		c.items[url] = el
+		c.used += size
+	}
+	for c.used > c.capacity {
+		el := c.ll.Back()
+		if el == nil {
+			return
+		}
+		c.evictions++
+		c.removeElement(el)
+	}
+}
+
+func (c *listLRU) MarkDemand(url string) {
+	if el, ok := c.items[url]; ok {
+		el.Value.(*entry).prefetched = false
+	}
+}
+
+func (c *listLRU) Remove(url string) bool {
+	el, ok := c.items[url]
+	if !ok {
+		return false
+	}
+	c.removeElement(el)
+	return true
+}
+
+func (c *listLRU) removeElement(el *list.Element) {
+	e := el.Value.(*entry)
+	c.ll.Remove(el)
+	delete(c.items, e.url)
+	c.used -= e.size
+}
+
+func (c *listLRU) Reset() {
+	c.ll = list.New()
+	c.items = make(map[string]*list.Element)
+	c.used = 0
+	c.hits, c.misses, c.puts, c.evictions = 0, 0, 0, 0
+}
+
+func (c *listLRU) Stats() Stats {
+	return Stats{Hits: c.hits, Misses: c.misses, Puts: c.puts, Evictions: c.evictions}
+}
+
+// order lists the cached URLs, most recent first.
+func (c *listLRU) order() []string {
+	var out []string
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*entry).url)
+	}
+	return out
+}
+
+// order lists the cached URLs, most recent first, checking the links
+// both ways as it walks.
+func (c *LRU) order(t *testing.T) []string {
+	t.Helper()
+	var out []string
+	prev := int32(0)
+	for i := c.entries[0].next; i != 0; i = c.entries[i].next {
+		if c.entries[i].prev != prev {
+			t.Fatalf("slot %d links back to %d, want %d", i, c.entries[i].prev, prev)
+		}
+		if j, ok := c.items[c.entries[i].url]; !ok || j != i {
+			t.Fatalf("slot %d (%s) indexed at %d, %v", i, c.entries[i].url, j, ok)
+		}
+		out = append(out, c.entries[i].url)
+		prev = i
+		if len(out) > len(c.items) {
+			t.Fatal("recency list longer than the index: a cycle")
+		}
+	}
+	if c.entries[0].prev != prev {
+		t.Fatalf("root links back to %d, want the last slot %d", c.entries[0].prev, prev)
+	}
+	return out
+}
+
+// TestLRUMatchesListReference drives the index-linked LRU and the
+// container/list reference through the same seeded random operation
+// sequences — puts that evict and re-puts that change size and tag,
+// gets, containment checks, demand marks, removes and resets — and
+// compares every result, the counters and the recency order after each
+// operation.
+func TestLRUMatchesListReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := int64(rng.Intn(400) + 50)
+		got, want := NewLRU(capacity), newListLRU(capacity)
+		urls := rng.Intn(40) + 2
+		for op := 0; op < 3000; op++ {
+			url := fmt.Sprintf("/u%d", rng.Intn(urls))
+			var desc string
+			switch k := rng.Intn(20); {
+			case k < 8:
+				// Up to 60% of capacity, so puts evict; past capacity now
+				// and then, so oversize documents are ignored.
+				size := rng.Int63n(capacity*6/10 + 1)
+				if rng.Intn(25) == 0 {
+					size = capacity + 1 + rng.Int63n(10)
+				}
+				pf := rng.Intn(2) == 0
+				got.Put(url, size, pf)
+				want.Put(url, size, pf)
+				desc = fmt.Sprintf("Put(%s, %d, %v)", url, size, pf)
+			case k < 13:
+				gok, gpf := got.Get(url)
+				wok, wpf := want.Get(url)
+				desc = fmt.Sprintf("Get(%s)", url)
+				if gok != wok || gpf != wpf {
+					t.Fatalf("seed %d op %d: %s = %v,%v, reference %v,%v", seed, op, desc, gok, gpf, wok, wpf)
+				}
+			case k < 15:
+				desc = fmt.Sprintf("Contains(%s)", url)
+				if g, w := got.Contains(url), want.Contains(url); g != w {
+					t.Fatalf("seed %d op %d: %s = %v, reference %v", seed, op, desc, g, w)
+				}
+			case k < 17:
+				got.MarkDemand(url)
+				want.MarkDemand(url)
+				desc = fmt.Sprintf("MarkDemand(%s)", url)
+			case k < 19:
+				desc = fmt.Sprintf("Remove(%s)", url)
+				if g, w := got.Remove(url), want.Remove(url); g != w {
+					t.Fatalf("seed %d op %d: %s = %v, reference %v", seed, op, desc, g, w)
+				}
+			default:
+				if rng.Intn(10) != 0 {
+					continue
+				}
+				got.Reset()
+				want.Reset()
+				desc = "Reset()"
+			}
+			if got.Len() != len(want.items) || got.Used() != want.used || got.Stats() != want.Stats() {
+				t.Fatalf("seed %d op %d after %s: Len %d Used %d Stats %+v, reference Len %d Used %d Stats %+v",
+					seed, op, desc, got.Len(), got.Used(), got.Stats(), len(want.items), want.used, want.Stats())
+			}
+			if g, w := got.order(t), want.order(); !slices.Equal(g, w) {
+				t.Fatalf("seed %d op %d after %s: cached %v, reference %v", seed, op, desc, g, w)
+			}
+		}
 	}
 }

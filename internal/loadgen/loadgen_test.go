@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -98,7 +99,7 @@ func TestOpenLoopStalledServer(t *testing.T) {
 func TestDeterministicRequestSequence(t *testing.T) {
 	site, p := testSite(t)
 	sequence := func(seed int64, delay time.Duration) []string {
-		var mu chanLock
+		var mu sync.Mutex
 		var urls []string
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.Header.Get(server.HeaderPrefetchFetch) == "" && r.Header.Get("X-Prefetch-Report-Only") == "" {
@@ -137,16 +138,6 @@ func TestDeterministicRequestSequence(t *testing.T) {
 		t.Fatal("different seeds produced identical request sets")
 	}
 }
-
-type chanLock struct{ ch chan struct{} }
-
-func (l *chanLock) Lock() {
-	if l.ch == nil {
-		l.ch = make(chan struct{}, 1)
-	}
-	l.ch <- struct{}{}
-}
-func (l *chanLock) Unlock() { <-l.ch }
 
 func sorted(s []string) []string {
 	out := append([]string(nil), s...)

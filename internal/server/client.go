@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"strings"
 	"sync"
 
 	"pbppm/internal/cache"
@@ -35,8 +37,17 @@ func (s ClientStats) HitRatio() float64 {
 // its identity with every request, and fetches the server's prefetch
 // hints into the cache in the background.
 type Client struct {
-	id         string
-	base       string
+	base string
+	// baseURL is base as http.NewRequest parses it, parsed once; joinable
+	// reports whether a plain path can be appended to its Path to get
+	// the URL of base+path (see request).
+	baseURL  url.URL
+	joinable bool
+	// idValue and flagValue are the X-Client-Id value and the "1" of
+	// the flag headers, shared read-only by every request this client
+	// builds.
+	idValue, flagValue []string
+
 	http       *http.Client
 	maxSize    int64
 	maxPending int
@@ -89,13 +100,17 @@ type ClientConfig struct {
 const DefaultMaxPendingReports = 256
 
 // NewClient builds a prefetching client. It returns an error on a
-// missing ID or base URL.
+// missing ID or a missing or unparsable base URL.
 func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("server: client needs an ID")
 	}
 	if cfg.BaseURL == "" {
 		return nil, fmt.Errorf("server: client needs a BaseURL")
+	}
+	base, err := http.NewRequest(http.MethodGet, cfg.BaseURL, nil)
+	if err != nil {
+		return nil, fmt.Errorf("server: client BaseURL: %w", err)
 	}
 	capacity := cfg.CacheBytes
 	if capacity == 0 {
@@ -117,9 +132,18 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if maxPending <= 0 {
 		maxPending = DefaultMaxPendingReports
 	}
+	// A base with a query or fragment would swallow an appended path,
+	// and one with a raw (escaped) path or no authority needs the full
+	// parse to rejoin; requests to such a base always take the full parse.
+	joinable := !strings.ContainsAny(cfg.BaseURL, "?#") &&
+		base.URL.Host != "" && base.URL.Opaque == "" && base.URL.RawPath == ""
+	values := [2]string{cfg.ID, "1"}
 	return &Client{
-		id:         cfg.ID,
 		base:       cfg.BaseURL,
+		baseURL:    *base.URL,
+		joinable:   joinable,
+		idValue:    values[0:1:1],
+		flagValue:  values[1:2:2],
 		http:       hc,
 		maxSize:    maxSize,
 		maxPending: maxPending,
@@ -210,23 +234,79 @@ func (c *Client) prefetch(url string) {
 // and costs the connection instead of the read.
 const errorBodyDrain = 4 << 10
 
+// clientRequest holds a built request and its URL in one allocation.
+type clientRequest struct {
+	req http.Request
+	url url.URL
+}
+
+// request builds the GET for path (a server path like "/news.html"),
+// carrying the client's identity: the request http.NewRequest builds
+// for BaseURL+path, still sent through the configured http.Client so
+// its redirect policy, Jar and Timeout apply. A plain path (see
+// plainPath) is appended to the base URL parsed in NewClient; any
+// other path — a query, a fragment, percent escapes, bytes a URL
+// escapes — goes through http.NewRequest on the joined string.
+func (c *Client) request(path string) (*http.Request, error) {
+	var req *http.Request
+	if c.joinable && plainPath(path) {
+		cr := &clientRequest{url: c.baseURL}
+		cr.url.Path += path
+		cr.req = http.Request{
+			Method:     http.MethodGet,
+			URL:        &cr.url,
+			Proto:      "HTTP/1.1",
+			ProtoMajor: 1,
+			ProtoMinor: 1,
+			Header:     make(http.Header),
+			Host:       cr.url.Host,
+		}
+		req = &cr.req
+	} else {
+		var err error
+		if req, err = http.NewRequest(http.MethodGet, c.base+path, nil); err != nil {
+			return nil, err
+		}
+	}
+	req.Header[HeaderClientID] = c.idValue
+	return req, nil
+}
+
+// plainPath reports whether url.Parse keeps path exactly as written
+// after a base URL: it starts with '/' and holds only alphanumerics and
+// the marks and delimiters a URL path leaves unescaped, so it has no
+// query, no fragment, no percent escape and nothing RawPath would keep.
+func plainPath(path string) bool {
+	if path == "" || path[0] != '/' {
+		return false
+	}
+	for i := 0; i < len(path); i++ {
+		switch c := path[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
+		case strings.IndexByte("-_.~$&+,/:;=@", c) >= 0:
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // fetch performs one HTTP GET against the server and returns the body
 // size and the response's prefetch hints. The body is counted while it
 // is drained, never buffered: the cache only needs its size. A read
 // error (a body shorter than its declared length, a cut connection)
 // fails the fetch, so nothing is cached from it.
 func (c *Client) fetch(url string, isPrefetch bool) (size int64, hints []markov.Prediction, err error) {
-	req, err := http.NewRequest(http.MethodGet, c.base+url, nil)
+	req, err := c.request(url)
 	if err != nil {
 		return 0, nil, fmt.Errorf("server: building request for %s: %w", url, err)
 	}
-	req.Header.Set(HeaderClientID, c.id)
 	if isPrefetch {
-		req.Header.Set(HeaderPrefetchFetch, "1")
+		req.Header[HeaderPrefetchFetch] = c.flagValue
 	}
 	reports := c.takeReports()
 	if len(reports) > 0 {
-		req.Header.Set(HeaderPrefetchReport, FormatReport(reports))
+		req.Header[HeaderPrefetchReport] = []string{FormatReport(reports)}
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
@@ -242,7 +322,7 @@ func (c *Client) fetch(url string, isPrefetch bool) (size int64, hints []markov.
 	if err != nil {
 		return 0, nil, fmt.Errorf("server: reading %s: %w", url, err)
 	}
-	return size, ParseHints(resp.Header.Get(HeaderPrefetch)), nil
+	return size, ParseHints(headerValue(resp.Header, HeaderPrefetch)), nil
 }
 
 // takeReports detaches the pending report batch.
@@ -288,14 +368,13 @@ func (c *Client) Flush() error {
 	if len(reports) == 0 {
 		return nil
 	}
-	req, err := http.NewRequest(http.MethodGet, c.base+"/", nil)
+	req, err := c.request("/")
 	if err != nil {
 		c.requeueReports(reports)
 		return fmt.Errorf("server: building report beacon: %w", err)
 	}
-	req.Header.Set(HeaderClientID, c.id)
-	req.Header.Set(HeaderPrefetchReport, FormatReport(reports))
-	req.Header.Set(HeaderPrefetchReportOnly, "1")
+	req.Header[HeaderPrefetchReport] = []string{FormatReport(reports)}
+	req.Header[HeaderPrefetchReportOnly] = c.flagValue
 	resp, err := c.http.Do(req)
 	if err != nil {
 		c.requeueReports(reports)

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 )
@@ -113,6 +114,11 @@ func TestClientErrorPaths(t *testing.T) {
 	}
 	if _, err := NewClient(ClientConfig{ID: "a"}); err == nil {
 		t.Error("missing BaseURL accepted")
+	}
+	for _, base := range []string{"http://[::1", "http://h/\x7f", "http://h/%zz"} {
+		if _, err := NewClient(ClientConfig{ID: "a", BaseURL: base}); err == nil {
+			t.Errorf("unparsable BaseURL %q accepted", base)
+		}
 	}
 	_, cl, done := newPair(t, Config{}, ClientConfig{})
 	defer done()
@@ -329,5 +335,195 @@ func TestClientGetAllocsIndependentOfBodySize(t *testing.T) {
 	small, large := allocs(1<<10), allocs(64<<10)
 	if small != large {
 		t.Fatalf("Get allocs: %v for 1 KB, %v for 64 KB; the body is being buffered", small, large)
+	}
+}
+
+// FuzzClientRequestURL checks the client's request builder against
+// http.NewRequest on the joined base and path: the same method, host
+// and URL fields, and an error exactly when NewRequest fails. The seeds
+// cover both the appended plain paths and every fallback: queries,
+// fragments, escapes, bytes a URL escapes, relative paths, and bases
+// that cannot take an appended path.
+func FuzzClientRequestURL(f *testing.F) {
+	bases := []string{
+		"http://h", "http://h/", "http://h:", "http://127.0.0.1:8080", "http://[::1]:80",
+		"http://u:p@h/root", "http://h/a%20b", "http://h/a%2Fb", "http://h/?q=1", "http://h#f",
+		"HTTP://H/X", "//h", "h:80", "mailto:x",
+	}
+	paths := []string{
+		"/", "/d0/page0000.html", "", "x", "//evil/x", "/a b", "/a!b", "/q?x=1", "/f#frag",
+		"/%41", "/%zz", "/bad\x7f", "/a,b;c=d", "/~u/@x:y$&+=", "/caf\xc3\xa9",
+	}
+	for _, base := range bases {
+		for _, path := range paths {
+			f.Add(base, path)
+		}
+	}
+	f.Fuzz(func(t *testing.T, base, path string) {
+		cl, err := NewClient(ClientConfig{ID: "fuzz", BaseURL: base})
+		if err != nil {
+			if _, perr := http.NewRequest(http.MethodGet, base, nil); perr == nil && base != "" {
+				t.Fatalf("NewClient rejected base %q that NewRequest parses: %v", base, err)
+			}
+			return
+		}
+		want, wantErr := http.NewRequest(http.MethodGet, base+path, nil)
+		got, gotErr := cl.request(path)
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("request(%q) on base %q: error %v, NewRequest error %v", path, base, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			return
+		}
+		if got.Method != want.Method || got.Host != want.Host {
+			t.Fatalf("request(%q) on base %q: %s host %q, NewRequest %s host %q",
+				path, base, got.Method, got.Host, want.Method, want.Host)
+		}
+		g, w := got.URL, want.URL
+		if g.Scheme != w.Scheme || g.Host != w.Host || g.Path != w.Path || g.RawPath != w.RawPath ||
+			g.RawQuery != w.RawQuery || g.Fragment != w.Fragment || g.RequestURI() != w.RequestURI() {
+			t.Fatalf("request(%q) on base %q: URL %#v, NewRequest %#v", path, base, g, w)
+		}
+		if id := got.Header.Get(HeaderClientID); id != "fuzz" {
+			t.Fatalf("request(%q): client id %q", path, id)
+		}
+	})
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestFlushBeaconRequest checks that a report beacon is built like any
+// other request — the URL NewRequest gives base+"/" and the client's
+// identity — and carries the batch and the report-only flag.
+func TestFlushBeaconRequest(t *testing.T) {
+	var sent []*http.Request
+	transport := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		sent = append(sent, r)
+		return docTransport{body: make([]byte, 10)}.RoundTrip(r)
+	})
+	const base = "http://beacon.test/root"
+	cl, err := NewClient(ClientConfig{ID: "me", BaseURL: base, HTTPClient: &http.Client{Transport: transport}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Get("/page"); err != nil {
+		t.Fatal(err)
+	}
+	if src, _ := cl.Get("/page"); src != "cache" { // queues a cache-hit report
+		t.Fatalf("second view source = %s, want cache", src)
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(sent) != 2 {
+		t.Fatalf("sent %d requests, want the fetch and the beacon", len(sent))
+	}
+	beacon := sent[1]
+	want, err := http.NewRequest(http.MethodGet, base+"/", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if beacon.URL.String() != want.URL.String() || beacon.Host != want.Host || beacon.Method != want.Method {
+		t.Errorf("beacon %s %s host %q, want %s %s host %q",
+			beacon.Method, beacon.URL, beacon.Host, want.Method, want.URL, want.Host)
+	}
+	for key, val := range map[string]string{
+		HeaderClientID:           "me",
+		HeaderPrefetchReport:     "/page;h=c",
+		HeaderPrefetchReportOnly: "1",
+	} {
+		if got := beacon.Header.Get(key); got != val {
+			t.Errorf("beacon %s = %q, want %q", key, got, val)
+		}
+	}
+}
+
+// inprocTransport calls the handler on the caller's goroutine, as the
+// serving benchmark's in-process hop does: no socket, so the client's
+// and the server's own work dominate the round trip.
+type inprocTransport struct{ h http.Handler }
+
+func (t inprocTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	rec := &inprocRecorder{header: http.Header{}}
+	t.h.ServeHTTP(rec, req)
+	if rec.code == 0 {
+		rec.code = http.StatusOK
+	}
+	return &http.Response{
+		StatusCode:    rec.code,
+		Status:        strconv.Itoa(rec.code) + " " + http.StatusText(rec.code),
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        rec.header,
+		Body:          io.NopCloser(bytes.NewReader(rec.body)),
+		ContentLength: int64(len(rec.body)),
+		Request:       req,
+	}, nil
+}
+
+// inprocRecorder is a minimal http.ResponseWriter. A single Write is
+// kept by reference — the server writes the store's immutable document
+// bytes — so the in-process hop copies no body.
+type inprocRecorder struct {
+	header http.Header
+	code   int
+	body   []byte
+}
+
+func (r *inprocRecorder) Header() http.Header { return r.header }
+
+func (r *inprocRecorder) WriteHeader(code int) {
+	if r.code == 0 {
+		r.code = code
+	}
+}
+
+func (r *inprocRecorder) Write(p []byte) (int, error) {
+	r.WriteHeader(http.StatusOK)
+	if r.body == nil {
+		r.body = p
+	} else {
+		r.body = append(r.body[:len(r.body):len(r.body)], p...)
+	}
+	return len(p), nil
+}
+
+// BenchmarkClientPageView measures one page view across both ends of
+// the hint protocol: a Client with synchronous prefetch whose transport
+// calls Server.ServeHTTP in process. The client walks the benchmark
+// site's 8-page ring through a cache of three pages, so it keeps
+// missing: each network fetch brings hints, their prefetch fetches
+// follow inline, the next view is a prefetch hit, and its report rides
+// on the next request. CI gates its allocs/op.
+func BenchmarkClientPageView(b *testing.B) {
+	srv := New(benchStore(), Config{Predictor: benchModel().Freeze()})
+	cl, err := NewClient(ClientConfig{
+		ID:                  "bench-client",
+		BaseURL:             "http://inproc",
+		CacheBytes:          3 * 2048,
+		HTTPClient:          &http.Client{Transport: inprocTransport{srv}},
+		SynchronousPrefetch: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	urls := []string{"/p0", "/p1", "/p2", "/p3", "/p4", "/p5", "/p6", "/p7"}
+	view := func(i int) {
+		if _, err := cl.Get(urls[i%len(urls)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// One lap warms the session, the hint records and the cache.
+	for i := range urls {
+		view(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		view(i)
 	}
 }

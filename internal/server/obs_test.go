@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"pbppm/internal/markov"
 	"pbppm/internal/obs"
 )
 
@@ -92,28 +93,38 @@ func TestHintHitCounters(t *testing.T) {
 
 func TestHintMemoryBounded(t *testing.T) {
 	ctx := &clientContext{}
-	var recs []hintRecord
+	var hints []markov.Prediction
 	for i := 0; i < 3*hintMemory; i++ {
 		url := strings.Repeat("x", 1) + string(rune('a'+i%26)) + string(rune('0'+i/26))
-		recs = append(recs, hintRecord{url: url, fetched: i%2 == 0})
+		hints = append(hints, markov.Prediction{URL: url, Probability: 0.5})
 	}
-	dropped := ctx.recordHinted(recs, hintMemory)
+	// Fill the memory, then mark every other outstanding hint fetched.
+	if dropped := ctx.recordHinted(hints[:hintMemory], nil, 1, hintMemory, nil); len(dropped) != 0 {
+		t.Fatalf("dropped %d records below the cap", len(dropped))
+	}
+	for i := range ctx.hinted {
+		ctx.hinted[i].fetched = i%2 == 0
+	}
+	dropped := ctx.recordHinted(hints[hintMemory:], nil, 2, hintMemory, nil)
 	if len(ctx.hinted) > hintMemory {
 		t.Errorf("hinted grew to %d, cap is %d", len(ctx.hinted), hintMemory)
 	}
-	if len(dropped) != len(recs)-hintMemory {
-		t.Errorf("dropped %d records, want %d", len(dropped), len(recs)-hintMemory)
+	if len(dropped) != len(hints)-hintMemory {
+		t.Errorf("dropped %d records, want %d", len(dropped), len(hints)-hintMemory)
 	}
 	// The newest hints survive.
-	if ctx.hintedIndex(recs[len(recs)-1].url) < 0 {
+	if ctx.hintedIndex(hints[len(hints)-1].URL) < 0 {
 		t.Error("newest hint was evicted")
 	}
-	if ctx.hintedIndex(recs[0].url) >= 0 {
+	if ctx.hintedIndex(hints[0].URL) >= 0 {
 		t.Error("oldest hint survived past the cap")
 	}
-	// Dropped records keep their state so Wasted events can fire.
-	if !dropped[0].fetched {
-		t.Error("dropped record lost its fetched state")
+	// Dropped records keep their state so Wasted events can fire: the
+	// first hintMemory dropped are the first batch, oldest first.
+	for i, rec := range dropped[:hintMemory] {
+		if rec.url != hints[i].URL || rec.issued != 1 || rec.fetched != (i%2 == 0) {
+			t.Fatalf("dropped[%d] = %+v, want %s issued at 1 with fetched=%v", i, rec, hints[i].URL, i%2 == 0)
+		}
 	}
 }
 

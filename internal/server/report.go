@@ -65,21 +65,8 @@ func ParseReport(header string) []ReportEntry {
 	}
 	var out []ReportEntry
 	headerElems(header, func(elem string) {
-		url, rest, found := strings.Cut(elem, ";")
-		if !found {
-			return
-		}
-		var outcome quality.Outcome
-		switch strings.TrimSpace(rest) {
-		case "h=p":
-			outcome = quality.PrefetchHit
-		case "h=c":
-			outcome = quality.CacheHit
-		default:
-			return
-		}
-		u := unescapeHintURL(strings.TrimSpace(url))
-		if u == "" {
+		u, outcome, ok := parseReportElem(elem)
+		if !ok {
 			return
 		}
 		if out == nil {
@@ -88,4 +75,23 @@ func ParseReport(header string) []ReportEntry {
 		out = append(out, ReportEntry{URL: u, Outcome: outcome})
 	})
 	return out
+}
+
+// parseReportElem parses one element of a report header, "url;h=p" or
+// "url;h=c"; ok is false for a malformed element.
+func parseReportElem(elem string) (url string, outcome quality.Outcome, ok bool) {
+	url, rest, found := strings.Cut(elem, ";")
+	if !found {
+		return "", 0, false
+	}
+	switch strings.TrimSpace(rest) {
+	case "h=p":
+		outcome = quality.PrefetchHit
+	case "h=c":
+		outcome = quality.CacheHit
+	default:
+		return "", 0, false
+	}
+	url = unescapeHintURL(strings.TrimSpace(url))
+	return url, outcome, url != ""
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pbppm/internal/markov"
 	"pbppm/internal/obs"
 	"pbppm/internal/popularity"
 	"pbppm/internal/quality"
@@ -82,6 +83,15 @@ type modelScore struct {
 	hits    [popularity.MaxGrade + 1]*obs.RollingCounter
 }
 
+// modelName names the scored model; a nil scorer (a record synthesized
+// for an unmatched report) names none.
+func (ms *modelScore) modelName() string {
+	if ms == nil {
+		return ""
+	}
+	return ms.name
+}
+
 func newModelScore(name string, w obs.Window) *modelScore {
 	ms := &modelScore{name: name, score: quality.NewWindowedScorer(w)}
 	for g := range ms.fetched {
@@ -93,9 +103,9 @@ func newModelScore(name string, w obs.Window) *modelScore {
 
 // liveScore owns all live-quality state: per-model scorers, the
 // lifecycle event counters, and the rolling demand-latency histogram.
-// The demand hot path touches only atomics (current-model load plus
-// scorer adds); the mutex guards the model map, which changes only on
-// model publishes.
+// The serving paths touch only atomics (current-model load plus scorer
+// adds; hint records carry their issuing model's scorer); the mutex
+// guards the model map, which changes only on model publishes.
 type liveScore struct {
 	reg     *obs.Registry
 	win     obs.Window
@@ -157,9 +167,10 @@ func (l *liveScore) gradeOf(url string) popularity.Grade {
 }
 
 // setModel switches the scoring target to the named model, creating
-// its scorer and registering its live gauges on first sight. Hints
-// already outstanding keep scoring against the model that issued them.
-func (l *liveScore) setModel(name string) {
+// its scorer and registering its live gauges on first sight, and
+// returns the scorer. Hints already outstanding keep scoring against
+// the model that issued them.
+func (l *liveScore) setModel(name string) *modelScore {
 	l.mu.Lock()
 	ms := l.models[name]
 	if ms == nil {
@@ -169,6 +180,7 @@ func (l *liveScore) setModel(name string) {
 	}
 	l.mu.Unlock()
 	l.current.Store(ms)
+	return ms
 }
 
 // registerModelGauges exposes one model's live §2.3 metrics. Gauges
@@ -203,16 +215,11 @@ func (l *liveScore) registerModelGauges(ms *modelScore) {
 		model)
 }
 
-// byName finds the scorer for the model that issued a hint; unknown or
-// empty names fall back to the current model.
-func (l *liveScore) byName(name string) *modelScore {
-	if name != "" {
-		l.mu.Lock()
-		ms := l.models[name]
-		l.mu.Unlock()
-		if ms != nil {
-			return ms
-		}
+// scorer returns the scorer of the model that issued a hint, falling
+// back to the current model when the issuer is unknown (nil).
+func (l *liveScore) scorer(issuer *modelScore) *modelScore {
+	if issuer != nil {
+		return issuer
 	}
 	return l.current.Load()
 }
@@ -246,9 +253,9 @@ func (l *liveScore) observeLatency(at time.Time, d time.Duration) {
 }
 
 // prefetched scores one hint-driven transfer against the model that
-// issued the hint (empty for unhinted prefetch fetches).
-func (l *liveScore) prefetched(at time.Time, model string, size int64) {
-	if ms := l.byName(model); ms != nil {
+// issued the hint (nil for unhinted prefetch fetches).
+func (l *liveScore) prefetched(at time.Time, model *modelScore, size int64) {
+	if ms := l.scorer(model); ms != nil {
 		ms.score.Prefetched(at, size)
 	}
 }
@@ -257,11 +264,11 @@ func (l *liveScore) prefetched(at time.Time, model string, size int64) {
 // denominator and the Fetched lifecycle event.
 func (l *liveScore) fetchedHint(client string, rec hintRecord, at time.Time, now int64) {
 	grade := l.gradeOf(rec.url)
-	if ms := l.byName(rec.model); ms != nil {
+	if ms := l.scorer(rec.model); ms != nil {
 		ms.fetched[grade].Inc(at)
 	}
 	l.emit(HintEvent{
-		Type: HintFetched, Client: client, URL: rec.url, Model: rec.model,
+		Type: HintFetched, Client: client, URL: rec.url, Model: rec.model.modelName(),
 		Grade: grade, Probability: rec.prob, Age: time.Duration(now - rec.issued),
 	})
 }
@@ -272,7 +279,7 @@ func (l *liveScore) fetchedHint(client string, rec hintRecord, at time.Time, now
 // hinted URL confirms the prediction without the byte savings.
 func (l *liveScore) hit(client string, rec hintRecord, size int64, served bool, at time.Time, now int64) {
 	grade := l.gradeOf(rec.url)
-	ms := l.byName(rec.model)
+	ms := l.scorer(rec.model)
 	if ms != nil {
 		if served {
 			ms.score.Demand(at, size, quality.PrefetchHit)
@@ -280,7 +287,7 @@ func (l *liveScore) hit(client string, rec hintRecord, size int64, served bool, 
 		ms.hits[grade].Inc(at)
 	}
 	l.emit(HintEvent{
-		Type: HintHit, Client: client, URL: rec.url, Model: rec.model,
+		Type: HintHit, Client: client, URL: rec.url, Model: rec.model.modelName(),
 		Grade: grade, Probability: rec.prob, Age: time.Duration(now - rec.issued),
 	})
 }
@@ -288,17 +295,17 @@ func (l *liveScore) hit(client string, rec hintRecord, size int64, served bool, 
 // wasted emits the end-of-life event for a fetched-but-never-hit hint.
 func (l *liveScore) wasted(client string, rec hintRecord, now int64) {
 	l.emit(HintEvent{
-		Type: HintWasted, Client: client, URL: rec.url, Model: rec.model,
+		Type: HintWasted, Client: client, URL: rec.url, Model: rec.model.modelName(),
 		Grade: l.gradeOf(rec.url), Probability: rec.prob, Age: time.Duration(now - rec.issued),
 	})
 }
 
-// issued emits one Issued event per hint attached to a response.
-func (l *liveScore) issued(client, model string, recs []hintRecord) {
-	for _, rec := range recs {
+// issued emits one Issued event per hint model attached to a response.
+func (l *liveScore) issued(client string, model *modelScore, hints []markov.Prediction) {
+	for _, h := range hints {
 		l.emit(HintEvent{
-			Type: HintIssued, Client: client, URL: rec.url, Model: model,
-			Grade: l.gradeOf(rec.url), Probability: rec.prob,
+			Type: HintIssued, Client: client, URL: h.URL, Model: model.modelName(),
+			Grade: l.gradeOf(h.URL), Probability: h.Probability,
 		})
 	}
 }

@@ -39,11 +39,17 @@ import (
 	"pbppm/internal/session"
 )
 
-// Header names of the hint protocol.
+// Header names of the hint protocol. Every name is in canonical form
+// (http.CanonicalHeaderKey returns it unchanged), so the server and the
+// client read and write these headers by direct map index — net/http
+// canonicalizes the keys of every request and response it parses, in
+// whatever case they arrived — and no Get or Set has to allocate a
+// canonical copy of the key.
 const (
 	// HeaderClientID identifies the end client (proxies forward it);
-	// absent, the remote address is used.
-	HeaderClientID = "X-Client-ID"
+	// absent, the remote address is used. On the wire it is the same
+	// header as "X-Client-ID": header names are case-insensitive.
+	HeaderClientID = "X-Client-Id"
 	// HeaderPrefetch carries the hint list:
 	// "url;p=0.62, url2;p=0.31".
 	HeaderPrefetch = "X-Prefetch"
@@ -308,11 +314,13 @@ type rankShard struct {
 // predictorCell boxes the published model so an interface value can sit
 // behind an atomic.Pointer. stream is the model's streaming interface,
 // nil when it has none; gen numbers the publish, so a session can tell
-// whether its stored match state belongs to this model.
+// whether its stored match state belongs to this model; score is the
+// model's live scorer, which the hint records it issues carry.
 type predictorCell struct {
 	p      markov.Predictor
 	stream streamPredictor
 	gen    uint32
+	score  *modelScore
 }
 
 // streamPredictor is implemented by frozen models that follow a
@@ -369,11 +377,13 @@ func (s *Server) hintCap() int {
 
 // hintRecord is one outstanding hint issued to a client: enough state
 // to emit lifecycle events and score a later hit against the model
-// that made the prediction. issued is a server stamp (see Server.now).
+// that made the prediction. model is that model's scorer, nil for a
+// record synthesized for an unmatched report (scored against the
+// current model); issued is a server stamp (see Server.now).
 type hintRecord struct {
 	url     string
 	prob    float64
-	model   string
+	model   *modelScore
 	issued  int64
 	fetched bool
 }
@@ -407,23 +417,22 @@ func (ctx *clientContext) hintedIndex(url string) int {
 	return -1
 }
 
-// recordHinted remembers issued hints, bounded by cap; re-hinted URLs
-// refresh in place (keeping their fetched state). It returns the
-// records dropped over the cap so the caller can emit Wasted events
-// for any that were already fetched.
-func (ctx *clientContext) recordHinted(recs []hintRecord, cap int) []hintRecord {
-	for _, r := range recs {
-		if i := ctx.hintedIndex(r.url); i >= 0 {
-			ctx.hinted[i].prob = r.prob
-			ctx.hinted[i].model = r.model
-			ctx.hinted[i].issued = r.issued
+// recordHinted remembers the hints model issued at stamp issued,
+// bounded by cap; re-hinted URLs refresh in place (keeping their
+// fetched state). It appends the records dropped over the cap to
+// dropped and returns it, so the caller can emit Wasted events for any
+// that were already fetched once it has released the shard lock.
+func (ctx *clientContext) recordHinted(hints []markov.Prediction, model *modelScore, issued int64, cap int, dropped []hintRecord) []hintRecord {
+	for _, h := range hints {
+		if i := ctx.hintedIndex(h.URL); i >= 0 {
+			r := &ctx.hinted[i]
+			r.prob, r.model, r.issued = h.Probability, model, issued
 			continue
 		}
-		ctx.hinted = append(ctx.hinted, r)
+		ctx.hinted = append(ctx.hinted, hintRecord{url: h.URL, prob: h.Probability, model: model, issued: issued})
 	}
-	var dropped []hintRecord
 	if over := len(ctx.hinted) - cap; over > 0 {
-		dropped = append([]hintRecord(nil), ctx.hinted[:over]...)
+		dropped = append(dropped, ctx.hinted[:over]...)
 		ctx.hinted = append(ctx.hinted[:0], ctx.hinted[over:]...)
 	}
 	return dropped
@@ -481,8 +490,8 @@ func (s *Server) SetPredictor(p markov.Predictor) {
 		ur.SetUsageRecording(false)
 	}
 	stream, _ := p.(streamPredictor)
-	s.pred.Store(&predictorCell{p: p, stream: stream, gen: s.gens.Add(1)})
-	s.live.setModel(p.Name())
+	score := s.live.setModel(p.Name())
+	s.pred.Store(&predictorCell{p: p, stream: stream, gen: s.gens.Add(1), score: score})
 }
 
 // stamp converts a clock reading to the stamp contexts and hint records
@@ -579,7 +588,7 @@ func NewIdentityPolicy(trustedPeers []string) IdentityPolicy {
 
 // ClientOf resolves the request's client identity under the policy.
 func (ip IdentityPolicy) ClientOf(r *http.Request) string {
-	if id := r.Header.Get(HeaderClientID); id != "" && ip.trustsPeer(r.RemoteAddr) {
+	if id := headerValue(r.Header, HeaderClientID); id != "" && ip.trustsPeer(r.RemoteAddr) {
 		return id
 	}
 	return remoteHost(r)
@@ -610,6 +619,16 @@ func remoteHost(r *http.Request) string {
 	return host
 }
 
+// headerValue returns the first value of the header named by the
+// canonical key, like http.Header.Get without canonicalizing the key
+// again.
+func headerValue(h http.Header, key string) string {
+	if v := h[key]; len(v) > 0 {
+		return v[0]
+	}
+	return ""
+}
+
 // clientOf is the trust-any resolution used by the single-server path
 // (no configured TrustedPeers); kept as a helper for tests.
 func clientOf(r *http.Request) string {
@@ -638,10 +657,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Client hit reports ride along on any request (and on report-only
 	// beacons); ingest them before demand accounting so a batch
 	// attached to a navigation scores in client-event order.
-	if rep := r.Header.Get(HeaderPrefetchReport); rep != "" {
-		s.ingestReports(client, ParseReport(rep), at)
+	if rep := headerValue(r.Header, HeaderPrefetchReport); rep != "" {
+		s.ingestReports(client, rep, at)
 	}
-	if r.Header.Get(HeaderPrefetchReportOnly) != "" {
+	if headerValue(r.Header, HeaderPrefetchReportOnly) != "" {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
@@ -659,7 +678,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		url = strings.Clone(r.URL.Path)
 	}
 
-	isPrefetch := r.Header.Get(HeaderPrefetchFetch) != ""
+	isPrefetch := headerValue(r.Header, HeaderPrefetchFetch) != ""
 	var hints []markov.Prediction
 	if isPrefetch {
 		s.metrics.prefetchRequests.Inc()
@@ -671,15 +690,22 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		hints = s.observeDemand(client, url, int64(len(doc.Body)), at)
 	}
 
+	// The response header values share one backing array, each cut with
+	// its capacity capped so that an Add to one header reallocates it
+	// instead of writing into its neighbour.
+	vals := new([3]string)
+	vals[0] = doc.ContentType
+	if vals[0] == "" {
+		vals[0] = "text/html; charset=utf-8"
+	}
+	vals[1] = strconv.Itoa(len(doc.Body))
+	h := w.Header()
+	h["Content-Type"] = vals[0:1:1]
+	h["Content-Length"] = vals[1:2:2]
 	if len(hints) > 0 {
-		w.Header().Set(HeaderPrefetch, FormatHints(hints))
+		vals[2] = FormatHints(hints)
+		h[HeaderPrefetch] = vals[2:3:3]
 	}
-	ct := doc.ContentType
-	if ct == "" {
-		ct = "text/html; charset=utf-8"
-	}
-	w.Header().Set("Content-Type", ct)
-	w.Header().Set("Content-Length", strconv.Itoa(len(doc.Body)))
 	elapsed := time.Since(start)
 	if isPrefetch {
 		s.metrics.prefetchLatency.Observe(elapsed)
@@ -727,48 +753,49 @@ func (s *Server) observePrefetchFetch(client, url string, size int64, at time.Ti
 	s.live.prefetched(at, rec.model, size)
 }
 
-// ingestReports scores a client's batched local hit outcomes (see
-// HeaderPrefetchReport): a prefetch-hit report closes the matching
+// ingestReports scores a client's batched local hit outcomes, the
+// X-Prefetch-Report header value (see HeaderPrefetchReport), walking
+// the header entry by entry: a prefetch-hit report closes the matching
 // hint record and scores a PrefetchHit against the issuing model; a
 // cache-hit report scores an ordinary CacheHit. Sizes come from the
 // content store, mirroring what the client's cached copy held.
-func (s *Server) ingestReports(client string, reports []ReportEntry, at time.Time) {
-	if len(reports) == 0 {
-		return
-	}
+func (s *Server) ingestReports(client, header string, at time.Time) {
 	now := s.stamp(at)
 	sh := s.shard(client)
-	for _, rep := range reports {
+	headerElems(header, func(elem string) {
+		url, outcome, ok := parseReportElem(elem)
+		if !ok {
+			return
+		}
 		var size int64
-		if doc, ok := s.store.Lookup(rep.URL); ok {
+		if doc, ok := s.store.Lookup(url); ok {
 			size = int64(len(doc.Body))
 		}
-		switch rep.Outcome {
-		case quality.PrefetchHit:
-			sh.mu.Lock()
-			rec := hintRecord{url: rep.URL, issued: now}
-			matched := false
-			if ctx := sh.contexts[client]; ctx != nil {
-				if i := ctx.hintedIndex(rep.URL); i >= 0 {
-					rec = ctx.hinted[i]
-					ctx.hinted = append(ctx.hinted[:i], ctx.hinted[i+1:]...)
-					matched = true
-				}
-			}
-			sh.mu.Unlock()
-			// An unmatched report still scores (the client really was
-			// served from its prefetch cache) against a synthetic record,
-			// but it is counted: a rising rate means hints are being
-			// evicted too aggressively or, in a cluster, reports are
-			// landing on shards that never issued them (rebalance).
-			if !matched {
-				s.metrics.reportsUnmatched.Inc()
-			}
-			s.live.hit(client, rec, size, true, at, now)
-		case quality.CacheHit:
+		if outcome == quality.CacheHit {
 			s.live.demand(at, size, quality.CacheHit)
+			return
 		}
-	}
+		sh.mu.Lock()
+		rec := hintRecord{url: url, issued: now}
+		matched := false
+		if ctx := sh.contexts[client]; ctx != nil {
+			if i := ctx.hintedIndex(url); i >= 0 {
+				rec = ctx.hinted[i]
+				ctx.hinted = append(ctx.hinted[:i], ctx.hinted[i+1:]...)
+				matched = true
+			}
+		}
+		sh.mu.Unlock()
+		// An unmatched report still scores (the client really was
+		// served from its prefetch cache) against a synthetic record,
+		// but it is counted: a rising rate means hints are being
+		// evicted too aggressively or, in a cluster, reports are
+		// landing on shards that never issued them (rebalance).
+		if !matched {
+			s.metrics.reportsUnmatched.Inc()
+		}
+		s.live.hit(client, rec, size, true, at, now)
+	})
 }
 
 // predBufPool recycles prediction scratch buffers across requests. The
@@ -908,22 +935,19 @@ func (s *Server) observeDemand(client, url string, size int64, at time.Time) []m
 	predBufPool.Put(bufp)
 	s.metrics.hintsIssued.Add(int64(len(out)))
 	if len(out) > 0 {
-		model := cell.p.Name()
-		recs := make([]hintRecord, len(out))
-		for i, p := range out {
-			recs[i] = hintRecord{url: p.URL, prob: p.Probability, model: model, issued: now}
-		}
 		// Remember what was hinted so later requests can close the
 		// precision loop. Re-locking is required — prediction above ran
 		// without the shard lock — and the context is re-fetched because
-		// an expiry may have removed it meanwhile.
-		var dropped []hintRecord
+		// an expiry may have removed it meanwhile. At the default hint
+		// count the records dropped over the cap fit the stack buffer.
+		var dropBuf [4]hintRecord
+		dropped := dropBuf[:0]
 		sh.mu.Lock()
 		if ctx := sh.contexts[client]; ctx != nil {
-			dropped = ctx.recordHinted(recs, s.hintCap())
+			dropped = ctx.recordHinted(out, cell.score, now, s.hintCap(), dropped)
 		}
 		sh.mu.Unlock()
-		s.live.issued(client, model, recs)
+		s.live.issued(client, cell.score, out)
 		s.wasteHints(client, dropped, now)
 	}
 	span.Mark(obs.StageHints)

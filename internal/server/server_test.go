@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bufio"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -442,5 +445,68 @@ func TestHintFilteringDoesNotMutatePredictorSlice(t *testing.T) {
 	hints[0].URL = "/clobbered"
 	if hints2[0].URL != "/news" {
 		t.Error("hint slices share a backing array across requests")
+	}
+}
+
+// TestHeaderNamesCanonical pins every protocol header name in canonical
+// form: the server and the client index header maps by these constants,
+// and net/http stores every header it parses under its canonical key.
+func TestHeaderNamesCanonical(t *testing.T) {
+	for _, name := range []string{
+		HeaderClientID, HeaderPrefetch, HeaderPrefetchFetch, HeaderPrefetchReport, HeaderPrefetchReportOnly,
+	} {
+		if c := http.CanonicalHeaderKey(name); c != name {
+			t.Errorf("header name %q is not canonical, want %q", name, c)
+		}
+	}
+}
+
+// TestLowerCaseProtocolHeaders writes raw requests whose protocol
+// header lines are lower case, as curl or a non-Go client may send
+// them, and checks that the server still files them under the client's
+// session and tells demand, prefetch and report-only requests apart.
+func TestLowerCaseProtocolHeaders(t *testing.T) {
+	srv := New(testStore(), Config{Predictor: trainedPB()})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	send := func(path string, lines ...string) *http.Response {
+		t.Helper()
+		raw := "GET " + path + " HTTP/1.1\r\nhost: test\r\nx-client-id: raw-client\r\n" + strings.Join(lines, "") + "\r\n"
+		if _, err := io.WriteString(conn, raw); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // only the status and headers matter
+		resp.Body.Close()
+		return resp
+	}
+
+	resp := send("/home")
+	if hints := ParseHints(resp.Header.Get(HeaderPrefetch)); len(hints) == 0 || hints[0].URL != "/news" {
+		t.Fatalf("demand response hints = %+v, want /news first", hints)
+	}
+	send("/news", "x-prefetch-fetch: 1\r\n")
+	if resp := send("/", "x-prefetch-report: /news;h=p\r\n", "x-prefetch-report-only: 1\r\n"); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("report beacon status = %d, want 204", resp.StatusCode)
+	}
+
+	st := srv.Stats()
+	if st.DemandRequests != 1 || st.PrefetchRequests != 1 || st.SessionsStarted != 1 || st.HintFetches != 1 || st.HintReportsUnmatched != 0 {
+		t.Errorf("stats = %+v, want one demand and one hint fetch in one session, and the report matched", st)
+	}
+	if ctx := srv.contextURLs("raw-client"); len(ctx) != 1 || ctx[0] != "/home" {
+		t.Errorf("raw-client session = %v, want [/home]", ctx)
+	}
+	if q := srv.QualityTotal(); q.PrefetchHits != 1 {
+		t.Errorf("prefetch hits scored = %d, want the reported one", q.PrefetchHits)
 	}
 }
