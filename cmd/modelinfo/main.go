@@ -1,91 +1,86 @@
-// Command modelinfo inspects a persisted prediction model: node and
-// leaf counts, depth histogram, memory estimate, and the hottest
-// branches. Models are written with the Encode methods of the pb, ppm,
-// and lrs model types (see cmd/prefetchsim and the library API).
+// Command modelinfo inspects a model snapshot image (pbppmSN1): node
+// and leaf counts, depth histogram, memory footprint, and the hottest
+// branches. The image names its model kind, so any model the library
+// can freeze is read the same way. Images are written by
+// prefetchsim -save-model, served by prefetchd's /snapshot endpoint,
+// and produced by the library's EncodeSnapshot.
 //
 // Usage:
 //
-//	modelinfo -type pb|ppm|lrs model.bin
+//	modelinfo [-top N] model.snap
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"pbppm/internal/core"
-	"pbppm/internal/lrs"
+	"pbppm/internal/maintain"
 	"pbppm/internal/markov"
-	"pbppm/internal/popularity"
-	"pbppm/internal/ppm"
+
+	// Each frozen-model kind registers its decoder in its package's
+	// init; linking ppm makes blended PPM images readable.
+	_ "pbppm/internal/ppm"
 )
 
 func main() {
-	modelType := flag.String("type", "pb", "model type: pb, ppm, or lrs")
-	top := flag.Int("top", 10, "hot branches to list")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: modelinfo -type pb|ppm|lrs model.bin")
-		os.Exit(2)
-	}
-	f, err := os.Open(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "modelinfo: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-
-	// Decode to the common Predictor interface; everything below goes
-	// through markov.StatsOf / markov.TreeHolder so model statistics
-	// have a single implementation shared with the benchmark artifacts
-	// and the server's model-health gauges.
-	var pred markov.Predictor
-	var extra string
-	switch *modelType {
-	case "pb":
-		// Grades are not persisted with the model; an empty ranking is
-		// enough for inspection (grades only matter for training).
-		m, err := core.DecodeModel(f, popularity.NewRanking())
-		if err != nil {
-			fatal(err)
-		}
-		pred = m
-		extra = fmt.Sprintf("duplicated links: %d\n", m.LinkCount())
-	case "ppm":
-		m, err := ppm.DecodeModel(f)
-		if err != nil {
-			fatal(err)
-		}
-		pred = m
-		extra = fmt.Sprintf("model: %s\n", m.Name())
-	case "lrs":
-		m, err := lrs.DecodeModel(f)
-		if err != nil {
-			fatal(err)
-		}
-		pred = m
-		extra = fmt.Sprintf("repeating patterns: %d\n", len(m.Patterns()))
-	default:
-		fmt.Fprintf(os.Stderr, "modelinfo: unknown type %q\n", *modelType)
-		os.Exit(2)
-	}
-
-	st, ok := markov.StatsOf(pred)
-	if !ok {
-		fatal(fmt.Errorf("model %s exposes no prediction tree", pred.Name()))
-	}
-	fmt.Printf("%s (%s)\n", flag.Arg(0), *modelType)
-	fmt.Print(st)
-	fmt.Print(extra)
-	if *top > 0 {
-		fmt.Println("hot branches:")
-		for _, b := range pred.(markov.TreeHolder).Tree().TopBranches(*top) {
-			fmt.Printf("  %-40s %.3f\n", b.URL, b.Probability)
-		}
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "modelinfo: %v\n", err)
-	os.Exit(1)
+// run is the command body; it returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("modelinfo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	top := fs.Int("top", 10, "hot branches to list")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: modelinfo [-top N] model.snap")
+		return 2
+	}
+	path := fs.Arg(0)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		fmt.Fprintf(stderr, "modelinfo: %v\n", err)
+		return 1
+	}
+	snap, err := maintain.DecodeSnapshot(data)
+	if err != nil {
+		fmt.Fprintf(stderr, "modelinfo: %s: %v\n", path, err)
+		return 1
+	}
+
+	// Statistics come from Arena.Stats, the implementation shared with
+	// the benchmark artifacts and the server's model-health gauges.
+	m := snap.Model
+	ah, ok := m.(markov.ArenaHolder)
+	if !ok {
+		fmt.Fprintf(stderr, "modelinfo: %s: model %s exposes no prediction arena\n", path, m.Name())
+		return 1
+	}
+	st := ah.Arena().Stats()
+	kind := ""
+	if enc, ok := m.(markov.FrozenEncoder); ok {
+		kind = enc.FrozenKind()
+	}
+	fmt.Fprintf(stdout, "%s: %s (%s, snapshot version %d), %d nodes\n",
+		path, m.Name(), kind, snap.Version, m.NodeCount())
+	fmt.Fprint(stdout, st)
+	if _, ok := m.(*core.Frozen); ok {
+		// PB-PPM's node count adds its rule-3 links to the tree's nodes.
+		fmt.Fprintf(stdout, "duplicated links: %d\n", m.NodeCount()-st.Nodes)
+	}
+	if snap.Ranking != nil {
+		fmt.Fprintf(stdout, "ranking: %d URLs\n", snap.Ranking.Len())
+	}
+	if *top > 0 {
+		fmt.Fprintln(stdout, "hot branches:")
+		for _, b := range ah.Arena().TopBranches(*top) {
+			fmt.Fprintf(stdout, "  %-40s %.3f\n", b.URL, b.Probability)
+		}
+	}
+	return 0
 }

@@ -4,12 +4,19 @@
 //
 // Usage:
 //
-//	prefetchsim [-trace file | -profile nasa|ucbcs] [-model pb|ppm|3ppm|lrs|none]
+//	prefetchsim [-trace file | -profile nasa|ucbcs]
+//	            [-model pb|ppm|3ppm|blend|lrs|topn|none]
 //	            [-train-days N] [-threshold P] [-max-prefetch BYTES] [-proxy]
+//	            [-save-model model.snap]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//
+// -save-model writes the trained model's frozen snapshot, with the
+// training window's popularity ranking, as a pbppmSN1 snapshot image;
+// inspect it with modelinfo.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -19,9 +26,11 @@ import (
 	"pbppm/internal/core"
 	"pbppm/internal/experiments"
 	"pbppm/internal/lrs"
+	"pbppm/internal/maintain"
 	"pbppm/internal/markov"
 	"pbppm/internal/metrics"
 	"pbppm/internal/obs"
+	"pbppm/internal/popularity"
 	"pbppm/internal/ppm"
 	"pbppm/internal/sim"
 	"pbppm/internal/topn"
@@ -43,7 +52,7 @@ func realMain() int {
 		threshold   = flag.Float64("threshold", 0, "prediction probability threshold (0 = paper's 0.25)")
 		maxPrefetch = flag.Int64("max-prefetch", 0, "prefetch size cap in bytes (0 = paper default per model)")
 		useProxy    = flag.Bool("proxy", false, "interpose a shared 16 GB proxy cache")
-		saveModel   = flag.String("save-model", "", "write the trained model to this file (inspect with modelinfo)")
+		saveModel   = flag.String("save-model", "", "write the trained model's snapshot image to this file (inspect with modelinfo)")
 		progress    = flag.Int("progress", 0, "log replay progress every N events (0 = silent)")
 	)
 	var prof obs.ProfileFlags
@@ -119,7 +128,7 @@ func realMain() int {
 	trainTime := time.Since(start)
 
 	if *saveModel != "" && pred != nil {
-		if err := persistModel(*saveModel, pred); err != nil {
+		if err := persistModel(*saveModel, pred, rank); err != nil {
 			fmt.Fprintf(os.Stderr, "prefetchsim: %v\n", err)
 			return 1
 		}
@@ -183,23 +192,19 @@ func realMain() int {
 	return 0
 }
 
-// persistModel writes the trained model for later inspection.
-func persistModel(path string, pred markov.Predictor) error {
-	f, err := os.Create(path)
-	if err != nil {
+// persistModel writes the trained model's frozen snapshot and its
+// training ranking as a snapshot image (version 1) for later
+// inspection.
+func persistModel(path string, pred markov.Predictor, rank *popularity.Ranking) error {
+	enc, ok := markov.Freeze(pred).(markov.FrozenEncoder)
+	if !ok {
+		return fmt.Errorf("model %s has no snapshot image", pred.Name())
+	}
+	var img bytes.Buffer
+	if err := maintain.EncodeSnapshot(&img, 1, enc, rank); err != nil {
 		return err
 	}
-	defer f.Close()
-	switch m := pred.(type) {
-	case *core.Model:
-		return m.Encode(f)
-	case *ppm.Model:
-		return m.Encode(f)
-	case *lrs.Model:
-		return m.Encode(f)
-	default:
-		return fmt.Errorf("model %s does not support persistence", pred.Name())
-	}
+	return os.WriteFile(path, img.Bytes(), 0o644)
 }
 
 // loadWorkload reads a CLF file or generates the named profile.

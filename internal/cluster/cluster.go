@@ -169,7 +169,7 @@ func New(cfg Config) (*Cluster, error) {
 		shards:   make(map[int]*shardNode),
 	}
 	if p := cfg.ShardConfig.Predictor; p != nil {
-		c.pred.Store(&predCell{p: p})
+		c.pred.Store(&predCell{p: markov.Freeze(p)})
 	}
 	if g := cfg.ShardConfig.Grades; g != nil {
 		c.grader.Store(&gradeCell{g: g})
@@ -369,10 +369,13 @@ func (c *Cluster) Owner(client string) (int, bool) {
 }
 
 // SetPredictor replicates a published model snapshot to every shard.
-// The snapshot is immutable (for frozen models, one relocatable arena
-// []byte), so in-process replication is the pointer swap each shard's
-// SetPredictor performs; shards joining later catch up from the cell.
+// A trainable model is frozen once, before the fan-out (markov.Freeze),
+// so every shard serves the same immutable snapshot (for frozen models,
+// one relocatable arena []byte) and in-process replication is the
+// pointer swap each shard's SetPredictor performs; shards joining later
+// catch up from the cell.
 func (c *Cluster) SetPredictor(p markov.Predictor) {
+	p = markov.Freeze(p)
 	c.pred.Store(&predCell{p: p})
 	c.mu.RLock()
 	defer c.mu.RUnlock()

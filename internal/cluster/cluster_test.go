@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pbppm/internal/core"
+	"pbppm/internal/markov"
 	"pbppm/internal/obs"
 	"pbppm/internal/popularity"
 	"pbppm/internal/quality"
@@ -246,6 +247,43 @@ func TestPredictorFanOutAndCatchUp(t *testing.T) {
 	}
 	if st := c.Shard(id).Stats(); st.HintsIssued == 0 {
 		t.Errorf("late-joining shard %d did not catch up on the published model", id)
+	}
+}
+
+// A cluster given a live model freezes it once, before the fan-out:
+// every shard — including one that joins later — serves the same
+// arena-backed snapshot, whether the model came through the shard
+// config at construction or through SetPredictor.
+func TestClusterInstallsOneSnapshotOnEveryShard(t *testing.T) {
+	live := trainedModel()
+	c, err := New(Config{Shards: 3, Store: testStore(), ShardConfig: server.Config{Predictor: live}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := func(stage string) markov.Predictor {
+		t.Helper()
+		var first markov.Predictor
+		for _, id := range c.ShardIDs() {
+			p := c.Shard(id).Predictor()
+			if _, ok := p.(markov.ArenaHolder); !ok {
+				t.Fatalf("%s: shard %d serves %T, want an arena-backed snapshot", stage, id, p)
+			}
+			if first == nil {
+				first = p
+			} else if p != first {
+				t.Fatalf("%s: shard %d serves a different snapshot than its peers", stage, id)
+			}
+		}
+		return first
+	}
+	built := shared("New")
+	c.AddShard()
+	if shared("join") != built {
+		t.Fatal("a joining shard did not get the published snapshot")
+	}
+	c.SetPredictor(live)
+	if shared("SetPredictor") == built {
+		t.Fatal("SetPredictor left the old snapshot installed")
 	}
 }
 

@@ -31,7 +31,6 @@ func TestCloneDeltaMergeEquivalence(t *testing.T) {
 	for _, s := range base {
 		live.TrainSequence(s)
 	}
-	live.SetUsageRecording(false)
 	liveNodes := live.NodeCount()
 
 	shard := live.NewShard()

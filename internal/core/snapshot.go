@@ -26,8 +26,18 @@ type wireFrozen struct {
 	Name      string
 	Threshold float64
 	NodeCount int
-	Links     map[string][]markov.Prediction
-	Arena     []byte
+	// Links is a slice, not a map: gob sizes a map from the entry count
+	// in the stream before reading any entry, so one corrupt count could
+	// make the decoder allocate gigabytes, while a slice grows only as
+	// its elements arrive.
+	Links []wireLinks
+	Arena []byte
+}
+
+// wireLinks is one heading URL's precomputed rule-3 predictions.
+type wireLinks struct {
+	Head  string
+	Preds []markov.Prediction
 }
 
 var _ markov.FrozenEncoder = (*Frozen)(nil)
@@ -42,8 +52,10 @@ func (f *Frozen) EncodeFrozen(w io.Writer) error {
 		Name:      f.name,
 		Threshold: f.threshold,
 		NodeCount: f.nodeCount,
-		Links:     f.links,
 		Arena:     f.arena.Bytes(),
+	}
+	for head, preds := range f.links {
+		img.Links = append(img.Links, wireLinks{Head: head, Preds: preds})
 	}
 	if err := gob.NewEncoder(bw).Encode(img); err != nil {
 		return fmt.Errorf("core: encoding frozen model: %w", err)
@@ -61,22 +73,27 @@ func init() {
 		if err != nil {
 			return nil, fmt.Errorf("core: decoding frozen model: %w", err)
 		}
-		if img.NodeCount < 0 {
-			return nil, fmt.Errorf("core: decoding frozen model: negative node count %d", img.NodeCount)
+		if img.NodeCount < a.NodeCount() {
+			return nil, fmt.Errorf("core: decoding frozen model: node count %d below the arena's %d", img.NodeCount, a.NodeCount())
 		}
-		for url, linked := range img.Links {
-			for _, p := range linked {
+		var links map[string][]markov.Prediction
+		if len(img.Links) > 0 {
+			links = make(map[string][]markov.Prediction, len(img.Links))
+		}
+		for _, l := range img.Links {
+			for _, p := range l.Preds {
 				if p.URL == "" || math.IsNaN(p.Probability) || p.Probability < 0 {
-					return nil, fmt.Errorf("core: decoding frozen model: corrupt link candidate %+v under %q", p, url)
+					return nil, fmt.Errorf("core: decoding frozen model: corrupt link candidate %+v under %q", p, l.Head)
 				}
 			}
+			links[l.Head] = l.Preds
 		}
 		return &Frozen{
 			name:      img.Name,
 			arena:     a,
 			threshold: img.Threshold,
 			nodeCount: img.NodeCount,
-			links:     img.Links,
+			links:     links,
 		}, nil
 	})
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
+	"math"
 	"reflect"
 	"testing"
 
@@ -71,5 +73,76 @@ func TestFrozenSnapshotRejectsCorrupt(t *testing.T) {
 		if _, err := markov.DecodeFrozenModel(FrozenKind, bytes.NewReader(valid[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// TestModelEncodeDecode: a trained PB-PPM model is written as its
+// frozen image, and the decoded image serves exactly what the live
+// model predicts, with the live node count and rule-3 link count intact
+// — the figures modelinfo reports from a model file.
+func TestModelEncodeDecode(t *testing.T) {
+	grades := popularity.FixedGrades{"home": 3, "page": 1, "hot": 3}
+	m := New(grades, Config{RelProbCutoff: 0.01})
+	for i := 0; i < 5; i++ {
+		m.TrainSequence([]string{"home", "page", "hot"})
+	}
+	m.Optimize()
+	if m.LinkCount() == 0 {
+		t.Fatal("fixture produced no rule-3 links")
+	}
+
+	var buf bytes.Buffer
+	if err := m.Freeze().(*Frozen).EncodeFrozen(&buf); err != nil {
+		t.Fatalf("EncodeFrozen: %v", err)
+	}
+	got, err := markov.DecodeFrozenModel(FrozenKind, &buf)
+	if err != nil {
+		t.Fatalf("DecodeFrozenModel: %v", err)
+	}
+	links := got.NodeCount() - got.(*Frozen).Arena().NodeCount()
+	if got.NodeCount() != m.NodeCount() || links != m.LinkCount() {
+		t.Errorf("counts differ: %d/%d vs %d/%d", got.NodeCount(), links, m.NodeCount(), m.LinkCount())
+	}
+	for _, ctx := range [][]string{{"home"}, {"home", "page"}, {"page"}, {"hot"}, {"nope"}} {
+		if want, have := m.Predict(ctx), got.Predict(ctx); !reflect.DeepEqual(want, have) {
+			t.Errorf("ctx %v: decoded predicts %+v, live %+v", ctx, have, want)
+		}
+	}
+}
+
+// TestDecodeModelErrors: the PB-PPM decoder refuses junk and every
+// well-formed image whose serving state is inconsistent — a corrupt
+// rule-3 link candidate, or a node count below its own arena's.
+func TestDecodeModelErrors(t *testing.T) {
+	if _, err := markov.DecodeFrozenModel(FrozenKind, bytes.NewReader([]byte("junk"))); err == nil {
+		t.Error("junk accepted")
+	}
+	m := New(popularity.FixedGrades{"/a": 3}, Config{})
+	m.TrainSequence([]string{"/a", "/b"})
+	arena := m.Freeze().(*Frozen).Arena().Bytes()
+	link := func(p markov.Prediction) []wireLinks {
+		return []wireLinks{{Head: "/a", Preds: []markov.Prediction{p}}}
+	}
+	for name, img := range map[string]wireFrozen{
+		"empty link URL":   {NodeCount: 2, Arena: arena, Links: link(markov.Prediction{})},
+		"NaN link":         {NodeCount: 2, Arena: arena, Links: link(markov.Prediction{URL: "/b", Probability: math.NaN()})},
+		"negative link":    {NodeCount: 2, Arena: arena, Links: link(markov.Prediction{URL: "/b", Probability: -1})},
+		"nodes below tree": {NodeCount: 1, Arena: arena},
+	} {
+		var w bytes.Buffer
+		if err := gob.NewEncoder(&w).Encode(img); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := markov.DecodeFrozenModel(FrozenKind, &w); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	ok := wireFrozen{NodeCount: 2, Arena: arena}
+	var w bytes.Buffer
+	if err := gob.NewEncoder(&w).Encode(ok); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := markov.DecodeFrozenModel(FrozenKind, &w); err != nil {
+		t.Errorf("consistent image rejected: %v", err)
 	}
 }

@@ -59,8 +59,8 @@ type ClusterHarness struct {
 // warmModel trains the same warm-start model a prefetchd boot builds:
 // a generated history over the site, popularity-ranked, trained into a
 // PB-PPM tree, space-optimized, and frozen into its immutable arena
-// image with usage recording detached — the published-snapshot form
-// the cluster replicates to every shard.
+// image — the published-snapshot form the cluster replicates to every
+// shard.
 func warmModel(site *tracegen.Site, p tracegen.Profile, warmDays int) (markov.Predictor, *popularity.Ranking, error) {
 	warm := p
 	warm.Days = warmDays
@@ -84,14 +84,7 @@ func warmModel(site *tracegen.Site, p tracegen.Profile, warmDays int) (markov.Pr
 	markov.TrainAllParallel(model, seqs)
 	model.Optimize()
 
-	var published markov.Predictor = model
-	if fz, ok := published.(markov.Freezer); ok {
-		published = fz.Freeze()
-	}
-	if ur, ok := published.(markov.UsageRecorder); ok {
-		ur.SetUsageRecording(false)
-	}
-	return published, rank, nil
+	return markov.Freeze(model), rank, nil
 }
 
 // BootCluster builds the warm model, boots an N-shard cluster serving

@@ -17,7 +17,6 @@ func TestCloneDeltaMergeEquivalence(t *testing.T) {
 	for _, s := range base {
 		live.TrainSequence(s)
 	}
-	live.SetUsageRecording(false) // publish shape: materializes the pruned view
 	baseNodes := live.NodeCount()
 
 	shard := live.NewShard()

@@ -58,7 +58,6 @@ var _ markov.Predictor = (*Model)(nil)
 var _ markov.BufferedPredictor = (*Model)(nil)
 var _ markov.Freezer = (*Model)(nil)
 var _ markov.UtilizationReporter = (*Model)(nil)
-var _ markov.UsageRecorder = (*Model)(nil)
 var _ markov.ShardedTrainer = (*Model)(nil)
 var _ markov.IncrementalTrainer = (*Model)(nil)
 
@@ -90,11 +89,9 @@ func (m *Model) rebuild() {
 	}
 	m.dirty = false
 	min := m.cfg.repeat()
-	out := m.full.CopyIf(func(_, child *markov.Node) bool {
+	m.pruned = m.full.CopyIf(func(_, child *markov.Node) bool {
 		return child.Count >= min
 	})
-	out.SetUsageRecording(m.pruned.UsageRecording())
-	m.pruned = out
 }
 
 // NewShard returns an empty model with the same configuration, for
@@ -169,18 +166,6 @@ func (m *Model) ResetUsage() {
 	m.rebuild()
 	m.pruned.ResetUsage()
 }
-
-// SetUsageRecording attaches or detaches prediction-time usage marking.
-// Detaching also materializes the lazily-rebuilt pruned tree, so that
-// subsequent Predict calls on the published model perform no writes at
-// all and are safe for unsynchronized concurrent use.
-func (m *Model) SetUsageRecording(on bool) {
-	m.rebuild()
-	m.pruned.SetUsageRecording(on)
-}
-
-// UsageRecording reports whether usage marking is enabled.
-func (m *Model) UsageRecording() bool { return m.pruned.UsageRecording() }
 
 // Patterns returns the longest repeating subsequences currently stored:
 // every root-to-leaf path of the repeating-only tree, with the leaf's

@@ -1,0 +1,214 @@
+package maintain
+
+import (
+	"bytes"
+	"io"
+	"runtime"
+	"testing"
+
+	"pbppm/internal/core"
+	"pbppm/internal/lrs"
+	"pbppm/internal/markov"
+	"pbppm/internal/popularity"
+	"pbppm/internal/ppm"
+)
+
+// fuzzSeedSnapshots returns snapshot images of every frozen kind the
+// repository publishes — PB-PPM (core/pbppm), 3-PPM and LRS
+// (markov/frozen-tree), blended PPM (ppm/frozen-blended) — each with
+// and without a ranking.
+func fuzzSeedSnapshots(f *testing.F) [][]byte {
+	walks := [][]string{
+		{"/home", "/news", "/news/today", "/sports"},
+		{"/home", "/news", "/weather"},
+		{"/docs", "/docs/api", "/docs/api/tree"},
+		{"/home", "/sports"},
+	}
+	rank := popularity.NewRanking()
+	for _, w := range walks {
+		for _, u := range w {
+			rank.Observe(u, 1)
+		}
+	}
+	models := []markov.Predictor{
+		core.New(rank, core.Config{}),
+		ppm.New(ppm.Config{Height: 3}),
+		lrs.New(lrs.Config{}),
+		ppm.New(ppm.Config{BlendOrders: true}),
+	}
+	var out [][]byte
+	for _, m := range models {
+		for i := 0; i < 3; i++ {
+			for _, w := range walks {
+				m.TrainSequence(w)
+			}
+		}
+		enc := markov.Freeze(m).(markov.FrozenEncoder)
+		for _, r := range []*popularity.Ranking{rank, nil} {
+			var buf bytes.Buffer
+			if err := EncodeSnapshot(&buf, 3, enc, r); err != nil {
+				f.Fatal(err)
+			}
+			out = append(out, buf.Bytes())
+		}
+	}
+	return out
+}
+
+// FuzzDecodeSnapshot hammers the one model file format — the pbppmSN1
+// envelope and, behind it, the ranking and every frozen-kind decoder.
+// Each input is decoded as given and again with its trailing CRC
+// recomputed, so mutations reach the section and kind decoders instead
+// of stopping at ErrChecksum. Decoding must never panic; an accepted
+// snapshot must predict without panicking and re-encode to one with the
+// same version, name, node count and arena image.
+func FuzzDecodeSnapshot(f *testing.F) {
+	for _, img := range fuzzSeedSnapshots(f) {
+		f.Add(img)
+		for _, cut := range []int{len(snapshotMagic) + 4, len(img) / 2, len(img) - 8} {
+			f.Add(img[:cut])
+		}
+	}
+	f.Add([]byte(snapshotMagic))
+	f.Add([]byte("garbage"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodedSnapshot(t, data)
+		if len(data) >= 8 {
+			sealed := append([]byte(nil), data...)
+			resealSnapshot(sealed)
+			checkDecodedSnapshot(t, sealed)
+		}
+	})
+}
+
+// checkDecodedSnapshot decodes data and, when it is accepted, checks
+// the properties FuzzDecodeSnapshot states.
+func checkDecodedSnapshot(t *testing.T, data []byte) {
+	snap, err := DecodeSnapshot(data)
+	if err != nil {
+		return
+	}
+	m := snap.Model
+	var img []byte
+	if ah, ok := m.(markov.ArenaHolder); ok {
+		a := ah.Arena()
+		img = a.Bytes()
+		for s := 1; s <= a.SymbolCount() && s <= 4; s++ {
+			u := a.URLOf(uint32(s))
+			m.Predict([]string{u})
+			m.Predict([]string{"\x00unseen", u})
+		}
+	}
+	m.Predict(nil)
+
+	enc, ok := m.(markov.FrozenEncoder)
+	if !ok {
+		t.Fatalf("accepted snapshot model %T cannot re-encode", m)
+	}
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(&buf, snap.Version, enc, snap.Ranking); err != nil {
+		t.Fatalf("re-encoding an accepted snapshot failed: %v", err)
+	}
+	again, err := DecodeSnapshot(buf.Bytes())
+	if err != nil {
+		t.Fatalf("re-decoding an accepted snapshot failed: %v", err)
+	}
+	if again.Version != snap.Version || again.Model.Name() != m.Name() || again.Model.NodeCount() != m.NodeCount() {
+		t.Fatalf("round trip changed the snapshot: v%d %q %d nodes, want v%d %q %d nodes",
+			again.Version, again.Model.Name(), again.Model.NodeCount(), snap.Version, m.Name(), m.NodeCount())
+	}
+	if ah, ok := again.Model.(markov.ArenaHolder); ok && !bytes.Equal(ah.Arena().Bytes(), img) {
+		t.Fatal("round trip changed the arena image")
+	}
+}
+
+// inflateCount rewrites, in the last message of gob stream img, the
+// one-element count that directly precedes marker to n, and re-frames
+// the message: a corrupt length field the trailing CRC would not catch
+// once resealed.
+func inflateCount(t *testing.T, img []byte, marker []byte, n uint64) []byte {
+	t.Helper()
+	readUint := func(b []byte) (uint64, int) {
+		if b[0] < 0x80 {
+			return uint64(b[0]), 1
+		}
+		k := int(-int8(b[0]))
+		var v uint64
+		for _, c := range b[1 : 1+k] {
+			v = v<<8 | uint64(c)
+		}
+		return v, 1 + k
+	}
+	encUint := func(v uint64) []byte {
+		if v < 0x80 {
+			return []byte{byte(v)}
+		}
+		var be []byte
+		for ; v > 0; v >>= 8 {
+			be = append([]byte{byte(v)}, be...)
+		}
+		return append([]byte{byte(-int8(len(be)))}, be...)
+	}
+	last := 0
+	for off := 0; off < len(img); {
+		size, k := readUint(img[off:])
+		last, off = off, off+k+int(size)
+	}
+	_, k := readUint(img[last:])
+	body := img[last+k:]
+	at := bytes.Index(body, marker)
+	if at < 1 || body[at-1] != 1 {
+		t.Fatalf("no one-element count before %q", marker)
+	}
+	patched := append(append(append([]byte{}, body[:at-1]...), encUint(n)...), body[at:]...)
+	return append(append(append([]byte{}, img[:last]...), encUint(uint64(len(patched)))...), patched...)
+}
+
+// TestSnapshotSectionsBoundCorruptCounts: a ranking or PB-PPM link
+// table whose entry count is corrupted to 1<<26 fails to decode without
+// allocating for the claimed entries. Gob sizes a map from that count
+// up front (about 2 GiB here); both tables travel as slices, which
+// grow only as entries arrive.
+func TestSnapshotSectionsBoundCorruptCounts(t *testing.T) {
+	rank := popularity.NewRanking()
+	rank.Observe("/only", 3)
+	var rankImg bytes.Buffer
+	if err := rank.Encode(&rankImg); err != nil {
+		t.Fatal(err)
+	}
+	m := core.New(popularity.FixedGrades{"/h": 3, "/x": 1, "/y": 3}, core.Config{})
+	for i := 0; i < 4; i++ {
+		m.TrainSequence([]string{"/h", "/x", "/y"})
+	}
+	var modelImg bytes.Buffer
+	if err := m.Freeze().(markov.FrozenEncoder).EncodeFrozen(&modelImg); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, marker string
+		img          []byte
+		decode       func(io.Reader) error
+	}{
+		{"ranking", "\x05/only", rankImg.Bytes(), func(r io.Reader) error {
+			_, err := popularity.DecodeRanking(r)
+			return err
+		}},
+		{"links", "\x01\x02/h", modelImg.Bytes(), func(r io.Reader) error {
+			_, err := markov.DecodeFrozenModel(core.FrozenKind, r)
+			return err
+		}},
+	} {
+		bad := inflateCount(t, c.img, []byte(c.marker), 1<<26)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.decode(bytes.NewReader(bad))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: inflated count accepted", c.name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+			t.Errorf("%s: decoding allocated %d MiB", c.name, grew>>20)
+		}
+	}
+}

@@ -26,8 +26,8 @@
 // its model off to the side and then publishes it as an immutable
 // snapshot through an atomic pointer: request-serving goroutines call
 // Observe and Predictor while an update runs, and predictions on a
-// published model are read-only (usage recording is detached before
-// publishing — see markov.UsageRecorder). A published model is never
+// published model are read-only (a trainable model is published as its
+// frozen snapshot — see markov.Freeze). A published model is never
 // trained or mutated again; the next update swaps in a whole new one.
 package maintain
 
@@ -329,10 +329,9 @@ func (m *Maintainer) SkippedUpdates() int {
 
 // Predictor returns the current model snapshot, or nil before the
 // first update. The snapshot is immutable: predictions on it are
-// read-only and safe for unsynchronized concurrent use (its usage
-// recording was detached at publish time), and it is never trained
-// again — the next update publishes a fresh model instead of mutating
-// this one.
+// read-only and safe for unsynchronized concurrent use (a trainable
+// model is published frozen), and it is never trained again — the next
+// update publishes a fresh model instead of mutating this one.
 func (m *Maintainer) Predictor() markov.Predictor {
 	if c := m.current.Load(); c != nil {
 		return c.p
@@ -399,22 +398,15 @@ func (m *Maintainer) skip(op, reason string, detail any) {
 
 // publish installs model as the live snapshot and returns the
 // predictor actually published. The model is kept as the editable base
-// for future delta merges; what gets served is its frozen arena image
-// when the model can freeze (markov.Freezer) — O(1) GC objects,
+// for future delta merges; what gets served is markov.Freeze(model),
+// its frozen arena image when the model can freeze — O(1) GC objects,
 // allocation-free predictions — and the model itself otherwise. Either
-// way the published predictor is immutable from here on: usage
-// recording is detached, the atomic pointer is swapped, the
-// model-health gauges refresh, and Config.OnPublish fires. The caller
-// holds publishMu.
+// way the published predictor is immutable from here on: the atomic
+// pointer is swapped, the model-health gauges refresh, and
+// Config.OnPublish fires. The caller holds publishMu.
 func (m *Maintainer) publish(model markov.Predictor) markov.Predictor {
 	m.editable = model
-	published := model
-	if fz, ok := model.(markov.Freezer); ok {
-		published = fz.Freeze()
-	}
-	if ur, ok := published.(markov.UsageRecorder); ok {
-		ur.SetUsageRecording(false)
-	}
+	published := markov.Freeze(model)
 	m.current.Store(&predictorCell{p: published})
 	m.metrics.modelNodes.Set(int64(published.NodeCount()))
 	if st, ok := markov.StatsOf(published); ok {

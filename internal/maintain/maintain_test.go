@@ -119,15 +119,18 @@ func TestRebuildDetachesUsageRecording(t *testing.T) {
 	}
 	m.Observe(mkSession(0, "/home", "/news"))
 	model := m.Rebuild(epoch.Add(time.Hour))
-	// A published model must never record usage marks. The frozen arena
-	// snapshot guarantees this structurally by not implementing
-	// markov.UsageRecorder at all; a model that does implement it must
-	// have recording detached.
-	if ur, ok := model.(markov.UsageRecorder); ok && ur.UsageRecording() {
-		t.Error("published model still records usage marks")
-	}
+	// A published model must never record usage marks. The maintainer
+	// publishes the frozen arena snapshot, which has none to record, and
+	// predictions on it leave the live model it keeps for delta merges
+	// unmarked.
 	if _, ok := model.(markov.ArenaHolder); !ok {
-		t.Error("published PB-PPM model is not an arena-backed frozen snapshot")
+		t.Fatal("published PB-PPM model is not an arena-backed frozen snapshot")
+	}
+	if len(model.Predict([]string{"/home"})) == 0 {
+		t.Fatal("published model predicts nothing")
+	}
+	if u := m.editable.(markov.UtilizationReporter).Utilization(); u != 0 {
+		t.Errorf("predictions on the published model marked the live model: utilization %v", u)
 	}
 }
 

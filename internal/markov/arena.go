@@ -33,12 +33,13 @@
 // shared mapping verbatim, and ArenaFromBytes revives it after
 // validating every index against the buffer bounds. Multi-byte fields
 // are host-endian — the arena image is a same-architecture serving and
-// sharing format. Because images now also travel between machines (the
-// snapshot-distribution channel ships the arena verbatim), the header
-// carries a byte-order mark: an image written on a machine with the
-// opposite endianness is rejected by ArenaFromBytes with a clear error
-// instead of being misread through byte-swapped offsets. Cross-endian
-// interchange stays on wire format v2 (Encode/DecodeArena).
+// sharing format. Because images also travel between machines (the
+// pbppmSN1 snapshot image ships the arena verbatim, and it is the one
+// model file format), the header carries a byte-order mark: an image
+// written on a machine with the opposite endianness is rejected by
+// ArenaFromBytes with a clear error instead of being misread through
+// byte-swapped offsets. Such a model is re-frozen from its training
+// data on the reading architecture.
 package markov
 
 import (
@@ -241,7 +242,7 @@ func ArenaFromBytes(buf []byte) (*Arena, error) {
 	case arenaBOM:
 		// Image and host agree on byte order.
 	case arenaBOMSwapped:
-		return nil, fmt.Errorf("markov: arena: image was written on a machine with the opposite byte order; re-freeze on this architecture or ship the model over wire format v2")
+		return nil, fmt.Errorf("markov: arena: image was written on a machine with the opposite byte order; re-freeze the model on this architecture")
 	default:
 		return nil, fmt.Errorf("markov: arena: bad byte-order mark %#x", hdr[0])
 	}
@@ -555,11 +556,32 @@ func (a *Arena) Stats() TreeStats {
 	return st
 }
 
+// TopBranches returns the n highest-count root branches with their
+// share of the root's training mass, descending (URL ascending on
+// ties); a quick view of what the model considers hot.
+func (a *Arena) TopBranches(n int) []Prediction {
+	lo, hi := a.childOff[0], a.childOff[1]
+	out := make([]Prediction, 0, hi-lo)
+	total := a.counts[0]
+	for ci := lo; ci < hi; ci++ {
+		p := 0.0
+		if total > 0 {
+			p = float64(a.counts[ci]) / float64(total)
+		}
+		out = append(out, Prediction{URL: a.urls[a.syms[ci]], Probability: p, Order: 1})
+	}
+	sort.Slice(out, func(i, j int) bool { return predictionLess(out[i], out[j]) })
+	if n < len(out) {
+		out = out[:n]
+	}
+	return out
+}
+
 // FrozenTree is the generic frozen predictor for models whose Predict
 // is a longest-suffix match over a single tree (standard PPM, LRS):
 // the training-time tree is replaced by its arena, and prediction runs
 // allocation-free through PredictInto. A frozen model is immutable —
-// TrainSequence panics, and there is no usage recording to detach.
+// TrainSequence panics, and it records no usage.
 type FrozenTree struct {
 	arena *Arena
 	name  string

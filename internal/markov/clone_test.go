@@ -50,19 +50,6 @@ func TestCloneIsDeepCopy(t *testing.T) {
 	}
 }
 
-func TestClonePreservesRecordingGate(t *testing.T) {
-	tr := NewTree()
-	tr.Insert([]string{"/a"}, 0, 1)
-	tr.SetUsageRecording(false)
-	if tr.Clone().UsageRecording() {
-		t.Error("clone of a detached tree records usage")
-	}
-	tr.SetUsageRecording(true)
-	if !tr.Clone().UsageRecording() {
-		t.Error("clone of a recording tree lost the gate")
-	}
-}
-
 func TestCloneDoesNotCopyUsageMarks(t *testing.T) {
 	tr := NewTree()
 	tr.Insert([]string{"/a", "/b"}, 0, 2)
@@ -110,7 +97,6 @@ func TestCloneMergeEquivalence(t *testing.T) {
 
 	live := NewTree()
 	trainSuffixes(live, base)
-	live.SetUsageRecording(false) // published snapshot shape
 
 	deltaTree := NewTree()
 	trainSuffixes(deltaTree, delta)

@@ -2,12 +2,13 @@ package markov
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 )
 
-// fuzzSeedTrees returns a few representative trees whose encodings seed
-// the corpus: empty, tiny, height-capped, and a random workload.
+// fuzzSeedTrees returns a few representative trees whose frozen images
+// seed the corpus: empty, tiny, height-capped, and a random workload.
 func fuzzSeedTrees() []*Tree {
 	empty := NewTree()
 	tiny := NewTree()
@@ -18,15 +19,17 @@ func fuzzSeedTrees() []*Tree {
 	return []*Tree{empty, tiny, capped, randomArenaTree(rand.New(rand.NewSource(11)), 120, 0)}
 }
 
-// FuzzDecodeTree hammers the wire-format decoder with mutated
-// payloads. The decoder must never panic — corrupt snapshots come off
-// disks and sockets — and anything it does accept must re-encode and
-// decode to an arena-identical tree (the decoder cannot invent states
-// the encoder would not produce).
+// FuzzDecodeTree hammers the frozen-tree codec — the decoder a
+// published PPM or LRS snapshot revives through — with mutated
+// payloads. The decoder must never panic (corrupt snapshots come off
+// disks and sockets); anything it accepts must predict without
+// crashing and re-encode to a model with the same name, threshold,
+// height clamp and arena image (the decoder cannot invent states the
+// encoder would not produce).
 func FuzzDecodeTree(f *testing.F) {
-	for _, tr := range fuzzSeedTrees() {
+	for i, tr := range fuzzSeedTrees() {
 		var w bytes.Buffer
-		if err := tr.Encode(&w); err != nil {
+		if err := NewFrozenTree(tr.Freeze(), "PPM", 0.25, i).EncodeFrozen(&w); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(w.Bytes())
@@ -38,25 +41,37 @@ func FuzzDecodeTree(f *testing.F) {
 			}
 		}
 	}
-	f.Add([]byte("pbppmT2\n"))
+	f.Add([]byte(arenaMagic))
 	f.Add([]byte("garbage"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := DecodeTree(bytes.NewReader(data))
+		p, err := DecodeFrozenModel(FrozenTreeKind, bytes.NewReader(data))
 		if err != nil {
 			return
 		}
+		ft := p.(*FrozenTree)
+		a := ft.Arena()
+		for s := 1; s <= a.SymbolCount() && s <= 8; s++ {
+			ft.Predict([]string{a.URLOf(uint32(s))})
+			ft.Predict([]string{"\x00unseen", a.URLOf(uint32(s))})
+		}
 		var w bytes.Buffer
-		if err := tr.Encode(&w); err != nil {
+		if err := ft.EncodeFrozen(&w); err != nil {
 			t.Fatalf("re-encoding an accepted tree failed: %v", err)
 		}
-		tr2, err := DecodeTree(bytes.NewReader(w.Bytes()))
+		p2, err := DecodeFrozenModel(FrozenTreeKind, bytes.NewReader(w.Bytes()))
 		if err != nil {
 			t.Fatalf("re-decoding an accepted tree failed: %v", err)
 		}
+		ft2 := p2.(*FrozenTree)
+		if ft2.name != ft.name || ft2.clampHeight != ft.clampHeight ||
+			math.Float64bits(ft2.threshold) != math.Float64bits(ft.threshold) {
+			t.Fatalf("round trip changed the model: %q/%v/%d vs %q/%v/%d",
+				ft2.name, ft2.threshold, ft2.clampHeight, ft.name, ft.threshold, ft.clampHeight)
+		}
 		// Arena images are canonical, so byte equality is the strongest
 		// available identity check.
-		if !bytes.Equal(tr.Freeze().Bytes(), tr2.Freeze().Bytes()) {
+		if !bytes.Equal(a.Bytes(), ft2.Arena().Bytes()) {
 			t.Fatal("accepted tree did not round-trip identically")
 		}
 	})

@@ -252,6 +252,19 @@ type Freezer interface {
 	Freeze() Predictor
 }
 
+// Freeze returns the snapshot a trained model is published as: p's
+// frozen form when p is a Freezer, and p itself otherwise (frozen
+// models, Top-N, wrappers). Every install path — the server, the
+// cluster, the maintainer — publishes through it, so a live tree is
+// never shared with serving goroutines. A caller that keeps training
+// the live model publishes again.
+func Freeze(p Predictor) Predictor {
+	if fz, ok := p.(Freezer); ok {
+		return fz.Freeze()
+	}
+	return p
+}
+
 // PredictInto routes a prediction through p's buffered path when it has
 // one, and falls back to copying Predict's result into buf otherwise —
 // so callers get the buffer-ownership contract from any Predictor.
@@ -273,10 +286,9 @@ type Predictor interface {
 	TrainSequence(seq []string)
 	// Predict returns prefetch candidates given the session context so
 	// far (oldest first; the last element is the current click). Once
-	// training has ceased, Predict is safe for concurrent use: with
-	// usage recording enabled it writes only atomic usage marks, and
-	// with recording detached (see UsageRecorder) it performs no writes
-	// at all.
+	// training has ceased, Predict is safe for concurrent use: a live
+	// model writes only atomic usage marks, and a frozen snapshot (see
+	// Freeze) performs no writes at all.
 	Predict(context []string) []Prediction
 	// NodeCount reports the model's storage requirement in URL nodes,
 	// the paper's space metric.
@@ -290,45 +302,21 @@ type UtilizationReporter interface {
 	ResetUsage()
 }
 
-// UsageRecorder is implemented by models whose prediction-time usage
-// recording can be detached. Publishing paths (the HTTP server, the
-// maintenance loop) disable recording so that Predict on a shared,
-// published model performs no writes at all; the simulator and
-// diagnostics keep it enabled (the default) to compute the paper's
-// path-utilization metric.
-type UsageRecorder interface {
-	// SetUsageRecording enables or disables prediction-time usage marks.
-	SetUsageRecording(on bool)
-	// UsageRecording reports whether usage marks are being recorded.
-	UsageRecording() bool
-}
-
 // Tree is a counted prediction trie under a pseudo-root. The pseudo-root
 // itself carries the number of branch insertions and is excluded from
-// node counts.
+// node counts. A live tree always records prediction-time usage marks
+// (the path-utilization metric); serving paths publish its frozen Arena
+// instead, which records nothing.
 type Tree struct {
 	Root *Node
 
 	syms *symtab
-
-	// recording gates prediction-time usage marking (MarkPath,
-	// PredictFrom). NewTree enables it; serving paths detach it so
-	// predictions on published trees are genuinely read-only.
-	recording atomic.Bool
 }
 
-// NewTree returns an empty tree with usage recording enabled.
+// NewTree returns an empty tree.
 func NewTree() *Tree {
-	t := &Tree{Root: &Node{}, syms: newSymtab()}
-	t.recording.Store(true)
-	return t
+	return &Tree{Root: &Node{}, syms: newSymtab()}
 }
-
-// SetUsageRecording enables or disables prediction-time usage marking.
-func (t *Tree) SetUsageRecording(on bool) { t.recording.Store(on) }
-
-// UsageRecording reports whether prediction-time usage marking is on.
-func (t *Tree) UsageRecording() bool { return t.recording.Load() }
 
 // URLOf resolves a node's URL through the tree's symbol table. The
 // pseudo-root resolves to the empty string.
@@ -453,37 +441,29 @@ func (t *Tree) LongestMatch(ctx []string) (*Node, int) {
 // PredictFrom returns the children of n whose conditional probability
 // (child count over n's count) is at least threshold, ordered by
 // descending probability with URL tie-break for determinism. order is
-// recorded on each prediction. When usage recording is enabled the
-// predicted children are marked used (atomically, so concurrent callers
-// never race); with recording detached the candidates are computed
-// without any writes.
+// recorded on each prediction. The predicted children are marked used
+// (atomically, so concurrent callers never race).
 func (t *Tree) PredictFrom(n *Node, threshold float64, order int) []Prediction {
-	return t.predictAt(n, threshold, order, t.recording.Load(), nil)
+	return t.predictAt(n, threshold, order, true, nil)
 }
 
 // PredictFromInto is PredictFrom writing into buf per the
 // BufferedPredictor contract: buf's previous contents are discarded and
 // the result reuses its backing storage when capacity allows.
 func (t *Tree) PredictFromInto(n *Node, threshold float64, order int, buf []Prediction) []Prediction {
-	return t.predictAt(n, threshold, order, t.recording.Load(), buf)
+	return t.predictAt(n, threshold, order, true, buf)
 }
 
-// CandidatesFrom is PredictFrom without any usage marking, regardless
-// of the recording gate. Callers that post-filter the candidate set
-// (blended prediction) use it and then mark only the survivors via
-// MarkPredicted, so the utilization metric counts genuine predictions
-// only.
+// CandidatesFrom is PredictFrom without any usage marking. Callers that
+// post-filter the candidate set (blended prediction) use it and then
+// mark only the survivors via MarkPredicted, so the utilization metric
+// counts genuine predictions only.
 func (t *Tree) CandidatesFrom(n *Node, threshold float64, order int) []Prediction {
 	return t.predictAt(n, threshold, order, false, nil)
 }
 
-// MarkPredicted marks one node as used by a prediction, honoring the
-// usage-recording gate.
-func (t *Tree) MarkPredicted(n *Node) {
-	if t.recording.Load() {
-		n.MarkUsed()
-	}
-}
+// MarkPredicted marks one node as used by a prediction.
+func (t *Tree) MarkPredicted(n *Node) { n.MarkUsed() }
 
 func (t *Tree) predictAt(n *Node, threshold float64, order int, mark bool, buf []Prediction) []Prediction {
 	buf = buf[:0]
@@ -620,13 +600,9 @@ func (t *Tree) ResetUsage() {
 }
 
 // MarkPath marks every node along the exact path seq as used. Unknown
-// paths are ignored, as is the whole call when usage recording is
-// detached. Prediction code calls this for the matched context so that
-// interior usage is visible in diagnostics.
+// paths are ignored. Prediction code calls this for the matched context
+// so that interior usage is visible in diagnostics.
 func (t *Tree) MarkPath(seq []string) {
-	if !t.recording.Load() {
-		return
-	}
 	n := t.Root
 	for _, u := range seq {
 		sym, ok := t.syms.lookup(u)
@@ -751,15 +727,12 @@ func (t *Tree) Merge(other *Tree) {
 // merging into the clone never mutates the receiver. This is the
 // copy-on-write step of incremental maintenance: the published snapshot
 // stays live and read-only while its clone absorbs a delta. Usage marks
-// are not copied (they are prediction-phase scratch); the recording
-// gate's state is carried over.
+// are not copied (they are prediction-phase scratch).
 //
 // The receiver must not be trained concurrently with Clone; cloning a
 // published (read-only) snapshot is always safe.
 func (t *Tree) Clone() *Tree {
-	out := &Tree{Root: cloneNode(t.Root), syms: t.syms.clone()}
-	out.recording.Store(t.recording.Load())
-	return out
+	return &Tree{Root: cloneNode(t.Root), syms: t.syms.clone()}
 }
 
 func cloneNode(n *Node) *Node {
@@ -790,10 +763,9 @@ func (t *Tree) MergeInto(dst *Tree) { dst.Merge(t) }
 // returns true; rejecting a node skips its entire subtree. The copy
 // shares t's symbol table (so it costs no string duplication) and must
 // therefore not be read concurrently with training that mutates t.
-// Usage marks are not copied; recording starts enabled.
+// Usage marks are not copied.
 func (t *Tree) CopyIf(keep func(parent, child *Node) bool) *Tree {
 	out := &Tree{Root: &Node{Count: t.Root.Count}, syms: t.syms}
-	out.recording.Store(true)
 	var cp func(src, dst *Node)
 	cp = func(src, dst *Node) {
 		src.EachChild(func(sc *Node) bool {

@@ -2,7 +2,6 @@ package markov
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"unsafe"
 )
@@ -153,29 +152,4 @@ func StatsOf(p Predictor) (st TreeStats, ok bool) {
 		return ah.Arena().Stats(), true
 	}
 	return TreeStats{}, false
-}
-
-// TopBranches returns the n highest-count root branches with their
-// counts, descending; a quick view of what the model considers hot.
-func (t *Tree) TopBranches(n int) []Prediction {
-	out := make([]Prediction, 0, t.Root.Fanout())
-	total := t.Root.Count
-	t.Root.EachChild(func(c *Node) bool {
-		p := 0.0
-		if total > 0 {
-			p = float64(c.Count) / float64(total)
-		}
-		out = append(out, Prediction{URL: t.syms.urls[c.sym], Probability: p, Order: 1})
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Probability != out[j].Probability {
-			return out[i].Probability > out[j].Probability
-		}
-		return out[i].URL < out[j].URL
-	})
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out
 }

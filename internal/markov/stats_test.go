@@ -110,18 +110,19 @@ func TestTopBranches(t *testing.T) {
 	tr.Insert([]string{"hot"}, 0, 10)
 	tr.Insert([]string{"warm"}, 0, 5)
 	tr.Insert([]string{"cold"}, 0, 1)
+	a := tr.Freeze()
 
-	top := tr.TopBranches(2)
+	top := a.TopBranches(2)
 	if len(top) != 2 || top[0].URL != "hot" || top[1].URL != "warm" {
 		t.Fatalf("TopBranches = %+v", top)
 	}
 	if top[0].Probability != 10.0/16 {
 		t.Errorf("P(hot) = %v", top[0].Probability)
 	}
-	if got := tr.TopBranches(99); len(got) != 3 {
+	if got := a.TopBranches(99); len(got) != 3 {
 		t.Errorf("TopBranches(99) = %d entries", len(got))
 	}
-	if got := NewTree().TopBranches(3); len(got) != 0 {
+	if got := NewTree().Freeze().TopBranches(3); len(got) != 0 {
 		t.Errorf("empty tree TopBranches = %+v", got)
 	}
 }

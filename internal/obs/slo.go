@@ -110,7 +110,7 @@ func ParseObjectives(s string) ([]Objective, error) {
 		if o.Kind == "" {
 			return nil, fmt.Errorf("obs: objective %q: missing kind", raw)
 		}
-		if o.Target <= 0 || o.Target >= 1 {
+		if !(o.Target > 0 && o.Target < 1) { // rejects NaN too
 			return nil, fmt.Errorf("obs: objective %q: target %v outside (0, 1)", raw, o.Target)
 		}
 		if o.Kind == "latency" && o.Threshold <= 0 {

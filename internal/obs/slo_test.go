@@ -41,6 +41,7 @@ func TestParseObjectivesErrors(t *testing.T) {
 		"kind=latency,target=0.99",          // latency without threshold
 		"kind=precision,target=1.5",         // target out of range
 		"kind=precision,target=0",           // target at lower edge
+		"kind=precision,target=NaN",         // NaN compares false both ways
 		"target=0.5",                        // missing kind
 		"kind=latency,threshold=200ms,nope", // not key=value
 		"kind=latency,threshold=xyz,target=0.9",
@@ -56,6 +57,46 @@ func TestParseObjectivesErrors(t *testing.T) {
 			t.Errorf("ParseObjectives(%q) accepted invalid input", bad)
 		}
 	}
+}
+
+// FuzzParseObjectives drives the objective grammar (flag and file
+// forms) with mutated specs: parsing must never panic, and every
+// objective it accepts must be one the SLO engine can evaluate.
+func FuzzParseObjectives(f *testing.F) {
+	for _, seed := range []string{
+		"name=demand-latency,kind=latency,threshold=200ms,target=0.99; kind=precision,target=0.3",
+		"# comment line\nkind=latency,threshold=1s,target=0.5\n\nkind=hit_ratio,target=0.2\n",
+		"kind=precision,target=0.3,window=10m",
+		"kind=precision,target=NaN",
+		"kind=latency,target=0.99",
+		"name=a,kind=precision,target=0.3; name=a,kind=hit_ratio,target=0.5",
+		"kind=precision,target=0.3,window=-5m",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		objs, err := ParseObjectives(spec)
+		if err != nil {
+			return
+		}
+		names := make(map[string]bool)
+		for _, o := range objs {
+			switch {
+			case o.Kind == "":
+				t.Fatalf("accepted objective without a kind: %+v", o)
+			case !(o.Target > 0 && o.Target < 1):
+				t.Fatalf("accepted target %v outside (0, 1): %+v", o.Target, o)
+			case o.Kind == "latency" && o.Threshold <= 0:
+				t.Fatalf("accepted latency objective without a positive threshold: %+v", o)
+			case o.Window < 0:
+				t.Fatalf("accepted a negative window: %+v", o)
+			case names[o.name()]:
+				t.Fatalf("accepted duplicate objective name %q in %q", o.name(), spec)
+			}
+			names[o.name()] = true
+		}
+	})
 }
 
 func TestParseObjectivesWindowOverride(t *testing.T) {

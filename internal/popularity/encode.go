@@ -7,9 +7,14 @@ import (
 	"io"
 )
 
-// wireRanking is the gob image of a Ranking.
+// wireRanking is the gob image of a Ranking. The counts travel as
+// parallel slices, not a map: gob sizes a map from the entry count in
+// the stream before reading any entry, so one corrupt count could make
+// the decoder allocate gigabytes, while a slice grows only as its
+// elements arrive.
 type wireRanking struct {
-	Counts map[string]int64
+	URLs   []string
+	Counts []int64
 	Base   float64
 	Grades int
 }
@@ -19,7 +24,16 @@ type wireRanking struct {
 // long periods, which is what makes persisting it worthwhile).
 func (rk *Ranking) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	img := wireRanking{Counts: rk.counts, Base: rk.base, Grades: rk.grades}
+	img := wireRanking{
+		URLs:   make([]string, 0, len(rk.counts)),
+		Counts: make([]int64, 0, len(rk.counts)),
+		Base:   rk.base,
+		Grades: rk.grades,
+	}
+	for u, c := range rk.counts {
+		img.URLs = append(img.URLs, u)
+		img.Counts = append(img.Counts, c)
+	}
 	if err := gob.NewEncoder(bw).Encode(img); err != nil {
 		return fmt.Errorf("popularity: encoding ranking: %w", err)
 	}
@@ -32,9 +46,12 @@ func DecodeRanking(r io.Reader) (*Ranking, error) {
 	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&img); err != nil {
 		return nil, fmt.Errorf("popularity: decoding ranking: %w", err)
 	}
-	rk := &Ranking{counts: img.Counts, base: img.Base, grades: img.Grades}
-	if rk.counts == nil {
-		rk.counts = make(map[string]int64)
+	if len(img.URLs) != len(img.Counts) {
+		return nil, fmt.Errorf("popularity: decoding ranking: %d URLs for %d counts", len(img.URLs), len(img.Counts))
+	}
+	rk := &Ranking{counts: make(map[string]int64, len(img.URLs)), base: img.Base, grades: img.Grades}
+	for i, u := range img.URLs {
+		rk.counts[u] = img.Counts[i]
 	}
 	for _, c := range rk.counts {
 		if c > rk.max {

@@ -13,7 +13,6 @@ func TestCloneDeltaMergeEquivalence(t *testing.T) {
 	for _, s := range base {
 		live.TrainSequence(s)
 	}
-	live.SetUsageRecording(false)
 	before := live.Tree().String()
 
 	shard := live.NewShard()

@@ -66,7 +66,6 @@ var _ markov.Predictor = (*Model)(nil)
 var _ markov.BufferedPredictor = (*Model)(nil)
 var _ markov.Freezer = (*Model)(nil)
 var _ markov.UtilizationReporter = (*Model)(nil)
-var _ markov.UsageRecorder = (*Model)(nil)
 var _ markov.ShardedTrainer = (*Model)(nil)
 var _ markov.IncrementalTrainer = (*Model)(nil)
 
@@ -280,13 +279,5 @@ func (m *Model) Utilization() float64 { return m.tree.Utilization() }
 // ResetUsage clears utilization marks.
 func (m *Model) ResetUsage() { m.tree.ResetUsage() }
 
-// SetUsageRecording attaches or detaches prediction-time usage marking;
-// serving paths detach it so Predict on a published model is read-only.
-func (m *Model) SetUsageRecording(on bool) { m.tree.SetUsageRecording(on) }
-
-// UsageRecording reports whether usage marking is enabled.
-func (m *Model) UsageRecording() bool { return m.tree.UsageRecording() }
-
-// Tree exposes the underlying prediction tree for diagnostics and
-// persistence.
+// Tree exposes the underlying prediction tree for diagnostics.
 func (m *Model) Tree() *markov.Tree { return m.tree }

@@ -21,16 +21,19 @@ import (
 // real HTTP through the server's hint-lifecycle scorer with
 // cooperating clients must produce identical §2.3 accounting — both
 // paths feed the same quality.Scorer implementation, and this test
-// proves the event streams they feed it are equivalent.
+// proves the event streams they feed it are equivalent. The server is
+// handed the live model and, like every install, serves its frozen
+// snapshot, while the simulator predicts from the live model.
 func TestLiveScorerMatchesOfflineSimulator(t *testing.T) {
 	checkLiveScorerMatchesOfflineSimulator(t, func(m *core.Model) markov.Predictor { return m })
 }
 
 // TestLiveScorerMatchesOfflineSimulatorFrozen runs the same replay with
-// the server serving the model's frozen snapshot, as prefetchd does:
-// the live server then advances each session's streaming match state
-// instead of re-matching its context tail, while the simulator still
-// predicts from the live model.
+// the server handed the model's frozen snapshot, as prefetchd's
+// maintainer publishes it: the server serves the same snapshot the
+// other test's install produces, advancing each session's streaming
+// match state instead of re-matching its context tail, while the
+// simulator still predicts from the live model.
 func TestLiveScorerMatchesOfflineSimulatorFrozen(t *testing.T) {
 	checkLiveScorerMatchesOfflineSimulator(t, func(m *core.Model) markov.Predictor { return m.Freeze() })
 }

@@ -17,7 +17,7 @@
 // The serving hot path is lock-free: the prediction model is published
 // as an immutable snapshot through an atomic pointer (swapped whole by
 // SetPredictor), Predict on a published model performs no writes (the
-// server detaches the model's usage recording on install), counters are
+// server installs a trained model as its frozen snapshot), counters are
 // atomics, and per-client session contexts live in a sharded map so
 // concurrent clients never contend on one mutex. ServeHTTP never holds
 // any global lock across Predict or ContentStore.Lookup.
@@ -86,9 +86,8 @@ func (m MapStore) Lookup(url string) (Document, bool) {
 // Config parameterizes the server.
 type Config struct {
 	// Predictor serves prefetch hints; nil disables hinting until
-	// SetPredictor is called. The server detaches the model's usage
-	// recording (markov.UsageRecorder) on install so the prediction hot
-	// path is read-only; re-enable it explicitly for diagnostics.
+	// SetPredictor is called. It is installed through SetPredictor, so
+	// a trainable model is served as its frozen snapshot.
 	Predictor markov.Predictor
 	// MaxHints caps the hint list per response; zero selects 4.
 	MaxHints int
@@ -328,8 +327,8 @@ type predictorCell struct {
 // Step advances a match state by one URL; PredictFrom predicts from a
 // state and the session's current URL. Both consider only the trailing
 // maxOrder URLs, and stepping a context from state 0 then predicting
-// equals PredictInto on its last maxOrder URLs. Other models (live
-// trees, Top-N, blended PPM, wrappers) take the context-tail path.
+// equals PredictInto on its last maxOrder URLs. Other models (Top-N,
+// blended PPM, wrappers) take the context-tail path.
 type streamPredictor interface {
 	Step(node uint32, url string, maxOrder int) uint32
 	PredictFrom(node uint32, last string, maxOrder int, buf []markov.Prediction) []markov.Prediction
@@ -481,17 +480,24 @@ func New(store ContentStore, cfg Config) *Server {
 
 // SetPredictor atomically publishes a new prediction model; the
 // maintenance loop calls this after a periodic rebuild. In-flight
-// requests keep using the snapshot they loaded. The model's usage
-// recording is detached (markov.UsageRecorder) so predictions on the
-// published model are genuinely read-only; re-enable it explicitly if
-// you want utilization diagnostics from live traffic.
+// requests keep using the snapshot they loaded. The server installs
+// markov.Freeze(p): a trainable model is served as its frozen snapshot,
+// so predictions on it are read-only and training p afterwards changes
+// nothing served until p is installed again.
 func (s *Server) SetPredictor(p markov.Predictor) {
-	if ur, ok := p.(markov.UsageRecorder); ok {
-		ur.SetUsageRecording(false)
-	}
+	p = markov.Freeze(p)
 	stream, _ := p.(streamPredictor)
 	score := s.live.setModel(p.Name())
 	s.pred.Store(&predictorCell{p: p, stream: stream, gen: s.gens.Add(1), score: score})
+}
+
+// Predictor returns the installed model — the snapshot SetPredictor
+// published — or nil before the first install.
+func (s *Server) Predictor() markov.Predictor {
+	if cell := s.pred.Load(); cell != nil {
+		return cell.p
+	}
+	return nil
 }
 
 // stamp converts a clock reading to the stamp contexts and hint records

@@ -261,23 +261,44 @@ func TestClientOf(t *testing.T) {
 	}
 }
 
-func TestSetPredictorDetachesUsageRecording(t *testing.T) {
+// TestSetPredictorInstallsFrozenSnapshot: a live model is installed as
+// its arena-backed snapshot, so training the live model afterwards
+// leaves served hints unchanged until it is installed again, and
+// serving writes no usage marks into it.
+func TestSetPredictorInstallsFrozenSnapshot(t *testing.T) {
 	m := trainedPB()
-	if !m.UsageRecording() {
-		t.Fatal("fresh model should record usage")
-	}
 	srv := New(testStore(), Config{})
-	srv.SetPredictor(m)
-	if m.UsageRecording() {
-		t.Error("published model still records usage marks")
+	if srv.Predictor() != nil {
+		t.Fatal("a server built without a model reports one")
 	}
-	// The hot path stays functional on the read-only snapshot.
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodGet, "/home", nil)
-	req.Header.Set(HeaderClientID, "ro")
-	srv.ServeHTTP(rec, req)
-	if rec.Header().Get(HeaderPrefetch) == "" {
-		t.Error("no hints from read-only model")
+	srv.SetPredictor(m)
+	if _, ok := srv.Predictor().(markov.ArenaHolder); !ok {
+		t.Fatalf("installed %T, want an arena-backed snapshot", srv.Predictor())
+	}
+	hints := func(client string) string {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodGet, "/home", nil)
+		req.Header.Set(HeaderClientID, client)
+		srv.ServeHTTP(rec, req)
+		return rec.Header().Get(HeaderPrefetch)
+	}
+	before := hints("a")
+	if before == "" {
+		t.Fatal("no hints from the installed snapshot")
+	}
+	// Retrain so /sports overtakes /news as /home's successor.
+	for i := 0; i < 20; i++ {
+		m.TrainSequence([]string{"/home", "/sports"})
+	}
+	if got := hints("b"); got != before {
+		t.Errorf("training the live model changed served hints to %q, want %q", got, before)
+	}
+	if u := m.Utilization(); u != 0 {
+		t.Errorf("serving wrote usage marks into the live model: utilization %v", u)
+	}
+	srv.SetPredictor(m)
+	if got := hints("c"); got == before {
+		t.Errorf("re-installing the retrained model left hints at %q", got)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"pbppm/internal/core"
 	"pbppm/internal/markov"
 	"pbppm/internal/popularity"
+	"pbppm/internal/ppm"
 )
 
 // The frozen models prefetchd, the cluster and followers publish take
@@ -35,6 +36,22 @@ func TestClientContextSize(t *testing.T) {
 // so the hints depend on how deep the session's match runs.
 func walkPage(n, a, x, y int) int { return (a*x + y) % n }
 
+// walkSessions returns the 10-page walks of rule a over n pages from
+// every starting pair.
+func walkSessions(n, a int) [][]string {
+	var out [][]string
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			seq := []string{fmt.Sprintf("/p%d", x), fmt.Sprintf("/p%d", y)}
+			for px, py := x, y; len(seq) < 10; px, py = py, walkPage(n, a, px, py) {
+				seq = append(seq, fmt.Sprintf("/p%d", walkPage(n, a, px, py)))
+			}
+			out = append(out, seq)
+		}
+	}
+	return out
+}
+
 // walkModel trains PB-PPM on walks of rule a from every starting pair.
 // Every page has the top grade, so each session is one branch of the
 // default height 7.
@@ -44,14 +61,8 @@ func walkModel(n, a int) *core.Model {
 		grades[fmt.Sprintf("/p%d", i)] = 3
 	}
 	m := core.New(grades, core.Config{})
-	for x := 0; x < n; x++ {
-		for y := 0; y < n; y++ {
-			seq := []string{fmt.Sprintf("/p%d", x), fmt.Sprintf("/p%d", y)}
-			for px, py := x, y; len(seq) < 10; px, py = py, walkPage(n, a, px, py) {
-				seq = append(seq, fmt.Sprintf("/p%d", walkPage(n, a, px, py)))
-			}
-			m.TrainSequence(seq)
-		}
+	for _, seq := range walkSessions(n, a) {
+		m.TrainSequence(seq)
 	}
 	return m
 }
@@ -70,7 +81,8 @@ func hintsFor(t *testing.T, srv *Server, client, url string) []markov.Prediction
 }
 
 // TestSessionAcrossModelSwapMatchesFreshSession: a session that spans
-// SetPredictor swaps — frozen to frozen, to a live model, and back —
+// SetPredictor swaps — frozen to frozen, to a model that cannot stream
+// (frozen blended PPM, which takes the context-tail path), and back —
 // gets, after each swap, the hints and the match state a fresh session
 // replaying its whole URL sequence gets from the model then published.
 // The session walks by the rule of the model about to be served, so
@@ -84,10 +96,15 @@ func TestSessionAcrossModelSwapMatchesFreshSession(t *testing.T) {
 		store[u] = Document{URL: u, Body: make([]byte, 512)}
 	}
 	a, b := walkModel(pages, 1), walkModel(pages, 5)
+	blended := ppm.New(ppm.Config{BlendOrders: true})
+	for _, seq := range walkSessions(pages, 5) {
+		blended.TrainSequence(seq)
+	}
+	blend := blended.Freeze()
 	rounds := []struct {
 		model markov.Predictor
 		rule  int
-	}{{a.Freeze(), 1}, {b.Freeze(), 5}, {b, 5}, {a.Freeze(), 1}}
+	}{{a.Freeze(), 1}, {b.Freeze(), 5}, {blend, 5}, {a.Freeze(), 1}}
 	srv := New(store, Config{MaxHints: 8})
 	state := func(client string) (gen, node uint32) {
 		sh := srv.shard(client)
@@ -101,6 +118,10 @@ func TestSessionAcrossModelSwapMatchesFreshSession(t *testing.T) {
 	hinted := 0
 	for round, r := range rounds {
 		srv.SetPredictor(r.model)
+		streams := srv.pred.Load().stream != nil
+		if streams == (r.model == blend) {
+			t.Fatalf("model %d (%T): streaming is %v", round, r.model, streams)
+		}
 		for k := 0; k < 20; k++ {
 			if round > 0 || k > 0 {
 				x, y = y, walkPage(pages, r.rule, x, y)
@@ -120,7 +141,7 @@ func TestSessionAcrossModelSwapMatchesFreshSession(t *testing.T) {
 				t.Fatalf("model %d, request %d (%s): spanning session hinted %+v, fresh replay %+v",
 					round, k, u, got, want)
 			}
-			if sg, sn := state("spanning"); r.model != b {
+			if sg, sn := state("spanning"); streams {
 				if fg, fn := state(fresh); sg != fg || sn != fn {
 					t.Fatalf("model %d, request %d: spanning session state (gen %d, node %d), fresh replay (gen %d, node %d)",
 						round, k, sg, sn, fg, fn)

@@ -35,12 +35,6 @@ type Prediction = markov.Prediction
 // fraction of stored paths used by predictions (Figure 2, right).
 type UtilizationReporter = markov.UtilizationReporter
 
-// UsageRecorder is implemented by models whose prediction-time usage
-// marking can be detached; publishing paths (HTTPServer.SetPredictor,
-// Maintainer.Rebuild) detach it so Predict on a shared published model
-// performs no writes.
-type UsageRecorder = markov.UsageRecorder
-
 // BufferedPredictor is implemented by models whose Predict can write
 // into a caller-supplied buffer, making repeated prediction
 // allocation-free. See the interface's buffer-ownership contract.
@@ -48,8 +42,13 @@ type BufferedPredictor = markov.BufferedPredictor
 
 // Freezer is implemented by models that can produce an immutable
 // arena-backed snapshot of themselves for allocation- and GC-free
-// serving.
+// serving. HTTPServer.SetPredictor and the Maintainer install a
+// Freezer's snapshot, never the live model.
 type Freezer = markov.Freezer
+
+// FrozenEncoder is implemented by frozen snapshots that can serialize
+// their serving state into a snapshot image (EncodeSnapshot).
+type FrozenEncoder = markov.FrozenEncoder
 
 // Arena is the flat, relocatable single-buffer representation of a
 // frozen prediction tree.
@@ -106,17 +105,22 @@ type (
 // NewTopN returns an empty Top-N popularity-pushing baseline.
 func NewTopN(cfg TopNConfig) *TopNModel { return topn.New(cfg) }
 
-// DecodePopularityPPM restores a model persisted with
-// (*PopularityPPM).Encode, attaching grades for further training.
-func DecodePopularityPPM(r io.Reader, grades Grader) (*PopularityPPM, error) {
-	return core.DecodeModel(r, grades)
+// Snapshot is a decoded snapshot image: the frozen model, the
+// popularity ranking it was built from (nil when none was written), and
+// the publisher's version counter.
+type Snapshot = maintain.Snapshot
+
+// EncodeSnapshot writes a frozen model and its ranking (nil for none)
+// as a pbppmSN1 snapshot image, the one model file format: what
+// prefetchsim -save-model writes, the /snapshot endpoint serves, and
+// followers install. Freeze a trained model first (Freezer).
+func EncodeSnapshot(w io.Writer, version uint64, model FrozenEncoder, rank *Ranking) error {
+	return maintain.EncodeSnapshot(w, version, model, rank)
 }
 
-// DecodeStandardPPM restores a model persisted with (*PPMModel).Encode.
-func DecodeStandardPPM(r io.Reader) (*PPMModel, error) { return ppm.DecodeModel(r) }
-
-// DecodeLRS restores a model persisted with (*LRSModel).Encode.
-func DecodeLRS(r io.Reader) (*LRSModel, error) { return lrs.DecodeModel(r) }
+// DecodeSnapshot validates a snapshot image end to end and revives its
+// frozen model and ranking.
+func DecodeSnapshot(data []byte) (*Snapshot, error) { return maintain.DecodeSnapshot(data) }
 
 // DecodeRanking restores a ranking persisted with (*Ranking).Encode.
 func DecodeRanking(r io.Reader) (*Ranking, error) { return popularity.DecodeRanking(r) }

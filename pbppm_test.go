@@ -151,7 +151,7 @@ func TestFacadeLatencyFit(t *testing.T) {
 }
 
 // TestFacadePersistence round-trips a trained PB model and its ranking
-// through the public Encode/Decode API.
+// through the public snapshot image.
 func TestFacadePersistence(t *testing.T) {
 	rank := NewRanking()
 	for i := 0; i < 20; i++ {
@@ -164,28 +164,23 @@ func TestFacadePersistence(t *testing.T) {
 		m.TrainSequence([]string{"/home", "/rare"})
 	}
 
-	var rankBuf, modelBuf bytes.Buffer
-	if err := rank.Encode(&rankBuf); err != nil {
+	var img bytes.Buffer
+	if err := EncodeSnapshot(&img, 1, m.Freeze().(FrozenEncoder), rank); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Encode(&modelBuf); err != nil {
-		t.Fatal(err)
-	}
-
-	rank2, err := DecodeRanking(&rankBuf)
+	snap, err := DecodeSnapshot(img.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := DecodePopularityPPM(&modelBuf, rank2)
-	if err != nil {
-		t.Fatal(err)
+	if snap.Model.NodeCount() != m.NodeCount() {
+		t.Errorf("nodes = %d, want %d", snap.Model.NodeCount(), m.NodeCount())
 	}
-	if m2.NodeCount() != m.NodeCount() {
-		t.Errorf("nodes = %d, want %d", m2.NodeCount(), m.NodeCount())
-	}
-	got := m2.Predict([]string{"/home"})
+	got := snap.Model.Predict([]string{"/home"})
 	if len(got) == 0 || got[0].URL != "/rare" {
 		t.Errorf("restored model Predict = %+v", got)
+	}
+	if snap.Ranking == nil || snap.Ranking.Count("/home") != rank.Count("/home") {
+		t.Errorf("restored ranking = %+v", snap.Ranking)
 	}
 }
 
@@ -258,27 +253,34 @@ func TestFacadeCaches(t *testing.T) {
 	}
 }
 
-// TestFacadeHTTPDecoders covers the standard/LRS decode wrappers.
+// TestFacadeModelDecoders covers DecodeSnapshot for the standard and
+// LRS models, written without a ranking.
 func TestFacadeModelDecoders(t *testing.T) {
 	std := NewStandardPPM(PPMConfig{})
 	std.TrainSequence([]string{"a", "b"})
-	var buf bytes.Buffer
-	if err := std.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeStandardPPM(&buf)
-	if err != nil || back.NodeCount() != std.NodeCount() {
-		t.Errorf("DecodeStandardPPM: %v", err)
-	}
-
 	l := NewLRS(LRSConfig{})
-	l.TrainSequence([]string{"a", "b"})
-	buf.Reset()
-	if err := l.Encode(&buf); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		l.TrainSequence([]string{"a", "b"})
 	}
-	if _, err := DecodeLRS(&buf); err != nil {
-		t.Errorf("DecodeLRS: %v", err)
+	for _, m := range []Freezer{std, l} {
+		var img bytes.Buffer
+		if err := EncodeSnapshot(&img, 7, m.Freeze().(FrozenEncoder), nil); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := DecodeSnapshot(img.Bytes())
+		if err != nil {
+			t.Fatalf("DecodeSnapshot: %v", err)
+		}
+		live := m.(Predictor)
+		if snap.Version != 7 || snap.Ranking != nil || snap.Model.Name() != live.Name() ||
+			snap.Model.NodeCount() != live.NodeCount() {
+			t.Errorf("%s: decoded v%d %q with %d nodes (ranking %v), want v7 %q with %d",
+				live.Name(), snap.Version, snap.Model.Name(), snap.Model.NodeCount(),
+				snap.Ranking, live.Name(), live.NodeCount())
+		}
+		if got := snap.Model.Predict([]string{"a"}); len(got) != 1 || got[0].URL != "b" {
+			t.Errorf("%s: restored model Predict = %+v", live.Name(), got)
+		}
 	}
 }
 
