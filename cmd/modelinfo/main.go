@@ -1,7 +1,7 @@
-// Command modelinfo inspects a model snapshot image (pbppmSN1): node
+// Command modelinfo inspects a model snapshot image (pbppmSN2): node
 // and leaf counts, depth histogram, memory footprint, and the hottest
-// branches. The image names its model kind, so any model the library
-// can freeze is read the same way. Images are written by
+// branches. Every model the library can freeze ships as the same frozen
+// type, so every image is read the same way. Images are written by
 // prefetchsim -save-model, served by prefetchd's /snapshot endpoint,
 // and produced by the library's EncodeSnapshot.
 //
@@ -16,13 +16,7 @@ import (
 	"io"
 	"os"
 
-	"pbppm/internal/core"
 	"pbppm/internal/maintain"
-	"pbppm/internal/markov"
-
-	// Each frozen-model kind registers its decoder in its package's
-	// init; linking ppm makes blended PPM images readable.
-	_ "pbppm/internal/ppm"
 )
 
 func main() {
@@ -56,20 +50,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Statistics come from Arena.Stats, the implementation shared with
 	// the benchmark artifacts and the server's model-health gauges.
 	m := snap.Model
-	ah, ok := m.(markov.ArenaHolder)
-	if !ok {
-		fmt.Fprintf(stderr, "modelinfo: %s: model %s exposes no prediction arena\n", path, m.Name())
-		return 1
-	}
-	st := ah.Arena().Stats()
-	kind := ""
-	if enc, ok := m.(markov.FrozenEncoder); ok {
-		kind = enc.FrozenKind()
-	}
-	fmt.Fprintf(stdout, "%s: %s (%s, snapshot version %d), %d nodes\n",
-		path, m.Name(), kind, snap.Version, m.NodeCount())
+	st := m.Arena().Stats()
+	fmt.Fprintf(stdout, "%s: %s (snapshot version %d), %d nodes\n",
+		path, m.Name(), snap.Version, m.NodeCount())
 	fmt.Fprint(stdout, st)
-	if _, ok := m.(*core.Frozen); ok {
+	if m.NodeCount() > st.Nodes {
 		// PB-PPM's node count adds its rule-3 links to the tree's nodes.
 		fmt.Fprintf(stdout, "duplicated links: %d\n", m.NodeCount()-st.Nodes)
 	}
@@ -78,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *top > 0 {
 		fmt.Fprintln(stdout, "hot branches:")
-		for _, b := range ah.Arena().TopBranches(*top) {
+		for _, b := range m.Arena().TopBranches(*top) {
 			fmt.Fprintf(stdout, "  %-40s %.3f\n", b.URL, b.Probability)
 		}
 	}

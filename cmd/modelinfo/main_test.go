@@ -39,7 +39,7 @@ func sessions() [][]string {
 func writeSnapshot(t *testing.T, dir, name string, m markov.Predictor, rank *popularity.Ranking) string {
 	t.Helper()
 	var img bytes.Buffer
-	if err := maintain.EncodeSnapshot(&img, 1, markov.Freeze(m).(markov.FrozenEncoder), rank); err != nil {
+	if err := maintain.EncodeSnapshot(&img, 1, markov.Freeze(m).(*markov.FrozenTree), rank); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, name)
@@ -85,7 +85,7 @@ func hotRoots(tree *markov.Tree) []string {
 	return urls
 }
 
-// TestModelInfoReadsEveryKind: for every frozen kind, modelinfo reports
+// TestModelInfoReadsEveryKind: for every model kind, modelinfo reports
 // the model's node count, the tree's nodes, PB-PPM's rule-3 links, and
 // the root branches hottest first — the figures of the live model the
 // image was frozen from.
@@ -105,7 +105,6 @@ func TestModelInfoReadsEveryKind(t *testing.T) {
 		ppm.New(ppm.Config{BlendOrders: true}),
 		lrs.New(lrs.Config{}),
 	}
-	kinds := []string{core.FrozenKind, markov.FrozenTreeKind, ppm.FrozenBlendedKind, markov.FrozenTreeKind}
 	dir := t.TempDir()
 	for i, m := range models {
 		for _, s := range sessions() {
@@ -117,8 +116,8 @@ func TestModelInfoReadsEveryKind(t *testing.T) {
 			t.Fatalf("%s: exit %d: %s", m.Name(), code, stderr.String())
 		}
 		out := stdout.String()
-		if !strings.Contains(out, m.Name()+" ("+kinds[i]+",") {
-			t.Errorf("%s: output does not name the model and kind %s:\n%s", m.Name(), kinds[i], out)
+		if !strings.Contains(out, m.Name()+" (snapshot version 1)") {
+			t.Errorf("%s: output does not name the model and version:\n%s", m.Name(), out)
 		}
 		if got := intAfter(t, out, `\), `); got != m.NodeCount() {
 			t.Errorf("%s: model node count %d, want %d", m.Name(), got, m.NodeCount())
@@ -133,6 +132,8 @@ func TestModelInfoReadsEveryKind(t *testing.T) {
 			if got := intAfter(t, out, `duplicated links: `); got != pb.LinkCount() {
 				t.Errorf("duplicated links %d, want %d", got, pb.LinkCount())
 			}
+		} else if strings.Contains(out, "duplicated links") {
+			t.Errorf("%s: reports duplicated links it does not have:\n%s", m.Name(), out)
 		}
 		if got := intAfter(t, out, `ranking: `); got != rank.Len() {
 			t.Errorf("%s: ranking of %d URLs, want %d", m.Name(), got, rank.Len())
@@ -152,8 +153,9 @@ func TestModelInfoReadsEveryKind(t *testing.T) {
 	}
 }
 
-// TestModelInfoRejectsBadFiles: a missing, truncated or foreign file
-// exits non-zero and says why on stderr.
+// TestModelInfoRejectsBadFiles: a missing, truncated or foreign file,
+// or an image in an older build's pbppmSN1 format, exits non-zero and
+// says why on stderr.
 func TestModelInfoRejectsBadFiles(t *testing.T) {
 	dir := t.TempDir()
 	m := ppm.New(ppm.Config{})
@@ -165,16 +167,21 @@ func TestModelInfoRejectsBadFiles(t *testing.T) {
 	}
 	truncated := filepath.Join(dir, "truncated.snap")
 	foreign := filepath.Join(dir, "foreign.snap")
+	older := filepath.Join(dir, "older.snap")
 	if err := os.WriteFile(truncated, img[:len(img)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(foreign, append([]byte("notasnap"), img[8:]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(older, append([]byte("pbppmSN1"), img[8:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct{ path, want string }{
 		{filepath.Join(dir, "missing.snap"), "no such file"},
 		{truncated, "checksum"},
 		{foreign, "bad snapshot magic"},
+		{older, "bad snapshot magic"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{c.path}, &stdout, &stderr); code == 0 {

@@ -11,7 +11,7 @@
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // -save-model writes the trained model's frozen snapshot, with the
-// training window's popularity ranking, as a pbppmSN1 snapshot image;
+// training window's popularity ranking, as a pbppmSN2 snapshot image;
 // inspect it with modelinfo.
 package main
 
@@ -196,12 +196,12 @@ func realMain() int {
 // training ranking as a snapshot image (version 1) for later
 // inspection.
 func persistModel(path string, pred markov.Predictor, rank *popularity.Ranking) error {
-	enc, ok := markov.Freeze(pred).(markov.FrozenEncoder)
+	frozen, ok := markov.Freeze(pred).(*markov.FrozenTree)
 	if !ok {
 		return fmt.Errorf("model %s has no snapshot image", pred.Name())
 	}
 	var img bytes.Buffer
-	if err := maintain.EncodeSnapshot(&img, 1, enc, rank); err != nil {
+	if err := maintain.EncodeSnapshot(&img, 1, frozen, rank); err != nil {
 		return err
 	}
 	return os.WriteFile(path, img.Bytes(), 0o644)

@@ -278,34 +278,13 @@ func (m *Model) PredictInto(context []string, buf []markov.Prediction) []markov.
 		if max := m.maxLinkPredictions(); max >= 0 && len(linked) > max {
 			linked = linked[:max]
 		}
-		buf = mergeLinked(buf, linked)
+		buf = markov.MergeLinked(buf, linked)
 	}
 	if len(buf) == 0 {
 		return buf
 	}
 	markov.SortPredictions(buf)
 	return buf
-}
-
-// mergeLinked folds the rule-3 link candidates into the tree
-// candidates, deduplicating by URL with the strongest estimate winning
-// and the tree candidate keeping an exact tie (it came first).
-func mergeLinked(preds, linked []markov.Prediction) []markov.Prediction {
-	for _, lp := range linked {
-		dup := -1
-		for i := range preds {
-			if preds[i].URL == lp.URL {
-				dup = i
-				break
-			}
-		}
-		if dup < 0 {
-			preds = append(preds, lp)
-		} else if lp.Probability > preds[dup].Probability {
-			preds[dup] = lp
-		}
-	}
-	return preds
 }
 
 // Freeze returns the immutable arena-backed snapshot of the trained
@@ -316,15 +295,10 @@ func mergeLinked(preds, linked []markov.Prediction) []markov.Prediction {
 // while predictions stay bit-identical to the live model's.
 func (m *Model) Freeze() markov.Predictor {
 	thr := m.cfg.threshold()
-	f := &Frozen{
-		name:      m.Name(),
-		arena:     m.tree.Freeze(),
-		threshold: thr,
-		nodeCount: m.NodeCount(),
-	}
+	var links map[string][]markov.Prediction
 	if !m.cfg.DisableLinks {
 		max := m.maxLinkPredictions()
-		f.links = make(map[string][]markov.Prediction, len(m.links))
+		links = make(map[string][]markov.Prediction, len(m.links))
 		for rootURL, lm := range m.links {
 			root := m.tree.Child(m.tree.Root, rootURL)
 			if root == nil {
@@ -346,90 +320,15 @@ func (m *Model) Freeze() markov.Predictor {
 			if max >= 0 && len(linked) > max {
 				linked = linked[:max]
 			}
-			f.links[rootURL] = linked
+			links[rootURL] = linked
 		}
 	}
-	return f
-}
-
-// Frozen is the arena-backed snapshot of a popularity-based model.
-// It is immutable and safe for unsynchronized concurrent use;
-// TrainSequence panics.
-type Frozen struct {
-	name      string
-	arena     *markov.Arena
-	threshold float64
-	// nodeCount is the live model's NodeCount — tree nodes plus every
-	// rule-3 link (the paper's space metric counts links before the
-	// prediction threshold is applied, so it is captured at freeze time
-	// rather than recomputed from the thresholded link table below).
-	nodeCount int
-	// links holds the precomputed rule-3 predictions per heading URL:
-	// thresholded, sorted, and capped at freeze time.
-	links map[string][]markov.Prediction
-}
-
-var _ markov.Predictor = (*Frozen)(nil)
-var _ markov.BufferedPredictor = (*Frozen)(nil)
-var _ markov.ArenaHolder = (*Frozen)(nil)
-
-// Name identifies the model; the frozen snapshot keeps the live name
-// so reports stay comparable across a freeze.
-func (f *Frozen) Name() string { return f.name }
-
-// TrainSequence panics: a frozen model is a published immutable
-// snapshot. Train the live model and freeze again.
-func (f *Frozen) TrainSequence([]string) {
-	panic("core: TrainSequence on a frozen model; train the live model and re-freeze")
-}
-
-// NodeCount reports the live model's storage requirement (tree nodes
-// plus rule-3 links), the paper's space metric.
-func (f *Frozen) NodeCount() int { return f.nodeCount }
-
-// Arena exposes the snapshot for stats and persistence.
-func (f *Frozen) Arena() *markov.Arena { return f.arena }
-
-// Predict mirrors Model.Predict on the arena.
-func (f *Frozen) Predict(context []string) []markov.Prediction {
-	return f.PredictInto(context, nil)
-}
-
-// PredictInto is Predict writing into buf per the
-// markov.BufferedPredictor buffer-ownership contract. With a warm
-// buffer the call performs zero allocations.
-func (f *Frozen) PredictInto(context []string, buf []markov.Prediction) []markov.Prediction {
-	if len(context) == 0 {
-		return buf[:0]
-	}
-	node, _, _ := f.arena.LongestMatch(context)
-	return f.PredictFrom(node, context[len(context)-1], len(context), buf)
-}
-
-// Step advances a session's match state by one URL, matching at most
-// maxOrder trailing URLs (see markov.Arena.Step).
-func (f *Frozen) Step(node uint32, url string, maxOrder int) uint32 {
-	return f.arena.Step(node, url, maxOrder)
-}
-
-// PredictFrom is PredictInto for the context whose match state is node
-// and whose current click is last, considered over its trailing
-// maxOrder URLs: the tree candidates come from the state, and the
-// rule-3 links from last. After stepping a context URL by URL it equals
-// PredictInto on the context's last maxOrder URLs.
-func (f *Frozen) PredictFrom(node uint32, last string, maxOrder int, buf []markov.Prediction) []markov.Prediction {
-	buf = buf[:0]
-	if node = f.arena.Clamp(node, maxOrder); node != 0 {
-		buf = f.arena.AppendPredictions(buf, node, f.threshold, f.arena.Depth(node))
-	}
-	if linked := f.links[last]; len(linked) > 0 {
-		buf = mergeLinked(buf, linked)
-	}
-	if len(buf) == 0 {
-		return buf
-	}
-	markov.SortPredictions(buf)
-	return buf
+	return markov.NewFrozenTree(m.tree.Freeze(), markov.FrozenParams{
+		Name:      m.Name(),
+		Threshold: thr,
+		NodeCount: m.NodeCount(),
+		Links:     links,
+	})
 }
 
 // Optimize applies the configured space optimizations and returns the

@@ -599,7 +599,7 @@ func TestFrozenStreamingMatchesPredictInto(t *testing.T) {
 			m.TrainSequence(s)
 			sessions[i] = s
 		}
-		f := m.Freeze().(*Frozen)
+		f := m.Freeze().(*markov.FrozenTree)
 		if heights[3] > tail {
 			if d := f.Arena().Stats().MaxDepth; d <= tail {
 				t.Fatalf("heights %v: arena depth %d, want > %d", heights, d, tail)

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pbppm/internal/markov"
@@ -12,9 +13,11 @@ import (
 )
 
 // TestFrozenSnapshotRoundTrip: the frozen PB-PPM model — arena plus
-// rule-3 links — must revive through the kind registry with identical
-// predictions and the freeze-time node count intact. This is the model
-// image the snapshot-distribution channel ships between processes.
+// rule-3 links — must revive through the frozen codec with identical
+// predictions, the freeze-time node count intact, and an image that
+// re-encodes byte for byte (the link table is written in URL order).
+// This is the model image the snapshot-distribution channel ships
+// between processes.
 func TestFrozenSnapshotRoundTrip(t *testing.T) {
 	// The paper's Figure 1 shape: the second max-grade URL lands deep in
 	// the open branch and earns a rule-3 link under the heading URL.
@@ -24,29 +27,29 @@ func TestFrozenSnapshotRoundTrip(t *testing.T) {
 		m.TrainSequence([]string{"A", "B", "C", "A2", "B2", "C2"})
 		m.TrainSequence([]string{"A", "B", "C2"})
 	}
-	f := m.Freeze().(*Frozen)
+	if m.LinkCount() == 0 {
+		t.Fatal("fixture produced no rule-3 links; the round trip is not exercising them")
+	}
+	f := m.Freeze().(*markov.FrozenTree)
 
 	var w bytes.Buffer
 	if err := f.EncodeFrozen(&w); err != nil {
 		t.Fatal(err)
 	}
-	got, err := markov.DecodeFrozenModel(f.FrozenKind(), bytes.NewReader(w.Bytes()))
+	got, err := markov.DecodeFrozen(bytes.NewReader(w.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gf, ok := got.(*Frozen)
-	if !ok {
-		t.Fatalf("decoded model is %T, want *core.Frozen", got)
-	}
-	if gf.Name() != f.Name() || gf.NodeCount() != f.NodeCount() {
+	if got.Name() != f.Name() || got.NodeCount() != f.NodeCount() {
 		t.Errorf("decoded identity = (%q, %d), want (%q, %d)",
-			gf.Name(), gf.NodeCount(), f.Name(), f.NodeCount())
+			got.Name(), got.NodeCount(), f.Name(), f.NodeCount())
 	}
-	if len(f.links) == 0 {
-		t.Fatal("fixture produced no rule-3 links; the round trip is not exercising them")
+	var again bytes.Buffer
+	if err := got.EncodeFrozen(&again); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gf.links, f.links) {
-		t.Errorf("links diverged:\n got %+v\nwant %+v", gf.links, f.links)
+	if !bytes.Equal(again.Bytes(), w.Bytes()) {
+		t.Error("decoded model re-encodes to a different image")
 	}
 	ctxs := [][]string{
 		{"A"}, {"A", "B"}, {"A", "B", "C"}, {"A2"}, {"A2", "B2"}, {"/x"}, {},
@@ -63,14 +66,13 @@ func TestFrozenSnapshotRoundTrip(t *testing.T) {
 func TestFrozenSnapshotRejectsCorrupt(t *testing.T) {
 	m := New(popularity.FixedGrades{"/a": 3}, Config{})
 	m.TrainSequence([]string{"/a", "/b"})
-	f := m.Freeze().(*Frozen)
 	var w bytes.Buffer
-	if err := f.EncodeFrozen(&w); err != nil {
+	if err := m.Freeze().(*markov.FrozenTree).EncodeFrozen(&w); err != nil {
 		t.Fatal(err)
 	}
 	valid := w.Bytes()
 	for cut := 0; cut < len(valid); cut += 5 {
-		if _, err := markov.DecodeFrozenModel(FrozenKind, bytes.NewReader(valid[:cut])); err == nil {
+		if _, err := markov.DecodeFrozen(bytes.NewReader(valid[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -92,14 +94,14 @@ func TestModelEncodeDecode(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := m.Freeze().(*Frozen).EncodeFrozen(&buf); err != nil {
+	if err := m.Freeze().(*markov.FrozenTree).EncodeFrozen(&buf); err != nil {
 		t.Fatalf("EncodeFrozen: %v", err)
 	}
-	got, err := markov.DecodeFrozenModel(FrozenKind, &buf)
+	got, err := markov.DecodeFrozen(&buf)
 	if err != nil {
-		t.Fatalf("DecodeFrozenModel: %v", err)
+		t.Fatalf("DecodeFrozen: %v", err)
 	}
-	links := got.NodeCount() - got.(*Frozen).Arena().NodeCount()
+	links := got.NodeCount() - got.Arena().NodeCount()
 	if got.NodeCount() != m.NodeCount() || links != m.LinkCount() {
 		t.Errorf("counts differ: %d/%d vs %d/%d", got.NodeCount(), links, m.NodeCount(), m.LinkCount())
 	}
@@ -114,35 +116,54 @@ func TestModelEncodeDecode(t *testing.T) {
 // well-formed image whose serving state is inconsistent — a corrupt
 // rule-3 link candidate, or a node count below its own arena's.
 func TestDecodeModelErrors(t *testing.T) {
-	if _, err := markov.DecodeFrozenModel(FrozenKind, bytes.NewReader([]byte("junk"))); err == nil {
+	if _, err := markov.DecodeFrozen(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Error("junk accepted")
 	}
 	m := New(popularity.FixedGrades{"/a": 3}, Config{})
 	m.TrainSequence([]string{"/a", "/b"})
-	arena := m.Freeze().(*Frozen).Arena().Bytes()
-	link := func(p markov.Prediction) []wireLinks {
-		return []wireLinks{{Head: "/a", Preds: []markov.Prediction{p}}}
+	arena := m.Freeze().(*markov.FrozenTree).Arena()
+	link := func(p markov.Prediction) map[string][]markov.Prediction {
+		return map[string][]markov.Prediction{"/a": {p}}
 	}
-	for name, img := range map[string]wireFrozen{
-		"empty link URL":   {NodeCount: 2, Arena: arena, Links: link(markov.Prediction{})},
-		"NaN link":         {NodeCount: 2, Arena: arena, Links: link(markov.Prediction{URL: "/b", Probability: math.NaN()})},
-		"negative link":    {NodeCount: 2, Arena: arena, Links: link(markov.Prediction{URL: "/b", Probability: -1})},
-		"nodes below tree": {NodeCount: 1, Arena: arena},
+	for name, links := range map[string]map[string][]markov.Prediction{
+		"empty link URL": link(markov.Prediction{}),
+		"NaN link":       link(markov.Prediction{URL: "/b", Probability: math.NaN()}),
+		"negative link":  link(markov.Prediction{URL: "/b", Probability: -1}),
 	} {
 		var w bytes.Buffer
-		if err := gob.NewEncoder(&w).Encode(img); err != nil {
+		if err := markov.NewFrozenTree(arena, markov.FrozenParams{Links: links}).EncodeFrozen(&w); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := markov.DecodeFrozenModel(FrozenKind, &w); err == nil {
+		if _, err := markov.DecodeFrozen(&w); err == nil {
 			t.Errorf("%s: accepted", name)
+		} else if !strings.Contains(err.Error(), "corrupt candidate") {
+			t.Errorf("%s: error %q does not name the candidate", name, err)
 		}
 	}
-	ok := wireFrozen{NodeCount: 2, Arena: arena}
-	var w bytes.Buffer
-	if err := gob.NewEncoder(&w).Encode(ok); err != nil {
-		t.Fatal(err)
+
+	// NewFrozenTree lifts a node count below the arena's, so that image
+	// is written by hand. gob matches fields by name: image decodes as a
+	// frozen-tree image with only these two fields set.
+	type image struct {
+		NodeCount int
+		Arena     []byte
 	}
-	if _, err := markov.DecodeFrozenModel(FrozenKind, &w); err != nil {
-		t.Errorf("consistent image rejected: %v", err)
+	for _, c := range []struct {
+		nodes int
+		ok    bool
+	}{{arena.NodeCount() - 1, false}, {arena.NodeCount(), true}} {
+		var w bytes.Buffer
+		if err := gob.NewEncoder(&w).Encode(image{NodeCount: c.nodes, Arena: arena.Bytes()}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := markov.DecodeFrozen(&w)
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("consistent image (%d nodes) rejected: %v", c.nodes, err)
+		case !c.ok && err == nil:
+			t.Errorf("node count %d below the arena's %d accepted", c.nodes, arena.NodeCount())
+		case !c.ok && !strings.Contains(err.Error(), "node count"):
+			t.Errorf("node count %d: error %q does not name the node count", c.nodes, err)
+		}
 	}
 }

@@ -143,7 +143,7 @@ func (m *Model) PredictInto(context []string, buf []markov.Prediction) []markov.
 // suffix trie is a training-time artifact and is not frozen.
 func (m *Model) Freeze() markov.Predictor {
 	m.rebuild()
-	return markov.NewFrozenTree(m.pruned.Freeze(), m.Name(), m.cfg.threshold(), 0)
+	return markov.NewFrozenTree(m.pruned.Freeze(), markov.FrozenParams{Name: m.Name(), Threshold: m.cfg.threshold()})
 }
 
 // NodeCount reports the storage requirement of the repeating-only tree,

@@ -18,25 +18,21 @@ var lrsSessions = [][]string{
 }
 
 // TestModelEncodeDecode: an LRS model is written as the frozen image of
-// its repeating-only tree (the generic frozen-tree kind; the full
-// suffix trie is training state and is not written), and the decoded
-// image serves exactly what the live model predicts.
+// its repeating-only tree (the full suffix trie is training state and
+// is not written), and the decoded image serves exactly what the live
+// model predicts.
 func TestModelEncodeDecode(t *testing.T) {
 	m := New(Config{})
 	for _, s := range lrsSessions {
 		m.TrainSequence(s)
 	}
-	enc := m.Freeze().(markov.FrozenEncoder)
-	if enc.FrozenKind() != markov.FrozenTreeKind {
-		t.Fatalf("LRS freezes to kind %q", enc.FrozenKind())
-	}
 	var buf bytes.Buffer
-	if err := enc.EncodeFrozen(&buf); err != nil {
+	if err := m.Freeze().(*markov.FrozenTree).EncodeFrozen(&buf); err != nil {
 		t.Fatalf("EncodeFrozen: %v", err)
 	}
-	got, err := markov.DecodeFrozenModel(markov.FrozenTreeKind, &buf)
+	got, err := markov.DecodeFrozen(&buf)
 	if err != nil {
-		t.Fatalf("DecodeFrozenModel: %v", err)
+		t.Fatalf("DecodeFrozen: %v", err)
 	}
 	if got.Name() != m.Name() || got.NodeCount() != m.NodeCount() {
 		t.Errorf("decoded %q with %d nodes, want %q with %d", got.Name(), got.NodeCount(), m.Name(), m.NodeCount())
@@ -55,12 +51,12 @@ func TestDecodeModelError(t *testing.T) {
 		m.TrainSequence(s)
 	}
 	var w bytes.Buffer
-	if err := m.Freeze().(markov.FrozenEncoder).EncodeFrozen(&w); err != nil {
+	if err := m.Freeze().(*markov.FrozenTree).EncodeFrozen(&w); err != nil {
 		t.Fatal(err)
 	}
 	valid := w.Bytes()
 	for cut := 0; cut < len(valid); cut++ {
-		if _, err := markov.DecodeFrozenModel(markov.FrozenTreeKind, bytes.NewReader(valid[:cut])); err == nil {
+		if _, err := markov.DecodeFrozen(bytes.NewReader(valid[:cut])); err == nil {
 			t.Fatalf("truncation at %d of %d accepted", cut, len(valid))
 		}
 	}

@@ -30,8 +30,8 @@ const (
 	// swapChecksum: the payload arrived whole but its CRC trailer does
 	// not match — bit rot or truncation the transport did not surface.
 	swapChecksum = "checksum"
-	// swapDecode: the checksum held but a section would not decode — a
-	// kind this process does not link, a corrupt model image, a foreign
+	// swapDecode: the image or a section would not decode — another
+	// build's envelope (bad magic), a corrupt model image, a foreign
 	// arena byte order.
 	swapDecode = "decode"
 	// swapInstall: the model decoded but the local publish gate rejected

@@ -31,7 +31,7 @@ func TestNewFollowerValidation(t *testing.T) {
 // or rewriting sections wholesale.
 type corruptingServer struct {
 	pub  *Publisher
-	mode atomic.Value // string: "", "truncate", "flip", "reseal", "status"
+	mode atomic.Value // string: "", "truncate", "flip", "reseal", "sn1", "status"
 }
 
 func (cs *corruptingServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -83,14 +83,27 @@ func (cs *corruptingServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		w.WriteHeader(rec.Code)
 		w.Write(tampered)
+	case "sn1":
+		// The same snapshot in the pbppmSN1 layout an older build
+		// published: its magic, and a codec-kind section after the
+		// version.
+		old := append([]byte("pbppmSN1"), body[8:16]...)
+		old = append(old, 0, 0, 0, 10)
+		old = append(old, "core/pbppm"...)
+		old = append(old, body[16:]...)
+		resealSnapshot(old)
+		w.Header().Set("Content-Length", strconv.Itoa(len(old)))
+		w.WriteHeader(rec.Code)
+		w.Write(old)
 	}
 }
 
 // TestFollowerCorruptDownloadNeverPublishes is the distribution
 // channel's acceptance test: a snapshot download that dies mid-transfer,
-// fails its checksum, fails to decode, or is rejected by the install
-// gate must never replace the follower's live model, and each failure
-// mode must land in its own swap-failure counter.
+// fails its checksum, fails to decode (a corrupt model, or an image in
+// an older build's pbppmSN1 format), or is rejected by the install gate
+// must never replace the follower's live model, and each failure mode
+// must land in its own swap-failure counter.
 func TestFollowerCorruptDownloadNeverPublishes(t *testing.T) {
 	pubM := trainedMaintainer(t, nil)
 	pub := NewPublisher(pubM, PublisherConfig{})
@@ -133,12 +146,17 @@ func TestFollowerCorruptDownloadNeverPublishes(t *testing.T) {
 		{"status", swapFetch},
 		{"flip", swapChecksum},
 		{"reseal", swapDecode},
+		{"sn1", swapDecode},
 	}
 	for _, tc := range cases {
 		before := failures(tc.reason)
 		cs.mode.Store(tc.mode)
-		if err := fol.Poll(context.Background()); err == nil {
+		err := fol.Poll(context.Background())
+		if err == nil {
 			t.Fatalf("%s: corrupted download accepted", tc.mode)
+		}
+		if tc.mode == "sn1" && !strings.Contains(err.Error(), "bad snapshot magic") {
+			t.Errorf("sn1: err = %v, want a bad-magic error", err)
 		}
 		if folM.Predictor() != live {
 			t.Fatalf("%s: corrupted download replaced the live model", tc.mode)

@@ -13,10 +13,9 @@ import (
 	"pbppm/internal/ppm"
 )
 
-// fuzzSeedSnapshots returns snapshot images of every frozen kind the
-// repository publishes — PB-PPM (core/pbppm), 3-PPM and LRS
-// (markov/frozen-tree), blended PPM (ppm/frozen-blended) — each with
-// and without a ranking.
+// fuzzSeedSnapshots returns snapshot images of every model the
+// repository publishes — PB-PPM with its rule-3 links, 3-PPM, LRS and
+// blended PPM — each with and without a ranking.
 func fuzzSeedSnapshots(f *testing.F) [][]byte {
 	walks := [][]string{
 		{"/home", "/news", "/news/today", "/sports"},
@@ -43,10 +42,10 @@ func fuzzSeedSnapshots(f *testing.F) [][]byte {
 				m.TrainSequence(w)
 			}
 		}
-		enc := markov.Freeze(m).(markov.FrozenEncoder)
+		frozen := markov.Freeze(m).(*markov.FrozenTree)
 		for _, r := range []*popularity.Ranking{rank, nil} {
 			var buf bytes.Buffer
-			if err := EncodeSnapshot(&buf, 3, enc, r); err != nil {
+			if err := EncodeSnapshot(&buf, 3, frozen, r); err != nil {
 				f.Fatal(err)
 			}
 			out = append(out, buf.Bytes())
@@ -55,11 +54,11 @@ func fuzzSeedSnapshots(f *testing.F) [][]byte {
 	return out
 }
 
-// FuzzDecodeSnapshot hammers the one model file format — the pbppmSN1
-// envelope and, behind it, the ranking and every frozen-kind decoder.
-// Each input is decoded as given and again with its trailing CRC
-// recomputed, so mutations reach the section and kind decoders instead
-// of stopping at ErrChecksum. Decoding must never panic; an accepted
+// FuzzDecodeSnapshot hammers the one model file format — the pbppmSN2
+// envelope and, behind it, the ranking and frozen-model decoders. Each
+// input is decoded as given and again with its trailing CRC
+// recomputed, so mutations reach the section decoders instead of
+// stopping at ErrChecksum. Decoding must never panic; an accepted
 // snapshot must predict without panicking and re-encode to one with the
 // same version, name, node count and arena image.
 func FuzzDecodeSnapshot(f *testing.F) {
@@ -90,24 +89,16 @@ func checkDecodedSnapshot(t *testing.T, data []byte) {
 		return
 	}
 	m := snap.Model
-	var img []byte
-	if ah, ok := m.(markov.ArenaHolder); ok {
-		a := ah.Arena()
-		img = a.Bytes()
-		for s := 1; s <= a.SymbolCount() && s <= 4; s++ {
-			u := a.URLOf(uint32(s))
-			m.Predict([]string{u})
-			m.Predict([]string{"\x00unseen", u})
-		}
+	a := m.Arena()
+	for s := 1; s <= a.SymbolCount() && s <= 4; s++ {
+		u := a.URLOf(uint32(s))
+		m.Predict([]string{u})
+		m.Predict([]string{"\x00unseen", u})
 	}
 	m.Predict(nil)
 
-	enc, ok := m.(markov.FrozenEncoder)
-	if !ok {
-		t.Fatalf("accepted snapshot model %T cannot re-encode", m)
-	}
 	var buf bytes.Buffer
-	if err := EncodeSnapshot(&buf, snap.Version, enc, snap.Ranking); err != nil {
+	if err := EncodeSnapshot(&buf, snap.Version, m, snap.Ranking); err != nil {
 		t.Fatalf("re-encoding an accepted snapshot failed: %v", err)
 	}
 	again, err := DecodeSnapshot(buf.Bytes())
@@ -118,7 +109,7 @@ func checkDecodedSnapshot(t *testing.T, data []byte) {
 		t.Fatalf("round trip changed the snapshot: v%d %q %d nodes, want v%d %q %d nodes",
 			again.Version, again.Model.Name(), again.Model.NodeCount(), snap.Version, m.Name(), m.NodeCount())
 	}
-	if ah, ok := again.Model.(markov.ArenaHolder); ok && !bytes.Equal(ah.Arena().Bytes(), img) {
+	if !bytes.Equal(again.Model.Arena().Bytes(), a.Bytes()) {
 		t.Fatal("round trip changed the arena image")
 	}
 }
@@ -182,7 +173,7 @@ func TestSnapshotSectionsBoundCorruptCounts(t *testing.T) {
 		m.TrainSequence([]string{"/h", "/x", "/y"})
 	}
 	var modelImg bytes.Buffer
-	if err := m.Freeze().(markov.FrozenEncoder).EncodeFrozen(&modelImg); err != nil {
+	if err := m.Freeze().(*markov.FrozenTree).EncodeFrozen(&modelImg); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
@@ -195,7 +186,7 @@ func TestSnapshotSectionsBoundCorruptCounts(t *testing.T) {
 			return err
 		}},
 		{"links", "\x01\x02/h", modelImg.Bytes(), func(r io.Reader) error {
-			_, err := markov.DecodeFrozenModel(core.FrozenKind, r)
+			_, err := markov.DecodeFrozen(r)
 			return err
 		}},
 	} {

@@ -6,23 +6,24 @@
 // gate local rebuilds use — a failed or corrupt download keeps the
 // previous snapshot live.
 //
-// # Wire format (pbppmSN1)
+// # Wire format (pbppmSN2)
 //
 // Unlike the arena image — which is host-endian by design and guarded
 // by a byte-order mark, because it is mapped directly into memory — the
 // snapshot envelope crosses machines, so every integer in it is
 // explicit big-endian:
 //
-//	magic   "pbppmSN1"                      8 bytes
+//	magic   "pbppmSN2"                      8 bytes
 //	version uint64                          publisher's monotonic counter
-//	kind    uint32 length + bytes           frozen-model kind (decoder registry key)
-//	model   uint64 length + bytes           markov.FrozenEncoder output
+//	model   uint64 length + bytes           markov.FrozenTree.EncodeFrozen output
 //	ranking uint64 length + bytes           popularity.Ranking.Encode; length 0 = none
 //	crc     uint64                          CRC-64/ECMA over everything above
 //
 // The trailing checksum is verified before any section is decoded, so
 // a truncated or bit-flipped download fails fast with ErrChecksum and
-// never reaches a gob decoder.
+// never reaches a gob decoder. Every model ships as a FrozenTree, so
+// the envelope names no codec. An image in an older layout, such as
+// pbppmSN1 with its codec-kind section, fails at the magic.
 package maintain
 
 import (
@@ -43,7 +44,7 @@ import (
 	"pbppm/internal/popularity"
 )
 
-const snapshotMagic = "pbppmSN1"
+const snapshotMagic = "pbppmSN2"
 
 // maxSnapshotSection bounds any single section length a decoder will
 // accept, so a corrupt header cannot ask for an absurd allocation.
@@ -62,14 +63,13 @@ var snapshotCRC = crc64.MakeTable(crc64.ECMA)
 // none), and the publisher's version counter.
 type Snapshot struct {
 	Version uint64
-	Model   markov.Predictor
+	Model   *markov.FrozenTree
 	Ranking *popularity.Ranking
 }
 
-// EncodeSnapshot writes one distribution payload. The ranking may be
-// nil; the model must be able to serialize itself (markov.FrozenEncoder
-// — tree-backed models that cannot freeze have no wire form).
-func EncodeSnapshot(w io.Writer, version uint64, model markov.FrozenEncoder, rank *popularity.Ranking) error {
+// EncodeSnapshot writes one distribution payload of a frozen model.
+// The ranking may be nil.
+func EncodeSnapshot(w io.Writer, version uint64, model *markov.FrozenTree, rank *popularity.Ranking) error {
 	var body bytes.Buffer
 	body.WriteString(snapshotMagic)
 	var u64 [8]byte
@@ -78,12 +78,6 @@ func EncodeSnapshot(w io.Writer, version uint64, model markov.FrozenEncoder, ran
 		body.Write(u64[:])
 	}
 	put(version)
-
-	kind := model.FrozenKind()
-	var u32 [4]byte
-	binary.BigEndian.PutUint32(u32[:], uint32(len(kind)))
-	body.Write(u32[:])
-	body.WriteString(kind)
 
 	var modelBuf bytes.Buffer
 	if err := model.EncodeFrozen(&modelBuf); err != nil {
@@ -114,7 +108,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if len(data) >= len(snapshotMagic) && string(data[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, fmt.Errorf("maintain: bad snapshot magic %q", data[:len(snapshotMagic)])
 	}
-	if len(data) < len(snapshotMagic)+8+4+8+8+8 {
+	if len(data) < len(snapshotMagic)+8+8+8+8 {
 		return nil, fmt.Errorf("maintain: snapshot too short (%d bytes): %w", len(data), ErrChecksum)
 	}
 	sum := binary.BigEndian.Uint64(data[len(data)-8:])
@@ -138,15 +132,6 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	}
 	version := binary.BigEndian.Uint64(hdr)
 
-	kl, err := take(4)
-	if err != nil {
-		return nil, err
-	}
-	kindBytes, err := take(uint64(binary.BigEndian.Uint32(kl)))
-	if err != nil {
-		return nil, err
-	}
-
 	ml, err := take(8)
 	if err != nil {
 		return nil, err
@@ -168,7 +153,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("maintain: %d trailing bytes after snapshot sections", len(rest))
 	}
 
-	model, err := markov.DecodeFrozenModel(string(kindBytes), bytes.NewReader(modelBytes))
+	model, err := markov.DecodeFrozen(bytes.NewReader(modelBytes))
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +267,7 @@ func NewPublisher(m *Maintainer, cfg PublisherConfig) *Publisher {
 // offer encodes one published model and swaps it in as the current
 // snapshot.
 func (p *Publisher) offer(model markov.Predictor, rank *popularity.Ranking) {
-	enc, ok := model.(markov.FrozenEncoder)
+	frozen, ok := model.(*markov.FrozenTree)
 	if !ok {
 		p.metrics.unsupported.Inc()
 		p.log.Warn("published model has no frozen wire form; snapshot not updated",
@@ -294,7 +279,7 @@ func (p *Publisher) offer(model markov.Predictor, rank *popularity.Ranking) {
 	p.mu.Unlock()
 
 	var buf bytes.Buffer
-	if err := EncodeSnapshot(&buf, version, enc, rank); err != nil {
+	if err := EncodeSnapshot(&buf, version, frozen, rank); err != nil {
 		p.metrics.unsupported.Inc()
 		p.log.Warn("snapshot encoding failed; snapshot not updated",
 			"model", model.Name(), "error", err)

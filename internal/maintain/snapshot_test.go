@@ -37,10 +37,10 @@ func trainedMaintainer(t *testing.T, reg *obs.Registry) *Maintainer {
 
 func TestSnapshotWireRoundTrip(t *testing.T) {
 	m := trainedMaintainer(t, nil)
-	enc := m.Predictor().(markov.FrozenEncoder)
+	frozen := m.Predictor().(*markov.FrozenTree)
 
 	var buf bytes.Buffer
-	if err := EncodeSnapshot(&buf, 42, enc, m.Ranking()); err != nil {
+	if err := EncodeSnapshot(&buf, 42, frozen, m.Ranking()); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := DecodeSnapshot(buf.Bytes())
@@ -63,7 +63,7 @@ func TestSnapshotWireRoundTrip(t *testing.T) {
 
 	// Without a ranking the section is empty and decodes to nil.
 	buf.Reset()
-	if err := EncodeSnapshot(&buf, 1, enc, nil); err != nil {
+	if err := EncodeSnapshot(&buf, 1, frozen, nil); err != nil {
 		t.Fatal(err)
 	}
 	if snap, err = DecodeSnapshot(buf.Bytes()); err != nil {
@@ -77,7 +77,7 @@ func TestSnapshotWireRoundTrip(t *testing.T) {
 func TestDecodeSnapshotRejectsCorruption(t *testing.T) {
 	m := trainedMaintainer(t, nil)
 	var buf bytes.Buffer
-	if err := EncodeSnapshot(&buf, 7, m.Predictor().(markov.FrozenEncoder), m.Ranking()); err != nil {
+	if err := EncodeSnapshot(&buf, 7, m.Predictor().(*markov.FrozenTree), m.Ranking()); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -103,7 +103,7 @@ func TestDecodeSnapshotRejectsCorruption(t *testing.T) {
 	// fall through to the decoders and still fail: corrupt the embedded
 	// model section and re-seal the envelope.
 	tampered := append([]byte(nil), valid...)
-	for i := len(snapshotMagic) + 8 + 4 + 8 + 8; i < len(snapshotMagic)+8+4+8+8+32; i++ {
+	for i := len(snapshotMagic) + 8 + 8; i < len(snapshotMagic)+8+8+32; i++ {
 		tampered[i] ^= 0xFF
 	}
 	resealSnapshot(tampered)

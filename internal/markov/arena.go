@@ -34,7 +34,7 @@
 // validating every index against the buffer bounds. Multi-byte fields
 // are host-endian — the arena image is a same-architecture serving and
 // sharing format. Because images also travel between machines (the
-// pbppmSN1 snapshot image ships the arena verbatim, and it is the one
+// snapshot image ships the arena verbatim, and it is the one
 // model file format), the header carries a byte-order mark: an image
 // written on a machine with the opposite endianness is rejected by
 // ArenaFromBytes with a clear error instead of being misread through
@@ -496,20 +496,6 @@ func (a *Arena) AppendPredictions(buf []Prediction, node uint32, threshold float
 	return buf
 }
 
-// PredictInto is the arena's longest-match prediction path: the
-// candidates of the deepest node matching the longest context suffix,
-// written into buf per the PredictInto buffer-ownership contract
-// (buf's previous contents are discarded; the result reuses its
-// backing storage when capacity allows).
-func (a *Arena) PredictInto(ctx []string, threshold float64, buf []Prediction) []Prediction {
-	buf = buf[:0]
-	node, order, ok := a.LongestMatch(ctx)
-	if !ok {
-		return buf
-	}
-	return a.AppendPredictions(buf, node, threshold, order)
-}
-
 // Stats computes TreeStats with the exact semantics of Tree.Stats: the
 // pseudo-root is excluded from node, depth, and branching figures;
 // Roots is its fan-out; Bytes is the image size plus the derived
@@ -577,11 +563,14 @@ func (a *Arena) TopBranches(n int) []Prediction {
 	return out
 }
 
-// FrozenTree is the generic frozen predictor for models whose Predict
-// is a longest-suffix match over a single tree (standard PPM, LRS):
-// the training-time tree is replaced by its arena, and prediction runs
-// allocation-free through PredictInto. A frozen model is immutable —
-// TrainSequence panics, and it records no usage.
+// FrozenTree is the frozen predictor every model serves and ships as:
+// the training-time tree replaced by its arena, plus the serving
+// parameters the source model fixes at freeze time. Its candidates are
+// the longest match's children (standard PPM, LRS, PB-PPM) or, with
+// the blend flag, a blend over every matching context order (blended
+// PPM), widened by extra candidates keyed by the current click
+// (PB-PPM's rule-3 links). A frozen model is immutable — TrainSequence
+// panics, and it records no usage.
 type FrozenTree struct {
 	arena *Arena
 	name  string
@@ -592,6 +581,17 @@ type FrozenTree struct {
 	// before matching, mirroring the height-capped models; the streaming
 	// methods apply it as an order cap.
 	clampHeight int
+	// nodeCount is the source model's NodeCount, never below the
+	// arena's. PB-PPM's includes every rule-3 link, even those the
+	// threshold keeps out of links (the paper's space metric counts
+	// links before the threshold applies).
+	nodeCount int
+	// links holds the extra candidates per current click, each list in
+	// prediction order: PB-PPM's rule-3 links, thresholded, sorted and
+	// capped at freeze time. Nil for every other model.
+	links map[string][]Prediction
+	// blend selects the variable-order blend (ppm.Config.BlendOrders).
+	blend bool
 }
 
 var (
@@ -600,11 +600,38 @@ var (
 	_ ArenaHolder       = (*FrozenTree)(nil)
 )
 
-// NewFrozenTree wraps an arena as a predictor. name is reported
-// verbatim; clampHeight mirrors the source model's height cap (0 for
-// unbounded).
-func NewFrozenTree(a *Arena, name string, threshold float64, clampHeight int) *FrozenTree {
-	return &FrozenTree{arena: a, name: name, threshold: threshold, clampHeight: clampHeight}
+// FrozenParams are a FrozenTree's serving parameters besides its arena,
+// set from the source model when it freezes.
+type FrozenParams struct {
+	// Name is reported verbatim.
+	Name string
+	// Threshold is the minimum candidate probability.
+	Threshold float64
+	// ClampHeight mirrors the source model's height cap (0 for
+	// unbounded).
+	ClampHeight int
+	// NodeCount is the source model's node count; a count below the
+	// arena's selects the arena's.
+	NodeCount int
+	// Links are extra candidates keyed by the current click, each list
+	// in prediction order (PB-PPM's rule-3 links).
+	Links map[string][]Prediction
+	// Blend selects the variable-order blend.
+	Blend bool
+}
+
+// NewFrozenTree wraps an arena as a predictor with the given serving
+// parameters.
+func NewFrozenTree(a *Arena, p FrozenParams) *FrozenTree {
+	return &FrozenTree{
+		arena:       a,
+		name:        p.Name,
+		threshold:   p.Threshold,
+		clampHeight: p.ClampHeight,
+		nodeCount:   max(p.NodeCount, a.NodeCount()),
+		links:       p.Links,
+		blend:       p.Blend,
+	}
 }
 
 // Name identifies the model; frozen models keep their source's name so
@@ -617,9 +644,9 @@ func (f *FrozenTree) TrainSequence([]string) {
 	panic("markov: TrainSequence on a frozen model; train the live model and re-freeze")
 }
 
-// Predict returns the longest-match candidates, allocating a fresh
-// slice (it never aliases arena storage beyond the immutable URL
-// strings). Serving paths use PredictInto with a reused buffer.
+// Predict returns the model's candidates, allocating a fresh slice (it
+// never aliases arena storage beyond the immutable URL strings).
+// Serving paths use PredictInto with a reused buffer.
 func (f *FrozenTree) Predict(context []string) []Prediction {
 	return f.PredictInto(context, nil)
 }
@@ -628,11 +655,15 @@ func (f *FrozenTree) Predict(context []string) []Prediction {
 // discarded and the result reuses its backing storage when capacity
 // allows. With a warm buffer the call performs zero allocations.
 func (f *FrozenTree) PredictInto(context []string, buf []Prediction) []Prediction {
+	if len(context) == 0 {
+		return buf[:0]
+	}
 	ctx := context
 	if f.clampHeight > 0 && len(ctx) >= f.clampHeight {
 		ctx = ctx[len(ctx)-(f.clampHeight-1):]
 	}
-	return f.arena.PredictInto(ctx, f.threshold, buf)
+	node, _, _ := f.arena.LongestMatch(ctx)
+	return f.PredictFrom(node, context[len(context)-1], len(ctx), buf)
 }
 
 // maxOrder lowers an order cap to the clamp height's.
@@ -650,21 +681,81 @@ func (f *FrozenTree) Step(node uint32, url string, maxOrder int) uint32 {
 	return f.arena.Step(node, url, f.maxOrder(maxOrder))
 }
 
-// PredictFrom is PredictInto for the context whose match state is node,
-// considered over its last maxOrder URLs: after stepping a context URL
-// by URL, it equals PredictInto on the context's last maxOrder URLs.
-// The last URL is unused; it keeps the signature of models whose extra
-// candidates are keyed by the current click.
-func (f *FrozenTree) PredictFrom(node uint32, _ string, maxOrder int, buf []Prediction) []Prediction {
+// PredictFrom is PredictInto for the context whose match state is node
+// and whose current click is last, considered over its trailing
+// maxOrder URLs: the tree candidates come from the state, the extra
+// candidates from last. After stepping a context URL by URL it equals
+// PredictInto on the context's last maxOrder URLs.
+func (f *FrozenTree) PredictFrom(node uint32, last string, maxOrder int, buf []Prediction) []Prediction {
 	buf = buf[:0]
-	if node = f.arena.Clamp(node, f.maxOrder(maxOrder)); node == 0 {
-		return buf
+	node = f.arena.Clamp(node, f.maxOrder(maxOrder))
+	switch {
+	case f.blend:
+		buf = f.appendBlend(buf, node)
+	case node != 0:
+		buf = f.arena.AppendPredictions(buf, node, f.threshold, f.arena.Depth(node))
 	}
-	return f.arena.AppendPredictions(buf, node, f.threshold, f.arena.Depth(node))
+	if linked := f.links[last]; len(linked) > 0 {
+		buf = MergeLinked(buf, linked)
+		SortPredictions(buf)
+	}
+	return buf
 }
 
-// NodeCount reports the storage requirement in URL nodes.
-func (f *FrozenTree) NodeCount() int { return f.arena.NodeCount() }
+// appendBlend appends the variable-order blend at match state node. The
+// nodes on its suffix-link chain are the context's matching suffixes,
+// longest first; each one's children are weighted by 1 - 1/(1+count),
+// an escape-style confidence in that context's evidence, so confident
+// deep contexts dominate while short ones fill in. A URL keeps its
+// highest estimate at or above the threshold, the longer order winning
+// a tie.
+func (f *FrozenTree) appendBlend(buf []Prediction, node uint32) []Prediction {
+	a := f.arena
+	for ; node != 0; node = a.link[node] {
+		total := a.counts[node]
+		if total == 0 {
+			continue
+		}
+		confidence := 1 - 1/(1+float64(total))
+		order := int(a.depth[node])
+		for ci := a.childOff[node]; ci < a.childOff[node+1]; ci++ {
+			p := float64(a.counts[ci]) / float64(total) * confidence
+			if p >= f.threshold {
+				buf = mergeCandidate(buf, Prediction{URL: a.urls[a.syms[ci]], Probability: p, Order: order})
+			}
+		}
+	}
+	SortPredictions(buf)
+	return buf
+}
+
+// MergeLinked folds the extra candidates linked into preds,
+// deduplicating by URL: a URL keeps its highest estimate, and the
+// candidate already in preds wins an exact tie.
+func MergeLinked(preds, linked []Prediction) []Prediction {
+	for _, p := range linked {
+		preds = mergeCandidate(preds, p)
+	}
+	return preds
+}
+
+// mergeCandidate adds p to preds unless preds holds its URL already, in
+// which case p replaces that entry only with a higher probability.
+func mergeCandidate(preds []Prediction, p Prediction) []Prediction {
+	for i := range preds {
+		if preds[i].URL == p.URL {
+			if p.Probability > preds[i].Probability {
+				preds[i] = p
+			}
+			return preds
+		}
+	}
+	return append(preds, p)
+}
+
+// NodeCount reports the source model's storage requirement in URL
+// nodes (for PB-PPM, tree nodes plus rule-3 links).
+func (f *FrozenTree) NodeCount() int { return f.nodeCount }
 
 // Arena exposes the underlying arena (see ArenaHolder).
 func (f *FrozenTree) Arena() *Arena { return f.arena }

@@ -62,12 +62,13 @@ func TestFreezeEquivalence(t *testing.T) {
 			}
 
 			want := tr.CandidatesFrom(tn, threshold, torder)
-			got := a.PredictInto(ctx, threshold, nil)
+			f := NewFrozenTree(a, FrozenParams{Threshold: threshold})
+			got := f.PredictInto(ctx, nil)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("round %d ctx %v thr %v:\n got %+v\nwant %+v", round, ctx, threshold, got, want)
 			}
 			// The buffered path must agree with the allocating path.
-			buf = a.PredictInto(ctx, threshold, buf)
+			buf = f.PredictInto(ctx, buf)
 			if len(buf) > 0 && !reflect.DeepEqual([]Prediction(buf), want) {
 				t.Fatalf("round %d ctx %v thr %v: buffered path diverged", round, ctx, threshold)
 			}
@@ -136,14 +137,14 @@ func TestArenaWireRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	a := randomArenaTree(rng, 600, 0).Freeze()
 	var w bytes.Buffer
-	if err := NewFrozenTree(a, "arena", 0, 0).EncodeFrozen(&w); err != nil {
+	if err := NewFrozenTree(a, FrozenParams{Name: "arena"}).EncodeFrozen(&w); err != nil {
 		t.Fatal(err)
 	}
-	p, err := DecodeFrozenModel(FrozenTreeKind, bytes.NewReader(w.Bytes()))
+	p, err := DecodeFrozen(bytes.NewReader(w.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := p.(*FrozenTree).Arena(); !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if b := p.Arena(); !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("wire round-trip changed the arena image")
 	}
 }
@@ -161,7 +162,8 @@ func TestArenaBytesReattach(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := []string{url(1), url(2)}
-	if !reflect.DeepEqual(a.PredictInto(ctx, 0, nil), b.PredictInto(ctx, 0, nil)) {
+	predict := func(a *Arena) []Prediction { return NewFrozenTree(a, FrozenParams{}).Predict(ctx) }
+	if !reflect.DeepEqual(predict(a), predict(b)) {
 		t.Fatal("reattached arena predicts differently")
 	}
 	// Deliberately misaligned view: the loader must copy, not crash.
@@ -171,7 +173,7 @@ func TestArenaBytesReattach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.PredictInto(ctx, 0, nil), c.PredictInto(ctx, 0, nil)) {
+	if !reflect.DeepEqual(predict(a), predict(c)) {
 		t.Fatal("misaligned reattach predicts differently")
 	}
 }
@@ -290,8 +292,7 @@ func childOffByteOffset(a *Arena, node int) int {
 // heap allocations per prediction.
 func TestFrozenTreeZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	tr := randomArenaTree(rng, 800, 0)
-	f := NewFrozenTree(tr.Freeze(), "test", 0.1, 0)
+	a := randomArenaTree(rng, 800, 0).Freeze()
 
 	ctxs := make([][]string, 64)
 	for i := range ctxs {
@@ -301,17 +302,20 @@ func TestFrozenTreeZeroAlloc(t *testing.T) {
 		}
 		ctxs[i] = ctx
 	}
-	var buf []Prediction
-	for _, ctx := range ctxs {
-		buf = f.PredictInto(ctx, buf)
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(500, func() {
-		buf = f.PredictInto(ctxs[i%len(ctxs)], buf)
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("frozen PredictInto allocates %v per op, want 0", allocs)
+	for _, blend := range []bool{false, true} {
+		f := NewFrozenTree(a, FrozenParams{Name: "test", Threshold: 0.1, Blend: blend})
+		var buf []Prediction
+		for _, ctx := range ctxs {
+			buf = f.PredictInto(ctx, buf)
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(500, func() {
+			buf = f.PredictInto(ctxs[i%len(ctxs)], buf)
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("frozen PredictInto (blend %v) allocates %v per op, want 0", blend, allocs)
+		}
 	}
 }
 
@@ -453,23 +457,96 @@ func TestStepMatchesReferenceScan(t *testing.T) {
 // TestFrozenTreeStreamingMatchesPredictInto pins the FrozenTree half of
 // the streaming interface: for clamp heights below, at, and above the
 // 16-URL tail, Step then PredictFrom equals PredictInto on the
-// context's last 16 URLs, on an arena deeper than 16.
+// context's last 16 URLs, on an arena deeper than 16. It holds for the
+// longest match alone, with extra candidates keyed by the click (the
+// shape of PB-PPM's rule-3 links), and for the blend (blended PPM).
 func TestFrozenTreeStreamingMatchesPredictInto(t *testing.T) {
 	const tail = 16
 	rng := rand.New(rand.NewSource(9))
 	a := deepArenaTree(rng, 250, 5, 40).Freeze()
-	for _, clamp := range []int{0, 1, 2, 4, tail, tail + 1, 30} {
-		f := NewFrozenTree(a, "test", 0.05, clamp)
-		for round := 0; round < 200; round++ {
-			ctx := randomContext(rng, rng.Intn(45)+1, 6)
-			node := uint32(0)
-			for _, u := range ctx {
-				node = f.Step(node, u, tail)
+	// Every click but one has extra candidates; the first repeats a URL
+	// the tree also predicts, so the merge's dedup runs.
+	links := map[string][]Prediction{}
+	for i := 0; i < 5; i++ {
+		links[url(i)] = []Prediction{
+			{URL: url((i + 1) % 5), Probability: 0.5, Order: 1},
+			{URL: "/linked", Probability: 0.3, Order: 1},
+		}
+	}
+	for _, v := range []struct {
+		name  string
+		links map[string][]Prediction
+		blend bool
+	}{{"longest match", nil, false}, {"links", links, false}, {"blend", nil, true}} {
+		for _, clamp := range []int{0, 1, 2, 4, tail, tail + 1, 30} {
+			f := NewFrozenTree(a, FrozenParams{Name: "test", Threshold: 0.05, ClampHeight: clamp, Links: v.links, Blend: v.blend})
+			for round := 0; round < 200; round++ {
+				ctx := randomContext(rng, rng.Intn(45)+1, 6)
+				node := uint32(0)
+				for _, u := range ctx {
+					node = f.Step(node, u, tail)
+				}
+				got := f.PredictFrom(node, ctx[len(ctx)-1], tail, nil)
+				want := f.PredictInto(lastN(ctx, tail), nil)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, clamp %d, context %q: streamed %+v, PredictInto %+v", v.name, clamp, ctx, got, want)
+				}
 			}
-			got := f.PredictFrom(node, ctx[len(ctx)-1], tail, nil)
-			want := f.PredictInto(lastN(ctx, tail), nil)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("clamp %d, context %q: streamed %+v, PredictInto %+v", clamp, ctx, got, want)
+		}
+	}
+}
+
+// referenceBlend is the blend as it ran before it walked suffix links,
+// kept as the oracle: it matches every suffix of the height-clamped
+// context from the root and keeps each URL's highest estimate in a map.
+func referenceBlend(a *Arena, ctx []string, threshold float64, height int) []Prediction {
+	if height > 0 && len(ctx) >= height {
+		ctx = ctx[len(ctx)-(height-1):]
+	}
+	best := make(map[string]Prediction)
+	for i := 0; i < len(ctx); i++ {
+		n, ok := a.Match(ctx[i:])
+		if !ok || a.Count(n) == 0 {
+			continue
+		}
+		total := a.Count(n)
+		confidence := 1 - 1/(1+float64(total))
+		a.EachChild(n, func(child uint32, url string) bool {
+			p := Prediction{URL: url, Probability: float64(a.Count(child)) / float64(total) * confidence, Order: len(ctx) - i}
+			if b, ok := best[url]; !ok || p.Probability > b.Probability {
+				best[url] = p
+			}
+			return true
+		})
+	}
+	var out []Prediction
+	for _, p := range best {
+		if p.Probability >= threshold {
+			out = append(out, p)
+		}
+	}
+	SortPredictions(out)
+	return out
+}
+
+// TestFrozenTreeBlendMatchesEverySuffix: the blend over the match's
+// suffix-link chain predicts exactly what blending every matching
+// suffix of the context does, orders and probabilities bit for bit,
+// across thresholds and clamp heights.
+func TestFrozenTreeBlendMatchesEverySuffix(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, a := range []*Arena{randomArenaTree(rng, 600, 0).Freeze(), deepArenaTree(rng, 250, 5, 40).Freeze()} {
+		for _, thr := range []float64{0, 0.05, 0.25} {
+			for _, clamp := range []int{0, 3, 8} {
+				f := NewFrozenTree(a, FrozenParams{Name: "blend", Threshold: thr, ClampHeight: clamp, Blend: true})
+				for round := 0; round < 150; round++ {
+					ctx := randomContext(rng, rng.Intn(20)+1, 12)
+					got := f.Predict(ctx)
+					want := referenceBlend(a, ctx, thr, clamp)
+					if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+						t.Fatalf("threshold %v, clamp %d, context %q: blend %+v, every-suffix reference %+v", thr, clamp, ctx, got, want)
+					}
+				}
 			}
 		}
 	}
@@ -480,7 +557,7 @@ func TestFrozenTreeStreamingMatchesPredictInto(t *testing.T) {
 func TestFrozenTreeClampsHeight(t *testing.T) {
 	tr := NewTree()
 	tr.Insert([]string{"/a", "/b", "/c"}, 3, 1)
-	f := NewFrozenTree(tr.Freeze(), "3-test", 0, 3)
+	f := NewFrozenTree(tr.Freeze(), FrozenParams{Name: "3-test", ClampHeight: 3})
 	got := f.Predict([]string{"/x", "/a", "/b"})
 	if len(got) != 1 || got[0].URL != "/c" {
 		t.Fatalf("clamped predict = %+v, want /c", got)
@@ -491,7 +568,7 @@ func TestFrozenTreeClampsHeight(t *testing.T) {
 func TestFrozenTreeTrainPanics(t *testing.T) {
 	tr := NewTree()
 	tr.Insert([]string{"/a"}, 0, 1)
-	f := NewFrozenTree(tr.Freeze(), "test", 0, 0)
+	f := NewFrozenTree(tr.Freeze(), FrozenParams{Name: "test"})
 	defer func() {
 		if r := recover(); r == nil {
 			t.Fatal("TrainSequence on a frozen model did not panic")

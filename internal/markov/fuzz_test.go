@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -19,17 +20,37 @@ func fuzzSeedTrees() []*Tree {
 	return []*Tree{empty, tiny, capped, randomArenaTree(rand.New(rand.NewSource(11)), 120, 0)}
 }
 
-// FuzzDecodeTree hammers the frozen-tree codec — the decoder a
-// published PPM or LRS snapshot revives through — with mutated
-// payloads. The decoder must never panic (corrupt snapshots come off
-// disks and sockets); anything it accepts must predict without
-// crashing and re-encode to a model with the same name, threshold,
-// height clamp and arena image (the decoder cannot invent states the
+// fuzzSeedModels returns frozen models whose images seed the decoder
+// corpus: longest-match trees with each clamp height, a PB-PPM-shaped
+// model with extra candidates and a node count above its arena's, and a
+// blended one.
+func fuzzSeedModels() []*FrozenTree {
+	var out []*FrozenTree
+	for i, tr := range fuzzSeedTrees() {
+		out = append(out, NewFrozenTree(tr.Freeze(), FrozenParams{Name: "PPM", Threshold: 0.25, ClampHeight: i}))
+	}
+	tiny := fuzzSeedTrees()[1].Freeze()
+	out = append(out,
+		NewFrozenTree(tiny, FrozenParams{Name: "PB-PPM", Threshold: 0.25, NodeCount: 4, Links: map[string][]Prediction{
+			"/a": {{URL: "/c", Probability: 0.5, Order: 1}},
+			"/b": {{URL: "/a", Probability: 0.75, Order: 1}, {URL: "/d", Probability: 0.25, Order: 1}},
+		}}),
+		NewFrozenTree(fuzzSeedTrees()[3].Freeze(), FrozenParams{Name: "PPM", Threshold: 0.1, Blend: true}))
+	return out
+}
+
+// FuzzDecodeTree hammers the frozen-model codec — the decoder every
+// published snapshot revives through — with mutated payloads. The
+// decoder must never panic (corrupt snapshots come off disks and
+// sockets); anything it accepts must have a threshold candidates can
+// pass, predict without crashing, and re-encode to a model with the
+// same name, threshold, height clamp, node count, blend flag, extra
+// candidates and arena image (the decoder cannot invent states the
 // encoder would not produce).
 func FuzzDecodeTree(f *testing.F) {
-	for i, tr := range fuzzSeedTrees() {
+	for _, m := range fuzzSeedModels() {
 		var w bytes.Buffer
-		if err := NewFrozenTree(tr.Freeze(), "PPM", 0.25, i).EncodeFrozen(&w); err != nil {
+		if err := m.EncodeFrozen(&w); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(w.Bytes())
@@ -45,29 +66,38 @@ func FuzzDecodeTree(f *testing.F) {
 	f.Add([]byte("garbage"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodeFrozenModel(FrozenTreeKind, bytes.NewReader(data))
+		ft, err := DecodeFrozen(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		ft := p.(*FrozenTree)
+		if math.IsNaN(ft.threshold) {
+			t.Fatal("accepted a NaN threshold")
+		}
 		a := ft.Arena()
 		for s := 1; s <= a.SymbolCount() && s <= 8; s++ {
 			ft.Predict([]string{a.URLOf(uint32(s))})
 			ft.Predict([]string{"\x00unseen", a.URLOf(uint32(s))})
 		}
+		for head := range ft.links {
+			ft.Predict([]string{head})
+		}
 		var w bytes.Buffer
 		if err := ft.EncodeFrozen(&w); err != nil {
 			t.Fatalf("re-encoding an accepted tree failed: %v", err)
 		}
-		p2, err := DecodeFrozenModel(FrozenTreeKind, bytes.NewReader(w.Bytes()))
+		ft2, err := DecodeFrozen(bytes.NewReader(w.Bytes()))
 		if err != nil {
 			t.Fatalf("re-decoding an accepted tree failed: %v", err)
 		}
-		ft2 := p2.(*FrozenTree)
 		if ft2.name != ft.name || ft2.clampHeight != ft.clampHeight ||
-			math.Float64bits(ft2.threshold) != math.Float64bits(ft.threshold) {
-			t.Fatalf("round trip changed the model: %q/%v/%d vs %q/%v/%d",
-				ft2.name, ft2.threshold, ft2.clampHeight, ft.name, ft.threshold, ft.clampHeight)
+			math.Float64bits(ft2.threshold) != math.Float64bits(ft.threshold) ||
+			ft2.nodeCount != ft.nodeCount || ft2.blend != ft.blend {
+			t.Fatalf("round trip changed the model: %q/%v/%d/%d/%v vs %q/%v/%d/%d/%v",
+				ft2.name, ft2.threshold, ft2.clampHeight, ft2.nodeCount, ft2.blend,
+				ft.name, ft.threshold, ft.clampHeight, ft.nodeCount, ft.blend)
+		}
+		if !reflect.DeepEqual(ft2.links, ft.links) {
+			t.Fatalf("round trip changed the extra candidates: %+v vs %+v", ft2.links, ft.links)
 		}
 		// Arena images are canonical, so byte equality is the strongest
 		// available identity check.
@@ -94,9 +124,10 @@ func FuzzArenaFromBytes(f *testing.F) {
 		}
 		// Serve a few predictions over the accepted image: every URL the
 		// arena knows must be walkable without a crash.
+		ft := NewFrozenTree(a, FrozenParams{})
 		var buf []Prediction
 		for s := 1; s <= a.SymbolCount() && s <= 8; s++ {
-			buf = a.PredictInto([]string{a.URLOf(uint32(s))}, 0, buf)
+			buf = ft.PredictInto([]string{a.URLOf(uint32(s))}, buf)
 		}
 		// Streaming over contexts of the arena's own URLs (and an unseen
 		// one) must reach the node the reference scan finds over each

@@ -235,9 +235,10 @@ type Prediction struct {
 //   - The model does not retain the buffer: ownership stays with the
 //     caller across the call.
 //
-// All four models implement it; arena-frozen models additionally
-// guarantee zero allocations per call once the buffer is warm. Callers
-// holding only a Predictor use the PredictInto helper.
+// All four models implement it; the frozen snapshot they all freeze to
+// (FrozenTree), blended PPM's included, additionally guarantees zero
+// allocations per call once the buffer is warm. Callers holding only a
+// Predictor use the PredictInto helper.
 type BufferedPredictor interface {
 	Predictor
 	// PredictInto is Predict writing into buf per the contract above.

@@ -1,96 +1,24 @@
 // Frozen-model serialization: the piece that lets one process train a
 // model and every other process serve it.
 //
-// A published snapshot is more than the arena image — PB-PPM's frozen
-// model also carries its precomputed rule-3 links, a frozen tree its
-// threshold and height clamp — so shipping a model between processes
-// needs a self-describing envelope, not just Arena.Bytes. FrozenEncoder
-// is that envelope's producer half: a frozen predictor names its
-// concrete kind and writes its full serving state. The decoder half is
-// a registry keyed by kind (the same shape as image.RegisterFormat or
-// gob.Register), so generic distribution code — the maintainer's
-// snapshot publisher, a follower's poll loop — moves models around
-// without a type switch over every model package.
-//
-// Model packages register their decoders in init; a process can only
-// decode kinds whose packages it links (prefetchd links core, ppm, and
-// lrs transitively through its model factory imports).
+// Every model serves and ships as a FrozenTree, so one codec carries
+// them all: EncodeFrozen writes the serving parameters beside the arena
+// image verbatim (host-endian, guarded by the header's byte-order
+// mark), and DecodeFrozen revives the model after validating everything
+// it reads — a snapshot may arrive truncated or corrupted over the
+// network, so a bad image is an error, never a panic or a model that
+// cannot predict.
 package markov
 
 import (
 	"bufio"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
-	"sync"
 )
-
-// FrozenEncoder is implemented by frozen predictors that can serialize
-// their complete serving state for another process to revive. The
-// encoded form contains the arena image verbatim (host-endian, guarded
-// by the header's byte-order mark) plus whatever model-specific state
-// serving needs; DecodeFrozenModel revives it through the decoder
-// registered for Kind.
-type FrozenEncoder interface {
-	Predictor
-	// FrozenKind names the concrete frozen representation, e.g.
-	// "core/pbppm". It keys the decoder registry and travels inside
-	// the snapshot envelope.
-	FrozenKind() string
-	// EncodeFrozen writes the model's full serving state.
-	EncodeFrozen(w io.Writer) error
-}
-
-// FrozenDecoder revives one frozen-model kind from its encoded form.
-// Implementations must validate everything they read (a snapshot may
-// arrive truncated or corrupted over the network) and return an error
-// rather than panic.
-type FrozenDecoder func(r io.Reader) (Predictor, error)
-
-var frozenDecoders = struct {
-	sync.RWMutex
-	m map[string]FrozenDecoder
-}{m: make(map[string]FrozenDecoder)}
-
-// RegisterFrozenDecoder registers the decoder for a frozen-model kind.
-// Model packages call it from init; re-registering a kind panics (two
-// packages claiming one kind is a programmer error).
-func RegisterFrozenDecoder(kind string, fn FrozenDecoder) {
-	if kind == "" || fn == nil {
-		panic("markov: RegisterFrozenDecoder with empty kind or nil decoder")
-	}
-	frozenDecoders.Lock()
-	defer frozenDecoders.Unlock()
-	if _, dup := frozenDecoders.m[kind]; dup {
-		panic(fmt.Sprintf("markov: frozen decoder for kind %q registered twice", kind))
-	}
-	frozenDecoders.m[kind] = fn
-}
-
-// DecodeFrozenModel revives a frozen model of the named kind from r.
-// Unknown kinds — a model package the process does not link, or a
-// corrupted envelope — return an error listing what is registered.
-func DecodeFrozenModel(kind string, r io.Reader) (Predictor, error) {
-	frozenDecoders.RLock()
-	fn := frozenDecoders.m[kind]
-	frozenDecoders.RUnlock()
-	if fn == nil {
-		frozenDecoders.RLock()
-		known := make([]string, 0, len(frozenDecoders.m))
-		for k := range frozenDecoders.m {
-			known = append(known, k)
-		}
-		frozenDecoders.RUnlock()
-		sort.Strings(known)
-		return nil, fmt.Errorf("markov: no frozen decoder for kind %q (registered: %v)", kind, known)
-	}
-	return fn(r)
-}
-
-// FrozenTreeKind identifies the generic single-tree frozen model
-// (standard PPM without blending, LRS) in snapshot envelopes.
-const FrozenTreeKind = "markov/frozen-tree"
 
 // wireFrozenTree is the gob image of a FrozenTree. The arena travels as
 // its raw image; ArenaFromBytes re-validates every offset on decode.
@@ -98,40 +26,85 @@ type wireFrozenTree struct {
 	Name        string
 	Threshold   float64
 	ClampHeight int
-	Arena       []byte
+	NodeCount   int
+	Blend       bool
+	// Links is a slice, not a map: gob sizes a map from the entry count
+	// in the stream before reading any entry, so one corrupt count could
+	// make the decoder allocate gigabytes, while a slice grows only as
+	// its elements arrive.
+	Links []wireLinks
+	Arena []byte
 }
 
-var _ FrozenEncoder = (*FrozenTree)(nil)
+// wireLinks is one current click's extra candidates.
+type wireLinks struct {
+	Head  string
+	Preds []Prediction
+}
 
-// FrozenKind implements FrozenEncoder.
-func (f *FrozenTree) FrozenKind() string { return FrozenTreeKind }
-
-// EncodeFrozen implements FrozenEncoder: name, threshold, height clamp,
-// and the arena image.
+// EncodeFrozen writes the model's full serving state: its parameters,
+// its extra candidates by click in URL order, and the arena image.
 func (f *FrozenTree) EncodeFrozen(w io.Writer) error {
-	bw := bufio.NewWriter(w)
 	img := wireFrozenTree{
 		Name:        f.name,
 		Threshold:   f.threshold,
 		ClampHeight: f.clampHeight,
+		NodeCount:   f.nodeCount,
+		Blend:       f.blend,
 		Arena:       f.arena.Bytes(),
 	}
+	heads := make([]string, 0, len(f.links))
+	for head := range f.links {
+		heads = append(heads, head)
+	}
+	sort.Strings(heads)
+	for _, head := range heads {
+		img.Links = append(img.Links, wireLinks{Head: head, Preds: f.links[head]})
+	}
+	bw := bufio.NewWriter(w)
 	if err := gob.NewEncoder(bw).Encode(img); err != nil {
 		return fmt.Errorf("markov: encoding frozen tree: %w", err)
 	}
 	return bw.Flush()
 }
 
-func init() {
-	RegisterFrozenDecoder(FrozenTreeKind, func(r io.Reader) (Predictor, error) {
-		var img wireFrozenTree
-		if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&img); err != nil {
-			return nil, fmt.Errorf("markov: decoding frozen tree: %w", err)
+// DecodeFrozen revives a model written by EncodeFrozen. It refuses an
+// image whose serving state is inconsistent: a NaN threshold (no
+// candidate would ever pass it), a node count below the arena's, or an
+// extra candidate with an empty URL or a NaN or negative probability.
+func DecodeFrozen(r io.Reader) (*FrozenTree, error) {
+	var img wireFrozenTree
+	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&img); err != nil {
+		return nil, fmt.Errorf("markov: decoding frozen tree: %w", err)
+	}
+	if math.IsNaN(img.Threshold) {
+		return nil, errors.New("markov: decoding frozen tree: NaN threshold")
+	}
+	a, err := ArenaFromBytes(img.Arena)
+	if err != nil {
+		return nil, fmt.Errorf("markov: decoding frozen tree: %w", err)
+	}
+	if img.NodeCount < a.NodeCount() {
+		return nil, fmt.Errorf("markov: decoding frozen tree: node count %d below the arena's %d", img.NodeCount, a.NodeCount())
+	}
+	var links map[string][]Prediction
+	if len(img.Links) > 0 {
+		links = make(map[string][]Prediction, len(img.Links))
+	}
+	for _, l := range img.Links {
+		for _, p := range l.Preds {
+			if p.URL == "" || math.IsNaN(p.Probability) || p.Probability < 0 {
+				return nil, fmt.Errorf("markov: decoding frozen tree: corrupt candidate %+v under %q", p, l.Head)
+			}
 		}
-		a, err := ArenaFromBytes(img.Arena)
-		if err != nil {
-			return nil, fmt.Errorf("markov: decoding frozen tree: %w", err)
-		}
-		return NewFrozenTree(a, img.Name, img.Threshold, img.ClampHeight), nil
-	})
+		links[l.Head] = l.Preds
+	}
+	return NewFrozenTree(a, FrozenParams{
+		Name:        img.Name,
+		Threshold:   img.Threshold,
+		ClampHeight: img.ClampHeight,
+		NodeCount:   img.NodeCount,
+		Links:       links,
+		Blend:       img.Blend,
+	}), nil
 }

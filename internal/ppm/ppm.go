@@ -25,7 +25,9 @@ type Config struct {
 	// every matching context order, each weighted by the matched
 	// context's evidence mass, and a URL keeps its highest-confidence
 	// estimate. The paper lists "variable orders of Markov models" as
-	// unexplored territory; this implements that extension.
+	// unexplored territory; this implements that extension. The frozen
+	// model finds those orders on the suffix-link chain of a session's
+	// match state, so it streams like the longest-match models.
 	BlendOrders bool
 }
 
@@ -120,84 +122,17 @@ func (m *Model) PredictInto(context []string, buf []markov.Prediction) []markov.
 }
 
 // Freeze returns the immutable arena-backed snapshot of the trained
-// model: identical predictions, no per-node GC load, no allocations on
-// the longest-match serving path. The blended variant keeps its
-// per-call blend state, so it freezes to a blended frozen model that is
-// immutable and arena-backed but not allocation-free.
+// model: identical predictions, no per-node GC load, and no allocations
+// on the serving path. A BlendOrders model freezes with the blend flag,
+// so its snapshot blends the orders along the match's suffix-link
+// chain and streams like any other.
 func (m *Model) Freeze() markov.Predictor {
-	arena := m.tree.Freeze()
-	if m.cfg.BlendOrders {
-		return &frozenBlended{name: m.Name(), arena: arena, threshold: m.cfg.threshold(), height: m.cfg.Height}
-	}
-	return markov.NewFrozenTree(arena, m.Name(), m.cfg.threshold(), m.cfg.Height)
-}
-
-// frozenBlended is the arena-backed snapshot of a BlendOrders model:
-// the blend runs over the arena with the exact arithmetic of
-// predictBlended (minus usage marking, which frozen models do not
-// record).
-type frozenBlended struct {
-	name      string
-	arena     *markov.Arena
-	threshold float64
-	height    int
-}
-
-var _ markov.BufferedPredictor = (*frozenBlended)(nil)
-var _ markov.ArenaHolder = (*frozenBlended)(nil)
-
-func (f *frozenBlended) Name() string { return f.name }
-
-func (f *frozenBlended) TrainSequence([]string) {
-	panic("ppm: TrainSequence on a frozen model; train the live model and re-freeze")
-}
-
-func (f *frozenBlended) NodeCount() int { return f.arena.NodeCount() }
-
-// Arena exposes the snapshot for stats and persistence.
-func (f *frozenBlended) Arena() *markov.Arena { return f.arena }
-
-func (f *frozenBlended) Predict(context []string) []markov.Prediction {
-	return f.PredictInto(context, nil)
-}
-
-func (f *frozenBlended) PredictInto(context []string, buf []markov.Prediction) []markov.Prediction {
-	buf = buf[:0]
-	ctx := context
-	if f.height > 0 && len(ctx) >= f.height {
-		ctx = ctx[len(ctx)-(f.height-1):]
-	}
-	best := make(map[string]markov.Prediction)
-	for i := 0; i < len(ctx); i++ {
-		n, ok := f.arena.Match(ctx[i:])
-		if !ok || f.arena.Count(n) == 0 {
-			continue
-		}
-		order := len(ctx) - i
-		total := f.arena.Count(n)
-		confidence := 1 - 1/(1+float64(total))
-		f.arena.EachChild(n, func(child uint32, url string) bool {
-			p := markov.Prediction{
-				URL:         url,
-				Probability: float64(f.arena.Count(child)) / float64(total) * confidence,
-				Order:       order,
-			}
-			if b, ok := best[url]; !ok || p.Probability > b.Probability {
-				best[url] = p
-			}
-			return true
-		})
-	}
-	for _, p := range best {
-		if p.Probability >= f.threshold {
-			buf = append(buf, p)
-		}
-	}
-	if len(buf) == 0 {
-		return buf
-	}
-	markov.SortPredictions(buf)
-	return buf
+	return markov.NewFrozenTree(m.tree.Freeze(), markov.FrozenParams{
+		Name:        m.Name(),
+		Threshold:   m.cfg.threshold(),
+		ClampHeight: m.cfg.Height,
+		Blend:       m.cfg.BlendOrders,
+	})
 }
 
 // predictBlended combines candidates across every matching order. A

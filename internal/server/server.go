@@ -322,13 +322,13 @@ type predictorCell struct {
 	score  *modelScore
 }
 
-// streamPredictor is implemented by frozen models that follow a
-// session's context one URL at a time (core.Frozen, markov.FrozenTree).
-// Step advances a match state by one URL; PredictFrom predicts from a
-// state and the session's current URL. Both consider only the trailing
-// maxOrder URLs, and stepping a context from state 0 then predicting
-// equals PredictInto on its last maxOrder URLs. Other models (Top-N,
-// blended PPM, wrappers) take the context-tail path.
+// streamPredictor is implemented by the frozen model every trainable
+// model installs as (markov.FrozenTree), which follows a session's
+// context one URL at a time. Step advances a match state by one URL;
+// PredictFrom predicts from a state and the session's current URL. Both
+// consider only the trailing maxOrder URLs, and stepping a context from
+// state 0 then predicting equals PredictInto on its last maxOrder URLs.
+// Other models (Top-N, wrappers) take the context-tail path.
 type streamPredictor interface {
 	Step(node uint32, url string, maxOrder int) uint32
 	PredictFrom(node uint32, last string, maxOrder int, buf []markov.Prediction) []markov.Prediction

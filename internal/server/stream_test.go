@@ -12,14 +12,12 @@ import (
 	"pbppm/internal/markov"
 	"pbppm/internal/popularity"
 	"pbppm/internal/ppm"
+	"pbppm/internal/topn"
 )
 
-// The frozen models prefetchd, the cluster and followers publish take
-// the streaming path.
-var (
-	_ streamPredictor = (*core.Frozen)(nil)
-	_ streamPredictor = (*markov.FrozenTree)(nil)
-)
+// The frozen model every trainable model installs as takes the
+// streaming path.
+var _ streamPredictor = (*markov.FrozenTree)(nil)
 
 // TestClientContextSize guards the per-session record: with its
 // streaming state (generation and node), an open session must stay in
@@ -81,13 +79,13 @@ func hintsFor(t *testing.T, srv *Server, client, url string) []markov.Prediction
 }
 
 // TestSessionAcrossModelSwapMatchesFreshSession: a session that spans
-// SetPredictor swaps — frozen to frozen, to a model that cannot stream
-// (frozen blended PPM, which takes the context-tail path), and back —
-// gets, after each swap, the hints and the match state a fresh session
-// replaying its whole URL sequence gets from the model then published.
-// The session walks by the rule of the model about to be served, so
-// each swap lands mid-walk and the replayed state runs deep; sessions
-// run past the 16-URL tail.
+// SetPredictor swaps — frozen PB-PPM to frozen PB-PPM, to frozen
+// blended PPM (which streams too), to a model that cannot stream (Top-N,
+// which takes the context-tail path), and back — gets, after each swap,
+// the hints and the match state a fresh session replaying its whole URL
+// sequence gets from the model then published. The session walks by the
+// rule of the model about to be served, so each swap lands mid-walk and
+// the replayed state runs deep; sessions run past the 16-URL tail.
 func TestSessionAcrossModelSwapMatchesFreshSession(t *testing.T) {
 	const pages = 12
 	store := MapStore{}
@@ -100,11 +98,14 @@ func TestSessionAcrossModelSwapMatchesFreshSession(t *testing.T) {
 	for _, seq := range walkSessions(pages, 5) {
 		blended.TrainSequence(seq)
 	}
-	blend := blended.Freeze()
+	top := topn.New(topn.Config{N: 8})
+	for _, seq := range walkSessions(pages, 1) {
+		top.TrainSequence(seq)
+	}
 	rounds := []struct {
 		model markov.Predictor
 		rule  int
-	}{{a.Freeze(), 1}, {b.Freeze(), 5}, {blend, 5}, {a.Freeze(), 1}}
+	}{{a.Freeze(), 1}, {b.Freeze(), 5}, {blended.Freeze(), 5}, {top, 1}, {a.Freeze(), 1}}
 	srv := New(store, Config{MaxHints: 8})
 	state := func(client string) (gen, node uint32) {
 		sh := srv.shard(client)
@@ -119,7 +120,7 @@ func TestSessionAcrossModelSwapMatchesFreshSession(t *testing.T) {
 	for round, r := range rounds {
 		srv.SetPredictor(r.model)
 		streams := srv.pred.Load().stream != nil
-		if streams == (r.model == blend) {
+		if streams != (r.model != top) {
 			t.Fatalf("model %d (%T): streaming is %v", round, r.model, streams)
 		}
 		for k := 0; k < 20; k++ {

@@ -46,9 +46,9 @@ type BufferedPredictor = markov.BufferedPredictor
 // Freezer's snapshot, never the live model.
 type Freezer = markov.Freezer
 
-// FrozenEncoder is implemented by frozen snapshots that can serialize
-// their serving state into a snapshot image (EncodeSnapshot).
-type FrozenEncoder = markov.FrozenEncoder
+// FrozenModel is the immutable arena-backed snapshot every Freezer
+// freezes to, and the model a snapshot image (EncodeSnapshot) carries.
+type FrozenModel = markov.FrozenTree
 
 // Arena is the flat, relocatable single-buffer representation of a
 // frozen prediction tree.
@@ -111,10 +111,10 @@ func NewTopN(cfg TopNConfig) *TopNModel { return topn.New(cfg) }
 type Snapshot = maintain.Snapshot
 
 // EncodeSnapshot writes a frozen model and its ranking (nil for none)
-// as a pbppmSN1 snapshot image, the one model file format: what
+// as a pbppmSN2 snapshot image, the one model file format: what
 // prefetchsim -save-model writes, the /snapshot endpoint serves, and
 // followers install. Freeze a trained model first (Freezer).
-func EncodeSnapshot(w io.Writer, version uint64, model FrozenEncoder, rank *Ranking) error {
+func EncodeSnapshot(w io.Writer, version uint64, model *FrozenModel, rank *Ranking) error {
 	return maintain.EncodeSnapshot(w, version, model, rank)
 }
 

@@ -165,7 +165,7 @@ func TestFacadePersistence(t *testing.T) {
 	}
 
 	var img bytes.Buffer
-	if err := EncodeSnapshot(&img, 1, m.Freeze().(FrozenEncoder), rank); err != nil {
+	if err := EncodeSnapshot(&img, 1, m.Freeze().(*FrozenModel), rank); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := DecodeSnapshot(img.Bytes())
@@ -264,7 +264,7 @@ func TestFacadeModelDecoders(t *testing.T) {
 	}
 	for _, m := range []Freezer{std, l} {
 		var img bytes.Buffer
-		if err := EncodeSnapshot(&img, 7, m.Freeze().(FrozenEncoder), nil); err != nil {
+		if err := EncodeSnapshot(&img, 7, m.Freeze().(*FrozenModel), nil); err != nil {
 			t.Fatal(err)
 		}
 		snap, err := DecodeSnapshot(img.Bytes())
