@@ -53,15 +53,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
-
-	"net/http"
 
 	"pbppm/internal/benchreport"
 	"pbppm/internal/cluster"
@@ -72,64 +71,77 @@ import (
 )
 
 func main() {
-	os.Exit(realMain())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func realMain() int {
+// run parses args, drives the selected runs, and returns the exit code
+// (see the package comment). Tables go to stdout, diagnostics to
+// stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("loadbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		serverURL = flag.String("server", "http://127.0.0.1:8080", "prefetching server root URL")
-		adminURL  = flag.String("admin", "", "server admin root URL; polls /debug/slo at slot boundaries when set")
-		profile   = flag.String("profile", "nasa", "site profile the server was booted with: nasa or ucbcs")
-		pages     = flag.Int("pages", 0, "override the profile's page count (must match the server's -pages)")
-		sessDay   = flag.Int("sessions-per-day", 0, "override the profile's mean sessions per day of warm history (cluster modes)")
-		seed      = flag.Int64("seed", 1, "RNG seed for the request sequence (same seed = same sequence)")
-		clients   = flag.Int("clients", 100, "warm virtual-client pool size")
-		timeout   = flag.Duration("timeout", 5*time.Second, "per-request timeout")
-		selfAdmin = flag.String("self-admin", "", "serve the generator's own /metrics on this address; empty disables")
+		serverURL = fs.String("server", "http://127.0.0.1:8080", "prefetching server root URL")
+		adminURL  = fs.String("admin", "", "server admin root URL; polls /debug/slo at slot boundaries when set")
+		profile   = fs.String("profile", "nasa", "site profile the server was booted with: nasa or ucbcs")
+		pages     = fs.Int("pages", 0, "override the profile's page count (must match the server's -pages)")
+		sessDay   = fs.Int("sessions-per-day", 0, "override the profile's mean sessions per day of warm history (cluster modes)")
+		seed      = fs.Int64("seed", 1, "RNG seed for the request sequence (same seed = same sequence)")
+		clients   = fs.Int("clients", 100, "warm virtual-client pool size")
+		timeout   = fs.Duration("timeout", 5*time.Second, "per-request timeout")
+		selfAdmin = fs.String("self-admin", "", "serve the generator's own /metrics on this address; empty disables")
 
-		mode     = flag.String("mode", "steady", "scenario: steady, sweep, burst, or diurnal")
-		rps      = flag.Float64("rps", 50, "arrival rate (steady base, burst base, diurnal peak)")
-		duration = flag.Duration("duration", 60*time.Second, "total steady duration")
-		slotDur  = flag.Duration("slot", 10*time.Second, "reporting slot length")
+		mode     = fs.String("mode", "steady", "scenario: steady, sweep, burst, or diurnal")
+		rps      = fs.Float64("rps", 50, "arrival rate (steady base, burst base, diurnal peak)")
+		duration = fs.Duration("duration", 60*time.Second, "total steady duration")
+		slotDur  = fs.Duration("slot", 10*time.Second, "reporting slot length")
 
-		sweepStart  = flag.Float64("start", 10, "sweep: first step's rate")
-		sweepStep   = flag.Float64("step", 10, "sweep: rate increment per step")
-		sweepTarget = flag.Float64("target", 100, "sweep: last step's rate")
+		sweepStart  = fs.Float64("start", 10, "sweep: first step's rate")
+		sweepStep   = fs.Float64("step", 10, "sweep: rate increment per step")
+		sweepTarget = fs.Float64("target", 100, "sweep: last step's rate")
 
-		burstMult  = flag.Float64("burst-mult", 4, "burst: peak multiplier over -rps")
-		burstShift = flag.Int("burst-shift", 50, "burst: popularity ranks the entry set shifts down during the burst")
-		burstCold  = flag.Float64("burst-cold", 0.5, "burst: fraction of burst arrivals from never-seen clients")
-		diSlots    = flag.Int("diurnal-slots", 12, "diurnal: slots per compressed day")
-		coldShare  = flag.Float64("cold", 0, "fraction of arrivals from never-seen clients (all modes)")
+		burstMult  = fs.Float64("burst-mult", 4, "burst: peak multiplier over -rps")
+		burstShift = fs.Int("burst-shift", 50, "burst: popularity ranks the entry set shifts down during the burst")
+		burstCold  = fs.Float64("burst-cold", 0.5, "burst: fraction of burst arrivals from never-seen clients")
+		diSlots    = fs.Int("diurnal-slots", 12, "diurnal: slots per compressed day")
+		coldShare  = fs.Float64("cold", 0, "fraction of arrivals from never-seen clients (all modes)")
 
-		clusterN     = flag.Int("cluster", 0, "boot an in-process N-shard cluster and drive it instead of -server; 0 targets -server")
-		clusterSweep = flag.String("cluster-sweep", "", "comma-separated shard counts (e.g. \"1,2,4\"): run -mode against a fresh cluster per count, one artifact record each")
-		rebalance    = flag.String("rebalance", "", "with -cluster: \"join\" or \"leave\" a shard halfway through the run and report the remap cost")
-		warmDays     = flag.Int("warm-days", 2, "cluster modes: days of warm-training history for the booted cluster")
+		clusterN     = fs.Int("cluster", 0, "boot an in-process N-shard cluster and drive it instead of -server; 0 targets -server")
+		clusterSweep = fs.String("cluster-sweep", "", "comma-separated shard counts (e.g. \"1,2,4\"): run -mode against a fresh cluster per count, one artifact record each")
+		rebalance    = fs.String("rebalance", "", "with -cluster: \"join\" or \"leave\" a shard halfway through the run and report the remap cost")
+		warmDays     = fs.Int("warm-days", 2, "cluster modes: days of warm-training history for the booted cluster")
 
-		findMax  = flag.Bool("find-max", false, "binary-search the max sustainable RPS instead of running -mode")
-		fmStart  = flag.Float64("fm-start", 25, "find-max: starting rate")
-		fmTrial  = flag.Duration("fm-trial", 10*time.Second, "find-max: measured duration per trial")
-		fmMaxRPS = flag.Float64("fm-max-rps", 0, "find-max: rate cap (0 = unbounded, stops on the lag gate)")
+		findMax  = fs.Bool("find-max", false, "binary-search the max sustainable RPS instead of running -mode")
+		fmStart  = fs.Float64("fm-start", 25, "find-max: starting rate")
+		fmTrial  = fs.Duration("fm-trial", 10*time.Second, "find-max: measured duration per trial")
+		fmMaxRPS = fs.Float64("fm-max-rps", 0, "find-max: rate cap (0 = unbounded, stops on the lag gate)")
 
-		gateQ   = flag.Float64("gate-quantile", 0.99, "gate: latency/lag quantile to read")
-		gateLat = flag.Duration("gate-latency", 250*time.Millisecond, "gate: max on-schedule latency at the quantile")
-		gateErr = flag.Float64("gate-errors", 0.01, "gate: max error rate")
-		gateLag = flag.Duration("gate-lag", 50*time.Millisecond, "gate: max generator schedule lag at the quantile")
+		gateQ   = fs.Float64("gate-quantile", 0.99, "gate: latency/lag quantile to read")
+		gateLat = fs.Duration("gate-latency", 250*time.Millisecond, "gate: max on-schedule latency at the quantile")
+		gateErr = fs.Float64("gate-errors", 0.01, "gate: max error rate")
+		gateLag = fs.Duration("gate-lag", 50*time.Millisecond, "gate: max generator schedule lag at the quantile")
 
-		maxLagP99 = flag.Duration("max-lag-p99", 0, "fail (exit 4) when the run's overall lag p99 exceeds this; 0 disables")
+		maxLagP99 = fs.Duration("max-lag-p99", 0, "fail (exit 4) when the run's overall lag p99 exceeds this; 0 disables")
 
-		benchOut    = flag.String("bench-out", "", "write a BENCH_*.json capacity artifact to this file")
-		benchRobust = flag.Bool("bench-robust", false, "record only machine-robust metrics (rates, error rate) in the artifact, omitting latency quantiles — for cross-machine CI gates")
-		compareTo   = flag.String("compare", "", "compare against a baseline BENCH_*.json and fail (exit 3) on regression")
-		tolWall     = flag.Float64("tol-wall", 0.5, "allowed relative wall-time/throughput change for -compare")
-		tolMetric   = flag.Float64("tol-metric", 0.05, "allowed relative metric change for -compare")
-		workload    = flag.String("workload-name", "", "workload label in the artifact; defaults to the profile name")
+		benchOut    = fs.String("bench-out", "", "write a BENCH_*.json capacity artifact to this file")
+		benchRobust = fs.Bool("bench-robust", false, "record only machine-robust metrics (rates, error rate) in the artifact, omitting latency quantiles — for cross-machine CI gates")
+		compareTo   = fs.String("compare", "", "compare against a baseline BENCH_*.json and fail (exit 3) on regression")
+		tolWall     = fs.Float64("tol-wall", 0.5, "allowed relative wall-time/throughput change for -compare")
+		tolMetric   = fs.Float64("tol-metric", 0.05, "allowed relative metric change for -compare")
+		workload    = fs.String("workload-name", "", "workload label in the artifact; defaults to the profile name")
 	)
-	flag.Parse()
-
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	logf := func(format string, args ...any) {
+		fmt.Fprintf(stderr, "loadbench: "+format+"\n", args...)
+	}
+	usage := func(format string, args ...any) int {
+		logf(format, args...)
+		return 2
+	}
 	fail := func(err error) int {
-		fmt.Fprintf(os.Stderr, "loadbench: %v\n", err)
+		logf("%v", err)
 		return 1
 	}
 
@@ -140,9 +152,21 @@ func realMain() int {
 	case "ucbcs":
 		p = tracegen.UCBCS()
 	default:
-		fmt.Fprintf(os.Stderr, "loadbench: unknown profile %q\n", *profile)
-		return 2
+		return usage("unknown profile %q", *profile)
 	}
+	clusterCounts, err := parseClusterCounts(*clusterSweep, *clusterN)
+	if err != nil {
+		return usage("%v", err)
+	}
+	switch {
+	case *rebalance != "" && *rebalance != "join" && *rebalance != "leave":
+		return usage("unknown -rebalance %q: want join or leave", *rebalance)
+	case *rebalance != "" && clusterCounts == nil:
+		return usage("-rebalance needs -cluster N")
+	case *rebalance != "" && (len(clusterCounts) != 1 || *findMax):
+		return usage("-rebalance needs a single -cluster N scenario run")
+	}
+
 	if *pages > 0 {
 		p.Pages = *pages
 	}
@@ -154,28 +178,40 @@ func realMain() int {
 		return fail(err)
 	}
 
-	buildScenario := func() (loadgen.Scenario, error) {
-		var sc loadgen.Scenario
-		switch *mode {
-		case "steady":
-			sc = loadgen.Steady(*rps, *duration, *slotDur)
-		case "sweep":
-			sc = loadgen.Sweep(*sweepStart, *sweepStep, *sweepTarget, *slotDur)
-		case "burst":
-			sc = loadgen.Burst(*rps, *burstMult, *slotDur, *burstShift, *burstCold)
-		case "diurnal":
-			sc = loadgen.Diurnal(*rps, *diSlots, *slotDur)
-		default:
-			return sc, fmt.Errorf("unknown mode %q", *mode)
-		}
-		if *coldShare > 0 {
-			for i := range sc.Slots {
-				if sc.Slots[i].ColdShare == 0 {
-					sc.Slots[i].ColdShare = *coldShare
+	r := &runner{
+		scenario: func() (loadgen.Scenario, error) {
+			var sc loadgen.Scenario
+			switch *mode {
+			case "steady":
+				sc = loadgen.Steady(*rps, *duration, *slotDur)
+			case "sweep":
+				sc = loadgen.Sweep(*sweepStart, *sweepStep, *sweepTarget, *slotDur)
+			case "burst":
+				sc = loadgen.Burst(*rps, *burstMult, *slotDur, *burstShift, *burstCold)
+			case "diurnal":
+				sc = loadgen.Diurnal(*rps, *diSlots, *slotDur)
+			default:
+				return sc, fmt.Errorf("unknown mode %q", *mode)
+			}
+			if *coldShare > 0 {
+				for i := range sc.Slots {
+					if sc.Slots[i].ColdShare == 0 {
+						sc.Slots[i].ColdShare = *coldShare
+					}
 				}
 			}
-		}
-		return sc, nil
+			return sc, nil
+		},
+		findMax: *findMax,
+		fmStart: *fmStart,
+		fmTrial: *fmTrial,
+		gate: loadgen.Gate{
+			Quantile: *gateQ, MaxLatency: *gateLat,
+			MaxErrorRate: *gateErr, MaxLag: *gateLag, MaxRPS: *fmMaxRPS,
+		},
+		robust: *benchRobust,
+		stdout: stdout,
+		stderr: stderr,
 	}
 
 	reg := obs.NewRegistry()
@@ -183,125 +219,94 @@ func realMain() int {
 		mux := obs.NewAdminMux(reg, nil)
 		go func() {
 			if err := http.ListenAndServe(*selfAdmin, mux); err != nil {
-				fmt.Fprintf(os.Stderr, "loadbench: self-admin: %v\n", err)
+				logf("self-admin: %v", err)
 			}
 		}()
 	}
-
-	gen, err := loadgen.New(loadgen.Config{
-		ServerURL: *serverURL,
-		AdminURL:  *adminURL,
-		Site:      site,
-		Profile:   p,
-		Clients:   *clients,
-		Seed:      *seed,
-		Timeout:   *timeout,
-		Obs:       reg,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "loadbench: "+format+"\n", args...)
-		},
-	})
-	if err != nil {
-		return fail(err)
+	newGen := func(url, admin string, reg *obs.Registry) (*loadgen.Generator, error) {
+		return loadgen.New(loadgen.Config{
+			ServerURL: url,
+			AdminURL:  admin,
+			Site:      site,
+			Profile:   p,
+			Clients:   *clients,
+			Seed:      *seed,
+			Timeout:   *timeout,
+			Obs:       reg,
+			Logf:      logf,
+		})
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-
-	gate := loadgen.Gate{
-		Quantile: *gateQ, MaxLatency: *gateLat,
-		MaxErrorRate: *gateErr, MaxLag: *gateLag, MaxRPS: *fmMaxRPS,
-	}
 
 	report := benchreport.New("loadbench", "")
 	wname := *workload
 	if wname == "" {
 		wname = p.Name
 	}
-
-	var overallLag time.Duration
-	clusterCounts, err := parseClusterCounts(*clusterSweep, *clusterN)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "loadbench: %v\n", err)
-		return 2
-	}
-	if clusterCounts != nil {
-		if *rebalance != "" && (len(clusterCounts) != 1 || *findMax) {
-			fmt.Fprintln(os.Stderr, "loadbench: -rebalance needs a single -cluster N scenario run")
-			return 2
+	// lag is the worst schedule-lag reading over every run, for the
+	// -max-lag-p99 gate.
+	var lag time.Duration
+	if clusterCounts == nil {
+		gen, err := newGen(*serverURL, *adminURL, reg)
+		if err != nil {
+			return fail(err)
 		}
-		code := runClusterBench(ctx, clusterOpts{
-			site: site, profile: p, counts: clusterCounts,
-			warmDays: *warmDays, clients: *clients, seed: *seed, timeout: *timeout,
-			scenario: buildScenario, findMax: *findMax, fmStart: *fmStart,
-			fmTrial: *fmTrial, gate: gate, rebalance: *rebalance, mode: *mode,
-			robust: *benchRobust, wname: wname,
-			logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "loadbench: "+format+"\n", args...)
-			},
-		}, report)
+		rec, runLag, code := r.measure(ctx, gen, experimentName(false, *findMax, *mode), wname)
 		if code != 0 {
 			return code
 		}
-	} else {
-		var (
-			runResult  *loadgen.Result
-			fm         *loadgen.FindMaxResult
-			experiment string
-		)
-		m, err := benchreport.Measure(func() error {
-			if *findMax {
-				experiment = "capacity-findmax"
-				var err error
-				fm, err = gen.FindMax(ctx, *fmStart, *fmTrial, gate)
-				return err
-			}
-			experiment = "capacity-" + *mode
-			sc, err := buildScenario()
-			if err != nil {
-				return err
-			}
-			runResult, err = gen.Run(ctx, sc)
-			return err
+		lag = runLag
+		report.Add(rec)
+	}
+	for _, n := range clusterCounts {
+		h, err := loadgen.BootCluster(loadgen.ClusterConfig{
+			Shards:   n,
+			Site:     site,
+			Profile:  p,
+			WarmDays: *warmDays,
+			Obs:      obs.NewRegistry(),
+			Logf:     logf,
 		})
 		if err != nil {
 			return fail(err)
 		}
-
-		rec := benchreport.Record{
-			Experiment:  experiment,
-			Workload:    wname,
-			WallSeconds: m.Wall.Seconds(),
-			AllocBytes:  m.AllocBytes,
-			Metrics:     map[string]float64{},
+		gen, err := newGen(h.URL, "", obs.NewRegistry())
+		if err != nil {
+			h.Close()
+			return fail(err)
 		}
-
-		if fm != nil {
-			printFindMax(fm)
-			rec.Metrics["max_sustainable_rps"] = fm.MaxSustainableRPS
-			for _, t := range fm.Trials {
-				overallLag = maxDur(overallLag, t.Result.Lag.Quantile(0.999))
+		var timer *time.Timer
+		var rebalanced <-chan cluster.RebalanceReport
+		if *rebalance != "" {
+			sc, err := r.scenario()
+			if err != nil {
+				h.Close()
+				return fail(err)
 			}
-			if fm.GeneratorLimited {
-				fmt.Fprintln(os.Stderr, "loadbench: search was GENERATOR-LIMITED: the reported capacity is a lower bound")
-				return 5
-			}
-		} else {
-			printRun(runResult)
-			lat, lag := runResult.Latency(), runResult.Lag()
-			rec.Events = runResult.Completed()
-			if m.Wall > 0 {
-				rec.EventsPerSec = float64(runResult.Completed()) / m.Wall.Seconds()
-			}
-			rec.Metrics["achieved_rps"] = runResult.AchievedRPS()
-			rec.Metrics["error_rate"] = runResult.ErrorRate()
-			if !*benchRobust {
-				rec.Metrics["latency_p50_seconds"] = lat.Quantile(0.50).Seconds()
-				rec.Metrics["latency_p99_seconds"] = lat.Quantile(0.99).Seconds()
-				rec.Metrics["latency_p999_seconds"] = lat.Quantile(0.999).Seconds()
-				rec.Metrics["lag_p99_seconds"] = lag.Quantile(0.99).Seconds()
-			}
-			overallLag = lag.Quantile(0.99)
+			timer, rebalanced = rebalanceHalfway(h.Cluster, *rebalance, sc, logf)
+		}
+		rec, runLag, code := r.measure(ctx, gen, experimentName(true, *findMax, *mode), fmt.Sprintf("%s-shards%d", wname, n))
+		if timer != nil {
+			timer.Stop()
+		}
+		st := h.Cluster.Stats()
+		h.Close()
+		if code != 0 {
+			return code
+		}
+		lag = max(lag, runLag)
+		rec.Metrics["shards"] = float64(n)
+		fmt.Fprintf(stdout, "cluster shards=%d: demand %d, hints issued %d, hint hits %d, reports unmatched %d\n",
+			n, st.DemandRequests, st.HintsIssued, st.HintHits, st.HintReportsUnmatched)
+		select {
+		case rep := <-rebalanced:
+			rec.Metrics["sessions_remapped"] = float64(rep.SessionsRemapped)
+			rec.Metrics["hints_orphaned"] = float64(rep.HintsOrphaned)
+			fmt.Fprintf(stdout, "rebalance %s (shard %d, %d shards after): %d sessions remapped, %d hints orphaned\n",
+				rep.Kind, rep.Shard, rep.ShardsAfter, rep.SessionsRemapped, rep.HintsOrphaned)
+		default:
 		}
 		report.Add(rec)
 	}
@@ -310,7 +315,7 @@ func realMain() int {
 		if err := benchreport.WriteFile(*benchOut, report); err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "loadbench: capacity artifact written to %s\n", *benchOut)
+		logf("capacity artifact written to %s", *benchOut)
 	}
 	if *compareTo != "" {
 		baseline, err := benchreport.ReadFile(*compareTo)
@@ -319,16 +324,15 @@ func realMain() int {
 		}
 		cmp := benchreport.Compare(baseline, report,
 			benchreport.Tolerances{WallTime: *tolWall, Metric: *tolMetric})
-		fmt.Print(cmp)
+		fmt.Fprint(stdout, cmp)
 		if !cmp.OK() {
-			fmt.Fprintf(os.Stderr, "loadbench: %d metrics regressed beyond tolerance vs %s\n",
-				len(cmp.Regressions()), *compareTo)
+			logf("%d metrics regressed beyond tolerance vs %s", len(cmp.Regressions()), *compareTo)
 			return 3
 		}
 	}
-	if *maxLagP99 > 0 && overallLag > *maxLagP99 {
-		fmt.Fprintf(os.Stderr, "loadbench: schedule lag p99 %v exceeds -max-lag-p99 %v: the generator could not hold the schedule\n",
-			overallLag, *maxLagP99)
+	if *maxLagP99 > 0 && lag > *maxLagP99 {
+		logf("schedule lag p99 %v exceeds -max-lag-p99 %v: the generator could not hold the schedule",
+			lag, *maxLagP99)
 		return 4
 	}
 	return 0
@@ -354,184 +358,127 @@ func parseClusterCounts(sweep string, single int) ([]int, error) {
 	return nil, nil
 }
 
-// clusterOpts carries the flag state into the cluster bench loop.
-type clusterOpts struct {
-	site      *tracegen.Site
-	profile   tracegen.Profile
-	counts    []int
-	warmDays  int
-	clients   int
-	seed      int64
-	timeout   time.Duration
-	scenario  func() (loadgen.Scenario, error)
-	findMax   bool
-	fmStart   float64
-	fmTrial   time.Duration
-	gate      loadgen.Gate
-	rebalance string
-	mode      string
-	robust    bool
-	wname     string
-	logf      func(string, ...any)
+// experimentName labels a run's artifact record: a find-max search or
+// a scenario run, against -server or a booted cluster.
+func experimentName(cluster, findMax bool, mode string) string {
+	switch {
+	case findMax && cluster:
+		return "cluster-findmax"
+	case findMax:
+		return "capacity-findmax"
+	case cluster:
+		return "cluster-capacity-" + mode
+	}
+	return "capacity-" + mode
 }
 
-// runClusterBench boots a fresh in-process cluster per shard count,
-// drives the selected scenario (or find-max search) against its
-// router, and appends one record per count — the aggregate capacity
-// curve across cluster sizes. With -rebalance, a shard joins or leaves
-// halfway through the single run and the remap cost lands in the
-// record and on stderr.
-func runClusterBench(ctx context.Context, o clusterOpts, report *benchreport.Report) int {
-	fail := func(err error) int {
-		fmt.Fprintf(os.Stderr, "loadbench: %v\n", err)
-		return 1
-	}
-	for _, n := range o.counts {
-		h, err := loadgen.BootCluster(loadgen.ClusterConfig{
-			Shards:   n,
-			Site:     o.site,
-			Profile:  o.profile,
-			WarmDays: o.warmDays,
-			Obs:      obs.NewRegistry(),
-			Logf:     o.logf,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		gen, err := loadgen.New(loadgen.Config{
-			ServerURL: h.URL,
-			Site:      o.site,
-			Profile:   o.profile,
-			Clients:   o.clients,
-			Seed:      o.seed,
-			Timeout:   o.timeout,
-			Obs:       obs.NewRegistry(),
-			Logf:      o.logf,
-		})
-		if err != nil {
-			h.Close()
-			return fail(err)
-		}
+// runner carries the flag state every measured run shares.
+type runner struct {
+	scenario func() (loadgen.Scenario, error)
+	findMax  bool
+	fmStart  float64
+	fmTrial  time.Duration
+	gate     loadgen.Gate
+	robust   bool
+	stdout   io.Writer
+	stderr   io.Writer
+}
 
-		// Schedule the mid-run rebalance before traffic starts.
-		var rebMu sync.Mutex
-		var rebRep *cluster.RebalanceReport
-		var rebTimer *time.Timer
-		if o.rebalance != "" {
-			sc, err := o.scenario()
-			if err != nil {
-				h.Close()
-				return fail(err)
-			}
-			var total time.Duration
-			for _, s := range sc.Slots {
-				total += s.Duration
-			}
-			clu := h.Cluster
-			rebTimer = time.AfterFunc(total/2, func() {
-				var rep cluster.RebalanceReport
-				var err error
-				switch o.rebalance {
-				case "join":
-					_, rep = clu.AddShard()
-				case "leave":
-					ids := clu.ShardIDs()
-					rep, err = clu.RemoveShard(ids[len(ids)-1])
-				}
-				rebMu.Lock()
-				defer rebMu.Unlock()
-				if err != nil {
-					o.logf("rebalance %s failed: %v", o.rebalance, err)
-					return
-				}
-				rebRep = &rep
-			})
-		}
-
-		var (
-			runResult  *loadgen.Result
-			fm         *loadgen.FindMaxResult
-			experiment string
-		)
-		m, err := benchreport.Measure(func() error {
-			if o.findMax {
-				experiment = "cluster-findmax"
-				var err error
-				fm, err = gen.FindMax(ctx, o.fmStart, o.fmTrial, o.gate)
-				return err
-			}
-			experiment = "cluster-capacity-" + o.mode
-			sc, err := o.scenario()
-			if err != nil {
-				return err
-			}
-			runResult, err = gen.Run(ctx, sc)
+// measure drives one scenario run, or with -find-max one capacity
+// search, against gen, prints its table, and builds its artifact
+// record. lag is the run's schedule-lag reading for the -max-lag-p99
+// gate: the scenario's lag p99, or a search's worst per-trial p999. A
+// nonzero code ends loadbench: 1 when the run failed, 5 when the search
+// was generator-limited.
+func (r *runner) measure(ctx context.Context, gen *loadgen.Generator, experiment, workload string) (rec benchreport.Record, lag time.Duration, code int) {
+	var (
+		res *loadgen.Result
+		fm  *loadgen.FindMaxResult
+	)
+	m, err := benchreport.Measure(func() error {
+		var err error
+		if r.findMax {
+			fm, err = gen.FindMax(ctx, r.fmStart, r.fmTrial, r.gate)
 			return err
-		})
-		if rebTimer != nil {
-			rebTimer.Stop()
 		}
-		st := h.Cluster.Stats()
-		h.Close()
+		sc, err := r.scenario()
 		if err != nil {
-			return fail(err)
+			return err
 		}
-
-		rec := benchreport.Record{
-			Experiment:  experiment,
-			Workload:    fmt.Sprintf("%s-shards%d", o.wname, n),
-			WallSeconds: m.Wall.Seconds(),
-			AllocBytes:  m.AllocBytes,
-			Metrics:     map[string]float64{"shards": float64(n)},
-		}
-		if fm != nil {
-			printFindMax(fm)
-			rec.Metrics["max_sustainable_rps"] = fm.MaxSustainableRPS
-			if fm.GeneratorLimited {
-				fmt.Fprintln(os.Stderr, "loadbench: search was GENERATOR-LIMITED: the reported capacity is a lower bound")
-				return 5
-			}
-		} else {
-			printRun(runResult)
-			lat, lag := runResult.Latency(), runResult.Lag()
-			rec.Events = runResult.Completed()
-			if m.Wall > 0 {
-				rec.EventsPerSec = float64(runResult.Completed()) / m.Wall.Seconds()
-			}
-			rec.Metrics["achieved_rps"] = runResult.AchievedRPS()
-			rec.Metrics["error_rate"] = runResult.ErrorRate()
-			if !o.robust {
-				rec.Metrics["latency_p50_seconds"] = lat.Quantile(0.50).Seconds()
-				rec.Metrics["latency_p99_seconds"] = lat.Quantile(0.99).Seconds()
-				rec.Metrics["latency_p999_seconds"] = lat.Quantile(0.999).Seconds()
-				rec.Metrics["lag_p99_seconds"] = lag.Quantile(0.99).Seconds()
-			}
-		}
-		fmt.Printf("cluster shards=%d: demand %d, hints issued %d, hint hits %d, reports unmatched %d\n",
-			n, st.DemandRequests, st.HintsIssued, st.HintHits, st.HintReportsUnmatched)
-		rebMu.Lock()
-		if rebRep != nil {
-			rec.Metrics["sessions_remapped"] = float64(rebRep.SessionsRemapped)
-			rec.Metrics["hints_orphaned"] = float64(rebRep.HintsOrphaned)
-			fmt.Printf("rebalance %s (shard %d, %d shards after): %d sessions remapped, %d hints orphaned\n",
-				rebRep.Kind, rebRep.Shard, rebRep.ShardsAfter, rebRep.SessionsRemapped, rebRep.HintsOrphaned)
-		}
-		rebMu.Unlock()
-		report.Add(rec)
+		res, err = gen.Run(ctx, sc)
+		return err
+	})
+	if err != nil {
+		fmt.Fprintf(r.stderr, "loadbench: %v\n", err)
+		return rec, 0, 1
 	}
-	return 0
+
+	rec = benchreport.Record{
+		Experiment:  experiment,
+		Workload:    workload,
+		WallSeconds: m.Wall.Seconds(),
+		AllocBytes:  m.AllocBytes,
+		Metrics:     map[string]float64{},
+	}
+	if fm != nil {
+		printFindMax(r.stdout, fm)
+		rec.Metrics["max_sustainable_rps"] = fm.MaxSustainableRPS
+		for _, t := range fm.Trials {
+			lag = max(lag, t.Result.Lag.Quantile(0.999))
+		}
+		if fm.GeneratorLimited {
+			fmt.Fprintln(r.stderr, "loadbench: search was GENERATOR-LIMITED: the reported capacity is a lower bound")
+			return rec, lag, 5
+		}
+		return rec, lag, 0
+	}
+	printRun(r.stdout, res)
+	latency := res.Latency()
+	lag = res.Lag().Quantile(0.99)
+	rec.Events = res.Completed()
+	if m.Wall > 0 {
+		rec.EventsPerSec = float64(res.Completed()) / m.Wall.Seconds()
+	}
+	rec.Metrics["achieved_rps"] = res.AchievedRPS()
+	rec.Metrics["error_rate"] = res.ErrorRate()
+	if !r.robust {
+		rec.Metrics["latency_p50_seconds"] = latency.Quantile(0.50).Seconds()
+		rec.Metrics["latency_p99_seconds"] = latency.Quantile(0.99).Seconds()
+		rec.Metrics["latency_p999_seconds"] = latency.Quantile(0.999).Seconds()
+		rec.Metrics["lag_p99_seconds"] = lag.Seconds()
+	}
+	return rec, lag, 0
 }
 
-func maxDur(a, b time.Duration) time.Duration {
-	if b > a {
-		return b
+// rebalanceHalfway joins ("join") or removes ("leave") one shard of
+// clu halfway through sc and delivers the cost on the returned channel;
+// a failed change is logged and delivers nothing.
+func rebalanceHalfway(clu *cluster.Cluster, kind string, sc loadgen.Scenario, logf func(string, ...any)) (*time.Timer, <-chan cluster.RebalanceReport) {
+	var total time.Duration
+	for _, s := range sc.Slots {
+		total += s.Duration
 	}
-	return a
+	done := make(chan cluster.RebalanceReport, 1)
+	return time.AfterFunc(total/2, func() {
+		var rep cluster.RebalanceReport
+		var err error
+		if kind == "join" {
+			_, rep, err = clu.AddShard()
+		} else {
+			ids := clu.ShardIDs()
+			rep, err = clu.RemoveShard(ids[len(ids)-1])
+		}
+		if err != nil {
+			logf("rebalance %s failed: %v", kind, err)
+			return
+		}
+		done <- rep
+	}), done
 }
 
 // printRun renders the per-slot table: the latency staircase a sweep
 // produces is the capacity story at a glance.
-func printRun(res *loadgen.Result) {
+func printRun(w io.Writer, res *loadgen.Result) {
 	tb := &metrics.Table{
 		Title: fmt.Sprintf("Open-loop load: %s scenario", res.Scenario),
 		Headers: []string{"slot", "target", "achieved", "disp", "ok", "err",
@@ -555,14 +502,14 @@ func printRun(res *loadgen.Result) {
 			fmtDur(s.Lag.Quantile(0.99)),
 			slo)
 	}
-	fmt.Print(tb)
-	fmt.Printf("overall: %.4g rps achieved, %d/%d ok, error rate %.4f, latency p99 %v, lag p99 %v\n",
+	fmt.Fprint(w, tb)
+	fmt.Fprintf(w, "overall: %.4g rps achieved, %d/%d ok, error rate %.4f, latency p99 %v, lag p99 %v\n",
 		res.AchievedRPS(), res.Completed(), res.Dispatched(), res.ErrorRate(),
 		fmtDurD(res.Latency().Quantile(0.99)), fmtDurD(res.Lag().Quantile(0.99)))
 }
 
 // printFindMax renders the trial ladder and the headline capacity.
-func printFindMax(fm *loadgen.FindMaxResult) {
+func printFindMax(w io.Writer, fm *loadgen.FindMaxResult) {
 	tb := &metrics.Table{
 		Title:   "Max-sustainable-RPS search",
 		Headers: []string{"trial", "rps", "verdict", "achieved", "err rate", "p99", "reason"},
@@ -580,7 +527,7 @@ func printFindMax(fm *loadgen.FindMaxResult) {
 			fmtDur(t.Result.Latency.Quantile(0.99)),
 			t.Reason)
 	}
-	fmt.Print(tb)
+	fmt.Fprint(w, tb)
 	note := ""
 	if fm.CeilingReached {
 		note = " (search ceiling: true capacity is at least this)"
@@ -588,7 +535,7 @@ func printFindMax(fm *loadgen.FindMaxResult) {
 	if fm.GeneratorLimited {
 		note = " (generator-limited: true capacity is at least this)"
 	}
-	fmt.Printf("max_sustainable_rps: %.4g%s\n", fm.MaxSustainableRPS, note)
+	fmt.Fprintf(w, "max_sustainable_rps: %.4g%s\n", fm.MaxSustainableRPS, note)
 }
 
 func fmtDur(d time.Duration) string { return fmtDurD(d).String() }

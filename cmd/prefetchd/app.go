@@ -14,6 +14,7 @@ import (
 
 	"pbppm/internal/cluster"
 	"pbppm/internal/core"
+	"pbppm/internal/loadgen"
 	"pbppm/internal/maintain"
 	"pbppm/internal/markov"
 	"pbppm/internal/obs"
@@ -30,7 +31,6 @@ type appConfig struct {
 	addr        string
 	adminAddr   string
 	profileName string
-	rebuild     time.Duration
 	deltaEvery  time.Duration
 	compactNear time.Duration
 	traceSample int
@@ -50,8 +50,8 @@ type appConfig struct {
 	// maxHints overrides the per-response hint cap when positive.
 	maxHints int
 	// shards > 1 serves through an in-process consistent-hash cluster
-	// (internal/cluster): a router tier hashing client identity onto
-	// that many shard servers, each holding the replicated model.
+	// (internal/cluster): a router hashing client identity onto that
+	// many shard servers, each holding the replicated model.
 	shards int
 	// routerAddr names a trusted upstream router host. In single-server
 	// mode the server honors X-Client-ID only from this peer; in
@@ -141,6 +141,9 @@ func newApp(cfg appConfig, logger *slog.Logger) (*app, error) {
 	if cfg.warmDays <= 0 {
 		cfg.warmDays = 3
 	}
+	if cfg.compactNear <= 0 {
+		return nil, fmt.Errorf("-compact-interval must be positive, got %v", cfg.compactNear)
+	}
 	a := &app{cfg: cfg, log: obs.Component(logger, "prefetchd")}
 
 	var p tracegen.Profile
@@ -164,7 +167,7 @@ func newApp(cfg appConfig, logger *slog.Logger) (*app, error) {
 	if err != nil {
 		return nil, fmt.Errorf("building site: %w", err)
 	}
-	store := storeFromSite(site)
+	store := loadgen.StoreFromSite(site)
 	a.pages = len(site.Pages)
 
 	// Warm-start: train on a generated history of the same site. A
@@ -403,7 +406,7 @@ func (a *app) run(ctx context.Context) error {
 	a.log.Info("serving", "pages", a.pages, "addr", a.webLn.Addr().String(),
 		"profile", a.profile.Name, "shards", shards,
 		"delta_interval", a.cfg.deltaEvery,
-		"compact_interval", a.cfg.compactNear, "rebuild", a.cfg.rebuild)
+		"compact_interval", a.cfg.compactNear)
 	if a.adminLn != nil {
 		go func() { errs <- a.admin.Serve(a.adminLn) }()
 		a.log.Info("admin listening", "addr", a.adminLn.Addr().String())
@@ -467,12 +470,12 @@ func (a *app) logFinal() {
 	}
 }
 
-// maintLoop runs model maintenance until ctx is cancelled. With
-// delta-interval > 0 it runs the incremental schedule (delta merges
-// every delta, compactions every compact); otherwise the legacy
-// rebuild-only loop. Published models reach the server through
+// maintLoop runs model maintenance until ctx is cancelled: delta
+// merges every delta interval, compactions every compact interval (see
+// maintain.Maintainer.Run). Published models reach the server through
 // maintain.Config.OnPublish. Client-context expiry runs on its own
-// ticker so session trimming never waits behind a long compaction.
+// ticker, every delta interval or, without deltas, every compact
+// interval, so session trimming never waits behind a long compaction.
 func (a *app) maintLoop(ctx context.Context) {
 	stop := make(chan struct{})
 	go func() {
@@ -482,7 +485,7 @@ func (a *app) maintLoop(ctx context.Context) {
 
 	expireEvery := a.cfg.deltaEvery
 	if expireEvery <= 0 {
-		expireEvery = a.cfg.rebuild
+		expireEvery = a.cfg.compactNear
 	}
 	go func() {
 		ticker := time.NewTicker(expireEvery)
@@ -503,11 +506,7 @@ func (a *app) maintLoop(ctx context.Context) {
 		a.fol.Run(ctx)
 		return
 	}
-	if a.cfg.deltaEvery > 0 {
-		a.maint.RunIncremental(a.cfg.deltaEvery, a.cfg.compactNear, stop)
-		return
-	}
-	a.maint.Run(a.cfg.rebuild, stop)
+	a.maint.Run(a.cfg.deltaEvery, a.cfg.compactNear, stop)
 }
 
 // writeStats renders the plain-text stats snapshot for /debug/stats.
@@ -516,24 +515,4 @@ func writeStats(w http.ResponseWriter, st server.Stats, rebuilds, deltaMerges in
 		st.DemandRequests, st.PrefetchRequests, st.NotFound,
 		st.HintsIssued, st.HintFetches, st.HintHits,
 		st.SessionsStarted, rebuilds, deltaMerges)
-}
-
-// storeFromSite materializes synthetic bodies for every page and image.
-func storeFromSite(site *tracegen.Site) server.MapStore {
-	store := server.MapStore{}
-	for _, pg := range site.Pages {
-		store[pg.URL] = server.Document{
-			URL:         pg.URL,
-			Body:        make([]byte, pg.Size),
-			ContentType: "text/html; charset=utf-8",
-		}
-		for _, img := range pg.Images {
-			store[img.URL] = server.Document{
-				URL:         img.URL,
-				Body:        make([]byte, img.Size),
-				ContentType: "image/gif",
-			}
-		}
-	}
-	return store
 }

@@ -4,15 +4,15 @@
 // learning from live traffic. Maintenance is incremental: sessions
 // observed since the last update are delta-merged into the live model
 // every -delta-interval, and a full compaction (window trim, popularity
-// re-ranking, from-scratch retrain) runs every -compact-interval. The
-// legacy -rebuild flag still selects a rebuild-only loop when the
-// incremental intervals are zeroed.
+// re-ranking, from-scratch retrain) runs every -compact-interval.
+// -delta-interval 0 (or one not shorter than -compact-interval) leaves
+// compactions only.
 //
 // Usage:
 //
 //	prefetchd [-addr :8080] [-admin-addr :8081] [-profile nasa|ucbcs]
 //	          [-delta-interval 1m] [-compact-interval 30m]
-//	          [-rebuild 10m] [-trace-sample N] [-log-level info]
+//	          [-trace-sample N] [-log-level info]
 //	          [-slo "name=...,kind=...,target=..."] [-slo-file path]
 //	          [-live-window 5m] [-warm-days 3]
 //	          [-pages N] [-sessions-per-day N] [-max-hints N]
@@ -25,14 +25,16 @@
 // site).
 //
 // -shards N (N > 1) serves through an in-process consistent-hash
-// cluster: a router hashes each request's client identity onto one of
-// N shard servers, every shard holds the replicated frozen model, and
-// published model updates fan out to all shards. Per-shard metrics are
-// exposed on the admin listener at /debug/shard/<id>/metrics; the
-// process-level /metrics carries the routing-tier series
-// (pbppm_shard_requests_total, pbppm_cluster_*). -router-addr names
-// the one upstream host allowed to assert X-Client-ID (an outer load
-// balancer or a standalone router); unset, any peer may assert it.
+// cluster (internal/cluster): a router hashes each request's client
+// identity onto one of N shard servers and hands the request to the
+// owner with the identity as an argument, every shard holds the
+// replicated frozen model, and published model updates fan out to all
+// shards. Per-shard metrics are exposed on the admin listener at
+// /debug/shard/<id>/metrics; the process-level /metrics carries the
+// routing-tier series (pbppm_shard_requests_total, pbppm_cluster_*).
+// -router-addr names the one upstream host allowed to assert
+// X-Client-ID (an outer load balancer, or a cmd/prefetchrouter in
+// front of this process); unset, any peer may assert it.
 //
 // Multi-process topologies distribute the model over the snapshot
 // channel. The training process (the publisher) serves its current
@@ -81,9 +83,8 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":8080", "serving listen address")
 	flag.StringVar(&cfg.adminAddr, "admin-addr", ":8081", "admin listen address for /metrics, /healthz, /debug; empty disables")
 	flag.StringVar(&cfg.profileName, "profile", "nasa", "site profile: nasa or ucbcs")
-	flag.DurationVar(&cfg.rebuild, "rebuild", 10*time.Minute, "legacy rebuild-only interval, used when -delta-interval is 0")
-	flag.DurationVar(&cfg.deltaEvery, "delta-interval", time.Minute, "incremental delta-merge interval (0 disables incremental maintenance)")
-	flag.DurationVar(&cfg.compactNear, "compact-interval", 30*time.Minute, "full compaction interval for incremental maintenance")
+	flag.DurationVar(&cfg.deltaEvery, "delta-interval", time.Minute, "incremental delta-merge interval (0, or not below -compact-interval, disables delta merges)")
+	flag.DurationVar(&cfg.compactNear, "compact-interval", 30*time.Minute, "full compaction (rebuild) interval")
 	flag.IntVar(&cfg.traceSample, "trace-sample", 0, "sample 1 in N demand requests for predict-path tracing (0 = off)")
 	flag.StringVar(&cfg.slo, "slo", defaultSLO, "service objectives: ';'-separated key=value lists (kind=latency|precision|hit_ratio)")
 	flag.StringVar(&cfg.sloFile, "slo-file", "", "file of objectives, one per line, same grammar as -slo; overrides -slo")

@@ -41,7 +41,6 @@ func testConfig() appConfig {
 		addr:        "127.0.0.1:0",
 		adminAddr:   "127.0.0.1:0",
 		profileName: "nasa",
-		rebuild:     time.Minute,
 		deltaEvery:  50 * time.Millisecond,
 		compactNear: time.Minute,
 		traceSample: 1,
@@ -443,5 +442,17 @@ func TestSnapshotFollowerMode(t *testing.T) {
 	}
 	if !strings.Contains(folLog.String(), "snapshot follower mode") {
 		t.Error("follower log missing mode line")
+	}
+}
+
+// The maintenance loop compacts every -compact-interval, so newApp
+// refuses a non-positive one before building anything.
+func TestNewAppRejectsNonPositiveCompactInterval(t *testing.T) {
+	for _, d := range []time.Duration{0, -time.Second} {
+		cfg := testConfig()
+		cfg.compactNear = d
+		if _, err := newApp(cfg, obs.Discard()); err == nil || !strings.Contains(err.Error(), "-compact-interval") {
+			t.Errorf("compact interval %v: newApp returned %v, want a -compact-interval error", d, err)
+		}
 	}
 }

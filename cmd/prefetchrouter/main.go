@@ -1,11 +1,13 @@
-// Command prefetchrouter runs the standalone routing tier for a
-// multi-process prefetching cluster: it consistent-hashes each
-// request's client identity onto a fixed set of prefetchd shard
-// backends and reverse-proxies the request to the owner, stamping the
-// resolved identity so shards booted with -router-addr pointing at
-// this host can trust it. Shards keep their models in sync through the
-// snapshot-distribution channel (prefetchd -snapshot-addr), not
-// through the router — the router carries only request traffic.
+// Command prefetchrouter runs the routing tier of a multi-process
+// prefetching cluster: the same cluster.Cluster that prefetchd -shards
+// runs in process, with a fixed set of prefetchd backends as its ring
+// members. It consistent-hashes each request's client identity onto
+// a backend and reverse-proxies the request to it, stamping the
+// resolved identity on the forwarded copy so shards booted with
+// -router-addr pointing at this host can trust it. Shards keep their
+// models in sync through the snapshot-distribution channel (prefetchd
+// -snapshot-addr), not through the router — the router carries only
+// request traffic.
 //
 // Usage:
 //
@@ -87,7 +89,7 @@ func run(ctx context.Context, addr, adminAddr, backends string, replicas int, tr
 	}
 
 	reg := obs.NewRegistry()
-	rt, err := cluster.NewRouter(cluster.RouterConfig{
+	rt, err := cluster.New(cluster.Config{
 		Backends:     backendList,
 		Replicas:     replicas,
 		TrustedPeers: splitList(trustedPeers),

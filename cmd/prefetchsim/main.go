@@ -185,7 +185,7 @@ func realMain() int {
 	tb.AddRow("popular share of prefetch hits", metrics.Pct(res.PopularShareOfPrefetchHits()))
 	tb.AddRow("path utilization", metrics.Pct(res.Utilization))
 	tb.AddRow("latency p50/p95",
-		fmt.Sprintf("%v / %v", res.Latencies.Percentile(50), res.Latencies.Percentile(95)))
+		fmt.Sprintf("%v / %v", res.Latencies.Quantile(0.50), res.Latencies.Quantile(0.95)))
 	tb.AddRow("train time", trainTime.Round(time.Millisecond).String())
 	tb.AddRow("replay time", simTime.Round(time.Millisecond).String())
 	fmt.Print(tb.String())

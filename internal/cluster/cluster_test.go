@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -152,9 +154,8 @@ func TestRingSpreadsSequentialIdentities(t *testing.T) {
 
 // --- routing and identity --------------------------------------------
 
-// The router resolves identity once and stamps it on the trusted hop;
-// shards trust only the router, so each client's context lives whole on
-// its ring owner and a forged header cannot cross shards.
+// The router resolves identity once and hands it to the ring owner, so
+// each client's context lives whole on one shard.
 func TestClusterRoutesByClientIdentity(t *testing.T) {
 	c, err := New(Config{Shards: 4, Store: testStore()})
 	if err != nil {
@@ -191,9 +192,8 @@ func TestClusterRoutesByClientIdentity(t *testing.T) {
 	}
 }
 
-// End to end over real sockets: the shard sees the router's stamp, not
-// whatever the client put on the wire, because the shard trusts only
-// the RouterPeer hop.
+// End to end over real sockets: the identity the router resolves from
+// the wire is the one the owning shard keeps the session under.
 func TestClusterIdentityStampOverHTTP(t *testing.T) {
 	c, err := New(Config{Shards: 2, Store: testStore()})
 	if err != nil {
@@ -241,7 +241,10 @@ func TestPredictorFanOutAndCatchUp(t *testing.T) {
 		}
 	}
 
-	id, _ := c.AddShard()
+	id, _, err := c.AddShard()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 64; i++ {
 		get(t, c, "/home", "1.2.3.4:1", fmt.Sprintf("late%d", i))
 	}
@@ -277,7 +280,9 @@ func TestClusterInstallsOneSnapshotOnEveryShard(t *testing.T) {
 		return first
 	}
 	built := shared("New")
-	c.AddShard()
+	if _, _, err := c.AddShard(); err != nil {
+		t.Fatal(err)
+	}
 	if shared("join") != built {
 		t.Fatal("a joining shard did not get the published snapshot")
 	}
@@ -318,7 +323,10 @@ func TestRebalanceReportAndUnmatchedHitReports(t *testing.T) {
 		}
 	}
 
-	newID, rep := c.AddShard()
+	newID, rep, err := c.AddShard()
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantRemapped, wantOrphaned := 0, 0
 	var movedClient string
 	for id, before := range ownersBefore {
@@ -631,11 +639,12 @@ func TestClusterSmoke(t *testing.T) {
 	}
 }
 
-// --- standalone HTTP router ------------------------------------------
+// --- remote backends -------------------------------------------------
 
-// The standalone Router proxies to shard processes over HTTP, stamping
-// the resolved identity; shards configured to trust the router's host
-// honor the stamp even though every connection shares one peer address.
+// A cluster of remote backends proxies to shard processes over HTTP,
+// stamping the resolved identity; shards configured to trust the
+// router's host honor the stamp even though every connection shares one
+// peer address.
 func TestRouterProxiesToHTTPBackends(t *testing.T) {
 	// Shards trust the loopback host the proxy connects from.
 	shards := make([]*server.Server, 2)
@@ -646,7 +655,7 @@ func TestRouterProxiesToHTTPBackends(t *testing.T) {
 		defer ts.Close()
 		backends[i] = ts.URL
 	}
-	rt, err := NewRouter(RouterConfig{Backends: backends})
+	rt, err := New(Config{Backends: backends})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -670,7 +679,7 @@ func TestRouterProxiesToHTTPBackends(t *testing.T) {
 	for i, sh := range shards {
 		sessions := sh.OpenSessions()
 		for _, os := range sessions {
-			owner, _ := rt.ring.owner(os.Client)
+			owner, _ := rt.Owner(os.Client)
 			if owner != i {
 				t.Errorf("%s landed on backend %d, ring owner %d", os.Client, i, owner)
 			}
@@ -681,10 +690,184 @@ func TestRouterProxiesToHTTPBackends(t *testing.T) {
 		t.Errorf("distinct sessions = %d, want %d", total, len(clients))
 	}
 
-	if _, err := NewRouter(RouterConfig{}); err == nil {
+	if _, err := New(Config{}); err == nil {
 		t.Error("router with no backends must error")
 	}
-	if _, err := NewRouter(RouterConfig{Backends: []string{"::bad::"}}); err == nil {
+	if _, err := New(Config{Backends: []string{"::bad::"}}); err == nil {
 		t.Error("bad backend URL must error")
+	}
+}
+
+// New refuses a config without shards or store, and one that mixes
+// remote backends with in-process shards or a store. Membership
+// changes that only an in-process cluster supports are refused on a
+// cluster of remote backends.
+func TestNewRejectsBadConfig(t *testing.T) {
+	const backend = "http://127.0.0.1:1"
+	for name, cfg := range map[string]Config{
+		"no shards":         {Store: testStore()},
+		"no store":          {Shards: 1},
+		"bad backend":       {Backends: []string{"::bad::"}},
+		"backends + shards": {Backends: []string{backend}, Shards: 1},
+		"backends + store":  {Backends: []string{backend}, Store: testStore()},
+	} {
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: New accepted %+v", name, cfg)
+		}
+	}
+
+	c, err := New(Config{Backends: []string{backend}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.AddShard(); err == nil {
+		t.Error("AddShard on remote backends must be refused")
+	}
+	if _, err := c.RemoveShard(0); err == nil {
+		t.Error("RemoveShard of a remote backend must be refused")
+	}
+	if c.Shard(0) != nil || c.ShardRegistry(0) != nil {
+		t.Error("a remote backend must not resolve as an in-process shard")
+	}
+}
+
+// The in-process hop resolves the identity, reads the routing table
+// and calls the owner with the identity as an argument: a demand
+// request through the cluster allocates exactly what the owning
+// shard's own ServeHTTP allocates.
+func TestClusterHopAddsNoAllocations(t *testing.T) {
+	c, err := New(Config{
+		Shards:      2,
+		Store:       testStore(),
+		ShardConfig: server.Config{Predictor: trainedModel(), Grades: testGrades()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, _ := c.Owner("alice")
+	shard := c.Shard(owner)
+
+	urls := []string{"/home", "/news", "/news/today"}
+	req := httptest.NewRequest(http.MethodGet, urls[0], nil)
+	req.RemoteAddr = "203.0.113.7:1234"
+	req.Header.Set(server.HeaderClientID, "alice")
+	allocs := func(h http.Handler) float64 {
+		i := 0
+		return testing.AllocsPerRun(300, func() {
+			req.URL.Path = urls[i%len(urls)]
+			i++
+			h.ServeHTTP(httptest.NewRecorder(), req)
+		})
+	}
+	direct := allocs(shard)
+	if hop := allocs(c); hop != direct {
+		t.Errorf("cluster hop: %v allocs/op, owning shard's ServeHTTP: %v", hop, direct)
+	}
+	if st := shard.Stats(); st.DemandRequests == 0 || st.HintsIssued == 0 {
+		t.Fatalf("owner served %+v; the measured path must issue hints", st)
+	}
+}
+
+// Clients keep requesting while shards join and leave. Every request
+// is answered, and the books balance across the membership changes:
+// the demand counts of every shard that was ever on the ring, and the
+// router's per-shard request counters, each sum to the requests sent.
+func TestRoutingUnderMembershipChange(t *testing.T) {
+	reg := obs.NewRegistry()
+	c, err := New(Config{
+		Shards:      2,
+		Store:       testStore(),
+		ShardConfig: server.Config{Predictor: trainedModel(), Grades: testGrades()},
+		Obs:         reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := map[int]*server.Server{}
+	for _, id := range c.ShardIDs() {
+		shards[id] = c.Shard(id)
+	}
+
+	const clients, cycles = 6, 20
+	urls := []string{"/home", "/news", "/news/today", "/sports", "/blog"}
+	var sent, failures atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for k := 0; ; k++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				req := httptest.NewRequest(http.MethodGet, urls[k%len(urls)], nil)
+				req.Header.Set(server.HeaderClientID, fmt.Sprintf("churn-%d", i))
+				rec := httptest.NewRecorder()
+				c.ServeHTTP(rec, req)
+				sent.Add(1)
+				if rec.Code != http.StatusOK {
+					failures.Add(1)
+				}
+			}
+		}(i)
+	}
+
+	// Alternate joins and leaves, with a further `clients` requests sent
+	// after each change; each leave takes the oldest shard, so the
+	// starting shards go too.
+	traffic := func() {
+		for n := sent.Load() + clients; sent.Load() < n; {
+			runtime.Gosched()
+		}
+	}
+	for n := 0; n < cycles; n++ {
+		id, _, err := c.AddShard()
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[id] = c.Shard(id)
+		traffic()
+		if _, err := c.RemoveShard(c.ShardIDs()[0]); err != nil {
+			t.Fatal(err)
+		}
+		traffic()
+	}
+	close(done)
+	wg.Wait()
+
+	total := sent.Load()
+	if total == 0 || failures.Load() != 0 {
+		t.Fatalf("%d of %d requests failed", failures.Load(), total)
+	}
+	var demand int64
+	for _, srv := range shards {
+		demand += srv.Stats().DemandRequests
+	}
+	if demand != total {
+		t.Errorf("DemandRequests over every shard = %d, want %d sent", demand, total)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var routed int64
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if strings.HasPrefix(line, "pbppm_shard_requests_total{") {
+			f := strings.Fields(line)
+			n, err := strconv.ParseInt(f[len(f)-1], 10, 64)
+			if err != nil {
+				t.Fatalf("bad exposition line %q", line)
+			}
+			routed += n
+		}
+	}
+	if routed != total {
+		t.Errorf("pbppm_shard_requests_total sums to %d, want %d sent", routed, total)
+	}
+	if got := len(c.ShardIDs()); got != 2 {
+		t.Errorf("%d shards after %d join/leave cycles, want 2", got, cycles)
 	}
 }

@@ -100,8 +100,8 @@ func trainedPublisher(t *testing.T, base time.Time) *maintain.Maintainer {
 
 // TestDistributedEquivalenceWithInProcessCluster is the PR's
 // acceptance-criteria test: an in-process cluster and a
-// separate-process topology — shard servers behind the standalone
-// HTTP Router, each fed the model and popularity ranking through the
+// separate-process topology — shard servers behind a cluster of
+// remote backends, each fed the model and popularity ranking through the
 // snapshot-distribution channel instead of sharing memory — must
 // produce identical integer hint accounting (issued, fetched, hit,
 // wasted), identical quality snapshots, and identical grade labels on
@@ -189,7 +189,7 @@ func TestDistributedEquivalenceWithInProcessCluster(t *testing.T) {
 			backends[i] = shardTS.URL
 		}
 
-		rt, err := NewRouter(RouterConfig{Backends: backends})
+		rt, err := New(Config{Backends: backends})
 		if err != nil {
 			t.Fatal(err)
 		}

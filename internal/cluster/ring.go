@@ -12,8 +12,9 @@ import (
 // owner (~1/N of them), which is what keeps a shard join or leave from
 // resharding every client's session at once.
 //
-// The ring is immutable once built; the Cluster swaps whole rings on
-// membership changes, so the routing hot path reads it without locks.
+// The ring is immutable once built. It lives in the Cluster's routing
+// table, which a membership change rebuilds and swaps through an
+// atomic pointer, so the routing hot path reads it without locks.
 type ring struct {
 	points []ringPoint // sorted by hash
 }

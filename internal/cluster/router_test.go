@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ import (
 	"pbppm/internal/server"
 )
 
-// TestRouterDeadBackendAnswers502 pins the Router's failure behaviour
+// TestRouterDeadBackendAnswers502 pins the router's failure behaviour
 // when a shard process is down: the reverse proxy's round trip fails,
 // and instead of the default handler's bare, uncounted 502 the router
 // must answer a well-formed 502 naming the shard, count the failure per
@@ -29,7 +30,7 @@ func TestRouterDeadBackendAnswers502(t *testing.T) {
 	deadTS.Close()
 
 	reg := obs.NewRegistry()
-	rt, err := NewRouter(RouterConfig{
+	rt, err := New(Config{
 		Backends: []string{liveTS.URL, deadURL},
 		Obs:      reg,
 	})
@@ -44,7 +45,7 @@ func TestRouterDeadBackendAnswers502(t *testing.T) {
 	ownedBy := map[int]string{}
 	for i := 0; len(ownedBy) < 2 && i < 256; i++ {
 		client := "client-" + strconv.Itoa(i)
-		if id, ok := rt.ring.owner(client); ok {
+		if id, ok := rt.Owner(client); ok {
 			if _, seen := ownedBy[id]; !seen {
 				ownedBy[id] = client
 			}
@@ -104,5 +105,41 @@ func TestRouterDeadBackendAnswers502(t *testing.T) {
 	}
 	if strings.Contains(expo, `pbppm_cluster_backend_errors_total{shard="0"} 1`) {
 		t.Error("live shard counted a backend failure")
+	}
+}
+
+// The reverse proxy stamps the routed identity on its own outbound copy
+// of the request; the inbound request handed to ServeHTTP keeps its
+// headers, as the http.Handler contract requires. The client here is
+// an untrusted peer forging X-Client-ID, so the identity the backend
+// sees is the router's resolution (the peer's host), not the forgery.
+// Naming the header hop-by-hop in Connection does not strip the stamp:
+// it is set after the proxy drops hop-by-hop headers.
+func TestRemoteMemberStampsOutboundCopy(t *testing.T) {
+	seen := make(chan string, 1)
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen <- r.Header.Get(server.HeaderClientID)
+	}))
+	defer backend.Close()
+	c, err := New(Config{Backends: []string{backend.URL}, TrustedPeers: []string{"10.0.0.1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	req := httptest.NewRequest(http.MethodGet, "/home", nil)
+	req.RemoteAddr = "203.0.113.9:4000"
+	req.Header.Set(server.HeaderClientID, "mallory")
+	req.Header.Set("Connection", server.HeaderClientID)
+	before := req.Header.Clone()
+	rec := httptest.NewRecorder()
+	c.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d", rec.Code)
+	}
+	if got := <-seen; got != "203.0.113.9" {
+		t.Errorf("backend saw identity %q, want the router's resolution 203.0.113.9", got)
+	}
+	if !reflect.DeepEqual(req.Header, before) {
+		t.Errorf("inbound headers changed: %v, were %v", req.Header, before)
 	}
 }

@@ -65,7 +65,7 @@ func TestBootClusterServesGeneratorTraffic(t *testing.T) {
 	}
 
 	// A join while sessions are open reports the remap cost.
-	if _, rep := h.Cluster.AddShard(); rep.Kind != "join" || rep.ShardsAfter != 3 {
+	if _, rep, err := h.Cluster.AddShard(); err != nil || rep.Kind != "join" || rep.ShardsAfter != 3 {
 		t.Errorf("rebalance report = %+v", rep)
 	}
 }

@@ -241,7 +241,7 @@ func TestPanickingFactoryKeepsPreviousSnapshot(t *testing.T) {
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		m.Run(2*time.Millisecond, stop)
+		m.Run(0, 2*time.Millisecond, stop)
 		close(done)
 	}()
 	deadline := time.After(2 * time.Second)
@@ -450,7 +450,7 @@ func TestRunIncrementalSchedulesBothPaths(t *testing.T) {
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		m.RunIncremental(3*time.Millisecond, 40*time.Millisecond, stop)
+		m.Run(3*time.Millisecond, 40*time.Millisecond, stop)
 		close(done)
 	}()
 	deadline := time.After(5 * time.Second)

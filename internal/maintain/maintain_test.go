@@ -248,7 +248,7 @@ func TestRunLoop(t *testing.T) {
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		m.Run(5*time.Millisecond, stop)
+		m.Run(0, 5*time.Millisecond, stop)
 		close(done)
 	}()
 	deadline := time.After(2 * time.Second)

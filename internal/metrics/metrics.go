@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"pbppm/internal/obs"
 )
 
 // Result accumulates the outcome of one simulation run.
@@ -48,8 +50,9 @@ type Result struct {
 	// requests.
 	TotalLatency time.Duration
 	// Latencies is the per-request latency histogram, for percentile
-	// reporting.
-	Latencies LatencyHistogram
+	// reporting, over the live server's bucket bounds
+	// (obs.DefaultLatencyBounds).
+	Latencies obs.HistogramSnapshot
 
 	// Nodes is the model's storage requirement; Utilization the
 	// fraction of stored paths used by predictions.

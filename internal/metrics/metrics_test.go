@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pbppm/internal/obs"
 )
 
 func TestHitRatio(t *testing.T) {
@@ -95,9 +97,14 @@ func TestFormatters(t *testing.T) {
 	}
 }
 
+// TestLatencyHistogram reads Result.Latencies the way the simulator
+// fills it: observations go into an obs.Histogram over the live
+// server's bounds and the result carries its snapshot.
 func TestLatencyHistogram(t *testing.T) {
-	var h LatencyHistogram
-	if h.Percentile(50) != 0 || h.String() != "no observations" {
+	h := obs.NewHistogram(nil)
+	var r Result
+	r.Latencies = h.Snapshot()
+	if r.Latencies.Quantile(0.50) != 0 || r.Latencies.Count() != 0 {
 		t.Error("empty histogram misbehaves")
 	}
 	// 90 fast requests, 10 slow.
@@ -107,32 +114,24 @@ func TestLatencyHistogram(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(800 * time.Millisecond)
 	}
-	if h.Total != 100 {
-		t.Fatalf("Total = %d", h.Total)
+	r.Latencies = h.Snapshot()
+	if got := r.Latencies.Count(); got != 100 {
+		t.Fatalf("Count = %d", got)
 	}
-	if got := h.Percentile(50); got != 5*time.Millisecond {
+	if got := r.Latencies.Quantile(0.50); got != 5*time.Millisecond {
 		t.Errorf("p50 = %v, want 5ms bucket bound", got)
 	}
-	if got := h.Percentile(95); got != time.Second {
+	if got := r.Latencies.Quantile(0.95); got != time.Second {
 		t.Errorf("p95 = %v, want 1s bucket bound", got)
 	}
-	if got := h.Percentile(200); got != time.Second {
-		t.Errorf("p>100 clamp = %v", got)
+	if got := r.Latencies.Quantile(2); got != time.Second {
+		t.Errorf("q>1 clamp = %v", got)
 	}
 	// Overflow bucket.
 	h.Observe(time.Minute)
-	if got := h.Percentile(100); got != 20*time.Second {
-		t.Errorf("overflow percentile = %v", got)
-	}
-	out := h.String()
-	if !strings.Contains(out, "p95") || !strings.Contains(out, "2-5ms: 90") {
-		t.Errorf("String = %q", out)
-	}
-	var other LatencyHistogram
-	other.Observe(3 * time.Millisecond)
-	h.Merge(other)
-	if h.Total != 102 {
-		t.Errorf("merged total = %d", h.Total)
+	r.Latencies = h.Snapshot()
+	if got := r.Latencies.Quantile(1); got != 20*time.Second {
+		t.Errorf("overflow quantile = %v", got)
 	}
 }
 

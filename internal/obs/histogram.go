@@ -7,9 +7,9 @@ import (
 
 // DefaultLatencyBounds are the shared upper bounds of the latency
 // histogram buckets, 1ms to 10s in a rough 1-2-5 progression; the final
-// bucket is unbounded. internal/metrics.LatencyHistogram (the
-// simulator's single-threaded accumulator) uses the same table so
-// offline percentiles and live /metrics quantiles are comparable
+// bucket is unbounded. The simulator's latency histogram
+// (internal/metrics.Result.Latencies) uses the same table, so offline
+// percentiles and live /metrics quantiles are comparable
 // bucket-for-bucket.
 var DefaultLatencyBounds = []time.Duration{
 	1 * time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond,
@@ -37,8 +37,8 @@ func BucketIndex(bounds []time.Duration, d time.Duration) int {
 // the last. Overflow-bucket quantiles report twice the final bound,
 // the conventional "beyond the histogram" estimate.
 //
-// This is the single quantile implementation shared by Histogram and
-// internal/metrics.LatencyHistogram.
+// This is the single quantile implementation, shared by Histogram and
+// HistogramSnapshot.
 func QuantileOverCounts(bounds []time.Duration, counts []int64, q float64) time.Duration {
 	var total int64
 	for _, n := range counts {

@@ -130,9 +130,9 @@ type Config struct {
 	Grades popularity.Grader
 	// TrustedPeers lists the peer hosts (the host part of
 	// http.Request.RemoteAddr) allowed to assert client identity through
-	// the X-Client-ID header — typically the cluster router, which
-	// resolves the identity once on ingress and stamps it on the
-	// forwarded hop. Empty keeps the legacy behavior of honoring the
+	// the X-Client-ID header — typically a cluster router in another
+	// process, which resolves the identity once on ingress and stamps it
+	// on the forwarded hop. Empty keeps the legacy behavior of honoring the
 	// header from any peer (direct cooperating clients set it
 	// themselves); non-empty makes the header spoof-proof: a request
 	// from an unlisted peer falls back to its remote host as identity,
@@ -641,11 +641,19 @@ func clientOf(r *http.Request) string {
 	return IdentityPolicy{}.ClientOf(r)
 }
 
-// ServeHTTP serves the document and attaches prefetch hints. It holds
-// no global lock: document lookup and prediction run on an immutable
-// model snapshot, and session bookkeeping touches only the client's
-// context shard.
+// ServeHTTP serves the document and attaches prefetch hints for the
+// client identity the server's TrustedPeers policy resolves.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.ServeClient(w, r, s.identity.ClientOf(r))
+}
+
+// ServeClient serves r as ServeHTTP does, for a client identity the
+// caller has already resolved: the cluster router hands each request
+// to its owning shard this way, without copying the request to stamp
+// the identity on it. It holds no global lock: document lookup and
+// prediction run on an immutable model snapshot, and session
+// bookkeeping touches only the client's context shard.
+func (s *Server) ServeClient(w http.ResponseWriter, r *http.Request, client string) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
@@ -659,7 +667,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Clock != nil {
 		at = s.cfg.Clock()
 	}
-	client := s.identity.ClientOf(r)
 	// Client hit reports ride along on any request (and on report-only
 	// beacons); ingest them before demand accounting so a batch
 	// attached to a navigation scores in client-event order.

@@ -24,6 +24,7 @@ import (
 	"pbppm/internal/latency"
 	"pbppm/internal/markov"
 	"pbppm/internal/metrics"
+	"pbppm/internal/obs"
 	"pbppm/internal/popularity"
 	"pbppm/internal/quality"
 	"pbppm/internal/session"
@@ -295,6 +296,7 @@ func Run(test []session.Session, opt Options) metrics.Result {
 	// same implementation the live server scores its hint lifecycle
 	// with — so offline and online metrics cannot drift apart.
 	score := quality.NewScorer()
+	latencies := obs.NewHistogram(nil)
 
 	replayStart := time.Now()
 	every := opt.progressEvery()
@@ -342,7 +344,7 @@ func Run(test []session.Session, opt Options) metrics.Result {
 				outcome = quality.CacheHit
 			}
 			// Local hit: negligible latency.
-			res.Latencies.Observe(0)
+			latencies.Observe(0)
 		}
 
 		if !served && proxy != nil {
@@ -361,7 +363,7 @@ func Run(test []session.Session, opt Options) metrics.Result {
 				}
 				hitLat := path.ProxyHit(size)
 				res.TotalLatency += hitLat
-				res.Latencies.Observe(hitLat)
+				latencies.Observe(hitLat)
 				browser.Put(v.URL, size, false)
 			}
 		}
@@ -376,7 +378,7 @@ func Run(test []session.Session, opt Options) metrics.Result {
 				missLat = path.DirectFetch(size)
 			}
 			res.TotalLatency += missLat
-			res.Latencies.Observe(missLat)
+			latencies.Observe(missLat)
 			browser.Put(v.URL, size, false)
 		}
 		score.Demand(v.Time, size, outcome)
@@ -440,6 +442,7 @@ func Run(test []session.Session, opt Options) metrics.Result {
 	res.UsefulBytes = total.UsefulBytes
 	res.PrefetchedBytes = total.PrefetchedBytes
 
+	res.Latencies = latencies.Snapshot()
 	res.Nodes = 0
 	if opt.Predictor != nil {
 		res.Nodes = opt.Predictor.NodeCount()
