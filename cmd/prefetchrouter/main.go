@@ -12,7 +12,7 @@
 // Usage:
 //
 //	prefetchrouter -backends http://10.0.0.11:8080,http://10.0.0.12:8080
-//	               [-addr :8080] [-admin-addr :8081] [-replicas 128]
+//	               [-addr :8080] [-admin-addr :8081]
 //	               [-trusted-peers host1,host2] [-log-level info]
 //
 // The admin listener serves /metrics (pbppm_shard_requests_total per
@@ -50,7 +50,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "routing listen address")
 	adminAddr := flag.String("admin-addr", ":8081", "admin listen address for /metrics, /healthz, /debug; empty disables")
 	backends := flag.String("backends", "", "comma-separated shard base URLs, e.g. http://10.0.0.11:8080,http://10.0.0.12:8080 (required)")
-	replicas := flag.Int("replicas", 0, "virtual nodes per backend on the hash ring (0 = package default)")
 	trustedPeers := flag.String("trusted-peers", "", "comma-separated upstream hosts allowed to assert X-Client-ID (empty trusts any peer)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, or error")
 	flag.Parse()
@@ -64,7 +63,7 @@ func main() {
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	if err := run(ctx, *addr, *adminAddr, *backends, *replicas, *trustedPeers, logger); err != nil {
+	if err := run(ctx, *addr, *adminAddr, *backends, *trustedPeers, logger); err != nil {
 		fmt.Fprintf(os.Stderr, "prefetchrouter: %v\n", err)
 		os.Exit(1)
 	}
@@ -81,7 +80,7 @@ func splitList(s string) []string {
 	return out
 }
 
-func run(ctx context.Context, addr, adminAddr, backends string, replicas int, trustedPeers string, logger *slog.Logger) error {
+func run(ctx context.Context, addr, adminAddr, backends, trustedPeers string, logger *slog.Logger) error {
 	log := obs.Component(logger, "prefetchrouter")
 	backendList := splitList(backends)
 	if len(backendList) == 0 {
@@ -91,7 +90,6 @@ func run(ctx context.Context, addr, adminAddr, backends string, replicas int, tr
 	reg := obs.NewRegistry()
 	rt, err := cluster.New(cluster.Config{
 		Backends:     backendList,
-		Replicas:     replicas,
 		TrustedPeers: splitList(trustedPeers),
 		Obs:          reg,
 		Logger:       logger,

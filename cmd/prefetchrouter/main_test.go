@@ -52,7 +52,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"address in use", busy.Addr().String(), "http://127.0.0.1:1", "binding"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err := run(ctx, c.addr, "", c.backends, 0, "", obs.Discard())
+		err := run(ctx, c.addr, "", c.backends, "", obs.Discard())
 		cancel()
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: run returned %v, want an error mentioning %q", c.name, err, c.want)
@@ -74,7 +74,7 @@ func TestRunServesUntilCancelled(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, "127.0.0.1:0", "127.0.0.1:0", backend.URL, 0, "", obs.NewLogger(logs, slog.LevelInfo))
+		done <- run(ctx, "127.0.0.1:0", "127.0.0.1:0", backend.URL, "", obs.NewLogger(logs, slog.LevelInfo))
 	}()
 
 	// The listeners' addresses come from run's startup log lines.

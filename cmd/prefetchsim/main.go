@@ -109,7 +109,7 @@ func realMain() int {
 	case "lrs":
 		pred = lrs.New(lrs.Config{Threshold: *threshold})
 	case "topn":
-		pred = topn.New(topn.Config{})
+		pred = topn.New()
 	case "none":
 		pred = nil
 	default:

@@ -65,7 +65,7 @@ func TestPersistModelWritesSnapshotImages(t *testing.T) {
 		}
 	}
 
-	top := topn.New(topn.Config{})
+	top := topn.New()
 	top.TrainSequence([]string{"/home"})
 	if err := persistModel(filepath.Join(dir, "topn.snap"), top, rank); err == nil {
 		t.Error("persisting Top-N, which has no snapshot image, succeeded")

@@ -72,9 +72,6 @@ type Config struct {
 	// be zero. Each backend must trust this router's host to assert
 	// client identity (prefetchd -router-addr).
 	Backends []string
-	// Replicas is the virtual-node count per shard on the hash ring;
-	// zero selects the package default (128).
-	Replicas int
 	// Store serves documents on every in-process shard; required with
 	// Shards.
 	Store server.ContentStore
@@ -156,12 +153,12 @@ type table struct {
 	members []*member
 }
 
-func newTable(members []*member, replicas int) *table {
+func newTable(members []*member) *table {
 	ids := make([]int, len(members))
 	for i, m := range members {
 		ids[i] = m.id
 	}
-	return &table{ring: newRing(ids, replicas), members: members}
+	return &table{ring: newRing(ids), members: members}
 }
 
 // member returns the member with the given ID, or nil.
@@ -235,7 +232,7 @@ func New(cfg Config) (*Cluster, error) {
 			members = append(members, c.newShard(c.nextID))
 		}
 	}
-	c.table.Store(newTable(members, cfg.Replicas))
+	c.table.Store(newTable(members))
 	c.metrics.shards.Set(int64(len(members)))
 	return c, nil
 }
@@ -347,7 +344,7 @@ func (c *Cluster) AddShard() (int, RebalanceReport, error) {
 	old := c.table.Load()
 	node := c.newShard(c.nextID)
 	c.nextID++
-	next := newTable(append(slices.Clone(old.members), node), c.cfg.Replicas)
+	next := newTable(append(slices.Clone(old.members), node))
 
 	rep := RebalanceReport{Kind: "join", Shard: node.id, ShardsAfter: len(next.members)}
 	for _, m := range old.members {
@@ -396,7 +393,7 @@ func (c *Cluster) remove(id int) (*member, RebalanceReport, error) {
 		rep.SessionsRemapped++
 		rep.HintsOrphaned += os.Hints
 	}
-	c.install(newTable(members, c.cfg.Replicas), rep)
+	c.install(newTable(members), rep)
 	return node, rep, nil
 }
 

@@ -66,8 +66,8 @@ func get(t *testing.T, h http.Handler, url, remoteAddr, clientHeader string) *ht
 // --- ring ------------------------------------------------------------
 
 func TestRingDeterministicAndBalanced(t *testing.T) {
-	a := newRing([]int{0, 1, 2, 3}, 0)
-	b := newRing([]int{3, 1, 0, 2}, 0) // same set, different order
+	a := newRing([]int{0, 1, 2, 3})
+	b := newRing([]int{3, 1, 0, 2}) // same set, different order
 	if len(a.points) != len(b.points) {
 		t.Fatalf("point counts differ: %d vs %d", len(a.points), len(b.points))
 	}
@@ -97,8 +97,8 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 }
 
 func TestRingRemapsOnlyMovedArcs(t *testing.T) {
-	before := newRing([]int{0, 1, 2, 3}, 0)
-	after := newRing([]int{0, 1, 2, 3, 4}, 0)
+	before := newRing([]int{0, 1, 2, 3})
+	after := newRing([]int{0, 1, 2, 3, 4})
 	const keys = 10000
 	moved := 0
 	for i := 0; i < keys; i++ {
@@ -119,7 +119,7 @@ func TestRingRemapsOnlyMovedArcs(t *testing.T) {
 		t.Errorf("add-shard moved %.1f%% of keys, want ~20%%", 100*frac)
 	}
 
-	if _, ok := newRing(nil, 0).owner("x"); ok {
+	if _, ok := newRing(nil).owner("x"); ok {
 		t.Error("empty ring must report no owner")
 	}
 }
@@ -131,8 +131,8 @@ func TestRingRemapsOnlyMovedArcs(t *testing.T) {
 // was observed remapping 0 of 20 live clients. With the mixed ring
 // hash, even a small sequential pool remaps ~1/N of its keys.
 func TestRingSpreadsSequentialIdentities(t *testing.T) {
-	before := newRing([]int{0, 1}, 0)
-	after := newRing([]int{0, 1, 2}, 0)
+	before := newRing([]int{0, 1})
+	after := newRing([]int{0, 1, 2})
 	for _, shape := range []string{"lg-c%04d", "client-%d", "10.0.0.%d"} {
 		moved := 0
 		const n = 40

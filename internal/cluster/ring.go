@@ -24,19 +24,16 @@ type ringPoint struct {
 	shard int
 }
 
-// defaultReplicas is the virtual-node count per shard. 128 keeps the
+// replicas is the virtual-node count per shard. 128 keeps the
 // load split across shards within a few percent of even for the shard
 // counts this package targets (single digits to low tens) at a cost of
 // a few kilobytes per ring.
-const defaultReplicas = 128
+const replicas = 128
 
 // newRing builds a ring over the given shard IDs with replicas virtual
-// nodes each (<=0 selects defaultReplicas). An empty shard list yields
-// an empty ring; owner reports false on it.
-func newRing(shards []int, replicas int) *ring {
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
+// nodes each. An empty shard list yields an empty ring; owner reports
+// false on it.
+func newRing(shards []int) *ring {
 	r := &ring{points: make([]ringPoint, 0, len(shards)*replicas)}
 	for _, id := range shards {
 		base := "shard-" + strconv.Itoa(id) + "#"

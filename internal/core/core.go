@@ -38,6 +38,10 @@ import (
 // for grade-3 heading URLs, 5 for grade 2, 3 for grade 1, 1 for grade 0.
 var DefaultHeights = [4]int{1, 3, 5, 7}
 
+// maxLinkPredictions caps how many linked duplicated nodes (rule 3) a
+// root contributes per prediction: the strongest one.
+const maxLinkPredictions = 1
+
 // Config parameterizes the popularity-based model.
 type Config struct {
 	// Heights maps a heading URL's popularity grade to the maximum
@@ -50,10 +54,6 @@ type Config struct {
 	// DisableLinks turns off rule 3 (the duplicated popular-node links);
 	// used by the ablation experiments.
 	DisableLinks bool
-	// MaxLinkPredictions caps how many linked duplicated nodes a root
-	// may contribute per prediction, strongest first. Zero selects the
-	// default of 1; negative means unlimited.
-	MaxLinkPredictions int
 	// RelProbCutoff drives the first space optimization: after building,
 	// Optimize removes every non-root node whose relative access
 	// probability is below this value. The paper uses 1%–10%. Zero
@@ -221,17 +221,6 @@ func (m *Model) Clone() markov.Predictor {
 	}
 }
 
-func (m *Model) maxLinkPredictions() int {
-	switch {
-	case m.cfg.MaxLinkPredictions == 0:
-		return 1
-	case m.cfg.MaxLinkPredictions < 0:
-		return -1
-	default:
-		return m.cfg.MaxLinkPredictions
-	}
-}
-
 func (m *Model) addLink(root, url string) {
 	if root == url {
 		return
@@ -275,8 +264,8 @@ func (m *Model) PredictInto(context []string, buf []markov.Prediction) []markov.
 			}
 		}
 		markov.SortPredictions(linked)
-		if max := m.maxLinkPredictions(); max >= 0 && len(linked) > max {
-			linked = linked[:max]
+		if len(linked) > maxLinkPredictions {
+			linked = linked[:maxLinkPredictions]
 		}
 		buf = markov.MergeLinked(buf, linked)
 	}
@@ -297,7 +286,6 @@ func (m *Model) Freeze() markov.Predictor {
 	thr := m.cfg.threshold()
 	var links map[string][]markov.Prediction
 	if !m.cfg.DisableLinks {
-		max := m.maxLinkPredictions()
 		links = make(map[string][]markov.Prediction, len(m.links))
 		for rootURL, lm := range m.links {
 			root := m.tree.Child(m.tree.Root, rootURL)
@@ -317,8 +305,8 @@ func (m *Model) Freeze() markov.Predictor {
 				continue
 			}
 			markov.SortPredictions(linked)
-			if max >= 0 && len(linked) > max {
-				linked = linked[:max]
+			if len(linked) > maxLinkPredictions {
+				linked = linked[:maxLinkPredictions]
 			}
 			links[rootURL] = linked
 		}

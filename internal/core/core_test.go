@@ -589,7 +589,7 @@ func TestFrozenStreamingMatchesPredictInto(t *testing.T) {
 		grades[urls[i]] = popularity.Grade(3 - i/7)
 	}
 	for _, heights := range [][4]int{{}, {2, 9, 17, 24}, {30, 30, 30, 30}} {
-		m := New(grades, Config{Heights: heights, Threshold: 0.05, MaxLinkPredictions: -1})
+		m := New(grades, Config{Heights: heights, Threshold: 0.05})
 		sessions := make([][]string, 300)
 		for i := range sessions {
 			s := make([]string, rng.Intn(35)+1)

@@ -46,7 +46,7 @@ func RunBaselines(w *Workload) (*Baselines, error) {
 	}
 
 	o := common
-	o.Predictor = topn.New(topn.Config{})
+	o.Predictor = topn.New()
 	o.MaxPrefetchBytes = sim.DefaultMaxPrefetchBytes
 	add(ModelTop10, o)
 

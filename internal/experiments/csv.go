@@ -23,7 +23,6 @@ var (
 	_ CSVWriter = (*Baselines)(nil)
 	_ CSVWriter = (*Maintenance)(nil)
 	_ CSVWriter = (*MaintenanceCost)(nil)
-	_ CSVWriter = (*Capacity)(nil)
 )
 
 func writeAll(w io.Writer, rows [][]string) error {

@@ -24,11 +24,6 @@ type Workload struct {
 	Sessions []session.Session
 	Sizes    map[string]int64
 	Path     latency.Path
-	// Profile is the generator profile the trace came from, kept so
-	// experiments that need the site graph itself (capacity serves it
-	// over HTTP) can rebuild it. Zero for workloads built from raw
-	// traces via NewWorkload.
-	Profile tracegen.Profile
 	// DropSingletons selects PB-PPM's second space optimization, which
 	// the paper enables for the UCB-CS trace.
 	DropSingletons bool
@@ -77,7 +72,6 @@ func FromProfile(p tracegen.Profile) (*Workload, error) {
 	// higher than in the month-long real logs, and the ablation
 	// experiment isolates the optimization's effect separately.
 	w.DropSingletons = true
-	w.Profile = p
 	return w, nil
 }
 

@@ -55,9 +55,6 @@ type Config struct {
 	// into timeout errors instead of a stuck generator); zero selects
 	// 5s.
 	Timeout time.Duration
-	// CacheBytes sizes each virtual client's browser cache; zero keeps
-	// the client default (the paper's 1 MB).
-	CacheBytes int64
 	// Obs registers the generator's self-metrics
 	// (pbppm_loadgen_dispatched_total, pbppm_loadgen_lag_seconds, ...);
 	// nil keeps them process-internal.
@@ -182,7 +179,6 @@ func New(cfg Config) (*Generator, error) {
 			ID:         fmt.Sprintf("lg-c%04d", i),
 			BaseURL:    cfg.ServerURL,
 			HTTPClient: g.http,
-			CacheBytes: cfg.CacheBytes,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: building client pool: %w", err)
@@ -473,7 +469,6 @@ func (g *Generator) pick(slot Slot) (*server.Client, string) {
 			ID:         fmt.Sprintf("lg-cold%07d", g.coldSeq),
 			BaseURL:    g.cfg.ServerURL,
 			HTTPClient: g.http,
-			CacheBytes: g.cfg.CacheBytes,
 		})
 		if err == nil {
 			g.colds = append(g.colds, cl)

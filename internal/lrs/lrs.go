@@ -18,25 +18,15 @@ import (
 	"pbppm/internal/ppm"
 )
 
+// repeatThreshold is the minimum occurrence count for a sequence to be
+// considered "frequently repeating": the paper's 2.
+const repeatThreshold = 2
+
 // Config parameterizes the LRS model.
 type Config struct {
-	// RepeatThreshold is the minimum occurrence count for a sequence to
-	// be considered "frequently repeating"; zero selects the paper's 2.
-	RepeatThreshold int64
 	// Threshold is the minimum conditional probability for a prefetch
 	// candidate; zero selects the paper's 0.25.
 	Threshold float64
-	// MaxHeight optionally caps branch heights; <= 0 (the paper's
-	// setting) leaves them unbounded so the longest repeating
-	// subsequences are kept whole.
-	MaxHeight int
-}
-
-func (c Config) repeat() int64 {
-	if c.RepeatThreshold <= 0 {
-		return 2
-	}
-	return c.RepeatThreshold
 }
 
 func (c Config) threshold() float64 { return ppm.ThresholdOrDefault(c.Threshold) }
@@ -74,7 +64,7 @@ func (m *Model) Name() string { return "LRS-PPM" }
 // NodeCount call.
 func (m *Model) TrainSequence(seq []string) {
 	for i := range seq {
-		m.full.Insert(seq[i:], m.cfg.MaxHeight, 1)
+		m.full.Insert(seq[i:], 0, 1) // unbounded: repeating subsequences stay whole
 	}
 	m.dirty = true
 }
@@ -88,9 +78,8 @@ func (m *Model) rebuild() {
 		return
 	}
 	m.dirty = false
-	min := m.cfg.repeat()
 	m.pruned = m.full.CopyIf(func(_, child *markov.Node) bool {
-		return child.Count >= min
+		return child.Count >= repeatThreshold
 	})
 }
 

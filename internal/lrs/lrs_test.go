@@ -63,19 +63,6 @@ func TestLaterTrainingPromotesSequences(t *testing.T) {
 	}
 }
 
-func TestCustomRepeatThreshold(t *testing.T) {
-	m := New(Config{RepeatThreshold: 3})
-	m.TrainSequence([]string{"a", "b"})
-	m.TrainSequence([]string{"a", "b"})
-	if m.Tree().Match([]string{"a", "b"}) != nil {
-		t.Error("two occurrences kept despite threshold 3")
-	}
-	m.TrainSequence([]string{"a", "b"})
-	if m.Tree().Match([]string{"a", "b"}) == nil {
-		t.Error("three occurrences not kept")
-	}
-}
-
 func TestPredict(t *testing.T) {
 	m := New(Config{})
 	for i := 0; i < 3; i++ {
@@ -102,19 +89,6 @@ func TestPredictNoMatch(t *testing.T) {
 	// no children above threshold (no repeating continuation).
 	if ps := m.Predict([]string{"b"}); len(ps) != 0 {
 		t.Errorf("Predict(b) = %+v, want none", ps)
-	}
-}
-
-func TestMaxHeightCap(t *testing.T) {
-	m := New(Config{MaxHeight: 2})
-	for i := 0; i < 2; i++ {
-		m.TrainSequence([]string{"a", "b", "c"})
-	}
-	if m.Tree().Match([]string{"a", "b", "c"}) != nil {
-		t.Error("height cap ignored")
-	}
-	if m.Tree().Match([]string{"b", "c"}) == nil {
-		t.Error("capped suffix branch missing")
 	}
 }
 

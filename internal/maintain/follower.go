@@ -16,10 +16,9 @@ import (
 	"pbppm/internal/popularity"
 )
 
-// DefaultMaxSnapshotBytes bounds a follower's download when
-// FollowerConfig.MaxBytes is zero: 1 GiB, far above any realistic
-// model but low enough that a corrupt Content-Length cannot OOM the
-// process.
+// DefaultMaxSnapshotBytes bounds a follower's download: 1 GiB, far
+// above any realistic model but low enough that a corrupt
+// Content-Length cannot OOM the process.
 const DefaultMaxSnapshotBytes = 1 << 30
 
 // Swap-failure reasons recorded in pbppm_snapshot_swap_failures_total.
@@ -89,9 +88,6 @@ type FollowerConfig struct {
 	// Client is the HTTP client; nil selects one with a sane timeout
 	// derived from Wait.
 	Client *http.Client
-	// MaxBytes bounds the downloaded payload; zero selects
-	// DefaultMaxSnapshotBytes.
-	MaxBytes int64
 	// Obs registers the follower-side distribution metrics; nil keeps
 	// them process-internal.
 	Obs *obs.Registry
@@ -105,13 +101,6 @@ func (c FollowerConfig) poll() time.Duration {
 		return 5 * time.Second
 	}
 	return c.Poll
-}
-
-func (c FollowerConfig) maxBytes() int64 {
-	if c.MaxBytes <= 0 {
-		return DefaultMaxSnapshotBytes
-	}
-	return c.MaxBytes
 }
 
 // Follower polls a Publisher's snapshot endpoint and installs each new
@@ -200,8 +189,7 @@ func (f *Follower) Poll(ctx context.Context) error {
 		return fmt.Errorf("maintain: snapshot fetch: status %d", resp.StatusCode)
 	}
 
-	max := f.cfg.maxBytes()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, max+1))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, DefaultMaxSnapshotBytes+1))
 	if err != nil {
 		// The connection died mid-body: a truncated download. The
 		// checksum would catch it too, but the transport saw it first.
@@ -209,9 +197,9 @@ func (f *Follower) Poll(ctx context.Context) error {
 		f.log.Warn("snapshot download cut mid-transfer; previous model stays live", "error", err)
 		return fmt.Errorf("maintain: snapshot download: %w", err)
 	}
-	if int64(len(data)) > max {
+	if len(data) > DefaultMaxSnapshotBytes {
 		f.metrics.failFetch.Inc()
-		return fmt.Errorf("maintain: snapshot exceeds %d-byte bound", max)
+		return fmt.Errorf("maintain: snapshot exceeds %d-byte bound", DefaultMaxSnapshotBytes)
 	}
 	f.metrics.fetchedBytes.Add(int64(len(data)))
 

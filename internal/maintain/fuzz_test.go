@@ -2,6 +2,8 @@ package maintain
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"io"
 	"runtime"
 	"testing"
@@ -13,9 +15,37 @@ import (
 	"pbppm/internal/ppm"
 )
 
+// olderRankingImage is the ranking image of builds that let a caller
+// choose the grade scale: the current fields plus Base and Grades.
+type olderRankingImage struct {
+	URLs   []string
+	Counts []int64
+	Base   float64
+	Grades int
+}
+
+// withOlderRanking returns img, a snapshot written without a ranking,
+// with r in the older layout as its ranking section.
+func withOlderRanking(f *testing.F, img []byte, r olderRankingImage) []byte {
+	var rankBuf bytes.Buffer
+	if err := gob.NewEncoder(&rankBuf).Encode(r); err != nil {
+		f.Fatal(err)
+	}
+	out := append([]byte(nil), img[:len(img)-16]...) // up to the ranking length
+	out = binary.BigEndian.AppendUint64(out, uint64(rankBuf.Len()))
+	out = append(out, rankBuf.Bytes()...)
+	out = append(out, make([]byte, 8)...)
+	resealSnapshot(out)
+	if _, err := DecodeSnapshot(out); err != nil {
+		f.Fatalf("snapshot with an older ranking image: %v", err)
+	}
+	return out
+}
+
 // fuzzSeedSnapshots returns snapshot images of every model the
 // repository publishes — PB-PPM with its rule-3 links, 3-PPM, LRS and
-// blended PPM — each with and without a ranking.
+// blended PPM — each with and without a ranking, and PB-PPM's once more
+// with a ranking in the older layout on a custom scale.
 func fuzzSeedSnapshots(f *testing.F) [][]byte {
 	walks := [][]string{
 		{"/home", "/news", "/news/today", "/sports"},
@@ -51,7 +81,13 @@ func fuzzSeedSnapshots(f *testing.F) [][]byte {
 			out = append(out, buf.Bytes())
 		}
 	}
-	return out
+	older := olderRankingImage{Base: 2, Grades: 7}
+	for _, u := range rank.Top(rank.Len()) {
+		older.URLs = append(older.URLs, u)
+		older.Counts = append(older.Counts, rank.Count(u))
+	}
+	// out[1] is PB-PPM's image without a ranking.
+	return append(out, withOlderRanking(f, out[1], older))
 }
 
 // FuzzDecodeSnapshot hammers the one model file format — the pbppmSN2
@@ -59,8 +95,9 @@ func fuzzSeedSnapshots(f *testing.F) [][]byte {
 // input is decoded as given and again with its trailing CRC
 // recomputed, so mutations reach the section decoders instead of
 // stopping at ErrChecksum. Decoding must never panic; an accepted
-// snapshot must predict without panicking and re-encode to one with the
-// same version, name, node count and arena image.
+// snapshot must predict without panicking, grade every URL of its
+// ranking within [0, MaxGrade], and re-encode to one with the same
+// version, name, node count and arena image.
 func FuzzDecodeSnapshot(f *testing.F) {
 	for _, img := range fuzzSeedSnapshots(f) {
 		f.Add(img)
@@ -96,6 +133,13 @@ func checkDecodedSnapshot(t *testing.T, data []byte) {
 		m.Predict([]string{"\x00unseen", u})
 	}
 	m.Predict(nil)
+	if snap.Ranking != nil {
+		for u, g := range snap.Ranking.Grades() {
+			if g < 0 || g > popularity.MaxGrade {
+				t.Fatalf("decoded ranking grades %q %d, outside [0, %d]", u, g, popularity.MaxGrade)
+			}
+		}
+	}
 
 	var buf bytes.Buffer
 	if err := EncodeSnapshot(&buf, snap.Version, m, snap.Ranking); err != nil {

@@ -346,23 +346,30 @@ func TestWindowBoundaryExactCutoff(t *testing.T) {
 }
 
 func TestStagingBufferBound(t *testing.T) {
-	m, err := New(Config{Factory: pbFactory, MaxStaged: 4})
+	m, err := New(Config{Factory: pbFactory})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
+	// Six sessions, then DefaultMaxStaged one-page sessions behind them,
+	// each on a page of its own so the six keep their popularity grades.
+	const total = DefaultMaxStaged + 6
+	for i := 0; i < 6; i++ {
 		m.Observe(mkSession(i, fmt.Sprintf("/s%d", i), "/x"))
 	}
-	if m.StagedSize() != 4 {
-		t.Errorf("StagedSize = %d, want 4 (bound)", m.StagedSize())
+	for i := 6; i < total; i++ {
+		m.Observe(mkSession(9, fmt.Sprintf("/b%d", i)))
 	}
-	if m.WindowSize() != 10 {
-		t.Errorf("WindowSize = %d, want 10 (window keeps what staging drops)", m.WindowSize())
+	if m.StagedSize() != DefaultMaxStaged {
+		t.Errorf("StagedSize = %d, want %d (bound)", m.StagedSize(), DefaultMaxStaged)
+	}
+	if m.WindowSize() != total {
+		t.Errorf("WindowSize = %d, want %d (window keeps what staging drops)", m.WindowSize(), total)
 	}
 	if v := m.metrics.stagedDropped.Value(); v != 6 {
 		t.Errorf("stagedDropped = %d, want 6", v)
 	}
-	// The delta merge sees only the newest 4; the compaction recovers all.
+	// The delta merge sees only the newest DefaultMaxStaged; the
+	// compaction recovers all.
 	m.Rebuild(epoch.Add(20 * time.Hour))
 	model := m.Predictor()
 	if got := model.Predict([]string{"/s0"}); len(got) == 0 {

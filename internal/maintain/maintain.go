@@ -53,10 +53,11 @@ import (
 //	}
 type Factory func(rank *popularity.Ranking) markov.Predictor
 
-// DefaultMaxStaged bounds the delta staging buffer when Config.MaxStaged
-// is zero. When the buffer is full the oldest staged sessions are
-// dropped from staging only — they remain in the sliding window and are
-// recovered by the next compaction.
+// DefaultMaxStaged bounds the delta staging buffer (sessions observed
+// since the last update, awaiting the next delta merge). When the buffer
+// is full the oldest staged sessions are dropped from staging only —
+// they remain in the sliding window and are recovered by the next
+// compaction.
 const DefaultMaxStaged = 1 << 16
 
 // Config parameterizes a Maintainer.
@@ -66,11 +67,6 @@ type Config struct {
 	Window time.Duration
 	// Factory builds the model at each rebuild; required.
 	Factory Factory
-	// MaxStaged bounds the delta staging buffer (sessions observed since
-	// the last update, awaiting the next delta merge); zero selects
-	// DefaultMaxStaged. Overflow drops the oldest staged sessions, which
-	// stay in the window for the next compaction to recover.
-	MaxStaged int
 	// OnPublish, if set, receives every successfully published snapshot —
 	// initial build, delta merge, or compaction. The HTTP server wires
 	// its SetPredictor here so swaps reach the serving path immediately.
@@ -100,13 +96,6 @@ func (c Config) window() time.Duration {
 		return 7 * 24 * time.Hour
 	}
 	return c.Window
-}
-
-func (c Config) maxStaged() int {
-	if c.MaxStaged <= 0 {
-		return DefaultMaxStaged
-	}
-	return c.MaxStaged
 }
 
 // Skip reasons recorded in pbppm_rebuild_skipped_total{reason}.
@@ -259,7 +248,7 @@ func New(cfg Config) (*Maintainer, error) {
 
 // Observe appends a completed session to the window and stages it for
 // the next delta merge. Sessions may arrive in any order; trimming does
-// not assume chronological arrival. When staging overflows MaxStaged,
+// not assume chronological arrival. When staging overflows DefaultMaxStaged,
 // the oldest staged sessions are dropped from staging (counted in
 // pbppm_staged_dropped_total) — the window still holds them, so the
 // next compaction trains on them. The maintainer keeps its own copy of
@@ -269,13 +258,12 @@ func (m *Maintainer) Observe(s session.Session) {
 		return
 	}
 	ws := windowSession{start: s.Start(), urls: s.URLs()}
-	max := m.cfg.maxStaged()
 	m.mu.Lock()
 	m.sessions = append(m.sessions, ws)
 	m.staged = append(m.staged, ws)
 	dropped := 0
-	if live := len(m.staged) - m.stagedHead; live > max {
-		dropped = live - max
+	if live := len(m.staged) - m.stagedHead; live > DefaultMaxStaged {
+		dropped = live - DefaultMaxStaged
 		m.stagedHead += dropped
 	}
 	// Compact the buffer once the dead prefix dominates, so the head

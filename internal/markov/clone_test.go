@@ -81,7 +81,7 @@ func TestCloneCopiesPromotedChildren(t *testing.T) {
 
 // TestCloneMergeEquivalence is the incremental-maintenance contract at
 // the tree level: training a delta into a fresh tree and folding it
-// into a clone of the base (MergeInto) yields exactly the tree a
+// into a clone of the base (Merge) yields exactly the tree a
 // from-scratch retrain on base+delta produces.
 func TestCloneMergeEquivalence(t *testing.T) {
 	base := [][]string{
@@ -102,7 +102,7 @@ func TestCloneMergeEquivalence(t *testing.T) {
 	trainSuffixes(deltaTree, delta)
 
 	clone := live.Clone()
-	deltaTree.MergeInto(clone)
+	clone.Merge(deltaTree)
 
 	retrain := NewTree()
 	trainSuffixes(retrain, base)

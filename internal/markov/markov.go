@@ -754,12 +754,6 @@ func cloneNode(n *Node) *Node {
 	return c
 }
 
-// MergeInto folds t's counts into dst, leaving t unmodified: Merge seen
-// from the shard's side, so a freshly trained delta tree reads
-// delta.MergeInto(clone). dst must not be a published snapshot that
-// concurrent readers still use.
-func (t *Tree) MergeInto(dst *Tree) { dst.Merge(t) }
-
 // CopyIf returns a new tree containing only the nodes for which keep
 // returns true; rejecting a node skips its entire subtree. The copy
 // shares t's symbol table (so it costs no string duplication) and must

@@ -60,6 +60,6 @@ func TestPBPPMOptimizedConformance(t *testing.T) {
 
 func TestTopNConformance(t *testing.T) {
 	Run(t, "Top-10", func() markov.Predictor {
-		return topn.New(topn.Config{})
+		return topn.New()
 	}, Options{ContextFree: true})
 }

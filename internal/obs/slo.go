@@ -218,18 +218,6 @@ func NewSLOEngine(objectives []Objective) *SLOEngine {
 	}
 }
 
-// SetWindows overrides the short and long evaluation windows; values
-// <= 0 keep the current ones. The SLI sources must be able to answer
-// the long span (their rolling rings must cover it).
-func (e *SLOEngine) SetWindows(short, long time.Duration) {
-	if short > 0 {
-		e.short = short
-	}
-	if long > 0 {
-		e.long = long
-	}
-}
-
 // SetClock injects a fake clock for tests.
 func (e *SLOEngine) SetClock(clock func() time.Time) { e.clock = clock }
 

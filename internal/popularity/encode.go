@@ -12,11 +12,15 @@ import (
 // the stream before reading any entry, so one corrupt count could make
 // the decoder allocate gigabytes, while a slice grows only as its
 // elements arrive.
+//
+// Images from older builds also carry Base and Grades, the grade scale
+// those builds let a caller choose. gob skips fields the destination
+// lacks, so such an image decodes onto the paper's fixed scale; an
+// older build reads this image's missing fields as 0, which it takes
+// as the paper's scale too.
 type wireRanking struct {
 	URLs   []string
 	Counts []int64
-	Base   float64
-	Grades int
 }
 
 // Encode serializes the ranking so a server can persist its popularity
@@ -27,8 +31,6 @@ func (rk *Ranking) Encode(w io.Writer) error {
 	img := wireRanking{
 		URLs:   make([]string, 0, len(rk.counts)),
 		Counts: make([]int64, 0, len(rk.counts)),
-		Base:   rk.base,
-		Grades: rk.grades,
 	}
 	for u, c := range rk.counts {
 		img.URLs = append(img.URLs, u)
@@ -49,7 +51,7 @@ func DecodeRanking(r io.Reader) (*Ranking, error) {
 	if len(img.URLs) != len(img.Counts) {
 		return nil, fmt.Errorf("popularity: decoding ranking: %d URLs for %d counts", len(img.URLs), len(img.Counts))
 	}
-	rk := &Ranking{counts: make(map[string]int64, len(img.URLs)), base: img.Base, grades: img.Grades}
+	rk := &Ranking{counts: make(map[string]int64, len(img.URLs))}
 	for i, u := range img.URLs {
 		rk.counts[u] = img.Counts[i]
 	}

@@ -10,7 +10,6 @@
 package popularity
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -26,33 +25,10 @@ const MaxGrade Grade = 3
 type Ranking struct {
 	counts map[string]int64
 	max    int64
-
-	// base is the logarithmic base of the grade scale; the paper uses
-	// 10 ("in a log10 base"). Must be > 1.
-	base float64
-	// grades is the number of non-zero grades; the paper uses 3
-	// (grades 1..3 above the floor grade 0).
-	grades int
 }
 
-// NewRanking returns a Ranking using the paper's grading parameters
-// (log10 scale, grades 0–3).
-func NewRanking() *Ranking {
-	return &Ranking{base: 10, grades: int(MaxGrade)}
-}
-
-// NewRankingWithScale returns a Ranking with a custom logarithmic base
-// and number of non-zero grades. It panics if base <= 1 or grades < 1;
-// both are programmer errors, not data errors.
-func NewRankingWithScale(base float64, grades int) *Ranking {
-	if base <= 1 {
-		panic(fmt.Sprintf("popularity: base %v must exceed 1", base))
-	}
-	if grades < 1 {
-		panic(fmt.Sprintf("popularity: grades %d must be at least 1", grades))
-	}
-	return &Ranking{base: base, grades: grades}
-}
+// NewRanking returns an empty Ranking.
+func NewRanking() *Ranking { return &Ranking{} }
 
 // Observe records n accesses to url. Negative n panics: access counts
 // only grow.
@@ -88,10 +64,9 @@ func (rk *Ranking) Relative(url string) float64 {
 	return float64(rk.counts[url]) / float64(rk.max)
 }
 
-// GradeOf maps a URL to its popularity grade. With the default scale,
-// grade g >= 1 means RP in [base^(g-grades), base^(g-grades+1)), except
-// the top grade which is closed at RP = 1; grade 0 catches everything
-// below base^(1-grades) including unobserved URLs.
+// GradeOf maps a URL to its popularity grade on the log10 scale of the
+// package comment: grade 3 for RP in [0.1, 1] down to grade 0 below
+// 0.001, unobserved URLs included.
 func (rk *Ranking) GradeOf(url string) Grade {
 	return rk.GradeOfRP(rk.Relative(url))
 }
@@ -104,18 +79,14 @@ func (rk *Ranking) GradeOfRP(rp float64) Grade {
 	if rp > 1 {
 		rp = 1
 	}
-	base, grades := rk.base, rk.grades
-	if base == 0 {
-		base, grades = 10, int(MaxGrade) // zero-value Ranking: paper defaults
-	}
-	// g = grades + floor(log_base(rp)) + 1 for rp in (0,1], clamped.
-	lg := math.Log(rp) / math.Log(base)
-	g := grades + int(math.Floor(lg)) + 1
+	// g = MaxGrade + floor(log10(rp)) + 1 for rp in (0,1], clamped.
+	lg := math.Log(rp) / math.Log(10)
+	g := int(MaxGrade) + int(math.Floor(lg)) + 1
 	if g < 0 {
 		g = 0
 	}
-	if g > grades {
-		g = grades
+	if g > int(MaxGrade) {
+		g = int(MaxGrade)
 	}
 	return Grade(g)
 }
@@ -132,11 +103,7 @@ func (rk *Ranking) Grades() map[string]Grade {
 // GradeHistogram returns how many observed URLs fall in each grade,
 // indexed by grade.
 func (rk *Ranking) GradeHistogram() []int {
-	grades := rk.grades
-	if grades == 0 {
-		grades = int(MaxGrade)
-	}
-	hist := make([]int, grades+1)
+	hist := make([]int, MaxGrade+1)
 	for u := range rk.counts {
 		hist[rk.GradeOf(u)]++
 	}

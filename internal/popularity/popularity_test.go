@@ -97,42 +97,6 @@ func TestZeroValueRankingUsesPaperDefaults(t *testing.T) {
 	}
 }
 
-func TestCustomScale(t *testing.T) {
-	rk := NewRankingWithScale(2, 5)
-	rk.Observe("/top", 32)
-	rk.Observe("/half", 16)
-	rk.Observe("/q", 8)
-	rk.Observe("/tiny", 1)
-	if got := rk.GradeOf("/top"); got != 5 {
-		t.Errorf("GradeOf(top) = %v, want 5", got)
-	}
-	if got := rk.GradeOf("/half"); got != 5 {
-		t.Errorf("GradeOf(half) = %v, want 5 (RP=0.5 is top bucket)", got)
-	}
-	if got := rk.GradeOf("/q"); got != 4 {
-		t.Errorf("GradeOf(q) = %v, want 4", got)
-	}
-	if got := rk.GradeOf("/tiny"); got != 1 {
-		t.Errorf("GradeOf(tiny) = %v, want 1 (RP=1/32 = 2^-5)", got)
-	}
-}
-
-func TestNewRankingWithScalePanics(t *testing.T) {
-	for _, c := range []struct {
-		base   float64
-		grades int
-	}{{1, 3}, {0.5, 3}, {10, 0}, {10, -1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewRankingWithScale(%v,%d) did not panic", c.base, c.grades)
-				}
-			}()
-			NewRankingWithScale(c.base, c.grades)
-		}()
-	}
-}
-
 func TestGradeHistogram(t *testing.T) {
 	rk := NewRanking()
 	rk.Observe("/a", 1000)

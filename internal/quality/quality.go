@@ -216,9 +216,6 @@ func (s *Scorer) Total() Snapshot {
 	}
 }
 
-// Windowed reports whether this scorer maintains rolling windows.
-func (s *Scorer) Windowed() bool { return s.roll != nil }
-
 // Window returns the snapshot over the trailing span (clamped to the
 // scorer's window Span; zero selects the full Span). A
 // cumulative-only scorer returns Total.

@@ -88,9 +88,6 @@ func (c *fakeClock) Advance(d time.Duration) {
 func TestWindowedScorerRollsOff(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1_000_000, 0)}
 	s := NewWindowedScorer(obs.Window{Span: 5 * time.Minute, Granularity: 10 * time.Second, Clock: clk.Now})
-	if !s.Windowed() {
-		t.Fatal("windowed scorer reports Windowed() == false")
-	}
 
 	s.Demand(clk.Now(), 100, Miss)
 	s.Prefetched(clk.Now(), 50)
@@ -119,9 +116,6 @@ func TestWindowedScorerRollsOff(t *testing.T) {
 	// A cumulative-only scorer answers Window with its totals.
 	c := NewScorer()
 	c.Demand(time.Time{}, 10, CacheHit)
-	if c.Windowed() {
-		t.Fatal("cumulative scorer reports Windowed() == true")
-	}
 	if got := c.Window(time.Minute); got.Requests != 1 || got.CacheHits != 1 {
 		t.Fatalf("cumulative Window = %+v", got)
 	}

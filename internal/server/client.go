@@ -48,13 +48,11 @@ type Client struct {
 	// builds.
 	idValue, flagValue []string
 
-	http       *http.Client
-	maxSize    int64
-	maxPending int
-	syncPref   bool
+	http     *http.Client
+	syncPref bool
 
 	mu    sync.Mutex
-	cache cache.Policy
+	cache *cache.LRU
 	stats ClientStats
 	// pending batches local hit outcomes for the server's live scorer;
 	// the batch rides on the next request (or an explicit Flush).
@@ -70,33 +68,26 @@ type ClientConfig struct {
 	ID string
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// CacheBytes sizes the browser cache; zero selects the paper's 1 MB.
+	// CacheBytes sizes the browser's LRU cache; zero selects the
+	// paper's 1 MB.
 	CacheBytes int64
-	// MaxPrefetchBytes skips hints whose body exceeds this; zero
-	// selects 30 KB.
-	MaxPrefetchBytes int64
 	// HTTPClient overrides the transport; nil selects
 	// http.DefaultClient.
 	HTTPClient *http.Client
-	// Policy selects the cache replacement policy; nil selects a 1 MB
-	// LRU (or CacheBytes if set).
-	Policy cache.Policy
 	// SynchronousPrefetch fetches hints inline, in hint order, before
 	// Get returns, instead of in background goroutines. Deterministic
 	// replays (the live-vs-offline equivalence test) need it; serving
 	// real users does not.
 	SynchronousPrefetch bool
-	// MaxPendingReports caps the batched hit reports held for the next
-	// delivery; zero selects DefaultMaxPendingReports. Requeue-on-error
-	// puts undelivered batches back, so without a cap a flapping server
-	// would grow the batch without bound — over the cap the oldest
-	// entries are dropped and counted in ClientStats.ReportsDropped.
-	MaxPendingReports int
 }
 
-// DefaultMaxPendingReports bounds the pending report batch: 256 entries
-// is hours of browsing for one client, and a dropped report only costs
-// the server one scored hit, not correctness.
+// DefaultMaxPendingReports bounds the batched hit reports a client holds
+// for the next delivery: 256 entries is hours of browsing for one
+// client, and a dropped report only costs the server one scored hit,
+// not correctness. Requeue-on-error puts undelivered batches back, so
+// without a cap a flapping server would grow the batch without bound;
+// over the cap the oldest entries are dropped and counted in
+// ClientStats.ReportsDropped.
 const DefaultMaxPendingReports = 256
 
 // NewClient builds a prefetching client. It returns an error on a
@@ -116,21 +107,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if capacity == 0 {
 		capacity = cache.DefaultBrowserCapacity
 	}
-	pol := cfg.Policy
-	if pol == nil {
-		pol = cache.NewLRU(capacity)
-	}
-	maxSize := cfg.MaxPrefetchBytes
-	if maxSize == 0 {
-		maxSize = 30 * 1024
-	}
 	hc := cfg.HTTPClient
 	if hc == nil {
 		hc = http.DefaultClient
-	}
-	maxPending := cfg.MaxPendingReports
-	if maxPending <= 0 {
-		maxPending = DefaultMaxPendingReports
 	}
 	// A base with a query or fragment would swallow an appended path,
 	// and one with a raw (escaped) path or no authority needs the full
@@ -139,16 +118,14 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		base.URL.Host != "" && base.URL.Opaque == "" && base.URL.RawPath == ""
 	values := [2]string{cfg.ID, "1"}
 	return &Client{
-		base:       cfg.BaseURL,
-		baseURL:    *base.URL,
-		joinable:   joinable,
-		idValue:    values[0:1:1],
-		flagValue:  values[1:2:2],
-		http:       hc,
-		maxSize:    maxSize,
-		maxPending: maxPending,
-		syncPref:   cfg.SynchronousPrefetch,
-		cache:      pol,
+		base:      cfg.BaseURL,
+		baseURL:   *base.URL,
+		joinable:  joinable,
+		idValue:   values[0:1:1],
+		flagValue: values[1:2:2],
+		http:      hc,
+		syncPref:  cfg.SynchronousPrefetch,
+		cache:     cache.NewLRU(capacity),
 	}, nil
 }
 
@@ -217,7 +194,7 @@ func (c *Client) prefetch(url string) {
 		c.mu.Unlock()
 		return
 	}
-	if size > c.maxSize {
+	if size > maxHintBytes {
 		return
 	}
 	c.mu.Lock()
@@ -354,7 +331,7 @@ func (c *Client) requeueReports(reports []ReportEntry) {
 // the ones the server's rolling live scorer can still use. Callers hold
 // c.mu.
 func (c *Client) trimPendingLocked() {
-	if over := len(c.pending) - c.maxPending; over > 0 {
+	if over := len(c.pending) - DefaultMaxPendingReports; over > 0 {
 		c.stats.ReportsDropped += int64(over)
 		c.pending = append(c.pending[:0], c.pending[over:]...)
 	}

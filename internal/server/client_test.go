@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
+
+	"pbppm/internal/markov"
 )
 
 func newPair(t *testing.T, cfg Config, ccfg ClientConfig) (*Server, *Client, func()) {
@@ -92,14 +94,34 @@ func TestClientChainAcrossClicks(t *testing.T) {
 }
 
 func TestClientOversizePrefetchSkipped(t *testing.T) {
-	_, cl, done := newPair(t, Config{Predictor: trainedPB()}, ClientConfig{MaxPrefetchBytes: 1024})
-	defer done()
+	// A Server never hints a document over 30 KB, so a stand-in server
+	// hints one: /big (40 KB) on the /home response.
+	var prefetches atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get(HeaderPrefetchFetch) != "" {
+			prefetches.Add(1)
+		}
+		if r.URL.Path == "/home" {
+			w.Header().Set(HeaderPrefetch, FormatHints([]markov.Prediction{{URL: "/big", Probability: 1}}))
+			w.Write(make([]byte, 4000))
+			return
+		}
+		w.Write(make([]byte, 40*1024))
+	}))
+	defer ts.Close()
+	cl, err := NewClient(ClientConfig{ID: "tester", BaseURL: ts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := cl.Get("/home"); err != nil {
 		t.Fatal(err)
 	}
 	cl.Wait()
-	// /news (3000 B) exceeds the 1 KB client cap: next click misses.
-	src, err := cl.Get("/news")
+	if prefetches.Load() != 1 {
+		t.Fatalf("client made %d prefetch fetches, want 1", prefetches.Load())
+	}
+	// /big exceeds the client's 30 KB cap: next click misses.
+	src, err := cl.Get("/big")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +174,12 @@ func TestManyClientsShareServer(t *testing.T) {
 
 // TestClientPendingReportsBounded regresses the unbounded requeue path:
 // a flapping server fails every delivery, so every Flush requeues its
-// batch; the pending batch must stay capped (drop-oldest) rather than
-// grow with every local hit.
+// batch; the pending batch must stay capped at DefaultMaxPendingReports
+// (drop-oldest) rather than grow with every local hit.
 func TestClientPendingReportsBounded(t *testing.T) {
 	cl, err := NewClient(ClientConfig{
-		ID:                "tester",
-		BaseURL:           "http://127.0.0.1:1", // nothing listens: every delivery fails
-		MaxPendingReports: 8,
+		ID:      "tester",
+		BaseURL: "http://127.0.0.1:1", // nothing listens: every delivery fails
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +190,8 @@ func TestClientPendingReportsBounded(t *testing.T) {
 	cl.cache.Put("/page", 100, false)
 	cl.mu.Unlock()
 
-	for i := 0; i < 50; i++ {
+	const hits = DefaultMaxPendingReports + 50
+	for i := 0; i < hits; i++ {
 		if _, err := cl.Get("/page"); err != nil {
 			t.Fatalf("cache-hit Get should not touch the network: %v", err)
 		}
@@ -181,13 +203,13 @@ func TestClientPendingReportsBounded(t *testing.T) {
 	cl.mu.Lock()
 	pending := len(cl.pending)
 	cl.mu.Unlock()
-	if pending > 8 {
-		t.Fatalf("pending batch grew to %d entries, cap is 8", pending)
+	if pending > DefaultMaxPendingReports {
+		t.Fatalf("pending batch grew to %d entries, cap is %d", pending, DefaultMaxPendingReports)
 	}
 	st := cl.Stats()
-	if st.ReportsDropped != 50-int64(pending) {
-		t.Fatalf("ReportsDropped = %d, want %d (50 queued, %d retained)",
-			st.ReportsDropped, 50-pending, pending)
+	if st.ReportsDropped != hits-int64(pending) {
+		t.Fatalf("ReportsDropped = %d, want %d (%d queued, %d retained)",
+			st.ReportsDropped, hits-pending, hits, pending)
 	}
 
 	// The retained entries are the newest: delivery order survives the
@@ -201,15 +223,12 @@ func TestClientPendingReportsBounded(t *testing.T) {
 	}
 }
 
-// TestClientDefaultPendingCap checks the default cap is applied and a
-// within-cap batch is never trimmed.
+// TestClientDefaultPendingCap checks a within-cap batch is never
+// trimmed.
 func TestClientDefaultPendingCap(t *testing.T) {
 	cl, err := NewClient(ClientConfig{ID: "t", BaseURL: "http://127.0.0.1:1"})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cl.maxPending != DefaultMaxPendingReports {
-		t.Fatalf("default cap = %d, want %d", cl.maxPending, DefaultMaxPendingReports)
 	}
 	cl.requeueReports([]ReportEntry{{URL: "/a"}, {URL: "/b"}})
 	if st := cl.Stats(); st.ReportsDropped != 0 {

@@ -84,7 +84,6 @@ func TestStressServeRebuildExpire(t *testing.T) {
 			default:
 			}
 			srv.SetPredictor(trainedPB())
-			srv.Ranking()
 			runtime.Gosched()
 		}
 	}()

@@ -125,10 +125,9 @@ func checkLiveScorerMatchesOfflineSimulator(t *testing.T, serve func(*core.Model
 	var clockNanos atomic.Int64
 	clockNanos.Store(base.UnixNano())
 	srv := New(store, Config{
-		Predictor:    serve(model),
-		MaxHints:     1024, // the simulator does not cap hints per response
-		MaxHintBytes: 30 * 1024,
-		Clock:        func() time.Time { return time.Unix(0, clockNanos.Load()) },
+		Predictor: serve(model),
+		MaxHints:  1024, // the simulator does not cap hints per response
+		Clock:     func() time.Time { return time.Unix(0, clockNanos.Load()) },
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

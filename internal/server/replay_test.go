@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"pbppm/internal/cache"
 	"pbppm/internal/core"
 	"pbppm/internal/popularity"
 	"pbppm/internal/session"
@@ -80,11 +79,7 @@ func TestReplayWorkloadOverHTTP(t *testing.T) {
 			cl := clients[s.Client]
 			if cl == nil {
 				var err error
-				cl, err = NewClient(ClientConfig{
-					ID:      s.Client,
-					BaseURL: ts.URL,
-					Policy:  cache.NewLRU(cache.DefaultBrowserCapacity),
-				})
+				cl, err = NewClient(ClientConfig{ID: s.Client, BaseURL: ts.URL})
 				if err != nil {
 					t.Fatal(err)
 				}

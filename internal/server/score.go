@@ -158,12 +158,15 @@ func (l *liveScore) setGrader(g popularity.Grader) {
 	l.grader.Store(&graderCell{g: g})
 }
 
-// gradeOf grades a URL with the published grader, or grade 0.
+// gradeOf grades a URL with the published grader, or grade 0. The
+// grade indexes the per-grade counters, so any Grader's answer is
+// clamped to [0, MaxGrade].
 func (l *liveScore) gradeOf(url string) popularity.Grade {
-	if c := l.grader.Load(); c != nil && c.g != nil {
-		return c.g.GradeOf(url)
+	c := l.grader.Load()
+	if c == nil || c.g == nil {
+		return 0
 	}
-	return 0
+	return min(max(c.g.GradeOf(url), 0), popularity.MaxGrade)
 }
 
 // setModel switches the scoring target to the named model, creating
@@ -225,12 +228,9 @@ func (l *liveScore) scorer(issuer *modelScore) *modelScore {
 }
 
 // emit counts the event and forwards it to the configured listener.
+// ev.Grade comes from gradeOf, so it indexes the counters in range.
 func (l *liveScore) emit(ev HintEvent) {
-	g := ev.Grade
-	if g > popularity.MaxGrade {
-		g = popularity.MaxGrade
-	}
-	l.events[ev.Type][g].Inc()
+	l.events[ev.Type][ev.Grade].Inc()
 	if l.onEvent != nil {
 		l.onEvent(ev)
 	}
@@ -352,7 +352,8 @@ func (s *Server) DemandLatencyGoodTotal(span, threshold time.Duration) (good, to
 }
 
 // SetGrader publishes the popularity grader used to grade hint-event
-// URLs; the maintenance loop calls this with each rebuild's ranking.
+// URLs; the maintenance loop calls this with each rebuild's ranking. A
+// grade outside [0, popularity.MaxGrade] counts as the nearer bound.
 func (s *Server) SetGrader(g popularity.Grader) { s.live.setGrader(g) }
 
 // BindSLIs wires the server's live signals into an SLO engine:

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/gob"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -196,6 +198,97 @@ func TestWastedOnSessionExpiry(t *testing.T) {
 		if ev.URL == "/news/today" {
 			t.Errorf("unfetched hint emitted Wasted: %+v", ev)
 		}
+	}
+}
+
+// TestOutOfRangeGradesAreClamped: a Grader may answer any integer, and
+// the grade indexes the per-grade counters, so the server clamps it to
+// [0, MaxGrade]: a negative grade counts under 0, one above 3 under 3.
+func TestOutOfRangeGradesAreClamped(t *testing.T) {
+	log := &eventLog{}
+	reg := obs.NewRegistry()
+	srv := New(testStore(), Config{
+		Predictor:   trainedPB(),
+		Obs:         reg,
+		OnHintEvent: log.add,
+		Grades:      popularity.FixedGrades{"/news": -1, "/news/today": 9},
+	})
+	// /home draws the hint /news (grade -1), and /news then draws
+	// /news/today (grade 9); the client prefetches each hint and
+	// reports its hit.
+	for _, c := range []struct{ page, hint string }{
+		{"/home", "/news"},
+		{"/news", "/news/today"},
+	} {
+		doGet(srv, c.page, "c1", false)
+		doGet(srv, c.hint, "c1", true)
+		doReport(srv, "c1", []ReportEntry{{URL: c.hint, Outcome: quality.PrefetchHit}})
+	}
+	want := map[string]popularity.Grade{"/news": 0, "/news/today": popularity.MaxGrade}
+	for _, typ := range []HintEventType{HintIssued, HintFetched, HintHit} {
+		for u, g := range want {
+			n := 0
+			for _, ev := range log.ofType(typ) {
+				if ev.URL != u {
+					continue
+				}
+				n++
+				if ev.Grade != g {
+					t.Errorf("%s event for %s has grade %d, want %d", typ, u, ev.Grade, g)
+				}
+			}
+			if n == 0 {
+				t.Errorf("no %s event for %s", typ, u)
+			}
+		}
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		`pbppm_hint_events_total{event="fetched",grade="0"} 1`,
+		`pbppm_hint_events_total{event="hit",grade="0"} 1`,
+		`pbppm_hint_events_total{event="fetched",grade="3"} 1`,
+		`pbppm_hint_events_total{event="hit",grade="3"} 1`,
+		`pbppm_live_precision{model="PB-PPM",grade="0"} 1`,
+		`pbppm_live_precision{model="PB-PPM",grade="3"} 1`,
+	} {
+		if !strings.Contains(sb.String(), line) {
+			t.Errorf("exposition missing %q", line)
+		}
+	}
+}
+
+// TestOlderScaleRankingGradesInRange: a ranking image written by a
+// build that let a caller choose the grade scale still carries that
+// scale (here base 2 with 7 grades, which grades the top URL 7). Once
+// decoded and installed as the grader, a prefetch fetch of the top URL
+// counts under grade 3.
+func TestOlderScaleRankingGradesInRange(t *testing.T) {
+	var img bytes.Buffer
+	if err := gob.NewEncoder(&img).Encode(struct {
+		URLs   []string
+		Counts []int64
+		Base   float64
+		Grades int
+	}{URLs: []string{"/news", "/home"}, Counts: []int64{128, 64}, Base: 2, Grades: 7}); err != nil {
+		t.Fatal(err)
+	}
+	rank, err := popularity.DecodeRanking(&img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &eventLog{}
+	srv := New(testStore(), Config{Predictor: trainedPB(), OnHintEvent: log.add})
+	srv.SetGrader(rank)
+	doGet(srv, "/home", "c1", false)
+	if rec := doGet(srv, "/news", "c1", true); rec.Code != http.StatusOK {
+		t.Fatalf("prefetch fetch status = %d", rec.Code)
+	}
+	fetched := log.ofType(HintFetched)
+	if len(fetched) != 1 || fetched[0].URL != "/news" || fetched[0].Grade != popularity.MaxGrade {
+		t.Fatalf("Fetched events = %+v, want /news at grade %d", fetched, popularity.MaxGrade)
 	}
 }
 

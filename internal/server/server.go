@@ -2,8 +2,9 @@
 // system the paper's simulator models. The server holds a prediction
 // model (any markov.Predictor: PB-PPM, standard PPM, LRS, Top-10),
 // tracks per-client access sessions with the paper's 30-minute idle
-// rule, continuously counts URL popularity, and attaches prefetch
-// hints to every response it serves.
+// rule, and attaches prefetch hints to every response it serves. It
+// grades hinted URLs with the popularity ranking the maintainer derives
+// from its training window (SetGrader).
 //
 // HTTP/1.x cannot push unsolicited bodies, so the server uses the
 // hint-based protocol of the literature the paper builds on (Cohen et
@@ -58,6 +59,11 @@ const (
 	HeaderPrefetchFetch = "X-Prefetch-Fetch"
 )
 
+// maxHintBytes is the paper's 30 KB size threshold for PB-PPM: the
+// server hints no larger document, and a Client caches no larger
+// prefetch.
+const maxHintBytes = 30 * 1024
+
 // Document is one servable resource.
 type Document struct {
 	URL         string
@@ -91,9 +97,6 @@ type Config struct {
 	Predictor markov.Predictor
 	// MaxHints caps the hint list per response; zero selects 4.
 	MaxHints int
-	// MaxHintBytes drops hints whose document exceeds this size; zero
-	// selects the paper's 30 KB PB-PPM threshold.
-	MaxHintBytes int64
 	// SessionIdle splits per-client contexts; zero selects the paper's
 	// 30 minutes.
 	SessionIdle time.Duration
@@ -146,13 +149,6 @@ func (c Config) maxHints() int {
 		return 4
 	}
 	return c.MaxHints
-}
-
-func (c Config) maxHintBytes() int64 {
-	if c.MaxHintBytes <= 0 {
-		return 30 * 1024
-	}
-	return c.MaxHintBytes
 }
 
 func (c Config) idle() time.Duration {
@@ -299,17 +295,6 @@ type contextShard struct {
 	ending map[string]chan struct{}
 }
 
-// rankShards is the number of popularity-count shards; URL counting is
-// the only per-request write shared by all clients, so it gets its own
-// sharding keyed by URL hash.
-const rankShards = 16
-
-// rankShard is one slice of the online popularity counts.
-type rankShard struct {
-	mu   sync.Mutex
-	rank *popularity.Ranking
-}
-
 // predictorCell boxes the published model so an interface value can sit
 // behind an atomic.Pointer. stream is the model's streaming interface,
 // nil when it has none; gen numbers the publish, so a session can tell
@@ -344,8 +329,6 @@ type Server struct {
 	pred atomic.Pointer[predictorCell]
 	// gens numbers publishes (see predictorCell.gen).
 	gens atomic.Uint32
-
-	ranks [rankShards]rankShard
 
 	shards [contextShards]contextShard
 
@@ -465,9 +448,6 @@ func New(store ContentStore, cfg Config) *Server {
 	if cfg.Grades != nil {
 		s.live.setGrader(cfg.Grades)
 	}
-	for i := range s.ranks {
-		s.ranks[i].rank = popularity.NewRanking()
-	}
 	for i := range s.shards {
 		s.shards[i].contexts = make(map[string]*clientContext)
 		s.shards[i].ending = make(map[string]chan struct{})
@@ -525,29 +505,6 @@ func fnv1a(key string) uint32 {
 // shard returns the context shard for a client.
 func (s *Server) shard(client string) *contextShard {
 	return &s.shards[fnv1a(client)%contextShards]
-}
-
-// observeRank counts one access to url in its popularity shard.
-func (s *Server) observeRank(url string) {
-	rs := &s.ranks[fnv1a(url)%rankShards]
-	rs.mu.Lock()
-	rs.rank.Observe(url, 1)
-	rs.mu.Unlock()
-}
-
-// Ranking returns a merged snapshot copy of the server's online
-// popularity counts, suitable for building a fresh PB-PPM model.
-func (s *Server) Ranking() *popularity.Ranking {
-	out := popularity.NewRanking()
-	for i := range s.ranks {
-		rs := &s.ranks[i]
-		rs.mu.Lock()
-		for _, u := range rs.rank.Top(rs.rank.Len()) {
-			out.Observe(u, rs.rank.Count(u))
-		}
-		rs.mu.Unlock()
-	}
-	return out
 }
 
 // Stats returns a snapshot of the counters.
@@ -635,12 +592,6 @@ func headerValue(h http.Header, key string) string {
 	return ""
 }
 
-// clientOf is the trust-any resolution used by the single-server path
-// (no configured TrustedPeers); kept as a helper for tests.
-func clientOf(r *http.Request) string {
-	return IdentityPolicy{}.ClientOf(r)
-}
-
 // ServeHTTP serves the document and attaches prefetch hints for the
 // client identity the server's TrustedPeers policy resolves.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -683,9 +634,9 @@ func (s *Server) ServeClient(w http.ResponseWriter, r *http.Request, client stri
 		http.NotFound(w, r)
 		return
 	}
-	// Session contexts, hint records and the popularity counts outlive
-	// the request, so they keep the store's copy of the URL: the request
-	// path is a substring of the request line and would pin all of it.
+	// Session contexts and hint records outlive the request, so they
+	// keep the store's copy of the URL: the request path is a substring
+	// of the request line and would pin all of it.
 	url := doc.URL
 	if url != r.URL.Path {
 		url = strings.Clone(r.URL.Path)
@@ -821,17 +772,16 @@ var predBufPool = sync.Pool{
 	New: func() any { return new([]markov.Prediction) },
 }
 
-// observeDemand updates the client's session context, popularity, and
-// statistics, scores the request against the live quality model, and
-// computes the prefetch hints for this response. Only the client's
-// context shard (and briefly the ranking mutex) is locked; prediction
+// observeDemand updates the client's session context and statistics,
+// scores the request against the live quality model, and computes the
+// prefetch hints for this response. Only the client's context shard is
+// locked; prediction
 // and store lookups run lock-free. A streaming model advances the
 // session's match state by this one URL under the lock; any other model
 // gets a snapshot of the context tail.
 func (s *Server) observeDemand(client, url string, size int64, at time.Time) []markov.Prediction {
 	span := s.tracer.Start()
 	now := s.stamp(at)
-	s.observeRank(url)
 	// Every demand request that reaches the server is a miss in the
 	// client's caches; hits are scored from client reports instead.
 	s.live.demand(at, size, quality.Miss)
@@ -931,7 +881,7 @@ func (s *Server) observeDemand(client, url string, size int64, at time.Time) []m
 	out := make([]markov.Prediction, 0, limit)
 	for _, p := range preds {
 		doc, ok := s.store.Lookup(p.URL)
-		if !ok || int64(len(doc.Body)) > s.cfg.maxHintBytes() {
+		if !ok || len(doc.Body) > maxHintBytes {
 			continue
 		}
 		// The hint record outlives the model snapshot; keep the store's

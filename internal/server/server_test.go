@@ -120,7 +120,7 @@ func TestHintsRespectSizeCap(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		m.TrainSequence([]string{"/home", "/huge"})
 	}
-	srv := New(testStore(), Config{Predictor: m, MaxHintBytes: 10 * 1024})
+	srv := New(testStore(), Config{Predictor: m})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -202,40 +202,6 @@ func TestSessionIdleSplitsContext(t *testing.T) {
 	}
 }
 
-func TestOnlineRankingAndSetPredictor(t *testing.T) {
-	srv := New(testStore(), Config{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	for i := 0; i < 5; i++ {
-		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/home", nil)
-		req.Header.Set(HeaderClientID, fmt.Sprintf("c%d", i))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-	}
-	rank := srv.Ranking()
-	if rank.Count("/home") != 5 {
-		t.Errorf("ranking count = %d", rank.Count("/home"))
-	}
-	// Rebuild a model from the online ranking and install it.
-	m := core.New(rank, core.Config{})
-	m.TrainSequence([]string{"/home", "/news"})
-	srv.SetPredictor(m)
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/home", nil)
-	req.Header.Set(HeaderClientID, "fresh")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get(HeaderPrefetch) == "" {
-		t.Error("no hints after SetPredictor")
-	}
-}
-
 func TestClientOf(t *testing.T) {
 	cases := map[string]string{
 		"127.0.0.1:9184":     "127.0.0.1",   // IPv4 with port
@@ -248,15 +214,15 @@ func TestClientOf(t *testing.T) {
 	for addr, want := range cases {
 		req := httptest.NewRequest(http.MethodGet, "/home", nil)
 		req.RemoteAddr = addr
-		if got := clientOf(req); got != want {
-			t.Errorf("clientOf(%q) = %q, want %q", addr, got, want)
+		if got := (IdentityPolicy{}).ClientOf(req); got != want {
+			t.Errorf("ClientOf(%q) = %q, want %q", addr, got, want)
 		}
 	}
 	// The explicit client header always wins.
 	req := httptest.NewRequest(http.MethodGet, "/home", nil)
 	req.RemoteAddr = "[::1]:80"
 	req.Header.Set(HeaderClientID, "alice")
-	if got := clientOf(req); got != "alice" {
+	if got := (IdentityPolicy{}).ClientOf(req); got != "alice" {
 		t.Errorf("header client = %q, want alice", got)
 	}
 }

@@ -98,7 +98,7 @@ func TestSessionAcrossModelSwapMatchesFreshSession(t *testing.T) {
 	for _, seq := range walkSessions(pages, 5) {
 		blended.TrainSequence(seq)
 	}
-	top := topn.New(topn.Config{N: 8})
+	top := topn.New()
 	for _, seq := range walkSessions(pages, 1) {
 		top.TrainSequence(seq)
 	}

@@ -30,6 +30,10 @@ import (
 	"pbppm/internal/session"
 )
 
+// popularMinGrade is the lowest popularity grade the popular-prefetch-hit
+// metric counts as popular.
+const popularMinGrade popularity.Grade = 2
+
 // DefaultMaxPrefetchBytes is the paper's size threshold for the
 // standard and LRS models (10 KB); PBMaxPrefetchBytes is the 30 KB
 // threshold used for PB-PPM in the client–server experiments.
@@ -56,20 +60,14 @@ type Options struct {
 	// Path supplies the latency models; the zero value selects
 	// latency.DefaultPath().
 	Path latency.Path
-	// BrowserCacheBytes sizes each client's browser cache; zero selects
-	// the paper's 1 MB.
-	BrowserCacheBytes int64
-	// UseProxy interposes a shared proxy cache between the clients and
-	// the server (the §5 experiment); prefetched documents are then
-	// pushed to the proxy, not the browsers.
+	// UseProxy interposes a shared 16 GB proxy cache between the
+	// clients' 1 MB browser caches and the server (the §5 experiment);
+	// prefetched documents are then pushed to the proxy, not the
+	// browsers.
 	UseProxy bool
-	// ProxyCacheBytes sizes the proxy cache; zero selects 16 GB.
-	ProxyCacheBytes int64
 	// Grades classifies documents for the popular-prefetch-hit metric;
-	// nil disables that metric. Popular means grade >= PopularMinGrade.
+	// nil disables that metric. Popular means grade 2 or 3.
 	Grades popularity.Grader
-	// PopularMinGrade defaults to 2.
-	PopularMinGrade popularity.Grade
 	// OnlineTraining feeds each completed test session back into the
 	// model, emulating a continuously maintained server model.
 	OnlineTraining bool
@@ -138,20 +136,6 @@ func (o Options) path() latency.Path {
 	return o.Path
 }
 
-func (o Options) browserBytes() int64 {
-	if o.BrowserCacheBytes == 0 {
-		return cache.DefaultBrowserCapacity
-	}
-	return o.BrowserCacheBytes
-}
-
-func (o Options) proxyBytes() int64 {
-	if o.ProxyCacheBytes == 0 {
-		return cache.DefaultProxyCapacity
-	}
-	return o.ProxyCacheBytes
-}
-
 // CachePolicy names a cache replacement policy.
 type CachePolicy int
 
@@ -183,13 +167,6 @@ func (o Options) progressEvery() int {
 		return 50000
 	}
 	return o.ProgressEvery
-}
-
-func (o Options) popularMin() popularity.Grade {
-	if o.PopularMinGrade == 0 {
-		return 2
-	}
-	return o.PopularMinGrade
 }
 
 // URLSequences extracts the clicked URL sequences from sessions — the
@@ -279,14 +256,14 @@ func Run(test []session.Session, opt Options) metrics.Result {
 	browserFor := func(client string) cache.Policy {
 		b := browsers[client]
 		if b == nil {
-			b = opt.newCache(opt.browserBytes())
+			b = opt.newCache(cache.DefaultBrowserCapacity)
 			browsers[client] = b
 		}
 		return b
 	}
 	var proxy cache.Policy
 	if opt.UseProxy {
-		proxy = opt.newCache(opt.proxyBytes())
+		proxy = opt.newCache(cache.DefaultProxyCapacity)
 	}
 
 	// contexts tracks each in-flight session's clicked URLs so far.
@@ -336,7 +313,7 @@ func Run(test []session.Session, opt Options) metrics.Result {
 			res.BrowserHits++
 			if prefetched {
 				outcome = quality.PrefetchHit
-				if opt.Grades != nil && opt.Grades.GradeOf(v.URL) >= opt.popularMin() {
+				if opt.Grades != nil && opt.Grades.GradeOf(v.URL) >= popularMinGrade {
 					res.PrefetchHitsPopular++
 				}
 				browser.MarkDemand(v.URL)
@@ -353,7 +330,7 @@ func Run(test []session.Session, opt Options) metrics.Result {
 				if prefetched {
 					outcome = quality.PrefetchHit
 					res.ProxyPrefetchHits++
-					if opt.Grades != nil && opt.Grades.GradeOf(v.URL) >= opt.popularMin() {
+					if opt.Grades != nil && opt.Grades.GradeOf(v.URL) >= popularMinGrade {
 						res.PrefetchHitsPopular++
 					}
 					proxy.MarkDemand(v.URL)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pbppm/internal/cache"
 	"pbppm/internal/core"
 	"pbppm/internal/latency"
 	"pbppm/internal/lrs"
@@ -103,13 +104,20 @@ func TestInvariantsAcrossModels(t *testing.T) {
 	}
 }
 
-// TestSmallerCacheFewerHits: shrinking the browser cache can only
-// reduce (or keep) the hit count on a replay without prefetching.
+// TestSmallerCacheFewerHits: shrinking the browser cache relative to
+// the documents can only reduce (or keep) the hit count on a replay
+// without prefetching. The 1 MB cache holds every document of the
+// workload; scaled 512 times, they fill it as the originals fill a
+// 2 KB cache.
 func TestSmallerCacheFewerHits(t *testing.T) {
 	test := randomSessions(3, 150, 0)
 	sizeTable := BuildSizeTable(test)
-	big := Run(test, Options{Sizes: sizeTable, BrowserCacheBytes: 1 << 20})
-	small := Run(test, Options{Sizes: sizeTable, BrowserCacheBytes: 2048})
+	scaled := make(map[string]int64, len(sizeTable))
+	for u, size := range sizeTable {
+		scaled[u] = size * (cache.DefaultBrowserCapacity / 2048)
+	}
+	big := Run(test, Options{Sizes: sizeTable})
+	small := Run(test, Options{Sizes: scaled})
 	if small.Hits() > big.Hits() {
 		t.Errorf("smaller cache produced more hits: %d > %d", small.Hits(), big.Hits())
 	}
@@ -129,9 +137,13 @@ func TestCustomLatencyPathScalesLatency(t *testing.T) {
 	p2 := latency.Path{
 		ClientServer: latency.Model{Connect: 200 * time.Millisecond, TransferRate: 2 * time.Microsecond},
 	}
-	// A tiny browser cache forces (almost) every request to the server.
-	r1 := Run(test, Options{Sizes: sizeTable, Path: p1, BrowserCacheBytes: 1})
-	r2 := Run(test, Options{Sizes: sizeTable, Path: p2, BrowserCacheBytes: 1})
+	// Documents larger than the 1 MB browser cache force every request
+	// to the server.
+	for u := range sizeTable {
+		sizeTable[u] += cache.DefaultBrowserCapacity
+	}
+	r1 := Run(test, Options{Sizes: sizeTable, Path: p1})
+	r2 := Run(test, Options{Sizes: sizeTable, Path: p2})
 	ratio := float64(r2.TotalLatency) / float64(r1.TotalLatency)
 	if ratio < 1.99 || ratio > 2.01 {
 		t.Errorf("latency ratio = %v, want 2.0", ratio)

@@ -15,35 +15,21 @@ import (
 	"pbppm/internal/popularity"
 )
 
-// Config parameterizes the Top-N model.
-type Config struct {
-	// N is how many of the most popular documents are candidates;
-	// zero selects the eponymous 10.
-	N int
-	// MinRelative drops candidates whose relative popularity is below
-	// this floor (avoids pushing the long tail on tiny servers).
-	MinRelative float64
-}
+// n is how many of the most popular documents are candidates: the
+// eponymous 10.
+const n = 10
 
-func (c Config) n() int {
-	if c.N <= 0 {
-		return 10
-	}
-	return c.N
-}
-
-// Model is a Top-N popularity pusher.
+// Model is a Top-10 popularity pusher.
 type Model struct {
-	cfg  Config
 	rank *popularity.Ranking
 }
 
 var _ markov.Predictor = (*Model)(nil)
 var _ markov.BufferedPredictor = (*Model)(nil)
 
-// New returns an empty Top-N model.
-func New(cfg Config) *Model {
-	return &Model{cfg: cfg, rank: popularity.NewRanking()}
+// New returns an empty Top-10 model.
+func New() *Model {
+	return &Model{rank: popularity.NewRanking()}
 }
 
 // Name identifies the model.
@@ -57,7 +43,7 @@ func (m *Model) TrainSequence(seq []string) {
 	}
 }
 
-// Predict returns the top-N popular documents with their relative
+// Predict returns the top-10 popular documents with their relative
 // popularity as the (context-free) probability estimate. The current
 // document itself is excluded: pushing what was just served is free
 // but useless. Predict only reads the ranking, so once training has
@@ -68,23 +54,19 @@ func (m *Model) Predict(context []string) []markov.Prediction {
 
 // PredictInto is Predict writing into buf per the
 // markov.BufferedPredictor buffer-ownership contract (the ranking
-// lookup itself still allocates its top-N scratch).
+// lookup itself still allocates its top-10 scratch).
 func (m *Model) PredictInto(context []string, buf []markov.Prediction) []markov.Prediction {
 	buf = buf[:0]
 	cur := ""
 	if len(context) > 0 {
 		cur = context[len(context)-1]
 	}
-	for _, u := range m.rank.Top(m.cfg.n() + 1) {
+	for _, u := range m.rank.Top(n + 1) {
 		if u == cur {
 			continue
 		}
-		rp := m.rank.Relative(u)
-		if rp < m.cfg.MinRelative {
-			continue
-		}
-		buf = append(buf, markov.Prediction{URL: u, Probability: rp, Order: 0})
-		if len(buf) == m.cfg.n() {
+		buf = append(buf, markov.Prediction{URL: u, Probability: m.rank.Relative(u), Order: 0})
+		if len(buf) == n {
 			break
 		}
 	}

@@ -1,6 +1,7 @@
 package topn
 
 import (
+	"fmt"
 	"testing"
 
 	"pbppm/internal/markov"
@@ -20,18 +21,36 @@ func train(m *Model) {
 	m.TrainSequence([]string{"/tail1", "/tail2"})
 }
 
+// trainMany trains the five documents of train and nine more, /d0 (9
+// accesses) down to /d8 (1), so more documents than the model's ten
+// compete.
+func trainMany(m *Model) {
+	train(m)
+	for i := 0; i < 9; i++ {
+		for j := 0; j < 9-i; j++ {
+			m.TrainSequence([]string{fmt.Sprintf("/d%d", i)})
+		}
+	}
+}
+
 func TestName(t *testing.T) {
-	if got := New(Config{}).Name(); got != "Top-10" {
+	if got := New().Name(); got != "Top-10" {
 		t.Errorf("Name = %q", got)
 	}
 }
 
 func TestPredictReturnsTopN(t *testing.T) {
-	m := New(Config{N: 2})
-	train(m)
+	m := New()
+	trainMany(m)
 	ps := m.Predict([]string{"/somewhere"})
-	if len(ps) != 2 || ps[0].URL != "/hot" || ps[1].URL != "/warm" {
-		t.Fatalf("Predict = %+v", ps)
+	want := []string{"/hot", "/warm", "/mild", "/d0", "/d1", "/d2", "/d3", "/d4", "/d5", "/d6"}
+	if len(ps) != len(want) {
+		t.Fatalf("Predict = %+v, want %v", ps, want)
+	}
+	for i, u := range want {
+		if ps[i].URL != u {
+			t.Fatalf("Predict = %+v, want %v", ps, want)
+		}
 	}
 	if ps[0].Probability != 1.0 {
 		t.Errorf("P(/hot) = %v, want RP 1.0", ps[0].Probability)
@@ -42,10 +61,10 @@ func TestPredictReturnsTopN(t *testing.T) {
 }
 
 func TestPredictExcludesCurrentDocument(t *testing.T) {
-	m := New(Config{N: 2})
-	train(m)
+	m := New()
+	trainMany(m)
 	ps := m.Predict([]string{"/hot"})
-	if len(ps) != 2 {
+	if len(ps) != 10 {
 		t.Fatalf("Predict = %+v", ps)
 	}
 	for _, p := range ps {
@@ -58,18 +77,8 @@ func TestPredictExcludesCurrentDocument(t *testing.T) {
 	}
 }
 
-func TestMinRelativeFloor(t *testing.T) {
-	m := New(Config{N: 10, MinRelative: 0.3})
-	train(m)
-	ps := m.Predict(nil)
-	// Only /hot (1.0), /warm (0.67), /mild (0.33) clear the floor.
-	if len(ps) != 3 {
-		t.Fatalf("Predict = %+v, want 3 above the floor", ps)
-	}
-}
-
 func TestDefaultN(t *testing.T) {
-	m := New(Config{})
+	m := New()
 	train(m)
 	if got := len(m.Predict(nil)); got != 5 {
 		// Only 5 distinct URLs exist; all are candidates.
@@ -78,7 +87,7 @@ func TestDefaultN(t *testing.T) {
 }
 
 func TestNodeCount(t *testing.T) {
-	m := New(Config{})
+	m := New()
 	train(m)
 	if got := m.NodeCount(); got != 5 {
 		t.Errorf("NodeCount = %d, want 5 distinct documents", got)
@@ -86,7 +95,7 @@ func TestNodeCount(t *testing.T) {
 }
 
 func TestEmptyModel(t *testing.T) {
-	m := New(Config{})
+	m := New()
 	if got := m.Predict([]string{"/x"}); len(got) != 0 {
 		t.Errorf("empty model predicted %+v", got)
 	}
@@ -96,7 +105,7 @@ func TestEmptyModel(t *testing.T) {
 }
 
 func TestPredictorInterface(t *testing.T) {
-	var p markov.Predictor = New(Config{})
+	var p markov.Predictor = New()
 	p.TrainSequence([]string{"/a", "/b"})
 	if p.Name() != "Top-10" || p.NodeCount() != 2 {
 		t.Error("interface conformance broken")

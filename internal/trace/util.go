@@ -3,7 +3,6 @@ package trace
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 )
 
 // Merge combines traces into one, re-sorted by time. The earliest
@@ -21,21 +20,6 @@ func Merge(traces ...*Trace) *Trace {
 	}
 	out.Sort()
 	return out
-}
-
-// ByClient returns the sub-trace of one client's requests.
-func (t *Trace) ByClient(client string) *Trace {
-	return t.Filter(func(r Record) bool { return r.Client == client })
-}
-
-// ByStatus returns the sub-trace of records with any of the given
-// status codes.
-func (t *Trace) ByStatus(statuses ...int) *Trace {
-	keep := make(map[int]bool, len(statuses))
-	for _, s := range statuses {
-		keep[s] = true
-	}
-	return t.Filter(func(r Record) bool { return keep[r.Status] })
 }
 
 // Anonymize returns a copy of the trace with every client identifier
@@ -75,41 +59,4 @@ func (t *Trace) SplitByDay() map[int]*Trace {
 		sub.Records = append(sub.Records, r)
 	}
 	return out
-}
-
-// Stats summarizes a trace's volume per day: requests and bytes.
-type DayStats struct {
-	Day      int
-	Requests int
-	Bytes    int64
-}
-
-// DailyStats returns per-day volumes in day order.
-func (t *Trace) DailyStats() []DayStats {
-	byDay := t.SplitByDay()
-	maxDay := -1
-	for d := range byDay {
-		if d > maxDay {
-			maxDay = d
-		}
-	}
-	var out []DayStats
-	for d := 0; d <= maxDay; d++ {
-		sub := byDay[d]
-		if sub == nil {
-			out = append(out, DayStats{Day: d})
-			continue
-		}
-		st := DayStats{Day: d, Requests: len(sub.Records)}
-		for _, r := range sub.Records {
-			st.Bytes += r.Bytes
-		}
-		out = append(out, st)
-	}
-	return out
-}
-
-// String renders day stats compactly.
-func (s DayStats) String() string {
-	return fmt.Sprintf("day %d: %d requests, %d bytes", s.Day, s.Requests, s.Bytes)
 }

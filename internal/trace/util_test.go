@@ -29,23 +29,6 @@ func TestMergeTraces(t *testing.T) {
 	}
 }
 
-func TestByClientAndStatus(t *testing.T) {
-	r404 := rec(0, 3, "b", "/x", 0)
-	r404.Status = 404
-	tr := &Trace{Epoch: epoch, Records: []Record{
-		rec(0, 1, "a", "/1", 1), rec(0, 2, "b", "/2", 1), r404,
-	}}
-	if got := tr.ByClient("a"); len(got.Records) != 1 || got.Records[0].URL != "/1" {
-		t.Errorf("ByClient = %+v", got.Records)
-	}
-	if got := tr.ByStatus(404); len(got.Records) != 1 || got.Records[0].Status != 404 {
-		t.Errorf("ByStatus = %+v", got.Records)
-	}
-	if got := tr.ByStatus(200, 404); len(got.Records) != 3 {
-		t.Errorf("ByStatus(200,404) kept %d", len(got.Records))
-	}
-}
-
 func TestAnonymize(t *testing.T) {
 	tr := &Trace{Epoch: epoch, Records: []Record{
 		rec(0, 1, "alice.example.com", "/1", 1),
@@ -79,7 +62,7 @@ func TestAnonymize(t *testing.T) {
 	}
 }
 
-func TestSplitByDayAndDailyStats(t *testing.T) {
+func TestSplitByDay(t *testing.T) {
 	tr := &Trace{Epoch: epoch, Records: []Record{
 		rec(0, 1, "a", "/1", 100),
 		rec(0, 2, "a", "/2", 200),
@@ -88,21 +71,5 @@ func TestSplitByDayAndDailyStats(t *testing.T) {
 	byDay := tr.SplitByDay()
 	if len(byDay) != 2 || len(byDay[0].Records) != 2 || len(byDay[2].Records) != 1 {
 		t.Errorf("SplitByDay = %v", byDay)
-	}
-	stats := tr.DailyStats()
-	if len(stats) != 3 {
-		t.Fatalf("DailyStats = %+v", stats)
-	}
-	if stats[0].Requests != 2 || stats[0].Bytes != 300 {
-		t.Errorf("day0 = %+v", stats[0])
-	}
-	if stats[1].Requests != 0 {
-		t.Errorf("day1 = %+v", stats[1])
-	}
-	if stats[2].Bytes != 300 {
-		t.Errorf("day2 = %+v", stats[2])
-	}
-	if !strings.Contains(stats[2].String(), "day 2") {
-		t.Errorf("String = %q", stats[2].String())
 	}
 }

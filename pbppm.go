@@ -94,16 +94,12 @@ func NewPopularityPPM(grades Grader, cfg PopularityPPMConfig) *PopularityPPM {
 	return core.New(grades, cfg)
 }
 
-type (
-	// TopNModel is the context-free Top-10 baseline from the paper's
-	// related work (server-initiated popularity pushing).
-	TopNModel = topn.Model
-	// TopNConfig configures the Top-N baseline.
-	TopNConfig = topn.Config
-)
+// TopNModel is the context-free Top-10 baseline from the paper's
+// related work (server-initiated popularity pushing).
+type TopNModel = topn.Model
 
-// NewTopN returns an empty Top-N popularity-pushing baseline.
-func NewTopN(cfg TopNConfig) *TopNModel { return topn.New(cfg) }
+// NewTopN returns an empty Top-10 popularity-pushing baseline.
+func NewTopN() *TopNModel { return topn.New() }
 
 // Snapshot is a decoded snapshot image: the frozen model, the
 // popularity ranking it was built from (nil when none was written), and

@@ -186,7 +186,7 @@ func TestFacadePersistence(t *testing.T) {
 
 // TestFacadeTopN exercises the related-work baseline via the facade.
 func TestFacadeTopN(t *testing.T) {
-	m := NewTopN(TopNConfig{N: 1})
+	m := NewTopN()
 	for i := 0; i < 3; i++ {
 		m.TrainSequence([]string{"/hot"})
 	}

@@ -61,7 +61,7 @@ func contractModels(t *testing.T) map[string]Predictor {
 		"PPM-blended": NewStandardPPM(PPMConfig{BlendOrders: true}),
 		"LRS":         NewLRS(LRSConfig{}),
 		"PB-PPM":      NewPopularityPPM(rank, PopularityPPMConfig{RelProbCutoff: 0.01}),
-		"Top-10":      NewTopN(TopNConfig{}),
+		"Top-10":      NewTopN(),
 	}
 	for _, m := range models {
 		for _, s := range seqs {
