@@ -265,15 +265,22 @@ func BenchmarkTrainLRS(b *testing.B) {
 	}
 }
 
+// benchPBPPM trains the PB-PPM model the predict and attach benchmarks
+// serve: five training days, singletons dropped, a 1% relative
+// probability cutoff.
+func benchPBPPM(b *testing.B, w *experiments.Workload) *PopularityPPM {
+	train := benchSessions(b, w, 5)
+	m := NewPopularityPPM(experiments.Ranking(train), PopularityPPMConfig{RelProbCutoff: 0.01, DropSingletons: true})
+	sim.Train(m, train)
+	return m
+}
+
 // BenchmarkPredictPBPPM measures single-prediction latency on a trained
 // PB-PPM model — the per-request server overhead the paper argues is
 // low thanks to the compact tree.
 func BenchmarkPredictPBPPM(b *testing.B) {
 	w := nasaWorkload(b)
-	train := benchSessions(b, w, 5)
-	rank := experiments.Ranking(train)
-	m := NewPopularityPPM(rank, PopularityPPMConfig{RelProbCutoff: 0.01, DropSingletons: true})
-	sim.Train(m, train)
+	m := benchPBPPM(b, w)
 	contexts := make([][]string, 0, 256)
 	for _, s := range w.DaySessions(5, 6) {
 		urls := s.URLs()
@@ -300,10 +307,7 @@ func BenchmarkPredictPBPPM(b *testing.B) {
 // the frozen serving path.
 func BenchmarkPredictFrozenPBPPM(b *testing.B) {
 	w := nasaWorkload(b)
-	train := benchSessions(b, w, 5)
-	rank := experiments.Ranking(train)
-	m := NewPopularityPPM(rank, PopularityPPMConfig{RelProbCutoff: 0.01, DropSingletons: true})
-	sim.Train(m, train)
+	m := benchPBPPM(b, w)
 	frozen := m.Freeze().(BufferedPredictor)
 	contexts := make([][]string, 0, 256)
 	for _, s := range w.DaySessions(5, 6) {
@@ -339,10 +343,7 @@ func BenchmarkPredictFrozenPBPPM(b *testing.B) {
 func BenchmarkPredictFrozenPBPPMStreaming(b *testing.B) {
 	const maxOrder = 16 // the server's context tail
 	w := nasaWorkload(b)
-	train := benchSessions(b, w, 5)
-	rank := experiments.Ranking(train)
-	m := NewPopularityPPM(rank, PopularityPPMConfig{RelProbCutoff: 0.01, DropSingletons: true})
-	sim.Train(m, train)
+	m := benchPBPPM(b, w)
 	frozen := m.Freeze().(interface {
 		Step(node uint32, url string, maxOrder int) uint32
 		PredictFrom(node uint32, last string, maxOrder int, buf []Prediction) []Prediction
@@ -385,6 +386,24 @@ func BenchmarkPredictFrozenPBPPMStreaming(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run(steps[i%len(steps)])
 	}
+}
+
+// BenchmarkArenaAttach measures ArenaFromBytes on the arena image of
+// the PB-PPM model the predict benchmarks serve: the cost a follower or
+// a rebuild pays to validate an image and derive its URL index, depths
+// and suffix links before serving from it.
+func BenchmarkArenaAttach(b *testing.B) {
+	a := markov.Freeze(benchPBPPM(b, nasaWorkload(b))).(markov.ArenaHolder).Arena()
+	img := a.Bytes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := markov.ArenaFromBytes(img); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(a.NodeCount()), "nodes")
+	b.ReportMetric(float64(len(img)), "image_bytes")
 }
 
 // BenchmarkTrainAllSerial measures serial session-by-session training

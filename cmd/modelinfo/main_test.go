@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -154,8 +156,9 @@ func TestModelInfoReadsEveryKind(t *testing.T) {
 }
 
 // TestModelInfoRejectsBadFiles: a missing, truncated or foreign file,
-// or an image in an older build's pbppmSN1 format, exits non-zero and
-// says why on stderr.
+// an image in an older build's pbppmSN1 format, or one whose arena is
+// in an older build's pbppmAR2 layout, exits non-zero and says why on
+// stderr.
 func TestModelInfoRejectsBadFiles(t *testing.T) {
 	dir := t.TempDir()
 	m := ppm.New(ppm.Config{})
@@ -177,15 +180,28 @@ func TestModelInfoRejectsBadFiles(t *testing.T) {
 	if err := os.WriteFile(older, append([]byte("pbppmSN1"), img[8:]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// The arena magic rewritten and the CRC-64/ECMA trailer resealed, so
+	// only the arena's version is wrong.
+	olderArenaImg := bytes.Replace(img, []byte("pbppmAR3"), []byte("pbppmAR2"), 1)
+	if bytes.Equal(olderArenaImg, img) {
+		t.Fatal("snapshot carries no pbppmAR3 arena")
+	}
+	body := olderArenaImg[:len(olderArenaImg)-8]
+	binary.BigEndian.PutUint64(olderArenaImg[len(body):], crc64.Checksum(body, crc64.MakeTable(crc64.ECMA)))
+	olderArena := filepath.Join(dir, "older-arena.snap")
+	if err := os.WriteFile(olderArena, olderArenaImg, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct{ path, want string }{
 		{filepath.Join(dir, "missing.snap"), "no such file"},
 		{truncated, "checksum"},
 		{foreign, "bad snapshot magic"},
 		{older, "bad snapshot magic"},
+		{olderArena, `arena: bad magic "pbppmAR2"`},
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run([]string{c.path}, &stdout, &stderr); code == 0 {
-			t.Errorf("%s: exit 0, want an error", filepath.Base(c.path))
+		if code := run([]string{c.path}, &stdout, &stderr); code != 1 {
+			t.Errorf("%s: exit %d, want 1", filepath.Base(c.path), code)
 		}
 		if !strings.Contains(stderr.String(), c.want) {
 			t.Errorf("%s: stderr %q does not mention %q", filepath.Base(c.path), stderr.String(), c.want)

@@ -30,8 +30,7 @@ const (
 	// not match — bit rot or truncation the transport did not surface.
 	swapChecksum = "checksum"
 	// swapDecode: the image or a section would not decode — another
-	// build's envelope (bad magic), a corrupt model image, a foreign
-	// arena byte order.
+	// build's envelope or arena (bad magic), a corrupt model image.
 	swapDecode = "decode"
 	// swapInstall: the model decoded but the local publish gate rejected
 	// it (e.g. empty model over a trained one) or panicked.

@@ -1,6 +1,7 @@
 package maintain
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -31,7 +32,7 @@ func TestNewFollowerValidation(t *testing.T) {
 // or rewriting sections wholesale.
 type corruptingServer struct {
 	pub  *Publisher
-	mode atomic.Value // string: "", "truncate", "flip", "reseal", "sn1", "status"
+	mode atomic.Value // string: "", "truncate", "flip", "reseal", "sn1", "ar2", "status"
 }
 
 func (cs *corruptingServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -95,13 +96,25 @@ func (cs *corruptingServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", strconv.Itoa(len(old)))
 		w.WriteHeader(rec.Code)
 		w.Write(old)
+	case "ar2":
+		// The same snapshot carrying its arena under the pbppmAR2 magic
+		// of an older build's host-endian layout, resealed so the
+		// checksum passes and the failure surfaces at decode.
+		old := bytes.Replace(body, []byte("pbppmAR3"), []byte("pbppmAR2"), 1)
+		if bytes.Equal(old, body) {
+			panic("ar2: snapshot carries no pbppmAR3 arena")
+		}
+		resealSnapshot(old)
+		w.WriteHeader(rec.Code)
+		w.Write(old)
 	}
 }
 
 // TestFollowerCorruptDownloadNeverPublishes is the distribution
 // channel's acceptance test: a snapshot download that dies mid-transfer,
-// fails its checksum, fails to decode (a corrupt model, or an image in
-// an older build's pbppmSN1 format), or is rejected by the install gate
+// fails its checksum, fails to decode (a corrupt model, an image in an
+// older build's pbppmSN1 format, or a model whose arena is in an older
+// build's pbppmAR2 layout), or is rejected by the install gate
 // must never replace the follower's live model, and each failure mode
 // must land in its own swap-failure counter.
 func TestFollowerCorruptDownloadNeverPublishes(t *testing.T) {
@@ -147,6 +160,7 @@ func TestFollowerCorruptDownloadNeverPublishes(t *testing.T) {
 		{"flip", swapChecksum},
 		{"reseal", swapDecode},
 		{"sn1", swapDecode},
+		{"ar2", swapDecode},
 	}
 	for _, tc := range cases {
 		before := failures(tc.reason)
@@ -157,6 +171,9 @@ func TestFollowerCorruptDownloadNeverPublishes(t *testing.T) {
 		}
 		if tc.mode == "sn1" && !strings.Contains(err.Error(), "bad snapshot magic") {
 			t.Errorf("sn1: err = %v, want a bad-magic error", err)
+		}
+		if tc.mode == "ar2" && !strings.Contains(err.Error(), `arena: bad magic "pbppmAR2"`) {
+			t.Errorf("ar2: err = %v, want a bad arena magic error", err)
 		}
 		if folM.Predictor() != live {
 			t.Fatalf("%s: corrupted download replaced the live model", tc.mode)

@@ -8,10 +8,9 @@
 //
 // # Wire format (pbppmSN2)
 //
-// Unlike the arena image — which is host-endian by design and guarded
-// by a byte-order mark, because it is mapped directly into memory — the
-// snapshot envelope crosses machines, so every integer in it is
-// explicit big-endian:
+// The snapshot envelope crosses machines, so every integer in it is
+// big-endian. The arena image inside the model section has a fixed
+// order of its own, little-endian:
 //
 //	magic   "pbppmSN2"                      8 bytes
 //	version uint64                          publisher's monotonic counter

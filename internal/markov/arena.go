@@ -5,18 +5,29 @@
 // trace millions of pointers on every cycle, and the node layout
 // scatters a prediction walk across the heap. Freeze converts a tree
 // into an Arena, a struct-of-slices image carved out of one contiguous
-// buffer:
+// buffer. Every integer in it is little-endian, and each integer
+// section takes the narrowest width that holds its largest value:
 //
-//	magic "pbppmAR2"            8 bytes
-//	byte-order mark             uint64 (host-endian; see arenaBOM)
+//	magic "pbppmAR3"            8 bytes
+//	countW, idW, urlW, 0        4 × uint8: bytes per count (2, 4 or 8),
+//	                            per symbol id and child offset (2 or 4),
+//	                            per URL offset (2 or 4); a zero byte
 //	numNodes, numSyms,
-//	symBytesLen                 3 × uint64 (host-endian)
-//	counts   []int64            one per node, training mass
-//	syms     []uint32           one per node, symbol id (0 = pseudo-root)
-//	childOff []uint32           numNodes+1 prefix sums: the children of
+//	symBytesLen                 3 × uint32
+//	counts   []uint(countW)     one per node, training mass
+//	syms     []uint(idW)        one per node, symbol id (0 = pseudo-root)
+//	childOff []uint(idW)        numNodes+1 prefix sums: the children of
 //	                            node i are nodes [childOff[i], childOff[i+1])
-//	symOff   []uint32           numSyms+1 prefix sums into symBytes
+//	symOff   []uint(urlW)       numSyms+1 prefix sums into symBytes
 //	symBytes []byte             every URL's bytes, concatenated
+//
+// Each section starts at a multiple of its width, and any bytes skipped
+// to get there are zero. No count exceeds its parent's, so the root's
+// count sets countW; numNodes, the last child offset, sets idW (every
+// symbol labels at least one node, so every id is smaller); and
+// symBytesLen, the last URL offset, sets urlW. ArenaFromBytes refuses
+// any other width, so a tree has exactly one image. No model is too
+// large to freeze: a larger one just gets wider sections.
 //
 // Nodes are laid out in BFS (level) order, so each node's children form
 // one contiguous, symbol-sorted block and no per-node child count is
@@ -29,48 +40,42 @@
 // order and binary-search lookup.
 //
 // The whole snapshot is a single relocatable []byte (Bytes), so the GC
-// sees O(1) objects per model, a snapshot can be written to disk or a
-// shared mapping verbatim, and ArenaFromBytes revives it after
-// validating every index against the buffer bounds. Multi-byte fields
-// are host-endian — the arena image is a same-architecture serving and
-// sharing format. Because images also travel between machines (the
-// snapshot image ships the arena verbatim, and it is the one
-// model file format), the header carries a byte-order mark: an image
-// written on a machine with the opposite endianness is rejected by
-// ArenaFromBytes with a clear error instead of being misread through
-// byte-swapped offsets. Such a model is re-frozen from its training
-// data on the reading architecture.
+// sees O(1) objects per model, a snapshot can be written to disk or
+// sent to another machine verbatim, and ArenaFromBytes revives it after
+// validating every index against the buffer bounds. The arena serves
+// from typed views of the image itself ([]uint16, []uint32 or []uint64
+// per section) and resolves the widths once per lookup, not once per
+// element read. A big-endian host serves from a byte-swapped private
+// copy instead, so one image reads the same on every machine.
 package markov
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"unsafe"
 )
 
-// arenaMagic prefixes every arena image. AR2 added the byte-order mark
-// to the header; AR1 images (which never left a process) are rejected
-// as unknown magic.
-const arenaMagic = "pbppmAR2"
+// arenaMagic prefixes every arena image. An image in an earlier layout
+// (such as pbppmAR2's host-endian one) is refused at the magic.
+const arenaMagic = "pbppmAR3"
 
-// arenaBOM is the header's byte-order mark, written host-endian. A
-// reader on a machine with the same endianness reads the constant back;
-// on the opposite endianness it reads arenaBOMSwapped, which turns a
-// silent offset-scrambling into a clear validation error.
-const arenaBOM uint64 = 0x0102030405060708
-
-// arenaBOMSwapped is arenaBOM as seen through byte-swapped eyes.
-const arenaBOMSwapped uint64 = 0x0807060504030201
-
-// arenaHeaderSize is the magic, the byte-order mark, and the three
-// uint64 section lengths.
-const arenaHeaderSize = len(arenaMagic) + 4*8
+// arenaHeaderSize is the magic, the three section widths with their zero
+// byte, and the three uint32 dimensions: 24 bytes, so the counts start
+// 8-aligned.
+const arenaHeaderSize = len(arenaMagic) + 4 + 3*4
 
 // arenaMaxDim bounds the node and symbol counts an image may declare,
 // so a corrupt header cannot drive the loader into overflow or an
 // absurd allocation before the size cross-check runs.
 const arenaMaxDim = 1 << 31
+
+// hostLittleEndian reports whether this machine stores integers
+// little-endian, so the image's sections can be viewed in place.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // Arena is a frozen prediction tree serving predictions directly from
 // the flat buffer described in the package comment above. It is
@@ -78,18 +83,15 @@ const arenaMaxDim = 1 << 31
 // use; its prediction methods perform no writes and no allocations
 // (given a caller-supplied buffer).
 type Arena struct {
-	buf []byte // the full relocatable image, including header
+	buf []byte // the full relocatable little-endian image, including header
 
-	// Views into buf (unsafe.Slice casts; buf's base is 8-aligned).
-	counts   []int64
-	syms     []uint32
-	childOff []uint32
-	symOff   []uint32
-	symBytes []byte
+	// sec views the counts, symbol ids and child offsets at the image's
+	// widths, in buf or in its host-order private copy.
+	sec sections
 
-	// urls[s] is symbol s's URL as a zero-copy view into symBytes
-	// (urls[0] is the pseudo-root's empty string); ids is the reverse
-	// index, rebuilt at attach time.
+	// urls[s] is symbol s's URL as a zero-copy view into the image's URL
+	// bytes (urls[0] is the pseudo-root's empty string); ids is the
+	// reverse index, rebuilt at attach time.
 	urls []string
 	ids  map[string]uint32
 
@@ -102,28 +104,96 @@ type Arena struct {
 	link  []uint32
 }
 
-// alignedBuf returns an 8-aligned byte slice of length n, so the int64
-// section cast is always legal. Backing the slice with []int64 is the
+// arenaHeader is an image's header: the section widths in bytes, the
+// byte after them (zero in a valid image), and the dimensions.
+type arenaHeader struct {
+	countW, idW, urlW, pad uint64
+	nodes, syms, urlBytes  uint64
+}
+
+// readArenaHeader decodes the header of an image at least
+// arenaHeaderSize bytes long.
+func readArenaHeader(img []byte) arenaHeader {
+	w := img[len(arenaMagic):]
+	return arenaHeader{
+		countW: uint64(w[0]), idW: uint64(w[1]), urlW: uint64(w[2]), pad: uint64(w[3]),
+		nodes:    uint64(binary.LittleEndian.Uint32(w[4:])),
+		syms:     uint64(binary.LittleEndian.Uint32(w[8:])),
+		urlBytes: uint64(binary.LittleEndian.Uint32(w[12:])),
+	}
+}
+
+// put writes the magic and the header at the start of img.
+func (h arenaHeader) put(img []byte) {
+	copy(img, arenaMagic)
+	w := img[len(arenaMagic):]
+	w[0], w[1], w[2], w[3] = byte(h.countW), byte(h.idW), byte(h.urlW), byte(h.pad)
+	binary.LittleEndian.PutUint32(w[4:], uint32(h.nodes))
+	binary.LittleEndian.PutUint32(w[8:], uint32(h.syms))
+	binary.LittleEndian.PutUint32(w[12:], uint32(h.urlBytes))
+}
+
+// arenaLayout is where each section of an image starts, and the image's
+// total size.
+type arenaLayout struct{ counts, syms, childOff, symOff, symBytes, total uint64 }
+
+// layout places the sections after the header in order, each at the
+// next multiple of its width. The widths must be valid.
+func (h arenaHeader) layout() arenaLayout {
+	alignUp := func(off, w uint64) uint64 { return (off + w - 1) / w * w }
+	var l arenaLayout
+	l.counts = uint64(arenaHeaderSize)
+	l.syms = alignUp(l.counts+h.nodes*h.countW, h.idW)
+	l.childOff = l.syms + h.nodes*h.idW
+	l.symOff = alignUp(l.childOff+(h.nodes+1)*h.idW, h.urlW)
+	l.symBytes = l.symOff + (h.syms+1)*h.urlW
+	l.total = l.symBytes + h.urlBytes
+	return l
+}
+
+// widthFor returns the narrowest of 2, 4 and 8 bytes that holds v.
+func widthFor(v uint64) uint64 {
+	switch {
+	case v <= math.MaxUint16:
+		return 2
+	case v <= math.MaxUint32:
+		return 4
+	}
+	return 8
+}
+
+// putUint writes v little-endian into the first w bytes of b.
+func putUint(b []byte, w, v uint64) {
+	switch w {
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	default:
+		binary.LittleEndian.PutUint64(b, v)
+	}
+}
+
+// readUint reads the little-endian w-byte integer at the start of b.
+func readUint(b []byte, w uint64) uint64 {
+	switch w {
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	}
+	return binary.LittleEndian.Uint64(b)
+}
+
+// alignedBuf returns an 8-aligned byte slice of length n, so every
+// section cast is legal. Backing the slice with []uint64 is the
 // portable way to guarantee alignment.
 func alignedBuf(n int) []byte {
 	if n == 0 {
 		return nil
 	}
-	backing := make([]int64, (n+7)/8)
+	backing := make([]uint64, (n+7)/8)
 	return unsafe.Slice((*byte)(unsafe.Pointer(&backing[0])), n)
-}
-
-// arenaLayout computes the section offsets for the given dimensions.
-// counts starts 8-aligned (the header is 40 bytes); the uint32 sections
-// stay 4-aligned because every preceding section is a multiple of 4.
-func arenaLayout(numNodes, numSyms, symBytesLen uint64) (countsOff, symsOff, childOffOff, symOffOff, symBytesOff, total uint64) {
-	countsOff = uint64(arenaHeaderSize)
-	symsOff = countsOff + numNodes*8
-	childOffOff = symsOff + numNodes*4
-	symOffOff = childOffOff + (numNodes+1)*4
-	symBytesOff = symOffOff + (numSyms+1)*4
-	total = symBytesOff + symBytesLen
-	return
 }
 
 // Freeze builds the arena image of the tree: reachable URLs are
@@ -187,29 +257,32 @@ func (t *Tree) Freeze() *Arena {
 	}
 	childOff[numNodes] = uint32(numNodes)
 
-	// Pass 4: fill the image.
-	countsOff, symsOff, childOffOff, symOffOff, symBytesOff, total :=
-		arenaLayout(uint64(numNodes), uint64(len(urls)), uint64(symBytesLen))
-	buf := alignedBuf(int(total))
-	copy(buf, arenaMagic)
-	hdr := unsafe.Slice((*uint64)(unsafe.Pointer(&buf[len(arenaMagic)])), 4)
-	hdr[0], hdr[1], hdr[2], hdr[3] = arenaBOM, uint64(numNodes), uint64(len(urls)), uint64(symBytesLen)
-
-	counts := unsafe.Slice((*int64)(unsafe.Pointer(&buf[countsOff])), numNodes)
-	syms := unsafe.Slice((*uint32)(unsafe.Pointer(&buf[symsOff])), numNodes)
+	// Pass 4: fill the image, each section at its narrowest width.
+	h := arenaHeader{
+		countW:   widthFor(uint64(t.Root.Count)),
+		idW:      widthFor(uint64(numNodes)),
+		urlW:     widthFor(uint64(symBytesLen)),
+		nodes:    uint64(numNodes),
+		syms:     uint64(len(urls)),
+		urlBytes: uint64(symBytesLen),
+	}
+	l := h.layout()
+	buf := alignedBuf(int(l.total))
+	h.put(buf)
 	for i, n := range order {
-		counts[i] = n.Count
-		syms[i] = remap[n.sym]
+		putUint(buf[l.counts+uint64(i)*h.countW:], h.countW, uint64(n.Count))
+		putUint(buf[l.syms+uint64(i)*h.idW:], h.idW, uint64(remap[n.sym]))
 	}
-	copy(unsafe.Slice((*uint32)(unsafe.Pointer(&buf[childOffOff])), numNodes+1), childOff)
-	symOff := unsafe.Slice((*uint32)(unsafe.Pointer(&buf[symOffOff])), len(urls)+1)
-	at := uint32(0)
+	for i, off := range childOff {
+		putUint(buf[l.childOff+uint64(i)*h.idW:], h.idW, uint64(off))
+	}
+	at := uint64(0)
 	for i, u := range urls {
-		symOff[i] = at
-		copy(buf[symBytesOff+uint64(at):], u)
-		at += uint32(len(u))
+		putUint(buf[l.symOff+uint64(i)*h.urlW:], h.urlW, at)
+		copy(buf[l.symBytes+at:], u)
+		at += uint64(len(u))
 	}
-	symOff[len(urls)] = at
+	putUint(buf[l.symOff+h.syms*h.urlW:], h.urlW, at)
 
 	a, err := ArenaFromBytes(buf)
 	if err != nil {
@@ -219,111 +292,85 @@ func (t *Tree) Freeze() *Arena {
 }
 
 // ArenaFromBytes attaches to an arena image previously obtained from
-// Arena.Bytes (same machine: the image is host-endian). Every length,
-// offset, and symbol id is validated against the buffer bounds before
-// any section is trusted, so a truncated or corrupt image returns an
-// error instead of panicking or over-allocating. On success the arena
-// reads from buf for its whole lifetime (or from an aligned private
-// copy when buf is not 8-aligned); the caller must not modify it.
+// Arena.Bytes, on this machine or another. Every width, length, offset,
+// symbol id and count is validated against the buffer bounds and the
+// tree's invariants before any section is trusted, so a truncated or
+// corrupt image returns an error instead of panicking, over-allocating
+// or serving a probability above 1. On success the arena reads from buf
+// for its whole lifetime (or from a private copy when buf is not
+// 8-aligned or the host is big-endian); the caller must not modify it.
 func ArenaFromBytes(buf []byte) (*Arena, error) {
 	if len(buf) < arenaHeaderSize {
 		return nil, fmt.Errorf("markov: arena: image truncated at %d bytes", len(buf))
 	}
 	if !bytes.Equal(buf[:len(arenaMagic)], []byte(arenaMagic)) {
-		return nil, fmt.Errorf("markov: arena: bad magic %q", buf[:len(arenaMagic)])
+		return nil, fmt.Errorf("markov: arena: bad magic %q, want %q", buf[:len(arenaMagic)], arenaMagic)
+	}
+	h := readArenaHeader(buf)
+	if h.nodes < 1 || h.nodes > arenaMaxDim || h.syms >= h.nodes || h.urlBytes > arenaMaxDim {
+		return nil, fmt.Errorf("markov: arena: implausible dimensions nodes=%d syms=%d urlbytes=%d",
+			h.nodes, h.syms, h.urlBytes)
+	}
+	if h.countW != 2 && h.countW != 4 && h.countW != 8 {
+		return nil, fmt.Errorf("markov: arena: %d-byte counts, want 2, 4 or 8", h.countW)
+	}
+	if h.idW != widthFor(h.nodes) || h.urlW != widthFor(h.urlBytes) || h.pad != 0 {
+		return nil, fmt.Errorf("markov: arena: widths ids=%d urls=%d pad=%d, want %d, %d and 0 for %d nodes and %d URL bytes",
+			h.idW, h.urlW, h.pad, widthFor(h.nodes), widthFor(h.urlBytes), h.nodes, h.urlBytes)
+	}
+	l := h.layout()
+	if l.total != uint64(len(buf)) {
+		return nil, fmt.Errorf("markov: arena: image is %d bytes, header describes %d", len(buf), l.total)
 	}
 	if uintptr(unsafe.Pointer(&buf[0]))%8 != 0 {
 		aligned := alignedBuf(len(buf))
 		copy(aligned, buf)
 		buf = aligned
 	}
-	hdr := unsafe.Slice((*uint64)(unsafe.Pointer(&buf[len(arenaMagic)])), 4)
-	switch hdr[0] {
-	case arenaBOM:
-		// Image and host agree on byte order.
-	case arenaBOMSwapped:
-		return nil, fmt.Errorf("markov: arena: image was written on a machine with the opposite byte order; re-freeze the model on this architecture")
-	default:
-		return nil, fmt.Errorf("markov: arena: bad byte-order mark %#x", hdr[0])
+	for _, pad := range [][]byte{buf[l.counts+h.nodes*h.countW : l.syms], buf[l.childOff+(h.nodes+1)*h.idW : l.symOff]} {
+		if slices.ContainsFunc(pad, func(b byte) bool { return b != 0 }) {
+			return nil, fmt.Errorf("markov: arena: nonzero padding between sections")
+		}
 	}
-	numNodes, numSyms, symBytesLen := hdr[1], hdr[2], hdr[3]
-	if numNodes < 1 || numNodes > arenaMaxDim || numSyms > arenaMaxDim || symBytesLen > arenaMaxDim {
-		return nil, fmt.Errorf("markov: arena: implausible dimensions nodes=%d syms=%d urlbytes=%d",
-			numNodes, numSyms, symBytesLen)
-	}
-	countsOff, symsOff, childOffOff, symOffOff, symBytesOff, total :=
-		arenaLayout(numNodes, numSyms, symBytesLen)
-	if total != uint64(len(buf)) {
-		return nil, fmt.Errorf("markov: arena: image is %d bytes, header describes %d", len(buf), total)
+	host := buf
+	if !hostLittleEndian {
+		host = alignedBuf(len(buf))
+		copy(host, buf)
+		swapSections(host, h, l)
 	}
 
-	a := &Arena{
-		buf:      buf,
-		counts:   unsafe.Slice((*int64)(unsafe.Pointer(&buf[countsOff])), numNodes),
-		syms:     unsafe.Slice((*uint32)(unsafe.Pointer(&buf[symsOff])), numNodes),
-		childOff: unsafe.Slice((*uint32)(unsafe.Pointer(&buf[childOffOff])), numNodes+1),
-		symOff:   unsafe.Slice((*uint32)(unsafe.Pointer(&buf[symOffOff])), numSyms+1),
+	a := &Arena{buf: buf, sec: newSections(host, h, l)}
+	if err := a.sec.check(uint32(h.syms)); err != nil {
+		return nil, err
 	}
-	if symBytesLen > 0 {
-		a.symBytes = buf[symBytesOff:total]
+	// The root's count is the largest (check holds every count to its
+	// parent's), so it alone sets the count width.
+	root := a.sec.count(0)
+	if root > math.MaxInt64 {
+		return nil, fmt.Errorf("markov: arena: root count %d overflows a tree's int64 counts", root)
 	}
-
-	// Structure: BFS child blocks are nondecreasing prefix sums, each
-	// node's block starts strictly after the node itself (no cycles),
-	// and the blocks tile [1, numNodes) exactly.
-	if a.childOff[0] != 1 {
-		return nil, fmt.Errorf("markov: arena: root child block starts at %d, want 1", a.childOff[0])
+	if w := widthFor(root); w != h.countW {
+		return nil, fmt.Errorf("markov: arena: root count %d needs %d-byte counts, image has %d-byte", root, w, h.countW)
 	}
-	if a.childOff[numNodes] != uint32(numNodes) {
-		return nil, fmt.Errorf("markov: arena: child blocks end at %d, want %d", a.childOff[numNodes], numNodes)
-	}
-	for i := uint64(0); i < numNodes; i++ {
-		lo, hi := a.childOff[i], a.childOff[i+1]
-		if lo > hi || uint64(lo) < i+1 {
-			return nil, fmt.Errorf("markov: arena: node %d child block [%d,%d) out of order", i, lo, hi)
-		}
-	}
-	// Symbols: the pseudo-root is 0, every other node references a real
-	// symbol, and sibling blocks are strictly symbol-sorted (the binary
-	// search and deterministic-order invariant).
-	if a.syms[0] != 0 {
-		return nil, fmt.Errorf("markov: arena: root symbol %d, want 0", a.syms[0])
-	}
-	for i := uint64(1); i < numNodes; i++ {
-		if s := a.syms[i]; s == 0 || uint64(s) > numSyms {
-			return nil, fmt.Errorf("markov: arena: node %d symbol %d out of range [1,%d]", i, s, numSyms)
-		}
-	}
-	for i := uint64(0); i < numNodes; i++ {
-		for ci := a.childOff[i] + 1; ci < a.childOff[i+1]; ci++ {
-			if a.syms[ci-1] >= a.syms[ci] {
-				return nil, fmt.Errorf("markov: arena: node %d sibling symbols not strictly ascending", i)
-			}
-		}
-	}
-	for i, c := range a.counts {
-		if c < 0 {
-			return nil, fmt.Errorf("markov: arena: node %d negative count %d", i, c)
-		}
-	}
-	// Symbol table: prefix sums within symBytes, URLs strictly
-	// ascending (unique and canonical — symbol order ⇔ URL order).
-	if a.symOff[0] != 0 || uint64(a.symOff[numSyms]) != symBytesLen {
+	// Symbol table: prefix sums within the URL bytes, URLs strictly
+	// ascending (unique and canonical — symbol order ⇔ URL order). The
+	// offsets are read once, here, straight from the little-endian image.
+	symOff := func(s uint64) uint64 { return readUint(buf[l.symOff+s*h.urlW:], h.urlW) }
+	if symOff(0) != 0 || symOff(h.syms) != h.urlBytes {
 		return nil, fmt.Errorf("markov: arena: symbol offsets span [%d,%d], want [0,%d]",
-			a.symOff[0], a.symOff[numSyms], symBytesLen)
+			symOff(0), symOff(h.syms), h.urlBytes)
 	}
-	for s := uint64(1); s <= numSyms; s++ {
-		if a.symOff[s-1] > a.symOff[s] {
-			return nil, fmt.Errorf("markov: arena: symbol %d offsets decrease", s)
+	symBytes := host[l.symBytes:]
+	a.urls = make([]string, h.syms+1)
+	a.ids = make(map[string]uint32, h.syms)
+	for s := uint64(1); s <= h.syms; s++ {
+		start, end := symOff(s-1), symOff(s)
+		if start > end || end > h.urlBytes {
+			return nil, fmt.Errorf("markov: arena: symbol %d offsets [%d,%d] out of order", s, start, end)
 		}
-	}
-	a.urls = make([]string, numSyms+1)
-	a.ids = make(map[string]uint32, numSyms)
-	for s := uint64(1); s <= numSyms; s++ {
-		start, end := a.symOff[s-1], a.symOff[s]
 		var u string
 		if end > start {
-			u = unsafe.String(&a.symBytes[start], int(end-start))
+			u = unsafe.String(&symBytes[start], int(end-start))
 		}
 		if s > 1 && a.urls[s-1] >= u {
 			return nil, fmt.Errorf("markov: arena: URLs not strictly ascending at symbol %d", s)
@@ -331,21 +378,223 @@ func ArenaFromBytes(buf []byte) (*Arena, error) {
 		a.urls[s] = u
 		a.ids[u] = uint32(s)
 	}
-	// Depths and suffix links, the Aho–Corasick failure function over
-	// the tree's paths. The layout is BFS, so a node's parent and every
-	// node on its parent's link chain precede it: one forward pass finds
-	// each link it follows already set.
-	a.depth = make([]uint32, numNodes)
-	a.link = make([]uint32, numNodes)
-	for i := uint32(0); i < uint32(numNodes); i++ {
-		for c := a.childOff[i]; c < a.childOff[i+1]; c++ {
-			a.depth[c] = a.depth[i] + 1
-			if i != 0 {
-				a.link[c] = a.advance(a.link[i], a.syms[c])
+	a.depth = make([]uint32, h.nodes)
+	a.link = make([]uint32, h.nodes)
+	a.sec.suffixLinks(a.depth, a.link)
+	return a, nil
+}
+
+// swapSections byte-swaps, in place, the sections an arena serves
+// through typed views (counts, symbol ids and child offsets), turning a
+// little-endian image into a big-endian host's order. The header and
+// the URL offsets are decoded explicitly as little-endian, and URL
+// bytes have no byte order, so those stay as they are.
+func swapSections(img []byte, h arenaHeader, l arenaLayout) {
+	swapWords(img[l.counts:l.counts+h.nodes*h.countW], h.countW)
+	swapWords(img[l.syms:l.childOff+(h.nodes+1)*h.idW], h.idW)
+}
+
+// swapWords reverses the bytes of each w-byte word of b.
+func swapWords(b []byte, w uint64) {
+	for i := uint64(0); i < uint64(len(b)); i += w {
+		slices.Reverse(b[i : i+w])
+	}
+}
+
+// sections reads an image's counts, symbol ids and child offsets. Its
+// one implementation, sectionsOf, is instantiated for each pair of
+// widths, so a call through the interface resolves the widths once and
+// the loops inside it read plain typed slices.
+type sections interface {
+	// block returns the range of node's children.
+	block(node uint32) (lo, hi uint32)
+	sym(i uint32) uint32
+	count(i uint32) uint64
+	child(node, sym uint32) (uint32, bool)
+	advance(link []uint32, node, sym uint32) uint32
+	appendPredictions(buf []Prediction, urls []string, node uint32, threshold float64, order int) []Prediction
+	appendBlend(buf []Prediction, a *Arena, node uint32, threshold float64) []Prediction
+	check(numSyms uint32) error
+	suffixLinks(depth, link []uint32)
+}
+
+// sectionsOf views the counts as []C and the symbol ids and child
+// offsets as []I.
+type sectionsOf[I uint16 | uint32, C uint16 | uint32 | uint64] struct {
+	counts   []C
+	syms     []I
+	childOff []I
+}
+
+// newSections views host's sections at the header's widths.
+func newSections(host []byte, h arenaHeader, l arenaLayout) sections {
+	if h.idW == 2 {
+		return newSectionsOf[uint16](host, h, l)
+	}
+	return newSectionsOf[uint32](host, h, l)
+}
+
+func newSectionsOf[I uint16 | uint32](host []byte, h arenaHeader, l arenaLayout) sections {
+	syms, childOff := view[I](host, l.syms, h.nodes), view[I](host, l.childOff, h.nodes+1)
+	switch h.countW {
+	case 2:
+		return &sectionsOf[I, uint16]{view[uint16](host, l.counts, h.nodes), syms, childOff}
+	case 4:
+		return &sectionsOf[I, uint32]{view[uint32](host, l.counts, h.nodes), syms, childOff}
+	}
+	return &sectionsOf[I, uint64]{view[uint64](host, l.counts, h.nodes), syms, childOff}
+}
+
+// view casts the n words at host[off:] to a slice. host is 8-aligned
+// and off a multiple of the word size.
+func view[W uint16 | uint32 | uint64](host []byte, off, n uint64) []W {
+	return unsafe.Slice((*W)(unsafe.Pointer(&host[off])), n)
+}
+
+func (s *sectionsOf[I, C]) block(node uint32) (lo, hi uint32) {
+	return uint32(s.childOff[node]), uint32(s.childOff[node+1])
+}
+
+func (s *sectionsOf[I, C]) sym(i uint32) uint32 { return uint32(s.syms[i]) }
+
+func (s *sectionsOf[I, C]) count(i uint32) uint64 { return uint64(s.counts[i]) }
+
+// child binary-searches node's sorted child block for sym.
+func (s *sectionsOf[I, C]) child(node, sym uint32) (uint32, bool) {
+	lo, end := s.block(node)
+	hi := end
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if uint32(s.syms[mid]) < sym {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < end && uint32(s.syms[lo]) == sym {
+		return lo, true
+	}
+	return 0, false
+}
+
+// advance is the uncapped streaming transition: the deepest node whose
+// path is a suffix of node's path extended by sym, or 0 when none is.
+// Each suffix link followed is strictly shallower, so the search ends.
+func (s *sectionsOf[I, C]) advance(link []uint32, node, sym uint32) uint32 {
+	for {
+		if c, found := s.child(node, sym); found {
+			return c
+		}
+		if node == 0 {
+			return 0
+		}
+		node = link[node]
+	}
+}
+
+// appendPredictions implements Arena.AppendPredictions.
+func (s *sectionsOf[I, C]) appendPredictions(buf []Prediction, urls []string, node uint32, threshold float64, order int) []Prediction {
+	total := s.counts[node]
+	if total == 0 {
+		return buf
+	}
+	base := len(buf)
+	lo, hi := s.block(node)
+	for ci := lo; ci < hi; ci++ {
+		p := float64(s.counts[ci]) / float64(total)
+		if p >= threshold {
+			buf = append(buf, Prediction{URL: urls[s.syms[ci]], Probability: p, Order: order})
+		}
+	}
+	SortPredictions(buf[base:])
+	return buf
+}
+
+// appendBlend appends the variable-order blend at match state node. The
+// nodes on its suffix-link chain are the context's matching suffixes,
+// longest first; each one's children are weighted by 1 - 1/(1+count),
+// an escape-style confidence in that context's evidence, so confident
+// deep contexts dominate while short ones fill in. A URL keeps its
+// highest estimate at or above the threshold, the longer order winning
+// a tie.
+func (s *sectionsOf[I, C]) appendBlend(buf []Prediction, a *Arena, node uint32, threshold float64) []Prediction {
+	for ; node != 0; node = a.link[node] {
+		total := s.counts[node]
+		if total == 0 {
+			continue
+		}
+		confidence := 1 - 1/(1+float64(total))
+		order := int(a.depth[node])
+		lo, hi := s.block(node)
+		for ci := lo; ci < hi; ci++ {
+			p := float64(s.counts[ci]) / float64(total) * confidence
+			if p >= threshold {
+				buf = mergeCandidate(buf, Prediction{URL: a.urls[s.syms[ci]], Probability: p, Order: order})
 			}
 		}
 	}
-	return a, nil
+	SortPredictions(buf)
+	return buf
+}
+
+// check validates the sections against the tree invariants serving
+// relies on, given the number of symbols.
+func (s *sectionsOf[I, C]) check(numSyms uint32) error {
+	n := uint32(len(s.syms))
+	// Structure: BFS child blocks are nondecreasing prefix sums, each
+	// node's block starts strictly after the node itself (no cycles),
+	// and the blocks tile [1, numNodes) exactly.
+	if s.childOff[0] != 1 {
+		return fmt.Errorf("markov: arena: root child block starts at %d, want 1", s.childOff[0])
+	}
+	if uint32(s.childOff[n]) != n {
+		return fmt.Errorf("markov: arena: child blocks end at %d, want %d", s.childOff[n], n)
+	}
+	for i := uint32(0); i < n; i++ {
+		if lo, hi := s.block(i); lo > hi || lo < i+1 {
+			return fmt.Errorf("markov: arena: node %d child block [%d,%d) out of order", i, lo, hi)
+		}
+	}
+	// Symbols: the pseudo-root is 0, every other node references a real
+	// symbol, and sibling blocks are strictly symbol-sorted (the binary
+	// search and deterministic-order invariant). Counts: no child
+	// outweighs its parent, so no candidate's probability exceeds 1.
+	if s.syms[0] != 0 {
+		return fmt.Errorf("markov: arena: root symbol %d, want 0", s.syms[0])
+	}
+	for i := uint32(1); i < n; i++ {
+		if sym := uint32(s.syms[i]); sym == 0 || sym > numSyms {
+			return fmt.Errorf("markov: arena: node %d symbol %d out of range [1,%d]", i, sym, numSyms)
+		}
+	}
+	for i := uint32(0); i < n; i++ {
+		lo, hi := s.block(i)
+		for ci := lo; ci < hi; ci++ {
+			if ci > lo && s.syms[ci-1] >= s.syms[ci] {
+				return fmt.Errorf("markov: arena: node %d sibling symbols not strictly ascending", i)
+			}
+			if s.counts[ci] > s.counts[i] {
+				return fmt.Errorf("markov: arena: node %d count %d exceeds its parent %d's %d", ci, s.counts[ci], i, s.counts[i])
+			}
+		}
+	}
+	return nil
+}
+
+// suffixLinks fills depth and link, the Aho–Corasick failure function
+// over the tree's paths. The layout is BFS, so a node's parent and every
+// node on its parent's link chain precede it: one forward pass finds
+// each link it follows already set.
+func (s *sectionsOf[I, C]) suffixLinks(depth, link []uint32) {
+	for i := uint32(0); i < uint32(len(depth)); i++ {
+		lo, hi := s.block(i)
+		for c := lo; c < hi; c++ {
+			depth[c] = depth[i] + 1
+			if i != 0 {
+				link[c] = s.advance(link, link[i], uint32(s.syms[c]))
+			}
+		}
+	}
 }
 
 // Bytes returns the arena's relocatable image. It aliases the arena's
@@ -358,7 +607,7 @@ func (a *Arena) SizeBytes() int { return len(a.buf) }
 
 // NodeCount reports the number of URL nodes (the paper's space
 // metric), excluding the pseudo-root.
-func (a *Arena) NodeCount() int { return len(a.counts) - 1 }
+func (a *Arena) NodeCount() int { return len(a.depth) - 1 }
 
 // SymbolCount reports the number of distinct URLs.
 func (a *Arena) SymbolCount() int { return len(a.urls) - 1 }
@@ -366,38 +615,6 @@ func (a *Arena) SymbolCount() int { return len(a.urls) - 1 }
 // URLOf resolves a symbol id (0 is the pseudo-root's empty string).
 // The returned string is a zero-copy view into the arena image.
 func (a *Arena) URLOf(sym uint32) string { return a.urls[sym] }
-
-// child binary-searches node's sorted child block for sym.
-func (a *Arena) child(node, sym uint32) (uint32, bool) {
-	lo, hi := a.childOff[node], a.childOff[node+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if a.syms[mid] < sym {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < a.childOff[node+1] && a.syms[lo] == sym {
-		return lo, true
-	}
-	return 0, false
-}
-
-// advance is the uncapped streaming transition: the deepest node whose
-// path is a suffix of node's path extended by sym, or 0 when none is.
-// Each suffix link followed is strictly shallower, so the search ends.
-func (a *Arena) advance(node, sym uint32) uint32 {
-	for {
-		if c, found := a.child(node, sym); found {
-			return c
-		}
-		if node == 0 {
-			return 0
-		}
-		node = a.link[node]
-	}
-}
 
 // Step advances a streaming match by one URL. node is the match state
 // of a context: the deepest node whose path is a suffix of the context,
@@ -412,7 +629,7 @@ func (a *Arena) Step(node uint32, url string, maxOrder int) uint32 {
 	if !known {
 		return 0
 	}
-	return a.Clamp(a.advance(node, sym), maxOrder)
+	return a.Clamp(a.sec.advance(a.link, node, sym), maxOrder)
 }
 
 // Clamp returns the deepest node on node's suffix-link chain (node
@@ -452,7 +669,7 @@ func (a *Arena) Match(seq []string) (node uint32, ok bool) {
 		if !known {
 			return 0, false
 		}
-		c, found := a.child(n, sym)
+		c, found := a.sec.child(n, sym)
 		if !found {
 			return 0, false
 		}
@@ -462,13 +679,14 @@ func (a *Arena) Match(seq []string) (node uint32, ok bool) {
 }
 
 // Count reports a node's training count.
-func (a *Arena) Count(node uint32) int64 { return a.counts[node] }
+func (a *Arena) Count(node uint32) int64 { return int64(a.sec.count(node)) }
 
 // EachChild visits node's children in symbol (= URL) order until fn
 // returns false.
 func (a *Arena) EachChild(node uint32, fn func(child uint32, url string) bool) {
-	for ci := a.childOff[node]; ci < a.childOff[node+1]; ci++ {
-		if !fn(ci, a.urls[a.syms[ci]]) {
+	lo, hi := a.sec.block(node)
+	for ci := lo; ci < hi; ci++ {
+		if !fn(ci, a.urls[a.sec.sym(ci)]) {
 			return
 		}
 	}
@@ -481,19 +699,7 @@ func (a *Arena) EachChild(node uint32, fn func(child uint32, url string) bool) {
 // produces, without usage marking (a frozen model records no usage) and
 // without allocating beyond buf's capacity.
 func (a *Arena) AppendPredictions(buf []Prediction, node uint32, threshold float64, order int) []Prediction {
-	total := a.counts[node]
-	if total == 0 {
-		return buf
-	}
-	base := len(buf)
-	for ci := a.childOff[node]; ci < a.childOff[node+1]; ci++ {
-		p := float64(a.counts[ci]) / float64(total)
-		if p >= threshold {
-			buf = append(buf, Prediction{URL: a.urls[a.syms[ci]], Probability: p, Order: order})
-		}
-	}
-	SortPredictions(buf[base:])
-	return buf
+	return a.sec.appendPredictions(buf, a.urls, node, threshold, order)
 }
 
 // Stats computes TreeStats with the exact semantics of Tree.Stats: the
@@ -501,19 +707,16 @@ func (a *Arena) AppendPredictions(buf []Prediction, node uint32, threshold float
 // Roots is its fan-out; Bytes is the image size plus the derived
 // lookup structures rebuilt at attach time.
 func (a *Arena) Stats() TreeStats {
-	numNodes := len(a.counts)
+	numNodes := len(a.depth)
 	st := TreeStats{Symbols: a.SymbolCount()}
-	if numNodes > 1 {
-		st.Roots = int(a.childOff[1]) - 1
-	}
+	lo, hi := a.sec.block(0)
+	st.Roots = int(hi - lo)
 	internal, childSum := 0, 0
-	for i := 0; i < numNodes; i++ {
-		fanout := int(a.childOff[i+1] - a.childOff[i])
-		if i == 0 {
-			continue
-		}
+	for i := 1; i < numNodes; i++ {
+		lo, hi := a.sec.block(uint32(i))
+		fanout := int(hi - lo)
 		st.Nodes++
-		st.TotalCount += a.counts[i]
+		st.TotalCount += a.Count(uint32(i))
 		// Depth 0 is the root's children, matching the pointer walk.
 		d := a.Depth(uint32(i)) - 1
 		for len(st.DepthHistogram) <= d {
@@ -546,15 +749,15 @@ func (a *Arena) Stats() TreeStats {
 // share of the root's training mass, descending (URL ascending on
 // ties); a quick view of what the model considers hot.
 func (a *Arena) TopBranches(n int) []Prediction {
-	lo, hi := a.childOff[0], a.childOff[1]
+	lo, hi := a.sec.block(0)
 	out := make([]Prediction, 0, hi-lo)
-	total := a.counts[0]
+	total := a.sec.count(0)
 	for ci := lo; ci < hi; ci++ {
 		p := 0.0
 		if total > 0 {
-			p = float64(a.counts[ci]) / float64(total)
+			p = float64(a.sec.count(ci)) / float64(total)
 		}
-		out = append(out, Prediction{URL: a.urls[a.syms[ci]], Probability: p, Order: 1})
+		out = append(out, Prediction{URL: a.urls[a.sec.sym(ci)], Probability: p, Order: 1})
 	}
 	sort.Slice(out, func(i, j int) bool { return predictionLess(out[i], out[j]) })
 	if n < len(out) {
@@ -691,7 +894,7 @@ func (f *FrozenTree) PredictFrom(node uint32, last string, maxOrder int, buf []P
 	node = f.arena.Clamp(node, f.maxOrder(maxOrder))
 	switch {
 	case f.blend:
-		buf = f.appendBlend(buf, node)
+		buf = f.arena.sec.appendBlend(buf, f.arena, node, f.threshold)
 	case node != 0:
 		buf = f.arena.AppendPredictions(buf, node, f.threshold, f.arena.Depth(node))
 	}
@@ -699,33 +902,6 @@ func (f *FrozenTree) PredictFrom(node uint32, last string, maxOrder int, buf []P
 		buf = MergeLinked(buf, linked)
 		SortPredictions(buf)
 	}
-	return buf
-}
-
-// appendBlend appends the variable-order blend at match state node. The
-// nodes on its suffix-link chain are the context's matching suffixes,
-// longest first; each one's children are weighted by 1 - 1/(1+count),
-// an escape-style confidence in that context's evidence, so confident
-// deep contexts dominate while short ones fill in. A URL keeps its
-// highest estimate at or above the threshold, the longer order winning
-// a tie.
-func (f *FrozenTree) appendBlend(buf []Prediction, node uint32) []Prediction {
-	a := f.arena
-	for ; node != 0; node = a.link[node] {
-		total := a.counts[node]
-		if total == 0 {
-			continue
-		}
-		confidence := 1 - 1/(1+float64(total))
-		order := int(a.depth[node])
-		for ci := a.childOff[node]; ci < a.childOff[node+1]; ci++ {
-			p := float64(a.counts[ci]) / float64(total) * confidence
-			if p >= f.threshold {
-				buf = mergeCandidate(buf, Prediction{URL: a.urls[a.syms[ci]], Probability: p, Order: order})
-			}
-		}
-	}
-	SortPredictions(buf)
 	return buf
 }
 

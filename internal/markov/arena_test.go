@@ -2,6 +2,7 @@ package markov
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -196,34 +197,20 @@ func TestArenaFromBytesRejectsCorrupt(t *testing.T) {
 	a := tr.Freeze()
 	valid := a.Bytes()
 
-	hdr := len(arenaMagic)
+	// Header fields: the widths at 8, 9 and 10, a zero byte at 11, then
+	// the uint32 dimensions at 12, 16 and 20.
+	setUint32 := func(img []byte, at int, v uint32) { binary.LittleEndian.PutUint32(img[at:], v) }
 	edits := []corruptingEdit{
 		{"bad magic", func(img []byte, _ *Arena) { img[0] = 'X' }},
-		{"corrupt byte-order mark", func(img []byte, _ *Arena) {
-			for i := 0; i < 8; i++ {
-				img[hdr+i] = 0
-			}
-		}},
-		{"zero nodes", func(img []byte, _ *Arena) {
-			for i := 0; i < 8; i++ {
-				img[hdr+8+i] = 0
-			}
-		}},
-		{"huge nodes", func(img []byte, _ *Arena) {
-			for i := 0; i < 8; i++ {
-				img[hdr+8+i] = 0xFF
-			}
-		}},
-		{"huge syms", func(img []byte, _ *Arena) {
-			for i := 0; i < 8; i++ {
-				img[hdr+16+i] = 0xFF
-			}
-		}},
-		{"huge urlbytes", func(img []byte, _ *Arena) {
-			for i := 0; i < 8; i++ {
-				img[hdr+24+i] = 0xFF
-			}
-		}},
+		{"bad count width", func(img []byte, _ *Arena) { img[8] = 3 }},
+		{"ids wider than needed", func(img []byte, _ *Arena) { img[9] = 4 }},
+		{"URL offsets wider than needed", func(img []byte, _ *Arena) { img[10] = 4 }},
+		{"nonzero header byte", func(img []byte, _ *Arena) { img[11] = 1 }},
+		{"zero nodes", func(img []byte, _ *Arena) { setUint32(img, 12, 0) }},
+		{"huge nodes", func(img []byte, _ *Arena) { setUint32(img, 12, 0xFFFFFFFF) }},
+		{"huge syms", func(img []byte, _ *Arena) { setUint32(img, 16, 0xFFFFFFFF) }},
+		{"more URLs than nodes", func(img []byte, _ *Arena) { setUint32(img, 16, 5) }},
+		{"huge urlbytes", func(img []byte, _ *Arena) { setUint32(img, 20, 0xFFFFFFFF) }},
 		{"root child block not at 1", func(img []byte, a *Arena) {
 			off := childOffByteOffset(a, 0)
 			img[off] = 2
@@ -240,9 +227,11 @@ func TestArenaFromBytesRejectsCorrupt(t *testing.T) {
 			off := symByteOffset(a, 1)
 			img[off] = 0xEE
 		}},
-		{"negative count", func(img []byte, a *Arena) {
-			off := countByteOffset(a, 1)
-			img[off+7] = 0x80
+		// Node 4 is /b/c under /b (count 1); 2 stays below the root's 3,
+		// so only the parent rule can refuse it.
+		{"count above its parent's", func(img []byte, a *Arena) {
+			off := countByteOffset(a, 4)
+			img[off] = 2
 		}},
 	}
 	for _, e := range edits {
@@ -270,21 +259,21 @@ func TestArenaFromBytesRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// Byte offsets of individual fields inside an arena image, derived from
-// the same layout function the implementation uses.
+// Byte offsets of individual fields inside an arena image, read from
+// the image's header through the same layout the implementation uses.
 func countByteOffset(a *Arena, node int) int {
-	countsOff, _, _, _, _, _ := arenaLayout(uint64(len(a.counts)), uint64(a.SymbolCount()), uint64(len(a.symBytes)))
-	return int(countsOff) + node*8
+	h := readArenaHeader(a.Bytes())
+	return int(h.layout().counts + uint64(node)*h.countW)
 }
 
 func symByteOffset(a *Arena, node int) int {
-	_, symsOff, _, _, _, _ := arenaLayout(uint64(len(a.counts)), uint64(a.SymbolCount()), uint64(len(a.symBytes)))
-	return int(symsOff) + node*4
+	h := readArenaHeader(a.Bytes())
+	return int(h.layout().syms + uint64(node)*h.idW)
 }
 
 func childOffByteOffset(a *Arena, node int) int {
-	_, _, childOffOff, _, _, _ := arenaLayout(uint64(len(a.counts)), uint64(a.SymbolCount()), uint64(len(a.symBytes)))
-	return int(childOffOff) + node*4
+	h := readArenaHeader(a.Bytes())
+	return int(h.layout().childOff + uint64(node)*h.idW)
 }
 
 // TestFrozenTreeZeroAlloc is the tentpole's acceptance criterion at
@@ -355,13 +344,13 @@ func referenceLongestMatch(a *Arena, ctx []string) (node uint32, order int, ok b
 		}
 		k := 0
 		for _, lv := range lives {
-			if c, found := a.child(lv.node, sym); found {
+			if c, found := a.sec.child(lv.node, sym); found {
 				lives[k] = live{start: lv.start, node: c}
 				k++
 			}
 		}
 		lives = lives[:k]
-		if c, found := a.child(0, sym); found {
+		if c, found := a.sec.child(0, sym); found {
 			lives = append(lives, live{start: i, node: c})
 		}
 	}
@@ -579,55 +568,186 @@ func TestFrozenTreeTrainPanics(t *testing.T) {
 	f.TrainSequence([]string{"/a"})
 }
 
-// byteSwapArenaImage rewrites a valid arena image as a machine of the
-// opposite endianness would have written it: every fixed-width field —
-// the four header words, the int64 counts, and the uint32 sections —
-// is byte-reversed in place. Magic and URL bytes are endian-neutral.
-func byteSwapArenaImage(img []byte, a *Arena) {
-	numNodes := uint64(len(a.counts))
-	numSyms := uint64(a.SymbolCount())
-	countsOff, symsOff, childOffOff, symOffOff, symBytesOff, _ :=
-		arenaLayout(numNodes, numSyms, uint64(len(a.symBytes)))
-	swap := func(off, width, n uint64) {
-		for i := uint64(0); i < n; i++ {
-			f := img[off+i*width : off+(i+1)*width]
-			for l, r := 0, int(width)-1; l < r; l, r = l+1, r-1 {
-				f[l], f[r] = f[r], f[l]
-			}
-		}
-	}
-	swap(uint64(len(arenaMagic)), 8, 4) // BOM + 3 dims
-	swap(countsOff, 8, numNodes)
-	swap(symsOff, 4, numNodes)
-	swap(childOffOff, 4, numNodes+1)
-	swap(symOffOff, 4, numSyms+1)
-	_ = symBytesOff // URL bytes carry no endianness
+// goldenTree is the two-session tree whose AR3 image
+// TestArenaImageGolden spells out. The first session's weight of 258
+// (0x0102) puts a nonzero high byte in the counts.
+func goldenTree() *Tree {
+	tr := NewTree()
+	tr.Insert([]string{"/a", "/b"}, 0, 258)
+	tr.Insert([]string{"/b", "/c"}, 0, 1)
+	return tr
 }
 
-// TestArenaFromBytesRejectsForeignEndianness pins the cross-machine
-// hardening: an image written on an opposite-endian machine — which
-// under the old host-endian header would have been misread through
-// byte-swapped offsets — is refused with an explicit byte-order error.
-func TestArenaFromBytesRejectsForeignEndianness(t *testing.T) {
-	tr := NewTree()
-	tr.Insert([]string{"/a", "/b"}, 0, 2)
-	tr.Insert([]string{"/b", "/c"}, 0, 1)
-	a := tr.Freeze()
-
-	img := make([]byte, len(a.Bytes()))
-	copy(img, a.Bytes())
-	byteSwapArenaImage(img, a)
-
-	_, err := ArenaFromBytes(img)
-	if err == nil {
-		t.Fatal("byte-swapped arena image accepted")
+// goldenImage is goldenTree's image with the counts section replaced,
+// field by field: nodes in BFS order are the pseudo-root, /a, /b, /a/b
+// and /b/c, and symbols 1, 2 and 3 are /a, /b and /c.
+func goldenImage(countW byte, counts []byte) [][]byte {
+	return [][]byte{
+		[]byte("pbppmAR3"),
+		{countW, 2, 2, 0},                    // widths: counts, ids, URL offsets; zero
+		{5, 0, 0, 0},                         // numNodes
+		{3, 0, 0, 0},                         // numSyms
+		{6, 0, 0, 0},                         // symBytesLen
+		counts,                               // counts
+		{0, 0, 1, 0, 2, 0, 2, 0, 3, 0},       // syms
+		{1, 0, 3, 0, 4, 0, 5, 0, 5, 0, 5, 0}, // childOff
+		{0, 0, 2, 0, 4, 0, 6, 0},             // symOff
+		[]byte("/a/b/c"),                     // symBytes
 	}
-	if !strings.Contains(err.Error(), "byte order") {
-		t.Fatalf("byte-swapped image rejected without a byte-order diagnosis: %v", err)
+}
+
+// TestArenaImageGolden pins the AR3 byte layout: the image of a
+// two-session tree, every integer little-endian at the narrowest width
+// its section allows. The same image with counts one width wider than
+// needed is refused, so the tree has exactly this one image.
+func TestArenaImageGolden(t *testing.T) {
+	fields := goldenImage(2, []byte{0x03, 0x01, 0x02, 0x01, 0x01, 0x00, 0x02, 0x01, 0x01, 0x00}) // 259, 258, 1, 258, 1
+	want := bytes.Join(fields, nil)
+	got := goldenTree().Freeze().Bytes()
+	at := 0
+	for i, f := range fields {
+		if end := at + len(f); end > len(got) || !bytes.Equal(got[at:end], f) {
+			t.Fatalf("field %d at byte %d: image % x, want % x", i, at, got[at:min(end, len(got))], f)
+		}
+		at += len(f)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("image is %d bytes, golden %d", len(got), len(want))
 	}
 
-	// Round-trip sanity: the unswapped image still attaches.
-	if _, err := ArenaFromBytes(a.Bytes()); err != nil {
-		t.Fatalf("valid image rejected: %v", err)
+	wide := bytes.Join(goldenImage(4, []byte{
+		0x03, 0x01, 0, 0, 0x02, 0x01, 0, 0, 0x01, 0, 0, 0, 0x02, 0x01, 0, 0, 0x01, 0, 0, 0,
+	}), nil)
+	if _, err := ArenaFromBytes(wide); err == nil || !strings.Contains(err.Error(), "needs 2-byte counts") {
+		t.Fatalf("image with 4-byte counts for a root count of 259: err = %v, want a count-width error", err)
+	}
+}
+
+// wideIDTree trains enough long random sessions for more than 65,535
+// nodes, so its image needs 4-byte symbol ids and child offsets, while
+// its root count stays below 65,536. If the node count (pseudo-root
+// included) comes out even, one more session makes it odd, so the
+// 2-byte counts end 2 bytes short of the ids' alignment and the image
+// carries padding.
+func wideIDTree() *Tree {
+	tr := deepArenaTree(rand.New(rand.NewSource(17)), 4000, 12, 40)
+	if (tr.NodeCount()+1)%2 == 0 {
+		tr.Insert([]string{"/odd-one-out"}, 0, 1)
+	}
+	return tr
+}
+
+// TestFreezeWideSections freezes trees whose sections need more than 2
+// bytes: a root count above 65,535 (4-byte counts), one above 2^32-1
+// (8-byte counts), and more than 65,535 nodes (4-byte ids and child
+// offsets). Each image must carry those widths, re-attach from a copy
+// byte-identically, predict like the live tree at every order cap, and
+// step like the reference scan.
+func TestFreezeWideSections(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	counts4 := deepArenaTree(rng, 300, 12, 24)
+	counts4.Insert([]string{url(0), url(1), url(2)}, 0, 70_000)
+	counts8 := deepArenaTree(rng, 300, 12, 24)
+	counts8.Insert([]string{url(3), url(1)}, 0, 1<<33)
+	cases := []struct {
+		name             string
+		tr               *Tree
+		countW, idW, pad uint64
+	}{
+		{"4-byte counts", counts4, 4, 2, 0},
+		{"8-byte counts", counts8, 8, 2, 0},
+		{"4-byte ids", wideIDTree(), 2, 4, 2},
+	}
+	for _, c := range cases {
+		a := c.tr.Freeze()
+		h := readArenaHeader(a.Bytes())
+		l := h.layout()
+		if pad := l.syms - (l.counts + h.nodes*h.countW); h.countW != c.countW || h.idW != c.idW || pad != c.pad {
+			t.Fatalf("%s: widths counts %d ids %d with %d bytes of padding, want %d, %d and %d",
+				c.name, h.countW, h.idW, pad, c.countW, c.idW, c.pad)
+		}
+		img := append([]byte(nil), a.Bytes()...)
+		if c.pad > 0 {
+			img[l.syms-1] = 1
+			if _, err := ArenaFromBytes(img); err == nil {
+				t.Fatalf("%s: nonzero padding accepted", c.name)
+			}
+			img[l.syms-1] = 0
+		}
+		b, err := ArenaFromBytes(img)
+		if err != nil {
+			t.Fatalf("%s: reattach: %v", c.name, err)
+		}
+		if !bytes.Equal(b.Bytes(), a.Bytes()) {
+			t.Fatalf("%s: reattach changed the image", c.name)
+		}
+		depth := a.Stats().MaxDepth
+		for round := 0; round < 30; round++ {
+			ctx := randomContext(rng, rng.Intn(2*depth)+1, 12)
+			for cap := 1; cap <= depth+1; cap++ {
+				node := uint32(0)
+				for _, u := range ctx {
+					node = b.Step(node, u, cap)
+				}
+				tn, order := c.tr.LongestMatch(lastN(ctx, cap))
+				want := c.tr.CandidatesFrom(tn, 0, order)
+				var got []Prediction
+				if node != 0 {
+					got = b.AppendPredictions(nil, node, 0, b.Depth(node))
+				}
+				if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+					t.Fatalf("%s: context %q at cap %d: arena %+v, tree %+v", c.name, ctx, cap, got, want)
+				}
+			}
+			checkStreaming(t, b, ctx, 1+rng.Intn(depth+1))
+			checkStreaming(t, b, ctx, len(ctx))
+		}
+	}
+}
+
+// TestSwapSectionsForBigEndian runs the conversion a big-endian host
+// applies at attach on images of every section width: each count,
+// symbol id and child offset must read back big-endian as the value the
+// image holds little-endian, and every other byte — header, padding,
+// URL offsets and URL bytes — must be left as it was.
+func TestSwapSectionsForBigEndian(t *testing.T) {
+	beUint := func(b []byte, w uint64) uint64 {
+		switch w {
+		case 2:
+			return uint64(binary.BigEndian.Uint16(b))
+		case 4:
+			return uint64(binary.BigEndian.Uint32(b))
+		}
+		return binary.BigEndian.Uint64(b)
+	}
+	counts8 := goldenTree()
+	counts8.Insert([]string{"/a"}, 0, 1<<40+0x0102)
+	for _, tr := range []*Tree{goldenTree(), counts8, wideIDTree()} {
+		img := tr.Freeze().Bytes()
+		h := readArenaHeader(img)
+		l := h.layout()
+		swapped := append([]byte(nil), img...)
+		swapSections(swapped, h, l)
+
+		swappedByte := make([]bool, len(img))
+		check := func(section string, off, w, n uint64) {
+			for i := uint64(0); i < n; i++ {
+				at := off + i*w
+				if le, be := readUint(img[at:], w), beUint(swapped[at:], w); le != be {
+					t.Fatalf("%d-byte %s[%d]: big-endian copy reads %d, image holds %d", w, section, i, be, le)
+				}
+				for k := at; k < at+w; k++ {
+					swappedByte[k] = true
+				}
+			}
+		}
+		check("counts", l.counts, h.countW, h.nodes)
+		check("syms", l.syms, h.idW, h.nodes)
+		check("childOff", l.childOff, h.idW, h.nodes+1)
+		for i := range img {
+			if !swappedByte[i] && swapped[i] != img[i] {
+				t.Fatalf("byte %d outside the swapped sections changed", i)
+			}
+		}
 	}
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // fuzzSeedTrees returns a few representative trees whose frozen images
-// seed the corpus: empty, tiny, height-capped, and a random workload.
+// seed the corpus: empty, tiny, height-capped, a random workload, and
+// one whose root count needs 4-byte counts.
 func fuzzSeedTrees() []*Tree {
 	empty := NewTree()
 	tiny := NewTree()
@@ -17,7 +18,10 @@ func fuzzSeedTrees() []*Tree {
 	capped := NewTree()
 	capped.Insert([]string{"/a", "/b", "/c", "/d"}, 3, 1)
 	capped.Insert([]string{"/b", "/c"}, 3, 5)
-	return []*Tree{empty, tiny, capped, randomArenaTree(rand.New(rand.NewSource(11)), 120, 0)}
+	wide := NewTree()
+	wide.Insert([]string{"/a", "/b"}, 0, 70_000)
+	wide.Insert([]string{"/b", "/c"}, 0, 3)
+	return []*Tree{empty, tiny, capped, randomArenaTree(rand.New(rand.NewSource(11)), 120, 0), wide}
 }
 
 // fuzzSeedModels returns frozen models whose images seed the decoder
@@ -109,7 +113,8 @@ func FuzzDecodeTree(f *testing.F) {
 
 // FuzzArenaFromBytes drives the arena validator with mutated images:
 // it must never panic, and any image it accepts must serve without
-// crashing and survive a reattach byte-identically.
+// crashing, predict only probabilities in [0, 1], and survive a
+// reattach byte-identically.
 func FuzzArenaFromBytes(f *testing.F) {
 	for _, tr := range fuzzSeedTrees() {
 		f.Add(tr.Freeze().Bytes())
@@ -123,11 +128,19 @@ func FuzzArenaFromBytes(f *testing.F) {
 			return
 		}
 		// Serve a few predictions over the accepted image: every URL the
-		// arena knows must be walkable without a crash.
-		ft := NewFrozenTree(a, FrozenParams{})
+		// arena knows must be walkable without a crash, and no count may
+		// yield a probability outside [0, 1].
 		var buf []Prediction
-		for s := 1; s <= a.SymbolCount() && s <= 8; s++ {
-			buf = ft.PredictInto([]string{a.URLOf(uint32(s))}, buf)
+		for _, blend := range []bool{false, true} {
+			ft := NewFrozenTree(a, FrozenParams{Blend: blend})
+			for s := 1; s <= a.SymbolCount() && s <= 8; s++ {
+				buf = ft.PredictInto([]string{a.URLOf(uint32(s))}, buf)
+				for _, p := range buf {
+					if !(p.Probability >= 0 && p.Probability <= 1) {
+						t.Fatalf("accepted image predicts %q with probability %v (blend %v)", p.URL, p.Probability, blend)
+					}
+				}
+			}
 		}
 		// Streaming over contexts of the arena's own URLs (and an unseen
 		// one) must reach the node the reference scan finds over each

@@ -3,9 +3,9 @@
 //
 // Every model serves and ships as a FrozenTree, so one codec carries
 // them all: EncodeFrozen writes the serving parameters beside the arena
-// image verbatim (host-endian, guarded by the header's byte-order
-// mark), and DecodeFrozen revives the model after validating everything
-// it reads — a snapshot may arrive truncated or corrupted over the
+// image verbatim (little-endian, so it reads the same on any machine),
+// and DecodeFrozen revives the model after validating everything it
+// reads — a snapshot may arrive truncated or corrupted over the
 // network, so a bad image is an error, never a panic or a model that
 // cannot predict.
 package markov

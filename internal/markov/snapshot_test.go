@@ -66,7 +66,7 @@ func TestDecodeFrozenModelRejectsCorrupt(t *testing.T) {
 	// Corrupt the arena inside an otherwise valid envelope: re-encode
 	// with a broken image.
 	for _, blend := range []bool{false, true} {
-		bad := wireFrozenTree{Name: "t", Blend: blend, Arena: []byte("pbppmAR2 not really an arena")}
+		bad := wireFrozenTree{Name: "t", Blend: blend, Arena: []byte(arenaMagic + " not really an arena")}
 		var wb bytes.Buffer
 		if err := gob.NewEncoder(&wb).Encode(bad); err != nil {
 			t.Fatal(err)
