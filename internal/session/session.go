@@ -10,7 +10,8 @@
 package session
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"pbppm/internal/trace"
@@ -124,19 +125,15 @@ func (c Config) keep(status int) bool {
 // view of the same client within the embed window.
 func Sessionize(tr *trace.Trace, cfg Config) []Session {
 	type clientState struct {
-		cur      *Session
+		cur      int // index of the open session in sessions, or -1
 		lastTime time.Time
 		lastHTML time.Time // time of last HTML view, for folding
 	}
 	states := make(map[string]*clientState)
-	var done []Session
-
-	flush := func(st *clientState) {
-		if st.cur != nil && len(st.cur.Views) > 0 {
-			done = append(done, *st.cur)
-		}
-		st.cur = nil
-	}
+	// Sessions are listed as they open. In a trace in Trace.Sort's
+	// order that is already start-then-client order, and the sort
+	// below only checks it.
+	var sessions []Session
 
 	for _, r := range tr.Records {
 		if !cfg.keep(r.Status) {
@@ -144,28 +141,30 @@ func Sessionize(tr *trace.Trace, cfg Config) []Session {
 		}
 		st := states[r.Client]
 		if st == nil {
-			st = &clientState{}
+			st = &clientState{cur: -1}
 			states[r.Client] = st
 		}
-		if st.cur != nil && r.Time.Sub(st.lastTime) > cfg.idle() {
-			flush(st)
+		if st.cur >= 0 && r.Time.Sub(st.lastTime) > cfg.idle() {
+			st.cur = -1
 		}
-		if st.cur == nil {
-			st.cur = &Session{Client: r.Client}
+		if st.cur < 0 {
+			st.cur = len(sessions)
+			sessions = append(sessions, Session{Client: r.Client})
 			st.lastHTML = time.Time{}
 		}
 		st.lastTime = r.Time
+		cur := &sessions[st.cur]
 
 		kind := r.Kind()
 		if kind == trace.KindImage && cfg.EmbedWindow >= 0 &&
 			!st.lastHTML.IsZero() && r.Time.Sub(st.lastHTML) <= cfg.embed() &&
-			len(st.cur.Views) > 0 {
-			last := &st.cur.Views[len(st.cur.Views)-1]
+			len(cur.Views) > 0 {
+			last := &cur.Views[len(cur.Views)-1]
 			last.Embedded = append(last.Embedded, Embedded{URL: r.URL, Bytes: r.Bytes})
 			continue
 		}
 
-		st.cur.Views = append(st.cur.Views, PageView{URL: r.URL, Time: r.Time, Bytes: r.Bytes})
+		cur.Views = append(cur.Views, PageView{URL: r.URL, Time: r.Time, Bytes: r.Bytes})
 		if kind == trace.KindHTML {
 			st.lastHTML = r.Time
 		} else {
@@ -174,17 +173,18 @@ func Sessionize(tr *trace.Trace, cfg Config) []Session {
 			st.lastHTML = time.Time{}
 		}
 	}
-	for _, st := range states {
-		flush(st)
+	if !slices.IsSortedFunc(sessions, compareSessions) {
+		slices.SortStableFunc(sessions, compareSessions)
 	}
-	sort.SliceStable(done, func(i, j int) bool {
-		si, sj := done[i].Start(), done[j].Start()
-		if !si.Equal(sj) {
-			return si.Before(sj)
-		}
-		return done[i].Client < done[j].Client
-	})
-	return done
+	return sessions
+}
+
+// compareSessions orders sessions by start instant, then client.
+func compareSessions(a, b Session) int {
+	if c := a.Start().Compare(b.Start()); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Client, b.Client)
 }
 
 // ClientClass distinguishes proxies from browsers.

@@ -2,10 +2,14 @@ package session
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
+	"strconv"
 	"testing"
 	"time"
 
 	"pbppm/internal/trace"
+	"pbppm/internal/tracegen"
 )
 
 var epoch = time.Date(1995, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -319,3 +323,81 @@ func TestEmbedWindowExactBoundary(t *testing.T) {
 		t.Errorf("image at %v+1s was folded: %d views", DefaultEmbedWindow, got)
 	}
 }
+
+// oracleSortSessions is the order Sessionize must return: by start
+// instant, then client, with equal sessions left in input order.
+func oracleSortSessions(ss []Session) {
+	sort.SliceStable(ss, func(i, j int) bool {
+		si, sj := ss[i].Start(), ss[j].Start()
+		if !si.Equal(sj) {
+			return si.Before(sj)
+		}
+		return ss[i].Client < ss[j].Client
+	})
+}
+
+// TestSessionizeOrderMatchesOracle gives many clients sessions that
+// start at the same few instants, some written in another zone, and
+// requires Sessionize's order to be the oracle's, both for a trace in
+// Trace.Sort's order and for one in time order whose ties are in
+// arrival order.
+func TestSessionizeOrderMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	edt := time.FixedZone("EDT", -4*3600)
+	var recs []trace.Record
+	for c := 0; c < 80; c++ {
+		client := "c" + strconv.Itoa(c)
+		for _, start := range []int{3600 * rng.Intn(3), 4*3600 + 3600*rng.Intn(3)} {
+			for v := 0; v < 1+rng.Intn(4); v++ {
+				r := rec(start+60*v, client, "/p"+strconv.Itoa(rng.Intn(9))+".html", 1)
+				if rng.Intn(2) == 0 {
+					r.Time = r.Time.In(edt)
+				}
+				recs = append(recs, r)
+			}
+		}
+	}
+	arrival := slices.Clone(recs)
+	rng.Shuffle(len(arrival), func(i, j int) { arrival[i], arrival[j] = arrival[j], arrival[i] })
+	sort.SliceStable(arrival, func(i, j int) bool { return arrival[i].Time.Before(arrival[j].Time) })
+
+	for _, c := range []struct {
+		name string
+		tr   *trace.Trace
+	}{
+		{"sorted", mktrace(recs...)},
+		{"arrival", &trace.Trace{Epoch: epoch, Records: arrival}},
+	} {
+		got := Sessionize(c.tr, Config{})
+		if len(got) != 160 {
+			t.Fatalf("%s: %d sessions, want 160", c.name, len(got))
+		}
+		want := slices.Clone(got)
+		rng.Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
+		oracleSortSessions(want)
+		for i := range want {
+			if &got[i].Views[0] != &want[i].Views[0] {
+				t.Fatalf("%s: session %d is %s at %v, want %s at %v", c.name,
+					i, got[i].Client, got[i].Start(), want[i].Client, want[i].Start())
+			}
+		}
+	}
+}
+
+// BenchmarkSessionize cuts the 7-day NASA history prefetchd and
+// perfbench build at boot into sessions.
+func BenchmarkSessionize(b *testing.B) {
+	p := tracegen.NASA()
+	p.Days = 7
+	tr, err := tracegen.Generate(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sessionsSink = Sessionize(tr, Config{})
+	}
+}
+
+var sessionsSink []Session

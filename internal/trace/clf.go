@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -96,14 +97,19 @@ func ParseCLF(line string) (Record, error) {
 	return r, nil
 }
 
-// ReadCLF reads an entire Common Log Format stream. Unparseable lines
-// are counted and skipped (real traces contain corrupt lines); the
-// skipped count is returned alongside the trace. The epoch is set to
-// midnight (UTC) of the first record's day.
+// maxLineBytes bounds one log line, its newline included.
+const maxLineBytes = 1024 * 1024
+
+// ReadCLF reads an entire Common Log Format stream. Unparseable lines,
+// and lines longer than 1 MiB, are counted and skipped (real traces
+// contain corrupt lines); the skipped count is returned alongside the
+// trace. The epoch is set to midnight (UTC) of the first record's day.
 func ReadCLF(rd io.Reader) (t *Trace, skipped int, err error) {
 	t = &Trace{}
+	var lines lineSplitter
 	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
+	sc.Split(lines.split)
 	for sc.Scan() {
 		line := sc.Text()
 		if strings.TrimSpace(line) == "" {
@@ -116,6 +122,7 @@ func ReadCLF(rd io.Reader) (t *Trace, skipped int, err error) {
 		}
 		t.Records = append(t.Records, r)
 	}
+	skipped += lines.overlong
 	if err := sc.Err(); err != nil {
 		return nil, skipped, fmt.Errorf("trace: reading log: %w", err)
 	}
@@ -125,6 +132,32 @@ func ReadCLF(rd io.Reader) (t *Trace, skipped int, err error) {
 		t.Epoch = time.Date(first.Year(), first.Month(), first.Day(), 0, 0, 0, 0, time.UTC)
 	}
 	return t, skipped, nil
+}
+
+// lineSplitter splits a stream into lines like bufio.ScanLines, but
+// drops a line that fills the scanner's maxLineBytes buffer without
+// ending, counting it, where ScanLines would fail the whole scan.
+type lineSplitter struct {
+	dropping bool // inside an overlong line, discarding up to its newline
+	overlong int
+}
+
+func (l *lineSplitter) split(data []byte, atEOF bool) (int, []byte, error) {
+	if l.dropping {
+		i := bytes.IndexByte(data, '\n')
+		if i < 0 {
+			return len(data), nil, nil
+		}
+		l.dropping = false
+		return i + 1, nil, nil
+	}
+	advance, token, err := bufio.ScanLines(data, atEOF)
+	if advance == 0 && token == nil && len(data) >= maxLineBytes {
+		l.dropping = true
+		l.overlong++
+		return len(data), nil, nil
+	}
+	return advance, token, err
 }
 
 // WriteCLF writes the trace as Common Log Format, one record per line.

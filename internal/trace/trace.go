@@ -125,18 +125,35 @@ type Trace struct {
 }
 
 // Sort orders records by time, breaking ties by client then URL so that
-// ordering is deterministic.
+// ordering is deterministic. Records equal in all three keep their
+// order. A trace already in order is only read.
 func (t *Trace) Sort() {
-	sort.SliceStable(t.Records, func(i, j int) bool {
-		a, b := t.Records[i], t.Records[j]
-		if !a.Time.Equal(b.Time) {
-			return a.Time.Before(b.Time)
-		}
-		if a.Client != b.Client {
-			return a.Client < b.Client
-		}
-		return a.URL < b.URL
-	})
+	recs := (*byKey)(&t.Records) // a pointer, so recs boxes without allocating
+	if !sort.IsSorted(recs) {
+		sort.Stable(recs)
+	}
+}
+
+// byKey sorts records in place through pointers. slices.SortStableFunc
+// would pass its comparator two 88-byte records by value, and copying
+// them costs about what dropping sort.SliceStable's reflection saves.
+type byKey []Record
+
+func (s *byKey) Len() int           { return len(*s) }
+func (s *byKey) Less(i, j int) bool { return compareRecords(&(*s)[i], &(*s)[j]) < 0 }
+func (s *byKey) Swap(i, j int)      { (*s)[i], (*s)[j] = (*s)[j], (*s)[i] }
+
+// compareRecords orders records by instant, then client, then URL.
+// Time.Compare is exact for any year ParseCLF accepts, where a UnixNano
+// key would overflow outside 1678–2262.
+func compareRecords(a, b *Record) int {
+	if c := a.Time.Compare(b.Time); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Client, b.Client); c != 0 {
+		return c
+	}
+	return strings.Compare(a.URL, b.URL)
 }
 
 // Days returns the number of day windows spanned by the trace: one more
@@ -163,46 +180,6 @@ func (t *Trace) Window(fromDay, toDay int) *Trace {
 		return !t.Records[i].Time.Before(hi)
 	})
 	return &Trace{Epoch: t.Epoch, Records: t.Records[start:end]}
-}
-
-// Filter returns a new trace holding only records for which keep
-// returns true. The epoch is preserved.
-func (t *Trace) Filter(keep func(Record) bool) *Trace {
-	out := &Trace{Epoch: t.Epoch}
-	for _, r := range t.Records {
-		if keep(r) {
-			out.Records = append(out.Records, r)
-		}
-	}
-	return out
-}
-
-// Clients returns the sorted set of distinct client identifiers.
-func (t *Trace) Clients() []string {
-	seen := make(map[string]bool)
-	for _, r := range t.Records {
-		seen[r.Client] = true
-	}
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// URLs returns the sorted set of distinct URLs.
-func (t *Trace) URLs() []string {
-	seen := make(map[string]bool)
-	for _, r := range t.Records {
-		seen[r.URL] = true
-	}
-	out := make([]string, 0, len(seen))
-	for u := range seen {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Validate checks basic trace invariants: non-empty client and URL

@@ -109,24 +109,6 @@ func TestTraceDaysAndWindow(t *testing.T) {
 	}
 }
 
-func TestTraceFilterClientsURLs(t *testing.T) {
-	tr := &Trace{Epoch: epoch, Records: []Record{
-		rec(0, 1, "a", "/x.html", 1),
-		rec(0, 2, "b", "/y.gif", 1),
-		rec(0, 3, "a", "/x.html", 1),
-	}}
-	html := tr.Filter(func(r Record) bool { return r.Kind() == KindHTML })
-	if len(html.Records) != 2 {
-		t.Errorf("html filter kept %d records, want 2", len(html.Records))
-	}
-	if got := tr.Clients(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("Clients = %v", got)
-	}
-	if got := tr.URLs(); len(got) != 2 || got[0] != "/x.html" || got[1] != "/y.gif" {
-		t.Errorf("URLs = %v", got)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	good := &Trace{Epoch: epoch, Records: []Record{
 		rec(0, 1, "a", "/x", 1), rec(0, 2, "b", "/y", 0),
@@ -261,5 +243,34 @@ func TestReadCLFEmpty(t *testing.T) {
 	tr, skipped, err := ReadCLF(strings.NewReader("\n\n"))
 	if err != nil || skipped != 0 || len(tr.Records) != 0 {
 		t.Errorf("ReadCLF(empty) = %v records, skipped %d, err %v", len(tr.Records), skipped, err)
+	}
+}
+
+// TestReadCLFSkipsOverlongLine checks that a line too long for the
+// scanner is counted and skipped like any unparseable line, while a
+// line that just fits is still read.
+func TestReadCLFSkipsOverlongLine(t *testing.T) {
+	good := MarshalCLF(rec(0, 1, "a", "/x.html", 10)) + "\n"
+	fits := MarshalCLF(rec(0, 2, "b", "/y.html", 10))
+	fits += strings.Repeat(" ", maxLineBytes-1-len(fits)) + "\n"
+	long := strings.Repeat("x", 2*maxLineBytes)
+	for _, c := range []struct {
+		name             string
+		in               string
+		records, skipped int
+	}{
+		{"between good lines", good + long + "\n" + good, 2, 1},
+		{"last without newline", good + long, 1, 1},
+		{"one byte under the limit", good + fits + good, 3, 0},
+		{"one byte over the limit", good + "x" + fits + good, 2, 1},
+	} {
+		tr, skipped, err := ReadCLF(strings.NewReader(c.in))
+		if err != nil {
+			t.Fatalf("%s: ReadCLF: %v", c.name, err)
+		}
+		if len(tr.Records) != c.records || skipped != c.skipped {
+			t.Errorf("%s: %d records, %d skipped; want %d, %d",
+				c.name, len(tr.Records), skipped, c.records, c.skipped)
+		}
 	}
 }

@@ -5,23 +5,6 @@ import (
 	"encoding/hex"
 )
 
-// Merge combines traces into one, re-sorted by time. The earliest
-// epoch wins; merging an empty set yields an empty trace.
-func Merge(traces ...*Trace) *Trace {
-	out := &Trace{}
-	for _, t := range traces {
-		if t == nil || len(t.Records) == 0 {
-			continue
-		}
-		if out.Epoch.IsZero() || t.Epoch.Before(out.Epoch) {
-			out.Epoch = t.Epoch
-		}
-		out.Records = append(out.Records, t.Records...)
-	}
-	out.Sort()
-	return out
-}
-
 // Anonymize returns a copy of the trace with every client identifier
 // replaced by a stable pseudonym derived from an HMAC-style salted
 // hash — the standard preparation before sharing a log. The same

@@ -5,30 +5,6 @@ import (
 	"testing"
 )
 
-func TestMergeTraces(t *testing.T) {
-	a := &Trace{Epoch: epoch, Records: []Record{
-		rec(0, 10, "a", "/1", 1), rec(1, 5, "a", "/2", 1),
-	}}
-	b := &Trace{Epoch: epoch.Add(-24 * 3600 * 1e9), Records: []Record{
-		rec(0, 3, "b", "/3", 1),
-	}}
-	m := Merge(a, b, nil, &Trace{})
-	if len(m.Records) != 3 {
-		t.Fatalf("merged %d records", len(m.Records))
-	}
-	if !m.Epoch.Equal(b.Epoch) {
-		t.Errorf("epoch = %v, want the earliest", m.Epoch)
-	}
-	for i := 1; i < len(m.Records); i++ {
-		if m.Records[i].Time.Before(m.Records[i-1].Time) {
-			t.Error("merged trace unsorted")
-		}
-	}
-	if got := Merge(); len(got.Records) != 0 {
-		t.Error("empty merge not empty")
-	}
-}
-
 func TestAnonymize(t *testing.T) {
 	tr := &Trace{Epoch: epoch, Records: []Record{
 		rec(0, 1, "alice.example.com", "/1", 1),

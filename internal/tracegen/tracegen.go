@@ -25,10 +25,13 @@
 package tracegen
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"pbppm/internal/trace"
@@ -420,8 +423,7 @@ func GenerateOn(site *Site, p Profile) (*trace.Trace, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(p.Seed + 0x9e3779b9))
-	epoch := time.Date(1995, 7, 1, 0, 0, 0, 0, time.UTC)
-	tr := &trace.Trace{Epoch: epoch}
+	h := newHistory(site)
 
 	// Precompute grade positions once (intendedGrade is O(n) per call).
 	grade := make([]int, len(site.Pages))
@@ -442,25 +444,171 @@ func GenerateOn(site *Site, p Profile) (*trace.Trace, error) {
 	for day := 0; day < p.Days; day++ {
 		nSessions := poissonish(rng, float64(p.SessionsPerDay))
 		for sess := 0; sess < nSessions; sess++ {
-			client := pickClient(rng, p)
-			start := epoch.Add(time.Duration(day)*24*time.Hour + dayOffset(rng, p))
-			emitSession(rng, site, p, grade, tr, client, start)
+			client := h.client(pickClient(rng, p))
+			start := time.Duration(day)*24*time.Hour + dayOffset(rng, p)
+			h.emitSession(rng, site, p, grade, client, start)
 		}
 		for c := 0; c < p.Crawlers; c++ {
-			emitCrawl(rng, site, p, tr, c, day, epoch)
+			h.emitCrawl(rng, site, p, c, day)
 		}
 	}
-	tr.Sort()
-	return tr, nil
+	return h.trace(), nil
+}
+
+// epoch is the start of every generated trace.
+var epoch = time.Date(1995, 7, 1, 0, 0, 0, 0, time.UTC)
+
+// history is a generated period held as compact events until it is
+// ordered once and turned into records.
+type history struct {
+	// objs lists the site's pages by index, then each page's images.
+	objs []object
+	// firstImage[i] is the object id of page i's first image.
+	firstImage []int32
+	// urlRank[id] is the rank of objs[id].url among the distinct URLs
+	// in byte order.
+	urlRank []int32
+	// clients holds the client names by id, in order of first use.
+	clients []string
+	ids     map[clientKey]int32
+	events  []event // in emission order until trace sorts them
+}
+
+// object is a page or an image of the site.
+type object struct {
+	url  string
+	size int64
+}
+
+// event is one request of the history in 24 bytes. Every generated
+// record is a 200 GET of its object's full size, so the event holds
+// only what varies.
+type event struct {
+	at time.Duration // request time after the epoch
+	// client is the client's id until the events are sorted, then the
+	// rank of its name among the distinct names in byte order.
+	client int32
+	obj    int32
+	url    int32 // urlRank[obj]
+	// seq is the emission index. It ends the sort key, so no two
+	// events tie and an unstable sort gives the one stable order.
+	seq int32
+}
+
+// clientKind and clientKey identify a requester before it has a name.
+type clientKind uint8
+
+const (
+	browserClient clientKind = iota
+	proxyClient
+	crawlerClient
+)
+
+var clientFormats = [...]string{
+	browserClient: "browser%05d.example.com",
+	proxyClient:   "proxy%03d.example.net",
+	crawlerClient: "crawler%02d.robot.example.org",
+}
+
+type clientKey struct {
+	kind clientKind
+	n    int
+}
+
+func newHistory(site *Site) *history {
+	h := &history{
+		objs:       make([]object, len(site.Pages)),
+		firstImage: make([]int32, len(site.Pages)),
+		ids:        make(map[clientKey]int32),
+	}
+	for i, pg := range site.Pages {
+		h.objs[i] = object{pg.URL, pg.Size}
+	}
+	for i, pg := range site.Pages {
+		h.firstImage[i] = int32(len(h.objs))
+		for _, img := range pg.Images {
+			h.objs = append(h.objs, object{img.URL, img.Size})
+		}
+	}
+	urls := make([]string, len(h.objs))
+	for i, o := range h.objs {
+		urls[i] = o.url
+	}
+	h.urlRank, _ = rank(urls)
+	return h
+}
+
+// client returns the id of a requester, naming it on first use.
+func (h *history) client(k clientKey) int32 {
+	id, ok := h.ids[k]
+	if !ok {
+		id = int32(len(h.clients))
+		h.clients = append(h.clients, fmt.Sprintf(clientFormats[k.kind], k.n))
+		h.ids[k] = id
+	}
+	return id
+}
+
+func (h *history) emit(client, obj int32, at time.Duration) {
+	h.events = append(h.events, event{at: at, client: client, obj: obj,
+		url: h.urlRank[obj], seq: int32(len(h.events))})
+}
+
+// trace orders the events by time, client name, URL and emission index
+// (the order a stable sort by time, client and URL leaves them in) and
+// builds the records.
+func (h *history) trace() *trace.Trace {
+	clientRank, names := rank(h.clients)
+	for i := range h.events {
+		h.events[i].client = clientRank[h.events[i].client]
+	}
+	slices.SortFunc(h.events, compareEvents)
+	recs := make([]trace.Record, len(h.events))
+	for i, e := range h.events {
+		o, r := &h.objs[e.obj], &recs[i]
+		r.Client, r.Time, r.Method = names[e.client], epoch.Add(e.at), "GET"
+		r.URL, r.Status, r.Bytes = o.url, 200, o.size
+	}
+	return &trace.Trace{Epoch: epoch, Records: recs}
+}
+
+// compareEvents orders events by time, client-name rank, URL rank and
+// emission index.
+func compareEvents(a, b event) int {
+	switch {
+	case a.at != b.at:
+		return cmp.Compare(a.at, b.at)
+	case a.client != b.client:
+		return cmp.Compare(a.client, b.client)
+	case a.url != b.url:
+		return cmp.Compare(a.url, b.url)
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// rank returns each name's rank among the distinct names in byte order,
+// and those distinct names in that order.
+func rank(names []string) (ranks []int32, distinct []string) {
+	order := make([]int32, len(names))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(names[a], names[b]) })
+	ranks = make([]int32, len(names))
+	for _, i := range order {
+		if len(distinct) == 0 || distinct[len(distinct)-1] != names[i] {
+			distinct = append(distinct, names[i])
+		}
+		ranks[i] = int32(len(distinct) - 1)
+	}
+	return ranks, distinct
 }
 
 // emitCrawl sweeps the site in page-index order for one robot client,
 // skipping a random subset of pages so successive days' sweeps differ.
 // Crawlers fetch HTML only (1990s robots rarely pulled images) at a
 // steady interval short enough that a sweep forms one access session.
-func emitCrawl(rng *rand.Rand, site *Site, p Profile, tr *trace.Trace,
-	crawler, day int, epoch time.Time) {
-
+func (h *history) emitCrawl(rng *rand.Rand, site *Site, p Profile, crawler, day int) {
 	limit := p.CrawlerPagesPerDay
 	if limit <= 0 || limit > len(site.Pages) {
 		limit = len(site.Pages)
@@ -469,22 +617,18 @@ func emitCrawl(rng *rand.Rand, site *Site, p Profile, tr *trace.Trace,
 	if interval <= 0 {
 		interval = 25
 	}
-	client := fmt.Sprintf("crawler%02d.robot.example.org", crawler)
+	client := h.client(clientKey{crawlerClient, crawler})
 	// Stagger crawler start times so robots do not collide.
-	t := epoch.Add(time.Duration(day)*24*time.Hour +
+	t := time.Duration(day)*24*time.Hour +
 		time.Duration(crawler)*3*time.Hour +
-		time.Duration(rng.Int63n(int64(time.Hour))))
+		time.Duration(rng.Int63n(int64(time.Hour)))
 	visited := 0
 	for i := 0; i < len(site.Pages) && visited < limit; i++ {
 		if rng.Float64() < p.CrawlerSkipProb {
 			continue
 		}
-		pg := &site.Pages[i]
-		tr.Records = append(tr.Records, trace.Record{
-			Client: client, Time: t, Method: "GET",
-			URL: pg.URL, Status: 200, Bytes: pg.Size,
-		})
-		t = t.Add(time.Duration(interval) * time.Second)
+		h.emit(client, int32(i), t)
+		t += time.Duration(interval) * time.Second
 		visited++
 	}
 }
@@ -509,16 +653,16 @@ func dayOffset(rng *rand.Rand, p Profile) time.Duration {
 }
 
 // pickClient selects a browser or proxy address for a session.
-func pickClient(rng *rand.Rand, p Profile) string {
+func pickClient(rng *rand.Rand, p Profile) clientKey {
 	if p.Proxies > 0 && rng.Float64() < p.ProxyShare {
-		return fmt.Sprintf("proxy%03d.example.net", rng.Intn(p.Proxies))
+		return clientKey{proxyClient, rng.Intn(p.Proxies)}
 	}
-	return fmt.Sprintf("browser%05d.example.com", rng.Intn(p.Browsers))
+	return clientKey{browserClient, rng.Intn(p.Browsers)}
 }
 
-// emitSession random-walks the site and appends the session's records.
-func emitSession(rng *rand.Rand, site *Site, p Profile, grade []int,
-	tr *trace.Trace, client string, start time.Time) {
+// emitSession random-walks the site and emits the session's requests.
+func (h *history) emitSession(rng *rand.Rand, site *Site, p Profile, grade []int,
+	client int32, start time.Duration) {
 
 	// Session head (Regularity 1): biased toward the popular entry set.
 	var cur int
@@ -541,17 +685,10 @@ func emitSession(rng *rand.Rand, site *Site, p Profile, grade []int,
 	t := start
 	for click := 0; click < p.MaxSessionLen; click++ {
 		pg := &site.Pages[cur]
-		tr.Records = append(tr.Records, trace.Record{
-			Client: client, Time: t, Method: "GET",
-			URL: pg.URL, Status: 200, Bytes: pg.Size,
-		})
+		h.emit(client, int32(cur), t)
 		// Embedded images arrive within the 10-second fold window.
-		for k, img := range pg.Images {
-			tr.Records = append(tr.Records, trace.Record{
-				Client: client,
-				Time:   t.Add(time.Duration(1+k*2) * time.Second),
-				Method: "GET", URL: img.URL, Status: 200, Bytes: img.Size,
-			})
+		for k := range pg.Images {
+			h.emit(client, h.firstImage[cur]+int32(k), t+time.Duration(1+k*2)*time.Second)
 		}
 
 		if rng.Float64() >= pCont {
@@ -585,7 +722,7 @@ func emitSession(rng *rand.Rand, site *Site, p Profile, grade []int,
 		if think > 25*time.Minute {
 			think = 25 * time.Minute
 		}
-		t = t.Add(think)
+		t += think
 	}
 }
 

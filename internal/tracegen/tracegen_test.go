@@ -362,11 +362,15 @@ func TestGenerateOnSharedSite(t *testing.T) {
 	}
 	// Same site: URL universes overlap heavily even with different seeds.
 	urlsA := map[string]bool{}
-	for _, u := range a.URLs() {
-		urlsA[u] = true
+	for _, r := range a.Records {
+		urlsA[r.URL] = true
+	}
+	urlsB := map[string]bool{}
+	for _, r := range b.Records {
+		urlsB[r.URL] = true
 	}
 	common := 0
-	for _, u := range b.URLs() {
+	for u := range urlsB {
 		if urlsA[u] {
 			common++
 		}
@@ -420,5 +424,23 @@ func TestNASAFullMonthGenerates(t *testing.T) {
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkGenerateOn generates the 7-day NASA history prefetchd and
+// perfbench build at boot, over a site built once.
+func BenchmarkGenerateOn(b *testing.B) {
+	p := NASA()
+	p.Days = 7
+	site, err := BuildSite(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateOn(site, p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
