@@ -406,30 +406,17 @@ func BenchmarkArenaAttach(b *testing.B) {
 	b.ReportMetric(float64(len(img)), "image_bytes")
 }
 
-// BenchmarkTrainAllSerial measures serial session-by-session training
-// of the height-3 standard PPM model over the 5-day window — the
-// baseline for the sharded-training comparison below. CI runs the pair
-// with GOGC pinned as a train-throughput smoke.
-func BenchmarkTrainAllSerial(b *testing.B) {
+// BenchmarkTrainAll measures serial session-by-session training of the
+// height-3 standard PPM model over the 5-day window, the one training
+// path. CI gates its B/op: per-worker trees or a second pass over the
+// trained tree would show up there.
+func BenchmarkTrainAll(b *testing.B) {
 	w := nasaWorkload(b)
 	seqs := sim.URLSequences(benchSessions(b, w, 5))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		markov.TrainAll(NewStandardPPM(PPMConfig{Height: 3}), seqs)
-	}
-}
-
-// BenchmarkTrainAllParallel is the same workload through
-// markov.TrainAllParallel: sessions sharded by head URL across
-// GOMAXPROCS workers and merged. On a single-CPU runner it falls back
-// to serial, so the pair also guards against the sharding machinery
-// regressing the serial path.
-func BenchmarkTrainAllParallel(b *testing.B) {
-	w := nasaWorkload(b)
-	seqs := sim.URLSequences(benchSessions(b, w, 5))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		markov.TrainAllParallel(NewStandardPPM(PPMConfig{Height: 3}), seqs)
 	}
 }
 

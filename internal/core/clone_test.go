@@ -10,9 +10,8 @@ import (
 
 // TestCloneDeltaMergeEquivalence pins the incremental-maintenance
 // contract for PB-PPM: clone the live model, train only the delta into
-// a shard, fold it in, and the result predicts exactly like a model
-// trained on base+delta with the same grader — while the live model is
-// untouched.
+// the clone, and the result predicts exactly like a model trained on
+// base+delta with the same grader — while the live model is untouched.
 func TestCloneDeltaMergeEquivalence(t *testing.T) {
 	grades := popularity.FixedGrades{
 		"/home": 3, "/news": 2, "/news/today": 1, "/sports": 2, "/hot": 3,
@@ -33,12 +32,8 @@ func TestCloneDeltaMergeEquivalence(t *testing.T) {
 	}
 	liveNodes := live.NodeCount()
 
-	shard := live.NewShard()
-	for _, s := range delta {
-		shard.TrainSequence(s)
-	}
 	merged := live.Clone().(*Model)
-	merged.MergeShard(shard)
+	markov.TrainAll(merged, delta)
 
 	retrain := New(grades, cfg)
 	for _, s := range append(append([][]string{}, base...), delta...) {

@@ -89,7 +89,6 @@ var _ markov.Predictor = (*Model)(nil)
 var _ markov.BufferedPredictor = (*Model)(nil)
 var _ markov.Freezer = (*Model)(nil)
 var _ markov.UtilizationReporter = (*Model)(nil)
-var _ markov.ShardedTrainer = (*Model)(nil)
 var _ markov.IncrementalTrainer = (*Model)(nil)
 
 // New returns an empty popularity-based model that grades URLs with
@@ -174,32 +173,9 @@ func (m *Model) TrainSequence(seq []string) {
 	}
 }
 
-// NewShard returns an empty model sharing the popularity grader and
-// configuration, for markov.TrainAllParallel. The grader is read-only
-// during training, so sharing it across shards is safe.
-func (m *Model) NewShard() markov.Predictor { return New(m.grades, m.cfg) }
-
-// MergeShard folds a shard trained by NewShard back into the model:
-// tree counts are additive and rule-3 link counts fold per (root, url)
-// pair, so shard-trained and serially-trained models are equivalent.
-func (m *Model) MergeShard(shard markov.Predictor) {
-	sh := shard.(*Model)
-	m.tree.Merge(sh.tree)
-	for root, lm := range sh.links {
-		for url, cnt := range lm {
-			dst := m.links[root]
-			if dst == nil {
-				dst = make(map[string]int64)
-				m.links[root] = dst
-			}
-			dst[url] += cnt
-		}
-	}
-}
-
 // Clone returns a deep copy of the model for incremental maintenance:
-// the tree and rule-3 link counts are fresh, so merging a delta shard
-// into the clone never mutates the receiver. The popularity grader is
+// the tree and rule-3 link counts are fresh, so training a delta into
+// the clone never mutates the receiver. The popularity grader is
 // shared — it is read-only during training, and the incremental scheme
 // deliberately keeps the grading fixed between compactions (a
 // compaction re-derives the ranking from the full window).

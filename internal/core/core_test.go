@@ -518,59 +518,6 @@ func TestNoThresholdPredictsEverything(t *testing.T) {
 	}
 }
 
-// TestShardedTrainingEquivalence drives NewShard/MergeShard directly
-// and checks the merged tree, rule-3 link counts, and predictions all
-// equal the serially trained model.
-func TestShardedTrainingEquivalence(t *testing.T) {
-	grades := popularity.FixedGrades{"a": 3, "b": 0, "c": 1, "d": 2, "hot": 3}
-	rng := rand.New(rand.NewSource(77))
-	urls := []string{"a", "b", "c", "d", "hot"}
-	var seqs [][]string
-	for i := 0; i < 120; i++ {
-		s := make([]string, rng.Intn(6)+1)
-		for j := range s {
-			s[j] = urls[rng.Intn(len(urls))]
-		}
-		seqs = append(seqs, s)
-	}
-	serial := New(grades, Config{})
-	markov.TrainAll(serial, seqs)
-
-	sharded := New(grades, Config{})
-	shards := []markov.Predictor{sharded.NewShard(), sharded.NewShard(), sharded.NewShard()}
-	for i, s := range seqs {
-		shards[i%len(shards)].TrainSequence(s)
-	}
-	for _, sh := range shards {
-		sharded.MergeShard(sh)
-	}
-
-	if got, want := sharded.NodeCount(), serial.NodeCount(); got != want {
-		t.Fatalf("NodeCount = %d, serial %d", got, want)
-	}
-	if got, want := sharded.LinkCount(), serial.LinkCount(); got != want {
-		t.Fatalf("LinkCount = %d, serial %d", got, want)
-	}
-	if got, want := sharded.Stats(), serial.Stats(); got != want {
-		t.Fatalf("Stats = %+v, serial %+v", got, want)
-	}
-	for i := 0; i < 200; i++ {
-		ctx := make([]string, rng.Intn(4)+1)
-		for j := range ctx {
-			ctx[j] = urls[rng.Intn(len(urls))]
-		}
-		got, want := sharded.Predict(ctx), serial.Predict(ctx)
-		if len(got) != len(want) {
-			t.Fatalf("ctx %v: %+v vs serial %+v", ctx, got, want)
-		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("ctx %v: %+v vs serial %+v", ctx, got, want)
-			}
-		}
-	}
-}
-
 // TestFrozenStreamingMatchesPredictInto is the streaming path's
 // property test on PB-PPM: over models whose branches run deeper than
 // the 16-URL serving tail (and the default 7/5/3/1 heights), with

@@ -117,9 +117,9 @@ func (m *Maintenance) String() string {
 
 // MaintenanceCost quantifies what incremental maintenance buys: each
 // evaluation day, the sessions of the previous day are folded into the
-// live PB-PPM model twice — once through the delta-merge path (train
-// only the new sessions, fold the shard into a clone of the snapshot)
-// and once through a full rebuild over the whole window — and the day
+// live PB-PPM model twice — once through the delta-merge path (clone
+// the model, then train only the new sessions into the clone) and once
+// through a full rebuild over the whole window — and the day
 // is replayed against both models. The wall-time columns show the
 // update-cost gap growing with the window while the headline metrics
 // stay equal; the hit-ratio columns bound what the delta path's

@@ -81,7 +81,7 @@ func warmModel(site *tracegen.Site, p tracegen.Profile, warmDays int) (markov.Pr
 	for i, s := range sessions {
 		seqs[i] = s.URLs()
 	}
-	markov.TrainAllParallel(model, seqs)
+	markov.TrainAll(model, seqs)
 	model.Optimize()
 
 	return markov.Freeze(model), rank, nil

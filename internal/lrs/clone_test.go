@@ -19,12 +19,10 @@ func TestCloneDeltaMergeEquivalence(t *testing.T) {
 	}
 	baseNodes := live.NodeCount()
 
-	shard := live.NewShard()
-	for _, s := range delta {
-		shard.TrainSequence(s)
-	}
 	merged := live.Clone().(*Model)
-	merged.MergeShard(shard)
+	for _, s := range delta {
+		merged.TrainSequence(s)
+	}
 
 	retrain := New(Config{})
 	for _, s := range append(append([][]string{}, base...), delta...) {

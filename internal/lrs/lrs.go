@@ -48,7 +48,6 @@ var _ markov.Predictor = (*Model)(nil)
 var _ markov.BufferedPredictor = (*Model)(nil)
 var _ markov.Freezer = (*Model)(nil)
 var _ markov.UtilizationReporter = (*Model)(nil)
-var _ markov.ShardedTrainer = (*Model)(nil)
 var _ markov.IncrementalTrainer = (*Model)(nil)
 
 // New returns an empty LRS model.
@@ -83,21 +82,10 @@ func (m *Model) rebuild() {
 	})
 }
 
-// NewShard returns an empty model with the same configuration, for
-// markov.TrainAllParallel.
-func (m *Model) NewShard() markov.Predictor { return New(m.cfg) }
-
-// MergeShard folds a shard trained by NewShard into the full suffix
-// trie; the repeating-only view is rebuilt lazily as usual.
-func (m *Model) MergeShard(shard markov.Predictor) {
-	m.full.Merge(shard.(*Model).full)
-	m.dirty = true
-}
-
 // Clone returns a deep copy of the model for incremental maintenance.
 // Both the full suffix trie and the pruned prediction view are copied,
-// so later training or delta merges into the clone can promote
-// sequences across the repeat threshold without touching the receiver.
+// so training a delta into the clone can promote sequences across the
+// repeat threshold without touching the receiver.
 func (m *Model) Clone() markov.Predictor {
 	return &Model{
 		cfg:    m.cfg,

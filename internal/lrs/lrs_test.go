@@ -202,43 +202,3 @@ func TestNoThresholdPredictsEverything(t *testing.T) {
 		t.Errorf("Predict with NoThreshold = %+v, want both b and c", ps)
 	}
 }
-
-// TestShardedTrainingEquivalence drives NewShard/MergeShard directly
-// and checks the merged suffix trie yields the same repeating-only
-// model as serial training.
-func TestShardedTrainingEquivalence(t *testing.T) {
-	var seqs [][]string
-	urls := []string{"a", "b", "c", "d"}
-	for i := 0; i < 80; i++ {
-		s := make([]string, i%3+2)
-		for j := range s {
-			s[j] = urls[(i*5+j)%len(urls)]
-		}
-		seqs = append(seqs, s)
-	}
-	serial := New(Config{})
-	markov.TrainAll(serial, seqs)
-
-	sharded := New(Config{})
-	shards := []markov.Predictor{sharded.NewShard(), sharded.NewShard(), sharded.NewShard()}
-	for i, s := range seqs {
-		shards[i%len(shards)].TrainSequence(s)
-	}
-	for _, sh := range shards {
-		sharded.MergeShard(sh)
-	}
-
-	if got, want := sharded.NodeCount(), serial.NodeCount(); got != want {
-		t.Fatalf("NodeCount = %d, serial %d", got, want)
-	}
-	gotPat, wantPat := sharded.Patterns(), serial.Patterns()
-	if len(gotPat) != len(wantPat) {
-		t.Fatalf("Patterns: %d vs serial %d", len(gotPat), len(wantPat))
-	}
-	for i := range gotPat {
-		if gotPat[i].Count != wantPat[i].Count ||
-			strings.Join(gotPat[i].URLs, ">") != strings.Join(wantPat[i].URLs, ">") {
-			t.Fatalf("pattern %d: %+v vs serial %+v", i, gotPat[i], wantPat[i])
-		}
-	}
-}

@@ -1,6 +1,7 @@
 package maintain
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sync"
@@ -264,9 +265,9 @@ func TestPanickingFactoryKeepsPreviousSnapshot(t *testing.T) {
 // crash-safety contract; the dropped batch stays in the window for the
 // next compaction to recover.
 func TestPanicDuringDeltaMergeKeepsSnapshot(t *testing.T) {
-	var panicking bool
+	var trigger int
 	factory := func(rank *popularity.Ranking) markov.Predictor {
-		return &panicOnShard{Predictor: pbFactory(rank), panicking: &panicking}
+		return &panicOnTrain{Predictor: pbFactory(rank), trigger: &trigger}
 	}
 	m, err := New(Config{Factory: factory})
 	if err != nil {
@@ -275,7 +276,7 @@ func TestPanicDuringDeltaMergeKeepsSnapshot(t *testing.T) {
 	m.Observe(mkSession(0, "/home", "/news"))
 	trained := m.Rebuild(epoch.Add(time.Hour))
 
-	panicking = true
+	trigger = 1 // the clone's first TrainSequence panics
 	m.Observe(mkSession(2, "/home", "/fresh"))
 	if got := m.DeltaMerge(epoch.Add(3 * time.Hour)); got != trained {
 		t.Error("panicking delta merge replaced the snapshot")
@@ -285,7 +286,6 @@ func TestPanicDuringDeltaMergeKeepsSnapshot(t *testing.T) {
 	}
 	// The batch was drained from staging but survives in the window: a
 	// compaction recovers it.
-	panicking = false
 	recovered := m.Rebuild(epoch.Add(4 * time.Hour))
 	found := false
 	for _, p := range recovered.Predict([]string{"/home"}) {
@@ -298,30 +298,111 @@ func TestPanicDuringDeltaMergeKeepsSnapshot(t *testing.T) {
 	}
 }
 
-// panicOnShard wraps a model so NewShard panics on demand, simulating a
-// corrupt delta batch poisoning shard training.
-type panicOnShard struct {
+// TestPanicMidBatchLeavesNoHalfTrainedClone: a delta merge trains its
+// batch into a clone, so a panic can strike after part of the batch is
+// in it. That clone must go with the panic: the next delta merge starts
+// from the untouched editable model, and the next compaction still
+// recovers the whole dropped batch.
+func TestPanicMidBatchLeavesNoHalfTrainedClone(t *testing.T) {
+	var trigger int
+	factory := func(rank *popularity.Ranking) markov.Predictor {
+		return &panicOnTrain{Predictor: pbFactory(rank), trigger: &trigger}
+	}
+	m, err := New(Config{Factory: factory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := []session.Session{
+		mkSession(0, "/home", "/news", "/news/today"),
+		mkSession(1, "/home", "/sports"),
+	}
+	for _, s := range sessions {
+		m.Observe(s)
+	}
+	m.Rebuild(epoch.Add(2 * time.Hour))
+	// A private copy of the editable model as it stood before the panic.
+	pre := m.editable.(markov.IncrementalTrainer).Clone()
+
+	dropped := []session.Session{
+		mkSession(3, "/home", "/dropped1"),
+		mkSession(4, "/news", "/dropped2"),
+		mkSession(5, "/sports", "/dropped3"),
+	}
+	for _, s := range dropped {
+		m.Observe(s)
+	}
+	trigger = 2 // the batch's second session panics; the first is in the clone
+	m.DeltaMerge(epoch.Add(6 * time.Hour))
+	if v := m.metrics.skippedPanic.Value(); v != 1 {
+		t.Fatalf("skipped{panic} = %d, want 1", v)
+	}
+
+	fresh := []session.Session{
+		mkSession(7, "/home", "/fresh"),
+		mkSession(8, "/news", "/news/today"),
+	}
+	for _, s := range fresh {
+		m.Observe(s)
+	}
+	merged := m.DeltaMerge(epoch.Add(9 * time.Hour))
+	var seqs [][]string
+	for _, s := range fresh {
+		seqs = append(seqs, s.URLs())
+	}
+	markov.TrainAll(pre, seqs)
+	want := markov.Freeze(pre)
+	if !bytes.Equal(arenaImage(t, merged), arenaImage(t, want)) {
+		t.Error("delta merge after a mid-batch panic published a half-trained clone")
+	}
+	if got, want := merged.NodeCount(), want.NodeCount(); got != want {
+		t.Errorf("NodeCount = %d, want %d", got, want)
+	}
+
+	// The compaction equals a rebuild by a maintainer that saw every
+	// session and never panicked.
+	now := epoch.Add(10 * time.Hour)
+	recovered := m.Rebuild(now)
+	ref, err := New(Config{Factory: pbFactory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range [][]session.Session{sessions, dropped, fresh} {
+		for _, s := range batch {
+			ref.Observe(s)
+		}
+	}
+	if !bytes.Equal(arenaImage(t, recovered), arenaImage(t, ref.Rebuild(now))) {
+		t.Error("compaction did not recover the dropped delta batch")
+	}
+}
+
+// panicOnTrain wraps a model so that, once trigger is set to n > 0, the
+// n-th TrainSequence from then on panics, simulating a corrupt delta
+// batch poisoning training; the panic disarms it. Clones share trigger,
+// and the wrapper publishes its model's frozen snapshot.
+type panicOnTrain struct {
 	markov.Predictor
-	panicking *bool
+	trigger *int
 }
 
-func (p *panicOnShard) NewShard() markov.Predictor {
-	if *p.panicking {
-		panic("injected shard failure")
+func (p *panicOnTrain) TrainSequence(seq []string) {
+	if *p.trigger > 0 {
+		*p.trigger--
+		if *p.trigger == 0 {
+			panic("injected training failure")
+		}
 	}
-	return p.Predictor.(markov.ShardedTrainer).NewShard()
+	p.Predictor.TrainSequence(seq)
 }
 
-func (p *panicOnShard) MergeShard(shard markov.Predictor) {
-	p.Predictor.(markov.ShardedTrainer).MergeShard(shard)
-}
-
-func (p *panicOnShard) Clone() markov.Predictor {
-	return &panicOnShard{
+func (p *panicOnTrain) Clone() markov.Predictor {
+	return &panicOnTrain{
 		Predictor: p.Predictor.(markov.IncrementalTrainer).Clone(),
-		panicking: p.panicking,
+		trigger:   p.trigger,
 	}
 }
+
+func (p *panicOnTrain) Freeze() markov.Predictor { return markov.Freeze(p.Predictor) }
 
 // TestWindowBoundaryExactCutoff pins the !Before(cutoff) contract: a
 // session starting exactly at the cutoff is kept.

@@ -5,16 +5,16 @@
 // scheduled updates that keep the published predictor tracking live
 // traffic.
 //
-// Two update paths exist. The incremental path (DeltaMerge) absorbs
-// only the sessions observed since the last update: they accumulate in
-// a bounded staging buffer, are trained into a fresh shard, and the
-// shard is folded into a copy-on-write clone of the live snapshot
-// (markov.IncrementalTrainer), so update cost tracks new traffic, not
-// window size. The full path (Rebuild) is the periodic compaction: it
-// trims expired sessions out of the window, re-derives the popularity
-// ranking, and retrains from scratch — restoring the exact model a
-// cold retrain would produce and re-applying the space optimizations.
-// Run schedules both.
+// Two update paths exist, and both train serially with
+// markov.TrainAll. The incremental path (DeltaMerge) absorbs only the
+// sessions observed since the last update: they accumulate in a bounded
+// staging buffer and are trained straight into a copy-on-write clone of
+// the model behind the live snapshot (markov.IncrementalTrainer), so
+// update cost tracks new traffic, not window size. The full path
+// (Rebuild) is the periodic compaction: it trims expired sessions out
+// of the window, re-derives the popularity ranking, and retrains from
+// scratch — restoring the exact model a cold retrain would produce and
+// re-applying the space optimizations. Run schedules both.
 //
 // Both paths are crash-safe: an update that panics, or that would
 // replace a trained model with an empty one (a traffic lull trimming
@@ -147,7 +147,7 @@ func newMaintainMetrics(reg *obs.Registry) *maintainMetrics {
 		deltaMerges: reg.Counter("pbppm_delta_merges_total",
 			"Completed incremental delta merges (staged sessions folded into a clone of the live model)."),
 		deltaSeconds: reg.Histogram("pbppm_delta_merge_seconds",
-			"Delta-merge duration: shard training, snapshot clone, fold, publish.", nil),
+			"Delta-merge duration: model clone, training the batch into it, publish.", nil),
 		deltaSessions: reg.Counter("pbppm_delta_sessions_total",
 			"Sessions absorbed through the incremental delta-merge path."),
 		skippedEmptyWin: reg.Counter("pbppm_rebuild_skipped_total", skipHelp, reason(skipEmptyWindow)),
@@ -540,7 +540,7 @@ func (m *Maintainer) rebuildLocked(now time.Time) markov.Predictor {
 			}
 		}
 		model = m.cfg.Factory(rank)
-		markov.TrainAllParallel(model, window)
+		markov.TrainAll(model, window)
 		if opt, ok := model.(interface{ Optimize() int }); ok {
 			opt.Optimize()
 		}
@@ -578,20 +578,21 @@ func (m *Maintainer) rebuildLocked(now time.Time) markov.Predictor {
 }
 
 // DeltaMerge is the incremental update path: it drains the staging
-// buffer, trains only those sessions into a fresh shard, folds the
-// shard into a deep clone of the editable model behind the live
-// snapshot, and publishes the clone (frozen into an arena when the
-// model supports it) — cost proportional to the delta (plus the
-// clone's memcpy-like tree copy and the freeze), not to retraining the
-// window. Space optimizations and popularity re-ranking are
-// deliberately not applied here; the next compaction (Rebuild)
-// restores the canonical from-scratch model.
+// buffer, deep-clones the editable model behind the live snapshot,
+// trains only the drained sessions into the clone (markov.TrainAll),
+// and publishes the clone (frozen into an arena when the model
+// supports it) — cost proportional to the delta (plus the clone's
+// memcpy-like tree copy and the freeze), not to retraining the window.
+// Space optimizations and popularity re-ranking are deliberately not
+// applied here; the next compaction (Rebuild) restores the canonical
+// from-scratch model.
 //
 // When no model is published yet, or the model does not implement
 // markov.IncrementalTrainer, DeltaMerge falls back to a full rebuild.
 // An empty staging buffer is a no-op. A merge that panics is discarded
-// and counted; the dropped batch stays in the window for the next
-// compaction to recover.
+// together with its partly trained clone — the editable model was
+// never touched — and counted; the dropped batch stays in the window
+// for the next compaction to recover.
 func (m *Maintainer) DeltaMerge(now time.Time) markov.Predictor {
 	m.publishMu.Lock()
 	defer m.publishMu.Unlock()
@@ -613,10 +614,8 @@ func (m *Maintainer) DeltaMerge(now time.Time) markov.Predictor {
 	start := time.Now()
 	var merged markov.Predictor
 	err := guarded(func() {
-		shard := inc.NewShard()
-		markov.TrainAllParallel(shard, batch)
 		clone := inc.Clone()
-		clone.(markov.ShardedTrainer).MergeShard(shard)
+		markov.TrainAll(clone, batch)
 		merged = clone
 	})
 	if err != nil {

@@ -35,9 +35,9 @@
 // encoding. Symbol ids are assigned in sorted-URL order (symbol
 // ascending ⇔ URL ascending), which makes the layout canonical: any two
 // trees with the same logical content freeze to byte-identical arenas
-// regardless of interning or merge order, and a child block sorted by
-// symbol is automatically sorted by URL for deterministic prediction
-// order and binary-search lookup.
+// regardless of interning order, and a child block sorted by symbol is
+// automatically sorted by URL for deterministic prediction order and
+// binary-search lookup.
 //
 // The whole snapshot is a single relocatable []byte (Bytes), so the GC
 // sees O(1) objects per model, a snapshot can be written to disk or

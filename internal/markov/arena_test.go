@@ -102,9 +102,10 @@ func TestFreezeStatsEquivalence(t *testing.T) {
 }
 
 // TestFreezeCanonicalLayout: two trees with the same logical content —
-// built in different insertion orders, and one assembled via Merge —
-// must freeze to byte-identical images. The canonical layout is what
-// makes the arena round-trip byte-exact and snapshot diffs meaningful.
+// built in different insertion orders, and one assembled by training a
+// clone of one half with the other — must freeze to byte-identical
+// images. The canonical layout is what makes the arena round-trip
+// byte-exact and snapshot diffs meaningful.
 func TestFreezeCanonicalLayout(t *testing.T) {
 	seqs := [][]string{
 		{"/a", "/b", "/c"},
@@ -124,10 +125,12 @@ func TestFreezeCanonicalLayout(t *testing.T) {
 	if !bytes.Equal(fwd.Bytes(), rev.Bytes()) {
 		t.Fatal("insertion order leaked into the frozen image")
 	}
-	half1, half2 := build([]int{0, 1}), build([]int{2, 3})
-	half1.Merge(half2)
-	if !bytes.Equal(fwd.Bytes(), half1.Freeze().Bytes()) {
-		t.Fatal("merge-built tree froze to a different image")
+	clone := build([]int{2, 3}).Clone()
+	for _, i := range []int{0, 1} {
+		clone.Insert(seqs[i], 0, 1)
+	}
+	if !bytes.Equal(fwd.Bytes(), clone.Freeze().Bytes()) {
+		t.Fatal("clone-trained tree froze to a different image")
 	}
 }
 

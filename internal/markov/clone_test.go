@@ -80,9 +80,9 @@ func TestCloneCopiesPromotedChildren(t *testing.T) {
 }
 
 // TestCloneMergeEquivalence is the incremental-maintenance contract at
-// the tree level: training a delta into a fresh tree and folding it
-// into a clone of the base (Merge) yields exactly the tree a
-// from-scratch retrain on base+delta produces.
+// the tree level: training a delta into a clone of the base yields
+// exactly the tree a from-scratch retrain on base+delta produces, and
+// leaves the base untouched.
 func TestCloneMergeEquivalence(t *testing.T) {
 	base := [][]string{
 		{"/home", "/news", "/news/today"},
@@ -98,11 +98,8 @@ func TestCloneMergeEquivalence(t *testing.T) {
 	live := NewTree()
 	trainSuffixes(live, base)
 
-	deltaTree := NewTree()
-	trainSuffixes(deltaTree, delta)
-
 	clone := live.Clone()
-	clone.Merge(deltaTree)
+	trainSuffixes(clone, delta)
 
 	retrain := NewTree()
 	trainSuffixes(retrain, base)

@@ -487,8 +487,9 @@ func (t *Tree) predictAt(n *Node, threshold float64, order int, mark bool, buf [
 
 // SortPredictions orders predictions by the pinned deterministic total
 // order: descending probability, then ascending URL. Every prediction
-// path — serial, sharded, delta-merged, and arena-frozen — emits this
-// order, so hint sets never depend on map iteration or merge order.
+// path — trained from scratch, delta-merged into a clone, and
+// arena-frozen — emits this order, so hint sets never depend on map
+// iteration or training order.
 //
 // Insertion sort, deliberately: candidate lists are short (a handful of
 // children clear the probability threshold) and sort.Slice allocates
@@ -682,53 +683,12 @@ func (t *Tree) String() string {
 	return sb.String()
 }
 
-// Merge folds other's counts into t, node by node — the cooperative
-// scenario of the paper's related work where service proxies aggregate
-// prediction state from multiple home servers, and the fold step of
-// TrainAllParallel. other is not modified. Usage marks are not merged
-// (they are prediction-phase scratch).
-func (t *Tree) Merge(other *Tree) {
-	t.Root.Count += other.Root.Count
-	if t.syms == other.syms {
-		var merge func(dst, src *Node)
-		merge = func(dst, src *Node) {
-			src.EachChild(func(sc *Node) bool {
-				dc := dst.ensureChildSym(sc.sym)
-				dc.Count += sc.Count
-				merge(dc, sc)
-				return true
-			})
-		}
-		merge(t.Root, other.Root)
-		return
-	}
-	// Different symbol tables: translate lazily through a remap slice
-	// (src symbol → dst symbol; 0 marks not-yet-seen, safe because
-	// symbol 0 is reserved for the pseudo-root and never keys a child).
-	remap := make([]uint32, len(other.syms.urls))
-	var merge func(dst, src *Node)
-	merge = func(dst, src *Node) {
-		src.EachChild(func(sc *Node) bool {
-			sym := remap[sc.sym]
-			if sym == 0 {
-				sym = t.syms.intern(other.syms.urls[sc.sym])
-				remap[sc.sym] = sym
-			}
-			dc := dst.ensureChildSym(sym)
-			dc.Count += sc.Count
-			merge(dc, sc)
-			return true
-		})
-	}
-	merge(t.Root, other.Root)
-}
-
 // Clone returns a deep copy of the tree: every node, child container,
-// and the symbol table are fresh allocations, so training into or
-// merging into the clone never mutates the receiver. This is the
-// copy-on-write step of incremental maintenance: the published snapshot
-// stays live and read-only while its clone absorbs a delta. Usage marks
-// are not copied (they are prediction-phase scratch).
+// and the symbol table are fresh allocations, so training into the
+// clone never mutates the receiver. This is the copy-on-write step of
+// incremental maintenance: the published snapshot stays live and
+// read-only while its clone absorbs a delta. Usage marks are not copied
+// (they are prediction-phase scratch).
 //
 // The receiver must not be trained concurrently with Clone; cloning a
 // published (read-only) snapshot is always safe.

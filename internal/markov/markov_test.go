@@ -508,84 +508,6 @@ func TestPredictionProbabilityProperty(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := NewTree()
-	a.Insert(seq("x", "y"), 0, 3)
-	a.Insert(seq("z"), 0, 1)
-	b := NewTree()
-	// Interleave an extra URL first so b's symbol ids diverge from a's
-	// and the merge exercises the remap path with conflicting ids.
-	b.Insert(seq("q"), 0, 5)
-	b.Insert(seq("x", "y"), 0, 2)
-	b.Insert(seq("x", "w"), 0, 1)
-
-	a.Merge(b)
-	if n := a.Match(seq("x", "y")); n.Count != 5 {
-		t.Errorf("merged count = %d, want 5", n.Count)
-	}
-	if n := a.Match(seq("x")); n.Count != 6 {
-		t.Errorf("x count = %d, want 6", n.Count)
-	}
-	if a.Match(seq("x", "w")) == nil || a.Match(seq("q")) == nil {
-		t.Error("merged-in branches missing")
-	}
-	if n := a.Match(seq("q")); a.URLOf(n) != "q" {
-		t.Errorf("remapped URL = %q, want q", a.URLOf(n))
-	}
-	if a.Root.Count != 12 {
-		t.Errorf("root count = %d, want 12", a.Root.Count)
-	}
-	// The source tree is untouched.
-	if b.Match(seq("x", "y")).Count != 2 || b.NodeCount() != 4 {
-		t.Error("merge mutated the source")
-	}
-}
-
-func TestMergeSharedSymbols(t *testing.T) {
-	a := NewTree()
-	a.Insert(seq("x", "y"), 0, 3)
-	b := a.CopyIf(func(parent, child *Node) bool { return true })
-	b.Insert(seq("x", "w"), 0, 2)
-	a.Merge(b)
-	if n := a.Match(seq("x")); n.Count != 8 {
-		t.Errorf("x count = %d, want 8 (3 + copied 3 + 2)", n.Count)
-	}
-	if a.Match(seq("x", "w")) == nil {
-		t.Error("shared-symtab merge lost a branch")
-	}
-}
-
-func TestMergePreservesConservation(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	urls := []string{"a", "b", "c", "d"}
-	a, b := NewTree(), NewTree()
-	for i := 0; i < 300; i++ {
-		s := make([]string, rng.Intn(5)+1)
-		for j := range s {
-			s[j] = urls[rng.Intn(len(urls))]
-		}
-		if i%2 == 0 {
-			a.Insert(s, 0, 1)
-		} else {
-			b.Insert(s, 0, 1)
-		}
-	}
-	a.Merge(b)
-	var check func(n *Node)
-	check = func(n *Node) {
-		var sum int64
-		n.EachChild(func(c *Node) bool {
-			sum += c.Count
-			check(c)
-			return true
-		})
-		if n.Count < sum {
-			t.Fatalf("conservation violated at count %d < children %d", n.Count, sum)
-		}
-	}
-	check(a.Root)
-}
-
 func TestCopyIf(t *testing.T) {
 	tr := NewTree()
 	tr.Insert(seq("a", "b"), 0, 3)

@@ -15,12 +15,10 @@ func TestCloneDeltaMergeEquivalence(t *testing.T) {
 	}
 	before := live.Tree().String()
 
-	shard := live.NewShard()
-	for _, s := range delta {
-		shard.TrainSequence(s)
-	}
 	merged := live.Clone().(*Model)
-	merged.MergeShard(shard)
+	for _, s := range delta {
+		merged.TrainSequence(s)
+	}
 
 	retrain := New(Config{Height: 3})
 	for _, s := range append(append([][]string{}, base...), delta...) {

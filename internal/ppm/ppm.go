@@ -68,7 +68,6 @@ var _ markov.Predictor = (*Model)(nil)
 var _ markov.BufferedPredictor = (*Model)(nil)
 var _ markov.Freezer = (*Model)(nil)
 var _ markov.UtilizationReporter = (*Model)(nil)
-var _ markov.ShardedTrainer = (*Model)(nil)
 var _ markov.IncrementalTrainer = (*Model)(nil)
 
 // New returns an empty standard PPM model.
@@ -187,19 +186,8 @@ func (m *Model) predictBlended(ctx []string) []markov.Prediction {
 	return out
 }
 
-// NewShard returns an empty model with the same configuration, for
-// markov.TrainAllParallel.
-func (m *Model) NewShard() markov.Predictor { return New(m.cfg) }
-
-// MergeShard folds a shard trained by NewShard back into the model.
-// Counts are additive, so shard-trained and serially-trained models are
-// equivalent.
-func (m *Model) MergeShard(shard markov.Predictor) {
-	m.tree.Merge(shard.(*Model).tree)
-}
-
 // Clone returns a deep copy of the model for incremental maintenance:
-// merging a delta shard into the clone never mutates the receiver.
+// training a delta into the clone never mutates the receiver.
 func (m *Model) Clone() markov.Predictor {
 	return &Model{cfg: m.cfg, tree: m.tree.Clone()}
 }

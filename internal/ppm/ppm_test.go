@@ -273,45 +273,3 @@ func TestBlendedUtilizationMatchesLongestMatch(t *testing.T) {
 		t.Errorf("blended Utilization = %v, longest-match = %v: filtered-out candidates were marked as used", got, want)
 	}
 }
-
-// TestShardedTrainingEquivalence drives NewShard/MergeShard directly
-// (TrainAllParallel may legitimately fall back to serial on a
-// single-CPU machine) and checks the merged model equals the serially
-// trained one.
-func TestShardedTrainingEquivalence(t *testing.T) {
-	var seqs [][]string
-	urls := []string{"a", "b", "c", "d", "e"}
-	for i := 0; i < 60; i++ {
-		s := make([]string, i%4+1)
-		for j := range s {
-			s[j] = urls[(i*7+j*3)%len(urls)]
-		}
-		seqs = append(seqs, s)
-	}
-	serial := New(Config{Height: 3})
-	markov.TrainAll(serial, seqs)
-
-	sharded := New(Config{Height: 3})
-	shards := []markov.Predictor{sharded.NewShard(), sharded.NewShard(), sharded.NewShard()}
-	for i, s := range seqs {
-		shards[i%len(shards)].TrainSequence(s)
-	}
-	for _, sh := range shards {
-		sharded.MergeShard(sh)
-	}
-
-	if got, want := sharded.NodeCount(), serial.NodeCount(); got != want {
-		t.Fatalf("NodeCount = %d, serial %d", got, want)
-	}
-	for _, ctx := range [][]string{{"a"}, {"b"}, {"c", "d"}, {"e", "a"}, {"d", "e", "a"}} {
-		got, want := sharded.Predict(ctx), serial.Predict(ctx)
-		if len(got) != len(want) {
-			t.Fatalf("ctx %v: %+v vs serial %+v", ctx, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("ctx %v: %+v vs serial %+v", ctx, got, want)
-			}
-		}
-	}
-}

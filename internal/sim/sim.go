@@ -195,12 +195,11 @@ func BuildSizeTable(sessionSets ...[]session.Session) map[string]int64 {
 	return sizes
 }
 
-// Train folds the training sessions into the predictor — sharded
-// across CPUs when the model supports it — and runs its space
-// optimization if it has one. It returns the node count after training,
-// for convenience.
+// Train folds the training sessions into the predictor, serially and
+// in session order, and runs its space optimization if it has one. It
+// returns the node count after training, for convenience.
 func Train(p markov.Predictor, train []session.Session) int {
-	markov.TrainAllParallel(p, URLSequences(train))
+	markov.TrainAll(p, URLSequences(train))
 	if opt, ok := p.(Optimizer); ok {
 		opt.Optimize()
 	}

@@ -155,9 +155,6 @@ type Profile struct {
 	// CrawlerSkipProb is the chance a crawler skips a page on a given
 	// day, so successive sweeps differ slightly.
 	CrawlerSkipProb float64
-	// CrawlerIntervalSeconds spaces crawler requests; the default 25
-	// keeps a sweep inside one access session (no 30-minute gaps).
-	CrawlerIntervalSeconds int
 
 	// Diurnal shapes session start times like real server logs: a
 	// single daily peak in the afternoon with a deep overnight trough.
@@ -604,6 +601,10 @@ func rank(names []string) (ranks []int32, distinct []string) {
 	return ranks, distinct
 }
 
+// crawlerInterval spaces crawler requests; 25 s keeps a sweep inside
+// one access session (no 30-minute gaps).
+const crawlerInterval = 25 * time.Second
+
 // emitCrawl sweeps the site in page-index order for one robot client,
 // skipping a random subset of pages so successive days' sweeps differ.
 // Crawlers fetch HTML only (1990s robots rarely pulled images) at a
@@ -612,10 +613,6 @@ func (h *history) emitCrawl(rng *rand.Rand, site *Site, p Profile, crawler, day 
 	limit := p.CrawlerPagesPerDay
 	if limit <= 0 || limit > len(site.Pages) {
 		limit = len(site.Pages)
-	}
-	interval := p.CrawlerIntervalSeconds
-	if interval <= 0 {
-		interval = 25
 	}
 	client := h.client(clientKey{crawlerClient, crawler})
 	// Stagger crawler start times so robots do not collide.
@@ -628,7 +625,7 @@ func (h *history) emitCrawl(rng *rand.Rand, site *Site, p Profile, crawler, day 
 			continue
 		}
 		h.emit(client, int32(i), t)
-		t += time.Duration(interval) * time.Second
+		t += crawlerInterval
 		visited++
 	}
 }

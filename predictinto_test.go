@@ -1,7 +1,7 @@
 // Serving-path contract tests: every model must honor the
 // markov.BufferedPredictor buffer-ownership contract (no aliasing of
 // model-internal storage, no retention of the caller's buffer), and
-// every training path — serial, sharded, delta-merged, arena-frozen —
+// every training path (serial, delta-merged into a clone, arena-frozen)
 // must produce the same predictions in the same pinned order.
 package pbppm
 
@@ -152,9 +152,9 @@ func TestFrozenModelsMatchLiveModels(t *testing.T) {
 
 // TestPredictionOrderPinnedAcrossTrainingPaths is the determinism
 // guarantee of the pinned tie order (probability descending, then URL
-// ascending): a model trained serially, through parallel shards,
-// through the clone-and-merge delta path, and then frozen into an
-// arena must emit byte-identical prediction lists.
+// ascending): a model trained serially, through the delta path (half
+// the workload trained into a clone of the other half), and then frozen
+// into an arena must emit byte-identical prediction lists.
 func TestPredictionOrderPinnedAcrossTrainingPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	seqs := contractSequences(rng, 600)
@@ -179,29 +179,20 @@ func TestPredictionOrderPinnedAcrossTrainingPaths(t *testing.T) {
 			serial.TrainSequence(s)
 		}
 
-		sharded := build()
-		markov.TrainAllParallel(sharded, seqs)
-
-		// Delta path: half the workload into the base, the rest through a
-		// shard merged into a clone — the maintenance loop's incremental
-		// publish.
+		// Delta path: half the workload into the base, the rest trained
+		// into a clone — the maintenance loop's incremental publish.
 		base := build()
 		half := len(seqs) / 2
 		for _, s := range seqs[:half] {
 			base.TrainSequence(s)
 		}
-		inc := base.(markov.IncrementalTrainer)
-		merged := inc.Clone().(markov.IncrementalTrainer)
-		shard := merged.NewShard()
-		for _, s := range seqs[half:] {
-			shard.TrainSequence(s)
-		}
-		merged.MergeShard(shard)
+		merged := base.(markov.IncrementalTrainer).Clone()
+		markov.TrainAll(merged, seqs[half:])
 
 		frozen := serial.(Freezer).Freeze()
 
 		paths := map[string]Predictor{
-			"sharded": sharded, "delta-merged": merged, "frozen": frozen,
+			"delta-merged": merged, "frozen": frozen,
 		}
 		for _, ctx := range ctxs {
 			want := serial.Predict(ctx)
