@@ -27,6 +27,9 @@ var (
 	benchUCBOnce  sync.Once
 	benchUCB      *experiments.Workload
 	benchUCBErr   error
+
+	// frozenSink keeps BenchmarkFreeze's result live.
+	frozenSink markov.Predictor
 )
 
 func nasaWorkload(b *testing.B) *experiments.Workload {
@@ -404,6 +407,19 @@ func BenchmarkArenaAttach(b *testing.B) {
 	}
 	b.ReportMetric(float64(a.NodeCount()), "nodes")
 	b.ReportMetric(float64(len(img)), "image_bytes")
+}
+
+// BenchmarkFreeze measures freezing the PB-PPM model the predict
+// benchmarks serve into its frozen snapshot: the cost every publish
+// pays (warm build, rebuild, delta merge). CI gates its allocs/op.
+func BenchmarkFreeze(b *testing.B) {
+	m := benchPBPPM(b, nasaWorkload(b))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frozenSink = markov.Freeze(m)
+	}
+	b.ReportMetric(float64(m.NodeCount()), "nodes")
 }
 
 // BenchmarkTrainAll measures serial session-by-session training of the

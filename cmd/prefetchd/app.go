@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"pbppm/internal/cluster"
-	"pbppm/internal/core"
 	"pbppm/internal/loadgen"
 	"pbppm/internal/maintain"
 	"pbppm/internal/markov"
@@ -170,22 +169,6 @@ func newApp(cfg appConfig, logger *slog.Logger) (*app, error) {
 	store := loadgen.StoreFromSite(site)
 	a.pages = len(site.Pages)
 
-	// Warm-start: train on a generated history of the same site. A
-	// snapshot follower skips this — its model arrives over the wire
-	// from the publisher, which trained the real one.
-	var sessions []session.Session
-	warm := p
-	warm.Days = cfg.warmDays
-	var warmEpoch time.Time
-	if cfg.snapshotAddr == "" {
-		tr, err := tracegen.GenerateOn(site, warm)
-		if err != nil {
-			return nil, fmt.Errorf("generating warm history: %w", err)
-		}
-		sessions = session.Sessionize(tr, session.Config{})
-		warmEpoch = tr.Epoch
-	}
-
 	a.reg = obs.NewRegistry()
 	a.tracer = obs.NewTracer(a.reg, cfg.traceSample)
 	a.ann = obs.NewAnnotations()
@@ -198,14 +181,11 @@ func newApp(cfg appConfig, logger *slog.Logger) (*app, error) {
 	a.engine.SetAnnotations(a.ann)
 	a.engine.Register(a.reg)
 
-	factory := func(rank *popularity.Ranking) markov.Predictor {
-		return core.New(rank, core.Config{RelProbCutoff: 0.01, DropSingletons: true})
-	}
 	// The serving tier is constructed after the maintainer (the warm
 	// model feeds its Config), so OnPublish closes over the app; the
 	// serve field is assigned before the maintenance loop publishes.
 	a.maint, err = maintain.New(maintain.Config{
-		Factory:     factory,
+		Factory:     loadgen.PBFactory,
 		Obs:         a.reg,
 		Logger:      logger,
 		Annotations: a.ann,
@@ -229,25 +209,18 @@ func newApp(cfg appConfig, logger *slog.Logger) (*app, error) {
 	}
 	var model markov.Predictor
 	if cfg.snapshotAddr == "" {
-		// The warm history carries the generator's synthetic timestamps;
-		// shift each session to end "now" minus its age within the history
-		// so the sliding window keeps all of it.
-		shift := time.Since(warmEpoch.Add(time.Duration(warm.Days) * 24 * time.Hour))
-		for _, s := range sessions {
-			shifted := s
-			shifted.Views = make([]session.PageView, len(s.Views))
-			for i, v := range s.Views {
-				v.Time = v.Time.Add(shift)
-				shifted.Views[i] = v
-			}
-			a.maint.Observe(shifted)
+		// Warm start: train on a generated history of the same site. A
+		// snapshot follower skips this — its model arrives over the wire
+		// from the publisher, which trained the real one.
+		model, err = loadgen.WarmStart(a.maint, site, p, cfg.warmDays)
+		if err != nil {
+			return nil, err
 		}
-		model = a.maint.Rebuild(time.Now())
 		var arenaBytes int
 		if ah, ok := model.(markov.ArenaHolder); ok {
 			arenaBytes = ah.Arena().SizeBytes()
 		}
-		a.log.Info("warm model trained", "sessions", len(sessions),
+		a.log.Info("warm model trained", "sessions", a.maint.WindowSize(),
 			"nodes", model.NodeCount(), "arena_bytes", arenaBytes)
 	} else {
 		// Follower: no local model until the first snapshot installs;

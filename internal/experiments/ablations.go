@@ -5,43 +5,59 @@ import (
 	"strconv"
 
 	"pbppm/internal/core"
+	"pbppm/internal/maintain"
+	"pbppm/internal/markov"
 	"pbppm/internal/metrics"
+	"pbppm/internal/popularity"
 	"pbppm/internal/ppm"
 	"pbppm/internal/sim"
 )
 
-// pbVariant trains and evaluates one PB-PPM configuration on the
-// standard ablation window (all but the last day for training, the
-// last day for testing) and returns its metrics together with the
-// no-prefetch baseline.
-func pbVariant(w *Workload, cfg core.Config, maxPrefetch int64) (res, base metrics.Result, err error) {
-	trainDays := w.Days() - 1
-	if trainDays < 1 {
-		return res, base, fmt.Errorf("experiments: ablation needs at least 2 days, have %d", w.Days())
-	}
-	train := w.DaySessions(0, trainDays)
-	test := w.DaySessions(trainDays, trainDays+1)
-	if len(train) == 0 || len(test) == 0 {
-		return res, base, fmt.Errorf("experiments: ablation: empty window")
-	}
-	rank := Ranking(train)
-	model := core.New(rank, cfg)
-	w.Hooks.Phases.Time(sim.PhaseTrain, func() { sim.Train(model, train) })
+// variant is one row of an ablation: its label, the model it trains
+// from the training window's ranking, and the simulator options it
+// sets beyond the workload's (prefetch size cap, cache policy, online
+// training).
+type variant struct {
+	label string
+	model maintain.Factory
+	opt   sim.Options
+}
 
-	opt := sim.Options{
-		Predictor:        model,
-		MaxPrefetchBytes: maxPrefetch,
-		Path:             w.Path,
-		Grades:           rank,
-		Sizes:            w.Sizes,
-	}
-	w.Hooks.apply(&opt)
-	res = sim.Run(test, opt)
+// pb returns the factory of a PB-PPM variant under cfg.
+func pb(cfg core.Config) maintain.Factory {
+	return func(rank *popularity.Ranking) markov.Predictor { return core.New(rank, cfg) }
+}
 
-	baseOpt := opt
-	baseOpt.Predictor = nil
-	base = sim.Run(test, baseOpt)
-	return res, base, nil
+// runAblation evaluates each variant on the last-day split: it trains
+// the variant's model on every day but the last, then replays the last
+// day twice under the variant's options, once with the model and once
+// without prefetching, which the latency reduction is measured
+// against.
+func runAblation(w *Workload, name string, variants []variant) (*Ablation, error) {
+	sp, err := lastDay(w, "ablation")
+	if err != nil {
+		return nil, err
+	}
+	a := &Ablation{Name: name, Workload: w.Name}
+	for _, v := range variants {
+		model := v.model(sp.rank)
+		w.Hooks.Phases.Time(sim.PhaseTrain, func() { sim.Train(model, sp.train) })
+		opt := v.opt
+		opt.Predictor = model
+		opt.Path = w.Path
+		opt.Grades = sp.rank
+		opt.Sizes = w.Sizes
+		w.Hooks.apply(&opt)
+		res := sim.Run(sp.test, opt)
+		opt.Predictor = nil
+		base := sim.Run(sp.test, opt)
+		a.Rows = append(a.Rows, AblationRow{
+			Label:            v.label,
+			Result:           res,
+			LatencyReduction: res.LatencyReductionVs(base),
+		})
+	}
+	return a, nil
 }
 
 // AblationRow is one configuration's outcome.
@@ -79,149 +95,69 @@ func (a *Ablation) String() string {
 // next-access probability and the maximum prefetched-document size,
 // quantifying the hit-ratio/traffic trade-off §4.1 and §5 discuss.
 func RunAblationThresholds(w *Workload) (*Ablation, error) {
-	a := &Ablation{Name: "thresholds", Workload: w.Name}
+	var vs []variant
 	for _, prob := range []float64{0.10, 0.25, 0.40} {
 		for _, size := range []int64{4 * 1024, 10 * 1024, 30 * 1024} {
-			cfg := core.Config{Threshold: prob, RelProbCutoff: 0.01, DropSingletons: w.DropSingletons}
-			res, base, err := pbVariant(w, cfg, size)
-			if err != nil {
-				return nil, err
-			}
-			a.Rows = append(a.Rows, AblationRow{
-				Label:            fmt.Sprintf("p>=%.2f size<=%dKB", prob, size/1024),
-				Result:           res,
-				LatencyReduction: res.LatencyReductionVs(base),
+			vs = append(vs, variant{
+				label: fmt.Sprintf("p>=%.2f size<=%dKB", prob, size/1024),
+				model: pb(core.Config{Threshold: prob, RelProbCutoff: 0.01, DropSingletons: w.DropSingletons}),
+				opt:   sim.Options{MaxPrefetchBytes: size},
 			})
 		}
 	}
-	return a, nil
+	return runAblation(w, "thresholds", vs)
 }
+
+// pbOptions are the options of a PB-PPM variant that varies the model
+// only: the paper's 30 KB prefetch size cap.
+var pbOptions = sim.Options{MaxPrefetchBytes: sim.PBMaxPrefetchBytes}
 
 // RunAblationSpaceOpt compares PB-PPM with no space optimization, with
 // the relative-access-probability cut alone, and with both
 // optimizations (§3.4's two alternatives).
 func RunAblationSpaceOpt(w *Workload) (*Ablation, error) {
-	a := &Ablation{Name: "space-optimization", Workload: w.Name}
-	variants := []struct {
-		label string
-		cfg   core.Config
-	}{
-		{"no optimization", core.Config{}},
-		{"rel-prob 1% cut", core.Config{RelProbCutoff: 0.01}},
-		{"rel-prob 5% cut", core.Config{RelProbCutoff: 0.05}},
-		{"rel-prob 10% cut", core.Config{RelProbCutoff: 0.10}},
-		{"1% cut + drop singletons", core.Config{RelProbCutoff: 0.01, DropSingletons: true}},
-	}
-	for _, v := range variants {
-		res, base, err := pbVariant(w, v.cfg, sim.PBMaxPrefetchBytes)
-		if err != nil {
-			return nil, err
-		}
-		a.Rows = append(a.Rows, AblationRow{
-			Label:            v.label,
-			Result:           res,
-			LatencyReduction: res.LatencyReductionVs(base),
-		})
-	}
-	return a, nil
+	return runAblation(w, "space-optimization", []variant{
+		{"no optimization", pb(core.Config{}), pbOptions},
+		{"rel-prob 1% cut", pb(core.Config{RelProbCutoff: 0.01}), pbOptions},
+		{"rel-prob 5% cut", pb(core.Config{RelProbCutoff: 0.05}), pbOptions},
+		{"rel-prob 10% cut", pb(core.Config{RelProbCutoff: 0.10}), pbOptions},
+		{"1% cut + drop singletons", pb(core.Config{RelProbCutoff: 0.01, DropSingletons: true}), pbOptions},
+	})
 }
 
 // RunAblationHeights sweeps the grade→height mapping, testing the
 // paper's claim that popularity-proportional heights beat flat ones.
 func RunAblationHeights(w *Workload) (*Ablation, error) {
-	a := &Ablation{Name: "grade-heights", Workload: w.Name}
-	variants := []struct {
-		label   string
-		heights [4]int
-	}{
-		{"paper 1/3/5/7", [4]int{1, 3, 5, 7}},
-		{"flat 3/3/3/3", [4]int{3, 3, 3, 3}},
-		{"flat 7/7/7/7", [4]int{7, 7, 7, 7}},
-		{"minimal 1/1/1/1", [4]int{1, 1, 1, 1}},
-		{"steep 1/2/4/9", [4]int{1, 2, 4, 9}},
+	heights := func(h [4]int) maintain.Factory {
+		return pb(core.Config{Heights: h, RelProbCutoff: 0.01, DropSingletons: w.DropSingletons})
 	}
-	for _, v := range variants {
-		cfg := core.Config{Heights: v.heights, RelProbCutoff: 0.01, DropSingletons: w.DropSingletons}
-		res, base, err := pbVariant(w, cfg, sim.PBMaxPrefetchBytes)
-		if err != nil {
-			return nil, err
-		}
-		a.Rows = append(a.Rows, AblationRow{
-			Label:            v.label,
-			Result:           res,
-			LatencyReduction: res.LatencyReductionVs(base),
-		})
-	}
-	return a, nil
+	return runAblation(w, "grade-heights", []variant{
+		{"paper 1/3/5/7", heights([4]int{1, 3, 5, 7}), pbOptions},
+		{"flat 3/3/3/3", heights([4]int{3, 3, 3, 3}), pbOptions},
+		{"flat 7/7/7/7", heights([4]int{7, 7, 7, 7}), pbOptions},
+		{"minimal 1/1/1/1", heights([4]int{1, 1, 1, 1}), pbOptions},
+		{"steep 1/2/4/9", heights([4]int{1, 2, 4, 9}), pbOptions},
+	})
 }
 
 // RunAblationLinks isolates rule 3: PB-PPM with and without the
 // duplicated popular-node links.
 func RunAblationLinks(w *Workload) (*Ablation, error) {
-	a := &Ablation{Name: "popular-links", Workload: w.Name}
-	variants := []struct {
-		label string
-		cfg   core.Config
-	}{
-		{"with links (rule 3)", core.Config{RelProbCutoff: 0.01, DropSingletons: w.DropSingletons}},
-		{"without links", core.Config{DisableLinks: true, RelProbCutoff: 0.01, DropSingletons: w.DropSingletons}},
-	}
-	for _, v := range variants {
-		res, base, err := pbVariant(w, v.cfg, sim.PBMaxPrefetchBytes)
-		if err != nil {
-			return nil, err
-		}
-		a.Rows = append(a.Rows, AblationRow{
-			Label:            v.label,
-			Result:           res,
-			LatencyReduction: res.LatencyReductionVs(base),
-		})
-	}
-	return a, nil
+	return runAblation(w, "popular-links", []variant{
+		{"with links (rule 3)", pb(core.Config{RelProbCutoff: 0.01, DropSingletons: w.DropSingletons}), pbOptions},
+		{"without links", pb(core.Config{DisableLinks: true, RelProbCutoff: 0.01, DropSingletons: w.DropSingletons}), pbOptions},
+	})
 }
 
 // RunAblationCachePolicy compares LRU (the paper's §2.2 policy) with
 // popularity-aware GDSF (its reference [16]) for the browser caches
 // under PB-PPM prefetching.
 func RunAblationCachePolicy(w *Workload) (*Ablation, error) {
-	a := &Ablation{Name: "cache-policy", Workload: w.Name}
-	trainDays := w.Days() - 1
-	if trainDays < 1 {
-		return nil, fmt.Errorf("experiments: ablation needs at least 2 days, have %d", w.Days())
-	}
-	train := w.DaySessions(0, trainDays)
-	test := w.DaySessions(trainDays, trainDays+1)
-	rank := Ranking(train)
-	model := core.New(rank, core.Config{RelProbCutoff: 0.01, DropSingletons: w.DropSingletons})
-	w.Hooks.Phases.Time(sim.PhaseTrain, func() { sim.Train(model, train) })
-
-	for _, v := range []struct {
-		label  string
-		policy sim.CachePolicy
-	}{
-		{"LRU (paper)", sim.PolicyLRU},
-		{"GDSF (popularity-aware)", sim.PolicyGDSF},
-	} {
-		opt := sim.Options{
-			Predictor:        model,
-			MaxPrefetchBytes: sim.PBMaxPrefetchBytes,
-			Path:             w.Path,
-			Grades:           rank,
-			Sizes:            w.Sizes,
-			CachePolicy:      v.policy,
-		}
-		w.Hooks.apply(&opt)
-		res := sim.Run(test, opt)
-		baseOpt := opt
-		baseOpt.Predictor = nil
-		base := sim.Run(test, baseOpt)
-		a.Rows = append(a.Rows, AblationRow{
-			Label:            v.label,
-			Result:           res,
-			LatencyReduction: res.LatencyReductionVs(base),
-		})
-	}
-	return a, nil
+	model := pb(core.Config{RelProbCutoff: 0.01, DropSingletons: w.DropSingletons})
+	return runAblation(w, "cache-policy", []variant{
+		{"LRU (paper)", model, sim.Options{MaxPrefetchBytes: sim.PBMaxPrefetchBytes, CachePolicy: sim.PolicyLRU}},
+		{"GDSF (popularity-aware)", model, sim.Options{MaxPrefetchBytes: sim.PBMaxPrefetchBytes, CachePolicy: sim.PolicyGDSF}},
+	})
 }
 
 // RunAblationBlending compares the paper's longest-match prediction
@@ -229,85 +165,23 @@ func RunAblationCachePolicy(w *Workload) (*Ablation, error) {
 // variable orders of Markov models" direction the related work leaves
 // open), on the standard model.
 func RunAblationBlending(w *Workload) (*Ablation, error) {
-	a := &Ablation{Name: "order-blending", Workload: w.Name}
-	trainDays := w.Days() - 1
-	if trainDays < 1 {
-		return nil, fmt.Errorf("experiments: ablation needs at least 2 days, have %d", w.Days())
+	standard := func(cfg ppm.Config) maintain.Factory {
+		return func(*popularity.Ranking) markov.Predictor { return ppm.New(cfg) }
 	}
-	train := w.DaySessions(0, trainDays)
-	test := w.DaySessions(trainDays, trainDays+1)
-	rank := Ranking(train)
-
-	for _, v := range []struct {
-		label string
-		cfg   ppm.Config
-	}{
-		{"longest match (paper)", ppm.Config{}},
-		{"blended orders", ppm.Config{BlendOrders: true}},
-	} {
-		model := ppm.New(v.cfg)
-		w.Hooks.Phases.Time(sim.PhaseTrain, func() { sim.Train(model, train) })
-		opt := sim.Options{
-			Predictor:        model,
-			MaxPrefetchBytes: sim.DefaultMaxPrefetchBytes,
-			Path:             w.Path,
-			Grades:           rank,
-			Sizes:            w.Sizes,
-		}
-		w.Hooks.apply(&opt)
-		res := sim.Run(test, opt)
-		baseOpt := opt
-		baseOpt.Predictor = nil
-		base := sim.Run(test, baseOpt)
-		a.Rows = append(a.Rows, AblationRow{
-			Label:            v.label,
-			Result:           res,
-			LatencyReduction: res.LatencyReductionVs(base),
-		})
-	}
-	return a, nil
+	opt := sim.Options{MaxPrefetchBytes: sim.DefaultMaxPrefetchBytes}
+	return runAblation(w, "order-blending", []variant{
+		{"longest match (paper)", standard(ppm.Config{}), opt},
+		{"blended orders", standard(ppm.Config{BlendOrders: true}), opt},
+	})
 }
 
 // RunAblationOnlineTraining compares the paper's train-then-freeze
 // deployment with a model that also keeps learning from the test day's
 // completed sessions (sim.Options.OnlineTraining).
 func RunAblationOnlineTraining(w *Workload) (*Ablation, error) {
-	a := &Ablation{Name: "online-training", Workload: w.Name}
-	trainDays := w.Days() - 1
-	if trainDays < 1 {
-		return nil, fmt.Errorf("experiments: ablation needs at least 2 days, have %d", w.Days())
-	}
-	train := w.DaySessions(0, trainDays)
-	test := w.DaySessions(trainDays, trainDays+1)
-	rank := Ranking(train)
-
-	for _, v := range []struct {
-		label  string
-		online bool
-	}{
-		{"frozen after training (paper)", false},
-		{"online updates during test day", true},
-	} {
-		model := core.New(rank, core.Config{RelProbCutoff: 0.01, DropSingletons: w.DropSingletons})
-		w.Hooks.Phases.Time(sim.PhaseTrain, func() { sim.Train(model, train) })
-		opt := sim.Options{
-			Predictor:        model,
-			MaxPrefetchBytes: sim.PBMaxPrefetchBytes,
-			Path:             w.Path,
-			Grades:           rank,
-			Sizes:            w.Sizes,
-			OnlineTraining:   v.online,
-		}
-		w.Hooks.apply(&opt)
-		res := sim.Run(test, opt)
-		baseOpt := opt
-		baseOpt.Predictor = nil
-		base := sim.Run(test, baseOpt)
-		a.Rows = append(a.Rows, AblationRow{
-			Label:            v.label,
-			Result:           res,
-			LatencyReduction: res.LatencyReductionVs(base),
-		})
-	}
-	return a, nil
+	model := pb(core.Config{RelProbCutoff: 0.01, DropSingletons: w.DropSingletons})
+	return runAblation(w, "online-training", []variant{
+		{"frozen after training (paper)", model, pbOptions},
+		{"online updates during test day", model, sim.Options{MaxPrefetchBytes: sim.PBMaxPrefetchBytes, OnlineTraining: true}},
+	})
 }

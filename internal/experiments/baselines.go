@@ -27,18 +27,11 @@ type Baselines struct {
 // RunBaselines trains on all but the last day and evaluates the final
 // day, like the ablations.
 func RunBaselines(w *Workload) (*Baselines, error) {
-	trainDays := w.Days() - 1
-	if trainDays < 1 {
-		return nil, fmt.Errorf("experiments: baselines need at least 2 days, have %d", w.Days())
+	sp, err := lastDay(w, "baselines")
+	if err != nil {
+		return nil, err
 	}
-	train := w.DaySessions(0, trainDays)
-	test := w.DaySessions(trainDays, trainDays+1)
-	if len(train) == 0 || len(test) == 0 {
-		return nil, fmt.Errorf("experiments: baselines: empty window")
-	}
-	rank := Ranking(train)
-
-	common := sim.Options{Path: w.Path, Grades: rank, Sizes: w.Sizes}
+	common := sim.Options{Path: w.Path, Grades: sp.rank, Sizes: w.Sizes}
 	w.Hooks.apply(&common)
 	runs := []sim.NamedRun{}
 	add := func(name string, opt sim.Options) {
@@ -61,14 +54,14 @@ func RunBaselines(w *Workload) (*Baselines, error) {
 	add(ModelLRS, o)
 
 	o = common
-	o.Predictor = core.New(rank, core.Config{
+	o.Predictor = core.New(sp.rank, core.Config{
 		RelProbCutoff:  0.01,
 		DropSingletons: w.DropSingletons,
 	})
 	o.MaxPrefetchBytes = sim.PBMaxPrefetchBytes
 	add(ModelPB, o)
 
-	results := sim.Compare(train, test, runs)
+	results := sim.Compare(sp.train, sp.test, runs)
 	w.Hooks.ObserveModels(runs)
 	return &Baselines{Workload: w.Name, Results: results}, nil
 }

@@ -114,23 +114,7 @@ func TestCSVGolden(t *testing.T) {
 			if err := art.WriteCSV(&buf); err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "csv", name+".golden.csv")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (regenerate with -update)", err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("CSV drifted from golden file %s (regenerate with -update if intended):\n got:\n%s\nwant:\n%s",
-					path, buf.Bytes(), want)
-			}
+			compareGolden(t, filepath.Join("testdata", "csv", name+".golden.csv"), buf.Bytes())
 
 			rows, err := csv.NewReader(bytes.NewReader(buf.Bytes())).ReadAll()
 			if err != nil {
@@ -148,6 +132,41 @@ func TestCSVGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// compareGolden checks got byte-for-byte against the golden file at
+// path, first rewriting the file when -update is set.
+func compareGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("CSV drifted from golden file %s (regenerate with -update if intended):\n got:\n%s\nwant:\n%s",
+			path, got, want)
+	}
+}
+
+// checkRunGolden compares an experiment's CSV on a test workload with
+// testdata/runs/<name>.golden.csv. Unlike the synthetic goldens above,
+// these pin the numbers the experiments compute, so a change to the
+// harness that moves a single replay shows here.
+func checkRunGolden(t *testing.T, name string, art CSVWriter) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := art.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	compareGolden(t, filepath.Join("testdata", "runs", name+".golden.csv"), buf.Bytes())
 }
 
 func equalStrings(a, b []string) bool {

@@ -236,6 +236,7 @@ func TestFigure5Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRunGolden(t, "nasa-fig5", f)
 	if len(f.ClientCounts) != 3 {
 		t.Fatalf("client counts = %v", f.ClientCounts)
 	}
@@ -281,6 +282,7 @@ func TestAblationThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRunGolden(t, "nasa-ablation-thresholds", a)
 	if len(a.Rows) != 9 {
 		t.Fatalf("rows = %d, want 9 (3 prob x 3 size)", len(a.Rows))
 	}
@@ -315,6 +317,7 @@ func TestAblationSpaceOpt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRunGolden(t, "nasa-ablation-space-optimization", a)
 	byLabel := map[string]AblationRow{}
 	for _, r := range a.Rows {
 		byLabel[r.Label] = r
@@ -339,6 +342,7 @@ func TestAblationHeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRunGolden(t, "nasa-ablation-grade-heights", a)
 	byLabel := map[string]AblationRow{}
 	for _, r := range a.Rows {
 		byLabel[r.Label] = r
@@ -364,6 +368,7 @@ func TestAblationLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRunGolden(t, "nasa-ablation-popular-links", a)
 	if len(a.Rows) != 2 {
 		t.Fatalf("rows = %d", len(a.Rows))
 	}
@@ -406,6 +411,7 @@ func TestBaselinesTop10(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRunGolden(t, "nasa-baselines", b)
 	if len(b.Results) != 5 {
 		t.Fatalf("results = %d, want 5 (none + 4 models)", len(b.Results))
 	}
@@ -442,6 +448,7 @@ func TestAblationCachePolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRunGolden(t, "nasa-ablation-cache-policy", a)
 	if len(a.Rows) != 2 {
 		t.Fatalf("rows = %d", len(a.Rows))
 	}
@@ -565,6 +572,7 @@ func TestAblationBlending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRunGolden(t, "nasa-ablation-order-blending", a)
 	if len(a.Rows) != 2 {
 		t.Fatalf("rows = %d", len(a.Rows))
 	}
@@ -609,6 +617,7 @@ func TestAblationOnlineTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRunGolden(t, "nasa-ablation-online-training", a)
 	if len(a.Rows) != 2 {
 		t.Fatalf("rows = %d", len(a.Rows))
 	}

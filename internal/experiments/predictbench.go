@@ -47,28 +47,22 @@ var (
 // last day, freezes it into its arena snapshot, and drives the frozen
 // serving path with the final day's contexts.
 func RunPredictBench(w *Workload) (*PredictBench, error) {
-	trainDays := w.Days() - 1
-	if trainDays < 1 {
-		return nil, fmt.Errorf("experiments: predict-bench needs at least 2 days, have %d", w.Days())
+	sp, err := lastDay(w, "predict-bench")
+	if err != nil {
+		return nil, err
 	}
-	train := w.DaySessions(0, trainDays)
-	test := w.DaySessions(trainDays, trainDays+1)
-	if len(train) == 0 || len(test) == 0 {
-		return nil, fmt.Errorf("experiments: predict-bench: empty window")
-	}
-	rank := Ranking(train)
-	model := core.New(rank, core.Config{
+	model := core.New(sp.rank, core.Config{
 		RelProbCutoff:  0.01,
 		DropSingletons: w.DropSingletons,
 	})
-	sim.Train(model, train)
+	sim.Train(model, sp.train)
 	frozen := model.Freeze().(markov.BufferedPredictor)
 
 	// Every click of every test session is a serving-path call site:
 	// the context is the session's prefix up to that click, tail-capped
 	// the way the HTTP server caps it.
 	var ctxs [][]string
-	for _, s := range test {
+	for _, s := range sp.test {
 		urls := s.URLs()
 		for i := 1; i <= len(urls) && len(ctxs) < predictBenchMaxContexts; i++ {
 			ctx := urls[:i]

@@ -7,6 +7,7 @@ import (
 
 	"pbppm/internal/core"
 	"pbppm/internal/lrs"
+	"pbppm/internal/markov"
 	"pbppm/internal/metrics"
 	"pbppm/internal/ppm"
 	"pbppm/internal/session"
@@ -95,22 +96,21 @@ func RunFigure5(w *Workload, cfg Figure5Config) (*Figure5, error) {
 		return clients[i] < clients[j]
 	})
 
-	// Train the four models once; prediction does not mutate counts, so
-	// each model can serve every population size.
+	// Train the three models once; prediction does not mutate counts,
+	// so each model can serve every population size, and PB-PPM both
+	// of its size thresholds.
 	mPPM := ppm.New(ppm.Config{})
 	mLRS := lrs.New(lrs.Config{})
-	mPB4 := core.New(rank, core.Config{RelProbCutoff: relProb, DropSingletons: w.DropSingletons})
-	mPB10 := core.New(rank, core.Config{RelProbCutoff: relProb, DropSingletons: w.DropSingletons})
+	mPB := core.New(rank, core.Config{RelProbCutoff: relProb, DropSingletons: w.DropSingletons})
 	w.Hooks.Phases.Time(sim.PhaseTrain, func() {
 		sim.Train(mPPM, train)
 		sim.Train(mLRS, train)
-		sim.Train(mPB4, train)
-		sim.Train(mPB10, train)
+		sim.Train(mPB, train)
 	})
 	w.Hooks.ObserveModel(ModelPPM, mPPM)
 	w.Hooks.ObserveModel(ModelLRS, mLRS)
-	w.Hooks.ObserveModel(ModelPB4KB, mPB4)
-	w.Hooks.ObserveModel(ModelPB10KB, mPB10)
+	w.Hooks.ObserveModel(ModelPB4KB, mPB)
+	w.Hooks.ObserveModel(ModelPB10KB, mPB)
 
 	fig := &Figure5{Workload: w.Name}
 	for _, n := range counts {
@@ -138,26 +138,17 @@ func RunFigure5(w *Workload, cfg Figure5Config) (*Figure5, error) {
 		row := map[string]metrics.Result{}
 		for _, mc := range []struct {
 			name  string
-			opt   sim.Options
+			model markov.Predictor
 			bytes int64
 		}{
-			{ModelPPM, common, sim.DefaultMaxPrefetchBytes},
-			{ModelLRS, common, sim.DefaultMaxPrefetchBytes},
-			{ModelPB4KB, common, 4 * 1024},
-			{ModelPB10KB, common, 10 * 1024},
+			{ModelPPM, mPPM, sim.DefaultMaxPrefetchBytes},
+			{ModelLRS, mLRS, sim.DefaultMaxPrefetchBytes},
+			{ModelPB4KB, mPB, 4 * 1024},
+			{ModelPB10KB, mPB, 10 * 1024},
 		} {
-			opt := mc.opt
+			opt := common
+			opt.Predictor = mc.model
 			opt.MaxPrefetchBytes = mc.bytes
-			switch mc.name {
-			case ModelPPM:
-				opt.Predictor = mPPM
-			case ModelLRS:
-				opt.Predictor = mLRS
-			case ModelPB4KB:
-				opt.Predictor = mPB4
-			case ModelPB10KB:
-				opt.Predictor = mPB10
-			}
 			res := sim.Run(subset, opt)
 			res.Model = mc.name
 			row[mc.name] = res

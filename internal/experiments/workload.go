@@ -97,6 +97,29 @@ func (w *Workload) DaySessions(from, to int) []session.Session {
 	return out
 }
 
+// split is a train/test window pair and the ranking of its training
+// sessions.
+type split struct {
+	train, test []session.Session
+	rank        *popularity.Ranking
+}
+
+// lastDay splits the workload the way the ablations, the baselines and
+// predict-bench evaluate it: every day but the last trains, the last
+// day tests. what names the experiment in errors.
+func lastDay(w *Workload, what string) (split, error) {
+	trainDays := w.Days() - 1
+	if trainDays < 1 {
+		return split{}, fmt.Errorf("experiments: %s: need at least 2 days, have %d", what, w.Days())
+	}
+	sp := split{train: w.DaySessions(0, trainDays), test: w.DaySessions(trainDays, trainDays+1)}
+	if len(sp.train) == 0 || len(sp.test) == 0 {
+		return split{}, fmt.Errorf("experiments: %s: empty window", what)
+	}
+	sp.rank = Ranking(sp.train)
+	return sp, nil
+}
+
 // Ranking builds the popularity ranking the server would hold after
 // observing the given training sessions (clicked pages only, which is
 // what the prediction models store).

@@ -1,9 +1,9 @@
 package loadgen
 
 // Cluster self-hosting: loadbench's cluster mode boots an N-shard
-// prefetch cluster in-process, on a loopback listener, with the same
-// warm-trained model a prefetchd boot would build — so a capacity run
-// can compare shard counts (or price a mid-run rebalance) without
+// prefetch cluster in-process, on a loopback listener, with the
+// warm-started model a prefetchd boot serves — so a capacity run can
+// compare shard counts (or price a mid-run rebalance) without
 // orchestrating N server processes. The generator then targets the
 // harness URL like any external server.
 
@@ -14,12 +14,9 @@ import (
 	"time"
 
 	"pbppm/internal/cluster"
-	"pbppm/internal/core"
-	"pbppm/internal/markov"
+	"pbppm/internal/maintain"
 	"pbppm/internal/obs"
-	"pbppm/internal/popularity"
 	"pbppm/internal/server"
-	"pbppm/internal/session"
 	"pbppm/internal/tracegen"
 )
 
@@ -34,8 +31,6 @@ type ClusterConfig struct {
 	Profile tracegen.Profile
 	// WarmDays sizes the warm-training history; zero selects 2 days.
 	WarmDays int
-	// MaxHints overrides the per-response hint cap when positive.
-	MaxHints int
 	// Obs registers the router metrics (per-shard request counters,
 	// rebalance costs); nil keeps them process-internal.
 	Obs *obs.Registry
@@ -56,39 +51,9 @@ type ClusterHarness struct {
 	ln  net.Listener
 }
 
-// warmModel trains the same warm-start model a prefetchd boot builds:
-// a generated history over the site, popularity-ranked, trained into a
-// PB-PPM tree, space-optimized, and frozen into its immutable arena
-// image — the published-snapshot form the cluster replicates to every
-// shard.
-func warmModel(site *tracegen.Site, p tracegen.Profile, warmDays int) (markov.Predictor, *popularity.Ranking, error) {
-	warm := p
-	warm.Days = warmDays
-	tr, err := tracegen.GenerateOn(site, warm)
-	if err != nil {
-		return nil, nil, fmt.Errorf("generating warm history: %w", err)
-	}
-	sessions := session.Sessionize(tr, session.Config{})
-
-	rank := popularity.NewRanking()
-	for _, s := range sessions {
-		for _, v := range s.Views {
-			rank.Observe(v.URL, 1)
-		}
-	}
-	model := core.New(rank, core.Config{RelProbCutoff: 0.01, DropSingletons: true})
-	seqs := make([][]string, len(sessions))
-	for i, s := range sessions {
-		seqs[i] = s.URLs()
-	}
-	markov.TrainAll(model, seqs)
-	model.Optimize()
-
-	return markov.Freeze(model), rank, nil
-}
-
-// BootCluster builds the warm model, boots an N-shard cluster serving
-// the site, and binds it to a loopback listener. Close shuts it down.
+// BootCluster warm-starts a PB-PPM maintainer, boots an N-shard cluster
+// serving the site and the model the maintainer publishes, and binds it
+// to a loopback listener. Close shuts it down.
 func BootCluster(cfg ClusterConfig) (*ClusterHarness, error) {
 	if cfg.Site == nil {
 		return nil, fmt.Errorf("loadgen: cluster harness needs a site")
@@ -98,7 +63,11 @@ func BootCluster(cfg ClusterConfig) (*ClusterHarness, error) {
 		warmDays = 2
 	}
 	start := time.Now()
-	model, rank, err := warmModel(cfg.Site, cfg.Profile, warmDays)
+	maint, err := maintain.New(maintain.Config{Factory: PBFactory})
+	if err != nil {
+		return nil, err
+	}
+	model, err := WarmStart(maint, cfg.Site, cfg.Profile, warmDays)
 	if err != nil {
 		return nil, err
 	}
@@ -111,8 +80,7 @@ func BootCluster(cfg ClusterConfig) (*ClusterHarness, error) {
 		Store:  StoreFromSite(cfg.Site),
 		ShardConfig: server.Config{
 			Predictor: model,
-			Grades:    rank,
-			MaxHints:  cfg.MaxHints,
+			Grades:    maint.Ranking(),
 		},
 		Obs: cfg.Obs,
 	})

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -408,8 +409,19 @@ func TestNavigatorWalk(t *testing.T) {
 		t.Fatalf("NewNavigator: %v", err)
 	}
 	rng := rand.New(rand.NewSource(9))
+	byWeight := make([]int, len(site.Pages))
+	for i := range byWeight {
+		byWeight[i] = i
+	}
+	sort.Slice(byWeight, func(a, b int) bool {
+		wa, wb := site.Pages[byWeight[a]].Weight, site.Pages[byWeight[b]].Weight
+		if wa != wb {
+			return wa > wb
+		}
+		return byWeight[a] < byWeight[b]
+	})
 	topSet := map[int]bool{}
-	for _, idx := range nav2.byWeight[:p.EntryCount] {
+	for _, idx := range byWeight[:p.EntryCount] {
 		topSet[idx] = true
 	}
 	for i := 0; i < 50; i++ {

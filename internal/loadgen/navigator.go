@@ -1,11 +1,11 @@
 // Package loadgen is an open-loop HTTP load generator for the
-// prefetching server: virtual clients walk the synthetic site with the
-// same statistical structure tracegen gives the offline traces
-// (popular session heads, primary-link continuations, hub returns),
-// follow the X-Prefetch hint protocol through server.Client, and fire
-// requests on a fixed arrival schedule regardless of completions — so
-// latency under load is measured from each request's scheduled arrival
-// time and never suffers coordinated omission.
+// prefetching server: virtual clients take the session walk tracegen
+// generates the offline traces with (popular session heads,
+// primary-link continuations, hub returns), follow the X-Prefetch hint
+// protocol through server.Client, and fire requests on a fixed arrival
+// schedule regardless of completions — so latency under load is
+// measured from each request's scheduled arrival time and never
+// suffers coordinated omission.
 //
 // The package exists because the paper's claims are throughput-shaped:
 // "low storage" and "fast prediction" only matter at some request
@@ -14,147 +14,26 @@
 // latency quantiles, error rates, schedule lag, and the server's own
 // /debug/slo verdicts; Generator.FindMax binary-searches for the
 // highest steady rate the server sustains under an SLO gate — the
-// max-sustainable-RPS headline metric.
+// max-sustainable-RPS headline metric. WarmStart is the one warm
+// start: prefetchd boots its maintainer with it, and BootCluster serves
+// what it publishes from an in-process cluster.
 package loadgen
 
 import (
-	"fmt"
-	"math/rand"
-	"sort"
-
 	"pbppm/internal/server"
 	"pbppm/internal/tracegen"
 )
 
-// Navigator chooses which URL a virtual client requests next,
-// reproducing tracegen's session walk (Regularities 1–3) on an
-// existing Site. All randomness comes from the caller's injected
-// *rand.Rand, so a seeded dispatcher emits a deterministic request
-// sequence regardless of response timing.
-type Navigator struct {
-	site *tracegen.Site
-	p    tracegen.Profile
-	// byWeight lists page indices by descending intended popularity;
-	// cum is the matching cumulative weight table. Rebuilt here because
-	// Site keeps its own tables private.
-	byWeight []int
-	cum      []float64
-	// grade buckets each page into the paper's 0–3 popularity grades,
-	// which modulate session length (Regularity 2).
-	grade []int
-}
+// Navigator is the session walk virtual clients take. It is
+// tracegen's Walker, the walk every generated trace session takes;
+// scenarios add a head shift, which slides the popular entry set down
+// the popularity order for flash crowds.
+type Navigator = tracegen.Walker
 
 // NewNavigator builds a navigator over a site generated from p.
 func NewNavigator(site *tracegen.Site, p tracegen.Profile) (*Navigator, error) {
-	if site == nil || len(site.Pages) == 0 {
-		return nil, fmt.Errorf("loadgen: navigator needs a non-empty site")
-	}
-	n := &Navigator{site: site, p: p}
-	n.byWeight = make([]int, len(site.Pages))
-	for i := range n.byWeight {
-		n.byWeight[i] = i
-	}
-	sort.Slice(n.byWeight, func(a, b int) bool {
-		wa, wb := site.Pages[n.byWeight[a]].Weight, site.Pages[n.byWeight[b]].Weight
-		if wa != wb {
-			return wa > wb
-		}
-		return n.byWeight[a] < n.byWeight[b]
-	})
-	n.cum = make([]float64, len(n.byWeight))
-	sum := 0.0
-	for i, idx := range n.byWeight {
-		sum += site.Pages[idx].Weight
-		n.cum[i] = sum
-	}
-	n.grade = make([]int, len(site.Pages))
-	total := len(site.Pages)
-	for pos, idx := range n.byWeight {
-		switch {
-		case pos < total/50+1:
-			n.grade[idx] = 3
-		case pos < total/10+1:
-			n.grade[idx] = 2
-		case pos < total/3+1:
-			n.grade[idx] = 1
-		}
-	}
-	return n, nil
+	return tracegen.NewWalker(site, p)
 }
-
-// entry picks a page from the popular entry set. headShift slides the
-// set down the popularity order — a flash crowd converging on pages
-// that were not the head yesterday, which invalidates the model's
-// learned session starts until maintenance catches up.
-func (n *Navigator) entry(rng *rand.Rand, headShift int) int {
-	top := n.p.EntryCount
-	if top <= 0 || top > len(n.byWeight) {
-		top = len(n.byWeight)
-	}
-	shift := headShift
-	if max := len(n.byWeight) - top; shift > max {
-		shift = max
-	}
-	if shift < 0 {
-		shift = 0
-	}
-	return n.byWeight[shift+rng.Intn(top)]
-}
-
-// sampleByWeight draws a page from the intended popularity
-// distribution.
-func (n *Navigator) sampleByWeight(rng *rand.Rand) int {
-	total := n.cum[len(n.cum)-1]
-	x := rng.Float64() * total
-	i := sort.SearchFloat64s(n.cum, x)
-	if i >= len(n.byWeight) {
-		i = len(n.byWeight) - 1
-	}
-	return n.byWeight[i]
-}
-
-// Start opens a session: a head page (biased toward the popular entry
-// set, Regularity 1) and the session's continue probability, boosted
-// by the head's popularity grade (Regularity 2).
-func (n *Navigator) Start(rng *rand.Rand, headShift int) (page int, pCont float64) {
-	if rng.Float64() < n.p.PopularHeadBias {
-		page = n.entry(rng, headShift)
-	} else {
-		page = n.sampleByWeight(rng)
-	}
-	pCont = n.p.ContinueBase + n.p.ContinueHeadBoost*float64(n.grade[page])
-	if pCont > 0.93 {
-		pCont = 0.93
-	}
-	return page, pCont
-}
-
-// Next chooses the click after cur: an off-structure popular jump (hub
-// return or entry-set scatter), the primary link, or a uniform pick
-// among the remaining links (Regularity 3). ok is false when the page
-// is a dead end.
-func (n *Navigator) Next(rng *rand.Rand, cur, headShift int) (next int, ok bool) {
-	pg := &n.site.Pages[cur]
-	switch {
-	case rng.Float64() < n.p.JumpPopularProb:
-		if rng.Float64() < n.p.HubJumpShare {
-			return pg.Hub, true
-		}
-		return n.entry(rng, headShift), true
-	case pg.Primary >= 0 && rng.Float64() < n.p.PrimaryProb:
-		return pg.Primary, true
-	case len(pg.Links) > 0:
-		return pg.Links[rng.Intn(len(pg.Links))], true
-	default:
-		return 0, false
-	}
-}
-
-// URL returns the page's request path.
-func (n *Navigator) URL(page int) string { return n.site.Pages[page].URL }
-
-// Pages returns the site size.
-func (n *Navigator) Pages() int { return len(n.site.Pages) }
 
 // StoreFromSite materializes synthetic bodies for every page and image
 // of a site — the content a capacity run serves.

@@ -51,6 +51,7 @@ package markov
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -250,8 +251,9 @@ func (t *Tree) Freeze() *Arena {
 			scratch = append(scratch, c)
 			return true
 		})
-		sort.Slice(scratch, func(a, b int) bool {
-			return remap[scratch[a].sym] < remap[scratch[b].sym]
+		// Siblings carry distinct symbols, so the order is total.
+		slices.SortFunc(scratch, func(a, b *Node) int {
+			return cmp.Compare(remap[a.sym], remap[b.sym])
 		})
 		order = append(order, scratch...)
 	}

@@ -21,7 +21,8 @@
 // overhead higher there.
 //
 // All generation is driven by an explicit seed: the same profile and
-// seed always produce the identical trace.
+// seed always produce the identical trace. Every session is a walk by
+// Walker, which load generators also take against a live server.
 package tracegen
 
 import (
@@ -74,6 +75,10 @@ type Site struct {
 	byWeight []int
 	// cumWeight is the cumulative weight distribution over byWeight.
 	cumWeight []float64
+	// grade buckets each page into the 0–3 popularity grades by its
+	// position in byWeight, a rank-based approximation of the realized
+	// grade that modulates session length (Regularity 2).
+	grade []int
 }
 
 // Profile holds every knob of the generator. Use NASA or UCBCS for the
@@ -358,49 +363,21 @@ func BuildSite(p Profile) (*Site, error) {
 		return s.byWeight[a] < s.byWeight[b]
 	})
 	s.cumWeight = make([]float64, p.Pages)
+	s.grade = make([]int, p.Pages)
 	sum := 0.0
 	for i, idx := range s.byWeight {
 		sum += s.Pages[idx].Weight
 		s.cumWeight[i] = sum
-	}
-	return s, nil
-}
-
-// sampleByWeight draws a page index from the intended popularity
-// distribution.
-func (s *Site) sampleByWeight(rng *rand.Rand) int {
-	total := s.cumWeight[len(s.cumWeight)-1]
-	x := rng.Float64() * total
-	i := sort.SearchFloat64s(s.cumWeight, x)
-	if i >= len(s.byWeight) {
-		i = len(s.byWeight) - 1
-	}
-	return s.byWeight[i]
-}
-
-// intendedGrade buckets a page's weight rank into the 0–3 grade scale
-// used to modulate session length (Regularity 2). It is a rank-based
-// approximation of the realized popularity grade.
-func (s *Site) intendedGrade(page int) int {
-	n := len(s.Pages)
-	// Position of the page in the popularity order.
-	pos := 0
-	for i, idx := range s.byWeight {
-		if idx == page {
-			pos = i
-			break
+		switch {
+		case i < p.Pages/50+1:
+			s.grade[idx] = 3
+		case i < p.Pages/10+1:
+			s.grade[idx] = 2
+		case i < p.Pages/3+1:
+			s.grade[idx] = 1
 		}
 	}
-	switch {
-	case pos < n/50+1:
-		return 3
-	case pos < n/10+1:
-		return 2
-	case pos < n/3+1:
-		return 1
-	default:
-		return 0
-	}
+	return s, nil
 }
 
 // Generate produces the synthetic trace for a profile.
@@ -419,31 +396,18 @@ func GenerateOn(site *Site, p Profile) (*trace.Trace, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
+	walk, err := NewWalker(site, p)
+	if err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(p.Seed + 0x9e3779b9))
 	h := newHistory(site)
-
-	// Precompute grade positions once (intendedGrade is O(n) per call).
-	grade := make([]int, len(site.Pages))
-	for i, idx := range site.byWeight {
-		n := len(site.Pages)
-		g := 0
-		switch {
-		case i < n/50+1:
-			g = 3
-		case i < n/10+1:
-			g = 2
-		case i < n/3+1:
-			g = 1
-		}
-		grade[idx] = g
-	}
-
 	for day := 0; day < p.Days; day++ {
 		nSessions := poissonish(rng, float64(p.SessionsPerDay))
 		for sess := 0; sess < nSessions; sess++ {
 			client := h.client(pickClient(rng, p))
 			start := time.Duration(day)*24*time.Hour + dayOffset(rng, p)
-			h.emitSession(rng, site, p, grade, client, start)
+			h.emitSession(rng, walk, client, start)
 		}
 		for c := 0; c < p.Crawlers; c++ {
 			h.emitCrawl(rng, site, p, c, day)
@@ -657,65 +621,27 @@ func pickClient(rng *rand.Rand, p Profile) clientKey {
 	return clientKey{browserClient, rng.Intn(p.Browsers)}
 }
 
-// emitSession random-walks the site and emits the session's requests.
-func (h *history) emitSession(rng *rand.Rand, site *Site, p Profile, grade []int,
-	client int32, start time.Duration) {
-
-	// Session head (Regularity 1): biased toward the popular entry set.
-	var cur int
-	if rng.Float64() < p.PopularHeadBias {
-		top := p.EntryCount
-		if top <= 0 || top > len(site.Pages) {
-			top = len(site.Pages)
-		}
-		cur = site.byWeight[rng.Intn(top)]
-	} else {
-		cur = site.sampleByWeight(rng)
-	}
-
-	headGrade := grade[cur]
-	pCont := p.ContinueBase + p.ContinueHeadBoost*float64(headGrade)
-	if pCont > 0.93 {
-		pCont = 0.93
-	}
-
+// emitSession walks one session and emits its requests.
+func (h *history) emitSession(rng *rand.Rand, walk *Walker, client int32, start time.Duration) {
+	cur, pCont := walk.Start(rng, 0)
 	t := start
-	for click := 0; click < p.MaxSessionLen; click++ {
-		pg := &site.Pages[cur]
+	for click := 0; click < walk.p.MaxSessionLen; click++ {
 		h.emit(client, int32(cur), t)
 		// Embedded images arrive within the 10-second fold window.
-		for k := range pg.Images {
+		for k := range walk.site.Pages[cur].Images {
 			h.emit(client, h.firstImage[cur]+int32(k), t+time.Duration(1+k*2)*time.Second)
 		}
 
 		if rng.Float64() >= pCont {
 			break
 		}
-
-		// Choose the next page: off-structure popular jump (hub return
-		// or entry-set scatter), primary link, or a uniform pick among
-		// the remaining links (Regularity 3 emerges because links point
-		// predominantly to deeper, less popular pages).
-		switch {
-		case rng.Float64() < p.JumpPopularProb:
-			if rng.Float64() < p.HubJumpShare {
-				cur = pg.Hub
-			} else {
-				top := p.EntryCount
-				if top <= 0 || top > len(site.Pages) {
-					top = len(site.Pages)
-				}
-				cur = site.byWeight[rng.Intn(top)]
-			}
-		case pg.Primary >= 0 && rng.Float64() < p.PrimaryProb:
-			cur = pg.Primary
-		case len(pg.Links) > 0:
-			cur = pg.Links[rng.Intn(len(pg.Links))]
-		default:
+		next, ok := walk.Next(rng, cur, 0)
+		if !ok {
 			return
 		}
+		cur = next
 
-		think := time.Duration((rng.ExpFloat64()*p.MeanThinkSeconds + 11)) * time.Second
+		think := time.Duration((rng.ExpFloat64()*walk.p.MeanThinkSeconds + 11)) * time.Second
 		if think > 25*time.Minute {
 			think = 25 * time.Minute
 		}

@@ -142,10 +142,10 @@ func TestSiteStructure(t *testing.T) {
 	if site.byWeight[0] != 0 {
 		t.Errorf("most popular page = %d, want 0", site.byWeight[0])
 	}
-	if g := site.intendedGrade(site.byWeight[0]); g != 3 {
+	if g := site.grade[site.byWeight[0]]; g != 3 {
 		t.Errorf("top page grade = %d, want 3", g)
 	}
-	if g := site.intendedGrade(site.byWeight[len(site.Pages)-1]); g != 0 {
+	if g := site.grade[site.byWeight[len(site.Pages)-1]]; g != 0 {
 		t.Errorf("bottom page grade = %d, want 0", g)
 	}
 }
