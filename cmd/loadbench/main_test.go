@@ -86,3 +86,49 @@ func TestRunClusterLagGate(t *testing.T) {
 		t.Errorf("stderr does not name the lag gate:\n%s", stderr.String())
 	}
 }
+
+// -compare exits 3 and names the metric when a run falls short of its
+// baseline, and exits 0 when the run beats it. The baselines are one
+// run's own artifact with achieved_rps scaled up and down tenfold.
+func TestRunCompare(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "bench.json")
+	var stderr strings.Builder
+	if code := run(smallCluster("-bench-robust", "-bench-out", out), io.Discard, &stderr); code != 0 {
+		t.Fatalf("exit %d\nstderr:\n%s", code, stderr.String())
+	}
+	scaled := func(name string, factor float64) string {
+		rep, err := benchreport.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep.Records[0].Metrics["achieved_rps"] *= factor
+		path := filepath.Join(dir, name)
+		if err := benchreport.WriteFile(path, rep); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+
+	var stdout strings.Builder
+	stderr.Reset()
+	if code := run(smallCluster("-bench-robust", "-compare", scaled("high.json", 10)), &stdout, &stderr); code != 3 {
+		t.Fatalf("against a tenfold baseline: exit %d, want 3\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+	named := false
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		named = named || strings.Contains(line, "achieved_rps") && strings.Contains(line, "REGRESSED")
+	}
+	if !named {
+		t.Errorf("the comparison does not name achieved_rps as regressed:\n%s", stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "regressed beyond tolerance") {
+		t.Errorf("stderr does not report the regression:\n%s", stderr.String())
+	}
+
+	stdout.Reset()
+	stderr.Reset()
+	if code := run(smallCluster("-bench-robust", "-compare", scaled("low.json", 0.1), "-tol-wall", "100"), &stdout, &stderr); code != 0 {
+		t.Fatalf("against a tenth baseline: exit %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+}

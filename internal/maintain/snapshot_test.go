@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc64"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 
 	"pbppm/internal/markov"
 	"pbppm/internal/obs"
+	"pbppm/internal/popularity"
 )
 
 // trainedMaintainer builds a maintainer with one rebuilt PB-PPM model
@@ -71,6 +73,29 @@ func TestSnapshotWireRoundTrip(t *testing.T) {
 	}
 	if snap.Ranking != nil {
 		t.Error("nil ranking round-tripped non-nil")
+	}
+}
+
+// One model and ranking always encode to the same snapshot image.
+func TestEncodeSnapshotDeterministic(t *testing.T) {
+	m := trainedMaintainer(t, nil)
+	frozen := m.Predictor().(*markov.FrozenTree)
+	rank := popularity.NewRanking()
+	for i := 0; i < 200; i++ {
+		rank.Observe(fmt.Sprintf("/u%03d", i*37%200), int64(1+i%13))
+	}
+	encode := func() []byte {
+		var buf bytes.Buffer
+		if err := EncodeSnapshot(&buf, 9, frozen, rank); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := encode()
+	for i := 0; i < 5; i++ {
+		if !bytes.Equal(encode(), first) {
+			t.Fatalf("encoding %d differs from the first", i+1)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // wireRanking is the gob image of a Ranking. The counts travel as
@@ -28,13 +29,16 @@ type wireRanking struct {
 // long periods, which is what makes persisting it worthwhile).
 func (rk *Ranking) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	img := wireRanking{
-		URLs:   make([]string, 0, len(rk.counts)),
-		Counts: make([]int64, 0, len(rk.counts)),
-	}
-	for u, c := range rk.counts {
+	// The URLs go out in byte order, so one ranking always encodes to
+	// the same bytes (and a snapshot holding it to the same image).
+	img := wireRanking{URLs: make([]string, 0, len(rk.counts))}
+	for u := range rk.counts {
 		img.URLs = append(img.URLs, u)
-		img.Counts = append(img.Counts, c)
+	}
+	slices.Sort(img.URLs)
+	img.Counts = make([]int64, len(img.URLs))
+	for i, u := range img.URLs {
+		img.Counts[i] = rk.counts[u]
 	}
 	if err := gob.NewEncoder(bw).Encode(img); err != nil {
 		return fmt.Errorf("popularity: encoding ranking: %w", err)
@@ -42,7 +46,8 @@ func (rk *Ranking) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// DecodeRanking reads a ranking written by Encode.
+// DecodeRanking reads a ranking written by Encode. It takes the URLs in
+// any order, as older builds wrote them.
 func DecodeRanking(r io.Reader) (*Ranking, error) {
 	var img wireRanking
 	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&img); err != nil {

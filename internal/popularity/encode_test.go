@@ -3,6 +3,8 @@ package popularity
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -122,5 +124,44 @@ func TestEncodeEmptyRanking(t *testing.T) {
 	got.Observe("/x", 1)
 	if got.Count("/x") != 1 {
 		t.Error("empty round-tripped ranking unusable")
+	}
+}
+
+func encodeRanking(t *testing.T, rk *Ranking) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rk.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// One ranking encodes to the same bytes every time, with its URLs in
+// byte order, and decoding an image and encoding it again gives that
+// image back.
+func TestRankingEncodeDeterministic(t *testing.T) {
+	rk := NewRanking()
+	for i := 0; i < 200; i++ {
+		rk.Observe(fmt.Sprintf("/u%03d", i*37%200), int64(1+i%13))
+	}
+	first := encodeRanking(t, rk)
+	for i := 0; i < 5; i++ {
+		if again := encodeRanking(t, rk); !bytes.Equal(again, first) {
+			t.Fatalf("encoding %d differs from the first", i+1)
+		}
+	}
+	var img wireRanking
+	if err := gob.NewDecoder(bytes.NewReader(first)).Decode(&img); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.IsSorted(img.URLs) || len(img.URLs) != 200 {
+		t.Errorf("image lists %d URLs, in byte order: %v", len(img.URLs), slices.IsSorted(img.URLs))
+	}
+	dec, err := DecodeRanking(bytes.NewReader(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re := encodeRanking(t, dec); !bytes.Equal(re, first) {
+		t.Error("decode then re-encode changed the image")
 	}
 }

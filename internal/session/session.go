@@ -123,54 +123,117 @@ func (c Config) keep(status int) bool {
 // processing is deterministic. Records with filtered-out statuses are
 // dropped; image records are folded into the closest preceding HTML
 // view of the same client within the embed window.
+//
+// It reads the trace twice. The first pass decides each record's fate
+// (dropped, a view of some session, or an image folded into an earlier
+// view) and counts each session's views and each view's images. The
+// second fills one []PageView and one []Embedded, each allocated at its
+// exact total, from which every session's Views and every view's
+// Embedded are cut at full capacity.
 func Sessionize(tr *trace.Trace, cfg Config) []Session {
+	recs := tr.Records
+	idle, embed := cfg.idle(), cfg.embed()
 	type clientState struct {
-		cur      int // index of the open session in sessions, or -1
+		session  int32 // index of the open session in sessions, or -1
+		view     int32 // id of the open session's last view
 		lastTime time.Time
 		lastHTML time.Time // time of last HTML view, for folding
 	}
-	states := make(map[string]*clientState)
+	ids := make(map[string]int32)
+	var clients []clientState
 	// Sessions are listed as they open. In a trace in Trace.Sort's
 	// order that is already start-then-client order, and the sort
 	// below only checks it.
 	var sessions []Session
+	var perSession []int32 // views of each session
+	// Views are numbered as they open. perView[v] holds view v's
+	// session, then its slot in the one []PageView, and its images.
+	type viewInfo struct{ at, images int32 }
+	perView := make([]viewInfo, 0, len(recs))
+	// fate[i] is dropped, isView, or the id of the view record i's
+	// image folds into.
+	const dropped, isView = -1, -2
+	fate := make([]int32, len(recs))
+	folded := 0
 
-	for _, r := range tr.Records {
+	for i := range recs {
+		r := &recs[i]
 		if !cfg.keep(r.Status) {
+			fate[i] = dropped
 			continue
 		}
-		st := states[r.Client]
-		if st == nil {
-			st = &clientState{cur: -1}
-			states[r.Client] = st
+		c, ok := ids[r.Client]
+		if !ok {
+			c = int32(len(clients))
+			ids[r.Client] = c
+			clients = append(clients, clientState{session: -1})
 		}
-		if st.cur >= 0 && r.Time.Sub(st.lastTime) > cfg.idle() {
-			st.cur = -1
+		st := &clients[c]
+		if st.session >= 0 && r.Time.Sub(st.lastTime) > idle {
+			st.session = -1
 		}
-		if st.cur < 0 {
-			st.cur = len(sessions)
+		if st.session < 0 {
+			st.session = int32(len(sessions))
 			sessions = append(sessions, Session{Client: r.Client})
+			perSession = append(perSession, 0)
 			st.lastHTML = time.Time{}
 		}
 		st.lastTime = r.Time
-		cur := &sessions[st.cur]
 
+		// lastHTML is zero until the open session has a view, so a
+		// fold always finds st.view in this session.
 		kind := r.Kind()
 		if kind == trace.KindImage && cfg.EmbedWindow >= 0 &&
-			!st.lastHTML.IsZero() && r.Time.Sub(st.lastHTML) <= cfg.embed() &&
-			len(cur.Views) > 0 {
-			last := &cur.Views[len(cur.Views)-1]
-			last.Embedded = append(last.Embedded, Embedded{URL: r.URL, Bytes: r.Bytes})
+			!st.lastHTML.IsZero() && r.Time.Sub(st.lastHTML) <= embed {
+			fate[i] = st.view
+			perView[st.view].images++
+			folded++
 			continue
 		}
 
-		cur.Views = append(cur.Views, PageView{URL: r.URL, Time: r.Time, Bytes: r.Bytes})
+		fate[i] = isView
+		st.view = int32(len(perView))
+		perView = append(perView, viewInfo{at: st.session})
+		perSession[st.session]++
 		if kind == trace.KindHTML {
 			st.lastHTML = r.Time
 		} else {
 			// A non-HTML click resets the folding anchor: subsequent
 			// images are no longer embedded in an earlier page.
 			st.lastHTML = time.Time{}
+		}
+	}
+
+	// Lay the sessions' views out one after another; perSession[s]
+	// becomes session s's next free slot.
+	views := make([]PageView, len(perView))
+	next := int32(0)
+	for s, n := range perSession {
+		sessions[s].Views = views[next : next+n : next+n]
+		perSession[s] = next
+		next += n
+	}
+
+	// Images are laid out in view-id order, the order views open in.
+	embedded := make([]Embedded, folded)
+	v, e := 0, int32(0)
+	for i, f := range fate {
+		r := &recs[i]
+		switch {
+		case f == isView:
+			s := perView[v].at
+			perView[v].at = perSession[s]
+			perSession[s]++
+			pv := &views[perView[v].at]
+			pv.URL, pv.Time, pv.Bytes = r.URL, r.Time, r.Bytes
+			if n := perView[v].images; n > 0 {
+				pv.Embedded = embedded[e : e : e+n]
+				e += n
+			}
+			v++
+		case f >= 0:
+			pv := &views[perView[f].at]
+			pv.Embedded = append(pv.Embedded, Embedded{URL: r.URL, Bytes: r.Bytes})
 		}
 	}
 	if !slices.IsSortedFunc(sessions, compareSessions) {

@@ -2,6 +2,7 @@ package session
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strconv"
@@ -379,6 +380,135 @@ func TestSessionizeOrderMatchesOracle(t *testing.T) {
 			if &got[i].Views[0] != &want[i].Views[0] {
 				t.Fatalf("%s: session %d is %s at %v, want %s at %v", c.name,
 					i, got[i].Client, got[i].Start(), want[i].Client, want[i].Start())
+			}
+		}
+	}
+}
+
+// oracleSessionize is the one-pass sessionizer Sessionize replaced: it
+// appends each view to its session and each folded image to its view
+// as the records arrive.
+func oracleSessionize(tr *trace.Trace, cfg Config) []Session {
+	type clientState struct {
+		cur      int // index of the open session in sessions, or -1
+		lastTime time.Time
+		lastHTML time.Time // time of last HTML view, for folding
+	}
+	states := make(map[string]*clientState)
+	var sessions []Session
+
+	for _, r := range tr.Records {
+		if !cfg.keep(r.Status) {
+			continue
+		}
+		st := states[r.Client]
+		if st == nil {
+			st = &clientState{cur: -1}
+			states[r.Client] = st
+		}
+		if st.cur >= 0 && r.Time.Sub(st.lastTime) > cfg.idle() {
+			st.cur = -1
+		}
+		if st.cur < 0 {
+			st.cur = len(sessions)
+			sessions = append(sessions, Session{Client: r.Client})
+			st.lastHTML = time.Time{}
+		}
+		st.lastTime = r.Time
+		cur := &sessions[st.cur]
+
+		kind := r.Kind()
+		if kind == trace.KindImage && cfg.EmbedWindow >= 0 &&
+			!st.lastHTML.IsZero() && r.Time.Sub(st.lastHTML) <= cfg.embed() &&
+			len(cur.Views) > 0 {
+			last := &cur.Views[len(cur.Views)-1]
+			last.Embedded = append(last.Embedded, Embedded{URL: r.URL, Bytes: r.Bytes})
+			continue
+		}
+
+		cur.Views = append(cur.Views, PageView{URL: r.URL, Time: r.Time, Bytes: r.Bytes})
+		if kind == trace.KindHTML {
+			st.lastHTML = r.Time
+		} else {
+			st.lastHTML = time.Time{}
+		}
+	}
+	if !slices.IsSortedFunc(sessions, compareSessions) {
+		slices.SortStableFunc(sessions, compareSessions)
+	}
+	return sessions
+}
+
+// randomTrace draws up to n records for many clients at tie-heavy
+// times, with statuses 200, 304 and 404 and HTML, image and other
+// URLs. Times step by up to maxStep seconds, so a large step crosses
+// idle timeouts and a small one piles records onto one instant. A few
+// records sit in another zone or at the zero time.
+func randomTrace(rng *rand.Rand, n, clients, maxStep int) []trace.Record {
+	urls := []string{
+		"/p1.html", "/p2.HTM", "/d/", "/x/p3.shtml?q",
+		"/i1.gif", "/i2.JPG", "/i3.xbm#f", "/d/i4.jpeg",
+		"/a.zip", "/cgi-bin/s?x.gif", "/noext",
+	}
+	statuses := []int{200, 200, 200, 304, 404}
+	edt := time.FixedZone("EDT", -4*3600)
+	recs := make([]trace.Record, 0, n)
+	sec := 0
+	for i := rng.Intn(n + 1); i > 0; i-- {
+		sec += rng.Intn(maxStep + 1)
+		r := rec(sec, "c"+strconv.Itoa(rng.Intn(clients)), urls[rng.Intn(len(urls))], int64(rng.Intn(5000)))
+		r.Status = statuses[rng.Intn(len(statuses))]
+		switch rng.Intn(40) {
+		case 0:
+			r.Time = r.Time.In(edt)
+		case 1:
+			r.Time = time.Time{}
+		}
+		recs = append(recs, r)
+	}
+	return recs
+}
+
+// TestSessionizeMatchesOracleProperty requires Sessionize to return
+// exactly what the one-pass oracle returns on seeded random traces,
+// under the default rules and custom idle timeouts, embed windows
+// (negative too) and status sets, for traces in Trace.Sort's order,
+// in time order with ties in arrival order, and in arrival order. Every
+// Views and Embedded it returns must also be cut at full capacity.
+func TestSessionizeMatchesOracleProperty(t *testing.T) {
+	configs := []Config{
+		{},
+		{IdleTimeout: 90 * time.Second, EmbedWindow: 3 * time.Second},
+		{EmbedWindow: -1},
+		{KeepStatuses: map[int]bool{200: true, 404: true}},
+		{IdleTimeout: time.Second, EmbedWindow: time.Hour, KeepStatuses: map[int]bool{304: true}},
+	}
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 400; trial++ {
+		recs := randomTrace(rng, 300, 1+rng.Intn(60), []int{0, 2, 20, 600, 4000}[rng.Intn(5)])
+		arrival := slices.Clone(recs)
+		sorted := mktrace(slices.Clone(recs)...)
+		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time.Before(recs[j].Time) })
+		for _, tr := range []*trace.Trace{
+			sorted,
+			{Epoch: epoch, Records: recs},
+			{Epoch: epoch, Records: arrival},
+		} {
+			for ci, cfg := range configs {
+				got, want := Sessionize(tr, cfg), oracleSessionize(tr, cfg)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d, config %d: Sessionize differs from the oracle\ngot  %+v\nwant %+v", trial, ci, got, want)
+				}
+				for _, s := range got {
+					if cap(s.Views) != len(s.Views) {
+						t.Fatalf("trial %d, config %d: %s's Views has cap %d, len %d", trial, ci, s.Client, cap(s.Views), len(s.Views))
+					}
+					for _, v := range s.Views {
+						if cap(v.Embedded) != len(v.Embedded) {
+							t.Fatalf("trial %d, config %d: %s's Embedded has cap %d, len %d", trial, ci, v.URL, cap(v.Embedded), len(v.Embedded))
+						}
+					}
+				}
 			}
 		}
 	}

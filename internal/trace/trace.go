@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // Record is one HTTP request as it appears in a server access log.
@@ -58,29 +59,20 @@ func (k Kind) String() string {
 	}
 }
 
-// htmlExts and imageExts follow §2.2 of the paper verbatim.
-var htmlExts = map[string]bool{
-	".html": true, ".htm": true, ".shtml": true,
-}
-
-var imageExts = map[string]bool{
-	".gif": true, ".xbm": true, ".jpg": true, ".jpeg": true,
-	".gif89": true, ".tif": true, ".tiff": true, ".bmp": true,
-	".ief": true, ".jpe": true, ".ras": true, ".pnm": true,
-	".pgm": true, ".ppm": true, ".rgb": true, ".xpm": true,
-	".xwd": true, ".pcx": true, ".pbm": true, ".pic": true,
-}
-
 // Classify reports the Kind of a URL path based on its extension.
 // Query strings and fragments are ignored. A trailing slash (or an
 // empty path) counts as HTML because servers serve index documents
-// for directory URLs.
+// for directory URLs. Extensions match without regard to case, as
+// strings.ToLower would fold them.
 func Classify(url string) Kind {
 	path := url
-	if i := strings.IndexAny(path, "?#"); i >= 0 {
+	if i := strings.IndexByte(path, '?'); i >= 0 {
 		path = path[:i]
 	}
-	if path == "" || strings.HasSuffix(path, "/") {
+	if i := strings.IndexByte(path, '#'); i >= 0 {
+		path = path[:i]
+	}
+	if path == "" || path[len(path)-1] == '/' {
 		return KindHTML
 	}
 	slash := strings.LastIndexByte(path, '/')
@@ -89,15 +81,39 @@ func Classify(url string) Kind {
 	if dot < 0 {
 		return KindOther
 	}
-	ext := strings.ToLower(base[dot:])
-	switch {
-	case htmlExts[ext]:
-		return KindHTML
-	case imageExts[ext]:
-		return KindImage
-	default:
-		return KindOther
+	// Lower the extension into a buffer as long as the longest one
+	// listed. strings.ToLower maps two non-ASCII letters to ASCII:
+	// U+0130 (İ) to 'i', which extensions use, and U+212A (KELVIN SIGN)
+	// to 'k', which none does. So any other non-ASCII byte keeps the
+	// extension off every list.
+	var buf [5]byte
+	n := 0
+	for i := dot + 1; i < len(base); i++ {
+		c := base[i]
+		switch {
+		case n == len(buf):
+			return KindOther
+		case 'A' <= c && c <= 'Z':
+			c += 'a' - 'A'
+		case c == 0xc4 && i+1 < len(base) && base[i+1] == 0xb0:
+			c = 'i'
+			i++
+		case c >= utf8.RuneSelf:
+			return KindOther
+		}
+		buf[n] = c
+		n++
 	}
+	// The lists follow §2.2 of the paper verbatim.
+	switch string(buf[:n]) {
+	case "html", "htm", "shtml":
+		return KindHTML
+	case "gif", "xbm", "jpg", "jpeg", "gif89", "tif", "tiff", "bmp",
+		"ief", "jpe", "ras", "pnm", "pgm", "ppm", "rgb", "xpm", "xwd",
+		"pcx", "pbm", "pic":
+		return KindImage
+	}
+	return KindOther
 }
 
 // Kind returns the classification of the record's URL.
