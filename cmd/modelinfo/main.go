@@ -1,9 +1,10 @@
-// Command modelinfo inspects a model snapshot image (pbppmSN2): node
+// Command modelinfo inspects a model snapshot image (pbppmSN3): node
 // and leaf counts, depth histogram, memory footprint, and the hottest
 // branches. Every model the library can freeze ships as the same frozen
 // type, so every image is read the same way. Images are written by
 // prefetchsim -save-model, served by prefetchd's /snapshot endpoint,
-// and produced by the library's EncodeSnapshot.
+// and produced by the library's EncodeSnapshot. An image from an older
+// build (pbppmSN1, pbppmSN2) exits 1 with "bad snapshot magic".
 //
 // Usage:
 //

@@ -156,9 +156,9 @@ func TestModelInfoReadsEveryKind(t *testing.T) {
 }
 
 // TestModelInfoRejectsBadFiles: a missing, truncated or foreign file,
-// an image in an older build's pbppmSN1 format, or one whose arena is
-// in an older build's pbppmAR2 layout, exits non-zero and says why on
-// stderr.
+// an image in an older build's pbppmSN1 or pbppmSN2 format, or one
+// whose arena is in an older build's pbppmAR2 layout, exits non-zero
+// and says why on stderr.
 func TestModelInfoRejectsBadFiles(t *testing.T) {
 	dir := t.TempDir()
 	m := ppm.New(ppm.Config{})
@@ -171,6 +171,7 @@ func TestModelInfoRejectsBadFiles(t *testing.T) {
 	truncated := filepath.Join(dir, "truncated.snap")
 	foreign := filepath.Join(dir, "foreign.snap")
 	older := filepath.Join(dir, "older.snap")
+	olderSN2 := filepath.Join(dir, "older-sn2.snap")
 	if err := os.WriteFile(truncated, img[:len(img)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -180,6 +181,9 @@ func TestModelInfoRejectsBadFiles(t *testing.T) {
 	if err := os.WriteFile(older, append([]byte("pbppmSN1"), img[8:]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(olderSN2, append([]byte("pbppmSN2"), img[8:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	// The arena magic rewritten and the CRC-64/ECMA trailer resealed, so
 	// only the arena's version is wrong.
 	olderArenaImg := bytes.Replace(img, []byte("pbppmAR3"), []byte("pbppmAR2"), 1)
@@ -187,7 +191,7 @@ func TestModelInfoRejectsBadFiles(t *testing.T) {
 		t.Fatal("snapshot carries no pbppmAR3 arena")
 	}
 	body := olderArenaImg[:len(olderArenaImg)-8]
-	binary.BigEndian.PutUint64(olderArenaImg[len(body):], crc64.Checksum(body, crc64.MakeTable(crc64.ECMA)))
+	binary.LittleEndian.PutUint64(olderArenaImg[len(body):], crc64.Checksum(body, crc64.MakeTable(crc64.ECMA)))
 	olderArena := filepath.Join(dir, "older-arena.snap")
 	if err := os.WriteFile(olderArena, olderArenaImg, 0o644); err != nil {
 		t.Fatal(err)
@@ -197,6 +201,7 @@ func TestModelInfoRejectsBadFiles(t *testing.T) {
 		{truncated, "checksum"},
 		{foreign, "bad snapshot magic"},
 		{older, "bad snapshot magic"},
+		{olderSN2, "bad snapshot magic"},
 		{olderArena, `arena: bad magic "pbppmAR2"`},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -51,7 +51,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pbppm/internal/markov"
 	"pbppm/internal/obs"
@@ -511,35 +510,7 @@ func (c *Cluster) QualityTotal() quality.Snapshot {
 	return s
 }
 
-// QualityWindow aggregates the in-process shards' rolling-window
-// quality.
-func (c *Cluster) QualityWindow(span time.Duration) quality.Snapshot {
-	var s quality.Snapshot
-	for _, srv := range c.servers() {
-		s = s.Add(srv.QualityWindow(span))
-	}
-	return s
-}
-
 // BindSLIs wires cluster-aggregate SLIs into an SLO engine: the same
 // three signals server.BindSLIs provides, summed across the in-process
 // shards.
-func (c *Cluster) BindSLIs(e *obs.SLOEngine) {
-	e.Bind("latency", func(threshold, span time.Duration) (float64, float64) {
-		var good, total int64
-		for _, srv := range c.servers() {
-			g, t := srv.DemandLatencyGoodTotal(span, threshold)
-			good += g
-			total += t
-		}
-		return float64(good), float64(total)
-	})
-	e.Bind("precision", func(_, span time.Duration) (float64, float64) {
-		snap := c.QualityWindow(span)
-		return float64(snap.PrefetchHits), float64(snap.PrefetchedDocs)
-	})
-	e.Bind("hit_ratio", func(_, span time.Duration) (float64, float64) {
-		snap := c.QualityWindow(span)
-		return float64(snap.CacheHits + snap.PrefetchHits), float64(snap.Requests)
-	})
-}
+func (c *Cluster) BindSLIs(e *obs.SLOEngine) { server.BindSLIsOf(e, c.servers) }

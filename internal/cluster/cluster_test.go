@@ -253,6 +253,66 @@ func TestPredictorFanOutAndCatchUp(t *testing.T) {
 	}
 }
 
+// TestClusterBindSLIsSumsShards: with traffic on two shards, each of
+// the cluster's three SLIs reads, in every window, the sum of what the
+// shards' own bindings read.
+func TestClusterBindSLIsSumsShards(t *testing.T) {
+	c, err := New(Config{Shards: 2, Store: testStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetPredictor(trainedModel())
+	for i := 0; i < 12; i++ {
+		id := fmt.Sprintf("client-%d", i)
+		get(t, c, "/home", "203.0.113.1:999", id)
+		req := httptest.NewRequest("GET", "/news", nil)
+		req.Header.Set(server.HeaderClientID, id)
+		req.Header.Set(server.HeaderPrefetchFetch, "1")
+		c.ServeHTTP(httptest.NewRecorder(), req)
+		if i%3 == 0 {
+			req = httptest.NewRequest("GET", "/", nil)
+			req.Header.Set(server.HeaderClientID, id)
+			req.Header.Set(server.HeaderPrefetchReportOnly, "1")
+			req.Header.Set(server.HeaderPrefetchReport, server.FormatReport([]server.ReportEntry{
+				{URL: "/news", Outcome: quality.PrefetchHit}, {URL: "/home", Outcome: quality.CacheHit}}))
+			c.ServeHTTP(httptest.NewRecorder(), req)
+		}
+	}
+
+	objs, err := obs.ParseObjectives(
+		"name=lat,kind=latency,threshold=1h,target=0.5; kind=precision,target=0.01; kind=hit_ratio,target=0.01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusterEngine := obs.NewSLOEngine(objs)
+	c.BindSLIs(clusterEngine)
+	got := clusterEngine.Evaluate().Objectives
+	want := make([]obs.ObjectiveStatus, len(got))
+	for i := range want {
+		want[i].Windows = make([]obs.WindowStatus, len(got[i].Windows))
+	}
+	for _, id := range c.ShardIDs() {
+		shardEngine := obs.NewSLOEngine(objs)
+		c.Shard(id).BindSLIs(shardEngine)
+		for i, st := range shardEngine.Evaluate().Objectives {
+			for j, w := range st.Windows {
+				if w.Good == 0 || w.Total == 0 {
+					t.Fatalf("shard %d: %s window %s read %v/%v; the traffic missed it", id, st.Name, w.Span, w.Good, w.Total)
+				}
+				want[i].Windows[j].Good += w.Good
+				want[i].Windows[j].Total += w.Total
+			}
+		}
+	}
+	for i, st := range got {
+		for j, w := range st.Windows {
+			if v := want[i].Windows[j]; w.Good != v.Good || w.Total != v.Total {
+				t.Errorf("%s window %s: cluster reads %v/%v, shards sum to %v/%v", st.Name, w.Span, w.Good, w.Total, v.Good, v.Total)
+			}
+		}
+	}
+}
+
 // A cluster given a live model freezes it once, before the fan-out:
 // every shard — including one that joins later — serves the same
 // arena-backed snapshot, whether the model came through the shard

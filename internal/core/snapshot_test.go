@@ -2,18 +2,39 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"hash/crc64"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"pbppm/internal/maintain"
 	"pbppm/internal/markov"
 	"pbppm/internal/popularity"
 )
 
+// encodeImage returns the snapshot image of f without a ranking.
+func encodeImage(t *testing.T, f *markov.FrozenTree) []byte {
+	t.Helper()
+	var w bytes.Buffer
+	if err := maintain.EncodeSnapshot(&w, 0, f, nil); err != nil {
+		t.Fatal(err)
+	}
+	return w.Bytes()
+}
+
+// decodeImage revives the model of a snapshot image.
+func decodeImage(img []byte) (*markov.FrozenTree, error) {
+	snap, err := maintain.DecodeSnapshot(img)
+	if err != nil {
+		return nil, err
+	}
+	return snap.Model, nil
+}
+
 // TestFrozenSnapshotRoundTrip: the frozen PB-PPM model — arena plus
-// rule-3 links — must revive through the frozen codec with identical
+// rule-3 links — must revive through the snapshot codec with identical
 // predictions, the freeze-time node count intact, and an image that
 // re-encodes byte for byte (the link table is written in URL order).
 // This is the model image the snapshot-distribution channel ships
@@ -32,11 +53,8 @@ func TestFrozenSnapshotRoundTrip(t *testing.T) {
 	}
 	f := m.Freeze().(*markov.FrozenTree)
 
-	var w bytes.Buffer
-	if err := f.EncodeFrozen(&w); err != nil {
-		t.Fatal(err)
-	}
-	got, err := markov.DecodeFrozen(bytes.NewReader(w.Bytes()))
+	img := encodeImage(t, f)
+	got, err := decodeImage(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +62,7 @@ func TestFrozenSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("decoded identity = (%q, %d), want (%q, %d)",
 			got.Name(), got.NodeCount(), f.Name(), f.NodeCount())
 	}
-	var again bytes.Buffer
-	if err := got.EncodeFrozen(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again.Bytes(), w.Bytes()) {
+	if !bytes.Equal(encodeImage(t, got), img) {
 		t.Error("decoded model re-encodes to a different image")
 	}
 	ctxs := [][]string{
@@ -66,13 +80,9 @@ func TestFrozenSnapshotRoundTrip(t *testing.T) {
 func TestFrozenSnapshotRejectsCorrupt(t *testing.T) {
 	m := New(popularity.FixedGrades{"/a": 3}, Config{})
 	m.TrainSequence([]string{"/a", "/b"})
-	var w bytes.Buffer
-	if err := m.Freeze().(*markov.FrozenTree).EncodeFrozen(&w); err != nil {
-		t.Fatal(err)
-	}
-	valid := w.Bytes()
+	valid := encodeImage(t, m.Freeze().(*markov.FrozenTree))
 	for cut := 0; cut < len(valid); cut += 5 {
-		if _, err := markov.DecodeFrozen(bytes.NewReader(valid[:cut])); err == nil {
+		if _, err := decodeImage(valid[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -93,13 +103,9 @@ func TestModelEncodeDecode(t *testing.T) {
 		t.Fatal("fixture produced no rule-3 links")
 	}
 
-	var buf bytes.Buffer
-	if err := m.Freeze().(*markov.FrozenTree).EncodeFrozen(&buf); err != nil {
-		t.Fatalf("EncodeFrozen: %v", err)
-	}
-	got, err := markov.DecodeFrozen(&buf)
+	got, err := decodeImage(encodeImage(t, m.Freeze().(*markov.FrozenTree)))
 	if err != nil {
-		t.Fatalf("DecodeFrozen: %v", err)
+		t.Fatalf("DecodeSnapshot: %v", err)
 	}
 	links := got.NodeCount() - got.Arena().NodeCount()
 	if got.NodeCount() != m.NodeCount() || links != m.LinkCount() {
@@ -116,7 +122,7 @@ func TestModelEncodeDecode(t *testing.T) {
 // well-formed image whose serving state is inconsistent — a corrupt
 // rule-3 link candidate, or a node count below its own arena's.
 func TestDecodeModelErrors(t *testing.T) {
-	if _, err := markov.DecodeFrozen(bytes.NewReader([]byte("junk"))); err == nil {
+	if _, err := decodeImage([]byte("junk")); err == nil {
 		t.Error("junk accepted")
 	}
 	m := New(popularity.FixedGrades{"/a": 3}, Config{})
@@ -130,11 +136,8 @@ func TestDecodeModelErrors(t *testing.T) {
 		"NaN link":       link(markov.Prediction{URL: "/b", Probability: math.NaN()}),
 		"negative link":  link(markov.Prediction{URL: "/b", Probability: -1}),
 	} {
-		var w bytes.Buffer
-		if err := markov.NewFrozenTree(arena, markov.FrozenParams{Links: links}).EncodeFrozen(&w); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := markov.DecodeFrozen(&w); err == nil {
+		img := encodeImage(t, markov.NewFrozenTree(arena, markov.FrozenParams{Links: links}))
+		if _, err := decodeImage(img); err == nil {
 			t.Errorf("%s: accepted", name)
 		} else if !strings.Contains(err.Error(), "corrupt candidate") {
 			t.Errorf("%s: error %q does not name the candidate", name, err)
@@ -142,21 +145,23 @@ func TestDecodeModelErrors(t *testing.T) {
 	}
 
 	// NewFrozenTree lifts a node count below the arena's, so that image
-	// is written by hand. gob matches fields by name: image decodes as a
-	// frozen-tree image with only these two fields set.
-	type image struct {
-		NodeCount int
-		Arena     []byte
+	// is made by rewriting the node count of an unnamed model's image:
+	// the byte after the magic, the version, the empty name, the
+	// threshold and the zero height cap. The trailer is then resealed.
+	const nodesAt = len("pbppmSN3") + 8 + 1 + 8 + 1
+	unnamed := encodeImage(t, markov.NewFrozenTree(arena, markov.FrozenParams{}))
+	if int(unnamed[nodesAt]) != arena.NodeCount() {
+		t.Fatalf("byte %d of the image is %d, not the node count %d", nodesAt, unnamed[nodesAt], arena.NodeCount())
 	}
 	for _, c := range []struct {
 		nodes int
 		ok    bool
 	}{{arena.NodeCount() - 1, false}, {arena.NodeCount(), true}} {
-		var w bytes.Buffer
-		if err := gob.NewEncoder(&w).Encode(image{NodeCount: c.nodes, Arena: arena.Bytes()}); err != nil {
-			t.Fatal(err)
-		}
-		_, err := markov.DecodeFrozen(&w)
+		img := append([]byte{}, unnamed...)
+		img[nodesAt] = byte(c.nodes)
+		body := img[:len(img)-8]
+		binary.LittleEndian.PutUint64(img[len(body):], crc64.Checksum(body, crc64.MakeTable(crc64.ECMA)))
+		_, err := decodeImage(img)
 		switch {
 		case c.ok && err != nil:
 			t.Errorf("consistent image (%d nodes) rejected: %v", c.nodes, err)

@@ -56,16 +56,6 @@ type Scenario struct {
 	Slots []Slot
 }
 
-// Duration returns the scheduled length of the scenario (completions
-// may trail it by up to the client timeout).
-func (sc Scenario) Duration() time.Duration {
-	var d time.Duration
-	for _, s := range sc.Slots {
-		d += s.Duration
-	}
-	return d
-}
-
 // validate rejects degenerate scenarios before the dispatcher starts.
 func (sc Scenario) validate() error {
 	if len(sc.Slots) == 0 {

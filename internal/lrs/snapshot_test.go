@@ -5,8 +5,29 @@ import (
 	"reflect"
 	"testing"
 
+	"pbppm/internal/maintain"
 	"pbppm/internal/markov"
 )
+
+// encodeImage returns the snapshot image of m's frozen model without a
+// ranking.
+func encodeImage(t *testing.T, m markov.Freezer) []byte {
+	t.Helper()
+	var w bytes.Buffer
+	if err := maintain.EncodeSnapshot(&w, 0, m.Freeze().(*markov.FrozenTree), nil); err != nil {
+		t.Fatal(err)
+	}
+	return w.Bytes()
+}
+
+// decodeImage revives the model of a snapshot image.
+func decodeImage(img []byte) (*markov.FrozenTree, error) {
+	snap, err := maintain.DecodeSnapshot(img)
+	if err != nil {
+		return nil, err
+	}
+	return snap.Model, nil
+}
 
 // lrsSessions repeats some subsequences so the repeating-only tree keeps
 // them and drops the rest.
@@ -26,13 +47,9 @@ func TestModelEncodeDecode(t *testing.T) {
 	for _, s := range lrsSessions {
 		m.TrainSequence(s)
 	}
-	var buf bytes.Buffer
-	if err := m.Freeze().(*markov.FrozenTree).EncodeFrozen(&buf); err != nil {
-		t.Fatalf("EncodeFrozen: %v", err)
-	}
-	got, err := markov.DecodeFrozen(&buf)
+	got, err := decodeImage(encodeImage(t, m))
 	if err != nil {
-		t.Fatalf("DecodeFrozen: %v", err)
+		t.Fatalf("DecodeSnapshot: %v", err)
 	}
 	if got.Name() != m.Name() || got.NodeCount() != m.NodeCount() {
 		t.Errorf("decoded %q with %d nodes, want %q with %d", got.Name(), got.NodeCount(), m.Name(), m.NodeCount())
@@ -50,13 +67,9 @@ func TestDecodeModelError(t *testing.T) {
 	for _, s := range lrsSessions {
 		m.TrainSequence(s)
 	}
-	var w bytes.Buffer
-	if err := m.Freeze().(*markov.FrozenTree).EncodeFrozen(&w); err != nil {
-		t.Fatal(err)
-	}
-	valid := w.Bytes()
+	valid := encodeImage(t, m)
 	for cut := 0; cut < len(valid); cut++ {
-		if _, err := markov.DecodeFrozen(bytes.NewReader(valid[:cut])); err == nil {
+		if _, err := decodeImage(valid[:cut]); err == nil {
 			t.Fatalf("truncation at %d of %d accepted", cut, len(valid))
 		}
 	}

@@ -32,7 +32,7 @@ func TestNewFollowerValidation(t *testing.T) {
 // or rewriting sections wholesale.
 type corruptingServer struct {
 	pub  *Publisher
-	mode atomic.Value // string: "", "truncate", "flip", "reseal", "sn1", "ar2", "status"
+	mode atomic.Value // string: "", "truncate", "flip", "reseal", "sn1", "sn2", "ar2", "status"
 }
 
 func (cs *corruptingServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -96,6 +96,13 @@ func (cs *corruptingServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", strconv.Itoa(len(old)))
 		w.WriteHeader(rec.Code)
 		w.Write(old)
+	case "sn2":
+		// The same snapshot under the pbppmSN2 magic of an older build,
+		// resealed so only the magic is wrong.
+		old := append([]byte("pbppmSN2"), body[8:]...)
+		resealSnapshot(old)
+		w.WriteHeader(rec.Code)
+		w.Write(old)
 	case "ar2":
 		// The same snapshot carrying its arena under the pbppmAR2 magic
 		// of an older build's host-endian layout, resealed so the
@@ -113,10 +120,10 @@ func (cs *corruptingServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // TestFollowerCorruptDownloadNeverPublishes is the distribution
 // channel's acceptance test: a snapshot download that dies mid-transfer,
 // fails its checksum, fails to decode (a corrupt model, an image in an
-// older build's pbppmSN1 format, or a model whose arena is in an older
-// build's pbppmAR2 layout), or is rejected by the install gate
-// must never replace the follower's live model, and each failure mode
-// must land in its own swap-failure counter.
+// older build's pbppmSN1 or pbppmSN2 format, or a model whose arena is
+// in an older build's pbppmAR2 layout), or is rejected by the install
+// gate must never replace the follower's live model, and each failure
+// mode must land in its own swap-failure counter.
 func TestFollowerCorruptDownloadNeverPublishes(t *testing.T) {
 	pubM := trainedMaintainer(t, nil)
 	pub := NewPublisher(pubM, PublisherConfig{})
@@ -160,6 +167,7 @@ func TestFollowerCorruptDownloadNeverPublishes(t *testing.T) {
 		{"flip", swapChecksum},
 		{"reseal", swapDecode},
 		{"sn1", swapDecode},
+		{"sn2", swapDecode},
 		{"ar2", swapDecode},
 	}
 	for _, tc := range cases {
@@ -169,8 +177,8 @@ func TestFollowerCorruptDownloadNeverPublishes(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s: corrupted download accepted", tc.mode)
 		}
-		if tc.mode == "sn1" && !strings.Contains(err.Error(), "bad snapshot magic") {
-			t.Errorf("sn1: err = %v, want a bad-magic error", err)
+		if (tc.mode == "sn1" || tc.mode == "sn2") && !strings.Contains(err.Error(), "bad snapshot magic") {
+			t.Errorf("%s: err = %v, want a bad-magic error", tc.mode, err)
 		}
 		if tc.mode == "ar2" && !strings.Contains(err.Error(), `arena: bad magic "pbppmAR2"`) {
 			t.Errorf("ar2: err = %v, want a bad arena magic error", err)

@@ -3,9 +3,11 @@ package maintain
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
-	"io"
+	"math"
+	"math/rand"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"pbppm/internal/core"
@@ -15,37 +17,11 @@ import (
 	"pbppm/internal/ppm"
 )
 
-// olderRankingImage is the ranking image of builds that let a caller
-// choose the grade scale: the current fields plus Base and Grades.
-type olderRankingImage struct {
-	URLs   []string
-	Counts []int64
-	Base   float64
-	Grades int
-}
-
-// withOlderRanking returns img, a snapshot written without a ranking,
-// with r in the older layout as its ranking section.
-func withOlderRanking(f *testing.F, img []byte, r olderRankingImage) []byte {
-	var rankBuf bytes.Buffer
-	if err := gob.NewEncoder(&rankBuf).Encode(r); err != nil {
-		f.Fatal(err)
-	}
-	out := append([]byte(nil), img[:len(img)-16]...) // up to the ranking length
-	out = binary.BigEndian.AppendUint64(out, uint64(rankBuf.Len()))
-	out = append(out, rankBuf.Bytes()...)
-	out = append(out, make([]byte, 8)...)
-	resealSnapshot(out)
-	if _, err := DecodeSnapshot(out); err != nil {
-		f.Fatalf("snapshot with an older ranking image: %v", err)
-	}
-	return out
-}
-
 // fuzzSeedSnapshots returns snapshot images of every model the
 // repository publishes — PB-PPM with its rule-3 links, 3-PPM, LRS and
-// blended PPM — each with and without a ranking, and PB-PPM's once more
-// with a ranking in the older layout on a custom scale.
+// blended PPM — each with and without a ranking, and the image that
+// testdata/pbppm-tiny.snap pins, which is small enough that most
+// mutations land in a section rather than in the arena.
 func fuzzSeedSnapshots(f *testing.F) [][]byte {
 	walks := [][]string{
 		{"/home", "/news", "/news/today", "/sports"},
@@ -81,23 +57,52 @@ func fuzzSeedSnapshots(f *testing.F) [][]byte {
 			out = append(out, buf.Bytes())
 		}
 	}
-	older := olderRankingImage{Base: 2, Grades: 7}
-	for _, u := range rank.Top(rank.Len()) {
-		older.URLs = append(older.URLs, u)
-		older.Counts = append(older.Counts, rank.Count(u))
+	tiny, tinyRank := goldenModel(f)
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(&buf, 5, tiny, tinyRank); err != nil {
+		f.Fatal(err)
 	}
-	// out[1] is PB-PPM's image without a ranking.
-	return append(out, withOlderRanking(f, out[1], older))
+	return append(out, buf.Bytes())
 }
 
-// FuzzDecodeSnapshot hammers the one model file format — the pbppmSN2
-// envelope and, behind it, the ranking and frozen-model decoders. Each
-// input is decoded as given and again with its trailing CRC
-// recomputed, so mutations reach the section decoders instead of
-// stopping at ErrChecksum. Decoding must never panic; an accepted
-// snapshot must predict without panicking, grade every URL of its
-// ranking within [0, MaxGrade], and re-encode to one with the same
-// version, name, node count and arena image.
+// fuzzSeedModels returns frozen models whose images seed the corpus
+// beside fuzzSeedSnapshots': trees that are empty, tiny, height-capped,
+// a random workload, and one whose root count needs 4-byte counts, each
+// with its own clamp height; a PB-PPM-shaped model with extra
+// candidates and a node count above its arena's; and a blended one.
+func fuzzSeedModels() []*markov.FrozenTree {
+	empty := markov.NewTree()
+	tiny := markov.NewTree()
+	tiny.Insert([]string{"/a", "/b"}, 0, 2)
+	capped := markov.NewTree()
+	capped.Insert([]string{"/a", "/b", "/c", "/d"}, 3, 1)
+	capped.Insert([]string{"/b", "/c"}, 3, 5)
+	random := randomTree(rand.New(rand.NewSource(11)), 120, 0)
+	wide := markov.NewTree()
+	wide.Insert([]string{"/a", "/b"}, 0, 70_000)
+	wide.Insert([]string{"/b", "/c"}, 0, 3)
+	var out []*markov.FrozenTree
+	for i, tr := range []*markov.Tree{empty, tiny, capped, random, wide} {
+		out = append(out, markov.NewFrozenTree(tr.Freeze(), markov.FrozenParams{Name: "PPM", Threshold: 0.25, ClampHeight: i}))
+	}
+	return append(out,
+		markov.NewFrozenTree(tiny.Freeze(), markov.FrozenParams{Name: "PB-PPM", Threshold: 0.25, NodeCount: 4, Links: map[string][]markov.Prediction{
+			"/a": {{URL: "/c", Probability: 0.5, Order: 1}},
+			"/b": {{URL: "/a", Probability: 0.75, Order: 1}, {URL: "/d", Probability: 0.25, Order: 1}},
+		}}),
+		markov.NewFrozenTree(random.Freeze(), markov.FrozenParams{Name: "PPM", Threshold: 0.1, Blend: true}))
+}
+
+// FuzzDecodeSnapshot hammers the one model file format, the pbppmSN3
+// image. Each input is decoded as given and again with its trailing
+// CRC recomputed, so mutations reach the field decoders instead of
+// stopping at ErrChecksum. Decoding must never panic (corrupt
+// snapshots come off disks and sockets); an accepted snapshot must
+// have a threshold candidates can pass, predict without panicking,
+// grade every URL of its ranking within [0, MaxGrade], and re-encode
+// to one with the same version, name, threshold, height clamp, node
+// count, blend flag, extra candidates and arena image (the decoder
+// cannot invent states the encoder would not produce).
 func FuzzDecodeSnapshot(f *testing.F) {
 	for _, img := range fuzzSeedSnapshots(f) {
 		f.Add(img)
@@ -107,6 +112,17 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}
 	f.Add([]byte(snapshotMagic))
 	f.Add([]byte("garbage"))
+	for _, m := range fuzzSeedModels() {
+		var w bytes.Buffer
+		if err := EncodeSnapshot(&w, 1, m, nil); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(w.Bytes())
+		for _, cut := range []int{1, w.Len() / 2} {
+			f.Add(w.Bytes()[:cut])
+		}
+	}
+	f.Add([]byte("pbppmAR3"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecodedSnapshot(t, data)
@@ -126,11 +142,18 @@ func checkDecodedSnapshot(t *testing.T, data []byte) {
 		return
 	}
 	m := snap.Model
+	p := m.Params()
+	if math.IsNaN(p.Threshold) {
+		t.Fatal("accepted a NaN threshold")
+	}
 	a := m.Arena()
-	for s := 1; s <= a.SymbolCount() && s <= 4; s++ {
+	for s := 1; s <= a.SymbolCount() && s <= 8; s++ {
 		u := a.URLOf(uint32(s))
 		m.Predict([]string{u})
 		m.Predict([]string{"\x00unseen", u})
+	}
+	for head := range p.Links {
+		m.Predict([]string{head})
 	}
 	m.Predict(nil)
 	if snap.Ranking != nil {
@@ -149,98 +172,85 @@ func checkDecodedSnapshot(t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatalf("re-decoding an accepted snapshot failed: %v", err)
 	}
-	if again.Version != snap.Version || again.Model.Name() != m.Name() || again.Model.NodeCount() != m.NodeCount() {
-		t.Fatalf("round trip changed the snapshot: v%d %q %d nodes, want v%d %q %d nodes",
-			again.Version, again.Model.Name(), again.Model.NodeCount(), snap.Version, m.Name(), m.NodeCount())
+	q := again.Model.Params()
+	if again.Version != snap.Version || q.Name != p.Name || q.ClampHeight != p.ClampHeight ||
+		math.Float64bits(q.Threshold) != math.Float64bits(p.Threshold) ||
+		q.NodeCount != p.NodeCount || q.Blend != p.Blend {
+		t.Fatalf("round trip changed the snapshot: v%d %q/%v/%d/%d/%v, want v%d %q/%v/%d/%d/%v",
+			again.Version, q.Name, q.Threshold, q.ClampHeight, q.NodeCount, q.Blend,
+			snap.Version, p.Name, p.Threshold, p.ClampHeight, p.NodeCount, p.Blend)
+	}
+	if !reflect.DeepEqual(q.Links, p.Links) {
+		t.Fatalf("round trip changed the extra candidates: %+v vs %+v", q.Links, p.Links)
 	}
 	if !bytes.Equal(again.Model.Arena().Bytes(), a.Bytes()) {
 		t.Fatal("round trip changed the arena image")
 	}
 }
 
-// inflateCount rewrites, in the last message of gob stream img, the
-// one-element count that directly precedes marker to n, and re-frames
-// the message: a corrupt length field the trailing CRC would not catch
-// once resealed.
-func inflateCount(t *testing.T, img []byte, marker []byte, n uint64) []byte {
+// countOffsets walks a snapshot image of a model with rule-3 links and
+// a ranking, and returns where its link head count, its first head's
+// candidate count and its ranking URL count start.
+func countOffsets(t *testing.T, img []byte) (heads, candidates, urls int) {
 	t.Helper()
-	readUint := func(b []byte) (uint64, int) {
-		if b[0] < 0x80 {
-			return uint64(b[0]), 1
+	body := img[:len(img)-8]
+	r := snapshotReader{rest: body[len(snapshotMagic)+8:]}
+	at := func() int { return len(body) - len(r.rest) }
+	r.string()
+	r.float()
+	r.int()
+	r.int()
+	r.flag()
+	heads = at()
+	for i, n := 0, r.count(); i < n; i++ {
+		r.string()
+		if i == 0 {
+			candidates = at()
 		}
-		k := int(-int8(b[0]))
-		var v uint64
-		for _, c := range b[1 : 1+k] {
-			v = v<<8 | uint64(c)
+		for j, m := 0, r.count(); j < m; j++ {
+			r.string()
+			r.float()
+			r.int()
 		}
-		return v, 1 + k
 	}
-	encUint := func(v uint64) []byte {
-		if v < 0x80 {
-			return []byte{byte(v)}
-		}
-		var be []byte
-		for ; v > 0; v >>= 8 {
-			be = append([]byte{byte(v)}, be...)
-		}
-		return append([]byte{byte(-int8(len(be)))}, be...)
+	if !r.flag() || r.err != nil || candidates == 0 {
+		t.Fatalf("image has no links or no ranking (%v)", r.err)
 	}
-	last := 0
-	for off := 0; off < len(img); {
-		size, k := readUint(img[off:])
-		last, off = off, off+k+int(size)
-	}
-	_, k := readUint(img[last:])
-	body := img[last+k:]
-	at := bytes.Index(body, marker)
-	if at < 1 || body[at-1] != 1 {
-		t.Fatalf("no one-element count before %q", marker)
-	}
-	patched := append(append(append([]byte{}, body[:at-1]...), encUint(n)...), body[at:]...)
-	return append(append(append([]byte{}, img[:last]...), encUint(uint64(len(patched)))...), patched...)
+	return heads, candidates, at()
 }
 
-// TestSnapshotSectionsBoundCorruptCounts: a ranking or PB-PPM link
-// table whose entry count is corrupted to 1<<26 fails to decode without
-// allocating for the claimed entries. Gob sizes a map from that count
-// up front (about 2 GiB here); both tables travel as slices, which
-// grow only as entries arrive.
+// TestSnapshotSectionsBoundCorruptCounts: a PB-PPM link table, one
+// head's candidate list or a ranking whose entry count is corrupted to
+// 1<<26 fails to decode without allocating for the claimed entries:
+// every count is checked against the bytes left first.
 func TestSnapshotSectionsBoundCorruptCounts(t *testing.T) {
 	rank := popularity.NewRanking()
 	rank.Observe("/only", 3)
-	var rankImg bytes.Buffer
-	if err := rank.Encode(&rankImg); err != nil {
-		t.Fatal(err)
-	}
 	m := core.New(popularity.FixedGrades{"/h": 3, "/x": 1, "/y": 3}, core.Config{})
 	for i := 0; i < 4; i++ {
 		m.TrainSequence([]string{"/h", "/x", "/y"})
 	}
-	var modelImg bytes.Buffer
-	if err := m.Freeze().(*markov.FrozenTree).EncodeFrozen(&modelImg); err != nil {
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(&buf, 1, m.Freeze().(*markov.FrozenTree), rank); err != nil {
 		t.Fatal(err)
 	}
+	img := buf.Bytes()
+	heads, candidates, urls := countOffsets(t, img)
 	for _, c := range []struct {
-		name, marker string
-		img          []byte
-		decode       func(io.Reader) error
-	}{
-		{"ranking", "\x05/only", rankImg.Bytes(), func(r io.Reader) error {
-			_, err := popularity.DecodeRanking(r)
-			return err
-		}},
-		{"links", "\x01\x02/h", modelImg.Bytes(), func(r io.Reader) error {
-			_, err := markov.DecodeFrozen(r)
-			return err
-		}},
-	} {
-		bad := inflateCount(t, c.img, []byte(c.marker), 1<<26)
+		name string
+		at   int
+	}{{"links", heads}, {"candidates", candidates}, {"ranking", urls}} {
+		_, n := binary.Uvarint(img[c.at:])
+		bad := append(binary.AppendUvarint(append([]byte{}, img[:c.at]...), 1<<26), img[c.at+n:]...)
+		resealSnapshot(bad)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := c.decode(bytes.NewReader(bad))
+		_, err := DecodeSnapshot(bad)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("%s: inflated count accepted", c.name)
+		} else if !strings.Contains(err.Error(), "count") {
+			t.Errorf("%s: refused for another reason than the count: %v", c.name, err)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
 			t.Errorf("%s: decoding allocated %d MiB", c.name, grew>>20)

@@ -6,23 +6,35 @@
 // gate local rebuilds use — a failed or corrupt download keeps the
 // previous snapshot live.
 //
-// # Wire format (pbppmSN2)
+// # Wire format (pbppmSN3)
 //
-// The snapshot envelope crosses machines, so every integer in it is
-// big-endian. The arena image inside the model section has a fixed
-// order of its own, little-endian:
+// This file alone writes and reads the image. Every length, count and
+// order is a uvarint no larger than math.MaxInt32, a string is its
+// length followed by its bytes, and every fixed-width field is
+// little-endian:
 //
-//	magic   "pbppmSN2"                      8 bytes
-//	version uint64                          publisher's monotonic counter
-//	model   uint64 length + bytes           markov.FrozenTree.EncodeFrozen output
-//	ranking uint64 length + bytes           popularity.Ranking.Encode; length 0 = none
-//	crc     uint64                          CRC-64/ECMA over everything above
+//	magic      "pbppmSN3"
+//	version    uint64              the publisher's monotonic counter
+//	name       string              the model's name
+//	threshold  float64 bits        the minimum candidate probability
+//	clamp      uvarint             the height cap, 0 for none
+//	nodes      uvarint             the source model's node count
+//	blend      1 byte              1 for the variable-order blend
+//	links      head count, then per head in byte order: the head, its
+//	           candidate count, and per candidate its URL, probability
+//	           bits and order (PB-PPM's rule-3 links)
+//	ranking    1 byte, 0 for none; else the URL count, then per URL in
+//	           byte order: the URL and its access count
+//	arena      length, then the pbppmAR3 arena image verbatim
+//	crc        uint64              CRC-64/ECMA over everything above
 //
-// The trailing checksum is verified before any section is decoded, so
-// a truncated or bit-flipped download fails fast with ErrChecksum and
-// never reaches a gob decoder. Every model ships as a FrozenTree, so
-// the envelope names no codec. An image in an older layout, such as
-// pbppmSN1 with its codec-kind section, fails at the magic.
+// The trailing checksum is verified before any field is read, so a
+// truncated or bit-flipped download fails fast with ErrChecksum. The
+// bytes are still untrusted past it: every length and count is checked
+// against the bytes left before anything is allocated for it, and
+// anything this encoder would not write is refused. Every model ships
+// as a FrozenTree, so the image names no codec. An image in an older
+// layout (pbppmSN1, pbppmSN2) fails at the magic.
 package maintain
 
 import (
@@ -33,7 +45,9 @@ import (
 	"hash/crc64"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -43,16 +57,12 @@ import (
 	"pbppm/internal/popularity"
 )
 
-const snapshotMagic = "pbppmSN2"
-
-// maxSnapshotSection bounds any single section length a decoder will
-// accept, so a corrupt header cannot ask for an absurd allocation.
-const maxSnapshotSection = 1 << 32
+const snapshotMagic = "pbppmSN3"
 
 // ErrChecksum reports a snapshot whose trailing CRC does not match its
 // contents — a truncated or corrupted transfer. Followers count it
 // separately from decode failures because it implicates the transport,
-// not the model codecs.
+// not the model.
 var ErrChecksum = errors.New("maintain: snapshot checksum mismatch")
 
 var snapshotCRC = crc64.MakeTable(crc64.ECMA)
@@ -69,100 +79,220 @@ type Snapshot struct {
 // EncodeSnapshot writes one distribution payload of a frozen model.
 // The ranking may be nil.
 func EncodeSnapshot(w io.Writer, version uint64, model *markov.FrozenTree, rank *popularity.Ranking) error {
-	var body bytes.Buffer
-	body.WriteString(snapshotMagic)
-	var u64 [8]byte
-	put := func(v uint64) {
-		binary.BigEndian.PutUint64(u64[:], v)
-		body.Write(u64[:])
+	img, err := snapshotBytes(version, model.Params(), model.Arena().Bytes(), rank)
+	if err != nil {
+		return err
 	}
-	put(version)
-
-	var modelBuf bytes.Buffer
-	if err := model.EncodeFrozen(&modelBuf); err != nil {
-		return fmt.Errorf("maintain: encoding snapshot model: %w", err)
-	}
-	put(uint64(modelBuf.Len()))
-	body.Write(modelBuf.Bytes())
-
-	var rankBuf bytes.Buffer
-	if rank != nil {
-		if err := rank.Encode(&rankBuf); err != nil {
-			return fmt.Errorf("maintain: encoding snapshot ranking: %w", err)
-		}
-	}
-	put(uint64(rankBuf.Len()))
-	body.Write(rankBuf.Bytes())
-
-	put(crc64.Checksum(body.Bytes(), snapshotCRC))
-
-	_, err := w.Write(body.Bytes())
+	_, err = w.Write(img)
 	return err
 }
 
+// snapshotBytes lays out the image of a model's serving parameters,
+// its arena image and a ranking (nil for none). It fails on an integer
+// the decoder would refuse.
+func snapshotBytes(version uint64, p markov.FrozenParams, arena []byte, rank *popularity.Ranking) ([]byte, error) {
+	img := binary.LittleEndian.AppendUint64([]byte(snapshotMagic), version)
+	var err error
+	putInt := func(v int64) {
+		if (v < 0 || v > math.MaxInt32) && err == nil {
+			err = fmt.Errorf("maintain: encoding snapshot: %d is outside [0, %d]", v, math.MaxInt32)
+		}
+		img = binary.AppendUvarint(img, uint64(v))
+	}
+	putString := func(s string) {
+		putInt(int64(len(s)))
+		img = append(img, s...)
+	}
+	putFloat := func(f float64) { img = binary.LittleEndian.AppendUint64(img, math.Float64bits(f)) }
+	putFlag := func(b bool) {
+		if b {
+			img = append(img, 1)
+		} else {
+			img = append(img, 0)
+		}
+	}
+
+	putString(p.Name)
+	putFloat(p.Threshold)
+	putInt(int64(max(p.ClampHeight, 0))) // a cap of 0 or below is none
+	putInt(int64(p.NodeCount))
+	putFlag(p.Blend)
+
+	heads := make([]string, 0, len(p.Links))
+	for head := range p.Links {
+		heads = append(heads, head)
+	}
+	slices.Sort(heads)
+	putInt(int64(len(heads)))
+	for _, head := range heads {
+		putString(head)
+		putInt(int64(len(p.Links[head])))
+		for _, c := range p.Links[head] {
+			putString(c.URL)
+			putFloat(c.Probability)
+			putInt(int64(c.Order))
+		}
+	}
+
+	putFlag(rank != nil)
+	if rank != nil {
+		urls := rank.URLs()
+		putInt(int64(len(urls)))
+		for _, u := range urls {
+			putString(u)
+			putInt(rank.Count(u))
+		}
+	}
+
+	putInt(int64(len(arena)))
+	img = append(img, arena...)
+	return binary.LittleEndian.AppendUint64(img, crc64.Checksum(img, snapshotCRC)), err
+}
+
 // DecodeSnapshot validates and revives one distribution payload. The
-// checksum is verified over the raw bytes before any section is
-// decoded; a mismatch returns an error wrapping ErrChecksum.
+// checksum is verified over the raw bytes before any field is read; a
+// mismatch returns an error wrapping ErrChecksum. The revived model
+// does not retain data.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if len(data) >= len(snapshotMagic) && string(data[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, fmt.Errorf("maintain: bad snapshot magic %q", data[:len(snapshotMagic)])
 	}
-	if len(data) < len(snapshotMagic)+8+8+8+8 {
+	if len(data) < len(snapshotMagic)+8+8 {
 		return nil, fmt.Errorf("maintain: snapshot too short (%d bytes): %w", len(data), ErrChecksum)
 	}
-	sum := binary.BigEndian.Uint64(data[len(data)-8:])
-	if crc64.Checksum(data[:len(data)-8], snapshotCRC) != sum {
+	body := data[:len(data)-8]
+	if crc64.Checksum(body, snapshotCRC) != binary.LittleEndian.Uint64(data[len(body):]) {
 		return nil, ErrChecksum
 	}
+	version := binary.LittleEndian.Uint64(body[len(snapshotMagic):])
+	r := snapshotReader{rest: body[len(snapshotMagic)+8:]}
 
-	rest := data[len(snapshotMagic) : len(data)-8]
-	take := func(n uint64) ([]byte, error) {
-		if n > maxSnapshotSection || uint64(len(rest)) < n {
-			return nil, fmt.Errorf("maintain: snapshot section length %d exceeds remaining %d bytes", n, len(rest))
+	// Calls in a composite literal run in lexical order.
+	p := markov.FrozenParams{
+		Name:        r.string(),
+		Threshold:   r.float(),
+		ClampHeight: r.int(),
+		NodeCount:   r.int(),
+		Blend:       r.flag(),
+	}
+	if math.IsNaN(p.Threshold) {
+		r.fail("NaN threshold")
+	}
+	if heads := r.count(); heads > 0 {
+		p.Links = make(map[string][]markov.Prediction)
+		for i := 0; i < heads && r.err == nil; i++ {
+			head := r.string()
+			var preds []markov.Prediction
+			for j, n := 0, r.count(); j < n && r.err == nil; j++ {
+				c := markov.Prediction{URL: r.string(), Probability: r.float(), Order: r.int()}
+				if c.URL == "" || math.IsNaN(c.Probability) || c.Probability < 0 {
+					r.fail("corrupt candidate %+v under %q", c, head)
+				}
+				preds = append(preds, c)
+			}
+			p.Links[head] = preds
 		}
-		s := rest[:n]
-		rest = rest[n:]
-		return s, nil
 	}
 
-	hdr, err := take(8)
-	if err != nil {
-		return nil, err
-	}
-	version := binary.BigEndian.Uint64(hdr)
-
-	ml, err := take(8)
-	if err != nil {
-		return nil, err
-	}
-	modelBytes, err := take(binary.BigEndian.Uint64(ml))
-	if err != nil {
-		return nil, err
-	}
-
-	rl, err := take(8)
-	if err != nil {
-		return nil, err
-	}
-	rankBytes, err := take(binary.BigEndian.Uint64(rl))
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("maintain: %d trailing bytes after snapshot sections", len(rest))
-	}
-
-	model, err := markov.DecodeFrozen(bytes.NewReader(modelBytes))
-	if err != nil {
-		return nil, err
-	}
 	var rank *popularity.Ranking
-	if len(rankBytes) > 0 {
-		if rank, err = popularity.DecodeRanking(bytes.NewReader(rankBytes)); err != nil {
-			return nil, err
+	if r.flag() {
+		rank = popularity.NewRanking()
+		prev := ""
+		for i, n := 0, r.count(); i < n && r.err == nil; i++ {
+			u, count := r.string(), r.int()
+			if i > 0 && u <= prev {
+				r.fail("ranking URL %q does not follow %q", u, prev)
+			}
+			rank.Observe(u, int64(count))
+			prev = u
 		}
 	}
-	return &Snapshot{Version: version, Model: model, Ranking: rank}, nil
+
+	arenaImg := r.next(r.int())
+	if len(r.rest) > 0 {
+		r.fail("%d trailing bytes", len(r.rest))
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	// A copy, so the model keeps none of data alive and no caller
+	// reusing data can change it.
+	a, err := markov.ArenaFromBytes(bytes.Clone(arenaImg))
+	if err != nil {
+		return nil, fmt.Errorf("maintain: decoding snapshot: %w", err)
+	}
+	if p.NodeCount < a.NodeCount() {
+		return nil, fmt.Errorf("maintain: decoding snapshot: node count %d below the arena's %d", p.NodeCount, a.NodeCount())
+	}
+	return &Snapshot{Version: version, Model: markov.NewFrozenTree(a, p), Ranking: rank}, nil
+}
+
+// snapshotReader reads fields off an image. The first failure sticks:
+// every later read returns a zero value, and err says what went wrong.
+type snapshotReader struct {
+	rest []byte
+	err  error
+}
+
+func (r *snapshotReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("maintain: decoding snapshot: "+format, args...)
+	}
+}
+
+// next returns the next n bytes, or nil when fewer are left.
+func (r *snapshotReader) next(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n > len(r.rest) {
+		r.fail("length %d exceeds the %d bytes left", n, len(r.rest))
+		return nil
+	}
+	b := r.rest[:n:n]
+	r.rest = r.rest[n:]
+	return b
+}
+
+// int reads a uvarint, refusing one past int32's range: the encoder
+// never writes one.
+func (r *snapshotReader) int() int {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.rest)
+	if n <= 0 || v > math.MaxInt32 {
+		r.fail("integer cut off or outside int32 range")
+		return 0
+	}
+	r.rest = r.rest[n:]
+	return int(v)
+}
+
+// count reads the number of entries that follow. Each takes at least
+// one byte, so a count above the bytes left is refused before anything
+// is allocated for it.
+func (r *snapshotReader) count() int {
+	n := r.int()
+	if n > len(r.rest) {
+		r.fail("count %d exceeds the %d bytes left", n, len(r.rest))
+		return 0
+	}
+	return n
+}
+
+func (r *snapshotReader) string() string { return string(r.next(r.int())) }
+
+func (r *snapshotReader) float() float64 {
+	if b := r.next(8); b != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}
+	return 0
+}
+
+func (r *snapshotReader) flag() bool {
+	b := r.next(1)
+	return b != nil && b[0] != 0
 }
 
 // snapshotImage is one encoded payload held for serving, swapped whole
@@ -287,7 +417,7 @@ func (p *Publisher) offer(model markov.Predictor, rank *popularity.Ranking) {
 	data := buf.Bytes()
 	img := &snapshotImage{
 		version: version,
-		etag:    fmt.Sprintf("\"v%d-%x\"", version, crc64.Checksum(data, snapshotCRC)),
+		etag:    fmt.Sprintf("\"v%d-%x\"", version, binary.LittleEndian.Uint64(data[len(data)-8:])),
 		data:    data,
 	}
 

@@ -168,6 +168,10 @@ func TestPublisherServesVersionedSnapshots(t *testing.T) {
 	if etag == "" || resp.Header.Get("X-Snapshot-Version") != "1" {
 		t.Fatalf("headers: etag=%q version=%q", etag, resp.Header.Get("X-Snapshot-Version"))
 	}
+	// The ETag carries the image's own CRC trailer.
+	if want := fmt.Sprintf("\"v1-%x\"", binary.LittleEndian.Uint64(body[len(body)-8:])); etag != want {
+		t.Errorf("etag = %s, want %s", etag, want)
+	}
 	snap, err := DecodeSnapshot(body)
 	if err != nil {
 		t.Fatal(err)
@@ -356,5 +360,5 @@ func readAllBody(t *testing.T, resp *http.Response) []byte {
 // can also rewrite the trailer).
 func resealSnapshot(data []byte) {
 	sum := crc64.Checksum(data[:len(data)-8], snapshotCRC)
-	binary.BigEndian.PutUint64(data[len(data)-8:], sum)
+	binary.LittleEndian.PutUint64(data[len(data)-8:], sum)
 }

@@ -839,6 +839,20 @@ func NewFrozenTree(a *Arena, p FrozenParams) *FrozenTree {
 	}
 }
 
+// Params returns the serving parameters the model was built with, its
+// node count lifted to the arena's. The link lists are the model's
+// own; the caller must not modify them.
+func (f *FrozenTree) Params() FrozenParams {
+	return FrozenParams{
+		Name:        f.name,
+		Threshold:   f.threshold,
+		ClampHeight: f.clampHeight,
+		NodeCount:   f.nodeCount,
+		Links:       f.links,
+		Blend:       f.blend,
+	}
+}
+
 // Name identifies the model; frozen models keep their source's name so
 // reports and logs stay comparable across a freeze.
 func (f *FrozenTree) Name() string { return f.name }

@@ -134,25 +134,6 @@ func TestFreezeCanonicalLayout(t *testing.T) {
 	}
 }
 
-// TestArenaWireRoundTrip: an arena written through the frozen-model
-// codec and decoded back must reproduce the exact image, so persisted
-// snapshots revive bit-identical.
-func TestArenaWireRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	a := randomArenaTree(rng, 600, 0).Freeze()
-	var w bytes.Buffer
-	if err := NewFrozenTree(a, FrozenParams{Name: "arena"}).EncodeFrozen(&w); err != nil {
-		t.Fatal(err)
-	}
-	p, err := DecodeFrozen(bytes.NewReader(w.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b := p.Arena(); !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("wire round-trip changed the arena image")
-	}
-}
-
 // TestArenaBytesReattach: ArenaFromBytes over a copied image must
 // accept it and serve identical predictions — the relocatability
 // guarantee (the image can cross a file or shared mapping).

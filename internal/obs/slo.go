@@ -239,11 +239,6 @@ func (e *SLOEngine) SetAnnotations(a *Annotations) {
 	e.ann = a
 }
 
-// Objectives returns a copy of the configured objectives.
-func (e *SLOEngine) Objectives() []Objective {
-	return append([]Objective(nil), e.objectives...)
-}
-
 func (e *SLOEngine) source(kind string) SLIFunc {
 	e.mu.Lock()
 	defer e.mu.Unlock()

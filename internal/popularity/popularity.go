@@ -11,6 +11,7 @@ package popularity
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -54,6 +55,16 @@ func (rk *Ranking) MaxCount() int64 { return rk.max }
 
 // Len returns the number of distinct URLs observed.
 func (rk *Ranking) Len() int { return len(rk.counts) }
+
+// URLs returns every observed URL in byte order.
+func (rk *Ranking) URLs() []string {
+	urls := make([]string, 0, len(rk.counts))
+	for u := range rk.counts {
+		urls = append(urls, u)
+	}
+	slices.Sort(urls)
+	return urls
+}
 
 // Relative returns RP(url) in [0, 1]. URLs never observed have RP 0.
 // An empty ranking yields 0 for every URL.

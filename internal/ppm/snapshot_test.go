@@ -5,8 +5,29 @@ import (
 	"reflect"
 	"testing"
 
+	"pbppm/internal/maintain"
 	"pbppm/internal/markov"
 )
+
+// encodeImage returns the snapshot image of m's frozen model without a
+// ranking.
+func encodeImage(t *testing.T, m markov.Freezer) []byte {
+	t.Helper()
+	var w bytes.Buffer
+	if err := maintain.EncodeSnapshot(&w, 0, m.Freeze().(*markov.FrozenTree), nil); err != nil {
+		t.Fatal(err)
+	}
+	return w.Bytes()
+}
+
+// decodeImage revives the model of a snapshot image.
+func decodeImage(img []byte) (*markov.FrozenTree, error) {
+	snap, err := maintain.DecodeSnapshot(img)
+	if err != nil {
+		return nil, err
+	}
+	return snap.Model, nil
+}
 
 // TestModelEncodeDecode: both standard-PPM variants — a height-capped
 // model and a blended one — are written as their frozen images, and
@@ -29,13 +50,9 @@ func TestModelEncodeDecode(t *testing.T) {
 				m.TrainSequence(s)
 			}
 		}
-		var buf bytes.Buffer
-		if err := m.Freeze().(*markov.FrozenTree).EncodeFrozen(&buf); err != nil {
-			t.Fatalf("%s: EncodeFrozen: %v", m.Name(), err)
-		}
-		got, err := markov.DecodeFrozen(&buf)
+		got, err := decodeImage(encodeImage(t, m))
 		if err != nil {
-			t.Fatalf("%s: DecodeFrozen: %v", m.Name(), err)
+			t.Fatalf("%s: DecodeSnapshot: %v", m.Name(), err)
 		}
 		if got.Name() != m.Name() || got.NodeCount() != m.NodeCount() {
 			t.Errorf("decoded %q with %d nodes, want %q with %d", got.Name(), got.NodeCount(), m.Name(), m.NodeCount())
@@ -51,18 +68,14 @@ func TestModelEncodeDecode(t *testing.T) {
 // TestDecodeModelError: the decoder refuses junk and every truncation
 // of a valid blended image.
 func TestDecodeModelError(t *testing.T) {
-	if _, err := markov.DecodeFrozen(bytes.NewReader([]byte("junk"))); err == nil {
+	if _, err := decodeImage([]byte("junk")); err == nil {
 		t.Error("junk accepted")
 	}
 	m := New(Config{BlendOrders: true})
 	m.TrainSequence([]string{"/a", "/b"})
-	var w bytes.Buffer
-	if err := m.Freeze().(*markov.FrozenTree).EncodeFrozen(&w); err != nil {
-		t.Fatal(err)
-	}
-	valid := w.Bytes()
+	valid := encodeImage(t, m)
 	for cut := 0; cut < len(valid); cut += 5 {
-		if _, err := markov.DecodeFrozen(bytes.NewReader(valid[:cut])); err == nil {
+		if _, err := decodeImage(valid[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}

@@ -36,9 +36,8 @@ type Config struct {
 	// HTTPClient overrides the upstream transport; nil selects
 	// http.DefaultClient.
 	HTTPClient *http.Client
-	// FollowHints disables hint absorption when false is desired; the
-	// zero value (false) means hints ARE followed — set NoFollowHints
-	// to opt out.
+	// NoFollowHints stops the proxy absorbing the origin's hints into
+	// its cache; the zero value follows them.
 	NoFollowHints bool
 	// ForwardHints passes the origin's X-Prefetch header through to the
 	// downstream client, enabling two-level prefetching: the proxy

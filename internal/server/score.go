@@ -343,14 +343,6 @@ func (s *Server) QualityWindow(span time.Duration) quality.Snapshot {
 	return s.live.windowSnapshot(span)
 }
 
-// DemandLatencyGoodTotal reads the rolling demand-latency ring: how
-// many demand requests completed within threshold over the trailing
-// span, and how many completed at all. The cluster sums these across
-// shards to bind an aggregate latency SLI.
-func (s *Server) DemandLatencyGoodTotal(span, threshold time.Duration) (good, total int64) {
-	return s.live.demandLatency.GoodTotal(span, threshold)
-}
-
 // SetGrader publishes the popularity grader used to grade hint-event
 // URLs; the maintenance loop calls this with each rebuild's ranking. A
 // grade outside [0, popularity.MaxGrade] counts as the nearer bound.
@@ -361,16 +353,33 @@ func (s *Server) SetGrader(g popularity.Grader) { s.live.setGrader(g) }
 // hits over prefetched documents), and "hit_ratio" (hits over
 // requests), all evaluated over the engine's rolling windows.
 func (s *Server) BindSLIs(e *obs.SLOEngine) {
+	BindSLIsOf(e, func() []*Server { return []*Server{s} })
+}
+
+// BindSLIsOf binds the three SLIs of Server.BindSLIs, each summed over
+// the servers that servers returns when the engine evaluates it.
+func BindSLIsOf(e *obs.SLOEngine, servers func() []*Server) {
 	e.Bind("latency", func(threshold, span time.Duration) (float64, float64) {
-		good, total := s.live.demandLatency.GoodTotal(span, threshold)
+		var good, total int64
+		for _, s := range servers() {
+			g, t := s.live.demandLatency.GoodTotal(span, threshold)
+			good, total = good+g, total+t
+		}
 		return float64(good), float64(total)
 	})
+	window := func(span time.Duration) quality.Snapshot {
+		var snap quality.Snapshot
+		for _, s := range servers() {
+			snap = snap.Add(s.live.windowSnapshot(span))
+		}
+		return snap
+	}
 	e.Bind("precision", func(_, span time.Duration) (float64, float64) {
-		snap := s.live.windowSnapshot(span)
+		snap := window(span)
 		return float64(snap.PrefetchHits), float64(snap.PrefetchedDocs)
 	})
 	e.Bind("hit_ratio", func(_, span time.Duration) (float64, float64) {
-		snap := s.live.windowSnapshot(span)
+		snap := window(span)
 		return float64(snap.CacheHits + snap.PrefetchHits), float64(snap.Requests)
 	})
 }

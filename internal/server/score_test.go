@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bytes"
-	"encoding/gob"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -257,38 +255,6 @@ func TestOutOfRangeGradesAreClamped(t *testing.T) {
 		if !strings.Contains(sb.String(), line) {
 			t.Errorf("exposition missing %q", line)
 		}
-	}
-}
-
-// TestOlderScaleRankingGradesInRange: a ranking image written by a
-// build that let a caller choose the grade scale still carries that
-// scale (here base 2 with 7 grades, which grades the top URL 7). Once
-// decoded and installed as the grader, a prefetch fetch of the top URL
-// counts under grade 3.
-func TestOlderScaleRankingGradesInRange(t *testing.T) {
-	var img bytes.Buffer
-	if err := gob.NewEncoder(&img).Encode(struct {
-		URLs   []string
-		Counts []int64
-		Base   float64
-		Grades int
-	}{URLs: []string{"/news", "/home"}, Counts: []int64{128, 64}, Base: 2, Grades: 7}); err != nil {
-		t.Fatal(err)
-	}
-	rank, err := popularity.DecodeRanking(&img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := &eventLog{}
-	srv := New(testStore(), Config{Predictor: trainedPB(), OnHintEvent: log.add})
-	srv.SetGrader(rank)
-	doGet(srv, "/home", "c1", false)
-	if rec := doGet(srv, "/news", "c1", true); rec.Code != http.StatusOK {
-		t.Fatalf("prefetch fetch status = %d", rec.Code)
-	}
-	fetched := log.ofType(HintFetched)
-	if len(fetched) != 1 || fetched[0].URL != "/news" || fetched[0].Grade != popularity.MaxGrade {
-		t.Fatalf("Fetched events = %+v, want /news at grade %d", fetched, popularity.MaxGrade)
 	}
 }
 
