@@ -136,6 +136,7 @@ func TestFigure2Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRunGolden(t, "nasa-fig2", f)
 	last := f.Rows[len(f.Rows)-1]
 	// Popular documents dominate prefetch hits for every model, and
 	// PB-PPM has the highest share (Figure 2 left).
