@@ -278,31 +278,6 @@ func benchPBPPM(b *testing.B, w *experiments.Workload) *PopularityPPM {
 	return m
 }
 
-// BenchmarkPredictPBPPM measures single-prediction latency on a trained
-// PB-PPM model — the per-request server overhead the paper argues is
-// low thanks to the compact tree.
-func BenchmarkPredictPBPPM(b *testing.B) {
-	w := nasaWorkload(b)
-	m := benchPBPPM(b, w)
-	contexts := make([][]string, 0, 256)
-	for _, s := range w.DaySessions(5, 6) {
-		urls := s.URLs()
-		for j := range urls {
-			contexts = append(contexts, urls[:j+1])
-			if len(contexts) == cap(contexts) {
-				break
-			}
-		}
-		if len(contexts) == cap(contexts) {
-			break
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Predict(contexts[i%len(contexts)])
-	}
-}
-
 // BenchmarkPredictFrozenPBPPM measures the arena serving path: the same
 // trained PB-PPM model frozen into its flat arena and driven through
 // PredictInto with a reused scratch buffer. CI runs this with -benchmem
@@ -437,7 +412,8 @@ func BenchmarkTrainAll(b *testing.B) {
 }
 
 // BenchmarkReplayDay measures the simulator replaying one full test day
-// against a trained PB-PPM model.
+// against a trained PB-PPM model, predicting through its frozen
+// snapshot. CI gates its allocs/op.
 func BenchmarkReplayDay(b *testing.B) {
 	w := nasaWorkload(b)
 	train := benchSessions(b, w, 5)

@@ -86,9 +86,7 @@ type Model struct {
 }
 
 var _ markov.Predictor = (*Model)(nil)
-var _ markov.BufferedPredictor = (*Model)(nil)
 var _ markov.Freezer = (*Model)(nil)
-var _ markov.UtilizationReporter = (*Model)(nil)
 var _ markov.IncrementalTrainer = (*Model)(nil)
 
 // New returns an empty popularity-based model that grades URLs with
@@ -213,51 +211,18 @@ func (m *Model) addLink(root, url string) {
 // rule-3 extra predictions: when the current click is a root of the
 // tree, the root's linked duplicated nodes are offered as additional
 // candidates. Duplicate URLs keep their highest probability (a tree
-// candidate wins an exact tie, keeping its matched order).
+// candidate wins an exact tie, keeping its matched order). It answers
+// from a snapshot frozen for the call; serve markov.Freeze(m) instead.
 func (m *Model) Predict(context []string) []markov.Prediction {
-	return m.PredictInto(context, nil)
-}
-
-// PredictInto is Predict writing into buf per the
-// markov.BufferedPredictor buffer-ownership contract.
-func (m *Model) PredictInto(context []string, buf []markov.Prediction) []markov.Prediction {
-	buf = buf[:0]
-	if len(context) == 0 {
-		return buf
-	}
-	thr := m.cfg.threshold()
-	if n, order := m.tree.LongestMatch(context); n != nil {
-		m.tree.MarkPath(context[len(context)-order:])
-		buf = m.tree.PredictFromInto(n, thr, order, buf)
-	}
-	cur := context[len(context)-1]
-	if root := m.tree.Child(m.tree.Root, cur); root != nil && !m.cfg.DisableLinks {
-		var linked []markov.Prediction
-		for url, cnt := range m.links[cur] {
-			p := float64(cnt) / float64(root.Count)
-			if p >= thr {
-				linked = append(linked, markov.Prediction{URL: url, Probability: p, Order: 1})
-			}
-		}
-		markov.SortPredictions(linked)
-		if len(linked) > maxLinkPredictions {
-			linked = linked[:maxLinkPredictions]
-		}
-		buf = markov.MergeLinked(buf, linked)
-	}
-	if len(buf) == 0 {
-		return buf
-	}
-	markov.SortPredictions(buf)
-	return buf
+	return m.Freeze().Predict(context)
 }
 
 // Freeze returns the immutable arena-backed snapshot of the trained
-// model: the prediction tree becomes a flat arena and the rule-3 link
-// candidates are precomputed per heading URL (their root counts are
-// fixed once training stops), so serving performs no map-building, no
-// usage marking, and — with a warm caller buffer — no allocations,
-// while predictions stay bit-identical to the live model's.
+// model, the model's one predict implementation: the prediction tree
+// becomes a flat arena and the rule-3 link candidates are precomputed
+// per heading URL (their root counts are fixed once training stops),
+// so serving performs no map-building and — with a warm caller buffer
+// — no allocations.
 func (m *Model) Freeze() markov.Predictor {
 	thr := m.cfg.threshold()
 	var links map[string][]markov.Prediction
@@ -266,8 +231,8 @@ func (m *Model) Freeze() markov.Predictor {
 		for rootURL, lm := range m.links {
 			root := m.tree.Child(m.tree.Root, rootURL)
 			if root == nil {
-				// Live Predict offers links only while the heading URL
-				// is a root; a pruned root silences its links.
+				// Links are offered only while the heading URL is a
+				// root; a pruned root silences its links.
 				continue
 			}
 			var linked []markov.Prediction
@@ -370,14 +335,6 @@ func (m *Model) LinkCount() int {
 	}
 	return n
 }
-
-// Utilization reports the fraction of stored root-to-leaf tree paths
-// used by predictions since the last ResetUsage. Linked duplicate nodes
-// are prediction shortcuts and are not counted as paths.
-func (m *Model) Utilization() float64 { return m.tree.Utilization() }
-
-// ResetUsage clears utilization marks.
-func (m *Model) ResetUsage() { m.tree.ResetUsage() }
 
 // Tree exposes the underlying prediction tree for diagnostics.
 func (m *Model) Tree() *markov.Tree { return m.tree }

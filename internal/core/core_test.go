@@ -3,10 +3,13 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"pbppm/internal/markov"
 	"pbppm/internal/popularity"
 	"pbppm/internal/ppm"
+	"pbppm/internal/session"
+	"pbppm/internal/sim"
 )
 
 // fig1Grades reproduces the grading of the paper's Figure 1 example:
@@ -391,6 +394,17 @@ func TestStatsRootsByGrade(t *testing.T) {
 	}
 }
 
+// utilization replays one session of clicks through the simulator,
+// every click reaching the server, and returns the path-utilization
+// rate (Figure 2, right) its predictions reached.
+func utilization(m markov.Predictor, clicks ...string) float64 {
+	s := session.Session{Client: "c"}
+	for i, u := range clicks {
+		s.Views = append(s.Views, session.PageView{URL: u, Time: time.Unix(int64(i), 0)})
+	}
+	return sim.Run([]session.Session{s}, sim.Options{Predictor: m, PredictOnHitToo: true}).Utilization
+}
+
 func TestUtilization(t *testing.T) {
 	grades := popularity.FixedGrades{"a": 3, "q": 3}
 	m := New(grades, Config{})
@@ -398,14 +412,13 @@ func TestUtilization(t *testing.T) {
 		m.TrainSequence([]string{"a", "b"})
 		m.TrainSequence([]string{"q", "r"})
 	}
-	m.Predict([]string{"a"})
-	got := m.Utilization()
+	got := utilization(m, "a")
 	if got != 0.5 {
 		t.Errorf("utilization = %v, want 0.5 (a>b used, q>r not)", got)
 	}
-	m.ResetUsage()
-	if m.Utilization() != 0 {
-		t.Error("ResetUsage failed")
+	// Each replay counts its own predictions only.
+	if utilization(m, "/unseen") != 0 {
+		t.Error("a replay inherited another replay's marks")
 	}
 }
 

@@ -1,13 +1,6 @@
 package experiments
 
-import (
-	"reflect"
-	"testing"
-
-	"pbppm/internal/core"
-	"pbppm/internal/markov"
-	"pbppm/internal/sim"
-)
+import "testing"
 
 // TestPredictBenchZeroAllocs runs the serving-path benchmark on the
 // deterministic test workload and pins its two gated guarantees: the
@@ -27,48 +20,5 @@ func TestPredictBenchZeroAllocs(t *testing.T) {
 	h := pb.Headline()
 	if _, ok := h["predict_allocs_per_op"]; !ok {
 		t.Error("headline missing predict_allocs_per_op")
-	}
-}
-
-// TestFrozenMatchesLiveOnReproduceTrace is the golden equivalence
-// check on the reproduce trace itself (not just randomized trees): the
-// frozen PB-PPM model must predict bit-identically to the live model
-// over every context of the held-out test day.
-func TestFrozenMatchesLiveOnReproduceTrace(t *testing.T) {
-	w := testNASA(t)
-	trainDays := w.Days() - 1
-	train := w.DaySessions(0, trainDays)
-	test := w.DaySessions(trainDays, trainDays+1)
-	rank := Ranking(train)
-	live := core.New(rank, core.Config{RelProbCutoff: 0.01, DropSingletons: w.DropSingletons})
-	sim.Train(live, train)
-	frozen := live.Freeze()
-
-	var buf []markov.Prediction
-	checked := 0
-	for _, s := range test {
-		urls := s.URLs()
-		for i := 1; i <= len(urls); i++ {
-			ctx := urls[:i]
-			if len(ctx) > predictBenchContextTail {
-				ctx = ctx[len(ctx)-predictBenchContextTail:]
-			}
-			want := live.Predict(ctx)
-			got := frozen.Predict(ctx)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("ctx %v:\n frozen %+v\n live   %+v", ctx, got, want)
-			}
-			buf = markov.PredictInto(frozen, ctx, buf)
-			if len(want) != 0 && !reflect.DeepEqual([]markov.Prediction(buf), want) {
-				t.Fatalf("ctx %v: buffered frozen path diverged", ctx)
-			}
-			checked++
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no test contexts checked")
-	}
-	if got, want := frozen.NodeCount(), live.NodeCount(); got != want {
-		t.Fatalf("frozen NodeCount %d, live %d", got, want)
 	}
 }

@@ -45,9 +45,7 @@ type Model struct {
 }
 
 var _ markov.Predictor = (*Model)(nil)
-var _ markov.BufferedPredictor = (*Model)(nil)
 var _ markov.Freezer = (*Model)(nil)
-var _ markov.UtilizationReporter = (*Model)(nil)
 var _ markov.IncrementalTrainer = (*Model)(nil)
 
 // New returns an empty LRS model.
@@ -97,27 +95,18 @@ func (m *Model) Clone() markov.Predictor {
 
 // Predict finds the deepest repeating-sequence node matching the
 // longest suffix of the context — the paper's "longest matching method"
-// — and returns its children above the probability threshold.
+// — and returns its children above the probability threshold. It
+// answers from a snapshot frozen for the call; serve markov.Freeze(m)
+// instead.
 func (m *Model) Predict(context []string) []markov.Prediction {
-	return m.PredictInto(context, nil)
-}
-
-// PredictInto is Predict writing into buf per the
-// markov.BufferedPredictor buffer-ownership contract.
-func (m *Model) PredictInto(context []string, buf []markov.Prediction) []markov.Prediction {
-	m.rebuild()
-	n, order := m.pruned.LongestMatch(context)
-	if n == nil {
-		return buf[:0]
-	}
-	m.pruned.MarkPath(context[len(context)-order:])
-	return m.pruned.PredictFromInto(n, m.cfg.threshold(), order, buf)
+	return m.Freeze().Predict(context)
 }
 
 // Freeze materializes the repeating-only prediction tree and returns
-// its immutable arena-backed snapshot: identical predictions with no
-// per-node GC load and no allocations on the serving path. The full
-// suffix trie is a training-time artifact and is not frozen.
+// its immutable arena-backed snapshot, the model's one predict
+// implementation: no per-node GC load and no allocations on the serving
+// path. The full suffix trie is a training-time artifact and is not
+// frozen.
 func (m *Model) Freeze() markov.Predictor {
 	m.rebuild()
 	return markov.NewFrozenTree(m.pruned.Freeze(), markov.FrozenParams{Name: m.Name(), Threshold: m.cfg.threshold()})
@@ -129,19 +118,6 @@ func (m *Model) Freeze() markov.Predictor {
 func (m *Model) NodeCount() int {
 	m.rebuild()
 	return m.pruned.NodeCount()
-}
-
-// Utilization reports the fraction of stored root-to-leaf paths used by
-// predictions since the last ResetUsage.
-func (m *Model) Utilization() float64 {
-	m.rebuild()
-	return m.pruned.Utilization()
-}
-
-// ResetUsage clears utilization marks.
-func (m *Model) ResetUsage() {
-	m.rebuild()
-	m.pruned.ResetUsage()
 }
 
 // Patterns returns the longest repeating subsequences currently stored:

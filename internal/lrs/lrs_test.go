@@ -3,9 +3,12 @@ package lrs
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"pbppm/internal/markov"
 	"pbppm/internal/ppm"
+	"pbppm/internal/session"
+	"pbppm/internal/sim"
 )
 
 func TestName(t *testing.T) {
@@ -143,40 +146,32 @@ func urlN(i int) string {
 	return "/page" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26))
 }
 
+// utilization replays one session of clicks through the simulator,
+// every click reaching the server, and returns the path-utilization
+// rate (Figure 2, right) its predictions reached.
+func utilization(m markov.Predictor, clicks ...string) float64 {
+	s := session.Session{Client: "c"}
+	for i, u := range clicks {
+		s.Views = append(s.Views, session.PageView{URL: u, Time: time.Unix(int64(i), 0)})
+	}
+	return sim.Run([]session.Session{s}, sim.Options{Predictor: m, PredictOnHitToo: true}).Utilization
+}
+
 func TestUtilization(t *testing.T) {
 	m := New(Config{})
 	for i := 0; i < 2; i++ {
 		m.TrainSequence([]string{"a", "b"})
 		m.TrainSequence([]string{"x", "y"})
 	}
-	if got := m.Utilization(); got != 0 {
+	if got := utilization(m, "/unseen"); got != 0 {
 		t.Errorf("fresh utilization = %v", got)
 	}
-	m.Predict([]string{"a"})
-	if got := m.Utilization(); got <= 0 || got >= 1 {
+	if got := utilization(m, "a"); got <= 0 || got >= 1 {
 		t.Errorf("utilization = %v, want in (0,1)", got)
 	}
-	m.ResetUsage()
-	if m.Utilization() != 0 {
-		t.Error("ResetUsage failed")
-	}
-}
-
-func TestUsageMarksSurviveRetrainRebuild(t *testing.T) {
-	// Usage marks live on the pruned tree, which is rebuilt after
-	// training; utilization resets then — acceptable because the
-	// simulator trains fully before measuring. This test documents the
-	// behavior.
-	m := New(Config{})
-	m.TrainSequence([]string{"a", "b"})
-	m.TrainSequence([]string{"a", "b"})
-	m.Predict([]string{"a"})
-	if m.Utilization() == 0 {
-		t.Fatal("prediction did not mark usage")
-	}
-	m.TrainSequence([]string{"c", "d"})
-	if got := m.Utilization(); got != 0 {
-		t.Errorf("utilization after retrain = %v, want 0 (rebuilt)", got)
+	// Each replay counts its own predictions only.
+	if utilization(m, "/unseen") != 0 {
+		t.Error("a replay inherited another replay's marks")
 	}
 }
 

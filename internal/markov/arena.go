@@ -201,8 +201,7 @@ func alignedBuf(n int) []byte {
 // collected and sorted, nodes are laid out in BFS order with
 // symbol-sorted child blocks, and the result is attached through the
 // same validation path as ArenaFromBytes (a failure there is a builder
-// bug and panics). The tree is read but not modified; usage marks are
-// not carried over — a frozen model records no usage.
+// bug and panics). The tree is read but not modified.
 //
 // Freeze collects only symbols reachable from the root: a tree sharing
 // a larger symbol table (CopyIf) freezes to an arena holding just its
@@ -683,6 +682,13 @@ func (a *Arena) Match(seq []string) (node uint32, ok bool) {
 // Count reports a node's training count.
 func (a *Arena) Count(node uint32) int64 { return int64(a.sec.count(node)) }
 
+// IsLeaf reports whether node has no children: it ends a root-to-leaf
+// path, the unit the path-utilization rate counts.
+func (a *Arena) IsLeaf(node uint32) bool {
+	lo, hi := a.sec.block(node)
+	return lo == hi
+}
+
 // EachChild visits node's children in symbol (= URL) order until fn
 // returns false.
 func (a *Arena) EachChild(node uint32, fn func(child uint32, url string) bool) {
@@ -697,9 +703,7 @@ func (a *Arena) EachChild(node uint32, fn func(child uint32, url string) bool) {
 // AppendPredictions appends node's children with conditional
 // probability at least threshold to buf and sorts the appended tail
 // into the pinned prediction order (probability descending, then URL
-// ascending) — exactly the candidate set and order Tree.PredictFrom
-// produces, without usage marking (a frozen model records no usage) and
-// without allocating beyond buf's capacity.
+// ascending), without allocating beyond buf's capacity.
 func (a *Arena) AppendPredictions(buf []Prediction, node uint32, threshold float64, order int) []Prediction {
 	return a.sec.appendPredictions(buf, a.urls, node, threshold, order)
 }
@@ -775,7 +779,8 @@ func (a *Arena) TopBranches(n int) []Prediction {
 // the blend flag, a blend over every matching context order (blended
 // PPM), widened by extra candidates keyed by the current click
 // (PB-PPM's rule-3 links). A frozen model is immutable — TrainSequence
-// panics, and it records no usage.
+// panics; PredictMarking records what a prediction touched in a bitset
+// its caller owns.
 type FrozenTree struct {
 	arena *Arena
 	name  string
@@ -906,13 +911,41 @@ func (f *FrozenTree) Step(node uint32, url string, maxOrder int) uint32 {
 // candidates from last. After stepping a context URL by URL it equals
 // PredictInto on the context's last maxOrder URLs.
 func (f *FrozenTree) PredictFrom(node uint32, last string, maxOrder int, buf []Prediction) []Prediction {
+	return f.predictFrom(node, last, maxOrder, buf, nil)
+}
+
+// PredictMarking is PredictFrom that also sets, in used, the bit of
+// each arena node the prediction touched: bit i%64 of used[i/64] stands
+// for node i, so used must cover the arena's NodeCount()+1 nodes. These
+// are the marks of the path-utilization rate (Figure 2, right), which
+// counts a root-to-leaf path as used when a prediction matched its leaf
+// as context or offered it. A longest match marks the match node and
+// every child it predicts; the blend marks each node on the match's
+// suffix-link chain and the child each surviving candidate came from,
+// never a candidate the threshold filtered out; extra candidates keyed
+// by the click (rule-3 links) mark nothing. The nodes above a match are
+// interior, so they need no mark.
+func (f *FrozenTree) PredictMarking(node uint32, last string, maxOrder int, buf []Prediction, used []uint64) []Prediction {
+	return f.predictFrom(node, last, maxOrder, buf, used)
+}
+
+func (f *FrozenTree) predictFrom(node uint32, last string, maxOrder int, buf []Prediction, used []uint64) []Prediction {
 	buf = buf[:0]
 	node = f.arena.Clamp(node, f.maxOrder(maxOrder))
 	switch {
 	case f.blend:
 		buf = f.arena.sec.appendBlend(buf, f.arena, node, f.threshold)
+		if used != nil {
+			f.arena.markBlend(used, node, buf)
+		}
 	case node != 0:
 		buf = f.arena.AppendPredictions(buf, node, f.threshold, f.arena.Depth(node))
+		if used != nil {
+			setBit(used, node)
+			for _, p := range buf {
+				setBit(used, f.arena.childOf(node, p.URL))
+			}
+		}
 	}
 	if linked := f.links[last]; len(linked) > 0 {
 		buf = MergeLinked(buf, linked)
@@ -920,6 +953,33 @@ func (f *FrozenTree) PredictFrom(node uint32, last string, maxOrder int, buf []P
 	}
 	return buf
 }
+
+// markBlend sets the usage bits of a blend from match state node that
+// produced preds: every chain node with training mass, and the child
+// each candidate came from, found on the chain at the candidate's order.
+func (a *Arena) markBlend(used []uint64, node uint32, preds []Prediction) {
+	for n := node; n != 0; n = a.link[n] {
+		if a.sec.count(n) != 0 {
+			setBit(used, n)
+		}
+	}
+	for _, p := range preds {
+		n := node
+		for int(a.depth[n]) != p.Order {
+			n = a.link[n]
+		}
+		setBit(used, a.childOf(n, p.URL))
+	}
+}
+
+// childOf returns node's child for url, which must exist.
+func (a *Arena) childOf(node uint32, url string) uint32 {
+	c, _ := a.sec.child(node, a.ids[url])
+	return c
+}
+
+// setBit sets node's bit in a node-indexed bitset.
+func setBit(used []uint64, node uint32) { used[node/64] |= 1 << (node % 64) }
 
 // MergeLinked folds the extra candidates linked into preds,
 // deduplicating by URL: a URL keeps its highest estimate, and the

@@ -3,6 +3,7 @@ package markov
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -10,8 +11,9 @@ import (
 )
 
 // randomArenaTree builds a tree from a Zipf-ish random workload, the
-// same shape the compact-layout equivalence test uses.
-func randomArenaTree(rng *rand.Rand, seqs, maxDepth int) *Tree {
+// same shape the compact-layout equivalence test uses, and trains each
+// of refs on the same sequences.
+func randomArenaTree(rng *rand.Rand, seqs, maxDepth int, refs ...*refTree) *Tree {
 	urls := make([]string, 40)
 	for i := range urls {
 		urls[i] = url(i)
@@ -22,20 +24,26 @@ func randomArenaTree(rng *rand.Rand, seqs, maxDepth int) *Tree {
 		for j := range s {
 			s[j] = urls[rng.Intn(rng.Intn(len(urls))+1)]
 		}
-		tr.Insert(s, maxDepth, int64(rng.Intn(3)+1))
+		w := int64(rng.Intn(3) + 1)
+		tr.Insert(s, maxDepth, w)
+		for _, ref := range refs {
+			ref.insert(s, maxDepth, w)
+		}
 	}
 	return tr
 }
 
 // TestFreezeEquivalence is the golden suite of the arena change: a
-// frozen tree must reproduce the pointer tree's longest match and
-// predictions bit for bit, across random contexts and every threshold
-// the models use. This is what lets the maintenance loop publish the
-// arena in place of the tree without moving any headline metric.
+// frozen tree must reproduce the longest match and predictions of the
+// map-based reference trie (refTree) trained on the same sequences, bit
+// for bit, across random contexts and every threshold the models use.
+// This is what lets every model predict from its arena without moving
+// any headline metric.
 func TestFreezeEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for round := 0; round < 5; round++ {
-		tr := randomArenaTree(rng, 800, round%3)
+		ref := newRefTree()
+		tr := randomArenaTree(rng, 800, round%3, ref)
 		a := tr.Freeze()
 
 		if got, want := a.NodeCount(), tr.NodeCount(); got != want {
@@ -55,14 +63,14 @@ func TestFreezeEquivalence(t *testing.T) {
 			}
 			threshold := []float64{0, 0.1, 0.25, 0.6}[i%4]
 
-			tn, torder := tr.LongestMatch(ctx)
+			tn, torder := ref.longestMatch(ctx)
 			an, aorder, aok := a.LongestMatch(ctx)
 			if (tn == nil) == aok || (aok && torder != aorder) {
-				t.Fatalf("round %d ctx %v: tree order %d (nil=%v), arena order %d (ok=%v)",
+				t.Fatalf("round %d ctx %v: reference order %d (nil=%v), arena order %d (ok=%v)",
 					round, ctx, torder, tn == nil, aorder, aok)
 			}
 
-			want := tr.CandidatesFrom(tn, threshold, torder)
+			want := ref.predictFrom(tn, threshold, torder)
 			f := NewFrozenTree(a, FrozenParams{Threshold: threshold})
 			got := f.PredictInto(ctx, nil)
 			if !reflect.DeepEqual(got, want) {
@@ -75,11 +83,11 @@ func TestFreezeEquivalence(t *testing.T) {
 			}
 
 			if an2, ok2 := a.Match(ctx); ok2 {
-				if mn := tr.Match(ctx); mn == nil || mn.Count != a.Count(an2) {
-					t.Fatalf("round %d ctx %v: arena Match disagrees with tree", round, ctx)
+				if mn := ref.match(ctx); mn == nil || mn.count != a.Count(an2) {
+					t.Fatalf("round %d ctx %v: arena Match disagrees with reference", round, ctx)
 				}
-			} else if mn := tr.Match(ctx); mn != nil {
-				t.Fatalf("round %d ctx %v: tree matches, arena does not", round, ctx)
+			} else if mn := ref.match(ctx); mn != nil {
+				t.Fatalf("round %d ctx %v: reference matches, arena does not", round, ctx)
 			}
 			_ = an
 		}
@@ -525,6 +533,152 @@ func TestFrozenTreeBlendMatchesEverySuffix(t *testing.T) {
 	}
 }
 
+// pathMarks is the usage marking the pointer tree did before every
+// model predicted from its arena, kept as the oracle for PredictMarking:
+// it adds to marks the paths (URLs joined by NUL) one prediction from
+// ctx marked. A longest match marked each node on the matched path and
+// each child at or above the threshold; a blend marked each node on the
+// path of every matching suffix and the node each surviving candidate
+// came from. A height-H model considered the trailing H-1 URLs.
+func pathMarks(marks map[string]bool, tr *Tree, ctx []string, threshold float64, height int, blend bool) {
+	if height > 0 && len(ctx) >= height {
+		ctx = ctx[len(ctx)-(height-1):]
+	}
+	key := func(path []string) string { return strings.Join(path, "\x00") }
+	markPath := func(path []string) {
+		for i := 1; i <= len(path); i++ {
+			marks[key(path[:i])] = true
+		}
+	}
+	type candidate struct {
+		p    float64
+		path string
+	}
+	best := map[string]candidate{}
+	for i := range ctx {
+		suffix := ctx[i:]
+		n := tr.Match(suffix)
+		if n == nil || (blend && n.Count == 0) {
+			continue
+		}
+		markPath(suffix)
+		confidence := 1.0
+		if blend {
+			confidence = 1 - 1/(1+float64(n.Count))
+		}
+		tr.EachChild(n, func(url string, c *Node) bool {
+			p := float64(c.Count) / float64(n.Count) * confidence
+			child := key(append(suffix[:len(suffix):len(suffix)], url))
+			if !blend && p >= threshold {
+				marks[child] = true
+			}
+			if b, ok := best[url]; blend && (!ok || p > b.p) {
+				best[url] = candidate{p, child}
+			}
+			return true
+		})
+		if !blend {
+			return
+		}
+	}
+	for _, c := range best {
+		if c.p >= threshold {
+			marks[c.path] = true
+		}
+	}
+}
+
+// TestPredictMarkingMatchesPathMarks: the usage bits PredictMarking
+// sets while a replay steps sessions through a frozen tree cover
+// exactly the leaves the pointer tree's own marking reached, and mark
+// nothing it did not, for the longest match and the blend, with and
+// without a clamp height, at every threshold the models use. Leaves are
+// what the path-utilization rate counts.
+func TestPredictMarkingMatchesPathMarks(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	trees := []*Tree{randomArenaTree(rng, 600, 0), randomArenaTree(rng, 600, 3), deepArenaTree(rng, 250, 5, 40)}
+	for ti, tr := range trees {
+		a := tr.Freeze()
+		for _, blend := range []bool{false, true} {
+			for _, height := range []int{0, 3} {
+				for _, thr := range []float64{0, 0.1, 0.25} {
+					f := NewFrozenTree(a, FrozenParams{Threshold: thr, ClampHeight: height, Blend: blend})
+					used := make([]uint64, (a.NodeCount()+64)/64)
+					marks := map[string]bool{}
+					for round := 0; round < 120; round++ {
+						ctx := randomContext(rng, rng.Intn(12)+1, 12)
+						node := uint32(0)
+						for i, u := range ctx {
+							node = f.Step(node, u, math.MaxInt)
+							f.PredictMarking(node, u, math.MaxInt, nil, used)
+							pathMarks(marks, tr, ctx[:i+1], thr, height, blend)
+						}
+					}
+					want := make(map[uint32]bool, len(marks))
+					for k := range marks {
+						n, ok := a.Match(strings.Split(k, "\x00"))
+						if !ok {
+							t.Fatalf("tree %d: oracle marked %q, which the arena lacks", ti, k)
+						}
+						want[n] = true
+					}
+					for n := uint32(1); n <= uint32(a.NodeCount()); n++ {
+						if isSet(used, n) && !want[n] {
+							t.Fatalf("tree %d blend %v height %d threshold %v: node %d marked, the tree's marking never reached it", ti, blend, height, thr, n)
+						}
+						if a.IsLeaf(n) && want[n] && !isSet(used, n) {
+							t.Fatalf("tree %d blend %v height %d threshold %v: leaf %d unmarked, the tree's marking reached it", ti, blend, height, thr, n)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPredictMarkingSkipsFilteredCandidates pins the marks on a fixed
+// tree: a > b seven times and a > x once, so P(x|a) = 1/8 falls below
+// the 0.25 threshold. From the context [a] both the longest match and
+// the blend mark a and a > b and leave a > x unmarked: a candidate the
+// blend's threshold filtered out was never predicted. Rule-3 links mark
+// nothing.
+func TestPredictMarkingSkipsFilteredCandidates(t *testing.T) {
+	tr := NewTree()
+	for i := 0; i < 7; i++ {
+		tr.Insert([]string{"a", "b"}, 0, 1)
+		tr.Insert([]string{"b"}, 0, 1)
+	}
+	tr.Insert([]string{"a", "x"}, 0, 1)
+	tr.Insert([]string{"x"}, 0, 1)
+	a := tr.Freeze()
+	node := func(path ...string) uint32 {
+		n, ok := a.Match(path)
+		if !ok {
+			t.Fatalf("no node %v", path)
+		}
+		return n
+	}
+	links := map[string][]Prediction{"a": {{URL: "x", Probability: 0.9, Order: 1}}}
+	for _, blend := range []bool{false, true} {
+		f := NewFrozenTree(a, FrozenParams{Threshold: 0.25, Blend: blend, Links: links})
+		used := make([]uint64, 1)
+		ps := f.PredictMarking(f.Step(0, "a", 1), "a", 1, nil, used)
+		if len(ps) != 2 || ps[0].URL != "x" || ps[1].URL != "b" {
+			t.Fatalf("blend %v: predictions %+v, want the linked x, then b", blend, ps)
+		}
+		for _, n := range []uint32{node("a"), node("a", "b")} {
+			if !isSet(used, n) {
+				t.Errorf("blend %v: node %d not marked", blend, n)
+			}
+		}
+		for _, n := range []uint32{node("a", "x"), node("b"), node("x")} {
+			if isSet(used, n) {
+				t.Errorf("blend %v: node %d marked, though no prediction came from it", blend, n)
+			}
+		}
+	}
+}
+
 // TestFrozenTreeClampsHeight mirrors the height-capped models: a
 // clampHeight-H frozen tree must only consider the trailing H-1 URLs.
 func TestFrozenTreeClampsHeight(t *testing.T) {
@@ -673,8 +827,7 @@ func TestFreezeWideSections(t *testing.T) {
 				for _, u := range ctx {
 					node = b.Step(node, u, cap)
 				}
-				tn, order := c.tr.LongestMatch(lastN(ctx, cap))
-				want := c.tr.CandidatesFrom(tn, 0, order)
+				want := treeCandidates(c.tr, lastN(ctx, cap), 0)
 				var got []Prediction
 				if node != 0 {
 					got = b.AppendPredictions(nil, node, 0, b.Depth(node))

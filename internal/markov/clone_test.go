@@ -50,18 +50,6 @@ func TestCloneIsDeepCopy(t *testing.T) {
 	}
 }
 
-func TestCloneDoesNotCopyUsageMarks(t *testing.T) {
-	tr := NewTree()
-	tr.Insert([]string{"/a", "/b"}, 0, 2)
-	tr.MarkPath([]string{"/a", "/b"})
-	if tr.Utilization() != 1 {
-		t.Fatalf("setup: utilization = %v", tr.Utilization())
-	}
-	if u := tr.Clone().Utilization(); u != 0 {
-		t.Errorf("clone carried usage marks: utilization = %v", u)
-	}
-}
-
 func TestCloneCopiesPromotedChildren(t *testing.T) {
 	// Grow a root fan-out past promoteFanout so the clone exercises the
 	// map (big) representation too.

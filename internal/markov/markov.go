@@ -1,9 +1,10 @@
 // Package markov provides the Markov prediction-tree substrate shared by
 // the three PPM prefetching models in the paper (standard PPM, LRS-PPM,
-// and popularity-based PPM): counted trie nodes, longest-suffix context
-// matching, threshold-based prediction, pruning, usage marking for the
-// path-utilization metric, and the Predictor interface the simulator
-// drives.
+// and popularity-based PPM): the counted trie the models train and
+// prune, the frozen arena every model predicts from (longest-suffix
+// matching, threshold-based prediction, and the usage marks of the
+// path-utilization metric), and the Predictor interface the simulator
+// and the server drive.
 //
 // Storage layout. URLs are interned into a per-tree symbol table, so a
 // node stores a 4-byte symbol instead of a string and each distinct URL
@@ -18,7 +19,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // promoteFanout is the child count above which a node's sorted child
@@ -89,12 +89,6 @@ type Node struct {
 	big   map[uint32]*Node
 
 	sym uint32
-
-	// used records that a prediction-phase lookup reached this node or
-	// predicted it; the path-utilization metric (Figure 2, right) counts
-	// leaves with used set. It is atomic so concurrent Predict calls on
-	// a shared tree never race on the mark.
-	used atomic.Bool
 }
 
 // childBySym returns the child with the given symbol, or nil.
@@ -200,13 +194,6 @@ func (n *Node) Fanout() int {
 	return len(n.small)
 }
 
-// MarkUsed flags the node as touched by a prediction. It is safe to
-// call from concurrent predictions.
-func (n *Node) MarkUsed() { n.used.Store(true) }
-
-// Used reports whether the node has been touched by a prediction.
-func (n *Node) Used() bool { return n.used.Load() }
-
 // IsLeaf reports whether the node has no children.
 func (n *Node) IsLeaf() bool { return n.Fanout() == 0 }
 
@@ -235,10 +222,10 @@ type Prediction struct {
 //   - The model does not retain the buffer: ownership stays with the
 //     caller across the call.
 //
-// All four models implement it; the frozen snapshot they all freeze to
-// (FrozenTree), blended PPM's included, additionally guarantees zero
-// allocations per call once the buffer is warm. Callers holding only a
-// Predictor use the PredictInto helper.
+// The frozen tree every trainable model freezes to (FrozenTree) and
+// Top-N implement it; FrozenTree, blended PPM's included, additionally
+// guarantees zero allocations per call once the buffer is warm. Callers
+// holding only a Predictor use the PredictInto helper.
 type BufferedPredictor interface {
 	Predictor
 	// PredictInto is Predict writing into buf per the contract above.
@@ -247,8 +234,9 @@ type BufferedPredictor interface {
 
 // Freezer is implemented by models that can freeze their trained state
 // into an immutable, GC-free serving snapshot (see Arena). The frozen
-// predictor yields bit-identical predictions to the live model, cannot
-// be trained, and is safe for unsynchronized concurrent use.
+// predictor is the model's one predict implementation (its live Predict
+// answers from a fresh freeze), cannot be trained, and is safe for
+// unsynchronized concurrent use.
 type Freezer interface {
 	Freeze() Predictor
 }
@@ -286,28 +274,22 @@ type Predictor interface {
 	// other methods.
 	TrainSequence(seq []string)
 	// Predict returns prefetch candidates given the session context so
-	// far (oldest first; the last element is the current click). Once
-	// training has ceased, Predict is safe for concurrent use: a live
-	// model writes only atomic usage marks, and a frozen snapshot (see
-	// Freeze) performs no writes at all.
+	// far (oldest first; the last element is the current click). A
+	// trainable model answers from a snapshot of itself frozen for the
+	// call, so hot paths predict from Freeze(p) instead. Once training
+	// has ceased, Predict is safe for concurrent use, and a frozen
+	// snapshot performs no writes at all.
 	Predict(context []string) []Prediction
 	// NodeCount reports the model's storage requirement in URL nodes,
 	// the paper's space metric.
 	NodeCount() int
 }
 
-// UtilizationReporter is implemented by models that can report the
-// fraction of stored root-to-leaf paths actually used by predictions.
-type UtilizationReporter interface {
-	Utilization() float64
-	ResetUsage()
-}
-
 // Tree is a counted prediction trie under a pseudo-root. The pseudo-root
 // itself carries the number of branch insertions and is excluded from
-// node counts. A live tree always records prediction-time usage marks
-// (the path-utilization metric); serving paths publish its frozen Arena
-// instead, which records nothing.
+// node counts. A tree is the training-time form of a model: it
+// predicts nothing itself, and every prediction comes from its frozen
+// Arena (Freeze).
 type Tree struct {
 	Root *Node
 
@@ -389,102 +371,6 @@ func (t *Tree) Match(seq []string) *Node {
 	return n
 }
 
-// liveMatch is one still-surviving suffix match during LongestMatch:
-// the context position it started at and the node it has reached.
-type liveMatch struct {
-	start int
-	n     *Node
-}
-
-// LongestMatch finds the deepest node matching the longest suffix of
-// ctx and returns it with the matched order (suffix length). It returns
-// (nil, 0) when no suffix of ctx, not even the final URL alone, is in
-// the tree.
-//
-// The implementation advances every candidate suffix in a single pass
-// over ctx instead of re-walking from the root per suffix (which costs
-// O(len(ctx)²) node hops): at each position all live matches step to
-// the child for the current symbol or die, and a new match rooted at
-// this position joins. The earliest surviving start is the longest
-// suffix.
-func (t *Tree) LongestMatch(ctx []string) (*Node, int) {
-	if len(ctx) == 0 {
-		return nil, 0
-	}
-	var live []liveMatch
-	for i, u := range ctx {
-		sym, known := t.syms.lookup(u)
-		if !known {
-			// An unseen URL kills every match running through it.
-			live = live[:0]
-			continue
-		}
-		k := 0
-		for _, lv := range live {
-			if c := lv.n.childBySym(sym); c != nil {
-				live[k] = liveMatch{start: lv.start, n: c}
-				k++
-			}
-		}
-		live = live[:k]
-		if c := t.Root.childBySym(sym); c != nil {
-			live = append(live, liveMatch{start: i, n: c})
-		}
-	}
-	if len(live) == 0 {
-		return nil, 0
-	}
-	// live is ordered by ascending start (new matches join at the back),
-	// so the first survivor is the longest suffix.
-	return live[0].n, len(ctx) - live[0].start
-}
-
-// PredictFrom returns the children of n whose conditional probability
-// (child count over n's count) is at least threshold, ordered by
-// descending probability with URL tie-break for determinism. order is
-// recorded on each prediction. The predicted children are marked used
-// (atomically, so concurrent callers never race).
-func (t *Tree) PredictFrom(n *Node, threshold float64, order int) []Prediction {
-	return t.predictAt(n, threshold, order, true, nil)
-}
-
-// PredictFromInto is PredictFrom writing into buf per the
-// BufferedPredictor contract: buf's previous contents are discarded and
-// the result reuses its backing storage when capacity allows.
-func (t *Tree) PredictFromInto(n *Node, threshold float64, order int, buf []Prediction) []Prediction {
-	return t.predictAt(n, threshold, order, true, buf)
-}
-
-// CandidatesFrom is PredictFrom without any usage marking. Callers that
-// post-filter the candidate set (blended prediction) use it and then
-// mark only the survivors via MarkPredicted, so the utilization metric
-// counts genuine predictions only.
-func (t *Tree) CandidatesFrom(n *Node, threshold float64, order int) []Prediction {
-	return t.predictAt(n, threshold, order, false, nil)
-}
-
-// MarkPredicted marks one node as used by a prediction.
-func (t *Tree) MarkPredicted(n *Node) { n.MarkUsed() }
-
-func (t *Tree) predictAt(n *Node, threshold float64, order int, mark bool, buf []Prediction) []Prediction {
-	buf = buf[:0]
-	if n == nil || n.Count == 0 {
-		return buf
-	}
-	n.EachChild(func(c *Node) bool {
-		p := float64(c.Count) / float64(n.Count)
-		if p >= threshold {
-			if mark {
-				c.MarkUsed()
-			}
-			buf = append(buf, Prediction{URL: t.syms.urls[c.sym], Probability: p, Order: order})
-		}
-		return true
-	})
-	SortPredictions(buf)
-	return buf
-}
-
 // SortPredictions orders predictions by the pinned deterministic total
 // order: descending probability, then ascending URL. Every prediction
 // path — trained from scratch, delta-merged into a clone, and
@@ -549,74 +435,6 @@ func countLeaves(n *Node) int {
 		return true
 	})
 	return total
-}
-
-// Utilization returns the fraction of root-to-leaf paths whose ending
-// leaf was used by a prediction — matched as (part of) a lookup context
-// or emitted as a prefetch candidate. This follows the paper's §3.3
-// definition ("we define a path as a URL sequence from the root to an
-// ending leaf; if this path has been used, we mark it useful"): under
-// longest-suffix matching, duplicated sub-branches rooted mid-sequence
-// are skipped in favor of the longer match, so their full paths stay
-// unused. An empty tree reports zero.
-func (t *Tree) Utilization() float64 {
-	if t.Root.IsLeaf() {
-		return 0
-	}
-	leaves, used := 0, 0
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.IsLeaf() {
-			leaves++
-			if n.used.Load() {
-				used++
-			}
-			return
-		}
-		n.EachChild(func(c *Node) bool {
-			walk(c)
-			return true
-		})
-	}
-	t.Root.EachChild(func(c *Node) bool {
-		walk(c)
-		return true
-	})
-	if leaves == 0 {
-		return 0
-	}
-	return float64(used) / float64(leaves)
-}
-
-// ResetUsage clears all usage marks.
-func (t *Tree) ResetUsage() {
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		n.used.Store(false)
-		n.EachChild(func(c *Node) bool {
-			walk(c)
-			return true
-		})
-	}
-	walk(t.Root)
-}
-
-// MarkPath marks every node along the exact path seq as used. Unknown
-// paths are ignored. Prediction code calls this for the matched context
-// so that interior usage is visible in diagnostics.
-func (t *Tree) MarkPath(seq []string) {
-	n := t.Root
-	for _, u := range seq {
-		sym, ok := t.syms.lookup(u)
-		if !ok {
-			return
-		}
-		n = n.childBySym(sym)
-		if n == nil {
-			return
-		}
-		n.MarkUsed()
-	}
 }
 
 // Prune removes every non-root node (and its subtree) for which remove
@@ -687,8 +505,7 @@ func (t *Tree) String() string {
 // and the symbol table are fresh allocations, so training into the
 // clone never mutates the receiver. This is the copy-on-write step of
 // incremental maintenance: the published snapshot stays live and
-// read-only while its clone absorbs a delta. Usage marks are not copied
-// (they are prediction-phase scratch).
+// read-only while its clone absorbs a delta.
 //
 // The receiver must not be trained concurrently with Clone; cloning a
 // published (read-only) snapshot is always safe.
@@ -718,7 +535,6 @@ func cloneNode(n *Node) *Node {
 // returns true; rejecting a node skips its entire subtree. The copy
 // shares t's symbol table (so it costs no string duplication) and must
 // therefore not be read concurrently with training that mutates t.
-// Usage marks are not copied.
 func (t *Tree) CopyIf(keep func(parent, child *Node) bool) *Tree {
 	out := &Tree{Root: &Node{Count: t.Root.Count}, syms: t.syms}
 	var cp func(src, dst *Node)

@@ -184,27 +184,31 @@ func url(i int) string {
 	return "/page-" + string(rune('a'+i/26)) + string(rune('a'+i%26))
 }
 
+// urlAt returns the URL of arena node n.
+func urlAt(a *Arena, n uint32) string { return a.URLOf(a.sec.sym(n)) }
+
 func TestLongestMatch(t *testing.T) {
 	tr := NewTree()
 	tr.Insert(seq("a", "b", "c"), 0, 1)
 	tr.Insert(seq("b", "c"), 0, 1)
 	tr.Insert(seq("c"), 0, 1)
+	a := tr.Freeze()
 
-	n, order := tr.LongestMatch(seq("a", "b", "c"))
-	if n == nil || order != 3 || tr.URLOf(n) != "c" {
-		t.Fatalf("LongestMatch(a,b,c) = %+v order %d, want full match", n, order)
+	n, order, ok := a.LongestMatch(seq("a", "b", "c"))
+	if !ok || order != 3 || urlAt(a, n) != "c" {
+		t.Fatalf("LongestMatch(a,b,c) = %d order %d, want full match", n, order)
 	}
-	n, order = tr.LongestMatch(seq("z", "b", "c"))
-	if n == nil || order != 2 {
+	n, order, ok = a.LongestMatch(seq("z", "b", "c"))
+	if !ok || order != 2 {
 		t.Fatalf("LongestMatch(z,b,c) order = %d, want 2", order)
 	}
-	n, order = tr.LongestMatch(seq("z", "y", "c"))
-	if n == nil || order != 1 {
+	n, order, ok = a.LongestMatch(seq("z", "y", "c"))
+	if !ok || order != 1 {
 		t.Fatalf("LongestMatch(z,y,c) order = %d, want 1", order)
 	}
-	n, order = tr.LongestMatch(seq("q"))
-	if n != nil || order != 0 {
-		t.Fatalf("LongestMatch(q) = %+v, want no match", n)
+	n, order, ok = a.LongestMatch(seq("q"))
+	if ok || order != 0 {
+		t.Fatalf("LongestMatch(q) = %d, want no match", n)
 	}
 }
 
@@ -215,22 +219,24 @@ func TestLongestMatchPartialDeepSuffix(t *testing.T) {
 	tr := NewTree()
 	tr.Insert(seq("a", "b"), 0, 1)
 	tr.Insert(seq("x"), 0, 1)
-	n, order := tr.LongestMatch(seq("a", "b", "x"))
-	if n == nil || order != 1 || tr.URLOf(n) != "x" {
-		t.Fatalf("LongestMatch(a,b,x) = %v order %d, want x at order 1", n, order)
+	a := tr.Freeze()
+	n, order, ok := a.LongestMatch(seq("a", "b", "x"))
+	if !ok || order != 1 || urlAt(a, n) != "x" {
+		t.Fatalf("LongestMatch(a,b,x) = %d order %d, want x at order 1", n, order)
 	}
 	// An unseen URL kills every match running through it.
-	n, order = tr.LongestMatch(seq("a", "unseen", "a", "b"))
-	if n == nil || order != 2 || tr.URLOf(n) != "b" {
-		t.Fatalf("LongestMatch(a,?,a,b) = %v order %d, want a->b", n, order)
+	n, order, ok = a.LongestMatch(seq("a", "unseen", "a", "b"))
+	if !ok || order != 2 || urlAt(a, n) != "b" {
+		t.Fatalf("LongestMatch(a,?,a,b) = %d order %d, want a->b", n, order)
 	}
-	if n, _ := tr.LongestMatch(nil); n != nil {
-		t.Error("LongestMatch(nil) != nil")
+	if _, _, ok := a.LongestMatch(nil); ok {
+		t.Error("LongestMatch(nil) matched")
 	}
 }
 
-// TestLongestMatchAgainstRescan cross-checks the single-pass walk
-// against the definitional per-suffix rescan on random trees/contexts.
+// TestLongestMatchAgainstRescan cross-checks the arena's streamed match
+// against the definitional per-suffix rescan of the pointer tree on
+// random trees/contexts.
 func TestLongestMatchAgainstRescan(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	urls := []string{"a", "b", "c", "d", "e", "zz"}
@@ -242,6 +248,7 @@ func TestLongestMatchAgainstRescan(t *testing.T) {
 		}
 		tr.Insert(s, 0, 1)
 	}
+	a := tr.Freeze()
 	rescan := func(ctx []string) (*Node, int) {
 		for i := 0; i < len(ctx); i++ {
 			if n := tr.Match(ctx[i:]); n != nil {
@@ -257,12 +264,21 @@ func TestLongestMatchAgainstRescan(t *testing.T) {
 			ctx[j] = ctxURLs[rng.Intn(len(ctxURLs))]
 		}
 		wantN, wantOrder := rescan(ctx)
-		gotN, gotOrder := tr.LongestMatch(ctx)
-		if gotN != wantN || gotOrder != wantOrder {
-			t.Fatalf("ctx %v: got (%v, %d), rescan (%v, %d)", ctx, gotN, gotOrder, wantN, wantOrder)
+		gotN, gotOrder, ok := a.LongestMatch(ctx)
+		if ok != (wantN != nil) || gotOrder != wantOrder ||
+			(ok && a.Count(gotN) != wantN.Count) {
+			t.Fatalf("ctx %v: got (%d, %d), rescan (%v, %d)", ctx, gotN, gotOrder, wantN, wantOrder)
+		}
+		if ok {
+			if n, _ := a.Match(ctx[len(ctx)-gotOrder:]); n != gotN {
+				t.Fatalf("ctx %v: match node %d is not the path of the matched suffix (%d)", ctx, gotN, n)
+			}
 		}
 	}
 }
+
+// isSet reports whether node's bit is set in a usage bitset.
+func isSet(used []uint64, node uint32) bool { return used[node/64]&(1<<(node%64)) != 0 }
 
 func TestPredictFrom(t *testing.T) {
 	tr := NewTree()
@@ -273,9 +289,12 @@ func TestPredictFrom(t *testing.T) {
 		tr.Insert(seq("a", "c"), 0, 1)
 	}
 	tr.Insert(seq("a", "d"), 0, 1)
+	f := NewFrozenTree(tr.Freeze(), FrozenParams{Threshold: 0.25})
+	a := f.Arena()
 
-	n := tr.Match(seq("a"))
-	ps := tr.PredictFrom(n, 0.25, 1)
+	n, _ := a.Match(seq("a"))
+	used := make([]uint64, 1)
+	ps := f.PredictMarking(n, "a", 1, nil, used)
 	if len(ps) != 2 {
 		t.Fatalf("predictions = %+v, want 2 (b: 0.6, c: 0.3)", ps)
 	}
@@ -286,31 +305,14 @@ func TestPredictFrom(t *testing.T) {
 		t.Errorf("second prediction = %+v", ps[1])
 	}
 	// d (0.1) is below threshold and must not be marked used.
-	if tr.Match(seq("a", "d")).Used() {
+	if d, _ := a.Match(seq("a", "d")); isSet(used, d) {
 		t.Error("below-threshold child marked used")
 	}
-	if !tr.Match(seq("a", "b")).Used() {
+	if b, _ := a.Match(seq("a", "b")); !isSet(used, b) {
 		t.Error("predicted child not marked used")
 	}
-	if tr.PredictFrom(nil, 0.25, 1) != nil {
-		t.Error("PredictFrom(nil) != nil")
-	}
-}
-
-func TestCandidatesFromNeverMarks(t *testing.T) {
-	tr := NewTree()
-	tr.Insert(seq("a", "b"), 0, 3)
-	n := tr.Match(seq("a"))
-	ps := tr.CandidatesFrom(n, 0, 1)
-	if len(ps) != 1 || ps[0].URL != "b" {
-		t.Fatalf("candidates = %+v", ps)
-	}
-	if tr.Match(seq("a", "b")).Used() {
-		t.Error("CandidatesFrom marked a node")
-	}
-	tr.MarkPredicted(tr.Match(seq("a", "b")))
-	if !tr.Match(seq("a", "b")).Used() {
-		t.Error("MarkPredicted did not mark")
+	if f.PredictFrom(0, "a", 1, nil) != nil {
+		t.Error("PredictFrom(empty match) != nil")
 	}
 }
 
@@ -318,7 +320,9 @@ func TestPredictDeterministicTieBreak(t *testing.T) {
 	tr := NewTree()
 	tr.Insert(seq("a", "z"), 0, 1)
 	tr.Insert(seq("a", "b"), 0, 1)
-	ps := tr.PredictFrom(tr.Match(seq("a")), 0.1, 1)
+	a := tr.Freeze()
+	n, _ := a.Match(seq("a"))
+	ps := a.AppendPredictions(nil, n, 0.1, 1)
 	if len(ps) != 2 || ps[0].URL != "b" || ps[1].URL != "z" {
 		t.Errorf("tie break order = %+v, want b then z", ps)
 	}
@@ -338,46 +342,6 @@ func TestNodeAndLeafCount(t *testing.T) {
 	if got := tr.LeafCount(); got != 3 {
 		t.Errorf("LeafCount = %d, want 3", got)
 	}
-}
-
-func TestUtilization(t *testing.T) {
-	tr := NewTree()
-	tr.Insert(seq("a", "b", "c"), 0, 1)
-	tr.Insert(seq("a", "d"), 0, 1)
-	tr.Insert(seq("x", "y"), 0, 1)
-	if got := tr.Utilization(); got != 0 {
-		t.Errorf("fresh tree utilization = %v, want 0", got)
-	}
-	// Touch the leaf of a->b->c.
-	tr.Match(seq("a", "b", "c")).MarkUsed()
-	if got := tr.Utilization(); got < 0.33 || got > 0.34 {
-		t.Errorf("utilization = %v, want 1/3", got)
-	}
-	tr.Match(seq("a", "d")).MarkUsed()
-	tr.Match(seq("x", "y")).MarkUsed()
-	if got := tr.Utilization(); got != 1 {
-		t.Errorf("utilization = %v, want 1", got)
-	}
-	tr.ResetUsage()
-	if got := tr.Utilization(); got != 0 {
-		t.Errorf("utilization after reset = %v, want 0", got)
-	}
-	if NewTree().Utilization() != 0 {
-		t.Error("empty tree utilization not 0")
-	}
-}
-
-func TestMarkPath(t *testing.T) {
-	tr := NewTree()
-	tr.Insert(seq("a", "b", "c"), 0, 1)
-	tr.MarkPath(seq("a", "b"))
-	if !tr.Match(seq("a")).Used() || !tr.Match(seq("a", "b")).Used() {
-		t.Error("MarkPath did not mark prefix nodes")
-	}
-	if tr.Match(seq("a", "b", "c")).Used() {
-		t.Error("MarkPath marked beyond the path")
-	}
-	tr.MarkPath(seq("nope", "x")) // must not panic
 }
 
 func TestPrune(t *testing.T) {
@@ -494,8 +458,9 @@ func TestPredictionProbabilityProperty(t *testing.T) {
 		s := []string{"root", urls[rng.Intn(4)]}
 		tr.Insert(s, 0, 1)
 	}
-	n := tr.Match(seq("root"))
-	ps := tr.PredictFrom(n, 0, 1)
+	a := tr.Freeze()
+	n, _ := a.Match(seq("root"))
+	ps := a.AppendPredictions(nil, n, 0, 1)
 	var sum float64
 	for _, p := range ps {
 		if p.Probability <= 0 || p.Probability > 1 {

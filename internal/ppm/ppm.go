@@ -65,9 +65,7 @@ type Model struct {
 }
 
 var _ markov.Predictor = (*Model)(nil)
-var _ markov.BufferedPredictor = (*Model)(nil)
 var _ markov.Freezer = (*Model)(nil)
-var _ markov.UtilizationReporter = (*Model)(nil)
 var _ markov.IncrementalTrainer = (*Model)(nil)
 
 // New returns an empty standard PPM model.
@@ -94,37 +92,21 @@ func (m *Model) TrainSequence(seq []string) {
 }
 
 // Predict finds the deepest node matching the longest suffix of the
-// context and returns its children above the probability threshold.
-// The matched path is marked used for the utilization metric.
+// context and returns its children above the probability threshold
+// (with BlendOrders, the blend over every matching order). It answers
+// from a snapshot frozen for the call; serve markov.Freeze(m) instead.
 func (m *Model) Predict(context []string) []markov.Prediction {
-	return m.PredictInto(context, nil)
-}
-
-// PredictInto is Predict writing into buf per the
-// markov.BufferedPredictor buffer-ownership contract.
-func (m *Model) PredictInto(context []string, buf []markov.Prediction) []markov.Prediction {
-	ctx := context
-	if m.cfg.Height > 0 && len(ctx) >= m.cfg.Height {
-		// With a height-H tree, contexts longer than H-1 can never
-		// match and still leave room for a predicted child.
-		ctx = ctx[len(ctx)-(m.cfg.Height-1):]
-	}
-	if m.cfg.BlendOrders {
-		return append(buf[:0], m.predictBlended(ctx)...)
-	}
-	n, order := m.tree.LongestMatch(ctx)
-	if n == nil {
-		return buf[:0]
-	}
-	m.tree.MarkPath(ctx[len(ctx)-order:])
-	return m.tree.PredictFromInto(n, m.cfg.threshold(), order, buf)
+	return m.Freeze().Predict(context)
 }
 
 // Freeze returns the immutable arena-backed snapshot of the trained
-// model: identical predictions, no per-node GC load, and no allocations
-// on the serving path. A BlendOrders model freezes with the blend flag,
-// so its snapshot blends the orders along the match's suffix-link
-// chain and streams like any other.
+// model, the model's one predict implementation: no per-node GC load,
+// and no allocations on the serving path. A height-H model's snapshot
+// matches at most the trailing H-1 URLs, since longer contexts can
+// never match and still leave room for a predicted child. A BlendOrders
+// model freezes with the blend flag, so its snapshot blends the orders
+// along the match's suffix-link chain, weighting each order's
+// candidates by 1 - 1/(1+count), and streams like any other.
 func (m *Model) Freeze() markov.Predictor {
 	return markov.NewFrozenTree(m.tree.Freeze(), markov.FrozenParams{
 		Name:        m.Name(),
@@ -132,58 +114,6 @@ func (m *Model) Freeze() markov.Predictor {
 		ClampHeight: m.cfg.Height,
 		Blend:       m.cfg.BlendOrders,
 	})
-}
-
-// predictBlended combines candidates across every matching order. A
-// higher-order context is sparser but more specific; weighting each
-// order's conditional probabilities by 1 - 1/(1+count) (an escape-style
-// confidence in the context's evidence) lets confident deep contexts
-// dominate while order-1 statistics fill in.
-//
-// Candidates are collected without usage marks and only the ones that
-// survive the final blend threshold are marked: the intermediate
-// per-order candidate sets are scratch state, and marking them would
-// inflate the Figure-2 path-utilization metric with URLs that were
-// never actually predicted.
-func (m *Model) predictBlended(ctx []string) []markov.Prediction {
-	type candidate struct {
-		pred markov.Prediction
-		node *markov.Node
-	}
-	best := make(map[string]candidate)
-	for i := 0; i < len(ctx); i++ {
-		n := m.tree.Match(ctx[i:])
-		if n == nil || n.Count == 0 {
-			continue
-		}
-		order := len(ctx) - i
-		m.tree.MarkPath(ctx[i:])
-		confidence := 1 - 1/(1+float64(n.Count))
-		m.tree.EachChild(n, func(url string, c *markov.Node) bool {
-			p := markov.Prediction{
-				URL:         url,
-				Probability: float64(c.Count) / float64(n.Count) * confidence,
-				Order:       order,
-			}
-			if b, ok := best[url]; !ok || p.Probability > b.pred.Probability {
-				best[url] = candidate{pred: p, node: c}
-			}
-			return true
-		})
-	}
-	thr := m.cfg.threshold()
-	out := make([]markov.Prediction, 0, len(best))
-	for _, c := range best {
-		if c.pred.Probability >= thr {
-			m.tree.MarkPredicted(c.node)
-			out = append(out, c.pred)
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	markov.SortPredictions(out)
-	return out
 }
 
 // Clone returns a deep copy of the model for incremental maintenance:
@@ -194,13 +124,6 @@ func (m *Model) Clone() markov.Predictor {
 
 // NodeCount reports the storage requirement in URL nodes.
 func (m *Model) NodeCount() int { return m.tree.NodeCount() }
-
-// Utilization reports the fraction of stored root-to-leaf paths used by
-// predictions since the last ResetUsage.
-func (m *Model) Utilization() float64 { return m.tree.Utilization() }
-
-// ResetUsage clears utilization marks.
-func (m *Model) ResetUsage() { m.tree.ResetUsage() }
 
 // Tree exposes the underlying prediction tree for diagnostics.
 func (m *Model) Tree() *markov.Tree { return m.tree }

@@ -2,8 +2,11 @@ package ppm
 
 import (
 	"testing"
+	"time"
 
 	"pbppm/internal/markov"
+	"pbppm/internal/session"
+	"pbppm/internal/sim"
 )
 
 func TestName(t *testing.T) {
@@ -111,24 +114,34 @@ func TestPredictLongContextWithFixedHeight(t *testing.T) {
 	}
 }
 
+// utilization replays one session of clicks through the simulator,
+// every click reaching the server, and returns the path-utilization
+// rate (Figure 2, right) its predictions reached.
+func utilization(m markov.Predictor, clicks ...string) float64 {
+	s := session.Session{Client: "c"}
+	for i, u := range clicks {
+		s.Views = append(s.Views, session.PageView{URL: u, Time: time.Unix(int64(i), 0)})
+	}
+	return sim.Run([]session.Session{s}, sim.Options{Predictor: m, PredictOnHitToo: true}).Utilization
+}
+
 func TestUtilization(t *testing.T) {
 	m := New(Config{})
 	m.TrainSequence([]string{"a", "b"})
 	m.TrainSequence([]string{"x", "y"})
-	if got := m.Utilization(); got != 0 {
+	if got := utilization(m, "/unseen"); got != 0 {
 		t.Errorf("fresh utilization = %v", got)
 	}
-	m.Predict([]string{"a"})
-	got := m.Utilization()
+	got := utilization(m, "a")
 	// Leaves: a>b, b, x>y, y. Prediction marked a>b (predicted child b is
 	// that branch's leaf) and the standalone b leaf stays untouched...
 	// b-as-root is a leaf node trained from the suffix; it is not marked.
 	if got <= 0 || got >= 1 {
 		t.Errorf("utilization = %v, want in (0,1)", got)
 	}
-	m.ResetUsage()
-	if m.Utilization() != 0 {
-		t.Error("ResetUsage did not clear marks")
+	// Each replay counts its own predictions only.
+	if utilization(m, "/unseen") != 0 {
+		t.Error("a replay inherited another replay's marks")
 	}
 }
 
@@ -265,7 +278,7 @@ func TestBlendedUtilizationMatchesLongestMatch(t *testing.T) {
 	if ps := blended.Predict([]string{"a"}); len(ps) != 1 || ps[0].URL != "b" {
 		t.Fatalf("blended Predict = %+v, want only b", ps)
 	}
-	got, want := blended.Utilization(), longest.Utilization()
+	got, want := utilization(blended, "a"), utilization(longest, "a")
 	if want <= 0 {
 		t.Fatalf("longest-match utilization = %v, want > 0", want)
 	}

@@ -23,7 +23,9 @@ import (
 // paths feed the same quality.Scorer implementation, and this test
 // proves the event streams they feed it are equivalent. The server is
 // handed the live model and, like every install, serves its frozen
-// snapshot, while the simulator predicts from the live model.
+// snapshot; the simulator freezes the model too, and steps each
+// session's match state over whole contexts instead of the server's
+// 16-URL tail.
 func TestLiveScorerMatchesOfflineSimulator(t *testing.T) {
 	checkLiveScorerMatchesOfflineSimulator(t, func(m *core.Model) markov.Predictor { return m })
 }
@@ -33,7 +35,7 @@ func TestLiveScorerMatchesOfflineSimulator(t *testing.T) {
 // maintainer publishes it: the server serves the same snapshot the
 // other test's install produces, advancing each session's streaming
 // match state instead of re-matching its context tail, while the
-// simulator still predicts from the live model.
+// simulator freezes the live model itself.
 func TestLiveScorerMatchesOfflineSimulatorFrozen(t *testing.T) {
 	checkLiveScorerMatchesOfflineSimulator(t, func(m *core.Model) markov.Predictor { return m.Freeze() })
 }

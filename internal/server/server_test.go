@@ -229,8 +229,7 @@ func TestClientOf(t *testing.T) {
 
 // TestSetPredictorInstallsFrozenSnapshot: a live model is installed as
 // its arena-backed snapshot, so training the live model afterwards
-// leaves served hints unchanged until it is installed again, and
-// serving writes no usage marks into it.
+// leaves served hints unchanged until it is installed again.
 func TestSetPredictorInstallsFrozenSnapshot(t *testing.T) {
 	m := trainedPB()
 	srv := New(testStore(), Config{})
@@ -258,9 +257,6 @@ func TestSetPredictorInstallsFrozenSnapshot(t *testing.T) {
 	}
 	if got := hints("b"); got != before {
 		t.Errorf("training the live model changed served hints to %q, want %q", got, before)
-	}
-	if u := m.Utilization(); u != 0 {
-		t.Errorf("serving wrote usage marks into the live model: utilization %v", u)
 	}
 	srv.SetPredictor(m)
 	if got := hints("c"); got == before {

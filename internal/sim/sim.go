@@ -13,10 +13,15 @@
 // browser and proxy cache hits are invisible to it. The server keeps a
 // per-session context of the requests it has seen and matches as many
 // previous URLs as possible, the paper's longest-matching method.
+//
+// The replay predicts the way the server does: from the model's frozen
+// snapshot (markov.Freeze), advancing one match state per open session
+// by each request the server sees.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -33,6 +38,22 @@ import (
 // popularMinGrade is the lowest popularity grade the popular-prefetch-hit
 // metric counts as popular.
 const popularMinGrade popularity.Grade = 2
+
+// refreezeEvery is the online-training cadence: the snapshot a replay
+// predicts from is re-frozen at the first event of a later simulated
+// hour than a session end, so a session ended in hour h serves
+// predictions from hour h+1 on. That is how a maintainer publishes
+// delta merges on a timer. Re-freezing after every session end instead
+// would cost about 208 ms per NASA test day against about 26 ms for the
+// whole online-training ablation; its sessions end in 22 distinct
+// hours, so an hourly cadence costs about 8 ms.
+const refreezeEvery = time.Hour
+
+// noOrderCap is the order cap the replay matches with: none beyond the
+// model's own clamp height. Unlike the server's 16-URL tail, the
+// simulator matches whole contexts, and unbounded PPM's tree reaches
+// depth 150 on the small NASA workload.
+const noOrderCap = math.MaxInt
 
 // DefaultMaxPrefetchBytes is the paper's size threshold for the
 // standard and LRS models (10 KB); PBMaxPrefetchBytes is the 30 KB
@@ -69,7 +90,11 @@ type Options struct {
 	// nil disables that metric. Popular means grade 2 or 3.
 	Grades popularity.Grader
 	// OnlineTraining feeds each completed test session back into the
-	// model, emulating a continuously maintained server model.
+	// model, emulating a continuously maintained server model: the
+	// session trains the model when it ends, and predictions see it
+	// once the snapshot is re-frozen, at the first event of a later
+	// simulated hour (refreezeEvery). Path utilization is not measured
+	// then and stays 0, since the snapshot it would count changes.
 	OnlineTraining bool
 	// PredictOnHitToo makes every demand click visible to the server
 	// (as if clients revalidated every cached copy), so predictions
@@ -203,9 +228,6 @@ func Train(p markov.Predictor, train []session.Session) int {
 	if opt, ok := p.(Optimizer); ok {
 		opt.Optimize()
 	}
-	if ur, ok := p.(markov.UtilizationReporter); ok {
-		ur.ResetUsage()
-	}
 	return p.NodeCount()
 }
 
@@ -217,9 +239,20 @@ type event struct {
 	view    int // index into the session's views
 }
 
+// openSession is the server's view of one in-flight session: the
+// requests it has seen, and their match state in the snapshot.
+type openSession struct {
+	ctx  []string
+	node uint32
+}
+
 // Run replays the test sessions against the configured topology and
 // returns the accumulated metrics. The supplied predictor must already
-// be trained (see Train).
+// be trained (see Train). Run predicts from markov.Freeze of it, the
+// snapshot every server installs; a model with no frozen form (Top-N)
+// predicts from each session's whole context instead. Path utilization
+// counts the leaves of that snapshot this Run's predictions touched, so
+// each Run measures its own predictions only.
 func Run(test []session.Session, opt Options) metrics.Result {
 	res := metrics.Result{Model: "none"}
 	if opt.Predictor != nil {
@@ -265,8 +298,30 @@ func Run(test []session.Session, opt Options) metrics.Result {
 		proxy = opt.newCache(cache.DefaultProxyCapacity)
 	}
 
-	// contexts tracks each in-flight session's clicked URLs so far.
-	contexts := make(map[int][]string, len(test))
+	// open tracks each in-flight session's requests so far and, when
+	// the model has a frozen form, their match state in it.
+	open := make(map[int]openSession, len(test))
+	var (
+		pred   markov.Predictor // what predictions come from
+		frozen *markov.FrozenTree
+		used   []uint64 // node-indexed usage bitset over frozen's arena
+	)
+	freeze := func() {
+		pred = markov.Freeze(opt.Predictor)
+		frozen, _ = pred.(*markov.FrozenTree)
+	}
+	if opt.Predictor != nil {
+		freeze()
+		if frozen != nil && !opt.OnlineTraining {
+			used = make([]uint64, (frozen.Arena().NodeCount()+64)/64)
+		}
+	}
+	// Under online training, trained marks that a session has ended
+	// since the last freeze, in simulated hour trainedHour.
+	var (
+		trained     bool
+		trainedHour time.Time
+	)
 
 	// All §2.3 quality accounting flows through a quality.Scorer — the
 	// same implementation the live server scores its hint lifecycle
@@ -300,6 +355,19 @@ func Run(test []session.Session, opt Options) metrics.Result {
 	var predBuf []markov.Prediction
 
 	for evIdx, ev := range events {
+		if trained && ev.t.Truncate(refreezeEvery).After(trainedHour) {
+			freeze()
+			trained = false
+			if frozen != nil {
+				for si, os := range open {
+					os.node = 0
+					for _, u := range os.ctx {
+						os.node = frozen.Step(os.node, u, noOrderCap)
+					}
+					open[si] = os
+				}
+			}
+		}
 		v := test[ev.session].Views[ev.view]
 		size := v.TotalBytes()
 		outcome := quality.Miss
@@ -362,21 +430,29 @@ func Run(test []session.Session, opt Options) metrics.Result {
 		// The server's view of the session: requests that reached it.
 		// Cache hits stay invisible unless PredictOnHitToo is set.
 		reachedServer := !served || opt.PredictOnHitToo
-		var ctx []string
+		os := open[ev.session]
 		if reachedServer {
-			ctx = append(contexts[ev.session], v.URL)
-			contexts[ev.session] = ctx
-		} else {
-			ctx = contexts[ev.session]
+			os.ctx = append(os.ctx, v.URL)
+			if frozen != nil {
+				os.node = frozen.Step(os.node, v.URL, noOrderCap)
+			}
+			open[ev.session] = os
 		}
 		if ev.view == len(test[ev.session].Views)-1 {
-			delete(contexts, ev.session)
+			delete(open, ev.session)
 			if opt.OnlineTraining && opt.Predictor != nil {
 				opt.Predictor.TrainSequence(test[ev.session].URLs())
+				if !trained {
+					trained, trainedHour = true, ev.t.Truncate(refreezeEvery)
+				}
 			}
 		}
-		if opt.Predictor != nil && reachedServer && len(ctx) > 0 {
-			predBuf = markov.PredictInto(opt.Predictor, ctx, predBuf)
+		if pred != nil && reachedServer {
+			if frozen != nil {
+				predBuf = frozen.PredictMarking(os.node, v.URL, noOrderCap, predBuf, used)
+			} else {
+				predBuf = markov.PredictInto(pred, os.ctx, predBuf)
+			}
 			for _, p := range predBuf {
 				psize, known := sizes[p.URL]
 				if !known || psize > maxPf {
@@ -422,11 +498,30 @@ func Run(test []session.Session, opt Options) metrics.Result {
 	res.Nodes = 0
 	if opt.Predictor != nil {
 		res.Nodes = opt.Predictor.NodeCount()
-		if ur, ok := opt.Predictor.(markov.UtilizationReporter); ok {
-			res.Utilization = ur.Utilization()
-		}
+	}
+	if used != nil {
+		res.Utilization = utilization(frozen.Arena(), used)
 	}
 	return res
+}
+
+// utilization is the share of the arena's root-to-leaf paths whose leaf
+// has its bit set in used (the paper's §3.3 path-utilization rate), or
+// zero for an empty model.
+func utilization(a *markov.Arena, used []uint64) float64 {
+	leaves, hit := 0, 0
+	for n := uint32(1); n <= uint32(a.NodeCount()); n++ {
+		if a.IsLeaf(n) {
+			leaves++
+			if used[n/64]&(1<<(n%64)) != 0 {
+				hit++
+			}
+		}
+	}
+	if leaves == 0 {
+		return 0
+	}
+	return float64(hit) / float64(leaves)
 }
 
 // Compare trains each predictor on the training window, runs it on the

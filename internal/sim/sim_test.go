@@ -253,6 +253,27 @@ func TestOnlineTraining(t *testing.T) {
 	}
 }
 
+// TestOnlineTrainingCadence: under online training the replay predicts
+// from a snapshot re-frozen once per simulated hour, the way a
+// maintainer publishes. A session that ended earlier in the same hour
+// does not inform predictions yet, and does once the hour turns.
+func TestOnlineTrainingCadence(t *testing.T) {
+	sessions := []session.Session{
+		mkSession("c1", 0, sizes, "/a", "/b"),
+		mkSession("c2", 20*60, sizes, "/a", "/b"),
+		mkSession("c3", 70*60, sizes, "/a", "/b"),
+	}
+	run := func(test []session.Session) int64 {
+		return Run(test, Options{Predictor: ppm.New(ppm.Config{}), Sizes: sizes, OnlineTraining: true}).PrefetchHits
+	}
+	if hits := run(sessions[:2]); hits != 0 {
+		t.Errorf("the +20 min session got %d prefetch hits from a session that ended in the same hour, want 0", hits)
+	}
+	if hits := run(sessions); hits != 1 {
+		t.Errorf("prefetch hits = %d, want 1: the +70 min session predicts from the sessions of the hour before", hits)
+	}
+}
+
 func TestURLSequencesAndSizeTable(t *testing.T) {
 	s := mkSession("c", 0, sizes, "/a", "/b")
 	s.Views[0].Embedded = []session.Embedded{{URL: "/i.gif", Bytes: 500}}

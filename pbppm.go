@@ -31,10 +31,6 @@ type Predictor = markov.Predictor
 // Prediction is one prefetch candidate.
 type Prediction = markov.Prediction
 
-// UtilizationReporter is implemented by models that report the
-// fraction of stored paths used by predictions (Figure 2, right).
-type UtilizationReporter = markov.UtilizationReporter
-
 // BufferedPredictor is implemented by models whose Predict can write
 // into a caller-supplied buffer, making repeated prediction
 // allocation-free. See the interface's buffer-ownership contract.

@@ -125,9 +125,6 @@ func TestFacadePredictorInterface(t *testing.T) {
 		if len(ps) == 0 || ps[0].URL != "b" {
 			t.Errorf("%s Predict = %+v", m.Name(), ps)
 		}
-		if _, ok := m.(UtilizationReporter); !ok {
-			t.Errorf("%s does not report utilization", m.Name())
-		}
 	}
 }
 

@@ -122,34 +122,6 @@ func TestPredictIntoDoesNotAliasModelStorage(t *testing.T) {
 	}
 }
 
-// TestFrozenModelsMatchLiveModels is the model-level golden suite of
-// the freeze: every freezer's arena snapshot must reproduce the live
-// model's predictions bit for bit — including PB-PPM's precomputed
-// popular-node links and the blended variant's confidence arithmetic.
-func TestFrozenModelsMatchLiveModels(t *testing.T) {
-	models := contractModels(t)
-	ctxs := contractContexts(rand.New(rand.NewSource(53)), 400)
-	for name, m := range models {
-		frozen, ok := models[name+"/frozen"]
-		if !ok {
-			continue
-		}
-		for _, ctx := range ctxs {
-			want := m.Predict(ctx)
-			got := frozen.Predict(ctx)
-			if len(want) == 0 && len(got) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s ctx %v:\n frozen %+v\n live   %+v", name, ctx, got, want)
-			}
-		}
-		if got, want := frozen.NodeCount(), m.NodeCount(); got != want {
-			t.Fatalf("%s: frozen NodeCount %d, live %d", name, got, want)
-		}
-	}
-}
-
 // TestPredictionOrderPinnedAcrossTrainingPaths is the determinism
 // guarantee of the pinned tie order (probability descending, then URL
 // ascending): a model trained serially, through the delta path (half
