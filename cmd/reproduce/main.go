@@ -16,14 +16,19 @@
 //	          [-bench-out BENCH_run.json] [-compare BENCH_baseline.json]
 //	          [-tol-wall F] [-tol-metric F] [-progress N]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//
+// An unknown experiment, workload or scale exits 2 before any workload
+// is built; a failed -compare exits 3.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"pbppm/internal/benchreport"
@@ -34,30 +39,51 @@ import (
 	"pbppm/internal/tracegen"
 )
 
+// experimentNames are the -exp values, "all" first.
+var experimentNames = []string{"all", "fig2", "fig3", "table", "fig4", "fig5", "baselines", "maintenance", "maintenance-cost", "predict-bench", "ablations"}
+
 func main() {
-	os.Exit(realMain())
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// realMain wraps the run so deferred work (the profile stop) executes
-// before the process exits.
-func realMain() int {
+// realMain runs the command on args, printing tables to stdout and
+// diagnostics to stderr, and returns the exit code; it wraps the run
+// so deferred work (the profile stop) executes before the process
+// exits.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("reproduce", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp       = flag.String("exp", "all", "experiment: all, fig2, fig3, table, fig4, fig5, baselines, maintenance, maintenance-cost, predict-bench, or ablations")
-		workload  = flag.String("workload", "both", "workload: both, nasa, ucbcs")
-		scale     = flag.String("scale", "full", "full = paper scale, small = quick check")
-		csvDir    = flag.String("csv", "", "also write each artifact as CSV into this directory")
-		benchOut  = flag.String("bench-out", "", "write a BENCH_*.json run artifact to this file")
-		compareTo = flag.String("compare", "", "compare this run against a baseline BENCH_*.json and fail on regression")
-		tolWall   = flag.Float64("tol-wall", 0.5, "allowed relative wall-time/alloc/throughput change for -compare")
-		tolMetric = flag.Float64("tol-metric", 0.05, "allowed relative headline-metric change for -compare")
-		progress  = flag.Int("progress", 0, "log replay progress every N events (0 = silent)")
+		exp       = fs.String("exp", "all", "experiment: all, fig2, fig3, table, fig4, fig5, baselines, maintenance, maintenance-cost, predict-bench, or ablations")
+		workload  = fs.String("workload", "both", "workload: both, nasa, ucbcs")
+		scale     = fs.String("scale", "full", "full = paper scale, small = quick check")
+		csvDir    = fs.String("csv", "", "also write each artifact as CSV into this directory")
+		benchOut  = fs.String("bench-out", "", "write a BENCH_*.json run artifact to this file")
+		compareTo = fs.String("compare", "", "compare this run against a baseline BENCH_*.json and fail on regression")
+		tolWall   = fs.Float64("tol-wall", 0.5, "allowed relative wall-time/alloc/throughput change for -compare")
+		tolMetric = fs.Float64("tol-metric", 0.05, "allowed relative headline-metric change for -compare")
+		progress  = fs.Int("progress", 0, "log replay progress every N events (0 = silent)")
 	)
 	var prof obs.ProfileFlags
-	prof.Register(flag.CommandLine)
-	flag.Parse()
+	prof.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(what, value string) int {
+		fmt.Fprintf(stderr, "reproduce: unknown %s %q\n", what, value)
+		return 2
+	}
+	switch {
+	case !slices.Contains(experimentNames, *exp):
+		return usage("experiment", *exp)
+	case *workload != "both" && *workload != "nasa" && *workload != "ucbcs":
+		return usage("workload", *workload)
+	case *scale != "full" && *scale != "small":
+		return usage("scale", *scale)
+	}
 
 	fail := func(err error) int {
-		fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
+		fmt.Fprintf(stderr, "reproduce: %v\n", err)
 		return 1
 	}
 	if *csvDir != "" {
@@ -71,19 +97,17 @@ func realMain() int {
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
+			fmt.Fprintf(stderr, "reproduce: %v\n", err)
 		}
 	}()
 
-	log := obs.Component(obs.NewLogger(os.Stderr, slog.LevelInfo), "reproduce")
+	log := obs.Component(obs.NewLogger(stderr, slog.LevelInfo), "reproduce")
 	report := benchreport.New("reproduce", *scale)
 
-	ranAny := false
 	for _, name := range []string{"nasa", "ucbcs"} {
 		if *workload != "both" && *workload != name {
 			continue
 		}
-		ranAny = true
 
 		var w *experiments.Workload
 		buildClock := sim.NewPhaseClock(nil)
@@ -97,23 +121,19 @@ func realMain() int {
 			return fail(err)
 		}
 		report.Add(benchreport.NewRecord("workload", name, m, buildClock, nil, nil))
-		fmt.Fprintf(os.Stderr, "reproduce: prepared %s workload: %d records, %d sessions, %d days (%.1fs)\n",
+		fmt.Fprintf(stderr, "reproduce: prepared %s workload: %d records, %d sessions, %d days (%.1fs)\n",
 			name, len(w.Trace.Records), len(w.Sessions), w.Days(), m.Wall.Seconds())
 
-		if err := run(w, *exp, *csvDir, *progress, log, report); err != nil {
+		if err := run(w, *exp, *csvDir, *progress, stdout, log, report); err != nil {
 			return fail(fmt.Errorf("%s: %w", w.Name, err))
 		}
-	}
-	if !ranAny {
-		fmt.Fprintf(os.Stderr, "reproduce: unknown workload %q\n", *workload)
-		return 2
 	}
 
 	if *benchOut != "" {
 		if err := benchreport.WriteFile(*benchOut, report); err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "reproduce: benchmark artifact written to %s\n", *benchOut)
+		fmt.Fprintf(stderr, "reproduce: benchmark artifact written to %s\n", *benchOut)
 	}
 	if *compareTo != "" {
 		baseline, err := benchreport.ReadFile(*compareTo)
@@ -122,9 +142,9 @@ func realMain() int {
 		}
 		cmp := benchreport.Compare(baseline, report,
 			benchreport.Tolerances{WallTime: *tolWall, Metric: *tolMetric})
-		fmt.Print(cmp)
+		fmt.Fprint(stdout, cmp)
 		if !cmp.OK() {
-			fmt.Fprintf(os.Stderr, "reproduce: %d metrics regressed beyond tolerance vs %s\n",
+			fmt.Fprintf(stderr, "reproduce: %d metrics regressed beyond tolerance vs %s\n",
 				len(cmp.Regressions()), *compareTo)
 			return 3
 		}
@@ -157,7 +177,7 @@ type artifact interface {
 	experiments.CSVWriter
 }
 
-func run(w *experiments.Workload, exp, csvDir string, progress int, log *slog.Logger, report *benchreport.Report) error {
+func run(w *experiments.Workload, exp, csvDir string, progress int, stdout io.Writer, log *slog.Logger, report *benchreport.Report) error {
 	cfg := experiments.SweepConfig{}
 	all := exp == "all"
 
@@ -201,7 +221,7 @@ func run(w *experiments.Workload, exp, csvDir string, progress int, log *slog.Lo
 		}
 
 		stopReport := clock.Start(sim.PhaseReport)
-		fmt.Println(art)
+		fmt.Fprintln(stdout, art)
 		if csvDir != "" {
 			cf, err := os.Create(filepath.Join(csvDir, fmt.Sprintf("%s-%s.csv", w.Name, name)))
 			if err != nil {
@@ -304,10 +324,5 @@ func run(w *experiments.Workload, exp, csvDir string, progress int, log *slog.Lo
 			}
 		}
 	}
-	switch exp {
-	case "all", "fig2", "fig3", "table", "fig4", "fig5", "baselines", "maintenance", "maintenance-cost", "predict-bench", "ablations":
-		return nil
-	default:
-		return fmt.Errorf("unknown experiment %q", exp)
-	}
+	return nil
 }

@@ -1,0 +1,74 @@
+package main
+
+import (
+	"bytes"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"pbppm/internal/benchreport"
+)
+
+// TestUsageErrorsExitBeforeBuilding: an unknown experiment, workload or
+// scale exits 2 at once, without building a workload.
+func TestUsageErrorsExitBeforeBuilding(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "bogus", "-scale", "small", "-workload", "nasa"},
+		{"-scale", "smal", "-workload", "nasa", "-exp", "predict-bench"},
+		{"-workload", "bogus", "-scale", "small"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := realMain(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr %q)", args, code, stderr.String())
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "unknown") || strings.Contains(msg, "prepared") {
+			t.Errorf("%v: stderr %q, want an unknown-value error and no workload build", args, msg)
+		}
+	}
+}
+
+// TestBenchArtifactComparesAgainstItself runs the predict benchmark on
+// the small NASA workload: its -bench-out artifact passes -compare
+// against itself, and a copy with one headline metric moved past
+// -tol-metric fails the comparison with exit 3.
+func TestBenchArtifactComparesAgainstItself(t *testing.T) {
+	dir := t.TempDir()
+	artifact := filepath.Join(dir, "run.json")
+	bench := []string{"-exp", "predict-bench", "-scale", "small", "-workload", "nasa"}
+	var stdout, stderr bytes.Buffer
+	if code := realMain(append(bench, "-bench-out", artifact, "-compare", artifact), &stdout, &stderr); code != 0 {
+		t.Fatalf("run compared against its own artifact: exit %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
+	}
+
+	report, err := benchreport.ReadFile(artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := false
+	for i, r := range report.Records {
+		if v, ok := r.Metrics["predict_arena_bytes"]; ok && r.Experiment == "predict-bench" {
+			report.Records[i].Metrics["predict_arena_bytes"] = v / 2
+			moved = true
+		}
+	}
+	if !moved {
+		t.Fatalf("artifact has no predict-bench record with predict_arena_bytes: %+v", report.Records)
+	}
+	baseline := filepath.Join(dir, "moved.json")
+	if err := benchreport.WriteFile(baseline, report); err != nil {
+		t.Fatal(err)
+	}
+	stdout.Reset()
+	stderr.Reset()
+	// Run-cost noise between two runs must not decide the verdict.
+	if code := realMain(append(bench, "-compare", baseline, "-tol-wall", "1000", "-tol-metric", "0.10"), &stdout, &stderr); code != 3 {
+		t.Fatalf("run against a baseline with a moved headline metric: exit %d, want 3\nstdout:\n%s", code, &stdout)
+	}
+	regressed := false
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		regressed = regressed || strings.Contains(line, "predict_arena_bytes") && strings.Contains(line, "REGRESSED")
+	}
+	if !regressed {
+		t.Errorf("comparison does not report the moved metric as regressed:\n%s", &stdout)
+	}
+}
