@@ -111,6 +111,9 @@ func RunFigure5(w *Workload, cfg Figure5Config) (*Figure5, error) {
 	w.Hooks.ObserveModel(ModelLRS, mLRS)
 	w.Hooks.ObserveModel(ModelPB4KB, mPB)
 	w.Hooks.ObserveModel(ModelPB10KB, mPB)
+	// Every replay predicts from a model's snapshot; freezing each
+	// model once here spares the replays a freeze apiece.
+	fPPM, fLRS, fPB := markov.Freeze(mPPM), markov.Freeze(mLRS), markov.Freeze(mPB)
 
 	fig := &Figure5{Workload: w.Name}
 	for _, n := range counts {
@@ -141,10 +144,10 @@ func RunFigure5(w *Workload, cfg Figure5Config) (*Figure5, error) {
 			model markov.Predictor
 			bytes int64
 		}{
-			{ModelPPM, mPPM, sim.DefaultMaxPrefetchBytes},
-			{ModelLRS, mLRS, sim.DefaultMaxPrefetchBytes},
-			{ModelPB4KB, mPB, 4 * 1024},
-			{ModelPB10KB, mPB, 10 * 1024},
+			{ModelPPM, fPPM, sim.DefaultMaxPrefetchBytes},
+			{ModelLRS, fLRS, sim.DefaultMaxPrefetchBytes},
+			{ModelPB4KB, fPB, 4 * 1024},
+			{ModelPB10KB, fPB, 10 * 1024},
 		} {
 			opt := common
 			opt.Predictor = mc.model

@@ -298,6 +298,10 @@ func Run(test []session.Session, opt Options) metrics.Result {
 		proxy = opt.newCache(cache.DefaultProxyCapacity)
 	}
 
+	// The simulate phase starts before the freeze: the snapshot the
+	// replay predicts from is part of its cost.
+	replayStart := time.Now()
+
 	// open tracks each in-flight session's requests so far and, when
 	// the model has a frozen form, their match state in it.
 	open := make(map[int]openSession, len(test))
@@ -329,7 +333,6 @@ func Run(test []session.Session, opt Options) metrics.Result {
 	score := quality.NewScorer()
 	latencies := obs.NewHistogram(nil)
 
-	replayStart := time.Now()
 	every := opt.progressEvery()
 	report := func(done int64) {
 		elapsed := time.Since(replayStart)
