@@ -41,6 +41,12 @@
 //	model.Optimize()
 //	fmt.Println(model.Predict([]string{"/d0/page0000.html"}))
 //
+// Predict on a live model freezes it for the call; to serve many
+// predictions, freeze once and predict from the snapshot:
+//
+//	frozen := model.Freeze()
+//	fmt.Println(frozen.Predict([]string{"/d0/page0000.html"}))
+//
 // See the examples directory for runnable programs and DESIGN.md for
 // the system inventory and experiment index.
 package pbppm

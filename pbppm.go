@@ -26,6 +26,8 @@ import (
 // ----- Prediction models -----
 
 // Predictor is the interface shared by all three prefetching models.
+// Predict on a live (trainable) model freezes it for the call, so hot
+// paths serve its frozen snapshot (Freezer) instead.
 type Predictor = markov.Predictor
 
 // Prediction is one prefetch candidate.
@@ -38,8 +40,9 @@ type BufferedPredictor = markov.BufferedPredictor
 
 // Freezer is implemented by models that can produce an immutable
 // arena-backed snapshot of themselves for allocation- and GC-free
-// serving. HTTPServer.SetPredictor and the Maintainer install a
-// Freezer's snapshot, never the live model.
+// serving, the one predict implementation of every model.
+// HTTPServer.SetPredictor, the Maintainer and the simulator predict
+// from a Freezer's snapshot, never the live model.
 type Freezer = markov.Freezer
 
 // FrozenModel is the immutable arena-backed snapshot every Freezer
