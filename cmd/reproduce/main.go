@@ -39,8 +39,42 @@ import (
 	"pbppm/internal/tracegen"
 )
 
-// experimentNames are the -exp values, "all" first.
-var experimentNames = []string{"all", "fig2", "fig3", "table", "fig4", "fig5", "baselines", "maintenance", "maintenance-cost", "predict-bench", "ablations"}
+// experiment is an -exp value that produces one artifact.
+type experiment struct {
+	name string
+	run  func(w *experiments.Workload) (artifact, error)
+}
+
+// experimentRuns are the single-artifact experiments, in the order
+// -exp all runs them; -exp ablations (and all) then runs every
+// ablation.
+var experimentRuns = []experiment{
+	{"fig2", func(w *experiments.Workload) (artifact, error) {
+		return experiments.RunFigure2(w, experiments.SweepConfig{})
+	}},
+	{"fig3", func(w *experiments.Workload) (artifact, error) {
+		return experiments.RunFigure3(w, experiments.SweepConfig{})
+	}},
+	{"table", func(w *experiments.Workload) (artifact, error) {
+		return experiments.RunSpaceTable(w, experiments.SweepConfig{})
+	}},
+	{"fig4", func(w *experiments.Workload) (artifact, error) {
+		return experiments.RunFigure4(w, experiments.SweepConfig{})
+	}},
+	{"fig5", func(w *experiments.Workload) (artifact, error) {
+		return experiments.RunFigure5(w, experiments.Figure5Config{})
+	}},
+	{"baselines", func(w *experiments.Workload) (artifact, error) { return experiments.RunBaselines(w) }},
+	{"maintenance", func(w *experiments.Workload) (artifact, error) { return experiments.RunMaintenance(w) }},
+	{"maintenance-cost", func(w *experiments.Workload) (artifact, error) { return experiments.RunMaintenanceCost(w) }},
+	{"predict-bench", func(w *experiments.Workload) (artifact, error) { return experiments.RunPredictBench(w) }},
+}
+
+// knownExperiment reports whether exp is a valid -exp value.
+func knownExperiment(exp string) bool {
+	return exp == "all" || exp == "ablations" ||
+		slices.ContainsFunc(experimentRuns, func(e experiment) bool { return e.name == exp })
+}
 
 func main() {
 	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
@@ -74,7 +108,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	switch {
-	case !slices.Contains(experimentNames, *exp):
+	case !knownExperiment(*exp):
 		return usage("experiment", *exp)
 	case *workload != "both" && *workload != "nasa" && *workload != "ucbcs":
 		return usage("workload", *workload)
@@ -178,7 +212,6 @@ type artifact interface {
 }
 
 func run(w *experiments.Workload, exp, csvDir string, progress int, stdout io.Writer, log *slog.Logger, report *benchreport.Report) error {
-	cfg := experiments.SweepConfig{}
 	all := exp == "all"
 
 	// runOne executes one experiment under a fresh phase clock and
@@ -249,56 +282,14 @@ func run(w *experiments.Workload, exp, csvDir string, progress int, stdout io.Wr
 		return nil
 	}
 
-	fixed := func(name string, f func() (artifact, error)) func() (string, artifact, error) {
-		return func() (string, artifact, error) {
-			art, err := f()
-			return name, art, err
-		}
-	}
-
-	if all || exp == "fig2" {
-		if err := runOne("fig2", fixed("fig2", func() (artifact, error) { return experiments.RunFigure2(w, cfg) })); err != nil {
-			return err
-		}
-	}
-	if all || exp == "fig3" {
-		if err := runOne("fig3", fixed("fig3", func() (artifact, error) { return experiments.RunFigure3(w, cfg) })); err != nil {
-			return err
-		}
-	}
-	if all || exp == "table" {
-		if err := runOne("table", fixed("table", func() (artifact, error) { return experiments.RunSpaceTable(w, cfg) })); err != nil {
-			return err
-		}
-	}
-	if all || exp == "fig4" {
-		if err := runOne("fig4", fixed("fig4", func() (artifact, error) { return experiments.RunFigure4(w, cfg) })); err != nil {
-			return err
-		}
-	}
-	if all || exp == "fig5" {
-		if err := runOne("fig5", fixed("fig5", func() (artifact, error) { return experiments.RunFigure5(w, experiments.Figure5Config{}) })); err != nil {
-			return err
-		}
-	}
-	if all || exp == "baselines" {
-		if err := runOne("baselines", fixed("baselines", func() (artifact, error) { return experiments.RunBaselines(w) })); err != nil {
-			return err
-		}
-	}
-	if all || exp == "maintenance" {
-		if err := runOne("maintenance", fixed("maintenance", func() (artifact, error) { return experiments.RunMaintenance(w) })); err != nil {
-			return err
-		}
-	}
-	if all || exp == "maintenance-cost" {
-		if err := runOne("maintenance-cost", fixed("maintenance-cost", func() (artifact, error) { return experiments.RunMaintenanceCost(w) })); err != nil {
-			return err
-		}
-	}
-	if all || exp == "predict-bench" {
-		if err := runOne("predict-bench", fixed("predict-bench", func() (artifact, error) { return experiments.RunPredictBench(w) })); err != nil {
-			return err
+	for _, e := range experimentRuns {
+		if all || exp == e.name {
+			if err := runOne(e.name, func() (string, artifact, error) {
+				art, err := e.run(w)
+				return e.name, art, err
+			}); err != nil {
+				return err
+			}
 		}
 	}
 	if all || exp == "ablations" {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pbppm/internal/core"
@@ -121,7 +122,15 @@ func livePB(m *core.Model, cfg core.Config, ctx []string) []markov.Prediction {
 		if len(linked) > core.MaxLinkPredictions {
 			linked = linked[:core.MaxLinkPredictions]
 		}
-		out = markov.MergeLinked(out, linked)
+		for _, l := range linked {
+			i := slices.IndexFunc(out, func(p markov.Prediction) bool { return p.URL == l.URL })
+			switch {
+			case i < 0:
+				out = append(out, l)
+			case l.Probability > out[i].Probability:
+				out[i] = l
+			}
+		}
 	}
 	markov.SortPredictions(out)
 	return out

@@ -915,16 +915,14 @@ func (f *FrozenTree) PredictFrom(node uint32, last string, maxOrder int, buf []P
 }
 
 // PredictMarking is PredictFrom that also sets, in used, the bit of
-// each arena node the prediction touched: bit i%64 of used[i/64] stands
-// for node i, so used must cover the arena's NodeCount()+1 nodes. These
-// are the marks of the path-utilization rate (Figure 2, right), which
-// counts a root-to-leaf path as used when a prediction matched its leaf
-// as context or offered it. A longest match marks the match node and
-// every child it predicts; the blend marks each node on the match's
-// suffix-link chain and the child each surviving candidate came from,
-// never a candidate the threshold filtered out; extra candidates keyed
-// by the click (rule-3 links) mark nothing. The nodes above a match are
-// interior, so they need no mark.
+// each arena node the prediction matched or offered (bit i%64 of
+// used[i/64] for node i): the marks of the path-utilization rate
+// (Figure 2, right), which counts a root-to-leaf path as used when its
+// leaf was. A longest match marks the match node and each child it
+// predicts; the blend marks each node on the match's suffix-link chain
+// and the child each surviving candidate came from; extra candidates
+// (rule-3 links) mark nothing. Nodes above a match are interior and
+// need no mark.
 func (f *FrozenTree) PredictMarking(node uint32, last string, maxOrder int, buf []Prediction, used []uint64) []Prediction {
 	return f.predictFrom(node, last, maxOrder, buf, used)
 }
@@ -935,32 +933,32 @@ func (f *FrozenTree) predictFrom(node uint32, last string, maxOrder int, buf []P
 	switch {
 	case f.blend:
 		buf = f.arena.sec.appendBlend(buf, f.arena, node, f.threshold)
-		if used != nil {
-			f.arena.markBlend(used, node, buf)
-		}
 	case node != 0:
 		buf = f.arena.AppendPredictions(buf, node, f.threshold, f.arena.Depth(node))
-		if used != nil {
-			setBit(used, node)
-			for _, p := range buf {
-				setBit(used, f.arena.childOf(node, p.URL))
-			}
-		}
 	}
+	if used != nil {
+		f.arena.markUsed(used, node, buf, f.blend)
+	}
+	// Extra candidates join by URL: a URL keeps its highest estimate,
+	// and a tree candidate wins an exact tie.
 	if linked := f.links[last]; len(linked) > 0 {
-		buf = MergeLinked(buf, linked)
+		for _, p := range linked {
+			buf = mergeCandidate(buf, p)
+		}
 		SortPredictions(buf)
 	}
 	return buf
 }
 
-// markBlend sets the usage bits of a blend from match state node that
-// produced preds: every chain node with training mass, and the child
-// each candidate came from, found on the chain at the candidate's order.
-func (a *Arena) markBlend(used []uint64, node uint32, preds []Prediction) {
+// markUsed sets the usage bits of a prediction from match state node
+// whose tree candidates are preds: the match node (for a blend, every
+// node on its suffix-link chain), and the child each candidate came
+// from, found on the chain at the candidate's order.
+func (a *Arena) markUsed(used []uint64, node uint32, preds []Prediction, blend bool) {
 	for n := node; n != 0; n = a.link[n] {
-		if a.sec.count(n) != 0 {
-			setBit(used, n)
+		used[n/64] |= 1 << (n % 64)
+		if !blend {
+			break
 		}
 	}
 	for _, p := range preds {
@@ -968,27 +966,9 @@ func (a *Arena) markBlend(used []uint64, node uint32, preds []Prediction) {
 		for int(a.depth[n]) != p.Order {
 			n = a.link[n]
 		}
-		setBit(used, a.childOf(n, p.URL))
+		c, _ := a.sec.child(n, a.ids[p.URL])
+		used[c/64] |= 1 << (c % 64)
 	}
-}
-
-// childOf returns node's child for url, which must exist.
-func (a *Arena) childOf(node uint32, url string) uint32 {
-	c, _ := a.sec.child(node, a.ids[url])
-	return c
-}
-
-// setBit sets node's bit in a node-indexed bitset.
-func setBit(used []uint64, node uint32) { used[node/64] |= 1 << (node % 64) }
-
-// MergeLinked folds the extra candidates linked into preds,
-// deduplicating by URL: a URL keeps its highest estimate, and the
-// candidate already in preds wins an exact tie.
-func MergeLinked(preds, linked []Prediction) []Prediction {
-	for _, p := range linked {
-		preds = mergeCandidate(preds, p)
-	}
-	return preds
 }
 
 // mergeCandidate adds p to preds unless preds holds its URL already, in

@@ -417,26 +417,6 @@ func countNodes(n *Node) int {
 	return total
 }
 
-// LeafCount returns the number of leaves (root-to-leaf paths).
-func (t *Tree) LeafCount() int {
-	if t.Root.IsLeaf() {
-		return 0
-	}
-	return countLeaves(t.Root)
-}
-
-func countLeaves(n *Node) int {
-	if n.IsLeaf() {
-		return 1
-	}
-	total := 0
-	n.EachChild(func(c *Node) bool {
-		total += countLeaves(c)
-		return true
-	})
-	return total
-}
-
 // Prune removes every non-root node (and its subtree) for which remove
 // returns true, and returns the number of nodes removed. remove is
 // called with the node's parent (possibly the pseudo-root) and the node.

@@ -330,7 +330,7 @@ func TestPredictDeterministicTieBreak(t *testing.T) {
 
 func TestNodeAndLeafCount(t *testing.T) {
 	tr := NewTree()
-	if tr.NodeCount() != 0 || tr.LeafCount() != 0 {
+	if tr.NodeCount() != 0 || tr.Stats().Leaves != 0 {
 		t.Error("empty tree counts not zero")
 	}
 	tr.Insert(seq("a", "b", "c"), 0, 1)
@@ -339,8 +339,8 @@ func TestNodeAndLeafCount(t *testing.T) {
 	if got := tr.NodeCount(); got != 5 {
 		t.Errorf("NodeCount = %d, want 5", got)
 	}
-	if got := tr.LeafCount(); got != 3 {
-		t.Errorf("LeafCount = %d, want 3", got)
+	if got := tr.Stats().Leaves; got != 3 {
+		t.Errorf("leaves = %d, want 3", got)
 	}
 }
 

@@ -13,10 +13,6 @@
 // browser and proxy cache hits are invisible to it. The server keeps a
 // per-session context of the requests it has seen and matches as many
 // previous URLs as possible, the paper's longest-matching method.
-//
-// The replay predicts the way the server does: from the model's frozen
-// snapshot (markov.Freeze), advancing one match state per open session
-// by each request the server sees.
 package sim
 
 import (
@@ -39,16 +35,13 @@ import (
 // metric counts as popular.
 const popularMinGrade popularity.Grade = 2
 
-// refreezeEvery is the online-training cadence: the snapshot a replay
-// predicts from is re-frozen at the first event of a later simulated
-// hour than a session end, so a session ended in hour h serves
-// predictions from hour h+1 on, the way a maintainer publishes delta
-// merges on a timer. A per-session cadence would be too slow: on the
-// small NASA workload, freezing the 1,731-node online PB-PPM model
-// takes about 370 µs, so re-freezing after each of the test day's 564
-// session ends would cost about 208 ms against about 26 ms for the
-// whole online-training ablation. Those sessions end in 22 distinct
-// hours, and the hourly cadence's 21 re-freezes cost 4–7 ms.
+// refreezeEvery is the online-training cadence: a replay re-freezes the
+// model at the first event of a later simulated hour than a session
+// end, the way a maintainer publishes on a timer. Per session end it
+// would be too slow: on the small NASA workload a freeze of the online
+// PB-PPM model takes about 370 µs, so the test day's 564 session ends
+// would cost about 208 ms against 26 ms for the whole ablation, while
+// they fall in 22 hours and the hourly re-freezes cost 4–7 ms.
 const refreezeEvery = time.Hour
 
 // noOrderCap is the order cap the replay matches with: none beyond the
@@ -92,11 +85,10 @@ type Options struct {
 	// nil disables that metric. Popular means grade 2 or 3.
 	Grades popularity.Grader
 	// OnlineTraining feeds each completed test session back into the
-	// model, emulating a continuously maintained server model: the
+	// model, emulating a continuously maintained server model: a
 	// session trains the model when it ends, and predictions see it
-	// once the snapshot is re-frozen, at the first event of a later
-	// simulated hour (refreezeEvery). Path utilization is not measured
-	// then and stays 0, since the snapshot it would count changes.
+	// from the next simulated hour on (refreezeEvery). Path
+	// utilization is not measured then and stays 0.
 	OnlineTraining bool
 	// PredictOnHitToo makes every demand click visible to the server
 	// (as if clients revalidated every cached copy), so predictions
@@ -241,8 +233,8 @@ type event struct {
 	view    int // index into the session's views
 }
 
-// openSession is the server's view of one in-flight session: the
-// requests it has seen, and their match state in the snapshot.
+// openSession is the server's view of an in-flight session: the
+// requests it has seen and their match state in the snapshot.
 type openSession struct {
 	ctx  []string
 	node uint32
@@ -300,34 +292,27 @@ func Run(test []session.Session, opt Options) metrics.Result {
 		proxy = opt.newCache(cache.DefaultProxyCapacity)
 	}
 
-	// The simulate phase starts before the freeze: the snapshot the
-	// replay predicts from is part of its cost.
+	// The simulate phase includes the freeze: the snapshot is part of
+	// the replay's cost.
 	replayStart := time.Now()
 
-	// open tracks each in-flight session's requests so far and, when
-	// the model has a frozen form, their match state in it.
-	open := make(map[int]openSession, len(test))
+	// frozen is the snapshot predictions come from, nil for a model
+	// with no frozen form; used is a node-indexed bitset over its arena.
 	var (
-		pred   markov.Predictor // what predictions come from
 		frozen *markov.FrozenTree
-		used   []uint64 // node-indexed usage bitset over frozen's arena
+		used   []uint64
 	)
-	freeze := func() {
-		pred = markov.Freeze(opt.Predictor)
-		frozen, _ = pred.(*markov.FrozenTree)
-	}
+	freeze := func() { frozen, _ = markov.Freeze(opt.Predictor).(*markov.FrozenTree) }
 	if opt.Predictor != nil {
 		freeze()
 		if frozen != nil && !opt.OnlineTraining {
 			used = make([]uint64, (frozen.Arena().NodeCount()+64)/64)
 		}
 	}
-	// Under online training, trained marks that a session has ended
-	// since the last freeze, in simulated hour trainedHour.
-	var (
-		trained     bool
-		trainedHour time.Time
-	)
+	open := make(map[int]openSession, len(test))
+	// endedHour is the simulated hour of the first session end since
+	// the last freeze, zero when there is none.
+	var endedHour time.Time
 
 	// All §2.3 quality accounting flows through a quality.Scorer — the
 	// same implementation the live server scores its hint lifecycle
@@ -360,17 +345,18 @@ func Run(test []session.Session, opt Options) metrics.Result {
 	var predBuf []markov.Prediction
 
 	for evIdx, ev := range events {
-		if trained && ev.t.Truncate(refreezeEvery).After(trainedHour) {
+		if !endedHour.IsZero() && ev.t.Truncate(refreezeEvery).After(endedHour) {
 			freeze()
-			trained = false
-			if frozen != nil {
-				for si, os := range open {
-					os.node = 0
-					for _, u := range os.ctx {
-						os.node = frozen.Step(os.node, u, noOrderCap)
-					}
-					open[si] = os
+			endedHour = time.Time{}
+			for si, sess := range open {
+				if frozen == nil {
+					break
 				}
+				sess.node = 0
+				for _, u := range sess.ctx {
+					sess.node = frozen.Step(sess.node, u, noOrderCap)
+				}
+				open[si] = sess
 			}
 		}
 		v := test[ev.session].Views[ev.view]
@@ -435,28 +421,28 @@ func Run(test []session.Session, opt Options) metrics.Result {
 		// The server's view of the session: requests that reached it.
 		// Cache hits stay invisible unless PredictOnHitToo is set.
 		reachedServer := !served || opt.PredictOnHitToo
-		os := open[ev.session]
+		sess := open[ev.session]
 		if reachedServer {
-			os.ctx = append(os.ctx, v.URL)
+			sess.ctx = append(sess.ctx, v.URL)
 			if frozen != nil {
-				os.node = frozen.Step(os.node, v.URL, noOrderCap)
+				sess.node = frozen.Step(sess.node, v.URL, noOrderCap)
 			}
-			open[ev.session] = os
+			open[ev.session] = sess
 		}
 		if ev.view == len(test[ev.session].Views)-1 {
 			delete(open, ev.session)
 			if opt.OnlineTraining && opt.Predictor != nil {
 				opt.Predictor.TrainSequence(test[ev.session].URLs())
-				if !trained {
-					trained, trainedHour = true, ev.t.Truncate(refreezeEvery)
+				if endedHour.IsZero() {
+					endedHour = ev.t.Truncate(refreezeEvery)
 				}
 			}
 		}
-		if pred != nil && reachedServer {
+		if opt.Predictor != nil && reachedServer {
 			if frozen != nil {
-				predBuf = frozen.PredictMarking(os.node, v.URL, noOrderCap, predBuf, used)
+				predBuf = frozen.PredictMarking(sess.node, v.URL, noOrderCap, predBuf, used)
 			} else {
-				predBuf = markov.PredictInto(pred, os.ctx, predBuf)
+				predBuf = markov.PredictInto(opt.Predictor, sess.ctx, predBuf)
 			}
 			for _, p := range predBuf {
 				psize, known := sizes[p.URL]
@@ -518,9 +504,7 @@ func utilization(a *markov.Arena, used []uint64) float64 {
 	for n := uint32(1); n <= uint32(a.NodeCount()); n++ {
 		if a.IsLeaf(n) {
 			leaves++
-			if used[n/64]&(1<<(n%64)) != 0 {
-				hit++
-			}
+			hit += int(used[n/64] >> (n % 64) & 1)
 		}
 	}
 	if leaves == 0 {
