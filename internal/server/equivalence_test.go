@@ -33,9 +33,8 @@ func TestLiveScorerMatchesOfflineSimulator(t *testing.T) {
 // TestLiveScorerMatchesOfflineSimulatorFrozen runs the same replay with
 // the server handed the model's frozen snapshot, as prefetchd's
 // maintainer publishes it: the server serves the same snapshot the
-// other test's install produces, advancing each session's streaming
-// match state instead of re-matching its context tail, while the
-// simulator freezes the live model itself.
+// other test's install produces, while the simulator freezes the live
+// model itself.
 func TestLiveScorerMatchesOfflineSimulatorFrozen(t *testing.T) {
 	checkLiveScorerMatchesOfflineSimulator(t, func(m *core.Model) markov.Predictor { return m.Freeze() })
 }
