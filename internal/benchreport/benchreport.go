@@ -78,8 +78,9 @@ type ModelStats struct {
 	Leaves   int    `json:"leaves"`
 	MaxDepth int    `json:"max_depth"`
 	// ApproxBytes keeps its historical JSON key for artifact-schema
-	// stability; since the compact tree layout it carries the measured
-	// BytesEstimate rather than a per-node guess.
+	// stability. It is TreeStats.Bytes: the measured BytesEstimate for a
+	// live model an experiment trains itself, and the arena image's size
+	// for a frozen model a maintainer publishes.
 	ApproxBytes int64 `json:"approx_bytes"`
 }
 

@@ -87,7 +87,6 @@ type Model struct {
 
 var _ markov.Predictor = (*Model)(nil)
 var _ markov.Freezer = (*Model)(nil)
-var _ markov.IncrementalTrainer = (*Model)(nil)
 
 // New returns an empty popularity-based model that grades URLs with
 // grades (typically a *popularity.Ranking built from the training
@@ -168,30 +167,6 @@ func (m *Model) TrainSequence(seq []string) {
 			depth = 1
 		}
 		prevGrade = g
-	}
-}
-
-// Clone returns a deep copy of the model for incremental maintenance:
-// the tree and rule-3 link counts are fresh, so training a delta into
-// the clone never mutates the receiver. The popularity grader is
-// shared — it is read-only during training, and the incremental scheme
-// deliberately keeps the grading fixed between compactions (a
-// compaction re-derives the ranking from the full window).
-func (m *Model) Clone() markov.Predictor {
-	links := make(map[string]map[string]int64, len(m.links))
-	for root, lm := range m.links {
-		cp := make(map[string]int64, len(lm))
-		for url, cnt := range lm {
-			cp[url] = cnt
-		}
-		links[root] = cp
-	}
-	return &Model{
-		cfg:     m.cfg,
-		heights: m.heights,
-		grades:  m.grades,
-		tree:    m.tree.Clone(),
-		links:   links,
 	}
 }
 

@@ -117,9 +117,9 @@ func (m *Maintenance) String() string {
 
 // MaintenanceCost quantifies what incremental maintenance buys: each
 // evaluation day, the sessions of the previous day are folded into the
-// live PB-PPM model twice — once through the delta-merge path (clone
-// the model, then train only the new sessions into the clone) and once
-// through a full rebuild over the whole window — and the day
+// live PB-PPM model twice — once through the delta-merge path (train
+// only the new sessions into the model in place, then freeze it) and
+// once through a full rebuild over the whole window — and the day
 // is replayed against both models. The wall-time columns show the
 // update-cost gap growing with the window while the headline metrics
 // stay equal; the hit-ratio columns bound what the delta path's
@@ -167,8 +167,8 @@ func RunMaintenanceCost(w *Workload) (*MaintenanceCost, error) {
 		}
 	}
 	observeBoth(day0)
-	// Initial build on both: the delta path needs a base snapshot to
-	// clone. Not a comparison row.
+	// Initial build on both: the delta path needs a base model to train
+	// into. Not a comparison row.
 	w.Hooks.Phases.Time(sim.PhaseTrain, func() {
 		deltaM.Rebuild(w.Trace.Epoch.Add(24 * time.Hour))
 		fullM.Rebuild(w.Trace.Epoch.Add(24 * time.Hour))

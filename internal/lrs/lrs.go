@@ -46,7 +46,6 @@ type Model struct {
 
 var _ markov.Predictor = (*Model)(nil)
 var _ markov.Freezer = (*Model)(nil)
-var _ markov.IncrementalTrainer = (*Model)(nil)
 
 // New returns an empty LRS model.
 func New(cfg Config) *Model {
@@ -78,19 +77,6 @@ func (m *Model) rebuild() {
 	m.pruned = m.full.CopyIf(func(_, child *markov.Node) bool {
 		return child.Count >= repeatThreshold
 	})
-}
-
-// Clone returns a deep copy of the model for incremental maintenance.
-// Both the full suffix trie and the pruned prediction view are copied,
-// so training a delta into the clone can promote sequences across the
-// repeat threshold without touching the receiver.
-func (m *Model) Clone() markov.Predictor {
-	return &Model{
-		cfg:    m.cfg,
-		full:   m.full.Clone(),
-		pruned: m.pruned.Clone(),
-		dirty:  m.dirty,
-	}
 }
 
 // Predict finds the deepest repeating-sequence node matching the

@@ -38,9 +38,10 @@ func BenchmarkFullRebuild(b *testing.B) {
 	}
 }
 
-// BenchmarkDeltaMerge folds a fixed-size delta into the live snapshot;
-// across the same window sizes as BenchmarkFullRebuild the per-update
-// cost should track the delta (plus the clone), not the window.
+// BenchmarkDeltaMerge trains a fixed-size delta into the editable
+// model in place and publishes its freeze; across the same window sizes
+// as BenchmarkFullRebuild the per-update cost should track the delta
+// (plus the freeze), not the window.
 func BenchmarkDeltaMerge(b *testing.B) {
 	const delta = 64
 	for _, window := range []int{1000, 4000, 16000} {

@@ -67,8 +67,8 @@ func TestDeltaMergeAbsorbsStagedSessions(t *testing.T) {
 	if !found {
 		t.Errorf("merged model does not predict the delta: %+v", got)
 	}
-	// The previously published snapshot was cloned, not mutated: it still
-	// knows nothing about the delta.
+	// The previously published snapshot is its own arena: training the
+	// editable model in place left it knowing nothing about the delta.
 	for _, p := range base.Predict([]string{"/home"}) {
 		if p.URL == "/fresh" {
 			t.Errorf("delta merge mutated the published snapshot: %+v", p)
@@ -81,6 +81,48 @@ func TestDeltaMergeAbsorbsStagedSessions(t *testing.T) {
 	}
 	if m.DeltaMerges() != 1 {
 		t.Errorf("empty delta merge counted: %d", m.DeltaMerges())
+	}
+}
+
+// TestPublishedSnapshotNeverChanges: a delta merge trains the editable
+// model in place, so the snapshot published before it must be a
+// separate image — its arena bytes and its predictions stay as they
+// were when it was published.
+func TestPublishedSnapshotNeverChanges(t *testing.T) {
+	m, err := New(Config{Factory: pbFactory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		m.Observe(mkSession(i, "/home", "/news", "/news/today"))
+	}
+	snap := m.Rebuild(epoch.Add(8 * time.Hour))
+	ctxs := [][]string{{"/home"}, {"/news"}, {"/home", "/news"}, {"/fresh"}}
+	preds := make([][]markov.Prediction, len(ctxs))
+	for i, ctx := range ctxs {
+		preds[i] = snap.Predict(ctx)
+	}
+	var image []byte
+	if ah, ok := snap.(markov.ArenaHolder); ok && ah.Arena() != nil {
+		image = bytes.Clone(ah.Arena().Bytes())
+	} else {
+		t.Errorf("published model %T is not arena-backed", snap)
+	}
+
+	for i := 0; i < 8; i++ {
+		m.Observe(mkSession(9+i, "/home", "/fresh", "/news"))
+	}
+	m.DeltaMerge(epoch.Add(20 * time.Hour))
+	if m.DeltaMerges() != 1 {
+		t.Fatalf("setup: DeltaMerges = %d, want 1", m.DeltaMerges())
+	}
+	for i, ctx := range ctxs {
+		if got := snap.Predict(ctx); !reflect.DeepEqual(got, preds[i]) {
+			t.Errorf("Predict(%v) on the earlier snapshot changed to %+v, was %+v", ctx, got, preds[i])
+		}
+	}
+	if image != nil && !bytes.Equal(arenaImage(t, snap), image) {
+		t.Error("the delta merge rewrote the earlier snapshot's arena")
 	}
 }
 
@@ -276,7 +318,7 @@ func TestPanicDuringDeltaMergeKeepsSnapshot(t *testing.T) {
 	m.Observe(mkSession(0, "/home", "/news"))
 	trained := m.Rebuild(epoch.Add(time.Hour))
 
-	trigger = 1 // the clone's first TrainSequence panics
+	trigger = 1 // the batch's first TrainSequence panics
 	m.Observe(mkSession(2, "/home", "/fresh"))
 	if got := m.DeltaMerge(epoch.Add(3 * time.Hour)); got != trained {
 		t.Error("panicking delta merge replaced the snapshot")
@@ -298,12 +340,13 @@ func TestPanicDuringDeltaMergeKeepsSnapshot(t *testing.T) {
 	}
 }
 
-// TestPanicMidBatchLeavesNoHalfTrainedClone: a delta merge trains its
-// batch into a clone, so a panic can strike after part of the batch is
-// in it. That clone must go with the panic: the next delta merge starts
-// from the untouched editable model, and the next compaction still
-// recovers the whole dropped batch.
-func TestPanicMidBatchLeavesNoHalfTrainedClone(t *testing.T) {
+// TestPanicMidBatchRebuildsFromWindow: a delta merge trains its batch
+// into the editable model in place, so a panic can strike after part of
+// the batch is in it. That model must go with the panic: the next delta
+// merge rebuilds from the window, which still holds the whole dropped
+// batch, and publishes exactly what a maintainer that never panicked
+// publishes from the same window.
+func TestPanicMidBatchRebuildsFromWindow(t *testing.T) {
 	var trigger int
 	factory := func(rank *popularity.Ranking) markov.Predictor {
 		return &panicOnTrain{Predictor: pbFactory(rank), trigger: &trigger}
@@ -312,74 +355,49 @@ func TestPanicMidBatchLeavesNoHalfTrainedClone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sessions := []session.Session{
-		mkSession(0, "/home", "/news", "/news/today"),
-		mkSession(1, "/home", "/sports"),
+	ref, err := New(Config{Factory: pbFactory})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, s := range sessions {
-		m.Observe(s)
+	observe := func(ss ...session.Session) {
+		for _, s := range ss {
+			m.Observe(s)
+			ref.Observe(s)
+		}
 	}
+	observe(mkSession(0, "/home", "/news", "/news/today"), mkSession(1, "/home", "/sports"))
 	m.Rebuild(epoch.Add(2 * time.Hour))
-	// A private copy of the editable model as it stood before the panic.
-	pre := m.editable.(markov.IncrementalTrainer).Clone()
 
-	dropped := []session.Session{
-		mkSession(3, "/home", "/dropped1"),
-		mkSession(4, "/news", "/dropped2"),
-		mkSession(5, "/sports", "/dropped3"),
-	}
-	for _, s := range dropped {
-		m.Observe(s)
-	}
-	trigger = 2 // the batch's second session panics; the first is in the clone
+	observe(mkSession(3, "/home", "/dropped1"), mkSession(4, "/news", "/dropped2"),
+		mkSession(5, "/sports", "/dropped3"))
+	trigger = 2 // the batch's second session panics; the first is trained in
 	m.DeltaMerge(epoch.Add(6 * time.Hour))
 	if v := m.metrics.skippedPanic.Value(); v != 1 {
 		t.Fatalf("skipped{panic} = %d, want 1", v)
 	}
 
-	fresh := []session.Session{
-		mkSession(7, "/home", "/fresh"),
-		mkSession(8, "/news", "/news/today"),
+	observe(mkSession(7, "/home", "/fresh"), mkSession(8, "/news", "/news/today"))
+	now := epoch.Add(9 * time.Hour)
+	merged := m.DeltaMerge(now)
+	if !bytes.Equal(arenaImage(t, merged), arenaImage(t, ref.Rebuild(now))) {
+		t.Error("delta merge after a mid-batch panic did not rebuild from the window")
 	}
-	for _, s := range fresh {
-		m.Observe(s)
-	}
-	merged := m.DeltaMerge(epoch.Add(9 * time.Hour))
-	var seqs [][]string
-	for _, s := range fresh {
-		seqs = append(seqs, s.URLs())
-	}
-	markov.TrainAll(pre, seqs)
-	want := markov.Freeze(pre)
-	if !bytes.Equal(arenaImage(t, merged), arenaImage(t, want)) {
-		t.Error("delta merge after a mid-batch panic published a half-trained clone")
-	}
-	if got, want := merged.NodeCount(), want.NodeCount(); got != want {
-		t.Errorf("NodeCount = %d, want %d", got, want)
+	if m.Rebuilds() != 2 || m.DeltaMerges() != 0 {
+		t.Errorf("Rebuilds/DeltaMerges = %d/%d, want 2/0", m.Rebuilds(), m.DeltaMerges())
 	}
 
 	// The compaction equals a rebuild by a maintainer that saw every
 	// session and never panicked.
-	now := epoch.Add(10 * time.Hour)
-	recovered := m.Rebuild(now)
-	ref, err := New(Config{Factory: pbFactory})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batch := range [][]session.Session{sessions, dropped, fresh} {
-		for _, s := range batch {
-			ref.Observe(s)
-		}
-	}
-	if !bytes.Equal(arenaImage(t, recovered), arenaImage(t, ref.Rebuild(now))) {
+	now = epoch.Add(10 * time.Hour)
+	if !bytes.Equal(arenaImage(t, m.Rebuild(now)), arenaImage(t, ref.Rebuild(now))) {
 		t.Error("compaction did not recover the dropped delta batch")
 	}
 }
 
 // panicOnTrain wraps a model so that, once trigger is set to n > 0, the
 // n-th TrainSequence from then on panics, simulating a corrupt delta
-// batch poisoning training; the panic disarms it. Clones share trigger,
-// and the wrapper publishes its model's frozen snapshot.
+// batch poisoning training; the panic disarms it. The wrapper publishes
+// its model's frozen snapshot.
 type panicOnTrain struct {
 	markov.Predictor
 	trigger *int
@@ -393,13 +411,6 @@ func (p *panicOnTrain) TrainSequence(seq []string) {
 		}
 	}
 	p.Predictor.TrainSequence(seq)
-}
-
-func (p *panicOnTrain) Clone() markov.Predictor {
-	return &panicOnTrain{
-		Predictor: p.Predictor.(markov.IncrementalTrainer).Clone(),
-		trigger:   p.trigger,
-	}
 }
 
 func (p *panicOnTrain) Freeze() markov.Predictor { return markov.Freeze(p.Predictor) }

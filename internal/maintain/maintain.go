@@ -8,9 +8,9 @@
 // Two update paths exist, and both train serially with
 // markov.TrainAll. The incremental path (DeltaMerge) absorbs only the
 // sessions observed since the last update: they accumulate in a bounded
-// staging buffer and are trained straight into a copy-on-write clone of
-// the model behind the live snapshot (markov.IncrementalTrainer), so
-// update cost tracks new traffic, not window size. The full path
+// staging buffer and are trained straight into the editable model
+// behind the live snapshot, which is then frozen and published again,
+// so update cost tracks new traffic, not window size. The full path
 // (Rebuild) is the periodic compaction: it trims expired sessions out
 // of the window, re-derives the popularity ranking, and retrains from
 // scratch — restoring the exact model a cold retrain would produce and
@@ -22,13 +22,14 @@
 // pbppm_rebuild_skipped_total, and discarded — the previous snapshot
 // stays live instead of blanking or poisoning the server.
 //
-// The Maintainer is safe for concurrent use. Each update constructs
-// its model off to the side and then publishes it as an immutable
-// snapshot through an atomic pointer: request-serving goroutines call
-// Observe and Predictor while an update runs, and predictions on a
-// published model are read-only (a trainable model is published as its
-// frozen snapshot — see markov.Freeze). A published model is never
-// trained or mutated again; the next update swaps in a whole new one.
+// The Maintainer is safe for concurrent use. Each update trains its
+// model off to the side and then publishes it as an immutable snapshot
+// through an atomic pointer: request-serving goroutines call Observe
+// and Predictor while an update runs, and predictions on a published
+// model are read-only. A trainable model is published as its frozen
+// snapshot (markov.Freeze), a separate arena, so a delta merge training
+// the model never touches what is served; the next update swaps in a
+// whole new snapshot.
 package maintain
 
 import (
@@ -145,9 +146,9 @@ func newMaintainMetrics(reg *obs.Registry) *maintainMetrics {
 		rebuildSeconds: reg.Histogram("pbppm_rebuild_seconds",
 			"Model rebuild duration: window trim, ranking, training, optimization.", nil),
 		deltaMerges: reg.Counter("pbppm_delta_merges_total",
-			"Completed incremental delta merges (staged sessions folded into a clone of the live model)."),
+			"Completed incremental delta merges (staged sessions trained into the editable model and published as its freeze)."),
 		deltaSeconds: reg.Histogram("pbppm_delta_merge_seconds",
-			"Delta-merge duration: model clone, training the batch into it, publish.", nil),
+			"Delta-merge duration: training the batch into the editable model, freeze, publish.", nil),
 		deltaSessions: reg.Counter("pbppm_delta_sessions_total",
 			"Sessions absorbed through the incremental delta-merge path."),
 		skippedEmptyWin: reg.Counter("pbppm_rebuild_skipped_total", skipHelp, reason(skipEmptyWindow)),
@@ -202,24 +203,20 @@ type Maintainer struct {
 	stagedHead int
 
 	// publishMu serializes model updates (Rebuild, DeltaMerge) against
-	// each other so a delta merge never clones a snapshot that a
-	// concurrent compaction is about to replace. Observe and Predictor
-	// never take it.
+	// each other so a delta merge never trains a model that a concurrent
+	// compaction is about to replace. Observe and Predictor never take
+	// it.
 	publishMu sync.Mutex
 
 	// editable is the live (mutable) model behind the published
-	// snapshot. The published model is its frozen arena image (when the
-	// model can freeze) and is never trained again; the delta path
-	// clones editable instead, so incremental training keeps working
-	// after freezing replaced the served representation. Guarded by
-	// publishMu.
+	// snapshot, which is its frozen arena image when the model can
+	// freeze. Delta merges train it in place; nil after a delta merge
+	// panicked, so the next update rebuilds. Guarded by publishMu.
 	editable markov.Predictor
 
 	// current is the published model snapshot, swapped whole by updates
 	// and read lock-free by Predictor.
-	current     atomic.Pointer[predictorCell]
-	rebuilds    atomic.Int64
-	deltaMerges atomic.Int64
+	current atomic.Pointer[predictorCell]
 
 	// lastRank is the popularity ranking derived from the window at the
 	// last compaction, published for the serving layer to grade live
@@ -274,12 +271,12 @@ func (m *Maintainer) Observe(s session.Session) {
 		m.staged = m.staged[:n]
 		m.stagedHead = 0
 	}
-	stagedNow := len(m.staged) - m.stagedHead
+	// Set the gauge under mu so concurrent writers land in order.
+	m.metrics.stagedSessions.Set(int64(len(m.staged) - m.stagedHead))
 	m.mu.Unlock()
 	if dropped > 0 {
 		m.metrics.stagedDropped.Add(int64(dropped))
 	}
-	m.metrics.stagedSessions.Set(int64(stagedNow))
 }
 
 // WindowSize reports how many sessions the window currently holds.
@@ -298,12 +295,12 @@ func (m *Maintainer) StagedSize() int {
 
 // Rebuilds reports how many full rebuilds (compactions) have published.
 func (m *Maintainer) Rebuilds() int {
-	return int(m.rebuilds.Load())
+	return int(m.metrics.rebuilds.Value())
 }
 
 // DeltaMerges reports how many incremental delta merges have published.
 func (m *Maintainer) DeltaMerges() int {
-	return int(m.deltaMerges.Load())
+	return int(m.metrics.deltaMerges.Value())
 }
 
 // SkippedUpdates reports how many updates were discarded instead of
@@ -346,15 +343,16 @@ func (m *Maintainer) takeStaged() [][]string {
 	}
 	m.clearStagedLocked()
 	m.mu.Unlock()
-	m.metrics.stagedSessions.Set(0)
 	return batch
 }
 
-// clearStagedLocked resets the staging buffer; the caller holds mu.
+// clearStagedLocked resets the staging buffer and its gauge; the caller
+// holds mu.
 func (m *Maintainer) clearStagedLocked() {
 	clear(m.staged)
 	m.staged = m.staged[:0]
 	m.stagedHead = 0
+	m.metrics.stagedSessions.Set(0)
 }
 
 // guarded runs fn and converts a panic into an error, so one poisoned
@@ -385,13 +383,13 @@ func (m *Maintainer) skip(op, reason string, detail any) {
 }
 
 // publish installs model as the live snapshot and returns the
-// predictor actually published. The model is kept as the editable base
-// for future delta merges; what gets served is markov.Freeze(model),
-// its frozen arena image when the model can freeze — O(1) GC objects,
-// allocation-free predictions — and the model itself otherwise. Either
-// way the published predictor is immutable from here on: the atomic
-// pointer is swapped, the model-health gauges refresh, and
-// Config.OnPublish fires. The caller holds publishMu.
+// predictor actually published. The model becomes the editable base
+// that future delta merges train in place; what gets served is
+// markov.Freeze(model), its frozen arena image when the model can
+// freeze — O(1) GC objects, allocation-free predictions — and the model
+// itself otherwise. Either way the published predictor is immutable
+// from here on: the atomic pointer is swapped, the model-health gauges
+// refresh, and Config.OnPublish fires. The caller holds publishMu.
 func (m *Maintainer) publish(model markov.Predictor) markov.Predictor {
 	m.editable = model
 	published := markov.Freeze(model)
@@ -445,10 +443,9 @@ func (m *Maintainer) Subscribe(fn func(markov.Predictor)) {
 // from — without it a remote shard would silently grade every hint
 // event popularity-unknown.
 //
-// The installed model is typically frozen (not a markov.Freezer or
-// IncrementalTrainer), so on a follower DeltaMerge degrades to rebuild;
-// followers do not run local maintenance loops, so that path stays
-// cold.
+// The installed model is typically frozen (not a markov.Freezer), so
+// on a follower DeltaMerge degrades to rebuild; followers do not run
+// local maintenance loops, so that path stays cold.
 func (m *Maintainer) InstallSnapshot(model markov.Predictor, rank *popularity.Ranking) error {
 	if model == nil {
 		return fmt.Errorf("maintain: install of nil model")
@@ -520,7 +517,6 @@ func (m *Maintainer) rebuildLocked(now time.Time) markov.Predictor {
 	}
 	m.clearStagedLocked()
 	m.mu.Unlock()
-	m.metrics.stagedSessions.Set(0)
 
 	prev := m.Predictor()
 	if len(window) == 0 && prev != nil {
@@ -559,7 +555,6 @@ func (m *Maintainer) rebuildLocked(now time.Time) markov.Predictor {
 	// built from, not the previous compaction's.
 	m.lastRank.Store(rank)
 	published := m.publish(model)
-	m.rebuilds.Add(1)
 	m.cfg.Annotations.Add("compaction",
 		fmt.Sprintf("model=%s sessions=%d nodes=%d",
 			published.Name(), len(window), published.NodeCount()))
@@ -578,32 +573,28 @@ func (m *Maintainer) rebuildLocked(now time.Time) markov.Predictor {
 }
 
 // DeltaMerge is the incremental update path: it drains the staging
-// buffer, deep-clones the editable model behind the live snapshot,
-// trains only the drained sessions into the clone (markov.TrainAll),
-// and publishes the clone (frozen into an arena when the model
-// supports it) — cost proportional to the delta (plus the clone's
-// memcpy-like tree copy and the freeze), not to retraining the window.
-// Space optimizations and popularity re-ranking are deliberately not
-// applied here; the next compaction (Rebuild) restores the canonical
+// buffer, trains only the drained sessions into the editable model
+// behind the live snapshot (markov.TrainAll), and publishes that
+// model's freeze — cost proportional to the delta plus the freeze, not
+// to retraining the window. The published snapshot is a separate
+// arena, so training in place never touches what is served. Space
+// optimizations and popularity re-ranking are deliberately not applied
+// here; the next compaction (Rebuild) restores the canonical
 // from-scratch model.
 //
-// When no model is published yet, or the model does not implement
-// markov.IncrementalTrainer, DeltaMerge falls back to a full rebuild.
-// An empty staging buffer is a no-op. A merge that panics is discarded
-// together with its partly trained clone — the editable model was
-// never touched — and counted; the dropped batch stays in the window
-// for the next compaction to recover.
+// When no model is published yet, or the editable model is not a
+// markov.Freezer (its published form is the model itself: Top-N, or a
+// snapshot installed from a publisher), DeltaMerge falls back to a full
+// rebuild. An empty staging buffer is a no-op. A merge that panics
+// keeps the previous snapshot live and is counted; part of the batch
+// may be trained in, so the editable model is dropped and the next
+// update rebuilds from the window, which still holds the batch.
 func (m *Maintainer) DeltaMerge(now time.Time) markov.Predictor {
 	m.publishMu.Lock()
 	defer m.publishMu.Unlock()
 
-	// Clone the editable base, not the published snapshot: publishing
-	// freezes the model into an arena, which cannot be trained — the
-	// mutable tree lives on in editable precisely so the delta path
-	// stays O(delta + clone).
 	prev := m.Predictor()
-	inc, ok := m.editable.(markov.IncrementalTrainer)
-	if prev == nil || !ok {
+	if _, ok := m.editable.(markov.Freezer); prev == nil || !ok {
 		return m.rebuildLocked(now)
 	}
 	batch := m.takeStaged()
@@ -612,23 +603,13 @@ func (m *Maintainer) DeltaMerge(now time.Time) markov.Predictor {
 	}
 
 	start := time.Now()
-	var merged markov.Predictor
-	err := guarded(func() {
-		clone := inc.Clone()
-		markov.TrainAll(clone, batch)
-		merged = clone
-	})
-	if err != nil {
+	if err := guarded(func() { markov.TrainAll(m.editable, batch) }); err != nil {
+		m.editable = nil
 		m.skip("delta-merge", skipPanic, err)
 		return prev
 	}
-	if merged == nil || (merged.NodeCount() == 0 && prev.NodeCount() > 0) {
-		m.skip("delta-merge", skipEmptyModel, len(batch))
-		return prev
-	}
 
-	published := m.publish(merged)
-	m.deltaMerges.Add(1)
+	published := m.publish(m.editable)
 	m.cfg.Annotations.Add("delta_merge",
 		fmt.Sprintf("model=%s delta_sessions=%d nodes=%d",
 			published.Name(), len(batch), published.NodeCount()))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"log/slog"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -139,5 +140,43 @@ func TestRebuildWithoutObsStaysSilent(t *testing.T) {
 	}
 	if m.metrics.rebuilds.Value() != 1 {
 		t.Error("internal rebuild counter not kept without a registry")
+	}
+}
+
+// TestStagedGaugeMatchesStagedSize: Observe calls and delta merges
+// racing each other all write pbppm_staged_sessions. Once they stop,
+// the gauge must read what StagedSize reports; a writer that sets it
+// after releasing the staging lock can land out of order and leave it
+// stale.
+func TestStagedGaugeMatchesStagedSize(t *testing.T) {
+	for round := 0; round < 1000; round++ {
+		m, err := New(Config{Factory: pbFactory})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Observe(mkSession(0, "/a", "/b"))
+		m.Rebuild(epoch.Add(time.Hour))
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s := mkSession(1, "/a", "/c")
+				for i := 0; i < 20; i++ {
+					m.Observe(s)
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				m.DeltaMerge(epoch.Add(2 * time.Hour))
+			}
+		}()
+		wg.Wait()
+		if got, want := m.metrics.stagedSessions.Value(), m.StagedSize(); got != int64(want) {
+			t.Fatalf("round %d: pbppm_staged_sessions = %d, StagedSize = %d", round, got, want)
+		}
 	}
 }

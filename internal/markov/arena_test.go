@@ -110,8 +110,8 @@ func TestFreezeStatsEquivalence(t *testing.T) {
 }
 
 // TestFreezeCanonicalLayout: two trees with the same logical content —
-// built in different insertion orders, and one assembled by training a
-// clone of one half with the other — must freeze to byte-identical
+// built in different insertion orders, and one frozen after half of it
+// and then trained with the other half — must freeze to byte-identical
 // images. The canonical layout is what makes the arena round-trip
 // byte-exact and snapshot diffs meaningful.
 func TestFreezeCanonicalLayout(t *testing.T) {
@@ -133,12 +133,13 @@ func TestFreezeCanonicalLayout(t *testing.T) {
 	if !bytes.Equal(fwd.Bytes(), rev.Bytes()) {
 		t.Fatal("insertion order leaked into the frozen image")
 	}
-	clone := build([]int{2, 3}).Clone()
+	delta := build([]int{2, 3})
+	delta.Freeze()
 	for _, i := range []int{0, 1} {
-		clone.Insert(seqs[i], 0, 1)
+		delta.Insert(seqs[i], 0, 1)
 	}
-	if !bytes.Equal(fwd.Bytes(), clone.Freeze().Bytes()) {
-		t.Fatal("clone-trained tree froze to a different image")
+	if !bytes.Equal(fwd.Bytes(), delta.Freeze().Bytes()) {
+		t.Fatal("a tree trained after a freeze froze to a different image")
 	}
 }
 

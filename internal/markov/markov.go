@@ -56,20 +56,6 @@ func (s *symtab) lookup(url string) (uint32, bool) {
 	return id, ok
 }
 
-// clone returns an independent copy of the symbol table. The strings
-// themselves are shared (immutable in Go); only the slice and map
-// containers are fresh, so interning into the clone never mutates the
-// original.
-func (s *symtab) clone() *symtab {
-	ids := make(map[string]uint32, len(s.ids))
-	for url, id := range s.ids {
-		ids[url] = id
-	}
-	urls := make([]string, len(s.urls))
-	copy(urls, s.urls)
-	return &symtab{ids: ids, urls: urls}
-}
-
 // childRef is one entry of the small (slice) child representation.
 type childRef struct {
 	sym  uint32
@@ -373,7 +359,7 @@ func (t *Tree) Match(seq []string) *Node {
 
 // SortPredictions orders predictions by the pinned deterministic total
 // order: descending probability, then ascending URL. Every prediction
-// path — trained from scratch, delta-merged into a clone, and
+// path — trained from scratch, delta-merged after a freeze, and
 // arena-frozen — emits this order, so hint sets never depend on map
 // iteration or training order.
 //
@@ -479,36 +465,6 @@ func (t *Tree) String() string {
 		fmt.Fprintf(&sb, "%s/%d\n", path[len(path)-1], n.Count)
 	})
 	return sb.String()
-}
-
-// Clone returns a deep copy of the tree: every node, child container,
-// and the symbol table are fresh allocations, so training into the
-// clone never mutates the receiver. This is the copy-on-write step of
-// incremental maintenance: the published snapshot stays live and
-// read-only while its clone absorbs a delta.
-//
-// The receiver must not be trained concurrently with Clone; cloning a
-// published (read-only) snapshot is always safe.
-func (t *Tree) Clone() *Tree {
-	return &Tree{Root: cloneNode(t.Root), syms: t.syms.clone()}
-}
-
-func cloneNode(n *Node) *Node {
-	c := &Node{Count: n.Count, sym: n.sym}
-	if n.big != nil {
-		c.big = make(map[uint32]*Node, len(n.big))
-		for sym, ch := range n.big {
-			c.big[sym] = cloneNode(ch)
-		}
-		return c
-	}
-	if len(n.small) > 0 {
-		c.small = make([]childRef, len(n.small))
-		for i, cr := range n.small {
-			c.small[i] = childRef{sym: cr.sym, node: cloneNode(cr.node)}
-		}
-	}
-	return c
 }
 
 // CopyIf returns a new tree containing only the nodes for which keep

@@ -66,7 +66,6 @@ type Model struct {
 
 var _ markov.Predictor = (*Model)(nil)
 var _ markov.Freezer = (*Model)(nil)
-var _ markov.IncrementalTrainer = (*Model)(nil)
 
 // New returns an empty standard PPM model.
 func New(cfg Config) *Model {
@@ -114,12 +113,6 @@ func (m *Model) Freeze() markov.Predictor {
 		ClampHeight: m.cfg.Height,
 		Blend:       m.cfg.BlendOrders,
 	})
-}
-
-// Clone returns a deep copy of the model for incremental maintenance:
-// training a delta into the clone never mutates the receiver.
-func (m *Model) Clone() markov.Predictor {
-	return &Model{cfg: m.cfg, tree: m.tree.Clone()}
 }
 
 // NodeCount reports the storage requirement in URL nodes.

@@ -171,11 +171,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if p.cfg.ForwardHints && len(hints) > 0 {
 		// Re-encode through FormatHints so URLs stay escaped and the
 		// downstream client sees the origin's probabilities.
-		fw := make([]markov.Prediction, len(hints))
-		for i, h := range hints {
-			fw[i] = markov.Prediction{URL: h.URL, Probability: h.Probability}
-		}
-		w.Header().Set(server.HeaderPrefetch, server.FormatHints(fw))
+		w.Header().Set(server.HeaderPrefetch, server.FormatHints(hints))
 	}
 	if !p.cfg.NoFollowHints {
 		for _, h := range hints {
@@ -246,7 +242,7 @@ func (p *Proxy) storeLocked(url string, body []byte, prefetched bool) {
 }
 
 // fetch performs one GET against the origin.
-func (p *Proxy) fetch(url, clientID string, isPrefetch bool) (body []byte, hints []hintT, err error) {
+func (p *Proxy) fetch(url, clientID string, isPrefetch bool) (body []byte, hints []markov.Prediction, err error) {
 	req, err := http.NewRequest(http.MethodGet, p.cfg.Origin+url, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("proxy: building request for %s: %w", url, err)
@@ -269,13 +265,5 @@ func (p *Proxy) fetch(url, clientID string, isPrefetch bool) (body []byte, hints
 	if err != nil {
 		return nil, nil, fmt.Errorf("proxy: reading %s: %w", url, err)
 	}
-	for _, h := range server.ParseHints(resp.Header.Get(server.HeaderPrefetch)) {
-		hints = append(hints, hintT{URL: h.URL, Probability: h.Probability})
-	}
-	return body, hints, nil
-}
-
-type hintT struct {
-	URL         string
-	Probability float64
+	return body, server.ParseHints(resp.Header.Get(server.HeaderPrefetch)), nil
 }

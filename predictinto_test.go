@@ -1,8 +1,9 @@
 // Serving-path contract tests: every model must honor the
 // markov.BufferedPredictor buffer-ownership contract (no aliasing of
 // model-internal storage, no retention of the caller's buffer), and
-// every training path (serial, delta-merged into a clone, arena-frozen)
-// must produce the same predictions in the same pinned order.
+// every training path (serial, delta-merged after a freeze,
+// arena-frozen) must produce the same predictions in the same pinned
+// order.
 package pbppm
 
 import (
@@ -125,9 +126,9 @@ func TestPredictIntoDoesNotAliasModelStorage(t *testing.T) {
 // TestPredictionOrderPinnedAcrossTrainingPaths is the determinism
 // guarantee of the pinned tie order (probability descending, then URL
 // ascending): a model trained serially and one trained through the
-// delta path (half the workload trained into a clone of the other
-// half) must emit byte-identical prediction lists from their frozen
-// snapshots.
+// delta path (half the workload, a freeze, then the other half trained
+// into the same model) must emit byte-identical prediction lists from
+// their frozen snapshots.
 func TestPredictionOrderPinnedAcrossTrainingPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	seqs := contractSequences(rng, 600)
@@ -152,14 +153,13 @@ func TestPredictionOrderPinnedAcrossTrainingPaths(t *testing.T) {
 			serial.TrainSequence(s)
 		}
 
-		// Delta path: half the workload into the base, the rest trained
-		// into a clone — the maintenance loop's incremental publish.
-		base := build()
+		// Delta path: half the workload into the base, a freeze, then
+		// the rest trained into the same model — the maintenance loop's
+		// incremental publish.
+		merged := build()
 		half := len(seqs) / 2
-		for _, s := range seqs[:half] {
-			base.TrainSequence(s)
-		}
-		merged := base.(markov.IncrementalTrainer).Clone()
+		markov.TrainAll(merged, seqs[:half])
+		markov.Freeze(merged)
 		markov.TrainAll(merged, seqs[half:])
 
 		serialFrozen, mergedFrozen := serial.(Freezer).Freeze(), markov.Freeze(merged)
