@@ -585,10 +585,11 @@ func (m *Maintainer) rebuildLocked(now time.Time) markov.Predictor {
 // When no model is published yet, or the editable model is not a
 // markov.Freezer (its published form is the model itself: Top-N, or a
 // snapshot installed from a publisher), DeltaMerge falls back to a full
-// rebuild. An empty staging buffer is a no-op. A merge that panics
-// keeps the previous snapshot live and is counted; part of the batch
-// may be trained in, so the editable model is dropped and the next
-// update rebuilds from the window, which still holds the batch.
+// rebuild. An empty staging buffer is a no-op. A merge that panics, or
+// that leaves a trained model empty, keeps the previous snapshot live
+// and is counted; the batch is at least partly trained in, so the
+// editable model is dropped and the next update rebuilds from the
+// window, which still holds the batch.
 func (m *Maintainer) DeltaMerge(now time.Time) markov.Predictor {
 	m.publishMu.Lock()
 	defer m.publishMu.Unlock()
@@ -606,6 +607,11 @@ func (m *Maintainer) DeltaMerge(now time.Time) markov.Predictor {
 	if err := guarded(func() { markov.TrainAll(m.editable, batch) }); err != nil {
 		m.editable = nil
 		m.skip("delta-merge", skipPanic, err)
+		return prev
+	}
+	if m.editable.NodeCount() == 0 && prev.NodeCount() > 0 {
+		m.editable = nil
+		m.skip("delta-merge", skipEmptyModel, len(batch))
 		return prev
 	}
 

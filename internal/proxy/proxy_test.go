@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pbppm/internal/core"
+	"pbppm/internal/markov"
 	"pbppm/internal/popularity"
 	"pbppm/internal/server"
 )
@@ -222,5 +223,36 @@ func TestProxyForwardHints(t *testing.T) {
 	}
 	if src != "prefetch" {
 		t.Errorf("source = %s, want prefetch (browser-level)", src)
+	}
+}
+
+// TestProxyForwardsHintHeaderUnchanged: the X-Prefetch header a
+// forwarding proxy sends downstream is the origin's, byte for byte,
+// escaped URLs included.
+func TestProxyForwardsHintHeaderUnchanged(t *testing.T) {
+	want := server.FormatHints([]markov.Prediction{
+		{URL: "/a,b", Probability: 0.75, Order: 2},
+		{URL: "/c;d", Probability: 0.5, Order: 1},
+		{URL: "/e", Probability: 0.25, Order: 1},
+	})
+	originTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(server.HeaderPrefetch, want)
+		w.Write([]byte("page")) //nolint:errcheck
+	}))
+	defer originTS.Close()
+	px, err := New(Config{Origin: originTS.URL, ForwardHints: true, NoFollowHints: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxyTS := httptest.NewServer(px)
+	defer proxyTS.Close()
+
+	resp, err := http.Get(proxyTS.URL + "/page")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := resp.Header.Get(server.HeaderPrefetch); got != want {
+		t.Errorf("forwarded %s = %q, origin sent %q", server.HeaderPrefetch, got, want)
 	}
 }
