@@ -32,17 +32,17 @@ func TestCloneDeltaMergeEquivalence(t *testing.T) {
 
 	retrain := New(Config{Height: 3})
 	markov.TrainAll(retrain, append(append([][]string{}, base...), delta...))
-	want := retrain.Freeze()
+	retrained := retrain.Freeze()
 
 	for i, ctx := range ctxs {
-		if got, want := merged.Predict(ctx), want.Predict(ctx); !reflect.DeepEqual(got, want) {
+		if got, want := merged.Predict(ctx), retrained.Predict(ctx); !reflect.DeepEqual(got, want) {
 			t.Errorf("Predict(%v): merged %+v, retrain %+v", ctx, got, want)
 		}
 		if got := first.Predict(ctx); !reflect.DeepEqual(got, firstPreds[i]) {
 			t.Errorf("first snapshot's Predict(%v) changed to %+v, was %+v", ctx, got, firstPreds[i])
 		}
 	}
-	if !bytes.Equal(image(merged), image(want)) {
+	if !bytes.Equal(image(merged), image(retrained)) {
 		t.Error("merged model froze to a different image than the retrain")
 	}
 	if !bytes.Equal(image(first), firstImage) {
