@@ -1,10 +1,12 @@
-// Command modelinfo inspects a model snapshot image (pbppmSN3): node
-// and leaf counts, depth histogram, memory footprint, and the hottest
-// branches. Every model the library can freeze ships as the same frozen
-// type, so every image is read the same way. Images are written by
-// prefetchsim -save-model, served by prefetchd's /snapshot endpoint,
-// and produced by the library's EncodeSnapshot. An image from an older
-// build (pbppmSN1, pbppmSN2) exits 1 with "bad snapshot magic".
+// Command modelinfo inspects a model snapshot image (pbppmSN4): node
+// and leaf counts, depth histogram, memory footprint, storage (the
+// arena image, which is what the model_bytes metric measures, and the
+// file), and the hottest branches. Every model the library can freeze
+// ships as the same frozen type, so every image is read the same way.
+// Images are written by prefetchsim -save-model, served by prefetchd's
+// /snapshot endpoint, and produced by the library's EncodeSnapshot. An
+// image from an older build (pbppmSN1 to pbppmSN3) exits 1 with "bad
+// snapshot magic".
 //
 // Usage:
 //
@@ -55,6 +57,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "%s: %s (snapshot version %d), %d nodes\n",
 		path, m.Name(), snap.Version, m.NodeCount())
 	fmt.Fprint(stdout, st)
+	// The KiB figure above is the attached model in memory; these are
+	// the bytes it is stored and shipped in.
+	fmt.Fprintf(stdout, "storage: arena image %d bytes, file %d bytes\n", m.Arena().SizeBytes(), len(data))
 	if m.NodeCount() > st.Nodes {
 		// PB-PPM's node count adds its rule-3 links to the tree's nodes.
 		fmt.Fprintf(stdout, "duplicated links: %d\n", m.NodeCount()-st.Nodes)

@@ -88,9 +88,10 @@ func hotRoots(tree *markov.Tree) []string {
 }
 
 // TestModelInfoReadsEveryKind: for every model kind, modelinfo reports
-// the model's node count, the tree's nodes, PB-PPM's rule-3 links, and
-// the root branches hottest first — the figures of the live model the
-// image was frozen from.
+// the model's node count, the tree's nodes, PB-PPM's rule-3 links, the
+// bytes of its arena image and of the file, and the root branches
+// hottest first — the figures of the live model the image was frozen
+// from.
 func TestModelInfoReadsEveryKind(t *testing.T) {
 	rank := popularity.NewRanking()
 	for _, s := range sessions() {
@@ -137,6 +138,16 @@ func TestModelInfoReadsEveryKind(t *testing.T) {
 		} else if strings.Contains(out, "duplicated links") {
 			t.Errorf("%s: reports duplicated links it does not have:\n%s", m.Name(), out)
 		}
+		if got, want := intAfter(t, out, `arena image `), len(markov.Freeze(m).(markov.ArenaHolder).Arena().Bytes()); got != want {
+			t.Errorf("%s: arena image of %d bytes, want %d", m.Name(), got, want)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := intAfter(t, out, `file `); got != int(fi.Size()) {
+			t.Errorf("%s: file of %d bytes, want %d", m.Name(), got, fi.Size())
+		}
 		if got := intAfter(t, out, `ranking: `); got != rank.Len() {
 			t.Errorf("%s: ranking of %d URLs, want %d", m.Name(), got, rank.Len())
 		}
@@ -156,9 +167,9 @@ func TestModelInfoReadsEveryKind(t *testing.T) {
 }
 
 // TestModelInfoRejectsBadFiles: a missing, truncated or foreign file,
-// an image in an older build's pbppmSN1 or pbppmSN2 format, or one
-// whose arena is in an older build's pbppmAR2 layout, exits non-zero
-// and says why on stderr.
+// an image in an older build's pbppmSN1, pbppmSN2 or pbppmSN3 format,
+// or one whose arena is in an older build's pbppmAR3 layout, exits
+// non-zero and says why on stderr.
 func TestModelInfoRejectsBadFiles(t *testing.T) {
 	dir := t.TempDir()
 	m := ppm.New(ppm.Config{})
@@ -172,6 +183,7 @@ func TestModelInfoRejectsBadFiles(t *testing.T) {
 	foreign := filepath.Join(dir, "foreign.snap")
 	older := filepath.Join(dir, "older.snap")
 	olderSN2 := filepath.Join(dir, "older-sn2.snap")
+	olderSN3 := filepath.Join(dir, "older-sn3.snap")
 	if err := os.WriteFile(truncated, img[:len(img)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +196,14 @@ func TestModelInfoRejectsBadFiles(t *testing.T) {
 	if err := os.WriteFile(olderSN2, append([]byte("pbppmSN2"), img[8:]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(olderSN3, append([]byte("pbppmSN3"), img[8:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	// The arena magic rewritten and the CRC-64/ECMA trailer resealed, so
 	// only the arena's version is wrong.
-	olderArenaImg := bytes.Replace(img, []byte("pbppmAR3"), []byte("pbppmAR2"), 1)
+	olderArenaImg := bytes.Replace(img, []byte("pbppmAR4"), []byte("pbppmAR3"), 1)
 	if bytes.Equal(olderArenaImg, img) {
-		t.Fatal("snapshot carries no pbppmAR3 arena")
+		t.Fatal("snapshot carries no pbppmAR4 arena")
 	}
 	body := olderArenaImg[:len(olderArenaImg)-8]
 	binary.LittleEndian.PutUint64(olderArenaImg[len(body):], crc64.Checksum(body, crc64.MakeTable(crc64.ECMA)))
@@ -202,7 +217,8 @@ func TestModelInfoRejectsBadFiles(t *testing.T) {
 		{foreign, "bad snapshot magic"},
 		{older, "bad snapshot magic"},
 		{olderSN2, "bad snapshot magic"},
-		{olderArena, `arena: bad magic "pbppmAR2"`},
+		{olderSN3, "bad snapshot magic"},
+		{olderArena, `arena: bad magic "pbppmAR3"`},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{c.path}, &stdout, &stderr); code != 1 {

@@ -11,7 +11,7 @@
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // -save-model writes the trained model's frozen snapshot, with the
-// training window's popularity ranking, as a pbppmSN3 snapshot image;
+// training window's popularity ranking, as a pbppmSN4 snapshot image;
 // inspect it with modelinfo.
 package main
 

@@ -148,7 +148,7 @@ func TestDecodeModelErrors(t *testing.T) {
 	// is made by rewriting the node count of an unnamed model's image:
 	// the byte after the magic, the version, the empty name, the
 	// threshold and the zero height cap. The trailer is then resealed.
-	const nodesAt = len("pbppmSN3") + 8 + 1 + 8 + 1
+	const nodesAt = len("pbppmSN4") + 8 + 1 + 8 + 1
 	unnamed := encodeImage(t, markov.NewFrozenTree(arena, markov.FrozenParams{}))
 	if int(unnamed[nodesAt]) != arena.NodeCount() {
 		t.Fatalf("byte %d of the image is %d, not the node count %d", nodesAt, unnamed[nodesAt], arena.NodeCount())

@@ -62,9 +62,9 @@ func decodeModel(t *testing.T, img []byte) *markov.FrozenTree {
 	return snap.Model
 }
 
-// rawSnapshot lays out an image from serving parameters and arena bytes
-// that NewFrozenTree and ArenaFromBytes would not let a model hold.
-func rawSnapshot(t *testing.T, p markov.FrozenParams, arena []byte) []byte {
+// rawSnapshot lays out an image from serving parameters that
+// NewFrozenTree would not let a model hold, beside an arena.
+func rawSnapshot(t *testing.T, p markov.FrozenParams, arena *markov.Arena) []byte {
 	t.Helper()
 	img, err := snapshotBytes(0, p, arena, nil)
 	if err != nil {
@@ -139,9 +139,16 @@ func TestDecodeFrozenModelRejectsCorrupt(t *testing.T) {
 		}
 	}
 
-	// Corrupt the arena inside an otherwise valid image.
+	// Corrupt the arena inside an otherwise valid image: replace it,
+	// after its one-byte length, and reseal the trailer.
+	junk := []byte("pbppmAR4 not really an arena")
 	for _, blend := range []bool{false, true} {
-		bad := rawSnapshot(t, markov.FrozenParams{Name: "t", Blend: blend}, []byte("pbppmAR3 not really an arena"))
+		f := markov.NewFrozenTree(tr.Freeze(), markov.FrozenParams{Name: "t", Blend: blend})
+		img, arena := encodeModel(t, f), f.Arena().Bytes()
+		at := bytes.Index(img, arena)
+		bad := append(append(append([]byte{}, img[:at-1]...), byte(len(junk))), junk...)
+		bad = append(bad, img[at+len(arena):]...)
+		resealSnapshot(bad)
 		if _, err := DecodeSnapshot(bad); err == nil {
 			t.Fatalf("corrupt embedded arena accepted (blend %v)", blend)
 		}
@@ -204,14 +211,14 @@ func TestEncodeDecodeEmptyTree(t *testing.T) {
 // count below its own arena's. Negative thresholds and clamp heights
 // stay accepted: they act as 0 and unbounded.
 func TestDecodeError(t *testing.T) {
-	for _, junk := range []string{"junk", "pbppmAR3", "\x00\x01\x02"} {
+	for _, junk := range []string{"junk", "pbppmAR4", "\x00\x01\x02"} {
 		if _, err := DecodeSnapshot([]byte(junk)); err == nil {
 			t.Errorf("DecodeSnapshot(%q) succeeded", junk)
 		}
 	}
 	tr := markov.NewTree()
 	tr.Insert([]string{"/a", "/b"}, 0, 1)
-	arena := tr.Freeze().Bytes()
+	arena := tr.Freeze()
 	link := func(p markov.Prediction) map[string][]markov.Prediction {
 		return map[string][]markov.Prediction{"/a": {p}}
 	}
@@ -307,12 +314,10 @@ func TestRankingEncodeDecode(t *testing.T) {
 // TestDecodeRankingError: a ranking section that is not a ranking is
 // refused.
 func TestDecodeRankingError(t *testing.T) {
-	arena := emptyModel().Arena().Bytes()
-	tail := append(binary.AppendUvarint(nil, uint64(len(arena))), arena...)
 	img := encodeRanking(t, nil)
-	head := img[:len(img)-8-len(tail)-1] // up to the ranking's presence byte
+	head := img[:len(img)-8-1] // up to the ranking's presence byte, which ends the body
 	bad := append(append([]byte{}, head...), 1)
-	bad = append(append(append(bad, "nope"...), tail...), make([]byte, 8)...)
+	bad = append(append(bad, "nope"...), make([]byte, 8)...)
 	resealSnapshot(bad)
 	if _, err := DecodeSnapshot(bad); err == nil {
 		t.Error("junk accepted")
@@ -341,19 +346,21 @@ func TestRankingEncodeDeterministic(t *testing.T) {
 			t.Fatalf("encoding %d differs from the first", i+1)
 		}
 	}
-	// Read the ranking section as the image lays it out.
+	// Read the ranking section as the image lays it out. The empty
+	// model's arena holds no URL, so each is written as a string.
 	r := snapshotReader{rest: first[len(snapshotMagic)+8 : len(first)-8]}
 	r.string()
 	r.float()
 	r.int()
 	r.int()
 	r.flag()
+	r.next(r.int())
 	if heads := r.count(); heads != 0 || !r.flag() {
 		t.Fatalf("image of the empty model lists %d link heads", heads)
 	}
 	urls := make([]string, r.count())
 	for i := range urls {
-		urls[i] = r.string()
+		urls[i] = r.url(emptyModel().Arena())
 		r.int()
 	}
 	if r.err != nil || !slices.IsSorted(urls) || len(urls) != 200 {
@@ -383,7 +390,7 @@ func goldenModel(tb testing.TB) (*markov.FrozenTree, *popularity.Ranking) {
 	return f, rank
 }
 
-// TestSnapshotGolden pins the pbppmSN3 layout: the image of a tiny
+// TestSnapshotGolden pins the pbppmSN4 layout: the image of a tiny
 // PB-PPM model with rule-3 links and a 3-URL ranking must equal the
 // committed file byte for byte, and the file must decode. Rewrite it
 // with -update only when the layout changes on purpose.
@@ -423,8 +430,10 @@ func TestSnapshotGolden(t *testing.T) {
 
 // TestSnapshotRefusesWhatItNeverWrites: the encoder fails on an integer
 // it cannot write in range, and the decoder refuses what the encoder
-// never writes — an integer past int32's range, ranking URLs out of
-// byte order or repeated, and bytes after the arena.
+// never writes — an integer past int32's range or longer than its
+// shortest encoding, a flag byte other than 0 or 1, ranking URLs or
+// link heads out of byte order or repeated, and bytes after the
+// ranking — so one model and ranking have one image.
 func TestSnapshotRefusesWhatItNeverWrites(t *testing.T) {
 	big := popularity.NewRanking()
 	big.Observe("/a", math.MaxInt32+1)
@@ -432,17 +441,26 @@ func TestSnapshotRefusesWhatItNeverWrites(t *testing.T) {
 		t.Error("a count past int32's range encoded")
 	}
 	badOrder := markov.FrozenParams{Links: map[string][]markov.Prediction{"/a": {{URL: "/b", Probability: 1, Order: -1}}}}
-	if _, err := snapshotBytes(0, badOrder, emptyModel().Arena().Bytes(), nil); err == nil {
+	if _, err := snapshotBytes(0, badOrder, emptyModel().Arena(), nil); err == nil {
 		t.Error("a negative order encoded")
 	}
 
 	rank := popularity.NewRanking()
 	rank.Observe("/a", 1)
 	rank.Observe("/b", 2)
-	img := encodeRanking(t, rank)
+	// Two link heads with one candidate each and a ranking of two URLs,
+	// beside the empty model, whose arena holds no URL.
+	img, err := snapshotBytes(0, markov.FrozenParams{Links: map[string][]markov.Prediction{
+		"/p": {{URL: "/c", Probability: 0.5, Order: 1}},
+		"/q": {{URL: "/c", Probability: 0.5, Order: 1}},
+	}}, emptyModel().Arena(), rank)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The name, threshold and height cap of the unnamed model take 10
-	// bytes after the version; the node count follows.
-	nodesAt := len(snapshotMagic) + 8 + 1 + 8 + 1
+	// bytes after the version; the node count and the blend flag follow.
+	nameAt := len(snapshotMagic) + 8
+	nodesAt := nameAt + 1 + 8 + 1
 	for name, c := range map[string]struct {
 		edit func([]byte) []byte
 		want string
@@ -450,6 +468,17 @@ func TestSnapshotRefusesWhatItNeverWrites(t *testing.T) {
 		"node count past int32": {func(b []byte) []byte {
 			return append(binary.AppendUvarint(append([]byte{}, b[:nodesAt]...), math.MaxInt32+1), b[nodesAt+1:]...)
 		}, "int32"},
+		"name length 0 in two bytes": {func(b []byte) []byte {
+			return append(append(append([]byte{}, b[:nameAt]...), 0x80, 0x00), b[nameAt+1:]...)
+		}, "shortest encoding"},
+		"blend byte 2": {func(b []byte) []byte {
+			b = append([]byte{}, b...)
+			b[nodesAt+1] = 2
+			return b
+		}, "flag byte 2"},
+		"ranking byte 2": {func(b []byte) []byte {
+			return bytes.Replace(b, []byte("\x01\x02\x00\x02/a"), []byte("\x02\x02\x00\x02/a"), 1)
+		}, "flag byte 2"},
 		"URLs out of order": {func(b []byte) []byte {
 			return bytes.Replace(bytes.Replace(b, []byte("\x02/a\x01"), []byte("\x02/c\x01"), 1), []byte("\x02/b\x02"), []byte("\x02/a\x02"), 1)
 		}, "does not follow"},
@@ -459,6 +488,12 @@ func TestSnapshotRefusesWhatItNeverWrites(t *testing.T) {
 		"trailing byte": {func(b []byte) []byte {
 			return append(append(append([]byte{}, b[:len(b)-8]...), 0), b[len(b)-8:]...)
 		}, "trailing"},
+		"link heads out of order": {func(b []byte) []byte {
+			return bytes.Replace(b, []byte("\x00\x02/p"), []byte("\x00\x02/r"), 1)
+		}, "does not follow"},
+		"repeated link head": {func(b []byte) []byte {
+			return bytes.Replace(b, []byte("\x00\x02/p"), []byte("\x00\x02/q"), 1)
+		}, "does not follow"},
 	} {
 		bad := c.edit(img)
 		if bytes.Equal(bad, img) {
@@ -470,5 +505,61 @@ func TestSnapshotRefusesWhatItNeverWrites(t *testing.T) {
 		} else if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not name %q", name, err, c.want)
 		}
+	}
+}
+
+// TestSnapshotNamesURLsOnce: the link table and the ranking name a URL
+// the arena holds by its symbol id and write a string only for one the
+// arena lacks, and the decoder refuses a symbol id past the arena's and
+// a string for a URL the arena holds, so each URL has one spelling.
+func TestSnapshotNamesURLsOnce(t *testing.T) {
+	tr := markov.NewTree()
+	tr.Insert([]string{"/a", "/b"}, 0, 1)
+	f := markov.NewFrozenTree(tr.Freeze(), markov.FrozenParams{Links: map[string][]markov.Prediction{
+		"/a": {{URL: "/z", Probability: 0.5, Order: 1}},
+	}})
+	rank := popularity.NewRanking()
+	rank.Observe("/b", 5)
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(&buf, 0, f, rank); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	// After the arena, whose symbols 1 and 2 are /a and /b: one link
+	// head, symbol 1, with one candidate, the string /z, probability
+	// 0.5 and order 1; then a ranking of one URL, symbol 2, counted 5.
+	links := append([]byte{1, 1, 1, 0, 2, '/', 'z'}, binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.5))...)
+	tail := append(append(links, 1), 1, 1, 2, 5)
+	if body := img[:len(img)-8]; !bytes.HasSuffix(body, tail) {
+		t.Fatalf("image ends % x, want % x", body[max(0, len(body)-len(tail)):], tail)
+	}
+	edit := func(at int, with ...byte) []byte {
+		at += len(img) - 8 - len(tail)
+		bad := append(append(append([]byte{}, img[:at]...), with...), img[at+1:]...)
+		resealSnapshot(bad)
+		return bad
+	}
+	for _, c := range []struct {
+		name string
+		img  []byte
+		want string
+	}{
+		{"head symbol past the arena", edit(1, 3), "past the arena"},
+		{"ranking symbol past the arena", edit(len(tail)-2, 3), "past the arena"},
+		{"head held by the arena as a string", edit(1, 0, 2, '/', 'a'), "the arena holds it"},
+		{"ranking URL held by the arena as a string", edit(len(tail)-2, 0, 2, '/', 'b'), "the arena holds it"},
+	} {
+		if _, err := DecodeSnapshot(c.img); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not say %q", c.name, err, c.want)
+		}
+	}
+	snap, err := DecodeSnapshot(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Model.Params().Links; !reflect.DeepEqual(got, f.Params().Links) || snap.Ranking.Count("/b") != 5 {
+		t.Errorf("decoded links %+v and /b counted %d, want %+v and 5", got, snap.Ranking.Count("/b"), f.Params().Links)
 	}
 }

@@ -32,7 +32,7 @@ func TestNewFollowerValidation(t *testing.T) {
 // or rewriting sections wholesale.
 type corruptingServer struct {
 	pub  *Publisher
-	mode atomic.Value // string: "", "truncate", "flip", "reseal", "sn1", "sn2", "ar2", "status"
+	mode atomic.Value // string: "", "truncate", "flip", "reseal", "sn1", "sn3", "ar3", "status"
 }
 
 func (cs *corruptingServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -96,20 +96,20 @@ func (cs *corruptingServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", strconv.Itoa(len(old)))
 		w.WriteHeader(rec.Code)
 		w.Write(old)
-	case "sn2":
-		// The same snapshot under the pbppmSN2 magic of an older build,
+	case "sn3":
+		// The same snapshot under the pbppmSN3 magic of an older build,
 		// resealed so only the magic is wrong.
-		old := append([]byte("pbppmSN2"), body[8:]...)
+		old := append([]byte("pbppmSN3"), body[8:]...)
 		resealSnapshot(old)
 		w.WriteHeader(rec.Code)
 		w.Write(old)
-	case "ar2":
-		// The same snapshot carrying its arena under the pbppmAR2 magic
-		// of an older build's host-endian layout, resealed so the
+	case "ar3":
+		// The same snapshot carrying its arena under the pbppmAR3 magic
+		// of an older build's layout with URL offsets, resealed so the
 		// checksum passes and the failure surfaces at decode.
-		old := bytes.Replace(body, []byte("pbppmAR3"), []byte("pbppmAR2"), 1)
+		old := bytes.Replace(body, []byte("pbppmAR4"), []byte("pbppmAR3"), 1)
 		if bytes.Equal(old, body) {
-			panic("ar2: snapshot carries no pbppmAR3 arena")
+			panic("ar3: snapshot carries no pbppmAR4 arena")
 		}
 		resealSnapshot(old)
 		w.WriteHeader(rec.Code)
@@ -120,8 +120,8 @@ func (cs *corruptingServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // TestFollowerCorruptDownloadNeverPublishes is the distribution
 // channel's acceptance test: a snapshot download that dies mid-transfer,
 // fails its checksum, fails to decode (a corrupt model, an image in an
-// older build's pbppmSN1 or pbppmSN2 format, or a model whose arena is
-// in an older build's pbppmAR2 layout), or is rejected by the install
+// older build's pbppmSN1 or pbppmSN3 format, or a model whose arena is
+// in an older build's pbppmAR3 layout), or is rejected by the install
 // gate must never replace the follower's live model, and each failure
 // mode must land in its own swap-failure counter.
 func TestFollowerCorruptDownloadNeverPublishes(t *testing.T) {
@@ -167,8 +167,8 @@ func TestFollowerCorruptDownloadNeverPublishes(t *testing.T) {
 		{"flip", swapChecksum},
 		{"reseal", swapDecode},
 		{"sn1", swapDecode},
-		{"sn2", swapDecode},
-		{"ar2", swapDecode},
+		{"sn3", swapDecode},
+		{"ar3", swapDecode},
 	}
 	for _, tc := range cases {
 		before := failures(tc.reason)
@@ -177,11 +177,11 @@ func TestFollowerCorruptDownloadNeverPublishes(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s: corrupted download accepted", tc.mode)
 		}
-		if (tc.mode == "sn1" || tc.mode == "sn2") && !strings.Contains(err.Error(), "bad snapshot magic") {
+		if (tc.mode == "sn1" || tc.mode == "sn3") && !strings.Contains(err.Error(), "bad snapshot magic") {
 			t.Errorf("%s: err = %v, want a bad-magic error", tc.mode, err)
 		}
-		if tc.mode == "ar2" && !strings.Contains(err.Error(), `arena: bad magic "pbppmAR2"`) {
-			t.Errorf("ar2: err = %v, want a bad arena magic error", err)
+		if tc.mode == "ar3" && !strings.Contains(err.Error(), `arena: bad magic "pbppmAR3"`) {
+			t.Errorf("ar3: err = %v, want a bad arena magic error", err)
 		}
 		if folM.Predictor() != live {
 			t.Fatalf("%s: corrupted download replaced the live model", tc.mode)

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -68,8 +67,9 @@ func fuzzSeedSnapshots(f *testing.F) [][]byte {
 // fuzzSeedModels returns frozen models whose images seed the corpus
 // beside fuzzSeedSnapshots': trees that are empty, tiny, height-capped,
 // a random workload, and one whose root count needs 4-byte counts, each
-// with its own clamp height; a PB-PPM-shaped model with extra
-// candidates and a node count above its arena's; and a blended one.
+// with its own clamp height; a PB-PPM-shaped model with a node count
+// above its arena's and extra candidates, some on URLs its arena lacks;
+// and a blended one.
 func fuzzSeedModels() []*markov.FrozenTree {
 	empty := markov.NewTree()
 	tiny := markov.NewTree()
@@ -93,16 +93,16 @@ func fuzzSeedModels() []*markov.FrozenTree {
 		markov.NewFrozenTree(random.Freeze(), markov.FrozenParams{Name: "PPM", Threshold: 0.1, Blend: true}))
 }
 
-// FuzzDecodeSnapshot hammers the one model file format, the pbppmSN3
+// FuzzDecodeSnapshot hammers the one model file format, the pbppmSN4
 // image. Each input is decoded as given and again with its trailing
 // CRC recomputed, so mutations reach the field decoders instead of
 // stopping at ErrChecksum. Decoding must never panic (corrupt
 // snapshots come off disks and sockets); an accepted snapshot must
 // have a threshold candidates can pass, predict without panicking,
 // grade every URL of its ranking within [0, MaxGrade], and re-encode
-// to one with the same version, name, threshold, height clamp, node
-// count, blend flag, extra candidates and arena image (the decoder
-// cannot invent states the encoder would not produce).
+// to its input byte for byte (the decoder accepts nothing the encoder
+// would not write, so a model travels under one ETag). The seeds
+// include images whose links and ranking name URLs their arena lacks.
 func FuzzDecodeSnapshot(f *testing.F) {
 	for _, img := range fuzzSeedSnapshots(f) {
 		f.Add(img)
@@ -112,17 +112,24 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}
 	f.Add([]byte(snapshotMagic))
 	f.Add([]byte("garbage"))
+	// A ranking of URLs some arenas hold and some lack.
+	rank := popularity.NewRanking()
+	for i, u := range []string{"/a", "/b", "/d", "/page-ab", "/zz"} {
+		rank.Observe(u, int64(i+1))
+	}
 	for _, m := range fuzzSeedModels() {
-		var w bytes.Buffer
-		if err := EncodeSnapshot(&w, 1, m, nil); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(w.Bytes())
-		for _, cut := range []int{1, w.Len() / 2} {
-			f.Add(w.Bytes()[:cut])
+		for _, r := range []*popularity.Ranking{nil, rank} {
+			var w bytes.Buffer
+			if err := EncodeSnapshot(&w, 1, m, r); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(w.Bytes())
+			for _, cut := range []int{1, w.Len() / 2} {
+				f.Add(w.Bytes()[:cut])
+			}
 		}
 	}
-	f.Add([]byte("pbppmAR3"))
+	f.Add([]byte("pbppmAR4"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecodedSnapshot(t, data)
@@ -168,23 +175,13 @@ func checkDecodedSnapshot(t *testing.T, data []byte) {
 	if err := EncodeSnapshot(&buf, snap.Version, m, snap.Ranking); err != nil {
 		t.Fatalf("re-encoding an accepted snapshot failed: %v", err)
 	}
-	again, err := DecodeSnapshot(buf.Bytes())
-	if err != nil {
-		t.Fatalf("re-decoding an accepted snapshot failed: %v", err)
-	}
-	q := again.Model.Params()
-	if again.Version != snap.Version || q.Name != p.Name || q.ClampHeight != p.ClampHeight ||
-		math.Float64bits(q.Threshold) != math.Float64bits(p.Threshold) ||
-		q.NodeCount != p.NodeCount || q.Blend != p.Blend {
-		t.Fatalf("round trip changed the snapshot: v%d %q/%v/%d/%d/%v, want v%d %q/%v/%d/%d/%v",
-			again.Version, q.Name, q.Threshold, q.ClampHeight, q.NodeCount, q.Blend,
-			snap.Version, p.Name, p.Threshold, p.ClampHeight, p.NodeCount, p.Blend)
-	}
-	if !reflect.DeepEqual(q.Links, p.Links) {
-		t.Fatalf("round trip changed the extra candidates: %+v vs %+v", q.Links, p.Links)
-	}
-	if !bytes.Equal(again.Model.Arena().Bytes(), a.Bytes()) {
-		t.Fatal("round trip changed the arena image")
+	if got := buf.Bytes(); !bytes.Equal(got, data) {
+		at := 0
+		for at < min(len(got), len(data)) && got[at] == data[at] {
+			at++
+		}
+		t.Fatalf("accepted image (%d bytes) re-encodes to %d bytes, first differing at %d:\n got % x\nwant % x",
+			len(data), len(got), at, got[at:min(at+16, len(got))], data[at:min(at+16, len(data))])
 	}
 }
 
@@ -193,6 +190,11 @@ func checkDecodedSnapshot(t *testing.T, data []byte) {
 // candidate count and its ranking URL count start.
 func countOffsets(t *testing.T, img []byte) (heads, candidates, urls int) {
 	t.Helper()
+	snap, err := DecodeSnapshot(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := snap.Model.Arena()
 	body := img[:len(img)-8]
 	r := snapshotReader{rest: body[len(snapshotMagic)+8:]}
 	at := func() int { return len(body) - len(r.rest) }
@@ -201,14 +203,15 @@ func countOffsets(t *testing.T, img []byte) (heads, candidates, urls int) {
 	r.int()
 	r.int()
 	r.flag()
+	r.next(r.int())
 	heads = at()
 	for i, n := 0, r.count(); i < n; i++ {
-		r.string()
+		r.url(a)
 		if i == 0 {
 			candidates = at()
 		}
 		for j, m := 0, r.count(); j < m; j++ {
-			r.string()
+			r.url(a)
 			r.float()
 			r.int()
 		}

@@ -3,17 +3,21 @@ package maintain
 import (
 	"bytes"
 	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"pbppm/internal/markov"
 	"pbppm/internal/obs"
 )
 
 // TestRebuildPublishesMetrics checks that a rebuild exports its
 // duration, the window size, and the model-health gauges — the live
-// counterpart of the paper's Figure 4 storage numbers.
+// counterpart of the paper's Figure 4 storage numbers — and that each
+// size gauge counts the bytes its help text names.
 func TestRebuildPublishesMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	var logBuf bytes.Buffer
@@ -25,6 +29,7 @@ func TestRebuildPublishesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pub := NewPublisher(m, PublisherConfig{Obs: reg})
 	m.Observe(mkSession(0, "/a", "/b", "/c"))
 	m.Observe(mkSession(1, "/a", "/b"))
 	m.Rebuild(epoch.Add(2 * time.Hour))
@@ -62,6 +67,23 @@ func TestRebuildPublishesMetrics(t *testing.T) {
 		}
 		if !strings.Contains(text, gauge.name) {
 			t.Errorf("exposition missing %s", gauge.name)
+		}
+	}
+	// Each size gauge reads its own source: the model in memory, its
+	// arena image, and the snapshot image the publisher serves.
+	arena := m.Predictor().(markov.ArenaHolder).Arena()
+	rec := httptest.NewRecorder()
+	pub.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/snapshot", nil))
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"pbppm_model_bytes", m.metrics.modelBytes.Value(), arena.Stats().Bytes},
+		{"pbppm_model_arena_bytes", m.metrics.modelArenaBytes.Value(), int64(arena.SizeBytes())},
+		{"pbppm_snapshot_bytes", pub.metrics.bytes.Value(), int64(rec.Body.Len())},
+	} {
+		if c.got != c.want || c.want <= 0 {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
 		}
 	}
 	// The rebuild logged one component-tagged structured line.

@@ -6,35 +6,40 @@
 // gate local rebuilds use — a failed or corrupt download keeps the
 // previous snapshot live.
 //
-// # Wire format (pbppmSN3)
+// # Wire format (pbppmSN4)
 //
-// This file alone writes and reads the image. Every length, count and
-// order is a uvarint no larger than math.MaxInt32, a string is its
-// length followed by its bytes, and every fixed-width field is
-// little-endian:
+// This file alone writes and reads the image. Every length, count,
+// order and symbol id is a uvarint in its shortest encoding and no
+// larger than math.MaxInt32, a string is its length followed by its
+// bytes, and every fixed-width field is little-endian. A URL is written
+// once, in the arena's URL table: the link table and the ranking name a
+// URL the arena holds by its symbol id, and write a string (after a 0)
+// only for a URL the arena lacks.
 //
-//	magic      "pbppmSN3"
+//	magic      "pbppmSN4"
 //	version    uint64              the publisher's monotonic counter
 //	name       string              the model's name
 //	threshold  float64 bits        the minimum candidate probability
 //	clamp      uvarint             the height cap, 0 for none
 //	nodes      uvarint             the source model's node count
-//	blend      1 byte              1 for the variable-order blend
-//	links      head count, then per head in byte order: the head, its
-//	           candidate count, and per candidate its URL, probability
-//	           bits and order (PB-PPM's rule-3 links)
-//	ranking    1 byte, 0 for none; else the URL count, then per URL in
-//	           byte order: the URL and its access count
-//	arena      length, then the pbppmAR3 arena image verbatim
+//	blend      1 byte              1 for the variable-order blend, else 0
+//	arena      length, then the pbppmAR4 arena image verbatim
+//	links      head count, then per head in byte order: the head's URL,
+//	           its candidate count, and per candidate its URL,
+//	           probability bits and order (PB-PPM's rule-3 links)
+//	ranking    1 byte, 0 for none and 1 for a ranking: the URL count,
+//	           then per URL in byte order: the URL and its access count
 //	crc        uint64              CRC-64/ECMA over everything above
 //
 // The trailing checksum is verified before any field is read, so a
 // truncated or bit-flipped download fails fast with ErrChecksum. The
 // bytes are still untrusted past it: every length and count is checked
 // against the bytes left before anything is allocated for it, and
-// anything this encoder would not write is refused. Every model ships
-// as a FrozenTree, so the image names no codec. An image in an older
-// layout (pbppmSN1, pbppmSN2) fails at the magic.
+// anything this encoder would not write is refused, so a model and its
+// ranking have one image, and one ETag. Every model ships as a
+// FrozenTree, so the image names no codec. An image in an older layout
+// (pbppmSN1 to pbppmSN3) fails at the magic, and one around an older
+// arena at the arena's.
 package maintain
 
 import (
@@ -57,7 +62,7 @@ import (
 	"pbppm/internal/popularity"
 )
 
-const snapshotMagic = "pbppmSN3"
+const snapshotMagic = "pbppmSN4"
 
 // ErrChecksum reports a snapshot whose trailing CRC does not match its
 // contents — a truncated or corrupted transfer. Followers count it
@@ -79,7 +84,7 @@ type Snapshot struct {
 // EncodeSnapshot writes one distribution payload of a frozen model.
 // The ranking may be nil.
 func EncodeSnapshot(w io.Writer, version uint64, model *markov.FrozenTree, rank *popularity.Ranking) error {
-	img, err := snapshotBytes(version, model.Params(), model.Arena().Bytes(), rank)
+	img, err := snapshotBytes(version, model.Params(), model.Arena(), rank)
 	if err != nil {
 		return err
 	}
@@ -88,9 +93,9 @@ func EncodeSnapshot(w io.Writer, version uint64, model *markov.FrozenTree, rank 
 }
 
 // snapshotBytes lays out the image of a model's serving parameters,
-// its arena image and a ranking (nil for none). It fails on an integer
-// the decoder would refuse.
-func snapshotBytes(version uint64, p markov.FrozenParams, arena []byte, rank *popularity.Ranking) ([]byte, error) {
+// its arena and a ranking (nil for none). It fails on an integer the
+// decoder would refuse.
+func snapshotBytes(version uint64, p markov.FrozenParams, a *markov.Arena, rank *popularity.Ranking) ([]byte, error) {
 	img := binary.LittleEndian.AppendUint64([]byte(snapshotMagic), version)
 	var err error
 	putInt := func(v int64) {
@@ -102,6 +107,14 @@ func snapshotBytes(version uint64, p markov.FrozenParams, arena []byte, rank *po
 	putString := func(s string) {
 		putInt(int64(len(s)))
 		img = append(img, s...)
+	}
+	putURL := func(u string) {
+		if sym, held := a.Symbol(u); held {
+			putInt(int64(sym))
+			return
+		}
+		putInt(0)
+		putString(u)
 	}
 	putFloat := func(f float64) { img = binary.LittleEndian.AppendUint64(img, math.Float64bits(f)) }
 	putFlag := func(b bool) {
@@ -117,6 +130,8 @@ func snapshotBytes(version uint64, p markov.FrozenParams, arena []byte, rank *po
 	putInt(int64(max(p.ClampHeight, 0))) // a cap of 0 or below is none
 	putInt(int64(p.NodeCount))
 	putFlag(p.Blend)
+	putInt(int64(len(a.Bytes())))
+	img = append(img, a.Bytes()...)
 
 	heads := make([]string, 0, len(p.Links))
 	for head := range p.Links {
@@ -125,10 +140,10 @@ func snapshotBytes(version uint64, p markov.FrozenParams, arena []byte, rank *po
 	slices.Sort(heads)
 	putInt(int64(len(heads)))
 	for _, head := range heads {
-		putString(head)
+		putURL(head)
 		putInt(int64(len(p.Links[head])))
 		for _, c := range p.Links[head] {
-			putString(c.URL)
+			putURL(c.URL)
 			putFloat(c.Probability)
 			putInt(int64(c.Order))
 		}
@@ -139,13 +154,10 @@ func snapshotBytes(version uint64, p markov.FrozenParams, arena []byte, rank *po
 		urls := rank.URLs()
 		putInt(int64(len(urls)))
 		for _, u := range urls {
-			putString(u)
+			putURL(u)
 			putInt(rank.Count(u))
 		}
 	}
-
-	putInt(int64(len(arena)))
-	img = append(img, arena...)
 	return binary.LittleEndian.AppendUint64(img, crc64.Checksum(img, snapshotCRC)), err
 }
 
@@ -178,13 +190,32 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if math.IsNaN(p.Threshold) {
 		r.fail("NaN threshold")
 	}
+	arenaImg := r.next(r.int())
+	if r.err != nil {
+		return nil, r.err
+	}
+	// A copy, so the model keeps none of data alive and no caller
+	// reusing data can change it.
+	a, err := markov.ArenaFromBytes(bytes.Clone(arenaImg))
+	if err != nil {
+		return nil, fmt.Errorf("maintain: decoding snapshot: %w", err)
+	}
+	if p.NodeCount < a.NodeCount() {
+		return nil, fmt.Errorf("maintain: decoding snapshot: node count %d below the arena's %d", p.NodeCount, a.NodeCount())
+	}
+
 	if heads := r.count(); heads > 0 {
 		p.Links = make(map[string][]markov.Prediction)
+		prev := ""
 		for i := 0; i < heads && r.err == nil; i++ {
-			head := r.string()
+			head := r.url(a)
+			if i > 0 && head <= prev {
+				r.fail("link head %q does not follow %q", head, prev)
+			}
+			prev = head
 			var preds []markov.Prediction
 			for j, n := 0, r.count(); j < n && r.err == nil; j++ {
-				c := markov.Prediction{URL: r.string(), Probability: r.float(), Order: r.int()}
+				c := markov.Prediction{URL: r.url(a), Probability: r.float(), Order: r.int()}
 				if c.URL == "" || math.IsNaN(c.Probability) || c.Probability < 0 {
 					r.fail("corrupt candidate %+v under %q", c, head)
 				}
@@ -199,7 +230,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		rank = popularity.NewRanking()
 		prev := ""
 		for i, n := 0, r.count(); i < n && r.err == nil; i++ {
-			u, count := r.string(), r.int()
+			u, count := r.url(a), r.int()
 			if i > 0 && u <= prev {
 				r.fail("ranking URL %q does not follow %q", u, prev)
 			}
@@ -208,21 +239,11 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		}
 	}
 
-	arenaImg := r.next(r.int())
 	if len(r.rest) > 0 {
 		r.fail("%d trailing bytes", len(r.rest))
 	}
 	if r.err != nil {
 		return nil, r.err
-	}
-	// A copy, so the model keeps none of data alive and no caller
-	// reusing data can change it.
-	a, err := markov.ArenaFromBytes(bytes.Clone(arenaImg))
-	if err != nil {
-		return nil, fmt.Errorf("maintain: decoding snapshot: %w", err)
-	}
-	if p.NodeCount < a.NodeCount() {
-		return nil, fmt.Errorf("maintain: decoding snapshot: node count %d below the arena's %d", p.NodeCount, a.NodeCount())
 	}
 	return &Snapshot{Version: version, Model: markov.NewFrozenTree(a, p), Ranking: rank}, nil
 }
@@ -254,15 +275,19 @@ func (r *snapshotReader) next(n int) []byte {
 	return b
 }
 
-// int reads a uvarint, refusing one past int32's range: the encoder
-// never writes one.
+// int reads a uvarint, refusing one past int32's range or in a longer
+// encoding than its shortest: the encoder never writes either.
 func (r *snapshotReader) int() int {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.rest)
-	if n <= 0 || v > math.MaxInt32 {
+	switch {
+	case n <= 0 || v > math.MaxInt32:
 		r.fail("integer cut off or outside int32 range")
+		return 0
+	case n > 1 && r.rest[n-1] == 0:
+		r.fail("integer %d not in its shortest encoding", v)
 		return 0
 	}
 	r.rest = r.rest[n:]
@@ -283,6 +308,24 @@ func (r *snapshotReader) count() int {
 
 func (r *snapshotReader) string() string { return string(r.next(r.int())) }
 
+// url reads a URL: the symbol id of a URL of a, or a 0 and a string a
+// does not hold.
+func (r *snapshotReader) url(a *markov.Arena) string {
+	sym := r.int()
+	if sym == 0 {
+		u := r.string()
+		if _, held := a.Symbol(u); held && r.err == nil {
+			r.fail("URL %q written as a string, but the arena holds it", u)
+		}
+		return u
+	}
+	if sym > a.SymbolCount() {
+		r.fail("URL symbol %d past the arena's %d", sym, a.SymbolCount())
+		return ""
+	}
+	return a.URLOf(uint32(sym))
+}
+
 func (r *snapshotReader) float() float64 {
 	if b := r.next(8); b != nil {
 		return math.Float64frombits(binary.LittleEndian.Uint64(b))
@@ -290,9 +333,13 @@ func (r *snapshotReader) float() float64 {
 	return 0
 }
 
+// flag reads a byte that must be 0 or 1.
 func (r *snapshotReader) flag() bool {
 	b := r.next(1)
-	return b != nil && b[0] != 0
+	if b != nil && b[0] > 1 {
+		r.fail("flag byte %d, want 0 or 1", b[0])
+	}
+	return b != nil && b[0] == 1
 }
 
 // snapshotImage is one encoded payload held for serving, swapped whole

@@ -5,29 +5,41 @@
 // trace millions of pointers on every cycle, and the node layout
 // scatters a prediction walk across the heap. Freeze converts a tree
 // into an Arena, a struct-of-slices image carved out of one contiguous
-// buffer. Every integer in it is little-endian, and each integer
-// section takes the narrowest width that holds its largest value:
+// buffer. Every integer section is little-endian at the narrowest width
+// that holds its largest value, and one front-coded URL table ends the
+// image:
 //
-//	magic "pbppmAR3"            8 bytes
-//	countW, idW, urlW, 0        4 × uint8: bytes per count (2, 4 or 8),
-//	                            per symbol id and child offset (2 or 4),
-//	                            per URL offset (2 or 4); a zero byte
+//	magic "pbppmAR4"            8 bytes
+//	countW, idW, 0, 0           4 × uint8: bytes per count (2, 4 or 8)
+//	                            and per symbol id and child offset (2 or
+//	                            4); two zero bytes
 //	numNodes, numSyms,
-//	symBytesLen                 3 × uint32
+//	urlBytes                    3 × uint32; urlBytes is the URLs' total
+//	                            length once decoded
 //	counts   []uint(countW)     one per node, training mass
 //	syms     []uint(idW)        one per node, symbol id (0 = pseudo-root)
 //	childOff []uint(idW)        numNodes+1 prefix sums: the children of
 //	                            node i are nodes [childOff[i], childOff[i+1])
-//	symOff   []uint(urlW)       numSyms+1 prefix sums into symBytes
-//	symBytes []byte             every URL's bytes, concatenated
+//	urls                        per symbol 1..numSyms: a uvarint shared-
+//	                            prefix length, a uvarint suffix length and
+//	                            the suffix bytes, to the end of the image
 //
-// Each section starts at a multiple of its width, and any bytes skipped
-// to get there are zero. No count exceeds its parent's, so the root's
-// count sets countW; numNodes, the last child offset, sets idW (every
-// symbol labels at least one node, so every id is smaller); and
-// symBytesLen, the last URL offset, sets urlW. ArenaFromBytes refuses
-// any other width, so a tree has exactly one image. No model is too
-// large to freeze: a larger one just gets wider sections.
+// Each integer section starts at a multiple of its width, and any bytes
+// skipped to get there are zero. No count exceeds its parent's, so the
+// root's count sets countW; numNodes, the last child offset, sets idW
+// (every symbol labels at least one node, so every id is smaller). A
+// URL's entry shares with the URL before it the longest prefix the two
+// have in common, except at a restart: the entry of every 16th URL,
+// from the first, shares nothing. Every uvarint takes its shortest
+// encoding. ArenaFromBytes refuses any other width, shared length or
+// encoding, so a tree has exactly one image. No model is too large to
+// freeze: a larger one just gets wider sections.
+//
+// The restarts bound what the table decodes to: each URL is no longer
+// than the table bytes of its block of 16, so urlBytes is at most 16
+// times the table's size. ArenaFromBytes checks that, and the entry
+// lengths, before it allocates anything for the URLs, so a small image
+// cannot ask for a large allocation.
 //
 // Nodes are laid out in BFS (level) order, so each node's children form
 // one contiguous, symbol-sorted block and no per-node child count is
@@ -39,14 +51,18 @@
 // automatically sorted by URL for deterministic prediction order and
 // binary-search lookup.
 //
-// The whole snapshot is a single relocatable []byte (Bytes), so the GC
-// sees O(1) objects per model, a snapshot can be written to disk or
-// sent to another machine verbatim, and ArenaFromBytes revives it after
-// validating every index against the buffer bounds. The arena serves
-// from typed views of the image itself ([]uint16, []uint32 or []uint64
-// per section) and resolves the widths once per lookup, not once per
-// element read. A big-endian host serves from a byte-swapped private
-// copy instead, so one image reads the same on every machine.
+// The whole snapshot is a single relocatable []byte (Bytes), so a
+// snapshot can be written to disk or sent to another machine verbatim,
+// and ArenaFromBytes revives it after validating every index against
+// the buffer bounds. The arena serves from typed views of the image
+// itself ([]uint16, []uint32 or []uint64 per section) and resolves the
+// widths once per lookup, not once per element read. ArenaFromBytes
+// decodes the URL table once into one string holding every URL back to
+// back, and URLOf returns zero-copy views into it, so the GC sees the
+// same few objects per model whatever its size: the image, the URL
+// blob, and the URL slice and index beside the depth and suffix-link
+// arrays. A big-endian host serves from a byte-swapped private copy of
+// the image instead, so one image reads the same on every machine.
 package markov
 
 import (
@@ -55,24 +71,31 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"unsafe"
 )
 
 // arenaMagic prefixes every arena image. An image in an earlier layout
-// (such as pbppmAR2's host-endian one) is refused at the magic.
-const arenaMagic = "pbppmAR3"
+// (such as pbppmAR3's, with URL offsets instead of a front-coded table)
+// is refused at the magic.
+const arenaMagic = "pbppmAR4"
 
-// arenaHeaderSize is the magic, the three section widths with their zero
-// byte, and the three uint32 dimensions: 24 bytes, so the counts start
-// 8-aligned.
+// arenaHeaderSize is the magic, the two section widths with their two
+// zero bytes, and the three uint32 dimensions: 24 bytes, so the counts
+// start 8-aligned.
 const arenaHeaderSize = len(arenaMagic) + 4 + 3*4
 
 // arenaMaxDim bounds the node and symbol counts an image may declare,
 // so a corrupt header cannot drive the loader into overflow or an
 // absurd allocation before the size cross-check runs.
 const arenaMaxDim = 1 << 31
+
+// urlRestart spaces the URL table's restarts: the entry of every
+// urlRestart-th URL, from the first, shares no prefix with the URL
+// before it, which bounds every decoded URL by its block's table bytes.
+const urlRestart = 16
 
 // hostLittleEndian reports whether this machine stores integers
 // little-endian, so the image's sections can be viewed in place.
@@ -90,9 +113,11 @@ type Arena struct {
 	// widths, in buf or in its host-order private copy.
 	sec sections
 
-	// urls[s] is symbol s's URL as a zero-copy view into the image's URL
-	// bytes (urls[0] is the pseudo-root's empty string); ids is the
-	// reverse index, rebuilt at attach time.
+	// blob is every URL, in symbol order, decoded from the image's URL
+	// table at attach time; urls[s] is symbol s's URL as a zero-copy view
+	// into it (urls[0] is the pseudo-root's empty string), and ids is the
+	// reverse index.
+	blob string
 	urls []string
 	ids  map[string]uint32
 
@@ -106,10 +131,10 @@ type Arena struct {
 }
 
 // arenaHeader is an image's header: the section widths in bytes, the
-// byte after them (zero in a valid image), and the dimensions.
+// two bytes after them (zero in a valid image), and the dimensions.
 type arenaHeader struct {
-	countW, idW, urlW, pad uint64
-	nodes, syms, urlBytes  uint64
+	countW, idW, pad      uint64
+	nodes, syms, urlBytes uint64
 }
 
 // readArenaHeader decodes the header of an image at least
@@ -117,7 +142,7 @@ type arenaHeader struct {
 func readArenaHeader(img []byte) arenaHeader {
 	w := img[len(arenaMagic):]
 	return arenaHeader{
-		countW: uint64(w[0]), idW: uint64(w[1]), urlW: uint64(w[2]), pad: uint64(w[3]),
+		countW: uint64(w[0]), idW: uint64(w[1]), pad: uint64(binary.LittleEndian.Uint16(w[2:])),
 		nodes:    uint64(binary.LittleEndian.Uint32(w[4:])),
 		syms:     uint64(binary.LittleEndian.Uint32(w[8:])),
 		urlBytes: uint64(binary.LittleEndian.Uint32(w[12:])),
@@ -128,27 +153,26 @@ func readArenaHeader(img []byte) arenaHeader {
 func (h arenaHeader) put(img []byte) {
 	copy(img, arenaMagic)
 	w := img[len(arenaMagic):]
-	w[0], w[1], w[2], w[3] = byte(h.countW), byte(h.idW), byte(h.urlW), byte(h.pad)
+	w[0], w[1] = byte(h.countW), byte(h.idW)
+	binary.LittleEndian.PutUint16(w[2:], uint16(h.pad))
 	binary.LittleEndian.PutUint32(w[4:], uint32(h.nodes))
 	binary.LittleEndian.PutUint32(w[8:], uint32(h.syms))
 	binary.LittleEndian.PutUint32(w[12:], uint32(h.urlBytes))
 }
 
-// arenaLayout is where each section of an image starts, and the image's
-// total size.
-type arenaLayout struct{ counts, syms, childOff, symOff, symBytes, total uint64 }
+// arenaLayout is where each section of an image starts. The URL table
+// runs from urls to the end of the image.
+type arenaLayout struct{ counts, syms, childOff, urls uint64 }
 
-// layout places the sections after the header in order, each at the
-// next multiple of its width. The widths must be valid.
+// layout places the sections after the header in order, each integer
+// section at the next multiple of its width. The widths must be valid.
 func (h arenaHeader) layout() arenaLayout {
 	alignUp := func(off, w uint64) uint64 { return (off + w - 1) / w * w }
 	var l arenaLayout
 	l.counts = uint64(arenaHeaderSize)
 	l.syms = alignUp(l.counts+h.nodes*h.countW, h.idW)
 	l.childOff = l.syms + h.nodes*h.idW
-	l.symOff = alignUp(l.childOff+(h.nodes+1)*h.idW, h.urlW)
-	l.symBytes = l.symOff + (h.syms+1)*h.urlW
-	l.total = l.symBytes + h.urlBytes
+	l.urls = l.childOff + (h.nodes+1)*h.idW
 	return l
 }
 
@@ -173,17 +197,6 @@ func putUint(b []byte, w, v uint64) {
 	default:
 		binary.LittleEndian.PutUint64(b, v)
 	}
-}
-
-// readUint reads the little-endian w-byte integer at the start of b.
-func readUint(b []byte, w uint64) uint64 {
-	switch w {
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(b))
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(b))
-	}
-	return binary.LittleEndian.Uint64(b)
 }
 
 // alignedBuf returns an 8-aligned byte slice of length n, so every
@@ -221,7 +234,8 @@ func (t *Tree) Freeze() *Arena {
 	}
 	mark(t.Root)
 
-	// Pass 2: canonical symbol order — URLs sorted ascending, ids 1..n.
+	// Pass 2: canonical symbol order — URLs sorted ascending, ids 1..n —
+	// and the size of their front-coded table.
 	urls := make([]string, 0, len(t.syms.urls))
 	for s, u := range used {
 		if u && s != 0 {
@@ -230,10 +244,12 @@ func (t *Tree) Freeze() *Arena {
 	}
 	sort.Strings(urls)
 	remap := make([]uint32, len(t.syms.urls))
-	symBytesLen := 0
+	urlBytes, tableLen := 0, 0
 	for i, u := range urls {
 		remap[t.syms.ids[u]] = uint32(i + 1)
-		symBytesLen += len(u)
+		urlBytes += len(u)
+		shared := sharedPrefix(urls, i)
+		tableLen += uvarintLen(shared) + uvarintLen(len(u)-shared) + len(u) - shared
 	}
 
 	// Pass 3: BFS layout. Children are appended in remapped-symbol
@@ -258,17 +274,17 @@ func (t *Tree) Freeze() *Arena {
 	}
 	childOff[numNodes] = uint32(numNodes)
 
-	// Pass 4: fill the image, each section at its narrowest width.
+	// Pass 4: fill the image, each integer section at its narrowest
+	// width, and the URL table in place at its end.
 	h := arenaHeader{
 		countW:   widthFor(uint64(t.Root.Count)),
 		idW:      widthFor(uint64(numNodes)),
-		urlW:     widthFor(uint64(symBytesLen)),
 		nodes:    uint64(numNodes),
 		syms:     uint64(len(urls)),
-		urlBytes: uint64(symBytesLen),
+		urlBytes: uint64(urlBytes),
 	}
 	l := h.layout()
-	buf := alignedBuf(int(l.total))
+	buf := alignedBuf(int(l.urls) + tableLen)
 	h.put(buf)
 	for i, n := range order {
 		putUint(buf[l.counts+uint64(i)*h.countW:], h.countW, uint64(n.Count))
@@ -277,13 +293,13 @@ func (t *Tree) Freeze() *Arena {
 	for i, off := range childOff {
 		putUint(buf[l.childOff+uint64(i)*h.idW:], h.idW, uint64(off))
 	}
-	at := uint64(0)
+	table := buf[l.urls:l.urls]
 	for i, u := range urls {
-		putUint(buf[l.symOff+uint64(i)*h.urlW:], h.urlW, at)
-		copy(buf[l.symBytes+at:], u)
-		at += uint64(len(u))
+		shared := sharedPrefix(urls, i)
+		table = binary.AppendUvarint(table, uint64(shared))
+		table = binary.AppendUvarint(table, uint64(len(u)-shared))
+		table = append(table, u[shared:]...)
 	}
-	putUint(buf[l.symOff+h.syms*h.urlW:], h.urlW, at)
 
 	a, err := ArenaFromBytes(buf)
 	if err != nil {
@@ -292,14 +308,33 @@ func (t *Tree) Freeze() *Arena {
 	return a
 }
 
+// sharedPrefix returns the shared-prefix length of urls[i]'s table
+// entry: the length of the longest prefix it has in common with
+// urls[i-1], or 0 at a restart.
+func sharedPrefix(urls []string, i int) int {
+	if i%urlRestart == 0 {
+		return 0
+	}
+	prev, u := urls[i-1], urls[i]
+	n := 0
+	for n < len(prev) && n < len(u) && prev[n] == u[n] {
+		n++
+	}
+	return n
+}
+
+// uvarintLen returns the length of v's uvarint encoding.
+func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
+
 // ArenaFromBytes attaches to an arena image previously obtained from
 // Arena.Bytes, on this machine or another. Every width, length, offset,
-// symbol id and count is validated against the buffer bounds and the
-// tree's invariants before any section is trusted, so a truncated or
-// corrupt image returns an error instead of panicking, over-allocating
-// or serving a probability above 1. On success the arena reads from buf
-// for its whole lifetime (or from a private copy when buf is not
-// 8-aligned or the host is big-endian); the caller must not modify it.
+// symbol id, count and URL table entry is validated against the buffer
+// bounds and the tree's invariants before any section is trusted, so a
+// truncated or corrupt image returns an error instead of panicking,
+// over-allocating or serving a probability above 1. On success the
+// arena reads from buf for its whole lifetime (or from a private copy
+// when buf is not 8-aligned or the host is big-endian); the caller must
+// not modify it. The URLs are decoded once, into memory of their own.
 func ArenaFromBytes(buf []byte) (*Arena, error) {
 	if len(buf) < arenaHeaderSize {
 		return nil, fmt.Errorf("markov: arena: image truncated at %d bytes", len(buf))
@@ -315,23 +350,25 @@ func ArenaFromBytes(buf []byte) (*Arena, error) {
 	if h.countW != 2 && h.countW != 4 && h.countW != 8 {
 		return nil, fmt.Errorf("markov: arena: %d-byte counts, want 2, 4 or 8", h.countW)
 	}
-	if h.idW != widthFor(h.nodes) || h.urlW != widthFor(h.urlBytes) || h.pad != 0 {
-		return nil, fmt.Errorf("markov: arena: widths ids=%d urls=%d pad=%d, want %d, %d and 0 for %d nodes and %d URL bytes",
-			h.idW, h.urlW, h.pad, widthFor(h.nodes), widthFor(h.urlBytes), h.nodes, h.urlBytes)
+	if h.idW != widthFor(h.nodes) || h.pad != 0 {
+		return nil, fmt.Errorf("markov: arena: %d-byte ids and header bytes %#x, want %d and 0 for %d nodes",
+			h.idW, h.pad, widthFor(h.nodes), h.nodes)
 	}
 	l := h.layout()
-	if l.total != uint64(len(buf)) {
-		return nil, fmt.Errorf("markov: arena: image is %d bytes, header describes %d", len(buf), l.total)
+	if l.urls > uint64(len(buf)) {
+		return nil, fmt.Errorf("markov: arena: image is %d bytes, header describes at least %d", len(buf), l.urls)
+	}
+	if table := uint64(len(buf)) - l.urls; h.urlBytes > urlRestart*table {
+		return nil, fmt.Errorf("markov: arena: %d bytes of URLs exceed %d times the %d-byte URL table",
+			h.urlBytes, urlRestart, table)
 	}
 	if uintptr(unsafe.Pointer(&buf[0]))%8 != 0 {
 		aligned := alignedBuf(len(buf))
 		copy(aligned, buf)
 		buf = aligned
 	}
-	for _, pad := range [][]byte{buf[l.counts+h.nodes*h.countW : l.syms], buf[l.childOff+(h.nodes+1)*h.idW : l.symOff]} {
-		if slices.ContainsFunc(pad, func(b byte) bool { return b != 0 }) {
-			return nil, fmt.Errorf("markov: arena: nonzero padding between sections")
-		}
+	if slices.ContainsFunc(buf[l.counts+h.nodes*h.countW:l.syms], func(b byte) bool { return b != 0 }) {
+		return nil, fmt.Errorf("markov: arena: nonzero padding between sections")
 	}
 	host := buf
 	if !hostLittleEndian {
@@ -353,31 +390,8 @@ func ArenaFromBytes(buf []byte) (*Arena, error) {
 	if w := widthFor(root); w != h.countW {
 		return nil, fmt.Errorf("markov: arena: root count %d needs %d-byte counts, image has %d-byte", root, w, h.countW)
 	}
-	// Symbol table: prefix sums within the URL bytes, URLs strictly
-	// ascending (unique and canonical — symbol order ⇔ URL order). The
-	// offsets are read once, here, straight from the little-endian image.
-	symOff := func(s uint64) uint64 { return readUint(buf[l.symOff+s*h.urlW:], h.urlW) }
-	if symOff(0) != 0 || symOff(h.syms) != h.urlBytes {
-		return nil, fmt.Errorf("markov: arena: symbol offsets span [%d,%d], want [0,%d]",
-			symOff(0), symOff(h.syms), h.urlBytes)
-	}
-	symBytes := host[l.symBytes:]
-	a.urls = make([]string, h.syms+1)
-	a.ids = make(map[string]uint32, h.syms)
-	for s := uint64(1); s <= h.syms; s++ {
-		start, end := symOff(s-1), symOff(s)
-		if start > end || end > h.urlBytes {
-			return nil, fmt.Errorf("markov: arena: symbol %d offsets [%d,%d] out of order", s, start, end)
-		}
-		var u string
-		if end > start {
-			u = unsafe.String(&symBytes[start], int(end-start))
-		}
-		if s > 1 && a.urls[s-1] >= u {
-			return nil, fmt.Errorf("markov: arena: URLs not strictly ascending at symbol %d", s)
-		}
-		a.urls[s] = u
-		a.ids[u] = uint32(s)
+	if err := a.decodeURLs(buf[l.urls:], h); err != nil {
+		return nil, err
 	}
 	a.depth = make([]uint32, h.nodes)
 	a.link = make([]uint32, h.nodes)
@@ -385,11 +399,97 @@ func ArenaFromBytes(buf []byte) (*Arena, error) {
 	return a, nil
 }
 
+// decodeURLs decodes the URL table of an image with header h into
+// a.blob, a.urls and a.ids. A first pass checks every entry's lengths
+// against the table, the restarts and the header's total before
+// anything is allocated for the URLs; the second decodes them, holding
+// each shared length to the longest common prefix and the URLs to
+// strictly ascending order (unique and canonical — symbol order ⇔ URL
+// order).
+func (a *Arena) decodeURLs(table []byte, h arenaHeader) error {
+	at, prev, total := 0, uint64(0), uint64(0)
+	for s := uint64(1); s <= h.syms; s++ {
+		shared, suffix, next := urlEntry(table, at)
+		switch {
+		case next < 0:
+			return fmt.Errorf("markov: arena: URL %d: entry cut off, past the table or not minimally encoded", s)
+		case (s-1)%urlRestart == 0 && shared != 0:
+			return fmt.Errorf("markov: arena: URL %d restarts the table but shares %d bytes", s, shared)
+		case shared > prev:
+			return fmt.Errorf("markov: arena: URL %d shares %d bytes with a %d-byte URL", s, shared, prev)
+		}
+		prev = shared + uint64(len(suffix))
+		total += prev
+		at = next
+	}
+	if at != len(table) {
+		return fmt.Errorf("markov: arena: %d bytes after the URL table", len(table)-at)
+	}
+	if total != h.urlBytes {
+		return fmt.Errorf("markov: arena: URLs decode to %d bytes, header says %d", total, h.urlBytes)
+	}
+
+	blob := make([]byte, 0, total)
+	a.urls = make([]string, h.syms+1)
+	a.ids = make(map[string]uint32, h.syms)
+	at = 0
+	for s := uint64(1); s <= h.syms; s++ {
+		shared, suffix, next := urlEntry(table, at)
+		at = next
+		prev, start := a.urls[s-1], len(blob)
+		// The capacity holds every URL, so appending never moves the
+		// URLs already viewed.
+		blob = append(append(blob, prev[:shared]...), suffix...)
+		var u string
+		if len(blob) > start {
+			u = unsafe.String(&blob[start], len(blob)-start)
+		}
+		if (s-1)%urlRestart != 0 && shared < uint64(len(prev)) && len(suffix) > 0 && suffix[0] == prev[shared] {
+			return fmt.Errorf("markov: arena: URL %d shares %d bytes, fewer than it has in common with the URL before it", s, shared)
+		}
+		if s > 1 && u <= prev {
+			return fmt.Errorf("markov: arena: URLs not strictly ascending at symbol %d", s)
+		}
+		a.urls[s] = u
+		a.ids[u] = uint32(s)
+	}
+	a.blob = unsafe.String(unsafe.SliceData(blob), len(blob))
+	return nil
+}
+
+// urlEntry reads the URL table entry at table[at:]: its shared-prefix
+// length, its suffix and where the next entry starts. next is negative
+// when a length is cut off or not minimally encoded, or the suffix runs
+// past the table.
+func urlEntry(table []byte, at int) (shared uint64, suffix []byte, next int) {
+	shared, n := uvarint(table[at:])
+	if n <= 0 {
+		return 0, nil, -1
+	}
+	at += n
+	size, n := uvarint(table[at:])
+	if n <= 0 || size > uint64(len(table)-at-n) {
+		return 0, nil, -1
+	}
+	at += n
+	return shared, table[at : at+int(size)], at + int(size)
+}
+
+// uvarint is binary.Uvarint that also refuses, with n < 0, a value not
+// in its shortest encoding: one whose last byte is a redundant zero.
+func uvarint(b []byte) (v uint64, n int) {
+	v, n = binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, -1
+	}
+	return v, n
+}
+
 // swapSections byte-swaps, in place, the sections an arena serves
 // through typed views (counts, symbol ids and child offsets), turning a
-// little-endian image into a big-endian host's order. The header and
-// the URL offsets are decoded explicitly as little-endian, and URL
-// bytes have no byte order, so those stay as they are.
+// little-endian image into a big-endian host's order. The header is
+// decoded explicitly as little-endian, and the URL table's bytes and
+// uvarints have no byte order, so those stay as they are.
 func swapSections(img []byte, h arenaHeader, l arenaLayout) {
 	swapWords(img[l.counts:l.counts+h.nodes*h.countW], h.countW)
 	swapWords(img[l.syms:l.childOff+(h.nodes+1)*h.idW], h.idW)
@@ -557,15 +657,24 @@ func (s *sectionsOf[I, C]) check(numSyms uint32) error {
 		}
 	}
 	// Symbols: the pseudo-root is 0, every other node references a real
-	// symbol, and sibling blocks are strictly symbol-sorted (the binary
-	// search and deterministic-order invariant). Counts: no child
+	// symbol, every symbol labels a node (a tree freezes only the URLs
+	// on its paths), and sibling blocks are strictly symbol-sorted (the
+	// binary search and deterministic-order invariant). Counts: no child
 	// outweighs its parent, so no candidate's probability exceeds 1.
 	if s.syms[0] != 0 {
 		return fmt.Errorf("markov: arena: root symbol %d, want 0", s.syms[0])
 	}
+	labels := make([]uint64, numSyms/64+1)
 	for i := uint32(1); i < n; i++ {
-		if sym := uint32(s.syms[i]); sym == 0 || sym > numSyms {
+		sym := uint32(s.syms[i])
+		if sym == 0 || sym > numSyms {
 			return fmt.Errorf("markov: arena: node %d symbol %d out of range [1,%d]", i, sym, numSyms)
+		}
+		labels[sym/64] |= 1 << (sym % 64)
+	}
+	for sym := uint32(1); sym <= numSyms; sym++ {
+		if labels[sym/64]&(1<<(sym%64)) == 0 {
+			return fmt.Errorf("markov: arena: symbol %d labels no node", sym)
 		}
 	}
 	for i := uint32(0); i < n; i++ {
@@ -603,7 +712,9 @@ func (s *sectionsOf[I, C]) suffixLinks(depth, link []uint32) {
 func (a *Arena) Bytes() []byte { return a.buf }
 
 // SizeBytes reports the image size — the frozen model's entire
-// node-and-URL storage footprint.
+// node-and-URL storage footprint, what a snapshot carries. What attach
+// derives from the image, the decoded URLs among it, counts in
+// Stats().Bytes and not here.
 func (a *Arena) SizeBytes() int { return len(a.buf) }
 
 // NodeCount reports the number of URL nodes (the paper's space
@@ -614,8 +725,15 @@ func (a *Arena) NodeCount() int { return len(a.depth) - 1 }
 func (a *Arena) SymbolCount() int { return len(a.urls) - 1 }
 
 // URLOf resolves a symbol id (0 is the pseudo-root's empty string).
-// The returned string is a zero-copy view into the arena image.
+// The returned string is a zero-copy view into the arena's URL blob.
 func (a *Arena) URLOf(sym uint32) string { return a.urls[sym] }
+
+// Symbol returns url's symbol id, and false when no node of the arena
+// carries url.
+func (a *Arena) Symbol(url string) (uint32, bool) {
+	sym, ok := a.ids[url]
+	return sym, ok
+}
 
 // Step advances a streaming match by one URL. node is the match state
 // of a context: the deepest node whose path is a suffix of the context,
@@ -710,8 +828,9 @@ func (a *Arena) AppendPredictions(buf []Prediction, node uint32, threshold float
 
 // Stats computes TreeStats with the exact semantics of Tree.Stats: the
 // pseudo-root is excluded from node, depth, and branching figures;
-// Roots is its fan-out; Bytes is the image size plus the derived
-// lookup structures rebuilt at attach time.
+// Roots is its fan-out; Bytes is the image size plus what attach
+// derives from it: the decoded URLs, their slice and index, and the
+// depth and suffix-link arrays.
 func (a *Arena) Stats() TreeStats {
 	numNodes := len(a.depth)
 	st := TreeStats{Symbols: a.SymbolCount()}
@@ -742,9 +861,7 @@ func (a *Arena) Stats() TreeStats {
 	if internal > 0 {
 		st.MeanBranching = float64(childSum) / float64(internal)
 	}
-	st.Bytes = int64(len(a.buf))
-	// Derived attach-time structures: the urls slice, the reverse map,
-	// and the depth and suffix-link arrays.
+	st.Bytes = int64(len(a.buf)) + int64(len(a.blob))
 	st.Bytes += int64(cap(a.urls)) * int64(unsafe.Sizeof(""))
 	st.Bytes += 48 + int64(len(a.ids))*(int64(unsafe.Sizeof(""))+int64(unsafe.Sizeof(uint32(0)))+mapEntryOverhead)
 	st.Bytes += int64(cap(a.depth)+cap(a.link)) * int64(unsafe.Sizeof(uint32(0)))

@@ -3,9 +3,11 @@ package markov
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -190,15 +192,15 @@ func TestArenaFromBytesRejectsCorrupt(t *testing.T) {
 	a := tr.Freeze()
 	valid := a.Bytes()
 
-	// Header fields: the widths at 8, 9 and 10, a zero byte at 11, then
-	// the uint32 dimensions at 12, 16 and 20.
+	// Header fields: the widths at 8 and 9, two zero bytes at 10 and 11,
+	// then the uint32 dimensions at 12, 16 and 20.
 	setUint32 := func(img []byte, at int, v uint32) { binary.LittleEndian.PutUint32(img[at:], v) }
 	edits := []corruptingEdit{
 		{"bad magic", func(img []byte, _ *Arena) { img[0] = 'X' }},
 		{"bad count width", func(img []byte, _ *Arena) { img[8] = 3 }},
 		{"ids wider than needed", func(img []byte, _ *Arena) { img[9] = 4 }},
-		{"URL offsets wider than needed", func(img []byte, _ *Arena) { img[10] = 4 }},
-		{"nonzero header byte", func(img []byte, _ *Arena) { img[11] = 1 }},
+		{"nonzero header byte 10", func(img []byte, _ *Arena) { img[10] = 1 }},
+		{"nonzero header byte 11", func(img []byte, _ *Arena) { img[11] = 1 }},
 		{"zero nodes", func(img []byte, _ *Arena) { setUint32(img, 12, 0) }},
 		{"huge nodes", func(img []byte, _ *Arena) { setUint32(img, 12, 0xFFFFFFFF) }},
 		{"huge syms", func(img []byte, _ *Arena) { setUint32(img, 16, 0xFFFFFFFF) }},
@@ -220,6 +222,12 @@ func TestArenaFromBytesRejectsCorrupt(t *testing.T) {
 			off := symByteOffset(a, 1)
 			img[off] = 0xEE
 		}},
+		// Node 4 is /b/c; as /b/a it leaves /c on no node, and no tree
+		// freezes a URL it does not hold.
+		{"symbol that labels no node", func(img []byte, a *Arena) {
+			off := symByteOffset(a, 4)
+			img[off] = 1
+		}},
 		// Node 4 is /b/c under /b (count 1); 2 stays below the root's 3,
 		// so only the parent rule can refuse it.
 		{"count above its parent's", func(img []byte, a *Arena) {
@@ -236,6 +244,62 @@ func TestArenaFromBytesRejectsCorrupt(t *testing.T) {
 		}
 	}
 
+	// The URL table, on a tree with a second restart (URL 17) whose URL
+	// shares a prefix with the one before it. The edits of a shorter
+	// shared length, a restart and an overlong uvarint spell every URL
+	// as it was, so only the table's encoding rules can refuse them.
+	pre := prefixTree().Freeze().Bytes()
+	entries := urlTable(pre)
+	url0 := entries[0].suffix
+	tableStart := int(readArenaHeader(pre).layout().urls)
+	for _, c := range []struct {
+		name string
+		img  []byte
+		want string
+	}{
+		{"shared length longer than the URL before it", withURLTable(pre, func(e []tableEntry) {
+			e[1].shared = len(url0) + 1
+		}), "shares"},
+		{"shared length shorter than the common prefix", withURLTable(pre, func(e []tableEntry) {
+			e[1].suffix = url0[e[1].shared-1:e[1].shared] + e[1].suffix
+			e[1].shared--
+		}), "fewer than it has in common"},
+		{"shared length at a restart", withURLTable(pre, func(e []tableEntry) {
+			urls := decodeTable(e)
+			n := commonPrefix(urls[15], urls[16])
+			e[16] = tableEntry{n, urls[16][n:]}
+		}), "restarts the table"},
+		// URL 1's shared length, 0, in two bytes.
+		{"overlong uvarint", append(append(append([]byte(nil), pre[:tableStart]...), 0x80, 0x00), pre[tableStart+1:]...), "minimally encoded"},
+		{"table ends early", pre[:len(pre)-1], "past the table"},
+		{"trailing bytes", append(append([]byte(nil), pre...), 0), "after the URL table"},
+		{"URLs not strictly ascending", withURLTable(pre, func(e []tableEntry) {
+			e[2] = tableEntry{len(decodeTable(e)[1]), ""}
+		}), "not strictly ascending"},
+		{"decoded length differs from the header", withHeaderURLBytes(pre, uint32(readArenaHeader(pre).urlBytes+1)), "header says"},
+		{"decoded length above 16× the table", withHeaderURLBytes(pre, uint32(16*(len(pre)-tableStart)+1)), "16 times"},
+	} {
+		if _, err := ArenaFromBytes(c.img); err == nil {
+			t.Errorf("%s: corrupt image accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not say %q", c.name, err, c.want)
+		}
+	}
+
+	// A header that asks for 64 MiB of URLs over a table of a few bytes
+	// is refused before anything is allocated for them.
+	huge := withHeaderURLBytes(valid, 64<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ArenaFromBytes(huge)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("64 MiB of URLs over a few table bytes accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("refusing 64 MiB of URLs allocated %d bytes", grew)
+	}
+
 	for cut := 0; cut < len(valid); cut++ {
 		if _, err := ArenaFromBytes(valid[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
@@ -249,6 +313,106 @@ func TestArenaFromBytesRejectsCorrupt(t *testing.T) {
 		copy(img, valid)
 		img[i] ^= 0xFF
 		_, _ = ArenaFromBytes(img)
+	}
+}
+
+// prefixTree trains one-click sessions on 20 URLs that share a long
+// prefix, so its URL table restarts at URL 17 as well as at URL 1.
+func prefixTree() *Tree {
+	tr := NewTree()
+	for i := 0; i < 20; i++ {
+		tr.Insert([]string{fmt.Sprintf("/docs/section/page-%02d", i)}, 0, int64(i+1))
+	}
+	return tr
+}
+
+// tableEntry is one entry of an image's URL table.
+type tableEntry struct {
+	shared int
+	suffix string
+}
+
+// urlTable reads the entries of a valid image's URL table.
+func urlTable(img []byte) []tableEntry {
+	table := img[readArenaHeader(img).layout().urls:]
+	var out []tableEntry
+	for len(table) > 0 {
+		shared, n := binary.Uvarint(table)
+		size, m := binary.Uvarint(table[n:])
+		out = append(out, tableEntry{int(shared), string(table[n+m : n+m+int(size)])})
+		table = table[n+m+int(size):]
+	}
+	return out
+}
+
+// decodeTable returns the URLs a table's entries spell.
+func decodeTable(entries []tableEntry) []string {
+	urls := make([]string, len(entries))
+	prev := ""
+	for i, e := range entries {
+		urls[i] = prev[:e.shared] + e.suffix
+		prev = urls[i]
+	}
+	return urls
+}
+
+// withURLTable returns a copy of img whose URL table entries edit has
+// changed, with the header's URL byte count set to what the entries
+// add up to.
+func withURLTable(img []byte, edit func([]tableEntry)) []byte {
+	entries := urlTable(img)
+	edit(entries)
+	out := append([]byte(nil), img[:readArenaHeader(img).layout().urls]...)
+	total := 0
+	for _, e := range entries {
+		out = binary.AppendUvarint(out, uint64(e.shared))
+		out = binary.AppendUvarint(out, uint64(len(e.suffix)))
+		out = append(out, e.suffix...)
+		total += e.shared + len(e.suffix)
+	}
+	return withHeaderURLBytes(out, uint32(total))
+}
+
+// withHeaderURLBytes returns a copy of img whose header declares n
+// bytes of URLs.
+func withHeaderURLBytes(img []byte, n uint32) []byte {
+	out := append([]byte(nil), img...)
+	binary.LittleEndian.PutUint32(out[20:], n)
+	return out
+}
+
+// commonPrefix returns the length of the longest prefix x and y share.
+func commonPrefix(x, y string) int {
+	n := 0
+	for n < len(x) && n < len(y) && x[n] == y[n] {
+		n++
+	}
+	return n
+}
+
+// TestFreezeURLTableRestarts: each table entry shares the longest
+// prefix its URL has in common with the one before it, except every
+// 16th from the first, which shares nothing; so the URLs decode to at
+// most 16 times the table's bytes.
+func TestFreezeURLTableRestarts(t *testing.T) {
+	img := prefixTree().Freeze().Bytes()
+	entries := urlTable(img)
+	urls := decodeTable(entries)
+	if len(entries) != 20 {
+		t.Fatalf("table holds %d entries, want 20", len(entries))
+	}
+	for i, e := range entries {
+		want := 0
+		if i%16 != 0 {
+			want = commonPrefix(urls[i-1], urls[i])
+		}
+		if e.shared != want {
+			t.Errorf("URL %d (%s) shares %d bytes, want %d", i+1, urls[i], e.shared, want)
+		}
+	}
+	h := readArenaHeader(img)
+	if table := uint64(len(img)) - h.layout().urls; h.urlBytes > 16*table || entries[16].shared != 0 {
+		t.Fatalf("%d URL bytes over a %d-byte table, URL 17 shares %d", h.urlBytes, table, entries[16].shared)
 	}
 }
 
@@ -707,7 +871,7 @@ func TestFrozenTreeTrainPanics(t *testing.T) {
 	f.TrainSequence([]string{"/a"})
 }
 
-// goldenTree is the two-session tree whose AR3 image
+// goldenTree is the two-session tree whose AR4 image
 // TestArenaImageGolden spells out. The first session's weight of 258
 // (0x0102) puts a nonzero high byte in the counts.
 func goldenTree() *Tree {
@@ -722,23 +886,25 @@ func goldenTree() *Tree {
 // and /b/c, and symbols 1, 2 and 3 are /a, /b and /c.
 func goldenImage(countW byte, counts []byte) [][]byte {
 	return [][]byte{
-		[]byte("pbppmAR3"),
-		{countW, 2, 2, 0},                    // widths: counts, ids, URL offsets; zero
+		[]byte("pbppmAR4"),
+		{countW, 2, 0, 0},                    // widths: counts, ids; two zero bytes
 		{5, 0, 0, 0},                         // numNodes
 		{3, 0, 0, 0},                         // numSyms
-		{6, 0, 0, 0},                         // symBytesLen
+		{6, 0, 0, 0},                         // urlBytes
 		counts,                               // counts
 		{0, 0, 1, 0, 2, 0, 2, 0, 3, 0},       // syms
 		{1, 0, 3, 0, 4, 0, 5, 0, 5, 0, 5, 0}, // childOff
-		{0, 0, 2, 0, 4, 0, 6, 0},             // symOff
-		[]byte("/a/b/c"),                     // symBytes
+		{0, 2, '/', 'a'},                     // /a: a restart, so it shares nothing
+		{1, 1, 'b'},                          // /b: shares "/" with /a
+		{1, 1, 'c'},                          // /c: shares "/" with /b
 	}
 }
 
-// TestArenaImageGolden pins the AR3 byte layout: the image of a
+// TestArenaImageGolden pins the AR4 byte layout: the image of a
 // two-session tree, every integer little-endian at the narrowest width
-// its section allows. The same image with counts one width wider than
-// needed is refused, so the tree has exactly this one image.
+// its section allows, then the front-coded URL table. The same image
+// with counts one width wider than needed is refused, so the tree has
+// exactly this one image.
 func TestArenaImageGolden(t *testing.T) {
 	fields := goldenImage(2, []byte{0x03, 0x01, 0x02, 0x01, 0x01, 0x00, 0x02, 0x01, 0x01, 0x00}) // 259, 258, 1, 258, 1
 	want := bytes.Join(fields, nil)
@@ -846,17 +1012,17 @@ func TestFreezeWideSections(t *testing.T) {
 // TestSwapSectionsForBigEndian runs the conversion a big-endian host
 // applies at attach on images of every section width: each count,
 // symbol id and child offset must read back big-endian as the value the
-// image holds little-endian, and every other byte — header, padding,
-// URL offsets and URL bytes — must be left as it was.
+// image holds little-endian, and every other byte — header, padding and
+// the URL table — must be left as it was.
 func TestSwapSectionsForBigEndian(t *testing.T) {
-	beUint := func(b []byte, w uint64) uint64 {
+	wordOf := func(order binary.ByteOrder, b []byte, w uint64) uint64 {
 		switch w {
 		case 2:
-			return uint64(binary.BigEndian.Uint16(b))
+			return uint64(order.Uint16(b))
 		case 4:
-			return uint64(binary.BigEndian.Uint32(b))
+			return uint64(order.Uint32(b))
 		}
-		return binary.BigEndian.Uint64(b)
+		return order.Uint64(b)
 	}
 	counts8 := goldenTree()
 	counts8.Insert([]string{"/a"}, 0, 1<<40+0x0102)
@@ -871,7 +1037,7 @@ func TestSwapSectionsForBigEndian(t *testing.T) {
 		check := func(section string, off, w, n uint64) {
 			for i := uint64(0); i < n; i++ {
 				at := off + i*w
-				if le, be := readUint(img[at:], w), beUint(swapped[at:], w); le != be {
+				if le, be := wordOf(binary.LittleEndian, img[at:], w), wordOf(binary.BigEndian, swapped[at:], w); le != be {
 					t.Fatalf("%d-byte %s[%d]: big-endian copy reads %d, image holds %d", w, section, i, be, le)
 				}
 				for k := at; k < at+w; k++ {

@@ -7,8 +7,9 @@ import (
 )
 
 // fuzzSeedTrees returns a few representative trees whose frozen images
-// seed the corpus: empty, tiny, height-capped, a random workload, and
-// one whose root count needs 4-byte counts.
+// seed the corpus: empty, tiny, height-capped, a random workload, one
+// whose root count needs 4-byte counts, and one whose URL table
+// restarts twice.
 func fuzzSeedTrees() []*Tree {
 	empty := NewTree()
 	tiny := NewTree()
@@ -19,13 +20,14 @@ func fuzzSeedTrees() []*Tree {
 	wide := NewTree()
 	wide.Insert([]string{"/a", "/b"}, 0, 70_000)
 	wide.Insert([]string{"/b", "/c"}, 0, 3)
-	return []*Tree{empty, tiny, capped, randomArenaTree(rand.New(rand.NewSource(11)), 120, 0), wide}
+	return []*Tree{empty, tiny, capped, randomArenaTree(rand.New(rand.NewSource(11)), 120, 0), wide, prefixTree()}
 }
 
 // FuzzArenaFromBytes drives the arena validator with mutated images:
 // it must never panic, and any image it accepts must serve without
-// crashing, predict only probabilities in [0, 1], and survive a
-// reattach byte-identically.
+// crashing, predict only probabilities in [0, 1], survive a reattach
+// byte-identically, and be the one image of its tree: the tree rebuilt
+// from its paths and counts freezes to the same bytes.
 func FuzzArenaFromBytes(f *testing.F) {
 	for _, tr := range fuzzSeedTrees() {
 		f.Add(tr.Freeze().Bytes())
@@ -77,5 +79,25 @@ func FuzzArenaFromBytes(f *testing.F) {
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
 			t.Fatal("reattach changed the image")
 		}
+		if again := treeOf(a).Freeze().Bytes(); !bytes.Equal(again, data) {
+			t.Fatalf("the image's tree freezes to another image:\n got % x\nwant % x", again, data)
+		}
 	})
+}
+
+// treeOf rebuilds the tree an arena holds: every path with its count.
+func treeOf(a *Arena) *Tree {
+	tr := NewTree()
+	tr.Root.Count = a.Count(0)
+	nodes := make([]*Node, a.NodeCount()+1)
+	nodes[0] = tr.Root
+	// BFS order: each node is built before its children are visited.
+	for i := range nodes {
+		a.EachChild(uint32(i), func(c uint32, url string) bool {
+			nodes[c] = tr.EnsureChild(nodes[i], url)
+			nodes[c].Count = a.Count(c)
+			return true
+		})
+	}
+	return tr
 }

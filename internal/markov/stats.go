@@ -32,9 +32,9 @@ type TreeStats struct {
 	// TotalCount is the sum of node counts (training mass).
 	TotalCount int64
 	// Bytes is the measured in-memory size of the tree (see
-	// Tree.BytesEstimate), or the image size of an arena (Arena.Stats),
-	// which is what the pbppm_model_bytes gauge reads for a published
-	// model.
+	// Tree.BytesEstimate), or of an arena: its image plus what attach
+	// derives from it (Arena.Stats). The pbppm_model_bytes gauge reads
+	// it for a published model.
 	Bytes int64
 	// Symbols is the number of distinct URLs interned by the tree.
 	Symbols int

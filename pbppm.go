@@ -106,7 +106,7 @@ func NewTopN() *TopNModel { return topn.New() }
 type Snapshot = maintain.Snapshot
 
 // EncodeSnapshot writes a frozen model and its ranking (nil for none)
-// as a pbppmSN3 snapshot image, the one model file format: what
+// as a pbppmSN4 snapshot image, the one model file format: what
 // prefetchsim -save-model writes, the /snapshot endpoint serves, and
 // followers install. Freeze a trained model first (Freezer).
 func EncodeSnapshot(w io.Writer, version uint64, model *FrozenModel, rank *Ranking) error {
@@ -115,7 +115,7 @@ func EncodeSnapshot(w io.Writer, version uint64, model *FrozenModel, rank *Ranki
 
 // DecodeSnapshot validates a snapshot image end to end and revives its
 // frozen model and ranking; the model does not retain data. An image
-// in an older build's layout (pbppmSN1, pbppmSN2) fails at its magic.
+// in an older build's layout (pbppmSN1 to pbppmSN3) fails at its magic.
 func DecodeSnapshot(data []byte) (*Snapshot, error) { return maintain.DecodeSnapshot(data) }
 
 // DefaultThreshold is the paper's 0.25 prediction probability threshold.
