@@ -1,6 +1,7 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (regenerating the artifact at paper scale on the synthetic
-// workloads), plus micro-benchmarks of the substrates. Domain results
+// Benchmark harness: the paper's evaluation regenerated at paper scale
+// on the synthetic workloads (one benchmark per figure, except that
+// Figures 3–4 and Tables 1–2 share one sweep per workload), plus
+// micro-benchmarks of the substrates. Domain results
 // are attached as custom benchmark metrics so a run doubles as an
 // experiment report:
 //
@@ -67,96 +68,40 @@ func BenchmarkFigure2(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure3NASA regenerates Figure 3 (first and second panels):
-// hit ratios and latency reductions on the NASA-like workload.
-func BenchmarkFigure3NASA(b *testing.B) {
-	w := nasaWorkload(b)
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFigure3(w, experiments.SweepConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := len(f.Rows) - 1
-		b.ReportMetric(f.HitRatio(last, experiments.ModelPB), "PB-hit")
-		b.ReportMetric(f.HitRatio(last, experiments.ModelPPM), "PPM-hit")
-		b.ReportMetric(f.LatencyReduction(last, experiments.ModelPB), "PB-latred")
-	}
+// BenchmarkEvaluationNASA regenerates the §4 evaluation on the
+// NASA-like workload from one sweep over 1–7 training days: Figure 3's
+// hit ratios and latency reductions, Table 1's node counts, and
+// Figure 4's space growth and traffic increments.
+func BenchmarkEvaluationNASA(b *testing.B) {
+	benchEvaluation(b, nasaWorkload(b))
 }
 
-// BenchmarkFigure3UCB regenerates Figure 3 (third and fourth panels) on
-// the UCB-CS-like workload.
-func BenchmarkFigure3UCB(b *testing.B) {
-	w := ucbWorkload(b)
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFigure3(w, experiments.SweepConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := len(f.Rows) - 1
-		b.ReportMetric(f.HitRatio(last, experiments.ModelPB), "PB-hit")
-		b.ReportMetric(f.HitRatio(last, experiments.ModelPPM), "PPM-hit")
-	}
+// BenchmarkEvaluationUCB regenerates the same artifacts on the
+// UCB-CS-like workload over 1–5 training days: Figure 3's third and
+// fourth panels, Table 2 (both space optimizations on for PB-PPM) and
+// Figure 4's third and fourth panels.
+func BenchmarkEvaluationUCB(b *testing.B) {
+	benchEvaluation(b, ucbWorkload(b))
 }
 
-// BenchmarkTable1 regenerates Table 1: node counts of the three models
-// on the NASA-like workload for 1–7 training days.
-func BenchmarkTable1(b *testing.B) {
-	w := nasaWorkload(b)
+// benchEvaluation runs the evaluation sweep on w and reports the last
+// training window's headline numbers.
+func benchEvaluation(b *testing.B, w *experiments.Workload) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.RunSpaceTable(w, experiments.SweepConfig{})
+		e, err := experiments.RunEvaluation(w, experiments.SweepConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		last := len(t.Rows) - 1
-		b.ReportMetric(float64(t.Nodes(last, experiments.ModelPPM)), "PPM-nodes")
-		b.ReportMetric(float64(t.Nodes(last, experiments.ModelLRS)), "LRS-nodes")
-		b.ReportMetric(float64(t.Nodes(last, experiments.ModelPB)), "PB-nodes")
-	}
-}
-
-// BenchmarkTable2 regenerates Table 2: node counts on the UCB-CS-like
-// workload with both space optimizations enabled for PB-PPM.
-func BenchmarkTable2(b *testing.B) {
-	w := ucbWorkload(b)
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.RunSpaceTable(w, experiments.SweepConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := len(t.Rows) - 1
-		b.ReportMetric(float64(t.Nodes(last, experiments.ModelLRS)), "LRS-nodes")
-		b.ReportMetric(float64(t.Nodes(last, experiments.ModelPB)), "PB-nodes")
-	}
-}
-
-// BenchmarkFigure4NASA regenerates Figure 4 (first and second panels):
-// LRS-vs-PB space growth and traffic increments, NASA-like workload.
-func BenchmarkFigure4NASA(b *testing.B) {
-	w := nasaWorkload(b)
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFigure4(w, experiments.SweepConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := len(f.Rows) - 1
-		b.ReportMetric(f.NodeRatio(last), "LRS/PB-nodes")
-		b.ReportMetric(f.TrafficIncrease(last, experiments.ModelPB), "PB-traffic")
-	}
-}
-
-// BenchmarkFigure4UCB regenerates Figure 4 (third and fourth panels) on
-// the UCB-CS-like workload.
-func BenchmarkFigure4UCB(b *testing.B) {
-	w := ucbWorkload(b)
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFigure4(w, experiments.SweepConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := len(f.Rows) - 1
-		b.ReportMetric(f.NodeRatio(last), "LRS/PB-nodes")
-		b.ReportMetric(f.TrafficIncrease(last, experiments.ModelLRS), "LRS-traffic")
-		b.ReportMetric(f.TrafficIncrease(last, experiments.ModelPB), "PB-traffic")
+		last := len(e.Rows) - 1
+		b.ReportMetric(e.HitRatio(last, experiments.ModelPB), "PB-hit")
+		b.ReportMetric(e.HitRatio(last, experiments.ModelPPM), "PPM-hit")
+		b.ReportMetric(e.LatencyReduction(last, experiments.ModelPB), "PB-latred")
+		b.ReportMetric(float64(e.Nodes(last, experiments.ModelPPM)), "PPM-nodes")
+		b.ReportMetric(float64(e.Nodes(last, experiments.ModelLRS)), "LRS-nodes")
+		b.ReportMetric(float64(e.Nodes(last, experiments.ModelPB)), "PB-nodes")
+		b.ReportMetric(e.NodeRatio(last), "LRS/PB-nodes")
+		b.ReportMetric(e.TrafficIncrease(last, experiments.ModelLRS), "LRS-traffic")
+		b.ReportMetric(e.TrafficIncrease(last, experiments.ModelPB), "PB-traffic")
 	}
 }
 

@@ -11,12 +11,12 @@
 //
 // Usage:
 //
-//	reproduce [-exp all|fig2|fig3|table|fig4|fig5|baselines|maintenance|maintenance-cost|predict-bench|ablations]
-//	          [-workload both|nasa|ucbcs] [-scale full|small] [-csv dir]
+//	reproduce [-exp all|NAME] [-workload both|nasa|ucbcs] [-scale full|small] [-csv dir]
 //	          [-bench-out BENCH_run.json] [-compare BENCH_baseline.json]
 //	          [-tol-wall F] [-tol-metric F] [-progress N]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
+// -exp all (the default) runs every experiment; -h lists their names.
 // An unknown experiment, workload or scale exits 2 before any workload
 // is built; a failed -compare exits 3.
 package main
@@ -29,6 +29,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"time"
 
 	"pbppm/internal/benchreport"
@@ -52,14 +53,8 @@ var experimentRuns = []experiment{
 	{"fig2", func(w *experiments.Workload) (artifact, error) {
 		return experiments.RunFigure2(w, experiments.SweepConfig{})
 	}},
-	{"fig3", func(w *experiments.Workload) (artifact, error) {
-		return experiments.RunFigure3(w, experiments.SweepConfig{})
-	}},
-	{"table", func(w *experiments.Workload) (artifact, error) {
-		return experiments.RunSpaceTable(w, experiments.SweepConfig{})
-	}},
-	{"fig4", func(w *experiments.Workload) (artifact, error) {
-		return experiments.RunFigure4(w, experiments.SweepConfig{})
+	{"eval", func(w *experiments.Workload) (artifact, error) {
+		return experiments.RunEvaluation(w, experiments.SweepConfig{})
 	}},
 	{"fig5", func(w *experiments.Workload) (artifact, error) {
 		return experiments.RunFigure5(w, experiments.Figure5Config{})
@@ -67,13 +62,21 @@ var experimentRuns = []experiment{
 	{"baselines", func(w *experiments.Workload) (artifact, error) { return experiments.RunBaselines(w) }},
 	{"maintenance", func(w *experiments.Workload) (artifact, error) { return experiments.RunMaintenance(w) }},
 	{"maintenance-cost", func(w *experiments.Workload) (artifact, error) { return experiments.RunMaintenanceCost(w) }},
-	{"predict-bench", func(w *experiments.Workload) (artifact, error) { return experiments.RunPredictBench(w) }},
 }
 
 // knownExperiment reports whether exp is a valid -exp value.
 func knownExperiment(exp string) bool {
 	return exp == "all" || exp == "ablations" ||
 		slices.ContainsFunc(experimentRuns, func(e experiment) bool { return e.name == exp })
+}
+
+// experimentUsage is the -exp flag's help: every valid value.
+func experimentUsage() string {
+	names := []string{"all"}
+	for _, e := range experimentRuns {
+		names = append(names, e.name)
+	}
+	return "experiment: " + strings.Join(names, ", ") + ", or ablations"
 }
 
 func main() {
@@ -88,7 +91,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("reproduce", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp       = fs.String("exp", "all", "experiment: all, fig2, fig3, table, fig4, fig5, baselines, maintenance, maintenance-cost, predict-bench, or ablations")
+		exp       = fs.String("exp", "all", experimentUsage())
 		workload  = fs.String("workload", "both", "workload: both, nasa, ucbcs")
 		scale     = fs.String("scale", "full", "full = paper scale, small = quick check")
 		csvDir    = fs.String("csv", "", "also write each artifact as CSV into this directory")
@@ -144,7 +147,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 
 		var w *experiments.Workload
-		buildClock := sim.NewPhaseClock(nil)
+		buildClock := sim.NewPhaseClock()
 		m, err := benchreport.Measure(func() error {
 			defer buildClock.Start(sim.PhaseWorkloadBuild)()
 			var err error
@@ -220,7 +223,7 @@ func run(w *experiments.Workload, exp, csvDir string, progress int, stdout io.Wr
 	// artifact because ablations only know theirs after running; kind
 	// labels progress lines emitted while f is still in flight.
 	runOne := func(kind string, f func() (string, artifact, error)) error {
-		clock := sim.NewPhaseClock(nil)
+		clock := sim.NewPhaseClock()
 		models := map[string]markov.TreeStats{}
 		w.Hooks = experiments.Hooks{
 			Phases:  clock,

@@ -10,12 +10,18 @@ import (
 )
 
 // TestUsageErrorsExitBeforeBuilding: an unknown experiment, workload or
-// scale exits 2 at once, without building a workload.
+// scale exits 2 at once, without building a workload. The names of the
+// three sweeps the eval experiment replaced, and of the deleted
+// predict-bench, are unknown too.
 func TestUsageErrorsExitBeforeBuilding(t *testing.T) {
 	for _, args := range [][]string{
 		{"-exp", "bogus", "-scale", "small", "-workload", "nasa"},
-		{"-scale", "smal", "-workload", "nasa", "-exp", "predict-bench"},
+		{"-scale", "smal", "-workload", "nasa", "-exp", "eval"},
 		{"-workload", "bogus", "-scale", "small"},
+		{"-exp", "fig3", "-scale", "small", "-workload", "nasa"},
+		{"-exp", "table", "-scale", "small", "-workload", "nasa"},
+		{"-exp", "fig4", "-scale", "small", "-workload", "nasa"},
+		{"-exp", "predict-bench", "-scale", "small", "-workload", "nasa"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := realMain(args, &stdout, &stderr); code != 2 {
@@ -27,14 +33,14 @@ func TestUsageErrorsExitBeforeBuilding(t *testing.T) {
 	}
 }
 
-// TestBenchArtifactComparesAgainstItself runs the predict benchmark on
-// the small NASA workload: its -bench-out artifact passes -compare
-// against itself, and a copy with one headline metric moved past
-// -tol-metric fails the comparison with exit 3.
+// TestBenchArtifactComparesAgainstItself runs the maintenance
+// experiment on the small NASA workload: its -bench-out artifact passes
+// -compare against itself, and a copy with one headline metric moved
+// past -tol-metric fails the comparison with exit 3.
 func TestBenchArtifactComparesAgainstItself(t *testing.T) {
 	dir := t.TempDir()
 	artifact := filepath.Join(dir, "run.json")
-	bench := []string{"-exp", "predict-bench", "-scale", "small", "-workload", "nasa"}
+	bench := []string{"-exp", "maintenance", "-scale", "small", "-workload", "nasa"}
 	var stdout, stderr bytes.Buffer
 	if code := realMain(append(bench, "-bench-out", artifact, "-compare", artifact), &stdout, &stderr); code != 0 {
 		t.Fatalf("run compared against its own artifact: exit %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
@@ -46,13 +52,13 @@ func TestBenchArtifactComparesAgainstItself(t *testing.T) {
 	}
 	moved := false
 	for i, r := range report.Records {
-		if v, ok := r.Metrics["predict_arena_bytes"]; ok && r.Experiment == "predict-bench" {
-			report.Records[i].Metrics["predict_arena_bytes"] = v / 2
+		if v, ok := r.Metrics["nodes_daily"]; ok && r.Experiment == "maintenance" {
+			report.Records[i].Metrics["nodes_daily"] = v / 2
 			moved = true
 		}
 	}
 	if !moved {
-		t.Fatalf("artifact has no predict-bench record with predict_arena_bytes: %+v", report.Records)
+		t.Fatalf("artifact has no maintenance record with nodes_daily: %+v", report.Records)
 	}
 	baseline := filepath.Join(dir, "moved.json")
 	if err := benchreport.WriteFile(baseline, report); err != nil {
@@ -66,7 +72,7 @@ func TestBenchArtifactComparesAgainstItself(t *testing.T) {
 	}
 	regressed := false
 	for _, line := range strings.Split(stdout.String(), "\n") {
-		regressed = regressed || strings.Contains(line, "predict_arena_bytes") && strings.Contains(line, "REGRESSED")
+		regressed = regressed || strings.Contains(line, "nodes_daily") && strings.Contains(line, "REGRESSED")
 	}
 	if !regressed {
 		t.Errorf("comparison does not report the moved metric as regressed:\n%s", &stdout)

@@ -17,7 +17,7 @@ import (
 // measured section, a phase clock, model stats, and headline metrics.
 func buildReport() *Report {
 	r := New("reproduce", "small")
-	clock := sim.NewPhaseClock(nil)
+	clock := sim.NewPhaseClock()
 	clock.Observe(sim.PhaseTrain, 200*time.Millisecond)
 	clock.Observe(sim.PhaseSimulate, 800*time.Millisecond)
 	clock.AddEvents(40000)

@@ -248,45 +248,43 @@ func (m *Model) Optimize() int {
 			}
 			return float64(child.Count)/float64(parent.Count) < cut
 		})
-		for rootURL, lm := range m.links {
-			root := m.tree.Child(m.tree.Root, rootURL)
-			if root == nil {
-				// The heading URL itself vanished (possible only via
-				// DropSingletons below on a prior call); drop its links.
-				removed += len(lm)
-				delete(m.links, rootURL)
-				continue
-			}
-			for url, cnt := range lm {
-				if float64(cnt)/float64(root.Count) < cut {
-					delete(lm, url)
-					removed++
-				}
-			}
-			if len(lm) == 0 {
-				delete(m.links, rootURL)
-			}
-		}
+		removed += m.pruneLinks(func(root *markov.Node, count int64) bool {
+			return float64(count)/float64(root.Count) < cut
+		})
 	}
 	if m.cfg.DropSingletons {
 		removed += m.tree.Prune(func(parent, child *markov.Node) bool {
 			return child.Count <= 1
 		})
-		for rootURL, lm := range m.links {
-			if m.tree.Child(m.tree.Root, rootURL) == nil {
-				removed += len(lm)
-				delete(m.links, rootURL)
-				continue
+		removed += m.pruneLinks(func(_ *markov.Node, count int64) bool {
+			return count <= 1
+		})
+	}
+	return removed
+}
+
+// pruneLinks applies one space optimization to the rule-3 links: it
+// drops every link of a heading URL that is no longer a root (the
+// singleton cut can remove one) and each link under a root for which
+// drop reports true, deletes the maps it empties, and returns the
+// number of links removed.
+func (m *Model) pruneLinks(drop func(root *markov.Node, count int64) bool) int {
+	removed := 0
+	for rootURL, lm := range m.links {
+		root := m.tree.Child(m.tree.Root, rootURL)
+		if root == nil {
+			removed += len(lm)
+			delete(m.links, rootURL)
+			continue
+		}
+		for url, count := range lm {
+			if drop(root, count) {
+				delete(lm, url)
+				removed++
 			}
-			for url, cnt := range lm {
-				if cnt <= 1 {
-					delete(lm, url)
-					removed++
-				}
-			}
-			if len(lm) == 0 {
-				delete(m.links, rootURL)
-			}
+		}
+		if len(lm) == 0 {
+			delete(m.links, rootURL)
 		}
 	}
 	return removed

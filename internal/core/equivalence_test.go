@@ -136,6 +136,27 @@ func livePB(m *core.Model, cfg core.Config, ctx []string) []markov.Prediction {
 	return out
 }
 
+// liveTopN is topn.Model's predict before it froze: the ranking sorted
+// on every call, its 11 most popular documents without the current
+// click, at most 10 of them, each at its relative popularity.
+func liveTopN(m *topn.Model, ctx []string) []markov.Prediction {
+	cur := ""
+	if len(ctx) > 0 {
+		cur = ctx[len(ctx)-1]
+	}
+	var out []markov.Prediction
+	for _, u := range m.Ranking().Top(11) {
+		if u == cur {
+			continue
+		}
+		out = append(out, markov.Prediction{URL: u, Probability: m.Ranking().Relative(u)})
+		if len(out) == 10 {
+			break
+		}
+	}
+	return out
+}
+
 // contractSequences is a deterministic Zipf-ish workload small enough
 // for fast tests but skewed enough to produce probability ties.
 func contractSequences(rng *rand.Rand, n int) [][]string {
@@ -167,10 +188,10 @@ func contractContexts(rng *rand.Rand, n int) [][]string {
 }
 
 // TestFrozenModelsMatchLiveModels is the model-level golden suite of
-// the freeze: every freezer's arena snapshot must reproduce the
-// predictions of the model's pointer-tree predict (the oracles above)
-// bit for bit — including PB-PPM's precomputed popular-node links and
-// the blended variant's confidence arithmetic.
+// the freeze: every freezer's snapshot must reproduce the predictions
+// of the model's predict before it froze (the oracles above) bit for
+// bit — including PB-PPM's precomputed popular-node links, the blended
+// variant's confidence arithmetic and Top-N's ranked list.
 func TestFrozenModelsMatchLiveModels(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	seqs := contractSequences(rng, 400)
@@ -197,6 +218,7 @@ func TestFrozenModelsMatchLiveModels(t *testing.T) {
 		},
 		"LRS":    func(ctx []string) []markov.Prediction { return liveLRS(models["LRS"].(*lrs.Model), lrs.Config{}, ctx) },
 		"PB-PPM": func(ctx []string) []markov.Prediction { return livePB(models["PB-PPM"].(*core.Model), pbCfg, ctx) },
+		"Top-10": func(ctx []string) []markov.Prediction { return liveTopN(models["Top-10"].(*topn.Model), ctx) },
 	}
 	for _, m := range models {
 		for _, s := range seqs {

@@ -31,7 +31,7 @@ func RunBaselines(w *Workload) (*Baselines, error) {
 	if err != nil {
 		return nil, err
 	}
-	common := sim.Options{Path: w.Path, Grades: sp.rank, Sizes: w.Sizes}
+	common := sim.Options{Path: w.Path, Grades: sp.rank}
 	w.Hooks.apply(&common)
 	runs := []sim.NamedRun{}
 	add := func(name string, opt sim.Options) {

@@ -15,9 +15,7 @@ type CSVWriter interface {
 
 var (
 	_ CSVWriter = (*Figure2)(nil)
-	_ CSVWriter = (*Figure3)(nil)
-	_ CSVWriter = (*SpaceTable)(nil)
-	_ CSVWriter = (*Figure4)(nil)
+	_ CSVWriter = (*Evaluation)(nil)
 	_ CSVWriter = (*Figure5)(nil)
 	_ CSVWriter = (*Ablation)(nil)
 	_ CSVWriter = (*Baselines)(nil)
@@ -51,41 +49,19 @@ func (fig *Figure2) WriteCSV(w io.Writer) error {
 	return writeAll(w, rows)
 }
 
-// WriteCSV emits days,model,hit_ratio,latency_reduction rows.
-func (fig *Figure3) WriteCSV(w io.Writer) error {
-	rows := [][]string{{"days", "model", "hit_ratio", "latency_reduction"}}
-	for i, r := range fig.Rows {
-		for _, m := range []string{ModelNone, ModelPPM, ModelLRS, ModelPB} {
-			rows = append(rows, []string{
-				strconv.Itoa(r.TrainDays), m,
-				f(fig.HitRatio(i, m)), f(fig.LatencyReduction(i, m)),
-			})
-		}
-	}
-	return writeAll(w, rows)
-}
-
-// WriteCSV emits days,model,nodes rows.
-func (t *SpaceTable) WriteCSV(w io.Writer) error {
-	rows := [][]string{{"days", "model", "nodes"}}
-	for _, r := range t.Rows {
+// WriteCSV emits days,model,hit_ratio,latency_reduction,nodes,traffic_increase
+// rows. The no-prefetch baseline has no model, and the traffic
+// increments are measured against it, so its last two cells are empty.
+func (e *Evaluation) WriteCSV(w io.Writer) error {
+	rows := [][]string{{"days", "model", "hit_ratio", "latency_reduction", "nodes", "traffic_increase"}}
+	for i, r := range e.Rows {
+		day := strconv.Itoa(r.TrainDays)
+		rows = append(rows, []string{day, ModelNone,
+			f(e.HitRatio(i, ModelNone)), f(e.LatencyReduction(i, ModelNone)), "", ""})
 		for _, m := range []string{ModelPPM, ModelLRS, ModelPB} {
-			rows = append(rows, []string{
-				strconv.Itoa(r.TrainDays), m, strconv.Itoa(r.Results[m].Nodes),
-			})
-		}
-	}
-	return writeAll(w, rows)
-}
-
-// WriteCSV emits days,model,nodes,traffic_increase rows.
-func (fig *Figure4) WriteCSV(w io.Writer) error {
-	rows := [][]string{{"days", "model", "nodes", "traffic_increase"}}
-	for i, r := range fig.Rows {
-		for _, m := range []string{ModelPPM, ModelLRS, ModelPB} {
-			rows = append(rows, []string{
-				strconv.Itoa(r.TrainDays), m,
-				strconv.Itoa(r.Results[m].Nodes), f(fig.TrafficIncrease(i, m)),
+			rows = append(rows, []string{day, m,
+				f(e.HitRatio(i, m)), f(e.LatencyReduction(i, m)),
+				strconv.Itoa(e.Nodes(i, m)), f(e.TrafficIncrease(i, m)),
 			})
 		}
 	}

@@ -59,11 +59,9 @@ func goldenArtifacts() map[string]CSVWriter {
 		fig5.Results = append(fig5.Results, res)
 	}
 	return map[string]CSVWriter{
-		"figure2": &Figure2{Workload: "golden", Rows: sweep},
-		"figure3": &Figure3{Workload: "golden", Rows: sweep},
-		"table":   &SpaceTable{Workload: "golden", Rows: sweep},
-		"figure4": &Figure4{Workload: "golden", Rows: sweep},
-		"figure5": fig5,
+		"figure2":    &Figure2{Workload: "golden", Rows: sweep},
+		"evaluation": &Evaluation{Workload: "golden", Rows: sweep},
+		"figure5":    fig5,
 		"ablation": &Ablation{Name: "golden", Workload: "golden", Rows: []AblationRow{
 			{Label: "baseline", Result: goldenResult(ModelPB, 1), LatencyReduction: 0.20},
 			{Label: "variant", Result: goldenResult(ModelPB, 2), LatencyReduction: 0.25},
@@ -91,10 +89,9 @@ var wantShape = map[string]struct {
 	header []string
 	rows   int
 }{
-	"figure2":     {[]string{"days", "model", "popular_share", "utilization"}, 9},
-	"figure3":     {[]string{"days", "model", "hit_ratio", "latency_reduction"}, 12},
-	"table":       {[]string{"days", "model", "nodes"}, 9},
-	"figure4":     {[]string{"days", "model", "nodes", "traffic_increase"}, 9},
+	"figure2": {[]string{"days", "model", "popular_share", "utilization"}, 9},
+	"evaluation": {[]string{"days", "model", "hit_ratio", "latency_reduction",
+		"nodes", "traffic_increase"}, 12},
 	"figure5":     {[]string{"clients", "model", "hit_ratio", "traffic_increase"}, 12},
 	"ablation":    {[]string{"variant", "hit_ratio", "latency_reduction", "traffic_increase", "nodes"}, 2},
 	"baselines":   {[]string{"model", "hit_ratio", "traffic_increase", "nodes"}, 3},

@@ -65,32 +65,47 @@ func TestRankingFromSessions(t *testing.T) {
 
 func TestSweepShapes(t *testing.T) {
 	w := testNASA(t)
-	rows, err := Sweep(w, SweepConfig{MaxTrainDays: 3, Include3PPM: true})
+	observed, err := Sweep(w, SweepConfig{MaxTrainDays: 3, Observation: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
+	rows, err := Sweep(w, SweepConfig{MaxTrainDays: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 || len(observed) != 3 {
+		t.Fatalf("rows = %d and %d", len(rows), len(observed))
 	}
 	last := rows[len(rows)-1]
 
-	base := last.Results[ModelNone]
-	for _, m := range []string{ModelPPM, Model3PPM, ModelLRS, ModelPB} {
-		r := last.Results[m]
-		if r.Requests != base.Requests {
-			t.Errorf("%s evaluated %d requests, baseline %d", m, r.Requests, base.Requests)
+	for _, sweep := range []struct {
+		last   DayResult
+		models []string
+	}{
+		{last, []string{ModelPPM, ModelLRS, ModelPB}},
+		{observed[len(observed)-1], []string{Model3PPM, ModelLRS, ModelPB}},
+	} {
+		base := sweep.last.Results[ModelNone]
+		if got, want := len(sweep.last.Results), len(sweep.models)+1; got != want {
+			t.Errorf("sweep ran %d models, want %d", got, want)
 		}
-		if r.HitRatio() <= base.HitRatio() {
-			t.Errorf("%s hit %.3f not above baseline %.3f", m, r.HitRatio(), base.HitRatio())
-		}
-		if r.TrafficIncrease() < 0 {
-			t.Errorf("%s negative traffic increase", m)
-		}
-		if r.Utilization < 0 || r.Utilization > 1 {
-			t.Errorf("%s utilization %v out of range", m, r.Utilization)
-		}
-		if r.LatencyReductionVs(base) <= 0 {
-			t.Errorf("%s latency reduction not positive", m)
+		for _, m := range sweep.models {
+			r := sweep.last.Results[m]
+			if r.Requests != base.Requests {
+				t.Errorf("%s evaluated %d requests, baseline %d", m, r.Requests, base.Requests)
+			}
+			if r.HitRatio() <= base.HitRatio() {
+				t.Errorf("%s hit %.3f not above baseline %.3f", m, r.HitRatio(), base.HitRatio())
+			}
+			if r.TrafficIncrease() < 0 {
+				t.Errorf("%s negative traffic increase", m)
+			}
+			if r.Utilization < 0 || r.Utilization > 1 {
+				t.Errorf("%s utilization %v out of range", m, r.Utilization)
+			}
+			if r.LatencyReductionVs(base) <= 0 {
+				t.Errorf("%s latency reduction not positive", m)
+			}
 		}
 	}
 
@@ -173,7 +188,7 @@ func TestFigure2Shapes(t *testing.T) {
 
 func TestFigure3Accessors(t *testing.T) {
 	w := testNASA(t)
-	f, err := RunFigure3(w, SweepConfig{MaxTrainDays: 2})
+	f, err := RunEvaluation(w, SweepConfig{MaxTrainDays: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +206,7 @@ func TestFigure3Accessors(t *testing.T) {
 
 func TestSpaceTable(t *testing.T) {
 	w := testNASA(t)
-	tb, err := RunSpaceTable(w, SweepConfig{MaxTrainDays: 2})
+	tb, err := RunEvaluation(w, SweepConfig{MaxTrainDays: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,10 +224,11 @@ func TestSpaceTable(t *testing.T) {
 
 func TestFigure4Shapes(t *testing.T) {
 	w := testNASA(t)
-	f, err := RunFigure4(w, SweepConfig{MaxTrainDays: 3})
+	f, err := RunEvaluation(w, SweepConfig{MaxTrainDays: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRunGolden(t, "nasa-eval", f)
 	lastRow := len(f.Rows) - 1
 	if f.NodeRatio(lastRow) <= 1 {
 		t.Errorf("LRS/PB node ratio = %.2f, want > 1", f.NodeRatio(lastRow))
@@ -518,23 +534,11 @@ func TestCSVExports(t *testing.T) {
 	}
 	check("figure2", f2, "days,model", 6)
 
-	f3, err := RunFigure3(w, SweepConfig{MaxTrainDays: 2})
+	ev, err := RunEvaluation(w, SweepConfig{MaxTrainDays: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("figure3", f3, "days,model", 8)
-
-	st, err := RunSpaceTable(w, SweepConfig{MaxTrainDays: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("spacetable", st, "days,model", 6)
-
-	f4, err := RunFigure4(w, SweepConfig{MaxTrainDays: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("figure4", f4, "days,model", 6)
+	check("evaluation", ev, "days,model", 8)
 
 	f5, err := RunFigure5(w, Figure5Config{ClientCounts: []int{1, 2}})
 	if err != nil {

@@ -20,8 +20,7 @@ type Figure2 struct {
 // click reach the server (full surfing paths), matching the §3.3 setup
 // where tree usage is studied independently of the piggyback transport.
 func RunFigure2(w *Workload, cfg SweepConfig) (*Figure2, error) {
-	cfg.Include3PPM = true
-	cfg.PredictOnHitToo = true
+	cfg.Observation = true
 	rows, err := Sweep(w, cfg)
 	if err != nil {
 		return nil, err
@@ -56,150 +55,109 @@ func (f *Figure2) String() string {
 	return left.String() + "\n" + right.String()
 }
 
-// Figure3 reports hit ratios and latency reductions versus training
-// days for the standard, LRS, and PB models (§4.2).
-type Figure3 struct {
+// Evaluation is the §4 evaluation on one workload: per training-window
+// size, the hit ratios and latency reductions of Figure 3, the node
+// counts of Tables 1–2, and the space growth and traffic increments of
+// Figure 4, all read from one sweep of the unbounded standard PPM,
+// LRS-PPM and PB-PPM.
+type Evaluation struct {
 	Workload string
 	Rows     []DayResult
 }
 
-// RunFigure3 executes the experiment.
-func RunFigure3(w *Workload, cfg SweepConfig) (*Figure3, error) {
+// RunEvaluation executes the sweep.
+func RunEvaluation(w *Workload, cfg SweepConfig) (*Evaluation, error) {
 	rows, err := Sweep(w, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Figure3{Workload: w.Name, Rows: rows}, nil
+	return &Evaluation{Workload: w.Name, Rows: rows}, nil
 }
 
 // HitRatio returns a model's hit ratio at a sweep row.
-func (f *Figure3) HitRatio(row int, model string) float64 {
-	return f.Rows[row].Results[model].HitRatio()
+func (e *Evaluation) HitRatio(row int, model string) float64 {
+	return e.Rows[row].Results[model].HitRatio()
 }
 
 // LatencyReduction returns a model's latency reduction versus the
 // no-prefetch baseline at a sweep row.
-func (f *Figure3) LatencyReduction(row int, model string) float64 {
-	r := f.Rows[row]
+func (e *Evaluation) LatencyReduction(row int, model string) float64 {
+	r := e.Rows[row]
 	return r.Results[model].LatencyReductionVs(r.Results[ModelNone])
 }
 
-// String renders both panels.
-func (f *Figure3) String() string {
-	hit := &metrics.Table{
-		Title:   fmt.Sprintf("Figure 3 — %s: hit ratio", f.Workload),
-		Headers: []string{"days", ModelPPM, ModelLRS, ModelPB, "no-prefetch"},
-	}
-	lat := &metrics.Table{
-		Title:   fmt.Sprintf("Figure 3 — %s: latency reduction", f.Workload),
-		Headers: []string{"days", ModelPPM, ModelLRS, ModelPB},
-	}
-	for i, r := range f.Rows {
-		day := strconv.Itoa(r.TrainDays)
-		hit.AddRow(day,
-			metrics.Pct(f.HitRatio(i, ModelPPM)),
-			metrics.Pct(f.HitRatio(i, ModelLRS)),
-			metrics.Pct(f.HitRatio(i, ModelPB)),
-			metrics.Pct(f.HitRatio(i, ModelNone)))
-		lat.AddRow(day,
-			metrics.Pct(f.LatencyReduction(i, ModelPPM)),
-			metrics.Pct(f.LatencyReduction(i, ModelLRS)),
-			metrics.Pct(f.LatencyReduction(i, ModelPB)))
-	}
-	return hit.String() + "\n" + lat.String()
-}
-
-// SpaceTable reports the node counts of the three models per training
-// window: Table 1 (NASA) and Table 2 (UCB-CS).
-type SpaceTable struct {
-	Workload string
-	Rows     []DayResult
-}
-
-// RunSpaceTable executes the experiment.
-func RunSpaceTable(w *Workload, cfg SweepConfig) (*SpaceTable, error) {
-	rows, err := Sweep(w, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &SpaceTable{Workload: w.Name, Rows: rows}, nil
-}
-
 // Nodes returns a model's node count at a sweep row.
-func (t *SpaceTable) Nodes(row int, model string) int {
-	return t.Rows[row].Results[model].Nodes
-}
-
-// String renders the table in the paper's layout (days across).
-func (t *SpaceTable) String() string {
-	tb := &metrics.Table{
-		Title:   fmt.Sprintf("Table — %s: space size in number of nodes", t.Workload),
-		Headers: []string{"model"},
-	}
-	for _, r := range t.Rows {
-		tb.Headers = append(tb.Headers, fmt.Sprintf("%dd", r.TrainDays))
-	}
-	for _, model := range []string{ModelPPM, ModelLRS, ModelPB} {
-		row := []string{model}
-		for _, r := range t.Rows {
-			row = append(row, strconv.Itoa(r.Results[model].Nodes))
-		}
-		tb.AddRow(row...)
-	}
-	return tb.String()
-}
-
-// Figure4 reports the space growth of LRS versus PB (left panels) and
-// the traffic increments of the three models (right panels).
-type Figure4 struct {
-	Workload string
-	Rows     []DayResult
-}
-
-// RunFigure4 executes the experiment.
-func RunFigure4(w *Workload, cfg SweepConfig) (*Figure4, error) {
-	rows, err := Sweep(w, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Figure4{Workload: w.Name, Rows: rows}, nil
+func (e *Evaluation) Nodes(row int, model string) int {
+	return e.Rows[row].Results[model].Nodes
 }
 
 // NodeRatio returns LRS nodes over PB nodes at a sweep row (the
 // paper's headline space-reduction factor).
-func (f *Figure4) NodeRatio(row int) float64 {
-	pb := f.Rows[row].Results[ModelPB].Nodes
+func (e *Evaluation) NodeRatio(row int) float64 {
+	pb := e.Nodes(row, ModelPB)
 	if pb == 0 {
 		return 0
 	}
-	return float64(f.Rows[row].Results[ModelLRS].Nodes) / float64(pb)
+	return float64(e.Nodes(row, ModelLRS)) / float64(pb)
 }
 
 // TrafficIncrease returns a model's traffic increment at a sweep row.
-func (f *Figure4) TrafficIncrease(row int, model string) float64 {
-	return f.Rows[row].Results[model].TrafficIncrease()
+func (e *Evaluation) TrafficIncrease(row int, model string) float64 {
+	return e.Rows[row].Results[model].TrafficIncrease()
 }
 
-// String renders both panels.
-func (f *Figure4) String() string {
+// String renders the five panels in the paper's order: Figure 3's hit
+// ratio and latency reduction, the space table (days across), and
+// Figure 4's node counts and traffic increase.
+func (e *Evaluation) String() string {
+	hit := &metrics.Table{
+		Title:   fmt.Sprintf("Figure 3 — %s: hit ratio", e.Workload),
+		Headers: []string{"days", ModelPPM, ModelLRS, ModelPB, "no-prefetch"},
+	}
+	lat := &metrics.Table{
+		Title:   fmt.Sprintf("Figure 3 — %s: latency reduction", e.Workload),
+		Headers: []string{"days", ModelPPM, ModelLRS, ModelPB},
+	}
+	space := &metrics.Table{
+		Title:   fmt.Sprintf("Table — %s: space size in number of nodes", e.Workload),
+		Headers: []string{"model"},
+	}
 	nodes := &metrics.Table{
-		Title:   fmt.Sprintf("Figure 4 — %s: number of nodes", f.Workload),
+		Title:   fmt.Sprintf("Figure 4 — %s: number of nodes", e.Workload),
 		Headers: []string{"days", ModelLRS, ModelPB, "LRS/PB"},
 	}
 	traffic := &metrics.Table{
-		Title:   fmt.Sprintf("Figure 4 — %s: traffic increase rate", f.Workload),
+		Title:   fmt.Sprintf("Figure 4 — %s: traffic increase rate", e.Workload),
 		Headers: []string{"days", ModelPPM, ModelLRS, ModelPB},
 	}
-	for i, r := range f.Rows {
+	for i, r := range e.Rows {
 		day := strconv.Itoa(r.TrainDays)
+		hit.AddRow(day,
+			metrics.Pct(e.HitRatio(i, ModelPPM)),
+			metrics.Pct(e.HitRatio(i, ModelLRS)),
+			metrics.Pct(e.HitRatio(i, ModelPB)),
+			metrics.Pct(e.HitRatio(i, ModelNone)))
+		lat.AddRow(day,
+			metrics.Pct(e.LatencyReduction(i, ModelPPM)),
+			metrics.Pct(e.LatencyReduction(i, ModelLRS)),
+			metrics.Pct(e.LatencyReduction(i, ModelPB)))
+		space.Headers = append(space.Headers, fmt.Sprintf("%dd", r.TrainDays))
 		nodes.AddRow(day,
-			strconv.Itoa(r.Results[ModelLRS].Nodes),
-			strconv.Itoa(r.Results[ModelPB].Nodes),
-			fmt.Sprintf("%.1fx", f.NodeRatio(i)))
+			strconv.Itoa(e.Nodes(i, ModelLRS)),
+			strconv.Itoa(e.Nodes(i, ModelPB)),
+			fmt.Sprintf("%.1fx", e.NodeRatio(i)))
 		traffic.AddRow(day,
-			metrics.Pct(f.TrafficIncrease(i, ModelPPM)),
-			metrics.Pct(f.TrafficIncrease(i, ModelLRS)),
-			metrics.Pct(f.TrafficIncrease(i, ModelPB)))
+			metrics.Pct(e.TrafficIncrease(i, ModelPPM)),
+			metrics.Pct(e.TrafficIncrease(i, ModelLRS)),
+			metrics.Pct(e.TrafficIncrease(i, ModelPB)))
 	}
-	return nodes.String() + "\n" + traffic.String()
+	for _, model := range []string{ModelPPM, ModelLRS, ModelPB} {
+		row := []string{model}
+		for i := range e.Rows {
+			row = append(row, strconv.Itoa(e.Nodes(i, model)))
+		}
+		space.AddRow(row...)
+	}
+	return hit.String() + "\n" + lat.String() + "\n" + space.String() + "\n" +
+		nodes.String() + "\n" + traffic.String()
 }

@@ -16,12 +16,12 @@ func TestFullScaleNASAShapes(t *testing.T) {
 	}
 	t.Logf("trace: %d records, %d sessions, %d days",
 		len(w.Trace.Records), len(w.Sessions), w.Days())
-	rows, err := Sweep(w, SweepConfig{MaxTrainDays: 7, Include3PPM: true})
+	rows, err := Sweep(w, SweepConfig{MaxTrainDays: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		for _, m := range []string{ModelNone, ModelPPM, Model3PPM, ModelLRS, ModelPB} {
+		for _, m := range []string{ModelNone, ModelPPM, ModelLRS, ModelPB} {
 			res := r.Results[m]
 			t.Logf("day %d %-8s hit=%.3f traffic=%.3f nodes=%7d util=%.3f popShare=%.3f latRed=%.3f",
 				r.TrainDays, m, res.HitRatio(), res.TrafficIncrease(), res.Nodes,

@@ -11,9 +11,7 @@ type Headliner interface {
 
 var (
 	_ Headliner = (*Figure2)(nil)
-	_ Headliner = (*Figure3)(nil)
-	_ Headliner = (*SpaceTable)(nil)
-	_ Headliner = (*Figure4)(nil)
+	_ Headliner = (*Evaluation)(nil)
 	_ Headliner = (*Figure5)(nil)
 	_ Headliner = (*Ablation)(nil)
 	_ Headliner = (*Baselines)(nil)
@@ -36,44 +34,24 @@ func (f *Figure2) Headline() map[string]float64 {
 	}
 }
 
-// Headline reports the largest training window's hit ratio and latency
-// reduction for PB-PPM (the §4.2 claims).
-func (f *Figure3) Headline() map[string]float64 {
-	if len(f.Rows) == 0 {
+// Headline reports the largest training window's §4 claims: PB-PPM's
+// hit ratio and latency reduction (Figure 3), the three node counts
+// (Tables 1–2, the storage claim), and the space-reduction factor and
+// PB-PPM's traffic increment (Figure 4).
+func (e *Evaluation) Headline() map[string]float64 {
+	if len(e.Rows) == 0 {
 		return nil
 	}
-	last := len(f.Rows) - 1
+	last := len(e.Rows) - 1
 	return map[string]float64{
-		"hit_ratio_pb":         f.HitRatio(last, ModelPB),
-		"hit_ratio_none":       f.HitRatio(last, ModelNone),
-		"latency_reduction_pb": f.LatencyReduction(last, ModelPB),
-	}
-}
-
-// Headline reports the largest training window's node counts (Tables
-// 1–2, the storage claim).
-func (t *SpaceTable) Headline() map[string]float64 {
-	if len(t.Rows) == 0 {
-		return nil
-	}
-	r := t.Rows[len(t.Rows)-1]
-	return map[string]float64{
-		"nodes_ppm": float64(r.Results[ModelPPM].Nodes),
-		"nodes_lrs": float64(r.Results[ModelLRS].Nodes),
-		"nodes_pb":  float64(r.Results[ModelPB].Nodes),
-	}
-}
-
-// Headline reports the space-reduction factor and PB-PPM's traffic
-// increment at the largest training window (the Figure 4 claims).
-func (f *Figure4) Headline() map[string]float64 {
-	if len(f.Rows) == 0 {
-		return nil
-	}
-	last := len(f.Rows) - 1
-	return map[string]float64{
-		"lrs_over_pb_nodes":   f.NodeRatio(last),
-		"traffic_increase_pb": f.TrafficIncrease(last, ModelPB),
+		"hit_ratio_pb":         e.HitRatio(last, ModelPB),
+		"hit_ratio_none":       e.HitRatio(last, ModelNone),
+		"latency_reduction_pb": e.LatencyReduction(last, ModelPB),
+		"nodes_ppm":            float64(e.Nodes(last, ModelPPM)),
+		"nodes_lrs":            float64(e.Nodes(last, ModelLRS)),
+		"nodes_pb":             float64(e.Nodes(last, ModelPB)),
+		"lrs_over_pb_nodes":    e.NodeRatio(last),
+		"traffic_increase_pb":  e.TrafficIncrease(last, ModelPB),
 	}
 }
 

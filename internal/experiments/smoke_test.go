@@ -55,12 +55,12 @@ func testUCB(t *testing.T) *Workload {
 
 func TestSmokeSweep(t *testing.T) {
 	w := testNASA(t)
-	rows, err := Sweep(w, SweepConfig{MaxTrainDays: 3, Include3PPM: true})
+	rows, err := Sweep(w, SweepConfig{MaxTrainDays: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		for _, m := range []string{ModelNone, ModelPPM, Model3PPM, ModelLRS, ModelPB} {
+		for _, m := range []string{ModelNone, ModelPPM, ModelLRS, ModelPB} {
 			res := r.Results[m]
 			t.Logf("day %d %-8s hit=%.3f traffic=%.3f nodes=%7d util=%.3f popShare=%.3f latRed=%.3f",
 				r.TrainDays, m, res.HitRatio(), res.TrafficIncrease(), res.Nodes,

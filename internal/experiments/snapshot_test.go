@@ -24,6 +24,7 @@ import (
 // held-out test day, the ranking keeps every count, and re-encoding
 // the decoded snapshot gives the same bytes.
 func TestSnapshotRoundTripOnReproduceTrace(t *testing.T) {
+	const contextTail = 16 // the HTTP server's cap on a session's context
 	w := testNASA(t)
 	trainDays := w.Days() - 1
 	train := w.DaySessions(0, trainDays)
@@ -64,7 +65,7 @@ func TestSnapshotRoundTripOnReproduceTrace(t *testing.T) {
 			for _, s := range test {
 				urls := s.URLs()
 				for i := 1; i <= len(urls); i++ {
-					ctx := urls[max(0, i-predictBenchContextTail):i]
+					ctx := urls[max(0, i-contextTail):i]
 					if p, q := got.Predict(ctx), f.Predict(ctx); !reflect.DeepEqual(p, q) {
 						t.Fatalf("%s ctx %v: decoded predicts %+v, encoded %+v", m.Name(), ctx, p, q)
 					}

@@ -38,12 +38,11 @@ type SweepConfig struct {
 	MaxTrainDays int
 	// RelProbCutoff is PB-PPM's first space optimization (default 1%).
 	RelProbCutoff float64
-	// Include3PPM adds the height-3 standard model used by Figure 2.
-	Include3PPM bool
-	// PredictOnHitToo makes every click visible to the server (clients
-	// revalidate cached copies). Figure 2's observation experiments use
-	// it so the models' trees see full surfing paths.
-	PredictOnHitToo bool
+	// Observation selects Figure 2's observation sweep (§3.3–3.4): the
+	// height-3 standard model takes the unbounded one's place, and every
+	// click is visible to the server (clients revalidate cached copies)
+	// so the models' trees see full surfing paths.
+	Observation bool
 }
 
 func (c SweepConfig) relProb() float64 {
@@ -54,9 +53,10 @@ func (c SweepConfig) relProb() float64 {
 }
 
 // Sweep runs the client–server comparison for every training-window
-// size: standard PPM (unbounded), optionally 3-PPM, LRS-PPM, PB-PPM
-// (with the paper's thresholds: 10 KB prefetch size cap for the first
-// three, 30 KB for PB-PPM), plus the no-prefetch baseline.
+// size: the standard PPM (unbounded, or 3-PPM for the observation
+// sweep), LRS-PPM and PB-PPM (with the paper's thresholds: 10 KB
+// prefetch size cap for the first two, 30 KB for PB-PPM), plus the
+// no-prefetch baseline.
 func Sweep(w *Workload, cfg SweepConfig) ([]DayResult, error) {
 	maxDays := cfg.MaxTrainDays
 	if maxDays == 0 {
@@ -80,8 +80,7 @@ func Sweep(w *Workload, cfg SweepConfig) ([]DayResult, error) {
 		common := sim.Options{
 			Path:            w.Path,
 			Grades:          rank,
-			Sizes:           w.Sizes,
-			PredictOnHitToo: cfg.PredictOnHitToo,
+			PredictOnHitToo: cfg.Observation,
 		}
 		w.Hooks.apply(&common)
 		runs := []sim.NamedRun{}
@@ -89,17 +88,14 @@ func Sweep(w *Workload, cfg SweepConfig) ([]DayResult, error) {
 			runs = append(runs, sim.NamedRun{Name: name, Options: opt})
 		}
 
-		o := common
-		o.Predictor = ppm.New(ppm.Config{})
-		o.MaxPrefetchBytes = sim.DefaultMaxPrefetchBytes
-		addRun(ModelPPM, o)
-
-		if cfg.Include3PPM {
-			o = common
-			o.Predictor = ppm.New(ppm.Config{Height: 3})
-			o.MaxPrefetchBytes = sim.DefaultMaxPrefetchBytes
-			addRun(Model3PPM, o)
+		standard, height := ModelPPM, 0
+		if cfg.Observation {
+			standard, height = Model3PPM, 3
 		}
+		o := common
+		o.Predictor = ppm.New(ppm.Config{Height: height})
+		o.MaxPrefetchBytes = sim.DefaultMaxPrefetchBytes
+		addRun(standard, o)
 
 		o = common
 		o.Predictor = lrs.New(lrs.Config{})

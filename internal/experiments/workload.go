@@ -104,9 +104,9 @@ type split struct {
 	rank        *popularity.Ranking
 }
 
-// lastDay splits the workload the way the ablations, the baselines and
-// predict-bench evaluate it: every day but the last trains, the last
-// day tests. what names the experiment in errors.
+// lastDay splits the workload the way the ablations and the baselines
+// evaluate it: every day but the last trains, the last day tests. what
+// names the experiment in errors.
 func lastDay(w *Workload, what string) (split, error) {
 	trainDays := w.Days() - 1
 	if trainDays < 1 {

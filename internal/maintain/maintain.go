@@ -583,9 +583,8 @@ func (m *Maintainer) rebuildLocked(now time.Time) markov.Predictor {
 // from-scratch model.
 //
 // When no model is published yet, or the editable model is not a
-// markov.Freezer (its published form is the model itself: Top-N, or a
-// snapshot installed from a publisher), DeltaMerge falls back to a full
-// rebuild. An empty staging buffer is a no-op. A merge that panics, or
+// markov.Freezer (its published form is the model itself: a snapshot
+// installed from a publisher), DeltaMerge falls back to a full rebuild. An empty staging buffer is a no-op. A merge that panics, or
 // that leaves a trained model empty, keeps the previous snapshot live
 // and is counted; the batch is at least partly trained in, so the
 // editable model is dropped and the next update rebuilds from the

@@ -433,9 +433,10 @@ func childOffByteOffset(a *Arena, node int) int {
 	return int(h.layout().childOff + uint64(node)*h.idW)
 }
 
-// TestFrozenTreeZeroAlloc is the tentpole's acceptance criterion at
-// unit level: with a warm buffer, the frozen serving path performs zero
-// heap allocations per prediction.
+// TestFrozenTreeZeroAlloc: with a warm buffer, the frozen serving path
+// performs zero heap allocations per prediction, for the longest match,
+// the blend, and PB-PPM's merge of rule-3 links (every click here has
+// two linked candidates).
 func TestFrozenTreeZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randomArenaTree(rng, 800, 0).Freeze()
@@ -448,8 +449,19 @@ func TestFrozenTreeZeroAlloc(t *testing.T) {
 		}
 		ctxs[i] = ctx
 	}
-	for _, blend := range []bool{false, true} {
-		f := NewFrozenTree(a, FrozenParams{Name: "test", Threshold: 0.1, Blend: blend})
+	links := make(map[string][]Prediction, 40)
+	for i := 0; i < 40; i++ {
+		links[url(i)] = []Prediction{
+			{URL: url((i + 1) % 40), Probability: 0.9, Order: 1},
+			{URL: url((i + 7) % 40), Probability: 0.3, Order: 1},
+		}
+	}
+	for _, p := range []FrozenParams{
+		{Name: "test", Threshold: 0.1},
+		{Name: "test", Threshold: 0.1, Blend: true},
+		{Name: "test", Threshold: 0.1, Links: links},
+	} {
+		f := NewFrozenTree(a, p)
 		var buf []Prediction
 		for _, ctx := range ctxs {
 			buf = f.PredictInto(ctx, buf)
@@ -460,7 +472,8 @@ func TestFrozenTreeZeroAlloc(t *testing.T) {
 			i++
 		})
 		if allocs != 0 {
-			t.Fatalf("frozen PredictInto (blend %v) allocates %v per op, want 0", blend, allocs)
+			t.Fatalf("frozen PredictInto (blend %v, %d linked clicks) allocates %v per op, want 0",
+				p.Blend, len(p.Links), allocs)
 		}
 	}
 }

@@ -208,9 +208,9 @@ type Prediction struct {
 //   - The model does not retain the buffer: ownership stays with the
 //     caller across the call.
 //
-// The frozen tree every trainable model freezes to (FrozenTree) and
-// Top-N implement it; FrozenTree, blended PPM's included, additionally
-// guarantees zero allocations per call once the buffer is warm. Callers
+// The frozen tree every tree model freezes to (FrozenTree) and Top-N's
+// snapshot implement it, and both make zero allocations per call once
+// the buffer is warm. Callers
 // holding only a Predictor use the PredictInto helper.
 type BufferedPredictor interface {
 	Predictor
@@ -219,7 +219,8 @@ type BufferedPredictor interface {
 }
 
 // Freezer is implemented by models that can freeze their trained state
-// into an immutable, GC-free serving snapshot (see Arena). The frozen
+// into an immutable serving snapshot (a tree model's is GC-free, see
+// Arena). The frozen
 // predictor is the model's one predict implementation (its live Predict
 // answers from a fresh freeze), cannot be trained, and is safe for
 // unsynchronized concurrent use.
@@ -229,7 +230,7 @@ type Freezer interface {
 
 // Freeze returns the snapshot a trained model is published as: p's
 // frozen form when p is a Freezer, and p itself otherwise (frozen
-// models, Top-N, wrappers). Every install path — the server, the
+// models, wrappers). Every install path — the server, the
 // cluster, the maintainer — publishes through it, so a live tree is
 // never shared with serving goroutines. A caller that keeps training
 // the live model publishes again.

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"pbppm/internal/obs"
 )
 
 // The named phases of an offline experiment run. A slow reproduction
@@ -21,40 +19,24 @@ const (
 	PhaseReport        = "report"
 )
 
-// PhaseBounds are histogram bucket bounds for offline phase durations:
-// experiment phases run from tens of milliseconds (small-scale smoke
-// runs) to minutes (full-scale sweeps), far beyond the request-latency
-// bounds the online path uses.
-var PhaseBounds = []time.Duration{
-	10 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond,
-	500 * time.Millisecond, 1 * time.Second, 5 * time.Second,
-	10 * time.Second, 30 * time.Second, 1 * time.Minute,
-	5 * time.Minute, 10 * time.Minute,
-}
-
 // PhaseClock accumulates wall time per named phase of an experiment
-// run and counts replayed events, mirroring every measurement into an
-// obs histogram family (pbppm_experiment_phase_seconds) when built
-// over a registry. One clock scopes one experiment: cmd/reproduce
-// creates a fresh clock per figure so phase totals do not bleed
-// between records.
+// run and counts replayed events. One clock scopes one experiment:
+// cmd/reproduce creates a fresh clock per figure so phase totals do not
+// bleed between records.
 //
 // All methods are safe on a nil *PhaseClock (they do nothing), so
 // instrumented code needs no "is timing on?" branches — the same
 // contract the obs constructors follow. A non-nil clock is safe for
 // concurrent use.
 type PhaseClock struct {
-	reg *obs.Registry // may be nil: totals only, no exported histograms
-
 	mu     sync.Mutex
 	totals map[string]time.Duration
 	events atomic.Int64
 }
 
-// NewPhaseClock returns a clock; reg may be nil to keep timings
-// process-local instead of exporting them as histograms.
-func NewPhaseClock(reg *obs.Registry) *PhaseClock {
-	return &PhaseClock{reg: reg, totals: make(map[string]time.Duration)}
+// NewPhaseClock returns an empty clock.
+func NewPhaseClock() *PhaseClock {
+	return &PhaseClock{totals: make(map[string]time.Duration)}
 }
 
 // Observe adds one measured duration to a phase.
@@ -65,11 +47,6 @@ func (c *PhaseClock) Observe(phase string, d time.Duration) {
 	c.mu.Lock()
 	c.totals[phase] += d
 	c.mu.Unlock()
-	if c.reg != nil {
-		c.reg.Histogram("pbppm_experiment_phase_seconds",
-			"Wall time of offline experiment phases (workload_build, train, simulate, report).",
-			PhaseBounds, obs.Label{Name: "phase", Value: phase}).Observe(d)
-	}
 }
 
 // Start begins timing a phase and returns the function that stops the

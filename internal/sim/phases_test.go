@@ -5,12 +5,11 @@ import (
 	"testing"
 	"time"
 
-	"pbppm/internal/obs"
 	"pbppm/internal/session"
 )
 
 func TestPhaseClockAccumulates(t *testing.T) {
-	c := NewPhaseClock(nil)
+	c := NewPhaseClock()
 	c.Observe(PhaseTrain, 100*time.Millisecond)
 	c.Observe(PhaseTrain, 50*time.Millisecond)
 	c.Observe(PhaseSimulate, 10*time.Millisecond)
@@ -43,31 +42,13 @@ func TestPhaseClockNilSafe(t *testing.T) {
 	}
 }
 
-// TestPhaseClockExportsHistograms: a registry-backed clock mirrors
-// observations into the pbppm_experiment_phase_seconds family.
-func TestPhaseClockExportsHistograms(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := NewPhaseClock(reg)
-	c.Observe(PhaseSimulate, 42*time.Millisecond)
-	c.Observe(PhaseSimulate, 7*time.Second)
-
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, `pbppm_experiment_phase_seconds_count{phase="simulate"} 2`) {
-		t.Errorf("exposition missing phase histogram count:\n%s", out)
-	}
-}
-
 // TestRunRecordsSimulatePhase: Run must charge the replay to
 // PhaseSimulate, count its events, and stamp Progress.Phase.
 func TestRunRecordsSimulatePhase(t *testing.T) {
 	sizes := map[string]int64{"/a": 1000, "/b": 1000}
 	test := []session.Session{mkSession("c1", 0, sizes, "/a", "/b")}
 
-	clock := NewPhaseClock(nil)
+	clock := NewPhaseClock()
 	var phases []string
 	Run(test, Options{
 		Sizes:         sizes,

@@ -243,10 +243,11 @@ type openSession struct {
 // Run replays the test sessions against the configured topology and
 // returns the accumulated metrics. The supplied predictor must already
 // be trained (see Train). Run predicts from markov.Freeze of it, the
-// snapshot every server installs; a model with no frozen form (Top-N)
-// predicts from each session's whole context instead. Path utilization
-// counts the leaves of that snapshot this Run's predictions touched, so
-// each Run measures its own predictions only.
+// snapshot every server installs, stepping one match state per session
+// through a frozen tree; any other snapshot (Top-N's) predicts from
+// each session's whole context. Path utilization counts the leaves of
+// the frozen tree this Run's predictions touched, so each Run measures
+// its own predictions only.
 func Run(test []session.Session, opt Options) metrics.Result {
 	res := metrics.Result{Model: "none"}
 	if opt.Predictor != nil {
@@ -296,13 +297,18 @@ func Run(test []session.Session, opt Options) metrics.Result {
 	// the replay's cost.
 	replayStart := time.Now()
 
-	// frozen is the snapshot predictions come from, nil for a model
-	// with no frozen form; used is a node-indexed bitset over its arena.
+	// snap is the snapshot predictions come from, and frozen the same
+	// snapshot when it is a frozen tree; used is a node-indexed bitset
+	// over its arena.
 	var (
+		snap   markov.Predictor
 		frozen *markov.FrozenTree
 		used   []uint64
 	)
-	freeze := func() { frozen, _ = markov.Freeze(opt.Predictor).(*markov.FrozenTree) }
+	freeze := func() {
+		snap = markov.Freeze(opt.Predictor)
+		frozen, _ = snap.(*markov.FrozenTree)
+	}
 	if opt.Predictor != nil {
 		freeze()
 		if frozen != nil && !opt.OnlineTraining {
@@ -442,7 +448,7 @@ func Run(test []session.Session, opt Options) metrics.Result {
 			if frozen != nil {
 				predBuf = frozen.PredictMarking(sess.node, v.URL, noOrderCap, predBuf, used)
 			} else {
-				predBuf = markov.PredictInto(opt.Predictor, sess.ctx, predBuf)
+				predBuf = markov.PredictInto(snap, sess.ctx, predBuf)
 			}
 			for _, p := range predBuf {
 				psize, known := sizes[p.URL]

@@ -25,7 +25,7 @@ type Model struct {
 }
 
 var _ markov.Predictor = (*Model)(nil)
-var _ markov.BufferedPredictor = (*Model)(nil)
+var _ markov.Freezer = (*Model)(nil)
 
 // New returns an empty Top-10 model.
 func New() *Model {
@@ -44,33 +44,23 @@ func (m *Model) TrainSequence(seq []string) {
 }
 
 // Predict returns the top-10 popular documents with their relative
-// popularity as the (context-free) probability estimate. The current
-// document itself is excluded: pushing what was just served is free
-// but useless. Predict only reads the ranking, so once training has
-// ceased it is safe for unsynchronized concurrent use.
+// popularity as the (context-free) probability estimate, answering from
+// a fresh Freeze. The current document itself is excluded: pushing what
+// was just served is free but useless.
 func (m *Model) Predict(context []string) []markov.Prediction {
-	return m.PredictInto(context, nil)
+	return m.Freeze().Predict(context)
 }
 
-// PredictInto is Predict writing into buf per the
-// markov.BufferedPredictor buffer-ownership contract (the ranking
-// lookup itself still allocates its top-10 scratch).
-func (m *Model) PredictInto(context []string, buf []markov.Prediction) []markov.Prediction {
-	buf = buf[:0]
-	cur := ""
-	if len(context) > 0 {
-		cur = context[len(context)-1]
+// Freeze ranks the model's documents once into an immutable snapshot.
+// One more than n are kept, so n remain when the current document is
+// one of them.
+func (m *Model) Freeze() markov.Predictor {
+	top := m.rank.Top(n + 1)
+	f := &Frozen{top: make([]markov.Prediction, len(top)), nodes: m.rank.Len()}
+	for i, u := range top {
+		f.top[i] = markov.Prediction{URL: u, Probability: m.rank.Relative(u)}
 	}
-	for _, u := range m.rank.Top(n + 1) {
-		if u == cur {
-			continue
-		}
-		buf = append(buf, markov.Prediction{URL: u, Probability: m.rank.Relative(u), Order: 0})
-		if len(buf) == n {
-			break
-		}
-	}
-	return buf
+	return f
 }
 
 // NodeCount reports the model's storage requirement: one counter per
@@ -79,3 +69,50 @@ func (m *Model) NodeCount() int { return m.rank.Len() }
 
 // Ranking exposes the underlying popularity state.
 func (m *Model) Ranking() *popularity.Ranking { return m.rank }
+
+// Frozen is a trained Top-10 model's serving snapshot: its most popular
+// documents, ranked when it was frozen. It cannot be trained and is
+// safe for unsynchronized concurrent use.
+type Frozen struct {
+	top   []markov.Prediction // the n+1 most popular documents, most popular first
+	nodes int
+}
+
+var _ markov.BufferedPredictor = (*Frozen)(nil)
+
+// Name identifies the model.
+func (f *Frozen) Name() string { return "Top-10" }
+
+// TrainSequence panics: a snapshot cannot learn.
+func (f *Frozen) TrainSequence([]string) {
+	panic("topn: TrainSequence on a frozen model; train the live model and re-freeze")
+}
+
+// Predict returns the snapshot's candidates in a fresh slice.
+func (f *Frozen) Predict(context []string) []markov.Prediction {
+	return f.PredictInto(context, nil)
+}
+
+// PredictInto is Predict writing into buf per the
+// markov.BufferedPredictor buffer-ownership contract; it allocates
+// nothing once buf has room for n predictions.
+func (f *Frozen) PredictInto(context []string, buf []markov.Prediction) []markov.Prediction {
+	buf = buf[:0]
+	cur := ""
+	if len(context) > 0 {
+		cur = context[len(context)-1]
+	}
+	for _, p := range f.top {
+		if p.URL == cur {
+			continue
+		}
+		buf = append(buf, p)
+		if len(buf) == n {
+			break
+		}
+	}
+	return buf
+}
+
+// NodeCount reports the frozen model's distinct documents.
+func (f *Frozen) NodeCount() int { return f.nodes }

@@ -111,3 +111,52 @@ func TestPredictorInterface(t *testing.T) {
 		t.Error("interface conformance broken")
 	}
 }
+
+// TestFrozenKeepsItsRanking: a snapshot answers from the ranking it was
+// frozen with, so training the live model afterwards changes only the
+// live model's answers, and the snapshot cannot be trained.
+func TestFrozenKeepsItsRanking(t *testing.T) {
+	m := New()
+	train(m)
+	f := m.Freeze()
+	for i := 0; i < 40; i++ {
+		m.TrainSequence([]string{"/new"})
+	}
+	if got := f.Predict(nil)[0].URL; got != "/hot" {
+		t.Errorf("snapshot's top document = %s, want /hot", got)
+	}
+	if got := m.Predict(nil)[0].URL; got != "/new" {
+		t.Errorf("live model's top document = %s, want /new", got)
+	}
+	if f.NodeCount() != 5 || m.NodeCount() != 6 {
+		t.Errorf("NodeCount: snapshot %d, live %d; want 5 and 6", f.NodeCount(), m.NodeCount())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("training the snapshot did not panic")
+		}
+	}()
+	f.TrainSequence([]string{"/x"})
+}
+
+// TestFrozenPredictIntoZeroAlloc: with a warm buffer, the snapshot
+// predicts without allocating, whether or not the current document is
+// one of its candidates.
+func TestFrozenPredictIntoZeroAlloc(t *testing.T) {
+	m := New()
+	trainMany(m)
+	f := m.Freeze().(*Frozen)
+	ctxs := [][]string{{"/hot"}, {"/elsewhere"}, nil, {"/a", "/d3"}}
+	var buf []markov.Prediction
+	for _, ctx := range ctxs {
+		buf = f.PredictInto(ctx, buf)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		buf = f.PredictInto(ctxs[i%len(ctxs)], buf)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("frozen PredictInto allocates %v per op, want 0", allocs)
+	}
+}
