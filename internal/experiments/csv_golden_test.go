@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/csv"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -58,9 +61,13 @@ func goldenArtifacts() map[string]CSVWriter {
 		}
 		fig5.Results = append(fig5.Results, res)
 	}
+	eval := &Evaluation{Workload: "golden", Rows: sweep}
 	return map[string]CSVWriter{
 		"figure2":    &Figure2{Workload: "golden", Rows: sweep},
-		"evaluation": &Evaluation{Workload: "golden", Rows: sweep},
+		"evaluation": eval,
+		"figure3":    projection{eval, []string{"days", "model", "hit_ratio", "latency_reduction"}},
+		"table":      projection{eval, []string{"days", "model", "nodes"}},
+		"figure4":    projection{eval, []string{"days", "model", "nodes", "traffic_increase"}},
 		"figure5":    fig5,
 		"ablation": &Ablation{Name: "golden", Workload: "golden", Rows: []AblationRow{
 			{Label: "baseline", Result: goldenResult(ModelPB, 1), LatencyReduction: 0.20},
@@ -82,6 +89,46 @@ func goldenArtifacts() map[string]CSVWriter {
 	}
 }
 
+// projection writes the named columns of an artifact's CSV and skips
+// the rows where any of them is empty. Figure 3, the space table and
+// Figure 4 are panels of the one Evaluation CSV; projecting it onto each
+// panel's columns must give back that panel's own golden file, so the
+// merged export keeps every cell the three used to write.
+type projection struct {
+	src  CSVWriter
+	cols []string
+}
+
+func (p projection) WriteCSV(w io.Writer) error {
+	var buf bytes.Buffer
+	if err := p.src.WriteCSV(&buf); err != nil {
+		return err
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil || len(rows) == 0 {
+		return fmt.Errorf("projection: source CSV: %v (%d rows)", err, len(rows))
+	}
+	idx := make([]int, len(p.cols))
+	for i, c := range p.cols {
+		if idx[i] = slices.Index(rows[0], c); idx[i] < 0 {
+			return fmt.Errorf("projection: no column %q in %v", c, rows[0])
+		}
+	}
+	out := [][]string{p.cols}
+next:
+	for _, r := range rows[1:] {
+		row := make([]string, len(idx))
+		for i, j := range idx {
+			if r[j] == "" {
+				continue next
+			}
+			row[i] = r[j]
+		}
+		out = append(out, row)
+	}
+	return writeAll(w, out)
+}
+
 // wantShape pins each artifact's header row and data row count; a
 // header rename or a lost row is a breaking change for downstream
 // plotting scripts even when the golden file is regenerated.
@@ -92,6 +139,9 @@ var wantShape = map[string]struct {
 	"figure2": {[]string{"days", "model", "popular_share", "utilization"}, 9},
 	"evaluation": {[]string{"days", "model", "hit_ratio", "latency_reduction",
 		"nodes", "traffic_increase"}, 12},
+	"figure3":     {[]string{"days", "model", "hit_ratio", "latency_reduction"}, 12},
+	"table":       {[]string{"days", "model", "nodes"}, 9},
+	"figure4":     {[]string{"days", "model", "nodes", "traffic_increase"}, 9},
 	"figure5":     {[]string{"clients", "model", "hit_ratio", "traffic_increase"}, 12},
 	"ablation":    {[]string{"variant", "hit_ratio", "latency_reduction", "traffic_increase", "nodes"}, 2},
 	"baselines":   {[]string{"model", "hit_ratio", "traffic_increase", "nodes"}, 3},
