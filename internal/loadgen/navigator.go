@@ -36,19 +36,32 @@ func NewNavigator(site *tracegen.Site, p tracegen.Profile) (*Navigator, error) {
 }
 
 // StoreFromSite materializes synthetic bodies for every page and image
-// of a site — the content a capacity run serves.
+// of a site — the content a capacity run serves. The bodies are all
+// zeros, so every one is cut from one shared zero buffer as long as the
+// site's largest document, with its capacity capped at its length so an
+// append cannot reach a neighbour; like any Document body, they are
+// read-only.
 func StoreFromSite(site *tracegen.Site) server.MapStore {
-	store := server.MapStore{}
+	docs, largest := 0, int64(0)
+	for _, pg := range site.Pages {
+		docs += 1 + len(pg.Images)
+		largest = max(largest, pg.Size)
+		for _, img := range pg.Images {
+			largest = max(largest, img.Size)
+		}
+	}
+	zeros := make([]byte, largest)
+	store := make(server.MapStore, docs)
 	for _, pg := range site.Pages {
 		store[pg.URL] = server.Document{
 			URL:         pg.URL,
-			Body:        make([]byte, pg.Size),
+			Body:        zeros[:pg.Size:pg.Size],
 			ContentType: "text/html; charset=utf-8",
 		}
 		for _, img := range pg.Images {
 			store[img.URL] = server.Document{
 				URL:         img.URL,
-				Body:        make([]byte, img.Size),
+				Body:        zeros[:img.Size:img.Size],
 				ContentType: "image/gif",
 			}
 		}

@@ -7,7 +7,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
+	"pbppm/internal/server"
 	"pbppm/internal/tracegen"
 )
 
@@ -74,5 +76,77 @@ func TestNavigatorWalkDigests(t *testing.T) {
 				t.Errorf("walk digest %s, want %s", got, c.digest)
 			}
 		})
+	}
+}
+
+// TestStoreFromSiteSharesOneZeroBody checks every document StoreFromSite
+// makes of the NASA and UCB-CS sites: its body has its page's or image's
+// size, no spare capacity an append could write through into a
+// neighbour, and only zero bytes, and every non-empty body is cut from
+// one backing array.
+func TestStoreFromSiteSharesOneZeroBody(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		profile func() tracegen.Profile
+	}{{"nasa", tracegen.NASA}, {"ucbcs", tracegen.UCBCS}} {
+		t.Run(c.name, func(t *testing.T) {
+			site, err := tracegen.BuildSite(c.profile())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes := map[string]int64{}
+			for _, pg := range site.Pages {
+				sizes[pg.URL] = pg.Size
+				for _, img := range pg.Images {
+					sizes[img.URL] = img.Size
+				}
+			}
+			store := StoreFromSite(site)
+			if len(store) != len(sizes) {
+				t.Fatalf("store holds %d documents, site has %d", len(store), len(sizes))
+			}
+			var shared *byte
+			for url, size := range sizes {
+				doc, ok := store[url]
+				if !ok {
+					t.Fatalf("store lacks %s", url)
+				}
+				body := doc.Body
+				if doc.URL != url || int64(len(body)) != size || cap(body) != len(body) {
+					t.Fatalf("%s: URL %q, len %d, cap %d; want its own URL and len = cap = %d",
+						url, doc.URL, len(body), cap(body), size)
+				}
+				for i, b := range body {
+					if b != 0 {
+						t.Fatalf("%s: byte %d is %#x, want 0", url, i, b)
+					}
+				}
+				if len(body) == 0 {
+					continue
+				}
+				if shared == nil {
+					shared = unsafe.SliceData(body)
+				} else if unsafe.SliceData(body) != shared {
+					t.Fatalf("%s has a backing array of its own", url)
+				}
+			}
+		})
+	}
+}
+
+var storeSink server.MapStore
+
+// BenchmarkStoreFromSite builds the content store of the UCB-CS site,
+// the larger of the two, as every prefetchd, BootCluster and perfbench
+// boot does.
+func BenchmarkStoreFromSite(b *testing.B) {
+	site, err := tracegen.BuildSite(tracegen.UCBCS())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		storeSink = StoreFromSite(site)
 	}
 }

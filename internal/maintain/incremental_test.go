@@ -437,6 +437,31 @@ func TestWindowBoundaryExactCutoff(t *testing.T) {
 	}
 }
 
+// TestStagedBatchIsWindowTail checks that a delta merge takes exactly
+// the sessions observed since the last update, in arrival order, after
+// a rebuild that trimmed the window and whatever their start times.
+func TestStagedBatchIsWindowTail(t *testing.T) {
+	m, err := New(Config{Factory: pbFactory, Window: 24 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Observe(mkSession(0, "/expired"))
+	m.Observe(mkSession(30, "/kept"))
+	m.Rebuild(epoch.Add(48 * time.Hour))
+	if m.WindowSize() != 1 || m.StagedSize() != 0 {
+		t.Fatalf("after the rebuild: window %d, staged %d; want 1, 0", m.WindowSize(), m.StagedSize())
+	}
+	m.Observe(mkSession(47, "/late", "/x"))
+	m.Observe(mkSession(40, "/early"))
+	want := [][]string{{"/late", "/x"}, {"/early"}}
+	if got := m.takeStaged(); !reflect.DeepEqual(got, want) {
+		t.Errorf("staged batch %v, want %v", got, want)
+	}
+	if m.StagedSize() != 0 || m.WindowSize() != 3 {
+		t.Errorf("after the take: staged %d, window %d; want 0, 3", m.StagedSize(), m.WindowSize())
+	}
+}
+
 func TestStagingBufferBound(t *testing.T) {
 	m, err := New(Config{Factory: pbFactory})
 	if err != nil {

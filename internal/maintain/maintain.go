@@ -7,9 +7,9 @@
 //
 // Two update paths exist, and both train serially with
 // markov.TrainAll. The incremental path (DeltaMerge) absorbs only the
-// sessions observed since the last update: they accumulate in a bounded
-// staging buffer and are trained straight into the editable model
-// behind the live snapshot, which is then frozen and published again,
+// sessions observed since the last update, the window's newest (up to a
+// bound): they are trained straight into the editable model behind the
+// live snapshot, which is then frozen and published again,
 // so update cost tracks new traffic, not window size. The full path
 // (Rebuild) is the periodic compaction: it trims expired sessions out
 // of the window, re-derives the popularity ranking, and retrains from
@@ -175,19 +175,18 @@ func newMaintainMetrics(reg *obs.Registry) *maintainMetrics {
 	}
 }
 
-// windowSession is what the window and the staging buffer keep of one
-// observed session: its start time, for trimming, and its clicked URLs,
-// for ranking and training. Observe copies the URLs into an
-// exactly-sized slice, so the caller's page views (72 bytes a click,
-// plus whatever backs them) are not kept alive. The window and the
-// staging buffer share one copy; training only reads it.
+// windowSession is what the window keeps of one observed session: its
+// start time, for trimming, and its clicked URLs, for ranking and
+// training. Observe copies the URLs into an exactly-sized slice, so the
+// caller's page views (72 bytes a click, plus whatever backs them) are
+// not kept alive; training only reads it.
 type windowSession struct {
 	start time.Time
 	urls  []string
 }
 
-// Maintainer keeps the sliding session window, the delta staging
-// buffer, and the current model.
+// Maintainer keeps the sliding session window, the count of its
+// sessions staged for the next delta merge, and the current model.
 type Maintainer struct {
 	cfg     Config
 	metrics *maintainMetrics
@@ -196,11 +195,12 @@ type Maintainer struct {
 	mu       sync.Mutex
 	sessions []windowSession // the sliding window, roughly ordered by start time
 
-	// staged holds sessions observed since the last update, awaiting the
-	// next delta merge; stagedHead indexes its first live element so the
-	// overflow bound drops oldest-first in amortized O(1).
-	staged     []windowSession
-	stagedHead int
+	// staged counts the sessions observed since the last update, which
+	// await the next delta merge; at most DefaultMaxStaged. Observe
+	// appends to the window and counts under mu, and every update that
+	// trims the window resets the count in the same critical section, so
+	// the staged sessions are always the window's last staged entries.
+	staged int
 
 	// publishMu serializes model updates (Rebuild, DeltaMerge) against
 	// each other so a delta merge never trains a model that a concurrent
@@ -257,25 +257,15 @@ func (m *Maintainer) Observe(s session.Session) {
 	ws := windowSession{start: s.Start(), urls: s.URLs()}
 	m.mu.Lock()
 	m.sessions = append(m.sessions, ws)
-	m.staged = append(m.staged, ws)
-	dropped := 0
-	if live := len(m.staged) - m.stagedHead; live > DefaultMaxStaged {
-		dropped = live - DefaultMaxStaged
-		m.stagedHead += dropped
-	}
-	// Compact the buffer once the dead prefix dominates, so the head
-	// index scheme stays amortized O(1) per Observe.
-	if m.stagedHead > len(m.staged)/2 {
-		n := copy(m.staged, m.staged[m.stagedHead:])
-		clear(m.staged[n:])
-		m.staged = m.staged[:n]
-		m.stagedHead = 0
+	dropped := m.staged == DefaultMaxStaged
+	if !dropped {
+		m.staged++
 	}
 	// Set the gauge under mu so concurrent writers land in order.
-	m.metrics.stagedSessions.Set(int64(len(m.staged) - m.stagedHead))
+	m.metrics.stagedSessions.Set(int64(m.staged))
 	m.mu.Unlock()
-	if dropped > 0 {
-		m.metrics.stagedDropped.Add(int64(dropped))
+	if dropped {
+		m.metrics.stagedDropped.Inc()
 	}
 }
 
@@ -290,7 +280,7 @@ func (m *Maintainer) WindowSize() int {
 func (m *Maintainer) StagedSize() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.staged) - m.stagedHead
+	return m.staged
 }
 
 // Rebuilds reports how many full rebuilds (compactions) have published.
@@ -336,9 +326,8 @@ func (m *Maintainer) Ranking() *popularity.Ranking {
 // sequences, ready for training.
 func (m *Maintainer) takeStaged() [][]string {
 	m.mu.Lock()
-	live := m.staged[m.stagedHead:]
-	batch := make([][]string, len(live))
-	for i, ws := range live {
+	batch := make([][]string, m.staged)
+	for i, ws := range m.sessions[len(m.sessions)-m.staged:] {
 		batch[i] = ws.urls
 	}
 	m.clearStagedLocked()
@@ -346,12 +335,10 @@ func (m *Maintainer) takeStaged() [][]string {
 	return batch
 }
 
-// clearStagedLocked resets the staging buffer and its gauge; the caller
-// holds mu.
+// clearStagedLocked empties the staging buffer and its gauge; the
+// caller holds mu.
 func (m *Maintainer) clearStagedLocked() {
-	clear(m.staged)
-	m.staged = m.staged[:0]
-	m.stagedHead = 0
+	m.staged = 0
 	m.metrics.stagedSessions.Set(0)
 }
 

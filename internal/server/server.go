@@ -64,7 +64,9 @@ const (
 // prefetch.
 const maxHintBytes = 30 * 1024
 
-// Document is one servable resource.
+// Document is one servable resource. Body is read-only: a store may
+// share one backing array among many documents, and the server writes
+// it to every response without copying it.
 type Document struct {
 	URL         string
 	Body        []byte
