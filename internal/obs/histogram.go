@@ -128,11 +128,8 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 }
 
 // HistogramSnapshot is an immutable copy of a histogram's state at one
-// instant. Snapshots subtract (Sub), so a cumulative histogram yields
-// slot-aligned views: snapshot at every slot boundary, diff against the
-// previous boundary, and read the slot's own quantiles — the per-slot
-// p50/p99/p999 reporting an RPS sweep needs, without resetting the
-// histogram under concurrent writers.
+// instant, readable (Count, Mean, Quantile) after the histogram moves
+// on.
 type HistogramSnapshot struct {
 	// Bounds aliases the histogram's immutable bucket bounds.
 	Bounds []time.Duration
@@ -142,10 +139,8 @@ type HistogramSnapshot struct {
 	SumNanos int64
 }
 
-// Snapshot copies the histogram's current counts. Concurrent Observe
-// calls may land between bucket reads; each observation is still seen
-// exactly once across consecutive snapshots, which is what slot diffs
-// need.
+// Snapshot copies the histogram's current counts and summed duration;
+// concurrent Observe calls may land between the reads.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds: h.bounds,
@@ -156,24 +151,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	s.SumNanos = h.sumNanos.Load()
 	return s
-}
-
-// Sub returns the observations recorded between prev and s (s must be
-// the later snapshot of the same histogram; a nil-bounds prev acts as
-// an empty baseline, so the first slot diffs against zero).
-func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
-	out := HistogramSnapshot{
-		Bounds:   s.Bounds,
-		Counts:   make([]int64, len(s.Counts)),
-		SumNanos: s.SumNanos - prev.SumNanos,
-	}
-	copy(out.Counts, s.Counts)
-	for i := range prev.Counts {
-		if i < len(out.Counts) {
-			out.Counts[i] -= prev.Counts[i]
-		}
-	}
-	return out
 }
 
 // Count returns the number of observations in the snapshot.

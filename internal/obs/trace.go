@@ -72,10 +72,10 @@ func (tr TraceRecord) String() string {
 // Tracer samples predict-path executions: one in every N calls records
 // per-stage timings into stage histograms and a ring of recent traces.
 // When disabled (sample interval 0, or a nil *Tracer) Start is a
-// single atomic load and the returned Span is inert — no clock reads,
+// single field read and the returned Span is inert — no clock reads,
 // no allocation — so the serving hot path pays nothing.
 type Tracer struct {
-	every atomic.Int64
+	every int64 // sampling interval, fixed by NewTracer; 0 disables
 	seq   atomic.Int64
 
 	stages  [numStages]*Histogram
@@ -92,8 +92,7 @@ type Tracer struct {
 // (pbppm_predict_stage_seconds) and sampled-trace counter in reg,
 // which may be nil.
 func NewTracer(reg *Registry, every int) *Tracer {
-	t := &Tracer{}
-	t.every.Store(int64(every))
+	t := &Tracer{every: int64(every)}
 	for st := StageSession; st < numStages; st++ {
 		t.stages[st] = reg.Histogram(
 			"pbppm_predict_stage_seconds",
@@ -105,19 +104,12 @@ func NewTracer(reg *Registry, every int) *Tracer {
 	return t
 }
 
-// SetSampleEvery changes the sampling interval at runtime; 0 disables.
-func (t *Tracer) SetSampleEvery(every int) { t.every.Store(int64(every)) }
-
 // Start begins a span if this call is sampled. Safe on a nil tracer.
 func (t *Tracer) Start() Span {
-	if t == nil {
+	if t == nil || t.every <= 0 {
 		return Span{}
 	}
-	every := t.every.Load()
-	if every <= 0 {
-		return Span{}
-	}
-	if t.seq.Add(1)%every != 0 {
+	if t.seq.Add(1)%t.every != 0 {
 		return Span{}
 	}
 	now := time.Now()

@@ -118,17 +118,6 @@ func TestTracerBoundedUnderSustainedLoad(t *testing.T) {
 	}
 }
 
-func TestTracerSetSampleEvery(t *testing.T) {
-	tr := NewTracer(nil, 0)
-	if tr.Start().Active() {
-		t.Error("sampling off, span active")
-	}
-	tr.SetSampleEvery(1)
-	if !tr.Start().Active() {
-		t.Error("sampling every call, span inactive")
-	}
-}
-
 func TestSpanStageAttribution(t *testing.T) {
 	tr := NewTracer(nil, 1)
 	span := tr.Start()

@@ -9,8 +9,8 @@ import (
 // Window describes a rolling time window as a ring of fixed-width
 // buckets: Span is the longest lookback the ring can answer, and
 // Granularity the bucket width (and therefore the resolution at which
-// old observations age out). A RollingCounter or RollingHistogram
-// built over a Window can report a sum or quantile over any trailing
+// old observations age out). A RollingCounts or RollingHistogram
+// built over a Window can report sums or quantiles over any trailing
 // span up to Span, so one ring serves both a 5-minute live gauge and a
 // 1-hour SLO window.
 //
@@ -39,161 +39,139 @@ func (w Window) span() time.Duration {
 	return w.Span
 }
 
-// granSeconds returns the bucket width in whole seconds, at least 1.
-func (w Window) granSeconds() int64 {
+// gran is the bucket width as actually applied: whole seconds, at
+// least one.
+func (w Window) gran() time.Duration {
 	g := w.Granularity
 	if g <= 0 {
 		g = w.span() / 30
 	}
-	secs := int64((g + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
-}
-
-// Granularity as actually applied (whole seconds).
-func (w Window) gran() time.Duration {
-	return time.Duration(w.granSeconds()) * time.Second
-}
-
-func (w Window) now() time.Time {
-	if w.Clock != nil {
-		return w.Clock()
-	}
-	return time.Now()
-}
-
-// epoch is t's bucket number on the Unix-seconds clock.
-func (w Window) epoch(t time.Time) int64 {
-	return t.Unix() / w.granSeconds()
+	return max((g+time.Second-1)/time.Second, 1) * time.Second
 }
 
 // slots is the ring size: enough complete buckets to cover Span plus
 // the partially-filled current bucket.
 func (w Window) slots() int {
-	n := int(w.span()/w.gran()) + 1
-	if n < 2 {
-		n = 2
-	}
-	return n
+	return max(int(w.span()/w.gran())+1, 2)
 }
 
-// spanSlots converts a query span into a bucket count, clamped to the
-// ring: at least the current bucket, at most every bucket.
-func (w Window) spanSlots(q time.Duration) int64 {
-	if q <= 0 || q > w.span() {
-		q = w.span()
-	}
-	gran := w.gran()
-	n := int64((q + gran - 1) / gran)
-	if n < 1 {
-		n = 1
-	}
-	if max := int64(w.slots()); n > max {
-		n = max
-	}
-	return n
-}
-
-// ringIndex maps an epoch onto the ring; epochs may be negative (fake
-// clocks before 1970), so the remainder is normalized.
-func ringIndex(epoch int64, slots int) int {
-	i := int(epoch % int64(slots))
-	if i < 0 {
-		i += slots
-	}
-	return i
-}
-
-// counterSlot is one ring bucket of a RollingCounter.
-type counterSlot struct {
-	epoch atomic.Int64
-	count atomic.Int64
-}
-
-// RollingCounter counts events over a rolling window. The hot path is
-// one atomic load plus one atomic add; the per-bucket rotation (once
-// per Granularity tick) briefly takes a mutex. Sum may run
-// concurrently with Add.
-type RollingCounter struct {
-	w     Window
+// RollingCounts counts events over a rolling Window in a ring of time
+// buckets. Each bucket holds its epoch and a fixed-width row of
+// counters, one per column, so a writer resolves an event's bucket
+// once (Row) and adds each of the event's columns into it, and one
+// Sums call reads every column. A write is one atomic load plus one
+// atomic add per column; rotating a bucket to a new epoch (once per
+// Granularity tick) briefly takes a mutex. Sums may run concurrently
+// with writes.
+type RollingCounts struct {
+	clock func() time.Time
+	span  time.Duration
+	gran  int64 // bucket width in seconds
+	slots int
+	cols  int
 	mu    sync.Mutex // serializes bucket rotation only
-	slots []counterSlot
-}
-
-// NewRollingCounter returns a counter over w.
-func NewRollingCounter(w Window) *RollingCounter {
-	c := &RollingCounter{w: w, slots: make([]counterSlot, w.slots())}
-	for i := range c.slots {
-		c.slots[i].epoch.Store(epochUnused)
-	}
-	return c
+	// buf holds the slots back to back, each its epoch followed by its
+	// cols counters, then one spare row that stale writes land in and
+	// Sums never reads.
+	buf []atomic.Int64
 }
 
 // epochUnused marks a bucket that has never been written; it compares
 // below any real epoch the Unix clock can produce.
 const epochUnused = -1 << 62
 
-// Inc records one event at time at.
-func (c *RollingCounter) Inc(at time.Time) { c.Add(at, 1) }
+// NewRollingCounts returns a ring of cols counters per bucket over w.
+func NewRollingCounts(w Window, cols int) *RollingCounts {
+	r := &RollingCounts{
+		clock: w.Clock,
+		span:  w.span(),
+		gran:  int64(w.gran() / time.Second),
+		slots: w.slots(),
+		cols:  cols,
+	}
+	if r.clock == nil {
+		r.clock = time.Now
+	}
+	r.buf = make([]atomic.Int64, (r.slots+1)*(cols+1))
+	for i := 0; i < r.slots; i++ {
+		r.bucket(i)[0].Store(epochUnused)
+	}
+	return r
+}
 
-// Add records n events at time at, which the caller reads from the
-// window's clock. An Add racing the bucket's reuse for a newer epoch (a
-// writer descheduled across a Granularity tick) is dropped rather than
-// misfiled.
-func (c *RollingCounter) Add(at time.Time, n int64) {
-	e := c.w.epoch(at)
-	s := &c.slots[ringIndex(e, len(c.slots))]
-	if s.epoch.Load() != e {
-		c.mu.Lock()
-		switch cur := s.epoch.Load(); {
+// bucket is slot i's epoch followed by its counters; slot r.slots is
+// the spare row.
+func (r *RollingCounts) bucket(i int) []atomic.Int64 {
+	return r.buf[i*(r.cols+1) : (i+1)*(r.cols+1)]
+}
+
+// epoch is t's bucket number on the Unix-seconds clock.
+func (r *RollingCounts) epoch(t time.Time) int64 { return t.Unix() / r.gran }
+
+// Row returns the counters of the bucket for time at, which the caller
+// reads from the window's clock; add the event's columns into it. This
+// is the ring's one rotation routine: a bucket still holding an older
+// epoch is zeroed and moved to at's. A write racing the bucket's reuse
+// for a newer epoch (a writer descheduled across a full Span) gets the
+// spare row, so it is dropped rather than misfiled.
+func (r *RollingCounts) Row(at time.Time) []atomic.Int64 {
+	e := r.epoch(at)
+	i := int(e % int64(r.slots))
+	if i < 0 {
+		// Epochs before 1970 (zero-time fake clocks) are negative.
+		i += r.slots
+	}
+	row := r.bucket(i)
+	if row[0].Load() != e {
+		r.mu.Lock()
+		switch cur := row[0].Load(); {
 		case cur < e:
-			// Rotate: zero before publishing the epoch so a concurrent
-			// Sum never pairs the new epoch with the old count.
-			s.count.Store(0)
-			s.epoch.Store(e)
+			// Zero before publishing the epoch so a concurrent Sums
+			// never pairs the new epoch with the old counts.
+			for c := 1; c < len(row); c++ {
+				row[c].Store(0)
+			}
+			row[0].Store(e)
 		case cur > e:
-			c.mu.Unlock()
-			return
+			row = r.bucket(r.slots)
 		}
-		c.mu.Unlock()
+		r.mu.Unlock()
 	}
-	s.count.Add(n)
+	return row[1:]
 }
 
-// Sum returns the event count over the trailing span (clamped to the
-// window's Span; zero or negative selects the full Span). The current
-// partially-filled bucket is included, so the effective lookback is
-// span rounded up to whole buckets.
-func (c *RollingCounter) Sum(span time.Duration) int64 {
-	e := c.w.epoch(c.w.now())
-	oldest := e - c.w.spanSlots(span) + 1
-	var total int64
-	for i := range c.slots {
-		if ep := c.slots[i].epoch.Load(); ep >= oldest && ep <= e {
-			total += c.slots[i].count.Load()
+// Sums returns each column's total over the trailing span (clamped to
+// the window's Span; zero or negative selects the full Span). The
+// current partially-filled bucket is included, so the effective
+// lookback is span rounded up to whole buckets.
+func (r *RollingCounts) Sums(span time.Duration) []int64 {
+	if span <= 0 || span > r.span {
+		span = r.span
+	}
+	gran := time.Duration(r.gran) * time.Second
+	n := min(max(int64((span+gran-1)/gran), 1), int64(r.slots))
+	e := r.epoch(r.clock())
+	oldest := e - n + 1
+	out := make([]int64, r.cols)
+	for i := 0; i < r.slots; i++ {
+		row := r.bucket(i)
+		if ep := row[0].Load(); ep >= oldest && ep <= e {
+			for c := range out {
+				out[c] += row[1+c].Load()
+			}
 		}
 	}
-	return total
-}
-
-// histSlot is one ring bucket of a RollingHistogram.
-type histSlot struct {
-	epoch  atomic.Int64
-	counts []atomic.Int64 // len(bounds)+1, last is overflow
+	return out
 }
 
 // RollingHistogram counts durations in fixed buckets over a rolling
 // window, the windowed sibling of Histogram: same bounds, same
 // quantile math (QuantileOverCounts), but observations age out after
-// the window's Span. Observe is one atomic load plus one atomic add;
-// rotation once per Granularity tick takes a mutex.
+// the window's Span. Its counts are the columns of one RollingCounts
+// ring, the last column being overflow.
 type RollingHistogram struct {
-	w      Window
 	bounds []time.Duration
-	mu     sync.Mutex
-	slots  []histSlot
+	ring   *RollingCounts
 }
 
 // NewRollingHistogram returns a rolling histogram over w with the
@@ -208,53 +186,19 @@ func NewRollingHistogram(w Window, bounds []time.Duration) *RollingHistogram {
 			panic("obs: histogram bounds not sorted ascending")
 		}
 	}
-	h := &RollingHistogram{w: w, bounds: bounds, slots: make([]histSlot, w.slots())}
-	for i := range h.slots {
-		h.slots[i].epoch.Store(epochUnused)
-		h.slots[i].counts = make([]atomic.Int64, len(bounds)+1)
-	}
-	return h
+	return &RollingHistogram{bounds: bounds, ring: NewRollingCounts(w, len(bounds)+1)}
 }
 
 // Observe records one duration at time at, which the caller reads from
 // the window's clock.
 func (h *RollingHistogram) Observe(at time.Time, d time.Duration) {
-	e := h.w.epoch(at)
-	s := &h.slots[ringIndex(e, len(h.slots))]
-	if s.epoch.Load() != e {
-		h.mu.Lock()
-		switch cur := s.epoch.Load(); {
-		case cur < e:
-			for i := range s.counts {
-				s.counts[i].Store(0)
-			}
-			s.epoch.Store(e)
-		case cur > e:
-			h.mu.Unlock()
-			return
-		}
-		h.mu.Unlock()
-	}
-	s.counts[BucketIndex(h.bounds, d)].Add(1)
+	h.ring.Row(at)[BucketIndex(h.bounds, d)].Add(1)
 }
 
 // Counts returns the per-bucket counts over the trailing span
 // (len(bounds)+1 entries, last is overflow), the raw input to
 // QuantileOverCounts.
-func (h *RollingHistogram) Counts(span time.Duration) []int64 {
-	e := h.w.epoch(h.w.now())
-	oldest := e - h.w.spanSlots(span) + 1
-	out := make([]int64, len(h.bounds)+1)
-	for i := range h.slots {
-		s := &h.slots[i]
-		if ep := s.epoch.Load(); ep >= oldest && ep <= e {
-			for b := range s.counts {
-				out[b] += s.counts[b].Load()
-			}
-		}
-	}
-	return out
-}
+func (h *RollingHistogram) Counts(span time.Duration) []int64 { return h.ring.Sums(span) }
 
 // Count returns the number of observations in the trailing span.
 func (h *RollingHistogram) Count(span time.Duration) int64 {

@@ -28,43 +28,109 @@ func testWindow(clk *fakeClock) Window {
 	return Window{Span: 5 * time.Minute, Granularity: 10 * time.Second, Clock: clk.Now}
 }
 
-func TestRollingCounterAgesOut(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(1_000_000, 0)}
-	c := NewRollingCounter(testWindow(clk))
+// add writes n into column col of at's bucket.
+func add(r *RollingCounts, at time.Time, col int, n int64) { r.Row(at)[col].Add(n) }
 
-	c.Add(clk.Now(), 5)
+func TestRollingCountsAgesOut(t *testing.T) {
+	clk := &fakeClock{now: time.Unix(1_000_000, 0)}
+	c := NewRollingCounts(testWindow(clk), 1)
+
+	add(c, clk.Now(), 0, 5)
 	clk.Advance(1 * time.Minute)
-	c.Add(clk.Now(), 3)
-	if got := c.Sum(0); got != 8 {
+	add(c, clk.Now(), 0, 3)
+	if got := c.Sums(0)[0]; got != 8 {
 		t.Fatalf("full-window sum = %d, want 8", got)
 	}
-	if got := c.Sum(30 * time.Second); got != 3 {
+	if got := c.Sums(30 * time.Second)[0]; got != 3 {
 		t.Fatalf("30s sum = %d, want 3 (only the recent add)", got)
 	}
 
 	// Advance past the span: everything ages out.
 	clk.Advance(6 * time.Minute)
-	if got := c.Sum(0); got != 0 {
+	if got := c.Sums(0)[0]; got != 0 {
 		t.Fatalf("sum after span elapsed = %d, want 0", got)
 	}
 
 	// The ring reuses old slots without double counting.
-	c.Add(clk.Now(), 7)
-	if got := c.Sum(0); got != 7 {
+	add(c, clk.Now(), 0, 7)
+	if got := c.Sums(0)[0]; got != 7 {
 		t.Fatalf("sum after reuse = %d, want 7", got)
 	}
 }
 
-func TestRollingCounterNegativeEpochs(t *testing.T) {
+func TestRollingCountsNegativeEpochs(t *testing.T) {
 	// A zero-value time.Time sits far before the Unix epoch; the ring
 	// must still index correctly (fake clocks in server tests do this).
 	clk := &fakeClock{}
-	c := NewRollingCounter(testWindow(clk))
-	c.Add(clk.Now(), 2)
+	c := NewRollingCounts(testWindow(clk), 1)
+	add(c, clk.Now(), 0, 2)
 	clk.Advance(20 * time.Second)
-	c.Add(clk.Now(), 3)
-	if got := c.Sum(0); got != 5 {
+	add(c, clk.Now(), 0, 3)
+	if got := c.Sums(0)[0]; got != 5 {
 		t.Fatalf("sum with pre-epoch clock = %d, want 5", got)
+	}
+}
+
+// TestRollingCountsColumns checks that the columns of one bucket are
+// independent counters that age out together.
+func TestRollingCountsColumns(t *testing.T) {
+	clk := &fakeClock{now: time.Unix(1_000_000, 0)}
+	c := NewRollingCounts(testWindow(clk), 3)
+
+	row := c.Row(clk.Now())
+	row[0].Add(1)
+	row[2].Add(40)
+	clk.Advance(time.Minute)
+	add(c, clk.Now(), 0, 2)
+	if got := c.Sums(0); got[0] != 3 || got[1] != 0 || got[2] != 40 {
+		t.Fatalf("full-window sums = %v, want [3 0 40]", got)
+	}
+	if got := c.Sums(30 * time.Second); got[0] != 2 || got[1] != 0 || got[2] != 0 {
+		t.Fatalf("30s sums = %v, want [2 0 0]", got)
+	}
+
+	// The first bucket leaves the window with both of its columns.
+	clk.Advance(4 * time.Minute)
+	if got := c.Sums(0); got[0] != 2 || got[1] != 0 || got[2] != 0 {
+		t.Fatalf("sums once the first bucket aged out = %v, want [2 0 0]", got)
+	}
+	// Reusing its slot starts both columns from zero.
+	clk.Advance(10 * time.Second)
+	add(c, clk.Now(), 2, 5)
+	if got := c.Sums(0); got[0] != 2 || got[1] != 0 || got[2] != 5 {
+		t.Fatalf("sums after the slot's reuse = %v, want [2 0 5]", got)
+	}
+}
+
+// TestRollingCountsStaleWriter pins the rotation's stale-write rule: a
+// write stamped with an epoch older than the one its slot already
+// holds (a writer descheduled across a full Span) is dropped. It must
+// neither reset the newer bucket nor show up in any later Sums.
+func TestRollingCountsStaleWriter(t *testing.T) {
+	clk := &fakeClock{now: time.Unix(1_000_000, 0)}
+	w := testWindow(clk)
+	c := NewRollingCounts(w, 2)
+	stale := clk.Now()
+
+	// Epoch e + slots maps to the same slot as e.
+	clk.Advance(time.Duration(w.slots()) * w.gran())
+	row := c.Row(clk.Now())
+	row[0].Add(1)
+	row[1].Add(10)
+
+	row = c.Row(stale)
+	row[0].Add(100)
+	row[1].Add(1000)
+
+	for i := 0; i <= w.slots(); i++ {
+		want := []int64{1, 10}
+		if i >= w.slots()-1 {
+			want = []int64{0, 0} // the newer write has aged out too
+		}
+		if got := c.Sums(0); got[0] != want[0] || got[1] != want[1] {
+			t.Fatalf("sums %v after the stale write, want %v", got, want)
+		}
+		clk.Advance(w.gran())
 	}
 }
 
@@ -110,17 +176,17 @@ func TestRollingHistogramQuantilesAndAging(t *testing.T) {
 	}
 }
 
-func TestRollingCounterConcurrent(t *testing.T) {
+func TestRollingCountsConcurrent(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1_000_000, 0)}
-	c := NewRollingCounter(Window{Span: time.Minute, Granularity: time.Second, Clock: clk.Now})
+	c := NewRollingCounts(Window{Span: time.Minute, Granularity: time.Second, Clock: clk.Now}, 1)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				c.Add(clk.Now(), 1)
-				_ = c.Sum(0)
+				add(c, clk.Now(), 0, 1)
+				_ = c.Sums(0)
 			}
 		}()
 	}
@@ -134,7 +200,7 @@ func TestRollingCounterConcurrent(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if got := c.Sum(0); got < 0 || got > 8000 {
+	if got := c.Sums(0)[0]; got < 0 || got > 8000 {
 		t.Fatalf("concurrent sum = %d, want within [0, 8000]", got)
 	}
 }

@@ -16,9 +16,9 @@
 //
 // A Scorer is cumulative-only by default (single atomic adds, cheap
 // enough for the simulator's replay loop); NewWindowedScorer
-// additionally maintains rolling counters so the same event stream
-// answers "over the last five minutes" as well as "since start". Each
-// event carries its time, which files it in the rolling windows; a
+// additionally keeps its counts in a rolling ring so the same event
+// stream answers "over the last five minutes" as well as "since
+// start". Each event carries its time, which files it in the ring; a
 // cumulative-only scorer ignores it.
 package quality
 
@@ -107,42 +107,38 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 	}
 }
 
-// rollingSet mirrors the cumulative counters over a rolling window.
-type rollingSet struct {
-	requests       *obs.RollingCounter
-	cacheHits      *obs.RollingCounter
-	prefetchHits   *obs.RollingCounter
-	prefetchedDocs *obs.RollingCounter
-	transferred    *obs.RollingCounter
-	useful         *obs.RollingCounter
-	prefetchedB    *obs.RollingCounter
-}
+// The scorer's counts, indexed: its cumulative vector and its
+// window ring's columns.
+const (
+	requests = iota
+	cacheHits
+	prefetchHits
+	prefetchedDocs
+	transferred
+	useful
+	prefetchedBytes
+	numCounts
+)
 
-func newRollingSet(w obs.Window) *rollingSet {
-	return &rollingSet{
-		requests:       obs.NewRollingCounter(w),
-		cacheHits:      obs.NewRollingCounter(w),
-		prefetchHits:   obs.NewRollingCounter(w),
-		prefetchedDocs: obs.NewRollingCounter(w),
-		transferred:    obs.NewRollingCounter(w),
-		useful:         obs.NewRollingCounter(w),
-		prefetchedB:    obs.NewRollingCounter(w),
+// snapshotOf names a vector of the scorer's counts.
+func snapshotOf(v []int64) Snapshot {
+	return Snapshot{
+		Requests:         v[requests],
+		CacheHits:        v[cacheHits],
+		PrefetchHits:     v[prefetchHits],
+		PrefetchedDocs:   v[prefetchedDocs],
+		TransferredBytes: v[transferred],
+		UsefulBytes:      v[useful],
+		PrefetchedBytes:  v[prefetchedBytes],
 	}
 }
 
 // Scorer accumulates quality events. All methods are safe for
-// unsynchronized concurrent use; every update is a handful of atomic
-// adds (plus the rolling mirrors when windowed).
+// unsynchronized concurrent use; every event is a handful of atomic
+// adds (twice that when windowed).
 type Scorer struct {
-	requests       atomic.Int64
-	cacheHits      atomic.Int64
-	prefetchHits   atomic.Int64
-	prefetchedDocs atomic.Int64
-	transferred    atomic.Int64
-	useful         atomic.Int64
-	prefetchedB    atomic.Int64
-
-	roll *rollingSet // nil for cumulative-only scorers
+	total [numCounts]atomic.Int64
+	roll  *obs.RollingCounts // one column per count; nil for cumulative-only scorers
 }
 
 // NewScorer returns a cumulative-only scorer — the simulator's mode:
@@ -153,7 +149,26 @@ func NewScorer() *Scorer { return &Scorer{} }
 // Window(span) queries for any span up to w's Span — the live server's
 // mode.
 func NewWindowedScorer(w obs.Window) *Scorer {
-	return &Scorer{roll: newRollingSet(w)}
+	return &Scorer{roll: obs.NewRollingCounts(w, numCounts)}
+}
+
+// count adds one event's nonzero counts to the totals and, when
+// windowed, to at's bucket.
+func (s *Scorer) count(at time.Time, d *[numCounts]int64) {
+	for c, n := range d {
+		if n != 0 {
+			s.total[c].Add(n)
+		}
+	}
+	if s.roll == nil {
+		return
+	}
+	row := s.roll.Row(at)
+	for c, n := range d {
+		if n != 0 {
+			row[c].Add(n)
+		}
+	}
 }
 
 // Demand records one demand page request of the given transfer size,
@@ -163,57 +178,31 @@ func NewWindowedScorer(w obs.Window) *Scorer {
 // transfer useful retroactively (size bytes are credited to useful,
 // none transferred now); an ordinary cache hit moves no bytes.
 func (s *Scorer) Demand(at time.Time, size int64, o Outcome) {
-	s.requests.Add(1)
-	if s.roll != nil {
-		s.roll.requests.Inc(at)
-	}
+	d := [numCounts]int64{requests: 1}
 	switch o {
 	case CacheHit:
-		s.cacheHits.Add(1)
-		if s.roll != nil {
-			s.roll.cacheHits.Inc(at)
-		}
+		d[cacheHits] = 1
 	case PrefetchHit:
-		s.prefetchHits.Add(1)
-		s.useful.Add(size)
-		if s.roll != nil {
-			s.roll.prefetchHits.Inc(at)
-			s.roll.useful.Add(at, size)
-		}
+		d[prefetchHits], d[useful] = 1, size
 	default: // Miss
-		s.transferred.Add(size)
-		s.useful.Add(size)
-		if s.roll != nil {
-			s.roll.transferred.Add(at, size)
-			s.roll.useful.Add(at, size)
-		}
+		d[transferred], d[useful] = size, size
 	}
+	s.count(at, &d)
 }
 
 // Prefetched records one document of the given size transferred by
 // prefetching at time at.
 func (s *Scorer) Prefetched(at time.Time, size int64) {
-	s.prefetchedDocs.Add(1)
-	s.transferred.Add(size)
-	s.prefetchedB.Add(size)
-	if s.roll != nil {
-		s.roll.prefetchedDocs.Inc(at)
-		s.roll.transferred.Add(at, size)
-		s.roll.prefetchedB.Add(at, size)
-	}
+	s.count(at, &[numCounts]int64{prefetchedDocs: 1, transferred: size, prefetchedBytes: size})
 }
 
 // Total returns the cumulative snapshot.
 func (s *Scorer) Total() Snapshot {
-	return Snapshot{
-		Requests:         s.requests.Load(),
-		CacheHits:        s.cacheHits.Load(),
-		PrefetchHits:     s.prefetchHits.Load(),
-		PrefetchedDocs:   s.prefetchedDocs.Load(),
-		TransferredBytes: s.transferred.Load(),
-		UsefulBytes:      s.useful.Load(),
-		PrefetchedBytes:  s.prefetchedB.Load(),
+	var v [numCounts]int64
+	for c := range v {
+		v[c] = s.total[c].Load()
 	}
+	return snapshotOf(v[:])
 }
 
 // Window returns the snapshot over the trailing span (clamped to the
@@ -223,13 +212,5 @@ func (s *Scorer) Window(span time.Duration) Snapshot {
 	if s.roll == nil {
 		return s.Total()
 	}
-	return Snapshot{
-		Requests:         s.roll.requests.Sum(span),
-		CacheHits:        s.roll.cacheHits.Sum(span),
-		PrefetchHits:     s.roll.prefetchHits.Sum(span),
-		PrefetchedDocs:   s.roll.prefetchedDocs.Sum(span),
-		TransferredBytes: s.roll.transferred.Sum(span),
-		UsefulBytes:      s.roll.useful.Sum(span),
-		PrefetchedBytes:  s.roll.prefetchedB.Sum(span),
-	}
+	return snapshotOf(s.roll.Sums(span))
 }

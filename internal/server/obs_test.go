@@ -130,7 +130,7 @@ func TestHintMemoryBounded(t *testing.T) {
 
 // TestTracerSamplesPredictPath verifies the predict-path tracer records
 // stage timings through real ServeHTTP traffic when sampling every
-// call, and stays silent when sampling is off.
+// call, and stays silent when built with sampling off.
 func TestTracerSamplesPredictPath(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(reg, 1)
@@ -147,9 +147,11 @@ func TestTracerSamplesPredictPath(t *testing.T) {
 		t.Errorf("newest trace = %+v", recent[0])
 	}
 
-	tr.SetSampleEvery(0)
-	doGet(srv, "/news/today", "c1", false)
-	if got := len(tr.Recent()); got != 2 {
+	off := obs.NewTracer(nil, 0)
+	offSrv := New(testStore(), Config{Predictor: trainedPB(), Tracer: off})
+	doGet(offSrv, "/home", "c1", false)
+	doGet(offSrv, "/news", "c1", false)
+	if got := len(off.Recent()); got != 0 {
 		t.Errorf("sampling off still recorded: %d traces", got)
 	}
 

@@ -73,14 +73,18 @@ type HintEvent struct {
 // pointer, like predictorCell does for the model.
 type graderCell struct{ g popularity.Grader }
 
+// numGrades is the number of popularity grades, 0 through MaxGrade.
+const numGrades = int(popularity.MaxGrade) + 1
+
 // modelScore is the live quality state for one prediction model: a
-// windowed scorer plus per-grade fetched/hit counters for the
-// popularity-resolved precision gauges.
+// windowed scorer, and the scorer's prefetched documents and prefetch
+// hits split by popularity grade for the per-grade precision gauges.
+// The per-grade ring counts grade g's prefetched documents in column g
+// and its prefetch hits in column numGrades+g.
 type modelScore struct {
-	name    string
-	score   *quality.Scorer
-	fetched [popularity.MaxGrade + 1]*obs.RollingCounter
-	hits    [popularity.MaxGrade + 1]*obs.RollingCounter
+	name   string
+	score  *quality.Scorer
+	grades *obs.RollingCounts
 }
 
 // modelName names the scored model; a nil scorer (a record synthesized
@@ -93,12 +97,11 @@ func (ms *modelScore) modelName() string {
 }
 
 func newModelScore(name string, w obs.Window) *modelScore {
-	ms := &modelScore{name: name, score: quality.NewWindowedScorer(w)}
-	for g := range ms.fetched {
-		ms.fetched[g] = obs.NewRollingCounter(w)
-		ms.hits[g] = obs.NewRollingCounter(w)
+	return &modelScore{
+		name:   name,
+		score:  quality.NewWindowedScorer(w),
+		grades: obs.NewRollingCounts(w, 2*numGrades),
 	}
-	return ms
 }
 
 // liveScore owns all live-quality state: per-model scorers, the
@@ -118,7 +121,7 @@ type liveScore struct {
 	mu     sync.Mutex
 	models map[string]*modelScore
 
-	events        [numHintEvents][popularity.MaxGrade + 1]*obs.Counter
+	events        [numHintEvents][numGrades]*obs.Counter
 	demandLatency *obs.RollingHistogram
 }
 
@@ -132,7 +135,7 @@ func newLiveScore(reg *obs.Registry, win obs.Window, span time.Duration, onEvent
 		demandLatency: obs.NewRollingHistogram(win, nil),
 	}
 	for t := 0; t < numHintEvents; t++ {
-		for g := 0; g <= int(popularity.MaxGrade); g++ {
+		for g := 0; g < numGrades; g++ {
 			l.events[t][g] = reg.Counter("pbppm_hint_events_total",
 				"Hint-lifecycle transitions (issued, fetched, hit, wasted) by popularity grade.",
 				obs.Label{Name: "event", Value: HintEventType(t).String()},
@@ -195,16 +198,13 @@ func (l *liveScore) registerModelGauges(ms *modelScore) {
 		"Rolling-window prefetch precision by model and popularity grade (grade=all aggregates).",
 		func() float64 { return ms.score.Window(l.span).Precision() },
 		model, obs.Label{Name: "grade", Value: "all"})
-	for g := 0; g <= int(popularity.MaxGrade); g++ {
+	for g := 0; g < numGrades; g++ {
 		g := g
 		l.reg.GaugeFunc("pbppm_live_precision",
 			"Rolling-window prefetch precision by model and popularity grade (grade=all aggregates).",
 			func() float64 {
-				fetched := ms.fetched[g].Sum(l.span)
-				if fetched == 0 {
-					return 0
-				}
-				return float64(ms.hits[g].Sum(l.span)) / float64(fetched)
+				sums := ms.grades.Sums(l.span)
+				return quality.Snapshot{PrefetchedDocs: sums[g], PrefetchHits: sums[numGrades+g]}.Precision()
 			},
 			model, obs.Label{Name: "grade", Value: strconv.Itoa(g)})
 	}
@@ -252,21 +252,19 @@ func (l *liveScore) observeLatency(at time.Time, d time.Duration) {
 	l.demandLatency.Observe(at, d)
 }
 
-// prefetched scores one hint-driven transfer against the model that
-// issued the hint (nil for unhinted prefetch fetches).
-func (l *liveScore) prefetched(at time.Time, model *modelScore, size int64) {
+// prefetched scores one prefetched document of the given grade
+// against the model that issued its hint (nil for unhinted prefetch
+// fetches).
+func (l *liveScore) prefetched(at time.Time, model *modelScore, grade popularity.Grade, size int64) {
 	if ms := l.scorer(model); ms != nil {
 		ms.score.Prefetched(at, size)
+		ms.grades.Row(at)[grade].Add(1)
 	}
 }
 
-// fetchedHint marks a hint's first prefetch fetch: the per-grade
-// denominator and the Fetched lifecycle event.
-func (l *liveScore) fetchedHint(client string, rec hintRecord, at time.Time, now int64) {
-	grade := l.gradeOf(rec.url)
-	if ms := l.scorer(rec.model); ms != nil {
-		ms.fetched[grade].Inc(at)
-	}
+// fetchedHint emits the Fetched lifecycle event for a hint's first
+// prefetch fetch.
+func (l *liveScore) fetchedHint(client string, rec hintRecord, grade popularity.Grade, now int64) {
 	l.emit(HintEvent{
 		Type: HintFetched, Client: client, URL: rec.url, Model: rec.model.modelName(),
 		Grade: grade, Probability: rec.prob, Age: time.Duration(now - rec.issued),
@@ -275,16 +273,14 @@ func (l *liveScore) fetchedHint(client string, rec hintRecord, at time.Time, now
 
 // hit scores a confirmed prediction. served reports whether the
 // prefetched copy actually served the request (a client report) — only
-// then does the scorer count a prefetch hit; a demand re-fetch of a
-// hinted URL confirms the prediction without the byte savings.
+// then do the scorer and the hit's grade count a prefetch hit; a
+// demand re-fetch of a hinted URL confirms the prediction without the
+// byte savings.
 func (l *liveScore) hit(client string, rec hintRecord, size int64, served bool, at time.Time, now int64) {
 	grade := l.gradeOf(rec.url)
-	ms := l.scorer(rec.model)
-	if ms != nil {
-		if served {
-			ms.score.Demand(at, size, quality.PrefetchHit)
-		}
-		ms.hits[grade].Inc(at)
+	if ms := l.scorer(rec.model); ms != nil && served {
+		ms.score.Demand(at, size, quality.PrefetchHit)
+		ms.grades.Row(at)[numGrades+int(grade)].Add(1)
 	}
 	l.emit(HintEvent{
 		Type: HintHit, Client: client, URL: rec.url, Model: rec.model.modelName(),

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -255,6 +256,107 @@ func TestOutOfRangeGradesAreClamped(t *testing.T) {
 		if !strings.Contains(sb.String(), line) {
 			t.Errorf("exposition missing %q", line)
 		}
+	}
+}
+
+// TestPerGradePrecisionIsScorerPrecision pins each grade's precision
+// to the grade="all" definition, prefetch hits served from a
+// prefetched copy over prefetched documents: a demand click on a
+// hinted URL confirms the prediction but is no prefetch hit, so it
+// moves neither.
+func TestPerGradePrecisionIsScorerPrecision(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv := New(testStore(), Config{
+		Predictor: trainedPB(),
+		Obs:       reg,
+		Grades:    popularity.FixedGrades{"/home": 3, "/news": 2, "/news/today": 1},
+	})
+	expect := func(grade2, all string) {
+		t.Helper()
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range []string{
+			`pbppm_live_precision{model="PB-PPM",grade="2"} ` + grade2,
+			`pbppm_live_precision{model="PB-PPM",grade="all"} ` + all,
+		} {
+			if !strings.Contains(sb.String(), line+"\n") {
+				t.Errorf("exposition missing %q", line)
+			}
+		}
+	}
+
+	// c1 and c2 are both hinted /news; only c1 prefetches it, and both
+	// click it, so both requests reach the server.
+	doGet(srv, "/home", "c1", false)
+	doGet(srv, "/home", "c2", false)
+	doGet(srv, "/news", "c1", true)
+	doGet(srv, "/news", "c1", false)
+	doGet(srv, "/news", "c2", false)
+	expect("0", "0")
+
+	// c3 prefetches its /news hint and reports that the copy served it.
+	doGet(srv, "/home", "c3", false)
+	doGet(srv, "/news", "c3", true)
+	doReport(srv, "c3", []ReportEntry{{URL: "/news", Outcome: quality.PrefetchHit}})
+	expect("0.5", "0.5")
+}
+
+// TestPerGradeCountsSplitScorer replays seeded ServeHTTP and report
+// sequences under a fixed grader and checks that the per-grade ring
+// splits its model's scorer: over all grades the document columns sum
+// to PrefetchedDocs and the hit columns to PrefetchHits, cumulatively
+// (nothing ages out of the hour-long ring) and over shorter spans.
+func TestPerGradeCountsSplitScorer(t *testing.T) {
+	urls := []string{"/home", "/news", "/news/today", "/sports", "/missing"}
+	for seed := int64(1); seed <= 5; seed++ {
+		now := time.Date(2026, 7, 5, 12, 0, 0, 0, time.UTC)
+		srv := New(testStore(), Config{
+			Predictor:   trainedPB(),
+			Clock:       func() time.Time { return now },
+			SessionIdle: 2 * time.Minute,
+			Grades:      popularity.FixedGrades{"/home": 3, "/news": 2, "/news/today": 1, "/sports": 9},
+		})
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 400; i++ {
+			now = now.Add(time.Duration(rng.Intn(8000)) * time.Millisecond)
+			client := string(rune('a' + rng.Intn(4)))
+			url := urls[rng.Intn(len(urls))]
+			switch op := rng.Intn(10); {
+			case op < 5:
+				doGet(srv, url, client, false)
+			case op < 8:
+				doGet(srv, url, client, true)
+			case op < 9:
+				doReport(srv, client, []ReportEntry{{URL: url, Outcome: quality.PrefetchHit}})
+			default:
+				doReport(srv, client, []ReportEntry{{URL: url, Outcome: quality.CacheHit}})
+			}
+		}
+		if tot := srv.QualityTotal(); tot.PrefetchHits == 0 || tot.PrefetchedDocs == 0 {
+			t.Fatalf("seed %d: replay scored no prefetch hits or documents: %+v", seed, tot)
+		}
+		srv.live.mu.Lock()
+		for name, ms := range srv.live.models {
+			for _, span := range []time.Duration{0, 5 * time.Minute, 30 * time.Second} {
+				want := ms.score.Window(span)
+				if span == 0 && want != ms.score.Total() {
+					t.Fatalf("seed %d, %s: full window %+v, total %+v", seed, name, want, ms.score.Total())
+				}
+				var docs, hits int64
+				sums := ms.grades.Sums(span)
+				for g := 0; g < numGrades; g++ {
+					docs += sums[g]
+					hits += sums[numGrades+g]
+				}
+				if docs != want.PrefetchedDocs || hits != want.PrefetchHits {
+					t.Errorf("seed %d, %s, span %v: grades sum to %d documents and %d hits, scorer has %d and %d",
+						seed, name, span, docs, hits, want.PrefetchedDocs, want.PrefetchHits)
+				}
+			}
+		}
+		srv.live.mu.Unlock()
 	}
 }
 

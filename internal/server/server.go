@@ -117,8 +117,8 @@ type Config struct {
 	Obs *obs.Registry
 	// Tracer samples per-stage predict-path timings (session lookup →
 	// context assembly → Predict → hint filtering). Nil disables
-	// tracing entirely; a tracer with sampling off costs one atomic
-	// load per demand request.
+	// tracing entirely; a tracer with sampling off costs one field read
+	// per demand request.
 	Tracer *obs.Tracer
 	// LiveWindow is the rolling span behind the pbppm_live_* gauges
 	// (precision, hit ratio, traffic increase, latency quantiles); zero
@@ -711,12 +711,14 @@ func (s *Server) observePrefetchFetch(client, url string, size int64, at time.Ti
 	if found {
 		s.metrics.hintFetches.Inc()
 	}
+	grade := s.live.gradeOf(url)
 	if first {
-		s.live.fetchedHint(client, rec, at, now)
+		s.live.fetchedHint(client, rec, grade, now)
 	}
-	// Every hint-driven transfer counts as prefetch traffic, scored
-	// against the model that issued the hint when we know it.
-	s.live.prefetched(at, rec.model, size)
+	// Every hint-driven transfer counts as prefetch traffic under its
+	// URL's grade, scored against the model that issued the hint when
+	// we know it.
+	s.live.prefetched(at, rec.model, grade, size)
 }
 
 // ingestReports scores a client's batched local hit outcomes, the
