@@ -3,6 +3,8 @@
 // client per trace client, and reports the client-side hit ratios.
 // Together with prefetchd it demonstrates the full system outside any
 // simulator: generate a trace, start the server, replay the trace.
+// Before reporting, every client delivers its last hit reports; replay
+// exits 1 when any request or report delivery failed.
 //
 //	go run ./cmd/prefetchd -addr :8080 &
 //	go run ./cmd/tracegen -profile nasa -days 1 -o day.log
@@ -12,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"sort"
@@ -24,48 +27,54 @@ import (
 )
 
 func main() {
-	os.Exit(realMain())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// realMain returns the exit code so the deferred profile stop runs
-// before the process exits.
-func realMain() int {
+// run is the command body; it returns the exit code: 0 when every
+// request and every client's last hit reports reached the server, 1
+// when any failed, 2 on bad usage. It returns rather than exits so the
+// deferred profile stop runs.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		serverURL = flag.String("server", "http://127.0.0.1:8080", "prefetching server base URL")
-		maxReqs   = flag.Int("max-requests", 0, "stop after this many requests (0 = whole trace)")
-		noWait    = flag.Bool("no-wait", false, "do not wait for background prefetches between clicks")
-		progress  = flag.Int("progress", 0, "log replay progress every N requests (0 = silent)")
+		serverURL = fs.String("server", "http://127.0.0.1:8080", "prefetching server base URL")
+		maxReqs   = fs.Int("max-requests", 0, "stop after this many requests (0 = whole trace)")
+		noWait    = fs.Bool("no-wait", false, "do not wait for background prefetches between clicks")
+		progress  = fs.Int("progress", 0, "log replay progress every N requests (0 = silent)")
 	)
 	var prof obs.ProfileFlags
-	prof.Register(flag.CommandLine)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: replay [-server URL] trace.log")
+	prof.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: replay [-server URL] trace.log")
 		return 2
 	}
 	stopProf, err := prof.Start()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "replay: %v\n", err)
+		fmt.Fprintf(stderr, "replay: %v\n", err)
 		return 1
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "replay: %v\n", err)
+			fmt.Fprintf(stderr, "replay: %v\n", err)
 		}
 	}()
-	f, err := os.Open(flag.Arg(0))
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "replay: %v\n", err)
+		fmt.Fprintf(stderr, "replay: %v\n", err)
 		return 1
 	}
 	tr, skipped, err := trace.ReadCLF(f)
 	f.Close()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "replay: %v\n", err)
+		fmt.Fprintf(stderr, "replay: %v\n", err)
 		return 1
 	}
 	if skipped > 0 {
-		fmt.Fprintf(os.Stderr, "replay: skipped %d unparseable lines\n", skipped)
+		fmt.Fprintf(stderr, "replay: skipped %d unparseable lines\n", skipped)
 	}
 
 	sessions := session.Sessionize(tr, session.Config{})
@@ -74,23 +83,23 @@ func realMain() int {
 	})
 
 	clients := map[string]*server.Client{}
-	log := obs.Component(obs.NewLogger(os.Stderr, slog.LevelInfo), "replay")
+	log := obs.Component(obs.NewLogger(stderr, slog.LevelInfo), "replay")
 	replayStart := time.Now()
 	var requests, hits, prefetchHits, errors int
+replay:
 	for _, s := range sessions {
 		cl := clients[s.Client]
 		if cl == nil {
 			cl, err = server.NewClient(server.ClientConfig{ID: s.Client, BaseURL: *serverURL})
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "replay: %v\n", err)
+				fmt.Fprintf(stderr, "replay: %v\n", err)
 				return 1
 			}
 			clients[s.Client] = cl
 		}
 		for _, v := range s.Views {
 			if *maxReqs > 0 && requests >= *maxReqs {
-				report(requests, hits, prefetchHits, errors, len(clients))
-				return 0
+				break replay
 			}
 			src, err := cl.Get(v.URL)
 			requests++
@@ -117,18 +126,30 @@ func realMain() int {
 			}
 		}
 	}
-	for _, cl := range clients {
+	// A client's last hit reports ride on no later request: deliver
+	// them, so the server's live scorer counts every hit replayed.
+	flushErrors := 0
+	for id, cl := range clients {
 		cl.Wait()
+		if err := cl.Flush(); err != nil {
+			fmt.Fprintf(stderr, "replay: client %s: %v\n", id, err)
+			flushErrors++
+		}
 	}
-	report(requests, hits, prefetchHits, errors, len(clients))
+	report(stdout, requests, hits, prefetchHits, errors, len(clients))
+	if errors > 0 || flushErrors > 0 {
+		fmt.Fprintf(stderr, "replay: %d of %d requests and %d of %d report flushes failed\n",
+			errors, requests, flushErrors, len(clients))
+		return 1
+	}
 	return 0
 }
 
-func report(requests, hits, prefetchHits, errors, clients int) {
-	fmt.Printf("replayed %d requests from %d clients\n", requests, clients)
+func report(w io.Writer, requests, hits, prefetchHits, errors, clients int) {
+	fmt.Fprintf(w, "replayed %d requests from %d clients\n", requests, clients)
 	if requests == 0 {
 		return
 	}
-	fmt.Printf("hit ratio %.1f%% (%d hits, of which %d prefetch hits), %d errors\n",
+	fmt.Fprintf(w, "hit ratio %.1f%% (%d hits, of which %d prefetch hits), %d errors\n",
 		100*float64(hits)/float64(requests), hits, prefetchHits, errors)
 }

@@ -18,8 +18,31 @@ func benchWindow(b *testing.B, m *Maintainer, n int) {
 	}
 }
 
+// BenchmarkObserve observes a session whose URLs the window already
+// holds into a window whose columns have grown (a trim keeps their
+// capacity), the steady state of a serving process: it must make no
+// allocation.
+func BenchmarkObserve(b *testing.B) {
+	m, err := New(Config{Factory: pbFactory, Window: 24 * time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	old := mkSession(0, "/hub1", "/page3", "/leaf7", "/page9", "/leaf11")
+	for i := 0; i < b.N; i++ {
+		m.Observe(old)
+	}
+	s := mkSession(30, "/hub1", "/page3", "/leaf7", "/page9", "/leaf11")
+	m.Observe(s)
+	m.Rebuild(epoch.Add(40 * time.Hour))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Observe(s)
+	}
+}
+
 // BenchmarkFullRebuild retrains the whole window; cost grows with
-// window size.
+// window size, and the bytes it allocates do not.
 func BenchmarkFullRebuild(b *testing.B) {
 	for _, window := range []int{1000, 4000, 16000} {
 		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {

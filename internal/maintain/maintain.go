@@ -5,11 +5,11 @@
 // scheduled updates that keep the published predictor tracking live
 // traffic.
 //
-// Two update paths exist, and both train serially with
-// markov.TrainAll. The incremental path (DeltaMerge) absorbs only the
-// sessions observed since the last update, the window's newest (up to a
-// bound): they are trained straight into the editable model behind the
-// live snapshot, which is then frozen and published again,
+// Two update paths exist, and both train serially, one session at a
+// time through TrainSequence. The incremental path (DeltaMerge) absorbs
+// only the sessions observed since the last update, the window's newest
+// (up to a bound): they are trained straight into the editable model
+// behind the live snapshot, which is then frozen and published again,
 // so update cost tracks new traffic, not window size. The full path
 // (Rebuild) is the periodic compaction: it trims expired sessions out
 // of the window, re-derives the popularity ranking, and retrains from
@@ -35,6 +35,7 @@ package maintain
 import (
 	"fmt"
 	"log/slog"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -175,14 +176,156 @@ func newMaintainMetrics(reg *obs.Registry) *maintainMetrics {
 	}
 }
 
-// windowSession is what the window keeps of one observed session: its
-// start time, for trimming, and its clicked URLs, for ranking and
-// training. Observe copies the URLs into an exactly-sized slice, so the
-// caller's page views (72 bytes a click, plus whatever backs them) are
-// not kept alive; training only reads it.
-type windowSession struct {
-	start time.Time
+// window is the sliding training window, kept as columns so that only
+// the URL table holds pointers: session i started at starts[i] (Unix
+// nanoseconds, for trimming) and clicked the URLs whose table ids are
+// ids[ends[i-1]:ends[i]] (ids[:ends[0]] for the first). Observe appends
+// to the columns and interns each URL once, so a session costs 12 bytes
+// plus 4 a click and its own URL strings are never copied. Only
+// Rebuild rewrites the columns, in place; see trim. The int32 ends
+// bound the window at math.MaxInt32 clicks (8 GiB of ids).
+type window struct {
+	starts []int64
+	ends   []int32
+	ids    []uint32
+	urls   []string          // the table: id -> URL
+	index  map[string]uint32 // URL -> id
+}
+
+// add appends one session, or reports false when the window already
+// holds as many clicks as its ends can count; the caller holds mu.
+func (w *window) add(s session.Session) bool {
+	if len(w.ids) > math.MaxInt32-len(s.Views) {
+		return false
+	}
+	for _, v := range s.Views {
+		id, ok := w.index[v.URL]
+		if !ok {
+			id = uint32(len(w.urls))
+			w.urls = append(w.urls, v.URL)
+			w.index[v.URL] = id
+		}
+		w.ids = append(w.ids, id)
+	}
+	w.starts = append(w.starts, unixNanos(s.Start()))
+	w.ends = append(w.ends, int32(len(w.ids)))
+	return true
+}
+
+// trim drops the sessions that started before cutoff, moving the kept
+// ones down in place, and returns how many clicks of the kept sessions
+// name each URL id. Once fewer than half the table's URLs are named, it
+// rebuilds the table into fresh arrays holding only those, so the table
+// stays bounded as a site's URLs change; the returned counts then follow
+// the new ids. The caller holds mu and publishMu: no trainer holds a
+// span of the window while it is rewritten.
+func (w *window) trim(cutoff int64) []int64 {
+	refs := make([]int64, len(w.urls))
+	kept, out, lo := 0, int32(0), int32(0)
+	for i, start := range w.starts {
+		hi := w.ends[i]
+		if start >= cutoff {
+			for _, id := range w.ids[lo:hi] {
+				w.ids[out] = id
+				out++
+				refs[id]++
+			}
+			w.starts[kept], w.ends[kept] = start, out
+			kept++
+		}
+		lo = hi
+	}
+	w.starts, w.ends, w.ids = w.starts[:kept], w.ends[:kept], w.ids[:out]
+
+	live := 0
+	for _, n := range refs {
+		if n > 0 {
+			live++
+		}
+	}
+	if 2*live >= len(w.urls) {
+		return refs
+	}
+	remap := make([]uint32, len(w.urls))
+	urls := make([]string, 0, live)
+	index := make(map[string]uint32, live)
+	for id, n := range refs {
+		if n > 0 {
+			remap[id] = uint32(len(urls))
+			index[w.urls[id]] = uint32(len(urls))
+			refs[len(urls)] = n
+			urls = append(urls, w.urls[id])
+		}
+	}
+	for i, id := range w.ids {
+		w.ids[i] = remap[id]
+	}
+	w.urls, w.index = urls, index
+	return refs[:live]
+}
+
+// tail returns the span of the window's last n sessions; the caller
+// holds mu.
+func (w *window) tail(n int) span {
+	k := len(w.ends) - n
+	sp := span{ends: w.ends[k:], ids: w.ids, urls: w.urls}
+	if k > 0 {
+		sp.first = w.ends[k-1]
+	}
+	return sp
+}
+
+// span is a run of window sessions, taken under mu and read outside it:
+// the sessions' ends into ids, the offset the first one starts at, and
+// the URL table the ids index. Reading it without mu is safe because
+// Observe only appends past the lengths a span holds, and only Rebuild,
+// serialized with every span's reader by publishMu, rewrites the
+// columns.
+type span struct {
+	first int32
+	ends  []int32
+	ids   []uint32
 	urls  []string
+}
+
+// train folds each session of the span into p, in window order,
+// through one buffer sized to the longest session:
+// markov.Predictor.TrainSequence keeps nothing of its argument.
+func (sp span) train(p markov.Predictor) {
+	longest, lo := int32(0), sp.first
+	for _, hi := range sp.ends {
+		longest = max(longest, hi-lo)
+		lo = hi
+	}
+	seq := make([]string, 0, longest)
+	lo = sp.first
+	for _, hi := range sp.ends {
+		seq = seq[:0]
+		for _, id := range sp.ids[lo:hi] {
+			seq = append(seq, sp.urls[id])
+		}
+		p.TrainSequence(seq)
+		lo = hi
+	}
+}
+
+// The range of times Unix nanoseconds can represent.
+var (
+	minUnixNanos = time.Unix(0, math.MinInt64)
+	maxUnixNanos = time.Unix(0, math.MaxInt64)
+)
+
+// unixNanos returns t's wall-clock reading as Unix nanoseconds,
+// saturated at the int64 range, so the zero time sorts before every
+// cutoff instead of overflowing.
+func unixNanos(t time.Time) int64 {
+	switch {
+	case t.Before(minUnixNanos):
+		return math.MinInt64
+	case t.After(maxUnixNanos):
+		return math.MaxInt64
+	}
+	return t.UnixNano()
 }
 
 // Maintainer keeps the sliding session window, the count of its
@@ -192,8 +335,8 @@ type Maintainer struct {
 	metrics *maintainMetrics
 	log     *slog.Logger
 
-	mu       sync.Mutex
-	sessions []windowSession // the sliding window, roughly ordered by start time
+	mu  sync.Mutex
+	win window // the sliding window, roughly ordered by start time
 
 	// staged counts the sessions observed since the last update, which
 	// await the next delta merge; at most DefaultMaxStaged. Observe
@@ -240,6 +383,7 @@ func New(cfg Config) (*Maintainer, error) {
 		cfg:     cfg,
 		metrics: newMaintainMetrics(cfg.Obs),
 		log:     obs.Component(cfg.Logger, "maintain"),
+		win:     window{index: make(map[string]uint32)},
 	}, nil
 }
 
@@ -248,15 +392,20 @@ func New(cfg Config) (*Maintainer, error) {
 // not assume chronological arrival. When staging overflows DefaultMaxStaged,
 // the oldest staged sessions are dropped from staging (counted in
 // pbppm_staged_dropped_total) — the window still holds them, so the
-// next compaction trains on them. The maintainer keeps its own copy of
-// the session's URLs: the caller may reuse or modify s afterwards.
+// next compaction trains on them. The maintainer keeps its own record
+// of the session's URLs: the caller may reuse or modify s afterwards.
+// Once the window's columns have grown, Observe allocates nothing for a
+// session whose URLs the window already holds. A window full to its
+// click bound ignores new sessions until a rebuild trims it.
 func (m *Maintainer) Observe(s session.Session) {
 	if s.Len() == 0 {
 		return
 	}
-	ws := windowSession{start: s.Start(), urls: s.URLs()}
 	m.mu.Lock()
-	m.sessions = append(m.sessions, ws)
+	if !m.win.add(s) {
+		m.mu.Unlock()
+		return
+	}
 	dropped := m.staged == DefaultMaxStaged
 	if !dropped {
 		m.staged++
@@ -273,7 +422,7 @@ func (m *Maintainer) Observe(s session.Session) {
 func (m *Maintainer) WindowSize() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.sessions)
+	return len(m.win.starts)
 }
 
 // StagedSize reports how many sessions await the next delta merge.
@@ -322,14 +471,12 @@ func (m *Maintainer) Ranking() *popularity.Ranking {
 	return m.lastRank.Load()
 }
 
-// takeStaged drains the staging buffer and returns the batch's URL
-// sequences, ready for training.
-func (m *Maintainer) takeStaged() [][]string {
+// takeStaged drains the staging buffer and returns the span of the
+// staged sessions, the window's tail, ready for training. The caller
+// holds publishMu.
+func (m *Maintainer) takeStaged() span {
 	m.mu.Lock()
-	batch := make([][]string, m.staged)
-	for i, ws := range m.sessions[len(m.sessions)-m.staged:] {
-		batch[i] = ws.urls
-	}
+	batch := m.win.tail(m.staged)
 	m.clearStagedLocked()
 	m.mu.Unlock()
 	return batch
@@ -483,30 +630,18 @@ func (m *Maintainer) rebuildLocked(now time.Time) markov.Predictor {
 	start := time.Now()
 	cutoff := now.Add(-m.cfg.window())
 
-	// Snapshot and trim under the lock. Sessions may have been observed
-	// out of order, so filter the whole window rather than scanning an
-	// expired prefix. A session starting exactly at the cutoff is kept
-	// (the !Before contract).
+	// Trim under the lock. Sessions may have been observed out of order,
+	// so filter the whole window rather than scanning an expired prefix.
+	// A session starting exactly at the cutoff is kept.
 	m.mu.Lock()
-	kept := m.sessions[:0]
-	for _, s := range m.sessions {
-		if !s.start.Before(cutoff) {
-			kept = append(kept, s)
-		}
-	}
-	clear(m.sessions[len(kept):]) // release trimmed URLs to the GC
-	m.sessions = kept
-	// Training reads the stored URL slices directly; they are never
-	// written after Observe, so sharing them with the window is safe.
-	window := make([][]string, len(kept))
-	for i, s := range kept {
-		window[i] = s.urls
-	}
+	refs := m.win.trim(unixNanos(cutoff))
+	kept := m.win.tail(len(m.win.ends))
 	m.clearStagedLocked()
 	m.mu.Unlock()
+	sessions := len(kept.ends)
 
 	prev := m.Predictor()
-	if len(window) == 0 && prev != nil {
+	if sessions == 0 && prev != nil {
 		// A traffic lull or clock skew emptied the window; publishing the
 		// resulting empty model would blank a trained server.
 		m.skip("rebuild", skipEmptyWindow, now)
@@ -517,13 +652,13 @@ func (m *Maintainer) rebuildLocked(now time.Time) markov.Predictor {
 	var rank *popularity.Ranking
 	err := guarded(func() {
 		rank = popularity.NewRanking()
-		for _, urls := range window {
-			for _, u := range urls {
-				rank.Observe(u, 1)
+		for id, n := range refs {
+			if n > 0 {
+				rank.Observe(kept.urls[id], n)
 			}
 		}
 		model = m.cfg.Factory(rank)
-		markov.TrainAll(model, window)
+		kept.train(model)
 		if opt, ok := model.(interface{ Optimize() int }); ok {
 			opt.Optimize()
 		}
@@ -533,7 +668,7 @@ func (m *Maintainer) rebuildLocked(now time.Time) markov.Predictor {
 		return prev
 	}
 	if model == nil || (model.NodeCount() == 0 && prev != nil && prev.NodeCount() > 0) {
-		m.skip("rebuild", skipEmptyModel, len(window))
+		m.skip("rebuild", skipEmptyModel, sessions)
 		return prev
 	}
 
@@ -544,15 +679,15 @@ func (m *Maintainer) rebuildLocked(now time.Time) markov.Predictor {
 	published := m.publish(model)
 	m.cfg.Annotations.Add("compaction",
 		fmt.Sprintf("model=%s sessions=%d nodes=%d",
-			published.Name(), len(window), published.NodeCount()))
+			published.Name(), sessions, published.NodeCount()))
 
 	dur := time.Since(start)
 	m.metrics.rebuilds.Inc()
 	m.metrics.rebuildSeconds.Observe(dur)
-	m.metrics.windowSessions.Set(int64(len(window)))
+	m.metrics.windowSessions.Set(int64(sessions))
 	m.log.Info("model rebuilt",
 		"model", published.Name(),
-		"sessions", len(window),
+		"sessions", sessions,
 		"nodes", published.NodeCount(),
 		"arena_bytes", m.metrics.modelArenaBytes.Value(),
 		"duration", dur.Round(time.Millisecond))
@@ -561,7 +696,7 @@ func (m *Maintainer) rebuildLocked(now time.Time) markov.Predictor {
 
 // DeltaMerge is the incremental update path: it drains the staging
 // buffer, trains only the drained sessions into the editable model
-// behind the live snapshot (markov.TrainAll), and publishes that
+// behind the live snapshot, in arrival order, and publishes that
 // model's freeze — cost proportional to the delta plus the freeze, not
 // to retraining the window. The published snapshot is a separate
 // arena, so training in place never touches what is served. Space
@@ -585,34 +720,34 @@ func (m *Maintainer) DeltaMerge(now time.Time) markov.Predictor {
 		return m.rebuildLocked(now)
 	}
 	batch := m.takeStaged()
-	if len(batch) == 0 {
+	if len(batch.ends) == 0 {
 		return prev
 	}
 
 	start := time.Now()
-	if err := guarded(func() { markov.TrainAll(m.editable, batch) }); err != nil {
+	if err := guarded(func() { batch.train(m.editable) }); err != nil {
 		m.editable = nil
 		m.skip("delta-merge", skipPanic, err)
 		return prev
 	}
 	if m.editable.NodeCount() == 0 && prev.NodeCount() > 0 {
 		m.editable = nil
-		m.skip("delta-merge", skipEmptyModel, len(batch))
+		m.skip("delta-merge", skipEmptyModel, len(batch.ends))
 		return prev
 	}
 
 	published := m.publish(m.editable)
 	m.cfg.Annotations.Add("delta_merge",
 		fmt.Sprintf("model=%s delta_sessions=%d nodes=%d",
-			published.Name(), len(batch), published.NodeCount()))
+			published.Name(), len(batch.ends), published.NodeCount()))
 
 	dur := time.Since(start)
 	m.metrics.deltaMerges.Inc()
 	m.metrics.deltaSeconds.Observe(dur)
-	m.metrics.deltaSessions.Add(int64(len(batch)))
+	m.metrics.deltaSessions.Add(int64(len(batch.ends)))
 	m.log.Info("model delta-merged",
 		"model", published.Name(),
-		"delta_sessions", len(batch),
+		"delta_sessions", len(batch.ends),
 		"nodes", published.NodeCount(),
 		"arena_bytes", m.metrics.modelArenaBytes.Value(),
 		"duration", dur.Round(time.Millisecond))

@@ -258,7 +258,9 @@ type Predictor interface {
 	Name() string
 	// TrainSequence folds one session's URL sequence into the model.
 	// Training mutates the model and must not run concurrently with
-	// other methods.
+	// other methods. The model must not keep seq or write to it: it may
+	// keep the URL strings, but the caller may reuse the slice for the
+	// next session, as the maintainer's window does.
 	TrainSequence(seq []string)
 	// Predict returns prefetch candidates given the session context so
 	// far (oldest first; the last element is the current click). A

@@ -101,6 +101,29 @@ func Run(t *testing.T, name string, factory Factory, opt Options) {
 		}
 	})
 
+	t.Run(name+"/training-keeps-no-sequence", func(t *testing.T) {
+		// TrainSequence may keep the URL strings but not the slice: the
+		// maintainer trains every window session through one buffer.
+		fresh, reused := trained(factory), factory()
+		var buf []string
+		for _, s := range trainingSet() {
+			buf = append(buf[:0], s...)
+			reused.TrainSequence(buf)
+			for i := range buf {
+				buf[i] = "/junk"
+			}
+		}
+		if fresh.NodeCount() != reused.NodeCount() {
+			t.Fatalf("node counts differ: %d trained on fresh slices, %d through one reused buffer",
+				fresh.NodeCount(), reused.NodeCount())
+		}
+		for _, ctx := range contexts() {
+			if !reflect.DeepEqual(fresh.Predict(ctx), reused.Predict(ctx)) {
+				t.Fatalf("ctx %v: training through one reused buffer changed the predictions", ctx)
+			}
+		}
+	})
+
 	t.Run(name+"/predict-does-not-mutate", func(t *testing.T) {
 		m := trained(factory)
 		before := m.NodeCount()
