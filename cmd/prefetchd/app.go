@@ -10,6 +10,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"pbppm/internal/cluster"
@@ -250,16 +251,7 @@ func newApp(cfg appConfig, logger *slog.Logger) (*app, error) {
 		// Completed live sessions flow into the maintenance window so
 		// rebuilds track real traffic. Maintainer.Observe locks, so the
 		// callback is safe shared across cluster shards.
-		OnSessionEnd: func(client string, urls []string, last time.Time) {
-			s := session.Session{Client: client}
-			for i, u := range urls {
-				s.Views = append(s.Views, session.PageView{
-					URL:  u,
-					Time: last.Add(time.Duration(i-len(urls)) * time.Minute),
-				})
-			}
-			a.maint.Observe(s)
-		},
+		OnSessionEnd: observeEnded(a.maint),
 	}
 	if a.fol != nil {
 		// A follower never trains: completed live sessions would only
@@ -331,6 +323,33 @@ func newApp(cfg appConfig, logger *slog.Logger) (*app, error) {
 		a.admin = &http.Server{Handler: admin}
 	}
 	return a, nil
+}
+
+// viewPool recycles the page-view slices observeEnded hands to
+// Maintainer.Observe, which keeps neither the slice nor the session: its
+// window copies what it keeps.
+var viewPool = sync.Pool{New: func() any { return new([]session.PageView) }}
+
+// observeEnded returns the OnSessionEnd callback that feeds each
+// completed live session to m's window, its clicks a minute apart up to
+// the session's last request. Once the pool holds a slice long enough,
+// a call allocates nothing of its own.
+func observeEnded(m *maintain.Maintainer) func(client string, urls []string, last time.Time) {
+	return func(client string, urls []string, last time.Time) {
+		views := viewPool.Get().(*[]session.PageView)
+		vs := (*views)[:0]
+		for i, u := range urls {
+			vs = append(vs, session.PageView{
+				URL:  u,
+				Time: last.Add(time.Duration(i-len(urls)) * time.Minute),
+			})
+		}
+		m.Observe(session.Session{Client: client, Views: vs})
+		// Drop the URLs so a pooled slice pins no ended session.
+		clear(vs)
+		*views = vs[:0]
+		viewPool.Put(views)
+	}
 }
 
 // listen binds the serving and admin sockets without serving yet, so

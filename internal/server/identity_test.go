@@ -126,3 +126,32 @@ func TestUnmatchedHitReportsAreCounted(t *testing.T) {
 		t.Errorf("unmatched report not scored: prefetch hits %d -> %d", before, after)
 	}
 }
+
+// TestReportsForURLsOutsideTheStoreScoreNothing: a hit report for a URL
+// the content store does not hold, of either outcome, names no document
+// the server served or hinted. It is counted as unmatched and scores
+// nothing, so made-up URLs cannot raise the live hit ratio or precision,
+// emit HintHit events, or grow the server's URL table.
+func TestReportsForURLsOutsideTheStoreScoreNothing(t *testing.T) {
+	log := &eventLog{}
+	srv := New(testStore(), Config{Predictor: trainedPB(), OnHintEvent: log.add})
+	get(t, srv, "/home", "1.2.3.4:1", "alice")
+	before, table := srv.QualityTotal(), tableURLs(srv)
+
+	doReport(srv, "alice", []ReportEntry{
+		{URL: "/made-up", Outcome: quality.PrefetchHit},
+		{URL: "/also-made-up", Outcome: quality.CacheHit},
+	})
+	if n := srv.Stats().HintReportsUnmatched; n != 2 {
+		t.Errorf("HintReportsUnmatched = %d, want 2", n)
+	}
+	if after := srv.QualityTotal(); after != before {
+		t.Errorf("reports outside the store scored: quality %+v -> %+v", before, after)
+	}
+	if hits := log.ofType(HintHit); len(hits) != 0 {
+		t.Errorf("reports outside the store emitted hit events: %+v", hits)
+	}
+	if after := tableURLs(srv); len(after) != len(table) {
+		t.Errorf("URL table grew from %q to %q", table, after)
+	}
+}

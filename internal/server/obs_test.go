@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"pbppm/internal/markov"
 	"pbppm/internal/obs"
 )
 
@@ -92,38 +91,48 @@ func TestHintHitCounters(t *testing.T) {
 }
 
 func TestHintMemoryBounded(t *testing.T) {
-	ctx := &clientContext{}
-	var hints []markov.Prediction
+	urls := newURLTable()
+	var sh contextShard
+	ctx := sh.sessions.at(sh.open())
+	var names []string
 	for i := 0; i < 3*hintMemory; i++ {
 		url := strings.Repeat("x", 1) + string(rune('a'+i%26)) + string(rune('0'+i/26))
-		hints = append(hints, markov.Prediction{URL: url, Probability: 0.5})
+		names = append(names, url)
+	}
+	// batch is the records of names issued at stamp issued.
+	batch := func(names []string, issued int64) []hintRecord {
+		var recs []hintRecord
+		for _, u := range names {
+			recs = append(recs, hintRecord{url: urls.intern(u, u), prob: 0.5, issued: issued})
+		}
+		return recs
 	}
 	// Fill the memory, then mark every other outstanding hint fetched.
-	if dropped := ctx.recordHinted(hints[:hintMemory], nil, 1, hintMemory, nil); len(dropped) != 0 {
+	if dropped := sh.recordHinted(ctx, batch(names[:hintMemory], 1), hintMemory, nil); len(dropped) != 0 {
 		t.Fatalf("dropped %d records below the cap", len(dropped))
 	}
-	for i := range ctx.hinted {
-		ctx.hinted[i].fetched = i%2 == 0
+	for i, h := 0, ctx.head; h != 0; i, h = i+1, sh.hints.at(h).next {
+		sh.hints.at(h).fetched = i%2 == 0
 	}
-	dropped := ctx.recordHinted(hints[hintMemory:], nil, 2, hintMemory, nil)
-	if len(ctx.hinted) > hintMemory {
-		t.Errorf("hinted grew to %d, cap is %d", len(ctx.hinted), hintMemory)
+	dropped := sh.recordHinted(ctx, batch(names[hintMemory:], 2), hintMemory, nil)
+	if n := len(hintList(&sh, ctx)); n > hintMemory || int(ctx.hints) != n {
+		t.Errorf("hinted grew to %d (counted %d), cap is %d", n, ctx.hints, hintMemory)
 	}
-	if len(dropped) != len(hints)-hintMemory {
-		t.Errorf("dropped %d records, want %d", len(dropped), len(hints)-hintMemory)
+	if len(dropped) != len(names)-hintMemory {
+		t.Errorf("dropped %d records, want %d", len(dropped), len(names)-hintMemory)
 	}
 	// The newest hints survive.
-	if ctx.hintedIndex(hints[len(hints)-1].URL) < 0 {
+	if h, _ := sh.findHint(ctx, urls.intern(names[len(names)-1], names[len(names)-1])); h == 0 {
 		t.Error("newest hint was evicted")
 	}
-	if ctx.hintedIndex(hints[0].URL) >= 0 {
+	if h, _ := sh.findHint(ctx, urls.intern(names[0], names[0])); h != 0 {
 		t.Error("oldest hint survived past the cap")
 	}
 	// Dropped records keep their state so Wasted events can fire: the
 	// first hintMemory dropped are the first batch, oldest first.
 	for i, rec := range dropped[:hintMemory] {
-		if rec.url != hints[i].URL || rec.issued != 1 || rec.fetched != (i%2 == 0) {
-			t.Fatalf("dropped[%d] = %+v, want %s issued at 1 with fetched=%v", i, rec, hints[i].URL, i%2 == 0)
+		if urls.url(rec.url) != names[i] || rec.issued != 1 || rec.fetched != (i%2 == 0) {
+			t.Fatalf("dropped[%d] = %+v, want %s issued at 1 with fetched=%v", i, rec, names[i], i%2 == 0)
 		}
 	}
 }

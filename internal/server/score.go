@@ -80,9 +80,11 @@ const numGrades = int(popularity.MaxGrade) + 1
 // windowed scorer, and the scorer's prefetched documents and prefetch
 // hits split by popularity grade for the per-grade precision gauges.
 // The per-grade ring counts grade g's prefetched documents in column g
-// and its prefetch hits in column numGrades+g.
+// and its prefetch hits in column numGrades+g. index is the scorer's
+// place in liveScore's scorers, which hint records name it by.
 type modelScore struct {
 	name   string
+	index  uint32
 	score  *quality.Scorer
 	grades *obs.RollingCounts
 }
@@ -96,9 +98,10 @@ func (ms *modelScore) modelName() string {
 	return ms.name
 }
 
-func newModelScore(name string, w obs.Window) *modelScore {
+func newModelScore(name string, index uint32, w obs.Window) *modelScore {
 	return &modelScore{
 		name:   name,
+		index:  index,
 		score:  quality.NewWindowedScorer(w),
 		grades: obs.NewRollingCounts(w, 2*numGrades),
 	}
@@ -107,16 +110,21 @@ func newModelScore(name string, w obs.Window) *modelScore {
 // liveScore owns all live-quality state: per-model scorers, the
 // lifecycle event counters, and the rolling demand-latency histogram.
 // The serving paths touch only atomics (current-model load plus scorer
-// adds; hint records carry their issuing model's scorer); the mutex
-// guards the model map, which changes only on model publishes.
+// adds; hint records carry their issuing model's scorer index); the
+// mutex guards the model map, which changes only on model publishes.
 type liveScore struct {
 	reg     *obs.Registry
 	win     obs.Window
 	span    time.Duration // the "live" gauge span (Config.LiveWindow)
 	onEvent func(HintEvent)
+	urls    *urlTable // resolves hint records' URL ids
 
 	grader  atomic.Pointer[graderCell]
 	current atomic.Pointer[modelScore]
+	// scorers lists every model's scorer by index, after a nil at index
+	// 0 for records that name no model; it is replaced whole, under mu,
+	// when a model name is first seen.
+	scorers atomic.Pointer[[]*modelScore]
 
 	mu     sync.Mutex
 	models map[string]*modelScore
@@ -125,15 +133,17 @@ type liveScore struct {
 	demandLatency *obs.RollingHistogram
 }
 
-func newLiveScore(reg *obs.Registry, win obs.Window, span time.Duration, onEvent func(HintEvent)) *liveScore {
+func newLiveScore(reg *obs.Registry, win obs.Window, span time.Duration, onEvent func(HintEvent), urls *urlTable) *liveScore {
 	l := &liveScore{
 		reg:           reg,
 		win:           win,
 		span:          span,
 		onEvent:       onEvent,
+		urls:          urls,
 		models:        make(map[string]*modelScore),
 		demandLatency: obs.NewRollingHistogram(win, nil),
 	}
+	l.scorers.Store(&[]*modelScore{nil})
 	for t := 0; t < numHintEvents; t++ {
 		for g := 0; g < numGrades; g++ {
 			l.events[t][g] = reg.Counter("pbppm_hint_events_total",
@@ -180,8 +190,11 @@ func (l *liveScore) setModel(name string) *modelScore {
 	l.mu.Lock()
 	ms := l.models[name]
 	if ms == nil {
-		ms = newModelScore(name, l.win)
+		old := *l.scorers.Load()
+		ms = newModelScore(name, uint32(len(old)), l.win)
 		l.models[name] = ms
+		scorers := append(old[:len(old):len(old)], ms)
+		l.scorers.Store(&scorers)
 		l.registerModelGauges(ms)
 	}
 	l.mu.Unlock()
@@ -216,6 +229,12 @@ func (l *liveScore) registerModelGauges(ms *modelScore) {
 		"Rolling-window traffic increase by model: transferred/useful bytes - 1.",
 		func() float64 { return ms.score.Window(l.span).TrafficIncrease() },
 		model)
+}
+
+// model returns the scorer a hint record names by index: nil for index
+// 0, a record that names no model.
+func (l *liveScore) model(index uint32) *modelScore {
+	return (*l.scorers.Load())[index]
 }
 
 // scorer returns the scorer of the model that issued a hint, falling
@@ -262,13 +281,19 @@ func (l *liveScore) prefetched(at time.Time, model *modelScore, grade popularity
 	}
 }
 
+// recordEvent is the lifecycle event of type t for hint record rec,
+// whose URL is url.
+func (l *liveScore) recordEvent(t HintEventType, client string, rec hintRecord, url string, grade popularity.Grade, now int64) HintEvent {
+	return HintEvent{
+		Type: t, Client: client, URL: url, Model: l.model(rec.model).modelName(),
+		Grade: grade, Probability: rec.prob, Age: time.Duration(now - rec.issued),
+	}
+}
+
 // fetchedHint emits the Fetched lifecycle event for a hint's first
 // prefetch fetch.
-func (l *liveScore) fetchedHint(client string, rec hintRecord, grade popularity.Grade, now int64) {
-	l.emit(HintEvent{
-		Type: HintFetched, Client: client, URL: rec.url, Model: rec.model.modelName(),
-		Grade: grade, Probability: rec.prob, Age: time.Duration(now - rec.issued),
-	})
+func (l *liveScore) fetchedHint(client string, rec hintRecord, url string, grade popularity.Grade, now int64) {
+	l.emit(l.recordEvent(HintFetched, client, rec, url, grade, now))
 }
 
 // hit scores a confirmed prediction. served reports whether the
@@ -277,23 +302,19 @@ func (l *liveScore) fetchedHint(client string, rec hintRecord, grade popularity.
 // demand re-fetch of a hinted URL confirms the prediction without the
 // byte savings.
 func (l *liveScore) hit(client string, rec hintRecord, size int64, served bool, at time.Time, now int64) {
-	grade := l.gradeOf(rec.url)
-	if ms := l.scorer(rec.model); ms != nil && served {
+	url := l.urls.url(rec.url)
+	grade := l.gradeOf(url)
+	if ms := l.scorer(l.model(rec.model)); ms != nil && served {
 		ms.score.Demand(at, size, quality.PrefetchHit)
 		ms.grades.Row(at)[numGrades+int(grade)].Add(1)
 	}
-	l.emit(HintEvent{
-		Type: HintHit, Client: client, URL: rec.url, Model: rec.model.modelName(),
-		Grade: grade, Probability: rec.prob, Age: time.Duration(now - rec.issued),
-	})
+	l.emit(l.recordEvent(HintHit, client, rec, url, grade, now))
 }
 
 // wasted emits the end-of-life event for a fetched-but-never-hit hint.
 func (l *liveScore) wasted(client string, rec hintRecord, now int64) {
-	l.emit(HintEvent{
-		Type: HintWasted, Client: client, URL: rec.url, Model: rec.model.modelName(),
-		Grade: l.gradeOf(rec.url), Probability: rec.prob, Age: time.Duration(now - rec.issued),
-	})
+	url := l.urls.url(rec.url)
+	l.emit(l.recordEvent(HintWasted, client, rec, url, l.gradeOf(url), now))
 }
 
 // issued emits one Issued event per hint model attached to a response.

@@ -28,7 +28,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,9 +105,12 @@ type Config struct {
 	// time.Now. Tests inject a fake clock.
 	Clock func() time.Time
 	// OnSessionEnd, if set, receives each completed access session (a
-	// client context closed by the idle rule or by ExpireSessions).
-	// The maintenance loop uses it to feed its sliding window. It is
-	// called without any server lock held and must not block for long.
+	// client context closed by the idle rule or by ExpireSessions): its
+	// URLs in click order, in a slice of its own that the callee may
+	// keep, each string the one the server's URL table holds (the
+	// content store's own). The maintenance loop uses it to feed its
+	// sliding window. It is called without any server lock held and
+	// must not block for long.
 	OnSessionEnd func(client string, urls []string, last time.Time)
 	// Obs registers the server's runtime metrics (request and latency
 	// counters, hint precision counters) for /metrics exposition. Nil
@@ -195,7 +197,8 @@ type Stats struct {
 	// HintReportsUnmatched counts client prefetch-hit reports that found
 	// no outstanding hint record on this server — evicted hints, ended
 	// sessions, or reports landing on a shard that never issued the hint
-	// after a cluster rebalance.
+	// after a cluster rebalance — and hit reports of either kind for
+	// URLs the content store does not hold, which score nothing.
 	HintReportsUnmatched int64
 }
 
@@ -258,7 +261,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		hintHits: reg.Counter("pbppm_hint_hits_total",
 			"Demand requests for URLs previously hinted to the same client."),
 		reportsUnmatched: reg.Counter("pbppm_hint_reports_unmatched_total",
-			"Client prefetch-hit reports that matched no outstanding hint record — the hint was evicted, its session ended, or (in a cluster) a rebalance moved the client to a shard that never issued it."),
+			"Client prefetch-hit reports that matched no outstanding hint record — the hint was evicted, its session ended, or (in a cluster) a rebalance moved the client to a shard that never issued it — and hit reports for URLs the content store does not hold, which score nothing."),
 		sessionsStarted: reg.Counter("pbppm_sessions_started_total",
 			"Client access sessions opened."),
 		sessionsExpired: reg.Counter("pbppm_sessions_expired_total",
@@ -282,20 +285,6 @@ const contextShards = 64
 // so 16 loses nothing while bounding per-request work for clients that
 // never go idle.
 const predictContextTail = 16
-
-// contextShard is one slice of the per-client session map with its own
-// lock, so concurrent clients hash to different locks.
-type contextShard struct {
-	mu       sync.Mutex
-	contexts map[string]*clientContext
-	// ending tracks in-flight OnSessionEnd deliveries by client: the
-	// channel closes when the ended session's callbacks have run. A
-	// session that ends while its client's previous end is still listed
-	// here waits for that delivery first, so per-client session ends
-	// reach OnSessionEnd in session order even when expiry and a new
-	// request race (see endSession).
-	ending map[string]chan struct{}
-}
 
 // predictorCell boxes the published model so an interface value can sit
 // behind an atomic.Pointer. stream is the model's streaming interface,
@@ -333,6 +322,8 @@ type Server struct {
 	gens atomic.Uint32
 
 	shards [contextShards]contextShard
+	// urls numbers the URLs the shards' session and hint records name.
+	urls *urlTable
 
 	metrics  *serverMetrics
 	tracer   *obs.Tracer
@@ -359,69 +350,6 @@ func (s *Server) hintCap() int {
 	return hintMemory
 }
 
-// hintRecord is one outstanding hint issued to a client: enough state
-// to emit lifecycle events and score a later hit against the model
-// that made the prediction. model is that model's scorer, nil for a
-// record synthesized for an unmatched report (scored against the
-// current model); issued is a server stamp (see Server.now).
-type hintRecord struct {
-	url     string
-	prob    float64
-	model   *modelScore
-	issued  int64
-	fetched bool
-}
-
-// clientContext is one client's open access session, guarded by its
-// shard's lock. urls holds the store's own URL strings (see
-// ServeHTTP); last is the server stamp of the latest demand request.
-type clientContext struct {
-	urls []string
-	last int64
-	// hinted holds recently issued, not-yet-confirmed hint records for
-	// this client, consumed when a demand request or client report for
-	// one arrives.
-	hinted []hintRecord
-	// node is the session's match state in the streaming model published
-	// as generation gen (see streamPredictor); a session whose gen is
-	// not the current model's rebuilds node from its URL tail once. A
-	// number rather than a model pointer, so an idle session pins no
-	// retired model.
-	gen  uint32
-	node uint32
-}
-
-// hintedIndex returns the position of url in ctx.hinted, or -1.
-func (ctx *clientContext) hintedIndex(url string) int {
-	for i := range ctx.hinted {
-		if ctx.hinted[i].url == url {
-			return i
-		}
-	}
-	return -1
-}
-
-// recordHinted remembers the hints model issued at stamp issued,
-// bounded by cap; re-hinted URLs refresh in place (keeping their
-// fetched state). It appends the records dropped over the cap to
-// dropped and returns it, so the caller can emit Wasted events for any
-// that were already fetched once it has released the shard lock.
-func (ctx *clientContext) recordHinted(hints []markov.Prediction, model *modelScore, issued int64, cap int, dropped []hintRecord) []hintRecord {
-	for _, h := range hints {
-		if i := ctx.hintedIndex(h.URL); i >= 0 {
-			r := &ctx.hinted[i]
-			r.prob, r.model, r.issued = h.Probability, model, issued
-			continue
-		}
-		ctx.hinted = append(ctx.hinted, hintRecord{url: h.URL, prob: h.Probability, model: model, issued: issued})
-	}
-	if over := len(ctx.hinted) - cap; over > 0 {
-		dropped = append(dropped, ctx.hinted[:over]...)
-		ctx.hinted = append(ctx.hinted[:0], ctx.hinted[over:]...)
-	}
-	return dropped
-}
-
 // New returns a server over store. It panics on a nil store: a server
 // without content is a programmer error.
 func New(store ContentStore, cfg Config) *Server {
@@ -435,6 +363,7 @@ func New(store ContentStore, cfg Config) *Server {
 		tracer:   cfg.Tracer,
 		identity: NewIdentityPolicy(cfg.TrustedPeers),
 		epoch:    cfg.now(),
+		urls:     newURLTable(),
 	}
 	// The live-scoring rings cover at least an hour (the SLO engine's
 	// long burn-rate window) at a granularity sized for the live span.
@@ -446,12 +375,12 @@ func New(store ContentStore, cfg Config) *Server {
 		Span:        ringSpan,
 		Granularity: cfg.liveWindow() / 30,
 		Clock:       cfg.Clock,
-	}, cfg.liveWindow(), cfg.OnHintEvent)
+	}, cfg.liveWindow(), cfg.OnHintEvent, s.urls)
 	if cfg.Grades != nil {
 		s.live.setGrader(cfg.Grades)
 	}
 	for i := range s.shards {
-		s.shards[i].contexts = make(map[string]*clientContext)
+		s.shards[i].contexts = make(map[string]int32)
 		s.shards[i].ending = make(map[string]chan struct{})
 	}
 	if cfg.Predictor != nil {
@@ -636,24 +565,22 @@ func (s *Server) ServeClient(w http.ResponseWriter, r *http.Request, client stri
 		http.NotFound(w, r)
 		return
 	}
-	// Session contexts and hint records outlive the request, so they
-	// keep the store's copy of the URL: the request path is a substring
-	// of the request line and would pin all of it.
-	url := doc.URL
-	if url != r.URL.Path {
-		url = strings.Clone(r.URL.Path)
-	}
+	// Session and hint records name the URL by its id in the server's
+	// table, which keeps the store's copy of it: the request path is a
+	// substring of the request line and would pin all of it.
+	id := s.urls.intern(r.URL.Path, doc.URL)
+	url := s.urls.url(id)
 
 	isPrefetch := headerValue(r.Header, HeaderPrefetchFetch) != ""
 	var hints []markov.Prediction
 	if isPrefetch {
 		s.metrics.prefetchRequests.Inc()
 		s.metrics.prefetchBytes.Add(int64(len(doc.Body)))
-		s.observePrefetchFetch(client, url, int64(len(doc.Body)), at)
+		s.observePrefetchFetch(client, id, url, int64(len(doc.Body)), at)
 	} else {
 		s.metrics.demandRequests.Inc()
 		s.metrics.demandBytes.Add(int64(len(doc.Body)))
-		hints = s.observeDemand(client, url, int64(len(doc.Body)), at)
+		hints = s.observeDemand(client, id, url, int64(len(doc.Body)), at)
 	}
 
 	// The response header values share one backing array, each cut with
@@ -688,22 +615,22 @@ func (s *Server) ServeClient(w http.ResponseWriter, r *http.Request, client stri
 // observePrefetchFetch credits a hint-driven prefetch against the
 // client's outstanding hints and scores the transfer as prefetch
 // traffic. A prefetch does not open sessions or extend the idle clock.
-func (s *Server) observePrefetchFetch(client, url string, size int64, at time.Time) {
+func (s *Server) observePrefetchFetch(client string, id uint32, url string, size int64, at time.Time) {
 	now := s.stamp(at)
 	sh := s.shard(client)
 	sh.mu.Lock()
-	ctx := sh.contexts[client]
 	var rec hintRecord
 	found, first := false, false
-	if ctx != nil {
+	if i := sh.contexts[client]; i != 0 {
 		// The hint stays outstanding: a later demand click or client
 		// report for it is the prediction coming true.
-		if i := ctx.hintedIndex(url); i >= 0 {
-			if !ctx.hinted[i].fetched {
-				ctx.hinted[i].fetched = true
+		if h, _ := sh.findHint(sh.sessions.at(i), id); h != 0 {
+			r := sh.hints.at(h)
+			if !r.fetched {
+				r.fetched = true
 				first = true
 			}
-			rec = ctx.hinted[i]
+			rec = *r
 			found = true
 		}
 	}
@@ -713,12 +640,12 @@ func (s *Server) observePrefetchFetch(client, url string, size int64, at time.Ti
 	}
 	grade := s.live.gradeOf(url)
 	if first {
-		s.live.fetchedHint(client, rec, grade, now)
+		s.live.fetchedHint(client, rec, url, grade, now)
 	}
 	// Every hint-driven transfer counts as prefetch traffic under its
 	// URL's grade, scored against the model that issued the hint when
 	// we know it.
-	s.live.prefetched(at, rec.model, grade, size)
+	s.live.prefetched(at, s.live.model(rec.model), grade, size)
 }
 
 // ingestReports scores a client's batched local hit outcomes, the
@@ -726,7 +653,10 @@ func (s *Server) observePrefetchFetch(client, url string, size int64, at time.Ti
 // the header entry by entry: a prefetch-hit report closes the matching
 // hint record and scores a PrefetchHit against the issuing model; a
 // cache-hit report scores an ordinary CacheHit. Sizes come from the
-// content store, mirroring what the client's cached copy held.
+// content store, mirroring what the client's cached copy held. A report
+// for a URL the store does not hold names no document this server
+// served or hinted, so it is counted as unmatched and scores nothing:
+// made-up URLs cannot move the live hit ratio or precision.
 func (s *Server) ingestReports(client, header string, at time.Time) {
 	now := s.stamp(at)
 	sh := s.shard(client)
@@ -735,22 +665,22 @@ func (s *Server) ingestReports(client, header string, at time.Time) {
 		if !ok {
 			return
 		}
-		var size int64
-		if doc, ok := s.store.Lookup(url); ok {
-			size = int64(len(doc.Body))
+		doc, ok := s.store.Lookup(url)
+		if !ok {
+			s.metrics.reportsUnmatched.Inc()
+			return
 		}
+		size := int64(len(doc.Body))
 		if outcome == quality.CacheHit {
 			s.live.demand(at, size, quality.CacheHit)
 			return
 		}
+		id := s.urls.intern(url, doc.URL)
 		sh.mu.Lock()
-		rec := hintRecord{url: url, issued: now}
-		matched := false
-		if ctx := sh.contexts[client]; ctx != nil {
-			if i := ctx.hintedIndex(url); i >= 0 {
-				rec = ctx.hinted[i]
-				ctx.hinted = append(ctx.hinted[:i], ctx.hinted[i+1:]...)
-				matched = true
+		rec, matched := hintRecord{url: id, issued: now}, false
+		if i := sh.contexts[client]; i != 0 {
+			if r, ok := sh.takeHint(sh.sessions.at(i), id); ok {
+				rec, matched = r, true
 			}
 		}
 		sh.mu.Unlock()
@@ -783,7 +713,7 @@ var predBufPool = sync.Pool{
 // and store lookups run lock-free. A streaming model advances the
 // session's match state by this one URL under the lock; any other model
 // gets a snapshot of the context tail.
-func (s *Server) observeDemand(client, url string, size int64, at time.Time) []markov.Prediction {
+func (s *Server) observeDemand(client string, id uint32, url string, size int64, at time.Time) []markov.Prediction {
 	span := s.tracer.Start()
 	now := s.stamp(at)
 	// Every demand request that reaches the server is a miss in the
@@ -793,35 +723,30 @@ func (s *Server) observeDemand(client, url string, size int64, at time.Time) []m
 	cell := s.pred.Load()
 	sh := s.shard(client)
 	sh.mu.Lock()
-	ctx := sh.contexts[client]
-	var ended *clientContext
+	i := sh.contexts[client]
+	var ended endedSession
 	var endPrev, endDone chan struct{}
-	if ctx == nil || now-ctx.last > int64(s.cfg.idle()) {
-		if ctx != nil {
-			ended = ctx
+	if i == 0 || now-sh.sessions.at(i).last > int64(s.cfg.idle()) {
+		if i != 0 {
 			endPrev, endDone = sh.endSession(client)
+			ended = sh.close(i, s.urls, s.cfg.OnSessionEnd != nil)
 		}
-		ctx = &clientContext{}
-		sh.contexts[client] = ctx
+		i = sh.open()
+		sh.contexts[client] = i
 		s.metrics.sessionsStarted.Inc()
 	}
+	ctx := sh.sessions.at(i)
 	// A demand click on a previously hinted URL confirms the prediction;
 	// consume the hint so one issuance counts at most one hit.
-	hintHit := false
-	var hitRec hintRecord
-	if i := ctx.hintedIndex(url); i >= 0 {
-		hitRec = ctx.hinted[i]
-		ctx.hinted = append(ctx.hinted[:i], ctx.hinted[i+1:]...)
-		hintHit = true
-	}
-	ctx.urls = append(ctx.urls, url)
+	hitRec, hintHit := sh.takeHint(ctx, id)
+	sh.appendURL(ctx, id)
 	ctx.last = now
 	span.Mark(obs.StageSession)
 	// Only the trailing predictContextTail URLs reach the model: every
 	// shipped model matches at most its branch height (≤ 7 URLs), so
 	// this keeps the hot path O(1) even for marathon sessions while the
 	// full session is still recorded for OnSessionEnd training.
-	tail := ctx.urls
+	tail := sh.runOf(ctx)
 	if len(tail) > predictContextTail {
 		tail = tail[len(tail)-predictContextTail:]
 	}
@@ -831,9 +756,9 @@ func (s *Server) observeDemand(client, url string, size int64, at time.Time) []m
 	case cell == nil:
 	case cell.stream == nil:
 		// Snapshot the tail so prediction runs without the shard lock (a
-		// concurrent request from the same client may append to
-		// ctx.urls).
-		snapshot = append([]string(nil), tail...)
+		// concurrent request from the same client may append to the
+		// session).
+		snapshot = s.urls.urlsOf(tail)
 	case ctx.gen == cell.gen:
 		ctx.node = cell.stream.Step(ctx.node, url, predictContextTail)
 		node = ctx.node
@@ -842,7 +767,7 @@ func (s *Server) observeDemand(client, url string, size int64, at time.Time) []m
 		// request: rebuild the match state from the tail once.
 		ctx.node = 0
 		for _, u := range tail {
-			ctx.node = cell.stream.Step(ctx.node, u, predictContextTail)
+			ctx.node = cell.stream.Step(ctx.node, s.urls.url(u), predictContextTail)
 		}
 		ctx.gen = cell.gen
 		node = ctx.node
@@ -856,7 +781,7 @@ func (s *Server) observeDemand(client, url string, size int64, at time.Time) []m
 		// hit without the byte savings — already scored as a Miss above.
 		s.live.hit(client, hitRec, size, false, at, now)
 	}
-	if ended != nil {
+	if endDone != nil {
 		s.deliverSessionEnd(sh, client, ended, endPrev, endDone, now)
 	}
 	span.Mark(obs.StageContext)
@@ -875,25 +800,29 @@ func (s *Server) observeDemand(client, url string, size int64, at time.Time) []m
 	span.Mark(obs.StagePredict)
 	// Filter into a fresh slice: preds lives in pooled scratch that the
 	// next request will overwrite (the markov.BufferedPredictor contract
-	// says the result reuses buf's storage), while the hints escape into
-	// the client context. Compacting in place over preds[:0] and handing
-	// that out would let a recycled buffer corrupt an earlier response.
+	// says the result reuses buf's storage), while the hints go out in
+	// the response. Compacting in place over preds[:0] and handing that
+	// out would let a recycled buffer corrupt an earlier response. recs
+	// holds the hints as the records the session keeps; at the default
+	// hint count they fit the stack buffer.
 	limit := s.cfg.maxHints()
 	if limit > len(preds) {
 		limit = len(preds)
 	}
 	out := make([]markov.Prediction, 0, limit)
+	var recBuf [4]hintRecord
+	recs := recBuf[:0]
 	for _, p := range preds {
 		doc, ok := s.store.Lookup(p.URL)
 		if !ok || len(doc.Body) > maxHintBytes {
 			continue
 		}
-		// The hint record outlives the model snapshot; keep the store's
-		// copy of the URL rather than one pointing into the model.
-		if doc.URL == p.URL {
-			p.URL = doc.URL
-		}
+		hid := s.urls.intern(p.URL, doc.URL)
+		// Hand out the table's copy of the URL rather than one pointing
+		// into the model.
+		p.URL = s.urls.url(hid)
 		out = append(out, p)
+		recs = append(recs, hintRecord{url: hid, prob: p.Probability, model: cell.score.index, issued: now})
 		if len(out) == limit {
 			break
 		}
@@ -904,14 +833,15 @@ func (s *Server) observeDemand(client, url string, size int64, at time.Time) []m
 	if len(out) > 0 {
 		// Remember what was hinted so later requests can close the
 		// precision loop. Re-locking is required — prediction above ran
-		// without the shard lock — and the context is re-fetched because
-		// an expiry may have removed it meanwhile. At the default hint
-		// count the records dropped over the cap fit the stack buffer.
+		// without the shard lock — and the record is looked up again
+		// because an expiry may have closed the session meanwhile. At the
+		// default hint count the records dropped over the cap fit the
+		// stack buffer.
 		var dropBuf [4]hintRecord
 		dropped := dropBuf[:0]
 		sh.mu.Lock()
-		if ctx := sh.contexts[client]; ctx != nil {
-			dropped = ctx.recordHinted(out, cell.score, now, s.hintCap(), dropped)
+		if i := sh.contexts[client]; i != 0 {
+			dropped = sh.recordHinted(sh.sessions.at(i), recs, s.hintCap(), dropped)
 		}
 		sh.mu.Unlock()
 		s.live.issued(client, cell.score, out)
@@ -939,24 +869,11 @@ func (s *Server) contextURLs(client string) []string {
 	sh := s.shard(client)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	ctx := sh.contexts[client]
-	if ctx == nil {
+	i := sh.contexts[client]
+	if i == 0 {
 		return nil
 	}
-	return append([]string(nil), ctx.urls...)
-}
-
-// endSession registers the end of client's open session, whose context
-// the caller (holding sh.mu) is removing: done is the channel the end's
-// delivery closes, and prev the client's previous end delivery if it is
-// still in flight. An end waits for its predecessor's, so chaining each
-// end onto the one listed when it is registered keeps every client's
-// ends in session order.
-func (sh *contextShard) endSession(client string) (prev, done chan struct{}) {
-	prev = sh.ending[client]
-	done = make(chan struct{})
-	sh.ending[client] = done
-	return prev, done
+	return s.urls.urlsOf(sh.runOf(sh.sessions.at(i)))
 }
 
 // deliverSessionEnd runs a closed session's callbacks — Wasted hint
@@ -966,7 +883,7 @@ func (sh *contextShard) endSession(client string) (prev, done chan struct{}) {
 // and closes done afterwards so the client's next end waits on this
 // one. The registration in sh.ending is cleaned up unless a later end
 // has already replaced it.
-func (s *Server) deliverSessionEnd(sh *contextShard, client string, ctx *clientContext, prev, done chan struct{}, now int64) {
+func (s *Server) deliverSessionEnd(sh *contextShard, client string, e endedSession, prev, done chan struct{}, now int64) {
 	defer func() {
 		close(done)
 		sh.mu.Lock()
@@ -978,36 +895,38 @@ func (s *Server) deliverSessionEnd(sh *contextShard, client string, ctx *clientC
 	if prev != nil {
 		<-prev
 	}
-	s.wasteHints(client, ctx.hinted, now)
+	s.wasteHints(client, e.wasted, now)
 	if s.cfg.OnSessionEnd != nil {
-		s.cfg.OnSessionEnd(client, ctx.urls, s.timeAt(ctx.last))
+		s.cfg.OnSessionEnd(client, e.urls, s.timeAt(e.last))
 	}
 }
 
-// endedCtx is one context removed from its shard, awaiting callback
+// endedCtx is one session closed in its shard, awaiting callback
 // delivery outside the shard lock.
 type endedCtx struct {
 	sh         *contextShard
 	client     string
-	ctx        *clientContext
+	end        endedSession
 	prev, done chan struct{}
 }
 
-// removeSessions removes every context matching keep==false from the
-// shards and returns them registered for ordered end delivery; the
-// caller delivers them without any lock held.
+// removeSessions closes every session matching expire in the shards and
+// returns them registered for ordered end delivery; the caller delivers
+// them without any lock held.
 func (s *Server) removeSessions(expire func(*clientContext) bool) []endedCtx {
 	var ended []endedCtx
+	withURLs := s.cfg.OnSessionEnd != nil
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for c, ctx := range sh.contexts {
-			if expire(ctx) {
+		for c, rec := range sh.contexts {
+			if expire(sh.sessions.at(rec)) {
 				delete(sh.contexts, c)
 				prev, done := sh.endSession(c)
-				ended = append(ended, endedCtx{sh: sh, client: c, ctx: ctx, prev: prev, done: done})
+				ended = append(ended, endedCtx{sh: sh, client: c, end: sh.close(rec, s.urls, withURLs), prev: prev, done: done})
 			}
 		}
+		sh.shrink()
 		sh.mu.Unlock()
 	}
 	return ended
@@ -1026,7 +945,7 @@ func (s *Server) ExpireSessions() int {
 	})
 	s.metrics.sessionsExpired.Add(int64(len(ended)))
 	for _, e := range ended {
-		s.deliverSessionEnd(e.sh, e.client, e.ctx, e.prev, e.done, now)
+		s.deliverSessionEnd(e.sh, e.client, e.end, e.prev, e.done, now)
 	}
 	return len(ended)
 }
@@ -1041,7 +960,7 @@ func (s *Server) FlushSessions() int {
 	ended := s.removeSessions(func(*clientContext) bool { return true })
 	s.metrics.sessionsExpired.Add(int64(len(ended)))
 	for _, e := range ended {
-		s.deliverSessionEnd(e.sh, e.client, e.ctx, e.prev, e.done, now)
+		s.deliverSessionEnd(e.sh, e.client, e.end, e.prev, e.done, now)
 	}
 	return len(ended)
 }
@@ -1064,9 +983,10 @@ func (s *Server) OpenSessions() []OpenSession {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for c, ctx := range sh.contexts {
+		for c, rec := range sh.contexts {
+			ctx := sh.sessions.at(rec)
 			out = append(out, OpenSession{
-				Client: c, URLs: len(ctx.urls), Hints: len(ctx.hinted), Last: s.timeAt(ctx.last),
+				Client: c, URLs: int(ctx.n), Hints: int(ctx.hints), Last: s.timeAt(ctx.last),
 			})
 		}
 		sh.mu.Unlock()

@@ -409,7 +409,8 @@ func TestHintFilteringDoesNotMutatePredictorSlice(t *testing.T) {
 	pred := &sharedBufferPredictor{buf: make([]markov.Prediction, len(fresh)), fresh: fresh}
 	srv := New(testStore(), Config{Predictor: pred})
 
-	hints := srv.observeDemand("alice", "/home", 0, time.Now())
+	home := srv.urls.intern("/home", "/home")
+	hints := srv.observeDemand("alice", home, "/home", 0, time.Now())
 	if len(hints) != 2 || hints[0].URL != "/news" || hints[1].URL != "/sports" {
 		t.Fatalf("hints = %+v", hints)
 	}
@@ -420,7 +421,7 @@ func TestHintFilteringDoesNotMutatePredictorSlice(t *testing.T) {
 		}
 	}
 	// A second request through the same backing array sees intact data.
-	hints2 := srv.observeDemand("bob", "/home", 0, time.Now())
+	hints2 := srv.observeDemand("bob", home, "/home", 0, time.Now())
 	if len(hints2) != 2 || hints2[0].URL != "/news" || hints2[1].URL != "/sports" {
 		t.Errorf("second batch corrupted: %+v", hints2)
 	}

@@ -108,10 +108,7 @@ func TestSessionAcrossModelSwapMatchesFreshSession(t *testing.T) {
 	}{{a.Freeze(), 1}, {b.Freeze(), 5}, {blended.Freeze(), 5}, {top, 1}, {a.Freeze(), 1}}
 	srv := New(store, Config{MaxHints: 8})
 	state := func(client string) (gen, node uint32) {
-		sh := srv.shard(client)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		ctx := sh.contexts[client]
+		ctx, _, _, _ := openSession(srv, client)
 		return ctx.gen, ctx.node
 	}
 	seq := []string{"/p0", "/p1"}
