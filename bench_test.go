@@ -70,8 +70,9 @@ func BenchmarkFigure2(b *testing.B) {
 
 // BenchmarkEvaluationNASA regenerates the §4 evaluation on the
 // NASA-like workload from one sweep over 1–7 training days: Figure 3's
-// hit ratios and latency reductions, Table 1's node counts, and
-// Figure 4's space growth and traffic increments.
+// hit ratios and latency reductions, Table 1's node counts, Figure 4's
+// space growth and traffic increments, and the related-work Top-10
+// baseline on the last split.
 func BenchmarkEvaluationNASA(b *testing.B) {
 	benchEvaluation(b, nasaWorkload(b))
 }
@@ -102,6 +103,7 @@ func benchEvaluation(b *testing.B, w *experiments.Workload) {
 		b.ReportMetric(e.NodeRatio(last), "LRS/PB-nodes")
 		b.ReportMetric(e.TrafficIncrease(last, experiments.ModelLRS), "LRS-traffic")
 		b.ReportMetric(e.TrafficIncrease(last, experiments.ModelPB), "PB-traffic")
+		b.ReportMetric(e.HitRatio(last, experiments.ModelTop10), "Top10-hit")
 	}
 }
 
@@ -414,20 +416,6 @@ func BenchmarkParseCLF(b *testing.B) {
 	}
 }
 
-// BenchmarkBaselinesTop10 regenerates the related-work comparison:
-// context-free Top-10 pushing vs the three context models.
-func BenchmarkBaselinesTop10(b *testing.B) {
-	w := nasaWorkload(b)
-	for i := 0; i < b.N; i++ {
-		bl, err := experiments.RunBaselines(w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(bl.Result(experiments.ModelTop10).HitRatio(), "Top10-hit")
-		b.ReportMetric(bl.Result(experiments.ModelPB).HitRatio(), "PB-hit")
-	}
-}
-
 // BenchmarkAblationCachePolicy compares LRU vs GDSF browser caches.
 func BenchmarkAblationCachePolicy(b *testing.B) {
 	w := nasaWorkload(b)
@@ -466,7 +454,8 @@ func BenchmarkAblationOnlineTraining(b *testing.B) {
 	}
 }
 
-// BenchmarkMaintenance runs the static-vs-daily-rebuild study.
+// BenchmarkMaintenance runs the maintenance study: static, daily
+// rebuilds and delta merges.
 func BenchmarkMaintenance(b *testing.B) {
 	w := nasaWorkload(b)
 	for i := 0; i < b.N; i++ {

@@ -145,14 +145,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	var p tracegen.Profile
-	switch *profile {
-	case "nasa":
-		p = tracegen.NASA()
-	case "ucbcs":
-		p = tracegen.UCBCS()
-	default:
-		return usage("unknown profile %q", *profile)
+	p, err := tracegen.ProfileNamed(*profile)
+	if err != nil {
+		return usage("%v", err)
 	}
 	clusterCounts, err := parseClusterCounts(*clusterSweep, *clusterN)
 	if err != nil {
@@ -216,7 +211,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	reg := obs.NewRegistry()
 	if *selfAdmin != "" {
-		mux := obs.NewAdminMux(reg, nil)
+		mux := obs.NewAdminMux(reg)
 		go func() {
 			if err := http.ListenAndServe(*selfAdmin, mux); err != nil {
 				logf("self-admin: %v", err)

@@ -146,14 +146,9 @@ func newApp(cfg appConfig, logger *slog.Logger) (*app, error) {
 	}
 	a := &app{cfg: cfg, log: obs.Component(logger, "prefetchd")}
 
-	var p tracegen.Profile
-	switch cfg.profileName {
-	case "nasa":
-		p = tracegen.NASA()
-	case "ucbcs":
-		p = tracegen.UCBCS()
-	default:
-		return nil, fmt.Errorf("unknown profile %q", cfg.profileName)
+	p, err := tracegen.ProfileNamed(cfg.profileName)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.pages > 0 {
 		p.Pages = cfg.pages
@@ -285,7 +280,7 @@ func newApp(cfg appConfig, logger *slog.Logger) (*app, error) {
 	mux.Handle("/", a.serve)
 	a.web = &http.Server{Handler: mux}
 
-	admin := obs.NewAdminMux(a.reg, nil)
+	admin := obs.NewAdminMux(a.reg)
 	if a.fol == nil {
 		// Publisher role: offer every published model (warm build, delta
 		// merges, compactions) to out-of-process followers.

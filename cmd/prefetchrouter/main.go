@@ -107,7 +107,7 @@ func run(ctx context.Context, addr, adminAddr, backends, trustedPeers string, lo
 	var admin *http.Server
 	var adminLn net.Listener
 	if adminAddr != "" {
-		admin = &http.Server{Handler: obs.NewAdminMux(reg, nil)}
+		admin = &http.Server{Handler: obs.NewAdminMux(reg)}
 		if adminLn, err = net.Listen("tcp", adminAddr); err != nil {
 			webLn.Close()
 			return fmt.Errorf("binding admin %s: %w", adminAddr, err)

@@ -35,6 +35,7 @@ import (
 	"pbppm/internal/sim"
 	"pbppm/internal/topn"
 	"pbppm/internal/trace"
+	"pbppm/internal/tracegen"
 )
 
 func main() {
@@ -224,12 +225,9 @@ func loadWorkload(file, profileName string) (*experiments.Workload, error) {
 		}
 		return experiments.NewWorkload(file, tr)
 	}
-	switch profileName {
-	case "nasa":
-		return experiments.NASAWorkload()
-	case "ucbcs":
-		return experiments.UCBWorkload()
-	default:
-		return nil, fmt.Errorf("unknown profile %q (want nasa or ucbcs)", profileName)
+	p, err := tracegen.ProfileNamed(profileName)
+	if err != nil {
+		return nil, err
 	}
+	return experiments.FromProfile(p)
 }

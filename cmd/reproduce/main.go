@@ -59,9 +59,7 @@ var experimentRuns = []experiment{
 	{"fig5", func(w *experiments.Workload) (artifact, error) {
 		return experiments.RunFigure5(w, experiments.Figure5Config{})
 	}},
-	{"baselines", func(w *experiments.Workload) (artifact, error) { return experiments.RunBaselines(w) }},
 	{"maintenance", func(w *experiments.Workload) (artifact, error) { return experiments.RunMaintenance(w) }},
-	{"maintenance-cost", func(w *experiments.Workload) (artifact, error) { return experiments.RunMaintenanceCost(w) }},
 }
 
 // knownExperiment reports whether exp is a valid -exp value.
@@ -190,12 +188,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 }
 
 func buildWorkload(name, scale string) (*experiments.Workload, error) {
-	var p tracegen.Profile
-	switch name {
-	case "nasa":
-		p = tracegen.NASA()
-	case "ucbcs":
-		p = tracegen.UCBCS()
+	p, err := tracegen.ProfileNamed(name)
+	if err != nil {
+		return nil, err
 	}
 	if scale == "small" {
 		p.Days = 4

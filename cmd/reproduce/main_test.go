@@ -11,7 +11,8 @@ import (
 
 // TestUsageErrorsExitBeforeBuilding: an unknown experiment, workload or
 // scale exits 2 at once, without building a workload. The names of the
-// three sweeps the eval experiment replaced, and of the deleted
+// experiments folded into others (the three sweeps and the baselines
+// now in eval, maintenance-cost now in maintenance), and of the deleted
 // predict-bench, are unknown too.
 func TestUsageErrorsExitBeforeBuilding(t *testing.T) {
 	for _, args := range [][]string{
@@ -22,6 +23,8 @@ func TestUsageErrorsExitBeforeBuilding(t *testing.T) {
 		{"-exp", "table", "-scale", "small", "-workload", "nasa"},
 		{"-exp", "fig4", "-scale", "small", "-workload", "nasa"},
 		{"-exp", "predict-bench", "-scale", "small", "-workload", "nasa"},
+		{"-exp", "baselines", "-scale", "small", "-workload", "nasa"},
+		{"-exp", "maintenance-cost", "-scale", "small", "-workload", "nasa"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := realMain(args, &stdout, &stderr); code != 2 {

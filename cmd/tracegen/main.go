@@ -38,14 +38,9 @@ func realMain() int {
 	prof.Register(flag.CommandLine)
 	flag.Parse()
 
-	var p tracegen.Profile
-	switch *profileName {
-	case "nasa":
-		p = tracegen.NASA()
-	case "ucbcs":
-		p = tracegen.UCBCS()
-	default:
-		fmt.Fprintf(os.Stderr, "tracegen: unknown profile %q (want nasa or ucbcs)\n", *profileName)
+	p, err := tracegen.ProfileNamed(*profileName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
 		return 2
 	}
 	if *days > 0 {

@@ -28,6 +28,13 @@ func pb(cfg core.Config) maintain.Factory {
 	return func(rank *popularity.Ranking) markov.Predictor { return core.New(rank, cfg) }
 }
 
+// paperPB is the factory of the PB-PPM every figure evaluates: the
+// paper's 1% relative-probability cut, and the workload's choice of the
+// absolute-count cut.
+func paperPB(w *Workload) maintain.Factory {
+	return pb(core.Config{RelProbCutoff: 0.01, DropSingletons: w.DropSingletons})
+}
+
 // runAblation evaluates each variant on the last-day split: it trains
 // the variant's model on every day but the last, then replays the last
 // day twice under the variant's options, once with the model and once
@@ -144,7 +151,7 @@ func RunAblationHeights(w *Workload) (*Ablation, error) {
 // duplicated popular-node links.
 func RunAblationLinks(w *Workload) (*Ablation, error) {
 	return runAblation(w, "popular-links", []variant{
-		{"with links (rule 3)", pb(core.Config{RelProbCutoff: 0.01, DropSingletons: w.DropSingletons}), pbOptions},
+		{"with links (rule 3)", paperPB(w), pbOptions},
 		{"without links", pb(core.Config{DisableLinks: true, RelProbCutoff: 0.01, DropSingletons: w.DropSingletons}), pbOptions},
 	})
 }
@@ -153,7 +160,7 @@ func RunAblationLinks(w *Workload) (*Ablation, error) {
 // popularity-aware GDSF (its reference [16]) for the browser caches
 // under PB-PPM prefetching.
 func RunAblationCachePolicy(w *Workload) (*Ablation, error) {
-	model := pb(core.Config{RelProbCutoff: 0.01, DropSingletons: w.DropSingletons})
+	model := paperPB(w)
 	return runAblation(w, "cache-policy", []variant{
 		{"LRU (paper)", model, sim.Options{MaxPrefetchBytes: sim.PBMaxPrefetchBytes, CachePolicy: sim.PolicyLRU}},
 		{"GDSF (popularity-aware)", model, sim.Options{MaxPrefetchBytes: sim.PBMaxPrefetchBytes, CachePolicy: sim.PolicyGDSF}},
@@ -179,7 +186,7 @@ func RunAblationBlending(w *Workload) (*Ablation, error) {
 // deployment with a model that also keeps learning from the test day's
 // completed sessions (sim.Options.OnlineTraining).
 func RunAblationOnlineTraining(w *Workload) (*Ablation, error) {
-	model := pb(core.Config{RelProbCutoff: 0.01, DropSingletons: w.DropSingletons})
+	model := paperPB(w)
 	return runAblation(w, "online-training", []variant{
 		{"frozen after training (paper)", model, pbOptions},
 		{"online updates during test day", model, sim.Options{MaxPrefetchBytes: sim.PBMaxPrefetchBytes, OnlineTraining: true}},

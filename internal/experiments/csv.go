@@ -18,9 +18,7 @@ var (
 	_ CSVWriter = (*Evaluation)(nil)
 	_ CSVWriter = (*Figure5)(nil)
 	_ CSVWriter = (*Ablation)(nil)
-	_ CSVWriter = (*Baselines)(nil)
 	_ CSVWriter = (*Maintenance)(nil)
-	_ CSVWriter = (*MaintenanceCost)(nil)
 )
 
 func writeAll(w io.Writer, rows [][]string) error {
@@ -52,13 +50,17 @@ func (fig *Figure2) WriteCSV(w io.Writer) error {
 // WriteCSV emits days,model,hit_ratio,latency_reduction,nodes,traffic_increase
 // rows. The no-prefetch baseline has no model, and the traffic
 // increments are measured against it, so its last two cells are empty.
+// Top-10 follows the baseline on the one row that ran it.
 func (e *Evaluation) WriteCSV(w io.Writer) error {
 	rows := [][]string{{"days", "model", "hit_ratio", "latency_reduction", "nodes", "traffic_increase"}}
 	for i, r := range e.Rows {
 		day := strconv.Itoa(r.TrainDays)
 		rows = append(rows, []string{day, ModelNone,
 			f(e.HitRatio(i, ModelNone)), f(e.LatencyReduction(i, ModelNone)), "", ""})
-		for _, m := range []string{ModelPPM, ModelLRS, ModelPB} {
+		for _, m := range []string{ModelTop10, ModelPPM, ModelLRS, ModelPB} {
+			if _, ok := r.Results[m]; !ok {
+				continue
+			}
 			rows = append(rows, []string{day, m,
 				f(e.HitRatio(i, m)), f(e.LatencyReduction(i, m)),
 				strconv.Itoa(e.Nodes(i, m)), f(e.TrafficIncrease(i, m)),
@@ -94,41 +96,25 @@ func (a *Ablation) WriteCSV(w io.Writer) error {
 	return writeAll(w, rows)
 }
 
-// WriteCSV emits model,hit_ratio,traffic_increase,nodes rows.
-func (b *Baselines) WriteCSV(w io.Writer) error {
-	rows := [][]string{{"model", "hit_ratio", "traffic_increase", "nodes"}}
-	for _, r := range b.Results {
-		rows = append(rows, []string{
-			r.Model, f(r.HitRatio()), f(r.TrafficIncrease()), strconv.Itoa(r.Nodes),
-		})
-	}
-	return writeAll(w, rows)
-}
-
-// WriteCSV emits per-day update costs and replay quality for the two
-// maintenance paths.
-func (m *MaintenanceCost) WriteCSV(w io.Writer) error {
-	rows := [][]string{{"day", "delta_seconds", "rebuild_seconds", "delta_hit", "rebuild_hit", "delta_nodes", "rebuild_nodes"}}
-	for i, d := range m.Days {
-		rows = append(rows, []string{
-			strconv.Itoa(d),
-			f(m.DeltaSeconds[i]), f(m.RebuildSeconds[i]),
-			f(m.Delta[i].HitRatio()), f(m.Rebuilt[i].HitRatio()),
-			strconv.Itoa(m.Delta[i].Nodes), strconv.Itoa(m.Rebuilt[i].Nodes),
-		})
-	}
-	return writeAll(w, rows)
-}
-
-// WriteCSV emits day,static_hit,daily_hit,static_nodes,daily_nodes rows.
+// WriteCSV emits one row per evaluation day: day, static_hit,
+// daily_hit, static_nodes, daily_nodes, rebuild_seconds, then
+// delta_seconds, delta_hit and delta_nodes, which are empty on the
+// first day, before the delta path's first update.
 func (m *Maintenance) WriteCSV(w io.Writer) error {
-	rows := [][]string{{"day", "static_hit", "daily_hit", "static_nodes", "daily_nodes"}}
+	rows := [][]string{{"day", "static_hit", "daily_hit", "static_nodes", "daily_nodes",
+		"rebuild_seconds", "delta_seconds", "delta_hit", "delta_nodes"}}
+	off := len(m.Days) - len(m.Delta)
 	for i, d := range m.Days {
-		rows = append(rows, []string{
+		row := []string{
 			strconv.Itoa(d),
 			f(m.Static[i].HitRatio()), f(m.Daily[i].HitRatio()),
 			strconv.Itoa(m.Static[i].Nodes), strconv.Itoa(m.Daily[i].Nodes),
-		})
+			f(m.RebuildSeconds[i]), "", "", "",
+		}
+		if j := i - off; j >= 0 {
+			row[6], row[7], row[8] = f(m.DeltaSeconds[j]), f(m.Delta[j].HitRatio()), strconv.Itoa(m.Delta[j].Nodes)
+		}
+		rows = append(rows, row)
 	}
 	return writeAll(w, rows)
 }

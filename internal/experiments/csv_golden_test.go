@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -48,6 +49,26 @@ func goldenDayResults(models []string) []DayResult {
 	return rows
 }
 
+// Row selections of the merged CSVs: Figure 3 shows the evaluation's
+// rows without Top-10, the space table and Figure 4 its context models
+// only; the maintenance cost table starts at the delta path's first
+// update.
+var (
+	sweepRows     = func(cell map[string]string) bool { return cell["model"] != ModelTop10 }
+	contextModels = func(cell map[string]string) bool { return sweepRows(cell) && cell["model"] != ModelNone }
+	deltaDays     = func(cell map[string]string) bool { return cell["delta_hit"] != "" }
+)
+
+// relatedWork projects the rows of an evaluation CSV's split with days
+// training days, the one that ran Top-10, onto the related-work
+// table, where the no-prefetch run's empty model size and traffic
+// increase read zero.
+func relatedWork(src CSVWriter, days int) projection {
+	return projection{src, []string{"model", "hit_ratio", "traffic_increase", "nodes"},
+		func(cell map[string]string) bool { return cell["days"] == strconv.Itoa(days) },
+		map[string]string{"nodes": "0", "traffic_increase": f(0)}}
+}
+
 // goldenArtifacts returns every experiment artifact filled with
 // deterministic values, keyed by golden-file stem.
 func goldenArtifacts() map[string]CSVWriter {
@@ -61,42 +82,46 @@ func goldenArtifacts() map[string]CSVWriter {
 		}
 		fig5.Results = append(fig5.Results, res)
 	}
+	sweep[len(sweep)-1].Results[ModelTop10] = goldenResult(ModelTop10, 7)
 	eval := &Evaluation{Workload: "golden", Rows: sweep}
+	maint := &Maintenance{Workload: "golden", Days: []int{1, 2, 3},
+		Static:         []metrics.Result{goldenResult(ModelPB, 1), goldenResult(ModelPB, 2), goldenResult(ModelPB, 3)},
+		Daily:          []metrics.Result{goldenResult(ModelPB, 3), goldenResult(ModelPB, 4), goldenResult(ModelPB, 5)},
+		RebuildSeconds: []float64{0.125, 0.25, 0.5},
+		Delta:          []metrics.Result{goldenResult(ModelPB, 1), goldenResult(ModelPB, 2)},
+		DeltaSeconds:   []float64{0.0125, 0.015625},
+	}
 	return map[string]CSVWriter{
 		"figure2":    &Figure2{Workload: "golden", Rows: sweep},
 		"evaluation": eval,
-		"figure3":    projection{eval, []string{"days", "model", "hit_ratio", "latency_reduction"}},
-		"table":      projection{eval, []string{"days", "model", "nodes"}},
-		"figure4":    projection{eval, []string{"days", "model", "nodes", "traffic_increase"}},
+		"figure3":    projection{eval, []string{"days", "model", "hit_ratio", "latency_reduction"}, sweepRows, nil},
+		"table":      projection{eval, []string{"days", "model", "nodes"}, contextModels, nil},
+		"figure4":    projection{eval, []string{"days", "model", "nodes", "traffic_increase"}, contextModels, nil},
+		"baselines":  relatedWork(eval, 3),
 		"figure5":    fig5,
 		"ablation": &Ablation{Name: "golden", Workload: "golden", Rows: []AblationRow{
 			{Label: "baseline", Result: goldenResult(ModelPB, 1), LatencyReduction: 0.20},
 			{Label: "variant", Result: goldenResult(ModelPB, 2), LatencyReduction: 0.25},
 		}},
-		"baselines": &Baselines{Workload: "golden", Results: []metrics.Result{
-			goldenResult(ModelNone, 1), goldenResult(ModelTop10, 2), goldenResult(ModelPB, 3),
-		}},
-		"maintenance": &Maintenance{Workload: "golden", Days: []int{1, 2},
-			Static: []metrics.Result{goldenResult(ModelPB, 1), goldenResult(ModelPB, 2)},
-			Daily:  []metrics.Result{goldenResult(ModelPB, 3), goldenResult(ModelPB, 4)},
-		},
-		"maintenance-cost": &MaintenanceCost{Workload: "golden", Days: []int{2, 3},
-			DeltaSeconds:   []float64{0.0125, 0.015625},
-			RebuildSeconds: []float64{0.25, 0.5},
-			Delta:          []metrics.Result{goldenResult(ModelPB, 1), goldenResult(ModelPB, 2)},
-			Rebuilt:        []metrics.Result{goldenResult(ModelPB, 3), goldenResult(ModelPB, 4)},
-		},
+		"maintenance": maint,
+		"maintenance-cost": projection{maint, []string{"day", "delta_seconds", "rebuild_seconds",
+			"delta_hit", "daily_hit", "delta_nodes", "daily_nodes"}, deltaDays, nil},
 	}
 }
 
-// projection writes the named columns of an artifact's CSV and skips
-// the rows where any of them is empty. Figure 3, the space table and
-// Figure 4 are panels of the one Evaluation CSV; projecting it onto each
-// panel's columns must give back that panel's own golden file, so the
-// merged export keeps every cell the three used to write.
+// projection writes the named columns of an artifact's CSV for the
+// source rows that keeps selects, and writes an empty source cell as
+// its column's entry in blank. Figure 3, the space table and Figure 4
+// are panels of the one Evaluation CSV, and the related-work baseline
+// its last split; the maintenance cost table is part of the
+// maintenance CSV. Projecting a CSV onto each view must give back that
+// view's own golden file, so the merged export keeps every cell the
+// separate ones used to write.
 type projection struct {
-	src  CSVWriter
-	cols []string
+	src   CSVWriter
+	cols  []string
+	keeps func(cell map[string]string) bool
+	blank map[string]string
 }
 
 func (p projection) WriteCSV(w io.Writer) error {
@@ -108,21 +133,25 @@ func (p projection) WriteCSV(w io.Writer) error {
 	if err != nil || len(rows) == 0 {
 		return fmt.Errorf("projection: source CSV: %v (%d rows)", err, len(rows))
 	}
-	idx := make([]int, len(p.cols))
-	for i, c := range p.cols {
-		if idx[i] = slices.Index(rows[0], c); idx[i] < 0 {
+	for _, c := range p.cols {
+		if !slices.Contains(rows[0], c) {
 			return fmt.Errorf("projection: no column %q in %v", c, rows[0])
 		}
 	}
 	out := [][]string{p.cols}
-next:
 	for _, r := range rows[1:] {
-		row := make([]string, len(idx))
-		for i, j := range idx {
-			if r[j] == "" {
-				continue next
+		cell := make(map[string]string, len(r))
+		for j, c := range rows[0] {
+			cell[c] = r[j]
+		}
+		if !p.keeps(cell) {
+			continue
+		}
+		row := make([]string, len(p.cols))
+		for i, c := range p.cols {
+			if row[i] = cell[c]; row[i] == "" {
+				row[i] = p.blank[c]
 			}
-			row[i] = r[j]
 		}
 		out = append(out, row)
 	}
@@ -138,16 +167,17 @@ var wantShape = map[string]struct {
 }{
 	"figure2": {[]string{"days", "model", "popular_share", "utilization"}, 9},
 	"evaluation": {[]string{"days", "model", "hit_ratio", "latency_reduction",
-		"nodes", "traffic_increase"}, 12},
-	"figure3":     {[]string{"days", "model", "hit_ratio", "latency_reduction"}, 12},
-	"table":       {[]string{"days", "model", "nodes"}, 9},
-	"figure4":     {[]string{"days", "model", "nodes", "traffic_increase"}, 9},
-	"figure5":     {[]string{"clients", "model", "hit_ratio", "traffic_increase"}, 12},
-	"ablation":    {[]string{"variant", "hit_ratio", "latency_reduction", "traffic_increase", "nodes"}, 2},
-	"baselines":   {[]string{"model", "hit_ratio", "traffic_increase", "nodes"}, 3},
-	"maintenance": {[]string{"day", "static_hit", "daily_hit", "static_nodes", "daily_nodes"}, 2},
+		"nodes", "traffic_increase"}, 13},
+	"figure3":   {[]string{"days", "model", "hit_ratio", "latency_reduction"}, 12},
+	"table":     {[]string{"days", "model", "nodes"}, 9},
+	"figure4":   {[]string{"days", "model", "nodes", "traffic_increase"}, 9},
+	"baselines": {[]string{"model", "hit_ratio", "traffic_increase", "nodes"}, 5},
+	"figure5":   {[]string{"clients", "model", "hit_ratio", "traffic_increase"}, 12},
+	"ablation":  {[]string{"variant", "hit_ratio", "latency_reduction", "traffic_increase", "nodes"}, 2},
+	"maintenance": {[]string{"day", "static_hit", "daily_hit", "static_nodes", "daily_nodes",
+		"rebuild_seconds", "delta_seconds", "delta_hit", "delta_nodes"}, 3},
 	"maintenance-cost": {[]string{"day", "delta_seconds", "rebuild_seconds",
-		"delta_hit", "rebuild_hit", "delta_nodes", "rebuild_nodes"}, 2},
+		"delta_hit", "daily_hit", "delta_nodes", "daily_nodes"}, 2},
 }
 
 // TestCSVGolden checks every artifact's CSV export byte-for-byte

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -78,11 +79,17 @@ func TestSweepShapes(t *testing.T) {
 	}
 	last := rows[len(rows)-1]
 
+	// Only the §4 sweep's last split runs Top-10.
+	for _, r := range append(rows[:len(rows)-1:len(rows)-1], observed...) {
+		if _, ok := r.Results[ModelTop10]; ok {
+			t.Errorf("%d-day row of a sweep ran Top-10", r.TrainDays)
+		}
+	}
 	for _, sweep := range []struct {
 		last   DayResult
 		models []string
 	}{
-		{last, []string{ModelPPM, ModelLRS, ModelPB}},
+		{last, []string{ModelPPM, ModelLRS, ModelPB, ModelTop10}},
 		{observed[len(observed)-1], []string{Model3PPM, ModelLRS, ModelPB}},
 	} {
 		base := sweep.last.Results[ModelNone]
@@ -228,7 +235,8 @@ func TestFigure4Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkRunGolden(t, "nasa-eval", f)
+	checkRunGolden(t, "nasa-eval", projection{f, []string{"days", "model", "hit_ratio",
+		"latency_reduction", "nodes", "traffic_increase"}, sweepRows, nil})
 	lastRow := len(f.Rows) - 1
 	if f.NodeRatio(lastRow) <= 1 {
 		t.Errorf("LRS/PB node ratio = %.2f, want > 1", f.NodeRatio(lastRow))
@@ -286,10 +294,24 @@ func TestFigure5Shapes(t *testing.T) {
 	}
 }
 
+// TestFigure5Errors: Figure 5 trains on every day but the last, so it
+// refuses a workload of one day.
 func TestFigure5Errors(t *testing.T) {
-	w := testNASA(t)
-	if _, err := RunFigure5(w, Figure5Config{TrainDays: 99}); err == nil {
-		t.Error("bad train days accepted")
+	p := tracegen.NASA()
+	p.Days = 1
+	p.SessionsPerDay = 50
+	p.Pages = 60
+	p.Browsers = 20
+	p.CrawlerPagesPerDay = 10
+	w, err := FromProfile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Days() != 1 {
+		t.Fatalf("workload spans %d days, want 1", w.Days())
+	}
+	if _, err := RunFigure5(w, Figure5Config{}); err == nil {
+		t.Error("figure 5 on a 1-day workload accepted")
 	}
 }
 
@@ -422,19 +444,20 @@ func TestUCBWorkloadShapes(t *testing.T) {
 	}
 }
 
+// TestBaselinesTop10: the §4 sweep's last split also runs the
+// context-free Top-10 pusher, and the related-work view of the
+// evaluation CSV is the run golden of the retired baselines experiment.
 func TestBaselinesTop10(t *testing.T) {
 	w := testNASA(t)
-	b, err := RunBaselines(w)
+	e, err := RunEvaluation(w, SweepConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkRunGolden(t, "nasa-baselines", b)
-	if len(b.Results) != 5 {
-		t.Fatalf("results = %d, want 5 (none + 4 models)", len(b.Results))
-	}
-	top := b.Result(ModelTop10)
-	pb := b.Result(ModelPB)
-	base := b.Result(ModelNone)
+	last := e.Rows[len(e.Rows)-1]
+	checkRunGolden(t, "nasa-baselines", relatedWork(e, last.TrainDays))
+	top := last.Results[ModelTop10]
+	pb := last.Results[ModelPB]
+	base := last.Results[ModelNone]
 	if top.Requests == 0 || top.Model != ModelTop10 {
 		t.Fatalf("Top-10 result missing: %+v", top)
 	}
@@ -448,12 +471,15 @@ func TestBaselinesTop10(t *testing.T) {
 	}
 	// Top-10's storage is the smallest of all models.
 	for _, m := range []string{ModelPPM, ModelLRS, ModelPB} {
-		if top.Nodes >= b.Result(m).Nodes {
-			t.Errorf("Top-10 nodes %d not below %s %d", top.Nodes, m, b.Result(m).Nodes)
+		if top.Nodes >= last.Results[m].Nodes {
+			t.Errorf("Top-10 nodes %d not below %s %d", top.Nodes, m, last.Results[m].Nodes)
 		}
 	}
-	if got := b.String(); !contains(got, "Top-10") || !contains(got, "PB-PPM") {
+	if got := e.String(); !contains(got, "Related-work baseline") || !contains(got, "Top-10") {
 		t.Errorf("rendering:\n%s", got)
+	}
+	if got := e.Headline()["hit_ratio_top10"]; got != top.HitRatio() {
+		t.Errorf("headline hit_ratio_top10 = %v, want %v", got, top.HitRatio())
 	}
 }
 
@@ -504,8 +530,54 @@ func TestMaintenanceExperiment(t *testing.T) {
 		t.Errorf("daily model nodes %d not above static %d",
 			m.Daily[last].Nodes, m.Static[last].Nodes)
 	}
-	if !strings.Contains(m.String(), "daily rebuilds") {
-		t.Error("rendering missing title")
+	// The delta path starts on the second day. It skips the rebuild's
+	// space optimization, so its model is the larger one.
+	if len(m.Delta) != len(m.Days)-1 || len(m.DeltaSeconds) != len(m.Delta) ||
+		len(m.RebuildSeconds) != len(m.Days) {
+		t.Fatalf("%d days, %d delta rows, %d delta and %d rebuild timings",
+			len(m.Days), len(m.Delta), len(m.DeltaSeconds), len(m.RebuildSeconds))
+	}
+	for j, delta := range m.Delta {
+		if delta.Requests != m.Daily[j+1].Requests || delta.Nodes < m.Daily[j+1].Nodes {
+			t.Errorf("day %d: delta model replayed %d requests with %d nodes, rebuild %d with %d",
+				m.Days[j+1], delta.Requests, delta.Nodes, m.Daily[j+1].Requests, m.Daily[j+1].Nodes)
+		}
+	}
+	out := m.String()
+	for _, want := range []string{"daily rebuilds", "incremental delta merge vs full rebuild"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("rendering missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestMaintainerRebuildMatchesOfflineTraining: the maintenance study's
+// daily model is the maintainer's Rebuild over every day before the
+// evaluated one, and the §4 sweep's PB-PPM is sim.Train over the same
+// days. Both must replay each day identically, so the maintainer's
+// window keeps the sessions in order and its ranking counts every view.
+func TestMaintainerRebuildMatchesOfflineTraining(t *testing.T) {
+	w := testNASA(t)
+	m, err := RunMaintenance(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := RunEvaluation(w, SweepConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Days) != len(e.Rows) {
+		t.Fatalf("maintenance evaluated %d days, the sweep %d", len(m.Days), len(e.Rows))
+	}
+	for i, d := range m.Days {
+		if e.Rows[i].TrainDays != d {
+			t.Fatalf("row %d: maintenance day %d, sweep window %d days", i, d, e.Rows[i].TrainDays)
+		}
+		got, want := m.Daily[i], e.Rows[i].Results[ModelPB]
+		got.Model, want.Model = "", ""
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("day %d: daily rebuild replays\n%+v\nthe sweep's PB-PPM\n%+v", d, got, want)
+		}
 	}
 }
 
@@ -546,23 +618,11 @@ func TestCSVExports(t *testing.T) {
 	}
 	check("figure5", f5, "clients,model", 8)
 
-	bl, err := RunBaselines(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("baselines", bl, "model,hit_ratio", 5)
-
 	mn, err := RunMaintenance(w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("maintenance", mn, "day,static_hit", 2)
-
-	mc, err := RunMaintenanceCost(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("maintenance-cost", mc, "day,delta_seconds", 1)
 
 	ab, err := RunAblationLinks(w)
 	if err != nil {

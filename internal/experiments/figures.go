@@ -59,7 +59,10 @@ func (f *Figure2) String() string {
 // size, the hit ratios and latency reductions of Figure 3, the node
 // counts of Tables 1–2, and the space growth and traffic increments of
 // Figure 4, all read from one sweep of the unbounded standard PPM,
-// LRS-PPM and PB-PPM.
+// LRS-PPM and PB-PPM. The largest window's row also holds the
+// context-free Top-10 pusher, the related-work baseline (§6) whose
+// contrast motivates popularity-based rather than popularity-only
+// prefetching.
 type Evaluation struct {
 	Workload string
 	Rows     []DayResult
@@ -108,7 +111,8 @@ func (e *Evaluation) TrafficIncrease(row int, model string) float64 {
 
 // String renders the five panels in the paper's order: Figure 3's hit
 // ratio and latency reduction, the space table (days across), and
-// Figure 4's node counts and traffic increase.
+// Figure 4's node counts and traffic increase; then the largest
+// window's related-work table, Top-10 against the context models.
 func (e *Evaluation) String() string {
 	hit := &metrics.Table{
 		Title:   fmt.Sprintf("Figure 3 — %s: hit ratio", e.Workload),
@@ -158,6 +162,18 @@ func (e *Evaluation) String() string {
 		}
 		space.AddRow(row...)
 	}
+	related := &metrics.Table{
+		Title:   fmt.Sprintf("Related-work baseline — %s: context-free Top-10 vs context models", e.Workload),
+		Headers: []string{"model", "hit ratio", "latency red.", "traffic inc.", "nodes"},
+	}
+	last := len(e.Rows) - 1
+	for _, model := range []string{ModelNone, ModelTop10, ModelPPM, ModelLRS, ModelPB} {
+		related.AddRow(model,
+			metrics.Pct(e.HitRatio(last, model)),
+			metrics.Pct(e.LatencyReduction(last, model)),
+			metrics.Pct(e.TrafficIncrease(last, model)),
+			strconv.Itoa(e.Nodes(last, model)))
+	}
 	return hit.String() + "\n" + lat.String() + "\n" + space.String() + "\n" +
-		nodes.String() + "\n" + traffic.String()
+		nodes.String() + "\n" + traffic.String() + "\n" + related.String()
 }

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"time"
 
-	"pbppm/internal/core"
 	"pbppm/internal/maintain"
 	"pbppm/internal/markov"
 	"pbppm/internal/metrics"
@@ -15,15 +14,28 @@ import (
 )
 
 // Maintenance quantifies the paper's assumption that the server model
-// is "dynamically maintained and updated": every evaluation day is
-// replayed twice, once against a static PB-PPM model trained only on
-// day 0 and once against a model rebuilt each morning from a sliding
-// window of all history so far.
+// is "dynamically maintained and updated", and what incremental
+// maintenance buys. Every evaluation day is replayed against three
+// PB-PPM models: a static one trained only on day 0; one rebuilt each
+// morning by a maintainer from a sliding window of all history so far;
+// and one that a second maintainer updates each morning from the
+// second evaluation day on by a delta merge, which trains only the
+// sessions observed since its last update into the model in place.
+// The rebuild and delta wall-time columns show the update-cost gap
+// growing with the window; the hit-ratio columns bound what the delta
+// path's deferred re-ranking and space optimization cost in accuracy.
 type Maintenance struct {
 	Workload string
 	Days     []int
 	Static   []metrics.Result
 	Daily    []metrics.Result
+	// RebuildSeconds is each day's rebuild wall time. Delta and
+	// DeltaSeconds hold the delta-merge model's replay and update time
+	// for the last len(Delta) days: every day but the first. Wall times
+	// vary run to run, so they are absent from Headline.
+	RebuildSeconds []float64
+	Delta          []metrics.Result
+	DeltaSeconds   []float64
 }
 
 // RunMaintenance executes the experiment over every day after the
@@ -32,31 +44,37 @@ func RunMaintenance(w *Workload) (*Maintenance, error) {
 	if w.Days() < 3 {
 		return nil, fmt.Errorf("experiments: maintenance needs at least 3 days, have %d", w.Days())
 	}
-
-	factory := func(rank *popularity.Ranking) markov.Predictor {
-		return core.New(rank, core.Config{RelProbCutoff: 0.01, DropSingletons: w.DropSingletons})
-	}
-
-	// Static model: trained once on day 0.
 	day0 := w.DaySessions(0, 1)
 	if len(day0) == 0 {
 		return nil, fmt.Errorf("experiments: maintenance: empty first day")
 	}
-	staticModel := factory(Ranking(day0))
+	factory := paperPB(w)
+
+	// Static model: trained once on day 0.
+	staticRank := Ranking(day0)
+	staticModel := factory(staticRank)
 	w.Hooks.Phases.Time(sim.PhaseTrain, func() { sim.Train(staticModel, day0) })
 	w.Hooks.ObserveModel("static", staticModel)
-	staticRank := Ranking(day0)
 
-	maint, err := maintain.New(maintain.Config{
-		Factory: factory,
-		Window:  time.Duration(w.Days()) * 24 * time.Hour,
-	})
+	window := time.Duration(w.Days()) * 24 * time.Hour
+	rebuildM, err := maintain.New(maintain.Config{Factory: factory, Window: window})
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range day0 {
-		maint.Observe(s)
+	deltaM, err := maintain.New(maintain.Config{Factory: factory, Window: window})
+	if err != nil {
+		return nil, err
 	}
+	observe := func(ss []session.Session) {
+		for _, s := range ss {
+			rebuildM.Observe(s)
+			deltaM.Observe(s)
+		}
+	}
+	observe(day0)
+	// The delta path needs a base model to train into: the same build
+	// as the first daily rebuild, but not a comparison row.
+	w.Hooks.Phases.Time(sim.PhaseTrain, func() { deltaM.Rebuild(w.Trace.Epoch.Add(24 * time.Hour)) })
 
 	out := &Maintenance{Workload: w.Name}
 	for d := 1; d < w.Days(); d++ {
@@ -64,42 +82,60 @@ func RunMaintenance(w *Workload) (*Maintenance, error) {
 		if len(test) == 0 {
 			continue
 		}
-		// Morning rebuild over all history before day d.
-		var daily markov.Predictor
+		// Morning update over all history before day d: the rebuild
+		// retrains the window, the delta merge absorbs only the
+		// sessions observed since its last update.
+		now := w.Trace.Epoch.Add(time.Duration(d) * 24 * time.Hour)
+		var (
+			daily, delta         markov.Predictor
+			rebuildDur, deltaDur time.Duration
+		)
 		w.Hooks.Phases.Time(sim.PhaseTrain, func() {
-			daily = maint.Rebuild(w.Trace.Epoch.Add(time.Duration(d) * 24 * time.Hour))
+			t0 := time.Now()
+			daily = rebuildM.Rebuild(now)
+			rebuildDur = time.Since(t0)
+			if d > 1 {
+				t0 = time.Now()
+				delta = deltaM.DeltaMerge(now)
+				deltaDur = time.Since(t0)
+			}
 		})
 		w.Hooks.ObserveModel("daily-rebuild", daily)
-		dailyRank := Ranking(w.DaySessions(0, d))
+		// Replays see the document sizes of the days so far, as the §4
+		// sweep's do.
+		history := w.DaySessions(0, d)
+		rank := Ranking(history)
+		sizes := sim.BuildSizeTable(history, test)
 
-		common := sim.Options{Path: w.Path, Sizes: w.Sizes, MaxPrefetchBytes: sim.PBMaxPrefetchBytes}
+		common := sim.Options{Path: w.Path, Sizes: sizes, MaxPrefetchBytes: sim.PBMaxPrefetchBytes}
 		w.Hooks.apply(&common)
-
-		so := common
-		so.Predictor = staticModel
-		so.Grades = staticRank
-		sres := sim.Run(test, so)
-		sres.Model = "static"
-
-		do := common
-		do.Predictor = daily
-		do.Grades = dailyRank
-		dres := sim.Run(test, do)
-		dres.Model = "daily-rebuild"
+		replay := func(name string, p markov.Predictor, grades *popularity.Ranking) metrics.Result {
+			o := common
+			o.Predictor = p
+			o.Grades = grades
+			r := sim.Run(test, o)
+			r.Model = name
+			return r
+		}
 
 		out.Days = append(out.Days, d)
-		out.Static = append(out.Static, sres)
-		out.Daily = append(out.Daily, dres)
-
-		// The evaluated day joins the window for the next rebuild.
-		for _, s := range test {
-			maint.Observe(s)
+		out.Static = append(out.Static, replay("static", staticModel, staticRank))
+		out.Daily = append(out.Daily, replay("daily-rebuild", daily, rank))
+		out.RebuildSeconds = append(out.RebuildSeconds, rebuildDur.Seconds())
+		if d > 1 {
+			w.Hooks.ObserveModel("delta-merge", delta)
+			out.Delta = append(out.Delta, replay("delta-merge", delta, rank))
+			out.DeltaSeconds = append(out.DeltaSeconds, deltaDur.Seconds())
 		}
+
+		// The evaluated day joins both windows for the next update.
+		observe(test)
 	}
 	return out, nil
 }
 
-// String renders the comparison.
+// String renders both tables: static against daily rebuilds, then, from
+// the second evaluation day, the delta merge against the rebuild.
 func (m *Maintenance) String() string {
 	tb := &metrics.Table{
 		Title:   fmt.Sprintf("Model maintenance — %s: static day-0 model vs daily rebuilds (PB-PPM)", m.Workload),
@@ -112,140 +148,25 @@ func (m *Maintenance) String() string {
 			strconv.Itoa(m.Static[i].Nodes),
 			strconv.Itoa(m.Daily[i].Nodes))
 	}
-	return tb.String()
-}
-
-// MaintenanceCost quantifies what incremental maintenance buys: each
-// evaluation day, the sessions of the previous day are folded into the
-// live PB-PPM model twice — once through the delta-merge path (train
-// only the new sessions into the model in place, then freeze it) and
-// once through a full rebuild over the whole window — and the day
-// is replayed against both models. The wall-time columns show the
-// update-cost gap growing with the window while the headline metrics
-// stay equal; the hit-ratio columns bound what the delta path's
-// deferred re-ranking and space optimization cost in accuracy.
-type MaintenanceCost struct {
-	Workload string
-	Days     []int
-	// DeltaSeconds and RebuildSeconds are the measured update costs for
-	// the two paths on each day. Wall times vary run to run, so they are
-	// deliberately absent from Headline.
-	DeltaSeconds   []float64
-	RebuildSeconds []float64
-	Delta          []metrics.Result
-	Rebuilt        []metrics.Result
-}
-
-// RunMaintenanceCost executes the experiment over every day after the
-// second (day 0 seeds the initial build, day 1 is the first delta).
-func RunMaintenanceCost(w *Workload) (*MaintenanceCost, error) {
-	if w.Days() < 3 {
-		return nil, fmt.Errorf("experiments: maintenance-cost needs at least 3 days, have %d", w.Days())
-	}
-
-	factory := func(rank *popularity.Ranking) markov.Predictor {
-		return core.New(rank, core.Config{RelProbCutoff: 0.01, DropSingletons: w.DropSingletons})
-	}
-	window := time.Duration(w.Days()) * 24 * time.Hour
-	deltaM, err := maintain.New(maintain.Config{Factory: factory, Window: window})
-	if err != nil {
-		return nil, err
-	}
-	fullM, err := maintain.New(maintain.Config{Factory: factory, Window: window})
-	if err != nil {
-		return nil, err
-	}
-
-	day0 := w.DaySessions(0, 1)
-	if len(day0) == 0 {
-		return nil, fmt.Errorf("experiments: maintenance-cost: empty first day")
-	}
-	observeBoth := func(ss []session.Session) {
-		for _, s := range ss {
-			deltaM.Observe(s)
-			fullM.Observe(s)
-		}
-	}
-	observeBoth(day0)
-	// Initial build on both: the delta path needs a base model to train
-	// into. Not a comparison row.
-	w.Hooks.Phases.Time(sim.PhaseTrain, func() {
-		deltaM.Rebuild(w.Trace.Epoch.Add(24 * time.Hour))
-		fullM.Rebuild(w.Trace.Epoch.Add(24 * time.Hour))
-	})
-	observeBoth(w.DaySessions(1, 2))
-
-	out := &MaintenanceCost{Workload: w.Name}
-	for d := 2; d < w.Days(); d++ {
-		test := w.DaySessions(d, d+1)
-		if len(test) == 0 {
-			continue
-		}
-		// Morning update: the delta merge absorbs only the sessions
-		// staged since the last update; the rebuild retrains the window.
-		now := w.Trace.Epoch.Add(time.Duration(d) * 24 * time.Hour)
-		var (
-			deltaModel, fullModel markov.Predictor
-			deltaDur, fullDur     time.Duration
-		)
-		w.Hooks.Phases.Time(sim.PhaseTrain, func() {
-			t0 := time.Now()
-			deltaModel = deltaM.DeltaMerge(now)
-			deltaDur = time.Since(t0)
-			t0 = time.Now()
-			fullModel = fullM.Rebuild(now)
-			fullDur = time.Since(t0)
-		})
-		w.Hooks.ObserveModel("delta-merge", deltaModel)
-		w.Hooks.ObserveModel("full-rebuild", fullModel)
-		rank := Ranking(w.DaySessions(0, d))
-
-		common := sim.Options{Path: w.Path, Sizes: w.Sizes, MaxPrefetchBytes: sim.PBMaxPrefetchBytes}
-		w.Hooks.apply(&common)
-
-		do := common
-		do.Predictor = deltaModel
-		do.Grades = rank
-		dres := sim.Run(test, do)
-		dres.Model = "delta-merge"
-
-		fo := common
-		fo.Predictor = fullModel
-		fo.Grades = rank
-		fres := sim.Run(test, fo)
-		fres.Model = "full-rebuild"
-
-		out.Days = append(out.Days, d)
-		out.DeltaSeconds = append(out.DeltaSeconds, deltaDur.Seconds())
-		out.RebuildSeconds = append(out.RebuildSeconds, fullDur.Seconds())
-		out.Delta = append(out.Delta, dres)
-		out.Rebuilt = append(out.Rebuilt, fres)
-
-		// The evaluated day joins both windows for the next update.
-		observeBoth(test)
-	}
-	return out, nil
-}
-
-// String renders the comparison.
-func (m *MaintenanceCost) String() string {
-	tb := &metrics.Table{
+	cost := &metrics.Table{
 		Title:   fmt.Sprintf("Maintenance cost — %s: incremental delta merge vs full rebuild (PB-PPM)", m.Workload),
 		Headers: []string{"eval day", "delta update", "rebuild", "speedup", "delta hit", "rebuild hit", "delta nodes", "rebuild nodes"},
 	}
-	for i, d := range m.Days {
+	off := len(m.Days) - len(m.Delta)
+	for j, delta := range m.Delta {
+		i := off + j
 		speedup := "-"
-		if m.DeltaSeconds[i] > 0 {
-			speedup = fmt.Sprintf("%.1fx", m.RebuildSeconds[i]/m.DeltaSeconds[i])
+		if m.DeltaSeconds[j] > 0 {
+			speedup = fmt.Sprintf("%.1fx", m.RebuildSeconds[i]/m.DeltaSeconds[j])
 		}
-		tb.AddRow(strconv.Itoa(d),
-			fmt.Sprintf("%.1fms", m.DeltaSeconds[i]*1000),
+		cost.AddRow(strconv.Itoa(m.Days[i]),
+			fmt.Sprintf("%.1fms", m.DeltaSeconds[j]*1000),
 			fmt.Sprintf("%.1fms", m.RebuildSeconds[i]*1000),
 			speedup,
-			metrics.Pct(m.Delta[i].HitRatio()),
-			metrics.Pct(m.Rebuilt[i].HitRatio()),
-			strconv.Itoa(m.Delta[i].Nodes),
-			strconv.Itoa(m.Rebuilt[i].Nodes))
+			metrics.Pct(delta.HitRatio()),
+			metrics.Pct(m.Daily[i].HitRatio()),
+			strconv.Itoa(delta.Nodes),
+			strconv.Itoa(m.Daily[i].Nodes))
 	}
-	return tb.String()
+	return tb.String() + "\n" + cost.String()
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 
-	"pbppm/internal/core"
 	"pbppm/internal/lrs"
 	"pbppm/internal/markov"
 	"pbppm/internal/metrics"
@@ -37,41 +36,22 @@ type Figure5Config struct {
 	// ClientCounts lists the population sizes; zero selects the paper's
 	// 1..32 progression.
 	ClientCounts []int
-	// TrainDays is the training-window size; zero selects all but the
-	// final day.
-	TrainDays int
-	// RelProbCutoff as in SweepConfig.
-	RelProbCutoff float64
 }
 
-// RunFigure5 executes the experiment. Clients are selected in
-// descending test-day activity order so that every population size is
+// RunFigure5 executes the experiment: the models train on every day
+// but the last and serve the last. Clients are selected in descending
+// test-day activity order so that every population size is
 // deterministic and non-empty.
 func RunFigure5(w *Workload, cfg Figure5Config) (*Figure5, error) {
 	counts := cfg.ClientCounts
 	if len(counts) == 0 {
 		counts = []int{1, 2, 4, 8, 16, 24, 32}
 	}
-	trainDays := cfg.TrainDays
-	if trainDays == 0 {
-		trainDays = w.Days() - 1
+	sp, err := lastDay(w, "figure 5")
+	if err != nil {
+		return nil, err
 	}
-	if trainDays < 1 || trainDays >= w.Days() {
-		return nil, fmt.Errorf("experiments: figure 5 needs 1 <= trainDays < days, have %d of %d",
-			trainDays, w.Days())
-	}
-	relProb := cfg.RelProbCutoff
-	if relProb == 0 {
-		relProb = 0.01
-	}
-
-	train := w.DaySessions(0, trainDays)
-	test := w.DaySessions(trainDays, trainDays+1)
-	if len(train) == 0 || len(test) == 0 {
-		return nil, fmt.Errorf("experiments: figure 5: empty train (%d) or test (%d) window",
-			len(train), len(test))
-	}
-	rank := Ranking(train)
+	train, test, rank := sp.train, sp.test, sp.rank
 
 	// Rank test-day clients by activity. Only browser-class addresses
 	// qualify: the experiment attaches end-user clients to the proxy,
@@ -101,7 +81,7 @@ func RunFigure5(w *Workload, cfg Figure5Config) (*Figure5, error) {
 	// of its size thresholds.
 	mPPM := ppm.New(ppm.Config{})
 	mLRS := lrs.New(lrs.Config{})
-	mPB := core.New(rank, core.Config{RelProbCutoff: relProb, DropSingletons: w.DropSingletons})
+	mPB := paperPB(w)(rank)
 	w.Hooks.Phases.Time(sim.PhaseTrain, func() {
 		sim.Train(mPPM, train)
 		sim.Train(mLRS, train)

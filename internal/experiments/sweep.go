@@ -3,11 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"pbppm/internal/core"
 	"pbppm/internal/lrs"
 	"pbppm/internal/metrics"
 	"pbppm/internal/ppm"
 	"pbppm/internal/sim"
+	"pbppm/internal/topn"
 )
 
 // Model names used across the experiment tables.
@@ -17,6 +17,9 @@ const (
 	Model3PPM = "3-PPM" // standard model, height 3 (§3.3 observations)
 	ModelLRS  = "LRS-PPM"
 	ModelPB   = "PB-PPM"
+	// ModelTop10 is the server-initiated Top-10 pusher (§6 related
+	// work, Markatos & Chronaki): context-free popularity prefetching.
+	ModelTop10 = "Top-10"
 )
 
 // DayResult holds every model's metrics for one training-window size.
@@ -36,8 +39,6 @@ type SweepConfig struct {
 	// evaluated on day k (zero-based day index k). Zero selects
 	// workload days - 1.
 	MaxTrainDays int
-	// RelProbCutoff is PB-PPM's first space optimization (default 1%).
-	RelProbCutoff float64
 	// Observation selects Figure 2's observation sweep (§3.3–3.4): the
 	// height-3 standard model takes the unbounded one's place, and every
 	// click is visible to the server (clients revalidate cached copies)
@@ -45,18 +46,13 @@ type SweepConfig struct {
 	Observation bool
 }
 
-func (c SweepConfig) relProb() float64 {
-	if c.RelProbCutoff == 0 {
-		return 0.01
-	}
-	return c.RelProbCutoff
-}
-
 // Sweep runs the client–server comparison for every training-window
 // size: the standard PPM (unbounded, or 3-PPM for the observation
 // sweep), LRS-PPM and PB-PPM (with the paper's thresholds: 10 KB
 // prefetch size cap for the first two, 30 KB for PB-PPM), plus the
-// no-prefetch baseline.
+// no-prefetch baseline. The last split of the §4 sweep (not the
+// observation sweep) also trains and replays the Top-10 pusher, the
+// related-work baseline, under the 10 KB cap.
 func Sweep(w *Workload, cfg SweepConfig) ([]DayResult, error) {
 	maxDays := cfg.MaxTrainDays
 	if maxDays == 0 {
@@ -103,12 +99,16 @@ func Sweep(w *Workload, cfg SweepConfig) ([]DayResult, error) {
 		addRun(ModelLRS, o)
 
 		o = common
-		o.Predictor = core.New(rank, core.Config{
-			RelProbCutoff:  cfg.relProb(),
-			DropSingletons: w.DropSingletons,
-		})
+		o.Predictor = paperPB(w)(rank)
 		o.MaxPrefetchBytes = sim.PBMaxPrefetchBytes
 		addRun(ModelPB, o)
+
+		if k == maxDays && !cfg.Observation {
+			o = common
+			o.Predictor = topn.New()
+			o.MaxPrefetchBytes = sim.DefaultMaxPrefetchBytes
+			addRun(ModelTop10, o)
+		}
 
 		results := sim.Compare(train, test, runs)
 		w.Hooks.ObserveModels(runs)

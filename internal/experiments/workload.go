@@ -104,7 +104,7 @@ type split struct {
 	rank        *popularity.Ranking
 }
 
-// lastDay splits the workload the way the ablations and the baselines
+// lastDay splits the workload the way the ablations and Figure 5
 // evaluate it: every day but the last trains, the last day tests. what
 // names the experiment in errors.
 func lastDay(w *Workload, what string) (split, error) {

@@ -10,18 +10,17 @@ import (
 // separate listener (-admin-addr), away from end-user traffic:
 //
 //	/metrics      Prometheus text exposition of reg
-//	/healthz      200 "ok", or 503 with the error when healthz fails
+//	/healthz      200 "ok" while the process serves
 //	/debug/pprof  the standard net/http/pprof handlers
 //
-// healthz may be nil for an unconditionally healthy process. Callers
-// add their own extra endpoints (e.g. /debug/stats) on the returned
-// mux.
+// Callers add their own extra endpoints (e.g. /debug/stats) on the
+// returned mux.
 //
 // Building the mux also registers the process-wide telemetry every
 // admin endpoint should carry: pbppm_build_info (build identity) and
 // the pbppm_go_* runtime collector (goroutines, heap, GC pauses,
 // scheduler latency). Both registrations are idempotent.
-func NewAdminMux(reg *Registry, healthz func() error) *http.ServeMux {
+func NewAdminMux(reg *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	if reg != nil {
 		RegisterBuildInfo(reg)
@@ -29,12 +28,6 @@ func NewAdminMux(reg *Registry, healthz func() error) *http.ServeMux {
 		mux.Handle("/metrics", reg.Handler())
 	}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if healthz != nil {
-			if err := healthz(); err != nil {
-				http.Error(w, fmt.Sprintf("unhealthy: %v", err), http.StatusServiceUnavailable)
-				return
-			}
-		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})

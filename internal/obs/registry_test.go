@@ -124,13 +124,7 @@ func TestCounterIgnoresNegativeAdd(t *testing.T) {
 func TestAdminMux(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("x_total", "X.").Inc()
-	healthy := true
-	mux := NewAdminMux(reg, func() error {
-		if !healthy {
-			return errTest
-		}
-		return nil
-	})
+	mux := NewAdminMux(reg)
 
 	get := func(path string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
@@ -148,20 +142,10 @@ func TestAdminMux(t *testing.T) {
 	if rec := get("/healthz"); rec.Code != http.StatusOK {
 		t.Errorf("/healthz = %d", rec.Code)
 	}
-	healthy = false
-	if rec := get("/healthz"); rec.Code != http.StatusServiceUnavailable {
-		t.Errorf("unhealthy /healthz = %d", rec.Code)
-	}
 	if rec := get("/debug/pprof/cmdline"); rec.Code != http.StatusOK {
 		t.Errorf("/debug/pprof/cmdline = %d", rec.Code)
 	}
 }
-
-var errTest = &testError{}
-
-type testError struct{}
-
-func (*testError) Error() string { return "down for the test" }
 
 // TestScrapeWhileRegistering renders the exposition while another
 // goroutine keeps registering series into the families being rendered,

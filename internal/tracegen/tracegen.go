@@ -238,6 +238,18 @@ func UCBCS() Profile {
 	}
 }
 
+// ProfileNamed returns the profile a command line names: "nasa" or
+// "ucbcs".
+func ProfileNamed(name string) (Profile, error) {
+	switch name {
+	case "nasa":
+		return NASA(), nil
+	case "ucbcs":
+		return UCBCS(), nil
+	}
+	return Profile{}, fmt.Errorf("unknown profile %q (want nasa or ucbcs)", name)
+}
+
 // validate rejects nonsensical profiles early with a descriptive error.
 func (p Profile) validate() error {
 	switch {
