@@ -70,8 +70,8 @@ func hotRoots(tree *markov.Tree) []string {
 		count int64
 	}
 	var bs []branch
-	tree.EachChild(tree.Root, func(url string, c *markov.Node) bool {
-		bs = append(bs, branch{url, c.Count})
+	tree.EachChild(markov.Root, func(url string, c uint32) bool {
+		bs = append(bs, branch{url, tree.Count(c)})
 		return true
 	})
 	sort.Slice(bs, func(i, j int) bool {

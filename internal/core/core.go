@@ -28,6 +28,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"pbppm/internal/markov"
 	"pbppm/internal/popularity"
@@ -79,11 +80,17 @@ type Model struct {
 	cfg     Config
 	heights [4]int
 	grades  popularity.Grader
-	tree    *markov.Tree
+	// symGrades caches each URL's grade by its tree symbol: the grader
+	// never changes over the model's life, delta merges included.
+	symGrades []popularity.Grade
+	tree      *markov.Tree
 	// links holds rule-3 duplicated nodes: heading URL → linked URL →
 	// access count of the duplicate.
 	links map[string]map[string]int64
 }
+
+// ungraded marks a symbol symGrades holds no grade for yet.
+const ungraded = popularity.Grade(math.MinInt)
 
 var _ markov.Predictor = (*Model)(nil)
 var _ markov.Freezer = (*Model)(nil)
@@ -125,24 +132,37 @@ func (m *Model) maxHeight(g popularity.Grade) int {
 	return m.heights[g]
 }
 
+// grade returns the grade of url, whose tree symbol is sym, grading it
+// on first sight.
+func (m *Model) grade(sym uint32, url string) popularity.Grade {
+	for int(sym) >= len(m.symGrades) {
+		m.symGrades = append(m.symGrades, ungraded)
+	}
+	if m.symGrades[sym] == ungraded {
+		m.symGrades[sym] = m.grades.GradeOf(url)
+	}
+	return m.symGrades[sym]
+}
+
 // TrainSequence folds one session into the model following the four
 // construction rules.
 func (m *Model) TrainSequence(seq []string) {
 	var (
-		cur        *markov.Node // deepest node of the open branch
-		heightLeft int          // nodes the open branch may still grow
+		cur        = markov.Root // deepest node of the open branch; Root before one opens
+		heightLeft int           // nodes the open branch may still grow
 		rootGrade  popularity.Grade
 		rootURL    string
 		depth      int // nodes in the open branch so far
 		prevGrade  popularity.Grade
 	)
 	for i, u := range seq {
-		g := m.grades.GradeOf(u)
+		sym := m.tree.Intern(u)
+		g := m.grade(sym, u)
 
 		// Extend the single open branch (rule 4: each URL is added once).
-		if cur != nil && heightLeft > 0 {
-			child := m.tree.EnsureChild(cur, u)
-			child.Count++
+		if cur != markov.Root && heightLeft > 0 {
+			child := m.tree.EnsureChild(cur, sym)
+			m.tree.Add(child, 1)
 			depth++
 			// Rule 3: a popular URL deeper than the heading URL's
 			// immediate successor earns a duplicated node linked under
@@ -158,9 +178,9 @@ func (m *Model) TrainSequence(seq []string) {
 		// Open a new root branch at the session head or on a strict
 		// grade ascent; the new branch becomes the open one.
 		if i == 0 || g > prevGrade {
-			root := m.tree.EnsureChild(m.tree.Root, u)
-			root.Count++
-			m.tree.Root.Count++
+			root := m.tree.EnsureChild(markov.Root, sym)
+			m.tree.Add(root, 1)
+			m.tree.Add(markov.Root, 1)
 			cur = root
 			rootURL, rootGrade = u, g
 			heightLeft = m.maxHeight(g) - 1
@@ -204,15 +224,15 @@ func (m *Model) Freeze() markov.Predictor {
 	if !m.cfg.DisableLinks {
 		links = make(map[string][]markov.Prediction, len(m.links))
 		for rootURL, lm := range m.links {
-			root := m.tree.Child(m.tree.Root, rootURL)
-			if root == nil {
+			root := m.tree.Child(markov.Root, rootURL)
+			if root == markov.Root {
 				// Links are offered only while the heading URL is a
 				// root; a pruned root silences its links.
 				continue
 			}
 			var linked []markov.Prediction
 			for url, cnt := range lm {
-				p := float64(cnt) / float64(root.Count)
+				p := float64(cnt) / float64(m.tree.Count(root))
 				if p >= thr {
 					linked = append(linked, markov.Prediction{URL: url, Probability: p, Order: 1})
 				}
@@ -240,45 +260,42 @@ func (m *Model) Freeze() markov.Predictor {
 // paper applies it once, after the tree is built from the training
 // window.
 func (m *Model) Optimize() int {
-	removed := 0
-	if cut := m.cfg.RelProbCutoff; cut > 0 {
-		removed += m.tree.Prune(func(parent, child *markov.Node) bool {
-			if parent == m.tree.Root || parent.Count == 0 {
-				return false
-			}
-			return float64(child.Count)/float64(parent.Count) < cut
-		})
-		removed += m.pruneLinks(func(root *markov.Node, count int64) bool {
-			return float64(count)/float64(root.Count) < cut
-		})
+	cut, singletons := m.cfg.RelProbCutoff, m.cfg.DropSingletons
+	if cut <= 0 && !singletons {
+		return 0
 	}
-	if m.cfg.DropSingletons {
-		removed += m.tree.Prune(func(parent, child *markov.Node) bool {
-			return child.Count <= 1
-		})
-		removed += m.pruneLinks(func(_ *markov.Node, count int64) bool {
-			return count <= 1
-		})
+	// Pruning changes no count, so one pass applying both cuts removes
+	// what applying them one after the other would.
+	rare := func(count, parentCount int64) bool {
+		return cut > 0 && float64(count)/float64(parentCount) < cut || singletons && count <= 1
 	}
-	return removed
+	removed := m.tree.Prune(func(parent, child uint32) bool {
+		count := m.tree.Count(child)
+		if parent == markov.Root || m.tree.Count(parent) == 0 {
+			// The relative cut spares roots.
+			return singletons && count <= 1
+		}
+		return rare(count, m.tree.Count(parent))
+	})
+	return removed + m.pruneLinks(rare)
 }
 
-// pruneLinks applies one space optimization to the rule-3 links: it
+// pruneLinks applies the space optimizations to the rule-3 links: it
 // drops every link of a heading URL that is no longer a root (the
-// singleton cut can remove one) and each link under a root for which
-// drop reports true, deletes the maps it empties, and returns the
-// number of links removed.
-func (m *Model) pruneLinks(drop func(root *markov.Node, count int64) bool) int {
+// singleton cut can remove one) and each link for which drop, given
+// the link's count and its root's, reports true, deletes the maps it
+// empties, and returns the number of links removed.
+func (m *Model) pruneLinks(drop func(count, rootCount int64) bool) int {
 	removed := 0
 	for rootURL, lm := range m.links {
-		root := m.tree.Child(m.tree.Root, rootURL)
-		if root == nil {
+		root := m.tree.Child(markov.Root, rootURL)
+		if root == markov.Root {
 			removed += len(lm)
 			delete(m.links, rootURL)
 			continue
 		}
 		for url, count := range lm {
-			if drop(root, count) {
+			if drop(count, m.tree.Count(root)) {
 				delete(lm, url)
 				removed++
 			}
@@ -325,7 +342,7 @@ type Stats struct {
 // Stats computes structural statistics.
 func (m *Model) Stats() Stats {
 	st := Stats{Nodes: m.NodeCount(), Links: m.LinkCount()}
-	m.tree.EachChild(m.tree.Root, func(url string, _ *markov.Node) bool {
+	m.tree.EachChild(markov.Root, func(url string, _ uint32) bool {
 		st.Roots++
 		g := m.grades.GradeOf(url)
 		if g < 0 {

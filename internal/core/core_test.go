@@ -26,13 +26,13 @@ func TestFigure1Example(t *testing.T) {
 	m.TrainSequence([]string{"A", "B", "C", "A2", "B2", "C2"})
 
 	tr := m.Tree()
-	if tr.Match([]string{"A", "B", "C", "A2"}) == nil {
+	if tr.Match([]string{"A", "B", "C", "A2"}) == markov.Root {
 		t.Error("branch A>B>C>A2 missing")
 	}
-	if tr.Match([]string{"A2", "B2", "C2"}) == nil {
+	if tr.Match([]string{"A2", "B2", "C2"}) == markov.Root {
 		t.Error("branch A2>B2>C2 missing")
 	}
-	if got := tr.Root.Fanout(); got != 2 {
+	if got := tr.Fanout(markov.Root); got != 2 {
 		t.Errorf("roots = %d, want 2 (A and A2)", got)
 	}
 	if got := m.LinkCount(); got != 1 {
@@ -91,10 +91,10 @@ func TestBranchHeightByGrade(t *testing.T) {
 	long := []string{"p", "x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8"}
 	m.TrainSequence(long)
 	// Grade-3 head: height 7 — nodes p,x1..x6 stored, x7,x8 beyond.
-	if m.Tree().Match([]string{"p", "x1", "x2", "x3", "x4", "x5", "x6"}) == nil {
+	if m.Tree().Match([]string{"p", "x1", "x2", "x3", "x4", "x5", "x6"}) == markov.Root {
 		t.Error("grade-3 branch shorter than 7")
 	}
-	if m.Tree().Match([]string{"p", "x1", "x2", "x3", "x4", "x5", "x6", "x7"}) != nil {
+	if m.Tree().Match([]string{"p", "x1", "x2", "x3", "x4", "x5", "x6", "x7"}) != markov.Root {
 		t.Error("grade-3 branch exceeds height 7")
 	}
 
@@ -112,14 +112,14 @@ func TestRootCreationOnGradeAscentOnly(t *testing.T) {
 	m := New(grades, Config{})
 	m.TrainSequence([]string{"a", "b", "c", "pop", "b", "c"})
 	tr := m.Tree()
-	if got := tr.Root.Fanout(); got != 2 {
+	if got := tr.Fanout(markov.Root); got != 2 {
 		t.Fatalf("roots = %d, want 2 (a and pop)", got)
 	}
-	if tr.Child(tr.Root, "a") == nil || tr.Child(tr.Root, "pop") == nil {
+	if tr.Child(markov.Root, "a") == markov.Root || tr.Child(markov.Root, "pop") == markov.Root {
 		t.Error("expected roots a and pop missing")
 	}
 	// Descending URLs must not be roots.
-	if tr.Child(tr.Root, "b") != nil || tr.Child(tr.Root, "c") != nil {
+	if tr.Child(markov.Root, "b") != markov.Root || tr.Child(markov.Root, "c") != markov.Root {
 		t.Error("descending URL became a root")
 	}
 }
@@ -128,7 +128,7 @@ func TestEqualGradeDoesNotOpenRoot(t *testing.T) {
 	grades := popularity.FixedGrades{"a": 2, "b": 2}
 	m := New(grades, Config{})
 	m.TrainSequence([]string{"a", "b"})
-	if got := m.Tree().Root.Fanout(); got != 1 {
+	if got := m.Tree().Fanout(markov.Root); got != 1 {
 		t.Errorf("equal grade opened a root: fanout %d", got)
 	}
 }
@@ -139,11 +139,12 @@ func TestCountsAccumulateAcrossSessions(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		m.TrainSequence([]string{"a", "b", "c"})
 	}
-	if n := m.Tree().Match([]string{"a"}); n.Count != 5 {
-		t.Errorf("root count = %d, want 5", n.Count)
+	tr := m.Tree()
+	if n := tr.Match([]string{"a"}); tr.Count(n) != 5 {
+		t.Errorf("root count = %d, want 5", tr.Count(n))
 	}
-	if n := m.Tree().Match([]string{"a", "b", "c"}); n.Count != 5 {
-		t.Errorf("leaf count = %d, want 5", n.Count)
+	if n := tr.Match([]string{"a", "b", "c"}); tr.Count(n) != 5 {
+		t.Errorf("leaf count = %d, want 5", tr.Count(n))
 	}
 }
 
@@ -301,10 +302,10 @@ func TestOptimizeRelProbCutoff(t *testing.T) {
 	if m.NodeCount() != before-1 {
 		t.Errorf("NodeCount = %d, want %d", m.NodeCount(), before-1)
 	}
-	if m.Tree().Match([]string{"a", "b", "rare"}) != nil {
+	if m.Tree().Match([]string{"a", "b", "rare"}) != markov.Root {
 		t.Error("rare node survived optimization")
 	}
-	if m.Tree().Match([]string{"a", "b"}) == nil {
+	if m.Tree().Match([]string{"a", "b"}) == markov.Root {
 		t.Error("hot node removed")
 	}
 }
@@ -319,7 +320,7 @@ func TestOptimizeDoesNotCutRootChildren(t *testing.T) {
 	}
 	m.TrainSequence([]string{"z"})
 	m.Optimize()
-	if m.Tree().Match([]string{"z"}) == nil {
+	if m.Tree().Match([]string{"z"}) == markov.Root {
 		t.Error("rare root removed by relative-probability cut")
 	}
 }
@@ -333,10 +334,10 @@ func TestOptimizeDropSingletons(t *testing.T) {
 	m.TrainSequence([]string{"z", "once"})
 	removed := m.Optimize()
 	// z root (count 1) and its subtree vanish.
-	if m.Tree().Match([]string{"z"}) != nil {
+	if m.Tree().Match([]string{"z"}) != markov.Root {
 		t.Error("singleton root survived")
 	}
-	if m.Tree().Match([]string{"a", "b"}) == nil {
+	if m.Tree().Match([]string{"a", "b"}) == markov.Root {
 		t.Error("repeated branch removed")
 	}
 	if removed < 1 {
@@ -441,21 +442,22 @@ func TestCountConservationProperty(t *testing.T) {
 		}
 		m.TrainSequence(s)
 	}
-	var check func(n *markov.Node) bool
-	check = func(n *markov.Node) bool {
+	tr := m.Tree()
+	var check func(n uint32) bool
+	check = func(n uint32) bool {
 		var sum int64
 		ok := true
-		n.EachChild(func(c *markov.Node) bool {
-			sum += c.Count
+		tr.EachChild(n, func(_ string, c uint32) bool {
+			sum += tr.Count(c)
 			if !check(c) {
 				ok = false
 				return false
 			}
 			return true
 		})
-		return ok && n.Count >= sum
+		return ok && tr.Count(n) >= sum
 	}
-	m.Tree().Root.EachChild(func(c *markov.Node) bool {
+	tr.EachChild(markov.Root, func(_ string, c uint32) bool {
 		if !check(c) {
 			t.Fatal("count conservation violated")
 		}
@@ -487,7 +489,7 @@ func TestHeightInvariantProperty(t *testing.T) {
 		}
 	}
 	deepest := 0
-	m.Tree().Walk(func(path []string, n *markov.Node) {
+	m.Tree().Walk(func(path []string, n uint32) {
 		if len(path) > deepest {
 			deepest = len(path)
 		}
@@ -497,9 +499,9 @@ func TestHeightInvariantProperty(t *testing.T) {
 	}
 	// Stronger: each branch respects its own root's grade height.
 	tr := m.Tree()
-	tr.EachChild(tr.Root, func(rootURL string, root *markov.Node) bool {
+	tr.EachChild(markov.Root, func(rootURL string, root uint32) bool {
 		limit := DefaultHeights[grades.GradeOf(rootURL)]
-		d := depthOf(root)
+		d := depthOf(tr, root)
 		if d > limit {
 			t.Errorf("branch %s depth %d exceeds grade height %d", rootURL, d, limit)
 		}
@@ -507,10 +509,10 @@ func TestHeightInvariantProperty(t *testing.T) {
 	})
 }
 
-func depthOf(n *markov.Node) int {
+func depthOf(tr *markov.Tree, n uint32) int {
 	max := 0
-	n.EachChild(func(c *markov.Node) bool {
-		if d := depthOf(c); d > max {
+	tr.EachChild(n, func(_ string, c uint32) bool {
+		if d := depthOf(tr, c); d > max {
 			max = d
 		}
 		return true

@@ -25,23 +25,23 @@ import (
 // longestMatch returns the deepest node matching the longest suffix of
 // ctx that is a path from tr's root, and the suffix's length, by
 // rescanning each suffix.
-func longestMatch(tr *markov.Tree, ctx []string) (*markov.Node, int) {
+func longestMatch(tr *markov.Tree, ctx []string) (uint32, int) {
 	for i := range ctx {
-		if n := tr.Match(ctx[i:]); n != nil {
+		if n := tr.Match(ctx[i:]); n != markov.Root {
 			return n, len(ctx) - i
 		}
 	}
-	return nil, 0
+	return markov.Root, 0
 }
 
 // children appends n's children with conditional probability at least
 // threshold, each weighted by weight and carrying order.
-func children(buf []markov.Prediction, tr *markov.Tree, n *markov.Node, threshold, weight float64, order int) []markov.Prediction {
-	if n == nil || n.Count == 0 {
+func children(buf []markov.Prediction, tr *markov.Tree, n uint32, threshold, weight float64, order int) []markov.Prediction {
+	if n == markov.Root || tr.Count(n) == 0 {
 		return buf
 	}
-	tr.EachChild(n, func(url string, c *markov.Node) bool {
-		if p := float64(c.Count) / float64(n.Count) * weight; p >= threshold {
+	tr.EachChild(n, func(url string, c uint32) bool {
+		if p := float64(tr.Count(c)) / float64(tr.Count(n)) * weight; p >= threshold {
 			buf = append(buf, markov.Prediction{URL: url, Probability: p, Order: order})
 		}
 		return true
@@ -68,10 +68,10 @@ func livePPM(m *ppm.Model, cfg ppm.Config, ctx []string) []markov.Prediction {
 	best := map[string]markov.Prediction{}
 	for i := range ctx {
 		n := tr.Match(ctx[i:])
-		if n == nil || n.Count == 0 {
+		if n == markov.Root || tr.Count(n) == 0 {
 			continue
 		}
-		for _, p := range children(nil, tr, n, 0, 1-1/(1+float64(n.Count)), len(ctx)-i) {
+		for _, p := range children(nil, tr, n, 0, 1-1/(1+float64(tr.Count(n))), len(ctx)-i) {
 			if b, ok := best[p.URL]; !ok || p.Probability > b.Probability {
 				best[p.URL] = p
 			}
@@ -111,10 +111,10 @@ func livePB(m *core.Model, cfg core.Config, ctx []string) []markov.Prediction {
 	out := children(nil, tr, n, thr, 1, order)
 	markov.SortPredictions(out)
 	cur := ctx[len(ctx)-1]
-	if root := tr.Child(tr.Root, cur); root != nil && !cfg.DisableLinks {
+	if root := tr.Child(markov.Root, cur); root != markov.Root && !cfg.DisableLinks {
 		var linked []markov.Prediction
 		for url, cnt := range core.Links(m)[cur] {
-			if p := float64(cnt) / float64(root.Count); p >= thr {
+			if p := float64(cnt) / float64(tr.Count(root)); p >= thr {
 				linked = append(linked, markov.Prediction{URL: url, Probability: p, Order: 1})
 			}
 		}

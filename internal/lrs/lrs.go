@@ -59,9 +59,7 @@ func (m *Model) Name() string { return "LRS-PPM" }
 // trie. The prediction tree is rebuilt lazily on the next Predict or
 // NodeCount call.
 func (m *Model) TrainSequence(seq []string) {
-	for i := range seq {
-		m.full.Insert(seq[i:], 0, 1) // unbounded: repeating subsequences stay whole
-	}
+	m.full.InsertSuffixes(seq, 0) // unbounded: repeating subsequences stay whole
 	m.dirty = true
 }
 
@@ -74,8 +72,8 @@ func (m *Model) rebuild() {
 		return
 	}
 	m.dirty = false
-	m.pruned = m.full.CopyIf(func(_, child *markov.Node) bool {
-		return child.Count >= repeatThreshold
+	m.pruned = m.full.CopyIf(func(_, child uint32) bool {
+		return m.full.Count(child) >= repeatThreshold
 	})
 }
 
@@ -113,11 +111,11 @@ func (m *Model) NodeCount() int {
 func (m *Model) Patterns() []Pattern {
 	m.rebuild()
 	var out []Pattern
-	m.pruned.Walk(func(path []string, n *markov.Node) {
-		if n.IsLeaf() {
+	m.pruned.Walk(func(path []string, n uint32) {
+		if m.pruned.IsLeaf(n) {
 			p := make([]string, len(path))
 			copy(p, path)
-			out = append(out, Pattern{URLs: p, Count: n.Count})
+			out = append(out, Pattern{URLs: p, Count: m.pruned.Count(n)})
 		}
 	})
 	return out

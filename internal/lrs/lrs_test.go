@@ -25,18 +25,18 @@ func TestOnlyRepeatingSequencesKept(t *testing.T) {
 
 	// a,b repeats (twice); c, d, x, y appear once each.
 	tr := m.Tree()
-	if tr.Match([]string{"a", "b"}) == nil {
+	if tr.Match([]string{"a", "b"}) == markov.Root {
 		t.Error("repeating path a>b missing")
 	}
-	if tr.Match([]string{"a", "b", "c"}) != nil {
+	if tr.Match([]string{"a", "b", "c"}) != markov.Root {
 		t.Error("singleton path a>b>c kept")
 	}
-	if tr.Match([]string{"x"}) != nil {
+	if tr.Match([]string{"x"}) != markov.Root {
 		t.Error("singleton root x kept")
 	}
 	// Suffix branch b (count 2) must also be present — the "cut and
 	// paste" sub-branch duplication.
-	if tr.Match([]string{"b"}) == nil {
+	if tr.Match([]string{"b"}) == markov.Root {
 		t.Error("suffix branch b missing")
 	}
 	// Nodes: a(2), a>b(2), b(2) = 3.
@@ -49,7 +49,7 @@ func TestRepeatWithinOneSession(t *testing.T) {
 	// A pattern occurring twice inside a single session repeats.
 	m := New(Config{})
 	m.TrainSequence([]string{"a", "b", "a", "b"})
-	if m.Tree().Match([]string{"a", "b"}) == nil {
+	if m.Tree().Match([]string{"a", "b"}) == markov.Root {
 		t.Error("within-session repeat not detected")
 	}
 }
@@ -57,11 +57,11 @@ func TestRepeatWithinOneSession(t *testing.T) {
 func TestLaterTrainingPromotesSequences(t *testing.T) {
 	m := New(Config{})
 	m.TrainSequence([]string{"p", "q"})
-	if m.Tree().Match([]string{"p", "q"}) != nil {
+	if m.Tree().Match([]string{"p", "q"}) != markov.Root {
 		t.Fatal("single occurrence already in tree")
 	}
 	m.TrainSequence([]string{"p", "q"})
-	if m.Tree().Match([]string{"p", "q"}) == nil {
+	if m.Tree().Match([]string{"p", "q"}) == markov.Root {
 		t.Error("second occurrence did not promote the sequence")
 	}
 }
@@ -137,7 +137,7 @@ func TestNodeCountSmallerThanStandard(t *testing.T) {
 	if got := m.NodeCount(); got >= full/4 {
 		t.Errorf("LRS NodeCount = %d, not much smaller than the %d-node suffix trie", got, full)
 	}
-	if m.Tree().Match([]string{"home", "news", "sports"}) == nil {
+	if m.Tree().Match([]string{"home", "news", "sports"}) == markov.Root {
 		t.Error("hot path missing")
 	}
 }

@@ -167,18 +167,18 @@ func TestEncodeDecode(t *testing.T) {
 	f := markov.NewFrozenTree(tr.Freeze(), markov.FrozenParams{Name: "tree"})
 	got := decodeModel(t, encodeModel(t, f))
 	a := got.Arena()
-	if a.NodeCount() != tr.NodeCount() || a.Count(0) != tr.Root.Count {
+	if a.NodeCount() != tr.NodeCount() || a.Count(0) != tr.Count(markov.Root) {
 		t.Errorf("counts differ after round trip: %d nodes, root %d; want %d, %d",
-			a.NodeCount(), a.Count(0), tr.NodeCount(), tr.Root.Count)
+			a.NodeCount(), a.Count(0), tr.NodeCount(), tr.Count(markov.Root))
 	}
-	tr.Walk(func(path []string, n *markov.Node) {
+	tr.Walk(func(path []string, n uint32) {
 		node, ok := a.Match(path)
 		if !ok {
 			t.Errorf("path %v lost in round trip", path)
 			return
 		}
-		if a.Count(node) != n.Count {
-			t.Errorf("path %v: count %d after round trip, want %d", path, a.Count(node), n.Count)
+		if a.Count(node) != tr.Count(n) {
+			t.Errorf("path %v: count %d after round trip, want %d", path, a.Count(node), tr.Count(n))
 		}
 	})
 	for _, ctx := range [][]string{{"a"}, {"a", "b"}, {"z"}, {"x", "a"}, {"q"}} {

@@ -1,13 +1,12 @@
 // Arena: a frozen, pointer-free snapshot of a prediction tree.
 //
-// A trained Tree is one Go object per node — excellent for incremental
-// training, terrible for a long-lived published model: the GC must
-// trace millions of pointers on every cycle, and the node layout
-// scatters a prediction walk across the heap. Freeze converts a tree
-// into an Arena, a struct-of-slices image carved out of one contiguous
-// buffer. Every integer section is little-endian at the narrowest width
-// that holds its largest value, and one front-coded URL table ends the
-// image:
+// A trained Tree is laid out for training: 24-byte node records and
+// 8-byte child entries with room to grow, int64 counts, and a URL index
+// of Go strings and a map. A published model needs none of that room.
+// Freeze converts a tree into an Arena, a struct-of-slices image carved
+// out of one contiguous buffer. Every integer section is little-endian
+// at the narrowest width that holds its largest value, and one
+// front-coded URL table ends the image:
 //
 //	magic "pbppmAR4"            8 bytes
 //	countW, idW, 0, 0           4 × uint8: bytes per count (2, 4 or 8)
@@ -67,7 +66,6 @@ package markov
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -220,19 +218,17 @@ func alignedBuf(n int) []byte {
 // a larger symbol table (CopyIf) freezes to an arena holding just its
 // own URLs.
 func (t *Tree) Freeze() *Arena {
-	// Pass 1: count nodes and mark reachable symbols.
+	// Pass 1: mark the symbols nodes carry. Every node is reachable: a
+	// tree only ever adds children, and Prune compacts.
 	used := make([]bool, len(t.syms.urls))
-	numNodes := 0
-	var mark func(n *Node)
-	mark = func(n *Node) {
-		numNodes++
-		used[n.sym] = true
-		n.EachChild(func(c *Node) bool {
-			mark(c)
-			return true
-		})
+	maxFanout := uint32(0)
+	for _, c := range t.chunks {
+		for i := range c {
+			used[c[i].sym] = true
+			maxFanout = max(maxFanout, c[i].fanout)
+		}
 	}
-	mark(t.Root)
+	numNodes := t.size()
 
 	// Pass 2: canonical symbol order — URLs sorted ascending, ids 1..n —
 	// and the size of their front-coded table.
@@ -252,32 +248,32 @@ func (t *Tree) Freeze() *Arena {
 		tableLen += uvarintLen(shared) + uvarintLen(len(u)-shared) + len(u) - shared
 	}
 
-	// Pass 3: BFS layout. Children are appended in remapped-symbol
-	// order, so each block lands contiguous and sorted.
-	order := make([]*Node, 1, numNodes)
-	order[0] = t.Root
+	// Pass 3: BFS renumbering. Each run is appended in remapped-symbol
+	// order, so each block lands contiguous and sorted; order[i] is the
+	// tree id of arena node i.
+	order := make([]uint32, 1, numNodes)
+	order[0] = Root
 	childOff := make([]uint32, numNodes+1)
-	scratch := make([]*Node, 0, 16)
+	scratch := make([]uint64, 0, maxFanout)
 	for i := 0; i < len(order); i++ {
-		n := order[i]
 		childOff[i] = uint32(len(order))
+		// Siblings carry distinct symbols, so sorting (remapped symbol,
+		// id) keys orders them by symbol alone.
 		scratch = scratch[:0]
-		n.EachChild(func(c *Node) bool {
-			scratch = append(scratch, c)
-			return true
-		})
-		// Siblings carry distinct symbols, so the order is total.
-		slices.SortFunc(scratch, func(a, b *Node) int {
-			return cmp.Compare(remap[a.sym], remap[b.sym])
-		})
-		order = append(order, scratch...)
+		for _, k := range t.run(order[i]) {
+			scratch = append(scratch, uint64(remap[k.sym])<<32|uint64(k.node))
+		}
+		slices.Sort(scratch)
+		for _, key := range scratch {
+			order = append(order, uint32(key))
+		}
 	}
 	childOff[numNodes] = uint32(numNodes)
 
 	// Pass 4: fill the image, each integer section at its narrowest
 	// width, and the URL table in place at its end.
 	h := arenaHeader{
-		countW:   widthFor(uint64(t.Root.Count)),
+		countW:   widthFor(uint64(t.Count(Root))),
 		idW:      widthFor(uint64(numNodes)),
 		nodes:    uint64(numNodes),
 		syms:     uint64(len(urls)),
@@ -286,8 +282,9 @@ func (t *Tree) Freeze() *Arena {
 	l := h.layout()
 	buf := alignedBuf(int(l.urls) + tableLen)
 	h.put(buf)
-	for i, n := range order {
-		putUint(buf[l.counts+uint64(i)*h.countW:], h.countW, uint64(n.Count))
+	for i, id := range order {
+		n := t.at(id)
+		putUint(buf[l.counts+uint64(i)*h.countW:], h.countW, uint64(n.count))
 		putUint(buf[l.syms+uint64(i)*h.idW:], h.idW, uint64(remap[n.sym]))
 	}
 	for i, off := range childOff {

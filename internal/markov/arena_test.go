@@ -736,16 +736,16 @@ func pathMarks(marks map[string]bool, tr *Tree, ctx []string, threshold float64,
 	for i := range ctx {
 		suffix := ctx[i:]
 		n := tr.Match(suffix)
-		if n == nil || (blend && n.Count == 0) {
+		if n == Root || (blend && tr.Count(n) == 0) {
 			continue
 		}
 		markPath(suffix)
 		confidence := 1.0
 		if blend {
-			confidence = 1 - 1/(1+float64(n.Count))
+			confidence = 1 - 1/(1+float64(tr.Count(n)))
 		}
-		tr.EachChild(n, func(url string, c *Node) bool {
-			p := float64(c.Count) / float64(n.Count) * confidence
+		tr.EachChild(n, func(url string, c uint32) bool {
+			p := float64(tr.Count(c)) / float64(tr.Count(n)) * confidence
 			child := key(append(suffix[:len(suffix):len(suffix)], url))
 			if !blend && p >= threshold {
 				marks[child] = true

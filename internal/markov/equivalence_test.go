@@ -92,15 +92,15 @@ func (t *refTree) predictFrom(n *refNode, threshold float64, order int) []Predic
 func treeCandidates(tr *Tree, ctx []string, threshold float64) []Prediction {
 	for i := range ctx {
 		n := tr.Match(ctx[i:])
-		if n == nil {
+		if n == Root {
 			continue
 		}
-		if n.Count == 0 {
+		if tr.Count(n) == 0 {
 			return nil
 		}
 		var out []Prediction
-		tr.EachChild(n, func(url string, c *Node) bool {
-			if p := float64(c.Count) / float64(n.Count); p >= threshold {
+		tr.EachChild(n, func(url string, c uint32) bool {
+			if p := float64(tr.Count(c)) / float64(tr.Count(n)); p >= threshold {
 				out = append(out, Prediction{URL: url, Probability: p, Order: len(ctx) - i})
 			}
 			return true
@@ -138,8 +138,8 @@ func TestCompactTreeEquivalence(t *testing.T) {
 		for i := 0; i < 800; i++ {
 			s := make([]string, rng.Intn(7)+1)
 			for j := range s {
-				// Zipf-ish skew so some nodes promote to the map
-				// representation and others stay tiny.
+				// Zipf-ish skew so some child runs grow wide and
+				// others stay tiny.
 				s[j] = urls[rng.Intn(rng.Intn(len(urls))+1)]
 			}
 			w := int64(rng.Intn(3) + 1)
@@ -161,7 +161,7 @@ func TestCompactTreeEquivalence(t *testing.T) {
 
 			gorder := 0
 			for i := range ctx {
-				if tr.Match(ctx[i:]) != nil {
+				if tr.Match(ctx[i:]) != Root {
 					gorder = len(ctx) - i
 					break
 				}
@@ -191,8 +191,8 @@ func TestWalkMatchesReferenceOrder(t *testing.T) {
 		ref.insert(s, 0, 1)
 	}
 	var got []string
-	tr.Walk(func(path []string, n *Node) {
-		got = append(got, fmt.Sprintf("%s#%d#%d", path[len(path)-1], len(path), n.Count))
+	tr.Walk(func(path []string, n uint32) {
+		got = append(got, fmt.Sprintf("%s#%d#%d", path[len(path)-1], len(path), tr.Count(n)))
 	})
 	var want []string
 	var walk func(depth int, n *refNode)

@@ -88,14 +88,13 @@ func FuzzArenaFromBytes(f *testing.F) {
 // treeOf rebuilds the tree an arena holds: every path with its count.
 func treeOf(a *Arena) *Tree {
 	tr := NewTree()
-	tr.Root.Count = a.Count(0)
-	nodes := make([]*Node, a.NodeCount()+1)
-	nodes[0] = tr.Root
+	tr.Add(Root, a.Count(0))
+	nodes := make([]uint32, a.NodeCount()+1)
 	// BFS order: each node is built before its children are visited.
 	for i := range nodes {
 		a.EachChild(uint32(i), func(c uint32, url string) bool {
-			nodes[c] = tr.EnsureChild(nodes[i], url)
-			nodes[c].Count = a.Count(c)
+			nodes[c] = tr.EnsureChild(nodes[i], tr.Intern(url))
+			tr.Add(nodes[c], a.Count(c))
 			return true
 		})
 	}

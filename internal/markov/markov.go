@@ -8,24 +8,24 @@
 //
 // Storage layout. URLs are interned into a per-tree symbol table, so a
 // node stores a 4-byte symbol instead of a string and each distinct URL
-// is kept once per tree. Children use a hybrid representation: a slice
-// of (symbol, pointer) pairs sorted by symbol while fan-out is small,
-// promoted to a map above promoteFanout. Together these replace the old
-// unconditional map[string]*Node per node, cutting real memory well
-// below what the paper's node-count space metric suggests.
+// is kept once per tree. Nodes are addressed by a uint32 id and hold no
+// Go pointer: per node a 24-byte record of its count, its symbol, and
+// where its child run starts, how long it is and how long it may grow
+// in place; per child an 8-byte (symbol, id) entry in its parent's run,
+// which is sorted by symbol and searched by bisection. Records fill
+// chunks of 1,024 in turn, so growing a tree copies at most the chunk
+// it is filling, and the GC scans a tree's few slice headers and its
+// symbol table rather than its nodes. Prune and CopyIf leave a compact
+// tree that holds only the surviving nodes, about 32 bytes a node plus
+// its URLs and, after Prune, the unused room of its last chunk.
 package markov
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 )
-
-// promoteFanout is the child count above which a node's sorted child
-// slice is promoted to a map. Web prediction trees are heavy-tailed:
-// almost all nodes stay below this and pay 16 bytes per child; the few
-// hub nodes (site front pages, the pseudo-root) get O(1) lookup.
-const promoteFanout = 16
 
 // symtab interns URLs to dense uint32 symbols. Symbol 0 is reserved for
 // the pseudo-root and never assigned to a URL.
@@ -56,132 +56,267 @@ func (s *symtab) lookup(url string) (uint32, bool) {
 	return id, ok
 }
 
-// childRef is one entry of the small (slice) child representation.
-type childRef struct {
-	sym  uint32
-	node *Node
+// Root is the id of every tree's pseudo-root. No path and no child is
+// the pseudo-root, so the lookups that find a node (Match, Child)
+// return Root when there is none.
+const Root uint32 = 0
+
+// node is the record of one URL occurrence context: count is the number
+// of training accesses that reached it along its path, and its children
+// are the run kids[first:first+fanout] of its tree, which may grow to
+// room entries before it moves.
+type node struct {
+	count                    int64
+	sym, first, fanout, room uint32
 }
 
-// Node is one URL occurrence context in a prediction tree. Count is the
-// number of training accesses that reached this node along its path.
-// The node does not store its URL; the owning Tree's symbol table
-// resolves it (see Tree.URLOf).
-type Node struct {
-	Count int64
+// kid is one entry of a child run: the child's symbol, which runs are
+// sorted by, and its node id.
+type kid struct{ sym, node uint32 }
 
-	// small holds up to promoteFanout children sorted by symbol; big
-	// replaces it once fan-out exceeds that. At most one is non-nil.
-	small []childRef
-	big   map[uint32]*Node
+// chunkBits sizes the chunks node records live in: 1<<chunkBits records
+// (24 KiB) each. Only the last chunk takes new records; a full chunk
+// never moves.
+const chunkBits = 10
 
-	sym uint32
+// Tree is a counted prediction trie under a pseudo-root. The pseudo-root
+// itself carries the number of branch insertions and is excluded from
+// node counts. A tree is the training-time form of a model: it
+// predicts nothing itself, and every prediction comes from its frozen
+// Arena (Freeze).
+//
+// Nodes are addressed by id, Root for the pseudo-root. Ids stay valid
+// while the tree grows; Prune renumbers the nodes it keeps.
+type Tree struct {
+	// chunks holds node id i's record at chunks[i>>chunkBits][i&(1<<chunkBits-1)].
+	chunks [][]node
+	// kids holds every node's child run.
+	kids []kid
+	// free[k]-1 is the start of a free block of at least 1<<k entries in
+	// kids, whose first entry's node field chains to the next block of
+	// the class the same way; 0 ends a chain. Runs that outgrow their
+	// room leave their block here for the next run that needs one.
+	free [32]uint32
+
+	syms *symtab
+	// scratch is internAll's buffer.
+	scratch []uint32
 }
 
-// childBySym returns the child with the given symbol, or nil.
-func (n *Node) childBySym(sym uint32) *Node {
-	if n.big != nil {
-		return n.big[sym]
+// NewTree returns an empty tree.
+func NewTree() *Tree {
+	return &Tree{chunks: [][]node{{{}}}, syms: newSymtab()}
+}
+
+// at returns the record of node n. It stays valid until the next node
+// is added, which may move the last chunk.
+func (t *Tree) at(n uint32) *node {
+	return &t.chunks[n>>chunkBits][n&(1<<chunkBits-1)]
+}
+
+// size returns the number of nodes, the pseudo-root included.
+func (t *Tree) size() int {
+	last := len(t.chunks) - 1
+	return last<<chunkBits + len(t.chunks[last])
+}
+
+// newNode adds a childless node for symbol sym and returns its id.
+func (t *Tree) newNode(sym uint32) uint32 {
+	id := uint32(t.size())
+	last := &t.chunks[len(t.chunks)-1]
+	switch {
+	case len(*last) == 1<<chunkBits:
+		t.chunks = append(t.chunks, make([]node, 0, 1<<chunkBits))
+		last = &t.chunks[len(t.chunks)-1]
+	case len(*last) == cap(*last):
+		// A small tree's chunk doubles, up to a full one and no further.
+		*last = append(make([]node, 0, min(2*cap(*last), 1<<chunkBits)), *last...)
 	}
-	s := n.small
-	lo, hi := 0, len(s)
+	*last = append(*last, node{sym: sym})
+	return id
+}
+
+// run returns node n's children, sorted by symbol.
+func (t *Tree) run(n uint32) []kid {
+	p := t.at(n)
+	return t.kids[p.first : p.first+p.fanout]
+}
+
+// search returns the position of sym in run, or where it would go.
+func search(run []kid, sym uint32) (int, bool) {
+	// Symbols are dense from 1, and a suffix trie's root holds nearly
+	// all of them, so sym's own rank is the first place to look.
+	if i := int(sym) - 1; i < len(run) && run[i].sym == sym {
+		return i, true
+	}
+	lo, hi := 0, len(run)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if s[mid].sym < sym {
+		if run[mid].sym < sym {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(s) && s[lo].sym == sym {
-		return s[lo].node
-	}
-	return nil
+	return lo, lo < len(run) && run[lo].sym == sym
 }
 
-// ensureChildSym returns the child with the given symbol, creating it
-// with zero count if absent and promoting the representation when the
-// slice outgrows promoteFanout.
-func (n *Node) ensureChildSym(sym uint32) *Node {
-	if n.big != nil {
-		if c := n.big[sym]; c != nil {
-			return c
-		}
-		c := &Node{sym: sym}
-		n.big[sym] = c
-		return c
+// childBySym returns n's child with symbol sym, or Root.
+func (t *Tree) childBySym(n, sym uint32) uint32 {
+	run := t.run(n)
+	if i, ok := search(run, sym); ok {
+		return run[i].node
 	}
-	s := n.small
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid].sym < sym {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	return Root
+}
+
+// Intern returns url's symbol in the tree, assigning the next free one
+// on first sight. Symbols are dense from 1 and never change, so a model
+// may index what it knows about a URL by its symbol.
+func (t *Tree) Intern(url string) uint32 { return t.syms.intern(url) }
+
+// EnsureChild returns n's child with symbol sym (from Intern), creating
+// it with zero count if absent.
+func (t *Tree) EnsureChild(n, sym uint32) uint32 {
+	run := t.run(n)
+	i, ok := search(run, sym)
+	if ok {
+		return run[i].node
 	}
-	if lo < len(s) && s[lo].sym == sym {
-		return s[lo].node
+	c := t.newNode(sym)
+	p := t.at(n)
+	if p.fanout == p.room {
+		t.regrow(p)
 	}
-	c := &Node{sym: sym}
-	if len(s) >= promoteFanout {
-		n.big = make(map[uint32]*Node, len(s)+1)
-		for _, cr := range s {
-			n.big[cr.sym] = cr.node
-		}
-		n.big[sym] = c
-		n.small = nil
-		return c
-	}
-	n.small = append(n.small, childRef{})
-	copy(n.small[lo+1:], n.small[lo:])
-	n.small[lo] = childRef{sym: sym, node: c}
+	run = t.kids[p.first : p.first+p.fanout+1]
+	copy(run[i+1:], run[i:])
+	run[i] = kid{sym, c}
+	p.fanout++
 	return c
 }
 
-// removeChildSym detaches the child with the given symbol, if present.
-func (n *Node) removeChildSym(sym uint32) {
-	if n.big != nil {
-		delete(n.big, sym)
-		return
+// regrow moves p's full child run to a block of the next power of two
+// above its room, and frees the old block.
+func (t *Tree) regrow(p *node) {
+	room := uint32(1) << bits.Len32(p.room)
+	k := bits.TrailingZeros32(room)
+	at := t.free[k]
+	if at != 0 {
+		at--
+		t.free[k] = t.kids[at].node
+	} else {
+		at = uint32(len(t.kids))
+		t.kids = append(t.kids, make([]kid, room)...)
 	}
-	for i, cr := range n.small {
-		if cr.sym == sym {
-			n.small = append(n.small[:i], n.small[i+1:]...)
+	copy(t.kids[at:], t.kids[p.first:p.first+p.fanout])
+	if p.room > 0 {
+		k := bits.Len32(p.room) - 1
+		t.kids[p.first].node = t.free[k]
+		t.free[k] = p.first + 1
+	}
+	p.first, p.room = at, room
+}
+
+// Count returns n's training count.
+func (t *Tree) Count(n uint32) int64 { return t.at(n).count }
+
+// Add adds w to n's training count.
+func (t *Tree) Add(n uint32, w int64) { t.at(n).count += w }
+
+// Fanout reports the number of n's children.
+func (t *Tree) Fanout(n uint32) int { return int(t.at(n).fanout) }
+
+// IsLeaf reports whether n has no children.
+func (t *Tree) IsLeaf(n uint32) bool { return t.at(n).fanout == 0 }
+
+// URLOf resolves a node's URL through the tree's symbol table. The
+// pseudo-root resolves to the empty string.
+func (t *Tree) URLOf(n uint32) string { return t.syms.urls[t.at(n).sym] }
+
+// SymbolCount reports the number of distinct URLs interned by the tree.
+func (t *Tree) SymbolCount() int { return len(t.syms.urls) - 1 }
+
+// Child returns n's child for url, or Root. URLs never seen by the tree
+// resolve to Root without mutating the symbol table.
+func (t *Tree) Child(n uint32, url string) uint32 {
+	sym, ok := t.syms.lookup(url)
+	if !ok {
+		return Root
+	}
+	return t.childBySym(n, sym)
+}
+
+// EachChild visits n's children with their URLs, in symbol order, until
+// fn returns false. fn must not modify the tree.
+func (t *Tree) EachChild(n uint32, fn func(url string, c uint32) bool) {
+	for _, k := range t.run(n) {
+		if !fn(t.syms.urls[k.sym], k.node) {
 			return
 		}
 	}
 }
 
-// EachChild visits the node's children until fn returns false. The
-// visiting order is unspecified; callers that need determinism sort by
-// URL, as Walk does.
-func (n *Node) EachChild(fn func(c *Node) bool) {
-	if n.big != nil {
-		for _, c := range n.big {
-			if !fn(c) {
-				return
-			}
-		}
+// Insert adds seq as a branch from the pseudo-root, incrementing counts
+// by weight along the path. maxDepth > 0 truncates the branch to that
+// many nodes; maxDepth <= 0 means unbounded. weight must be positive.
+func (t *Tree) Insert(seq []string, maxDepth int, weight int64) {
+	if weight <= 0 {
+		panic(fmt.Sprintf("markov: non-positive insert weight %d", weight))
+	}
+	if maxDepth > 0 && len(seq) > maxDepth {
+		seq = seq[:maxDepth] // URLs past the cap get no symbol
+	}
+	t.insert(t.internAll(seq), 0, weight)
+}
+
+// InsertSuffixes inserts every suffix of seq as a branch of weight 1,
+// truncated like Insert's, interning each URL once: the training step
+// of the suffix-trie models (standard PPM and LRS).
+func (t *Tree) InsertSuffixes(seq []string, maxDepth int) {
+	syms := t.internAll(seq)
+	for i := range syms {
+		t.insert(syms[i:], maxDepth, 1)
+	}
+}
+
+// internAll returns the symbols of seq, in a buffer the next call
+// reuses.
+func (t *Tree) internAll(seq []string) []uint32 {
+	t.scratch = t.scratch[:0]
+	for _, u := range seq {
+		t.scratch = append(t.scratch, t.syms.intern(u))
+	}
+	return t.scratch
+}
+
+// insert adds the branch of symbols syms, truncated to maxDepth nodes
+// when maxDepth > 0, incrementing counts by weight along the path.
+func (t *Tree) insert(syms []uint32, maxDepth int, weight int64) {
+	if len(syms) == 0 {
 		return
 	}
-	for _, cr := range n.small {
-		if !fn(cr.node) {
-			return
+	if maxDepth > 0 && len(syms) > maxDepth {
+		syms = syms[:maxDepth]
+	}
+	t.Add(Root, weight)
+	n := Root
+	for _, sym := range syms {
+		n = t.EnsureChild(n, sym)
+		t.Add(n, weight)
+	}
+}
+
+// Match walks the exact path seq from the pseudo-root and returns the
+// final node, or Root if the path is absent or empty.
+func (t *Tree) Match(seq []string) uint32 {
+	n := Root
+	for _, u := range seq {
+		if n = t.Child(n, u); n == Root {
+			return Root
 		}
 	}
+	return n
 }
-
-// Fanout reports the number of children.
-func (n *Node) Fanout() int {
-	if n.big != nil {
-		return len(n.big)
-	}
-	return len(n.small)
-}
-
-// IsLeaf reports whether the node has no children.
-func (n *Node) IsLeaf() bool { return n.Fanout() == 0 }
 
 // Prediction is one prefetch candidate.
 type Prediction struct {
@@ -274,92 +409,6 @@ type Predictor interface {
 	NodeCount() int
 }
 
-// Tree is a counted prediction trie under a pseudo-root. The pseudo-root
-// itself carries the number of branch insertions and is excluded from
-// node counts. A tree is the training-time form of a model: it
-// predicts nothing itself, and every prediction comes from its frozen
-// Arena (Freeze).
-type Tree struct {
-	Root *Node
-
-	syms *symtab
-}
-
-// NewTree returns an empty tree.
-func NewTree() *Tree {
-	return &Tree{Root: &Node{}, syms: newSymtab()}
-}
-
-// URLOf resolves a node's URL through the tree's symbol table. The
-// pseudo-root resolves to the empty string.
-func (t *Tree) URLOf(n *Node) string { return t.syms.urls[n.sym] }
-
-// SymbolCount reports the number of distinct URLs interned by the tree.
-func (t *Tree) SymbolCount() int { return len(t.syms.urls) - 1 }
-
-// Child returns n's child for url, or nil. URLs never seen by the tree
-// resolve to nil without mutating the symbol table.
-func (t *Tree) Child(n *Node, url string) *Node {
-	sym, ok := t.syms.lookup(url)
-	if !ok {
-		return nil
-	}
-	return n.childBySym(sym)
-}
-
-// EnsureChild returns n's child for url, creating it with zero count if
-// absent. n must belong to t: the child is keyed by t's symbol for url.
-func (t *Tree) EnsureChild(n *Node, url string) *Node {
-	return n.ensureChildSym(t.syms.intern(url))
-}
-
-// EachChild visits n's children with their URLs until fn returns false.
-// Visiting order is unspecified.
-func (t *Tree) EachChild(n *Node, fn func(url string, c *Node) bool) {
-	n.EachChild(func(c *Node) bool { return fn(t.syms.urls[c.sym], c) })
-}
-
-// Insert adds seq as a branch from the pseudo-root, incrementing counts
-// by weight along the path. maxDepth > 0 truncates the branch to that
-// many nodes; maxDepth <= 0 means unbounded. weight must be positive.
-func (t *Tree) Insert(seq []string, maxDepth int, weight int64) {
-	if weight <= 0 {
-		panic(fmt.Sprintf("markov: non-positive insert weight %d", weight))
-	}
-	if len(seq) == 0 {
-		return
-	}
-	t.Root.Count += weight
-	n := t.Root
-	for i, u := range seq {
-		if maxDepth > 0 && i >= maxDepth {
-			break
-		}
-		n = n.ensureChildSym(t.syms.intern(u))
-		n.Count += weight
-	}
-}
-
-// Match walks the exact path seq from the pseudo-root and returns the
-// final node, or nil if the path is absent.
-func (t *Tree) Match(seq []string) *Node {
-	n := t.Root
-	for _, u := range seq {
-		sym, ok := t.syms.lookup(u)
-		if !ok {
-			return nil
-		}
-		n = n.childBySym(sym)
-		if n == nil {
-			return nil
-		}
-	}
-	if n == t.Root {
-		return nil
-	}
-	return n
-}
-
 // SortPredictions orders predictions by the pinned deterministic total
 // order: descending probability, then ascending URL. Every prediction
 // path — trained from scratch, delta-merged after a freeze, and
@@ -393,101 +442,120 @@ func predictionLess(a, b Prediction) bool {
 
 // NodeCount returns the number of URL nodes in the tree, excluding the
 // pseudo-root. This is the paper's space metric.
-func (t *Tree) NodeCount() int {
-	return countNodes(t.Root) - 1
-}
-
-func countNodes(n *Node) int {
-	total := 1
-	n.EachChild(func(c *Node) bool {
-		total += countNodes(c)
-		return true
-	})
-	return total
-}
+func (t *Tree) NodeCount() int { return t.size() - 1 }
 
 // Prune removes every non-root node (and its subtree) for which remove
 // returns true, and returns the number of nodes removed. remove is
-// called with the node's parent (possibly the pseudo-root) and the node.
-func (t *Tree) Prune(remove func(parent, child *Node) bool) int {
-	removed := 0
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		var doomed []uint32
-		n.EachChild(func(c *Node) bool {
-			if remove(n, c) {
-				removed += countNodes(c)
-				doomed = append(doomed, c.sym)
-			} else {
-				walk(c)
-			}
-			return true
-		})
-		for _, sym := range doomed {
-			n.removeChildSym(sym)
-		}
-	}
-	walk(t.Root)
+// called with the node's parent (possibly the pseudo-root) and the node,
+// by their ids before the prune. The surviving nodes are renumbered in
+// place, keeping their order, and the tree lets go of its old child
+// runs and of every chunk they no longer reach; the last chunk they
+// reach keeps its room, at most 1<<chunkBits records.
+func (t *Tree) Prune(remove func(parent, child uint32) bool) int {
+	renum, kept := t.survivors(func(parent, child uint32) bool { return !remove(parent, child) })
+	removed := t.size() - kept
+	t.compactInto(t, renum, kept)
+	last := (kept - 1) >> chunkBits
+	clear(t.chunks[last+1:])
+	t.chunks = t.chunks[:last+1]
+	t.chunks[last] = t.chunks[last][:kept-last<<chunkBits]
+	t.free = [32]uint32{}
 	return removed
 }
 
+// CopyIf returns a new tree containing only the nodes for which keep
+// returns true; rejecting a node skips its entire subtree. The copy is
+// compact: its columns and child runs are exactly as long as it needs.
+// It shares t's symbol table (so it costs no string duplication) and
+// must therefore not be read concurrently with training that mutates t.
+func (t *Tree) CopyIf(keep func(parent, child uint32) bool) *Tree {
+	renum, kept := t.survivors(keep)
+	out := &Tree{syms: t.syms}
+	for rest := kept; rest > 0; rest -= 1 << chunkBits {
+		out.chunks = append(out.chunks, make([]node, min(rest, 1<<chunkBits)))
+	}
+	t.compactInto(out, renum, kept)
+	return out
+}
+
+// survivors decides which nodes survive: the root, and each node keep
+// accepts whose parent survives. renum[i] is survivor i's id among
+// the survivors, in id order, and 0 for every other node but the root.
+// A node's id exceeds its parent's, so one pass in id order decides
+// each parent before its children.
+func (t *Tree) survivors(keep func(parent, child uint32) bool) (renum []uint32, kept int) {
+	renum = make([]uint32, t.size())
+	kept = 1
+	for i := range renum {
+		if i > 0 {
+			if renum[i] == 0 {
+				continue
+			}
+			renum[i] = uint32(kept)
+			kept++
+		}
+		for _, k := range t.run(uint32(i)) {
+			if keep(uint32(i), k.node) {
+				renum[k.node] = 1 // numbered when the pass reaches it
+			}
+		}
+	}
+	return renum, kept
+}
+
+// compactInto writes t's survivors to their new ids in dst, which has
+// room for them and may be t itself (no survivor's new id exceeds its
+// old one), with child runs exactly as long as they are in a new kids
+// column.
+func (t *Tree) compactInto(dst *Tree, renum []uint32, kept int) {
+	kids := make([]kid, 0, kept-1)
+	for i, id := range renum {
+		if i > 0 && id == 0 {
+			continue
+		}
+		n := *t.at(uint32(i))
+		first := uint32(len(kids))
+		for _, k := range t.kids[n.first : n.first+n.fanout] {
+			if c := renum[k.node]; c != 0 {
+				kids = append(kids, kid{k.sym, c})
+			}
+		}
+		n.first, n.fanout = first, uint32(len(kids))-first
+		n.room = n.fanout
+		*dst.at(id) = n
+	}
+	dst.kids = kids
+}
+
 // sortedChildren returns n's children ordered by URL.
-func (t *Tree) sortedChildren(n *Node) []*Node {
-	out := make([]*Node, 0, n.Fanout())
-	n.EachChild(func(c *Node) bool {
-		out = append(out, c)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		return t.syms.urls[out[i].sym] < t.syms.urls[out[j].sym]
-	})
+func (t *Tree) sortedChildren(n uint32) []kid {
+	out := slices.Clone(t.run(n))
+	slices.SortFunc(out, func(a, b kid) int { return strings.Compare(t.syms.urls[a.sym], t.syms.urls[b.sym]) })
 	return out
 }
 
 // Walk visits every node in depth-first order with its path from the
 // pseudo-root. Visiting order over siblings is sorted by URL so walks
 // are deterministic.
-func (t *Tree) Walk(fn func(path []string, n *Node)) {
-	var walk func(prefix []string, n *Node)
-	walk = func(prefix []string, n *Node) {
+func (t *Tree) Walk(fn func(path []string, n uint32)) {
+	var walk func(prefix []string, n uint32)
+	walk = func(prefix []string, n uint32) {
 		for _, c := range t.sortedChildren(n) {
 			path := append(prefix[:len(prefix):len(prefix)], t.syms.urls[c.sym])
-			fn(path, c)
-			walk(path, c)
+			fn(path, c.node)
+			walk(path, c.node)
 		}
 	}
-	walk(nil, t.Root)
+	walk(nil, Root)
 }
 
 // String renders the tree in a compact indented format for debugging
 // and golden tests: one "url/count" per line, two spaces per depth.
 func (t *Tree) String() string {
 	var sb strings.Builder
-	t.Walk(func(path []string, n *Node) {
+	t.Walk(func(path []string, n uint32) {
 		sb.WriteString(strings.Repeat("  ", len(path)-1))
-		fmt.Fprintf(&sb, "%s/%d\n", path[len(path)-1], n.Count)
+		fmt.Fprintf(&sb, "%s/%d\n", path[len(path)-1], t.Count(n))
 	})
 	return sb.String()
-}
-
-// CopyIf returns a new tree containing only the nodes for which keep
-// returns true; rejecting a node skips its entire subtree. The copy
-// shares t's symbol table (so it costs no string duplication) and must
-// therefore not be read concurrently with training that mutates t.
-func (t *Tree) CopyIf(keep func(parent, child *Node) bool) *Tree {
-	out := &Tree{Root: &Node{Count: t.Root.Count}, syms: t.syms}
-	var cp func(src, dst *Node)
-	cp = func(src, dst *Node) {
-		src.EachChild(func(sc *Node) bool {
-			if !keep(src, sc) {
-				return true
-			}
-			dc := dst.ensureChildSym(sc.sym)
-			dc.Count = sc.Count
-			cp(sc, dc)
-			return true
-		})
-	}
-	cp(t.Root, out.Root)
-	return out
 }

@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -15,33 +16,33 @@ func TestInsertAndMatch(t *testing.T) {
 	tr.Insert(seq("a", "b"), 0, 1)
 	tr.Insert(seq("a", "x"), 0, 1)
 
-	if n := tr.Match(seq("a")); n == nil || n.Count != 3 {
-		t.Fatalf("Match(a) = %+v, want count 3", n)
+	if n := tr.Match(seq("a")); n == Root || tr.Count(n) != 3 {
+		t.Fatalf("Match(a) = %d, want count 3", n)
 	}
-	if n := tr.Match(seq("a", "b")); n == nil || n.Count != 2 {
-		t.Fatalf("Match(a,b) = %+v, want count 2", n)
+	if n := tr.Match(seq("a", "b")); n == Root || tr.Count(n) != 2 {
+		t.Fatalf("Match(a,b) = %d, want count 2", n)
 	}
-	if n := tr.Match(seq("a", "b", "c")); n == nil || n.Count != 1 {
-		t.Fatalf("Match(a,b,c) = %+v", n)
+	if n := tr.Match(seq("a", "b", "c")); n == Root || tr.Count(n) != 1 {
+		t.Fatalf("Match(a,b,c) = %d", n)
 	}
-	if n := tr.Match(seq("z")); n != nil {
-		t.Errorf("Match(z) = %+v, want nil", n)
+	if n := tr.Match(seq("z")); n != Root {
+		t.Errorf("Match(z) = %d, want none", n)
 	}
-	if n := tr.Match(nil); n != nil {
-		t.Errorf("Match(empty) = %+v, want nil", n)
+	if n := tr.Match(nil); n != Root {
+		t.Errorf("Match(empty) = %d, want none", n)
 	}
-	if tr.Root.Count != 3 {
-		t.Errorf("pseudo-root count = %d, want 3", tr.Root.Count)
+	if tr.Count(Root) != 3 {
+		t.Errorf("pseudo-root count = %d, want 3", tr.Count(Root))
 	}
 }
 
 func TestInsertMaxDepth(t *testing.T) {
 	tr := NewTree()
 	tr.Insert(seq("a", "b", "c", "d"), 2, 1)
-	if tr.Match(seq("a", "b")) == nil {
+	if tr.Match(seq("a", "b")) == Root {
 		t.Error("depth-2 path missing")
 	}
-	if tr.Match(seq("a", "b", "c")) != nil {
+	if tr.Match(seq("a", "b", "c")) != Root {
 		t.Error("depth-3 node present despite maxDepth 2")
 	}
 	if got := tr.NodeCount(); got != 2 {
@@ -52,8 +53,8 @@ func TestInsertMaxDepth(t *testing.T) {
 func TestInsertWeight(t *testing.T) {
 	tr := NewTree()
 	tr.Insert(seq("a", "b"), 0, 5)
-	if n := tr.Match(seq("a", "b")); n.Count != 5 {
-		t.Errorf("weighted count = %d, want 5", n.Count)
+	if n := tr.Match(seq("a", "b")); tr.Count(n) != 5 {
+		t.Errorf("weighted count = %d, want 5", tr.Count(n))
 	}
 }
 
@@ -69,7 +70,7 @@ func TestInsertZeroWeightPanics(t *testing.T) {
 func TestInsertEmptySequence(t *testing.T) {
 	tr := NewTree()
 	tr.Insert(nil, 0, 1)
-	if tr.NodeCount() != 0 || tr.Root.Count != 0 {
+	if tr.NodeCount() != 0 || tr.Count(Root) != 0 {
 		t.Errorf("empty insert changed tree: %d nodes", tr.NodeCount())
 	}
 }
@@ -77,25 +78,25 @@ func TestInsertEmptySequence(t *testing.T) {
 func TestTreeChildAndURLOf(t *testing.T) {
 	tr := NewTree()
 	tr.Insert(seq("a", "b"), 0, 1)
-	a := tr.Child(tr.Root, "a")
-	if a == nil || tr.URLOf(a) != "a" {
-		t.Fatalf("Child(root, a) = %+v", a)
+	a := tr.Child(Root, "a")
+	if a == Root || tr.URLOf(a) != "a" {
+		t.Fatalf("Child(root, a) = %d", a)
 	}
-	if b := tr.Child(a, "b"); b == nil || tr.URLOf(b) != "b" {
-		t.Fatalf("Child(a, b) = %+v", b)
+	if b := tr.Child(a, "b"); b == Root || tr.URLOf(b) != "b" {
+		t.Fatalf("Child(a, b) = %d", b)
 	}
-	if tr.Child(a, "never-seen") != nil {
-		t.Error("Child on unseen URL != nil")
+	if tr.Child(a, "never-seen") != Root {
+		t.Error("Child on unseen URL found a node")
 	}
 	// Child on an unseen URL must not grow the symbol table.
 	if got := tr.SymbolCount(); got != 2 {
 		t.Errorf("SymbolCount = %d, want 2", got)
 	}
-	c := tr.EnsureChild(a, "c")
-	if c == nil || c.Count != 0 || tr.URLOf(c) != "c" {
-		t.Fatalf("EnsureChild = %+v", c)
+	c := tr.EnsureChild(a, tr.Intern("c"))
+	if c == Root || tr.Count(c) != 0 || tr.URLOf(c) != "c" {
+		t.Fatalf("EnsureChild = %d", c)
 	}
-	if tr.EnsureChild(a, "c") != c {
+	if tr.EnsureChild(a, tr.Intern("c")) != c {
 		t.Error("EnsureChild not idempotent")
 	}
 }
@@ -105,8 +106,8 @@ func TestEachChild(t *testing.T) {
 	tr.Insert(seq("a", "b"), 0, 1)
 	tr.Insert(seq("a", "c"), 0, 1)
 	seen := map[string]int64{}
-	tr.EachChild(tr.Match(seq("a")), func(url string, c *Node) bool {
-		seen[url] = c.Count
+	tr.EachChild(tr.Match(seq("a")), func(url string, c uint32) bool {
+		seen[url] = tr.Count(c)
 		return true
 	})
 	if len(seen) != 2 || seen["b"] != 1 || seen["c"] != 1 {
@@ -114,7 +115,7 @@ func TestEachChild(t *testing.T) {
 	}
 	// Early stop.
 	visits := 0
-	tr.Match(seq("a")).EachChild(func(c *Node) bool {
+	tr.EachChild(tr.Match(seq("a")), func(string, uint32) bool {
 		visits++
 		return false
 	})
@@ -123,32 +124,34 @@ func TestEachChild(t *testing.T) {
 	}
 }
 
-// TestHybridPromotion drives one parent across the slice→map promotion
-// boundary and checks that lookups, counts, ordering, and pruning keep
-// working in the promoted representation.
-func TestHybridPromotion(t *testing.T) {
+// TestHubChildRun drives one parent's child run three times past the
+// 16 children at which the pointer tree promoted a node to a map, and
+// checks that lookups, counts, ordering, and pruning keep working on a
+// hub's run.
+func TestHubChildRun(t *testing.T) {
+	const wide = 16
 	tr := NewTree()
-	const kids = 3 * promoteFanout
+	const kids = 3 * wide
 	for i := 0; i < kids; i++ {
 		tr.Insert(seq("hub", url(i)), 0, int64(i+1))
 	}
 	hub := tr.Match(seq("hub"))
-	if hub.Fanout() != kids {
-		t.Fatalf("Fanout = %d, want %d", hub.Fanout(), kids)
+	if tr.Fanout(hub) != kids {
+		t.Fatalf("Fanout = %d, want %d", tr.Fanout(hub), kids)
 	}
 	for i := 0; i < kids; i++ {
 		n := tr.Match(seq("hub", url(i)))
-		if n == nil || n.Count != int64(i+1) {
-			t.Fatalf("child %d = %+v", i, n)
+		if n == Root || tr.Count(n) != int64(i+1) {
+			t.Fatalf("child %d = %d", i, n)
 		}
 	}
 	if got := tr.NodeCount(); got != kids+1 {
 		t.Errorf("NodeCount = %d, want %d", got, kids+1)
 	}
-	// Walk must stay URL-sorted across the promotion.
+	// Walk must stay URL-sorted over the wide run.
 	var prev string
 	walked := 0
-	tr.Walk(func(path []string, n *Node) {
+	tr.Walk(func(path []string, n uint32) {
 		if len(path) != 2 {
 			return
 		}
@@ -162,20 +165,21 @@ func TestHybridPromotion(t *testing.T) {
 	if walked != kids {
 		t.Errorf("walked %d children, want %d", walked, kids)
 	}
-	// Prune from the promoted map.
-	removed := tr.Prune(func(parent, child *Node) bool {
-		return parent == hub && child.Count <= int64(promoteFanout)
+	// Prune from the hub's run. Prune renumbers, so look the hub up again.
+	removed := tr.Prune(func(parent, child uint32) bool {
+		return parent == hub && tr.Count(child) <= int64(wide)
 	})
-	if removed != promoteFanout {
-		t.Errorf("removed = %d, want %d", removed, promoteFanout)
+	if removed != wide {
+		t.Errorf("removed = %d, want %d", removed, wide)
 	}
-	if hub.Fanout() != kids-promoteFanout {
-		t.Errorf("fanout after prune = %d", hub.Fanout())
+	hub = tr.Match(seq("hub"))
+	if tr.Fanout(hub) != kids-wide {
+		t.Errorf("fanout after prune = %d", tr.Fanout(hub))
 	}
-	if tr.Match(seq("hub", url(0))) != nil {
+	if tr.Match(seq("hub", url(0))) != Root {
 		t.Error("pruned child still reachable")
 	}
-	if tr.Match(seq("hub", url(kids-1))) == nil {
+	if tr.Match(seq("hub", url(kids-1))) == Root {
 		t.Error("surviving child lost")
 	}
 }
@@ -249,13 +253,13 @@ func TestLongestMatchAgainstRescan(t *testing.T) {
 		tr.Insert(s, 0, 1)
 	}
 	a := tr.Freeze()
-	rescan := func(ctx []string) (*Node, int) {
+	rescan := func(ctx []string) (uint32, int) {
 		for i := 0; i < len(ctx); i++ {
-			if n := tr.Match(ctx[i:]); n != nil {
+			if n := tr.Match(ctx[i:]); n != Root {
 				return n, len(ctx) - i
 			}
 		}
-		return nil, 0
+		return Root, 0
 	}
 	ctxURLs := append([]string{"unseen"}, urls...)
 	for i := 0; i < 1000; i++ {
@@ -265,8 +269,8 @@ func TestLongestMatchAgainstRescan(t *testing.T) {
 		}
 		wantN, wantOrder := rescan(ctx)
 		gotN, gotOrder, ok := a.LongestMatch(ctx)
-		if ok != (wantN != nil) || gotOrder != wantOrder ||
-			(ok && a.Count(gotN) != wantN.Count) {
+		if ok != (wantN != Root) || gotOrder != wantOrder ||
+			(ok && a.Count(gotN) != tr.Count(wantN)) {
 			t.Fatalf("ctx %v: got (%d, %d), rescan (%v, %d)", ctx, gotN, gotOrder, wantN, wantOrder)
 		}
 		if ok {
@@ -350,17 +354,17 @@ func TestPrune(t *testing.T) {
 		tr.Insert(seq("a", "b"), 0, 1)
 	}
 	tr.Insert(seq("a", "rare", "deep"), 0, 1)
-	removed := tr.Prune(func(parent, child *Node) bool {
+	removed := tr.Prune(func(parent, child uint32) bool {
 		// "rare" has count 1 of parent "a"'s 11 accesses (~9%).
-		return parent != tr.Root && float64(child.Count)/float64(parent.Count) < 0.1
+		return parent != Root && float64(tr.Count(child))/float64(tr.Count(parent)) < 0.1
 	})
 	if removed != 2 {
 		t.Errorf("removed = %d, want 2 (rare and its subtree)", removed)
 	}
-	if tr.Match(seq("a", "rare")) != nil {
+	if tr.Match(seq("a", "rare")) != Root {
 		t.Error("pruned node still present")
 	}
-	if tr.Match(seq("a", "b")) == nil {
+	if tr.Match(seq("a", "b")) == Root {
 		t.Error("surviving node removed")
 	}
 }
@@ -370,7 +374,7 @@ func TestWalkAndString(t *testing.T) {
 	tr.Insert(seq("b", "x"), 0, 1)
 	tr.Insert(seq("a"), 0, 2)
 	var visits []string
-	tr.Walk(func(path []string, n *Node) {
+	tr.Walk(func(path []string, n uint32) {
 		visits = append(visits, strings.Join(path, ">"))
 	})
 	want := []string{"a", "b", "b>x"}
@@ -430,19 +434,19 @@ func TestCountConservationProperty(t *testing.T) {
 		tr.Insert(s, rng.Intn(4), 1) // mix of unbounded (0) and capped
 	}
 	ok := true
-	var check func(n *Node)
-	check = func(n *Node) {
+	var check func(n uint32)
+	check = func(n uint32) {
 		var sum int64
-		n.EachChild(func(c *Node) bool {
-			sum += c.Count
+		tr.EachChild(n, func(_ string, c uint32) bool {
+			sum += tr.Count(c)
 			check(c)
 			return true
 		})
-		if n.Count < sum {
+		if tr.Count(n) < sum {
 			ok = false
 		}
 	}
-	check(tr.Root)
+	check(Root)
 	if !ok {
 		t.Error("count conservation violated")
 	}
@@ -478,20 +482,49 @@ func TestCopyIf(t *testing.T) {
 	tr.Insert(seq("a", "b"), 0, 3)
 	tr.Insert(seq("a", "rare"), 0, 1)
 	tr.Insert(seq("solo"), 0, 1)
-	cp := tr.CopyIf(func(parent, child *Node) bool { return child.Count >= 2 })
-	if cp.Match(seq("a")) == nil || cp.Match(seq("a", "b")) == nil {
+	cp := tr.CopyIf(func(parent, child uint32) bool { return tr.Count(child) >= 2 })
+	if cp.Match(seq("a")) == Root || cp.Match(seq("a", "b")) == Root {
 		t.Error("kept branch missing from copy")
 	}
-	if cp.Match(seq("a", "rare")) != nil || cp.Match(seq("solo")) != nil {
+	if cp.Match(seq("a", "rare")) != Root || cp.Match(seq("solo")) != Root {
 		t.Error("rejected branch present in copy")
 	}
-	if cp.Root.Count != tr.Root.Count {
-		t.Errorf("root count = %d, want %d", cp.Root.Count, tr.Root.Count)
+	if cp.Count(Root) != tr.Count(Root) {
+		t.Errorf("root count = %d, want %d", cp.Count(Root), tr.Count(Root))
 	}
 	// The copy is independent at the node level: new inserts into the
 	// source do not appear in the copy.
 	tr.Insert(seq("a", "b", "new"), 0, 5)
-	if cp.Match(seq("a", "b", "new")) != nil {
+	if cp.Match(seq("a", "b", "new")) != Root {
 		t.Error("copy shares nodes with source")
+	}
+}
+
+// TestTrainAfterPrune: a tree pruned in place, and a copy of it, must
+// train on like a tree built afresh from the pruned tree's paths. The
+// pruned runs are exactly full, so the second round of training moves
+// most of them, through the free lists a prune must have reset.
+func TestTrainAfterPrune(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for round := 0; round < 4; round++ {
+		tr := randomArenaTree(rng, 600, round%3)
+		tr.Prune(func(_, child uint32) bool { return tr.Count(child) <= 1 })
+		cp := tr.CopyIf(func(_, child uint32) bool { return true })
+		fresh := treeOf(tr.Freeze())
+		more := randomArenaTree(rng, 600, round%3)
+		more.Walk(func(path []string, n uint32) {
+			if more.IsLeaf(n) {
+				for _, x := range []*Tree{tr, cp, fresh} {
+					x.Insert(path, 0, more.Count(n))
+				}
+			}
+		})
+		want := fresh.Freeze().Bytes()
+		if !bytes.Equal(tr.Freeze().Bytes(), want) {
+			t.Fatalf("round %d: the pruned tree trained on differs from a fresh one", round)
+		}
+		if !bytes.Equal(cp.Freeze().Bytes(), want) {
+			t.Fatalf("round %d: the pruned tree's copy trained on differs from a fresh one", round)
+		}
 	}
 }

@@ -40,29 +40,17 @@ type TreeStats struct {
 	Symbols int
 }
 
-// BytesEstimate measures the tree's in-memory size: node structs, child
-// slices and promoted child maps, and the symbol table (each distinct
-// URL stored once, plus intern-map bookkeeping). Struct and slice terms
-// use the real compiled sizes via unsafe.Sizeof; map terms use a
-// documented per-entry estimate.
+// BytesEstimate measures the tree's in-memory size: the node chunks and
+// the child runs at their capacities, and the symbol table (each
+// distinct URL stored once, plus intern-map bookkeeping). Struct and
+// slice terms use the real compiled sizes via unsafe.Sizeof; map terms
+// use a documented per-entry estimate. It reads no node.
 func (t *Tree) BytesEstimate() int64 {
-	var bytes int64
-	nodeSize := int64(unsafe.Sizeof(Node{}))
-	refSize := int64(unsafe.Sizeof(childRef{}))
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		bytes += nodeSize
-		if n.big != nil {
-			bytes += 48 + int64(len(n.big))*(int64(unsafe.Sizeof(uint32(0)))+8+mapEntryOverhead)
-		} else {
-			bytes += int64(cap(n.small)) * refSize
-		}
-		n.EachChild(func(c *Node) bool {
-			walk(c)
-			return true
-		})
+	bytes := int64(cap(t.chunks)) * int64(unsafe.Sizeof([]node(nil)))
+	for _, c := range t.chunks {
+		bytes += int64(cap(c)) * int64(unsafe.Sizeof(node{}))
 	}
-	walk(t.Root)
+	bytes += int64(cap(t.kids)) * int64(unsafe.Sizeof(kid{}))
 
 	// Symbol table: the urls slice backing array (string headers plus
 	// each URL's bytes, stored once) and the intern map.
@@ -77,15 +65,15 @@ func (t *Tree) BytesEstimate() int64 {
 // Stats computes TreeStats in one walk.
 func (t *Tree) Stats() TreeStats {
 	var st TreeStats
-	st.Roots = t.Root.Fanout()
+	st.Roots = t.Fanout(Root)
 	st.Symbols = t.SymbolCount()
 	st.Bytes = t.BytesEstimate()
 	internal := 0
 	childSum := 0
-	var walk func(n *Node, depth int)
-	walk = func(n *Node, depth int) {
+	var walk func(n uint32, depth int)
+	walk = func(n uint32, depth int) {
 		st.Nodes++
-		st.TotalCount += n.Count
+		st.TotalCount += t.Count(n)
 		for len(st.DepthHistogram) <= depth {
 			st.DepthHistogram = append(st.DepthHistogram, 0)
 		}
@@ -93,21 +81,19 @@ func (t *Tree) Stats() TreeStats {
 		if depth+1 > st.MaxDepth {
 			st.MaxDepth = depth + 1
 		}
-		if n.IsLeaf() {
+		if t.IsLeaf(n) {
 			st.Leaves++
 			return
 		}
 		internal++
-		childSum += n.Fanout()
-		n.EachChild(func(c *Node) bool {
-			walk(c, depth+1)
-			return true
-		})
+		childSum += t.Fanout(n)
+		for _, k := range t.run(n) {
+			walk(k.node, depth+1)
+		}
 	}
-	t.Root.EachChild(func(c *Node) bool {
-		walk(c, 0)
-		return true
-	})
+	for _, k := range t.run(Root) {
+		walk(k.node, 0)
+	}
 	if internal > 0 {
 		st.MeanBranching = float64(childSum) / float64(internal)
 	}

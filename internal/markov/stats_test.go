@@ -1,6 +1,8 @@
 package markov
 
 import (
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -125,4 +127,46 @@ func TestTopBranches(t *testing.T) {
 	if got := NewTree().Freeze().TopBranches(3); len(got) != 0 {
 		t.Errorf("empty tree TopBranches = %+v", got)
 	}
+}
+
+// TestTreeRetainedBytesPerNode trains a large random trie over a small
+// URL set, prunes most of it, and bounds the heap the pruned tree keeps
+// per live node after a GC. A tree of columns keeps a 24-byte record
+// and an 8-byte child entry a node, plus at most one chunk of records
+// to spare; a tree of one Go object per node, with a child slice in its
+// parent, kept 64 bytes and more.
+func TestTreeRetainedBytesPerNode(t *testing.T) {
+	const maxBytesPerNode = 40
+	urls := make([]string, 24)
+	for i := range urls {
+		urls[i] = url(i)
+	}
+	rng := rand.New(rand.NewSource(5))
+	seq := make([]string, 7)
+
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := NewTree()
+	for i := 0; i < 60_000; i++ {
+		for j := range seq {
+			seq[j] = urls[rng.Intn(len(urls))]
+		}
+		tr.Insert(seq, 0, 1)
+	}
+	trained := tr.NodeCount()
+	tr.Prune(func(_, child uint32) bool { return tr.Count(child) <= 1 })
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	live := tr.NodeCount()
+	if live*4 > trained {
+		t.Fatalf("pruning kept %d of %d nodes; the test wants most of the trie pruned", live, trained)
+	}
+	perNode := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(live)
+	t.Logf("%d of %d nodes kept, %.1f B of heap a node", live, trained, perNode)
+	if perNode > maxBytesPerNode {
+		t.Errorf("the pruned tree keeps %.1f B of heap a node, want at most %d", perNode, maxBytesPerNode)
+	}
+	runtime.KeepAlive(tr)
 }

@@ -85,9 +85,7 @@ func (m *Model) Name() string {
 // configured height, so that any position can serve as a prediction
 // context.
 func (m *Model) TrainSequence(seq []string) {
-	for i := range seq {
-		m.tree.Insert(seq[i:], m.cfg.Height, 1)
-	}
+	m.tree.InsertSuffixes(seq, m.cfg.Height)
 }
 
 // Predict finds the deepest node matching the longest suffix of the

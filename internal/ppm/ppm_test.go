@@ -26,7 +26,7 @@ func TestTrainInsertsAllSuffixes(t *testing.T) {
 		t.Errorf("NodeCount = %d, want 6", got)
 	}
 	for _, path := range [][]string{{"a", "b", "c"}, {"b", "c"}, {"c"}} {
-		if m.Tree().Match(path) == nil {
+		if m.Tree().Match(path) == markov.Root {
 			t.Errorf("path %v missing", path)
 		}
 	}
@@ -35,7 +35,7 @@ func TestTrainInsertsAllSuffixes(t *testing.T) {
 func TestFixedHeightCapsBranches(t *testing.T) {
 	m := New(Config{Height: 2})
 	m.TrainSequence([]string{"a", "b", "c", "d"})
-	if m.Tree().Match([]string{"a", "b", "c"}) != nil {
+	if m.Tree().Match([]string{"a", "b", "c"}) != markov.Root {
 		t.Error("height-2 tree contains a depth-3 path")
 	}
 	// Suffix branches capped at 2: {a,ab,b,bc,c,cd,d} = 7 nodes.

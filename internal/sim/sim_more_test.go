@@ -160,10 +160,10 @@ func TestOptimizerInvokedByTrain(t *testing.T) {
 		mkSession("c3", 200, sizes, "/a", "/b"),
 	}
 	Train(m, train)
-	if m.Tree().Match([]string{"/x"}) != nil {
+	if m.Tree().Match([]string{"/x"}) != markov.Root {
 		t.Error("Train did not run the space optimization")
 	}
-	if m.Tree().Match([]string{"/a", "/b"}) == nil {
+	if m.Tree().Match([]string{"/a", "/b"}) == markov.Root {
 		t.Error("optimization removed repeated branch")
 	}
 }
