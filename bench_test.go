@@ -56,6 +56,7 @@ func ucbWorkload(b *testing.B) *experiments.Workload {
 // and PB-PPM over 1–7 training days (NASA-like workload).
 func BenchmarkFigure2(b *testing.B) {
 	w := nasaWorkload(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f, err := experiments.RunFigure2(w, experiments.SweepConfig{})
 		if err != nil {
@@ -86,8 +87,11 @@ func BenchmarkEvaluationUCB(b *testing.B) {
 }
 
 // benchEvaluation runs the evaluation sweep on w and reports the last
-// training window's headline numbers.
+// training window's headline numbers. Like every paper-scale benchmark,
+// it resets the timer after the shared workload build, so a single run's
+// B/op is the experiment's own.
 func benchEvaluation(b *testing.B, w *experiments.Workload) {
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e, err := experiments.RunEvaluation(w, experiments.SweepConfig{})
 		if err != nil {
@@ -111,6 +115,7 @@ func benchEvaluation(b *testing.B, w *experiments.Workload) {
 // increments for 1–32 clients behind a shared proxy.
 func BenchmarkFigure5(b *testing.B) {
 	w := nasaWorkload(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f, err := experiments.RunFigure5(w, experiments.Figure5Config{})
 		if err != nil {
@@ -126,6 +131,7 @@ func BenchmarkFigure5(b *testing.B) {
 // thresholds (the hit/traffic trade-off knob of §4.1 and §5).
 func BenchmarkAblationThresholds(b *testing.B) {
 	w := nasaWorkload(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RunAblationThresholds(w); err != nil {
 			b.Fatal(err)
@@ -137,6 +143,7 @@ func BenchmarkAblationThresholds(b *testing.B) {
 // (§3.4's two alternatives).
 func BenchmarkAblationSpaceOpt(b *testing.B) {
 	w := nasaWorkload(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a, err := experiments.RunAblationSpaceOpt(w)
 		if err != nil {
@@ -150,6 +157,7 @@ func BenchmarkAblationSpaceOpt(b *testing.B) {
 // BenchmarkAblationHeights sweeps the grade→height mapping.
 func BenchmarkAblationHeights(b *testing.B) {
 	w := nasaWorkload(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RunAblationHeights(w); err != nil {
 			b.Fatal(err)
@@ -160,6 +168,7 @@ func BenchmarkAblationHeights(b *testing.B) {
 // BenchmarkAblationLinks isolates rule 3 (popular-node links).
 func BenchmarkAblationLinks(b *testing.B) {
 	w := nasaWorkload(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RunAblationLinks(w); err != nil {
 			b.Fatal(err)
@@ -419,6 +428,7 @@ func BenchmarkParseCLF(b *testing.B) {
 // BenchmarkAblationCachePolicy compares LRU vs GDSF browser caches.
 func BenchmarkAblationCachePolicy(b *testing.B) {
 	w := nasaWorkload(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a, err := experiments.RunAblationCachePolicy(w)
 		if err != nil {
@@ -433,6 +443,7 @@ func BenchmarkAblationCachePolicy(b *testing.B) {
 // blended prediction on the standard model.
 func BenchmarkAblationBlending(b *testing.B) {
 	w := nasaWorkload(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a, err := experiments.RunAblationBlending(w)
 		if err != nil {
@@ -447,6 +458,7 @@ func BenchmarkAblationBlending(b *testing.B) {
 // PB-PPM during the evaluation day.
 func BenchmarkAblationOnlineTraining(b *testing.B) {
 	w := nasaWorkload(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RunAblationOnlineTraining(w); err != nil {
 			b.Fatal(err)
@@ -458,6 +470,7 @@ func BenchmarkAblationOnlineTraining(b *testing.B) {
 // rebuilds and delta merges.
 func BenchmarkMaintenance(b *testing.B) {
 	w := nasaWorkload(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m, err := experiments.RunMaintenance(w)
 		if err != nil {

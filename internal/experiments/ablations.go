@@ -36,10 +36,8 @@ func paperPB(w *Workload) maintain.Factory {
 }
 
 // runAblation evaluates each variant on the last-day split: it trains
-// the variant's model on every day but the last, then replays the last
-// day twice under the variant's options, once with the model and once
-// without prefetching, which the latency reduction is measured
-// against.
+// the variant's model on every day but the last and replays the last
+// day under the variant's options (see Ablation.add).
 func runAblation(w *Workload, name string, variants []variant) (*Ablation, error) {
 	sp, err := lastDay(w, "ablation")
 	if err != nil {
@@ -49,22 +47,28 @@ func runAblation(w *Workload, name string, variants []variant) (*Ablation, error
 	for _, v := range variants {
 		model := v.model(sp.rank)
 		w.Hooks.Phases.Time(sim.PhaseTrain, func() { sim.Train(model, sp.train) })
-		opt := v.opt
-		opt.Predictor = model
-		opt.Path = w.Path
-		opt.Grades = sp.rank
-		opt.Sizes = w.Sizes
-		w.Hooks.apply(&opt)
-		res := sim.Run(sp.test, opt)
-		opt.Predictor = nil
-		base := sim.Run(sp.test, opt)
-		a.Rows = append(a.Rows, AblationRow{
-			Label:            v.label,
-			Result:           res,
-			LatencyReduction: res.LatencyReductionVs(base),
-		})
+		a.add(w, sp, v.label, model, v.opt)
 	}
 	return a, nil
+}
+
+// add replays sp's test day twice under opt, once with the trained
+// model and once without prefetching, which the latency reduction is
+// measured against, and appends the row.
+func (a *Ablation) add(w *Workload, sp split, label string, model markov.Predictor, opt sim.Options) {
+	opt.Predictor = model
+	opt.Path = w.Path
+	opt.Grades = sp.rank
+	opt.Sizes = w.Sizes
+	w.Hooks.apply(&opt)
+	res := sim.Run(sp.test, opt)
+	opt.Predictor = nil
+	base := sim.Run(sp.test, opt)
+	a.Rows = append(a.Rows, AblationRow{
+		Label:            label,
+		Result:           res,
+		LatencyReduction: res.LatencyReductionVs(base),
+	})
 }
 
 // AblationRow is one configuration's outcome.
@@ -170,16 +174,24 @@ func RunAblationCachePolicy(w *Workload) (*Ablation, error) {
 // RunAblationBlending compares the paper's longest-match prediction
 // with the variable-order blended extension (the "high orders or
 // variable orders of Markov models" direction the related work leaves
-// open), on the standard model.
+// open), on the standard model. Blending changes how a snapshot reads
+// its arena, not the arena, so one trained and frozen model serves both
+// rows.
 func RunAblationBlending(w *Workload) (*Ablation, error) {
-	standard := func(cfg ppm.Config) maintain.Factory {
-		return func(*popularity.Ranking) markov.Predictor { return ppm.New(cfg) }
+	sp, err := lastDay(w, "ablation")
+	if err != nil {
+		return nil, err
 	}
+	std := ppm.New(ppm.Config{})
+	w.Hooks.Phases.Time(sim.PhaseTrain, func() { sim.Train(std, sp.train) })
+	longest := std.Freeze().(*markov.FrozenTree)
+	blended := longest.Params()
+	blended.Blend = true
 	opt := sim.Options{MaxPrefetchBytes: sim.DefaultMaxPrefetchBytes}
-	return runAblation(w, "order-blending", []variant{
-		{"longest match (paper)", standard(ppm.Config{}), opt},
-		{"blended orders", standard(ppm.Config{BlendOrders: true}), opt},
-	})
+	a := &Ablation{Name: "order-blending", Workload: w.Name}
+	a.add(w, sp, "longest match (paper)", longest, opt)
+	a.add(w, sp, "blended orders", markov.NewFrozenTree(longest.Arena(), blended), opt)
+	return a, nil
 }
 
 // RunAblationOnlineTraining compares the paper's train-then-freeze

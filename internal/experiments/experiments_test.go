@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
 
+	"pbppm/internal/markov"
+	"pbppm/internal/ppm"
+	"pbppm/internal/sim"
 	"pbppm/internal/trace"
 	"pbppm/internal/tracegen"
 )
@@ -671,6 +675,31 @@ func TestSweepDeterminism(t *testing.T) {
 			if ra.Hits() != rb.Hits() || ra.TransferredBytes != rb.TransferredBytes ||
 				ra.Nodes != rb.Nodes || ra.TotalLatency != rb.TotalLatency {
 				t.Errorf("day %d %s: runs disagree: %+v vs %+v", a[i].TrainDays, m, ra, rb)
+			}
+		}
+	}
+}
+
+// TestDayByDayTrainingFreezesLikeWholeWindow pins what the sweep's
+// day-by-day training relies on: at every split, a standard model that
+// learned one day per split freezes to the image of one trained on the
+// whole window, with the same tree statistics (approximate bytes
+// included), unbounded and at height 3 alike.
+func TestDayByDayTrainingFreezesLikeWholeWindow(t *testing.T) {
+	image := func(p markov.Predictor) []byte { return p.(markov.ArenaHolder).Arena().Bytes() }
+	for _, w := range []*Workload{testNASA(t), testUCB(t)} {
+		for _, height := range []int{0, 3} {
+			daily := ppm.New(ppm.Config{Height: height})
+			for k := 1; k < w.Days(); k++ {
+				sim.Train(daily, w.DaySessions(k-1, k))
+				whole := ppm.New(ppm.Config{Height: height})
+				sim.Train(whole, w.DaySessions(0, k))
+				if !bytes.Equal(image(daily.Freeze()), image(whole.Freeze())) {
+					t.Errorf("%s %s, %d days: day-by-day training froze to a different image", w.Name, whole.Name(), k)
+				}
+				if got, want := daily.Tree().Stats(), whole.Tree().Stats(); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %s, %d days: stats %+v, want %+v", w.Name, whole.Name(), k, got, want)
+				}
 			}
 		}
 	}

@@ -90,22 +90,18 @@ func (a *Ablation) Headline() map[string]float64 {
 // Headline reports the final evaluation day's replay quality: the
 // static-vs-daily hit ratios (the maintenance claim), and the delta
 // merge against the rebuild (the "equal headline metrics" half of the
-// incremental-maintenance claim). The rebuild keys repeat the daily
-// ones, the same model under the cost table's names. The wall-time
-// columns are excluded on purpose: update cost varies with the machine
-// and would flap a regression gate.
+// incremental-maintenance claim). The wall-time columns are excluded on
+// purpose: update cost varies with the machine and would flap a
+// regression gate.
 func (m *Maintenance) Headline() map[string]float64 {
 	if len(m.Days) == 0 {
 		return nil
 	}
 	last := len(m.Days) - 1
-	daily := m.Daily[last]
 	h := map[string]float64{
-		"hit_ratio_static":  m.Static[last].HitRatio(),
-		"hit_ratio_daily":   daily.HitRatio(),
-		"nodes_daily":       float64(daily.Nodes),
-		"hit_ratio_rebuild": daily.HitRatio(),
-		"nodes_rebuild":     float64(daily.Nodes),
+		"hit_ratio_static": m.Static[last].HitRatio(),
+		"hit_ratio_daily":  m.Daily[last].HitRatio(),
+		"nodes_daily":      float64(m.Daily[last].Nodes),
 	}
 	if n := len(m.Delta); n > 0 {
 		h["hit_ratio_delta"] = m.Delta[n-1].HitRatio()

@@ -24,8 +24,9 @@ type Hooks struct {
 	OnProgress    func(sim.Progress)
 	ProgressEvery int
 	// OnModel receives tree statistics for each trained tree-backed
-	// model, keyed by its report name; predictors without a tree
-	// (e.g. Top-N) are skipped.
+	// model once per experiment (a sweep's from its last split), keyed
+	// by its report name; predictors without a tree (e.g. Top-N) are
+	// skipped.
 	OnModel func(model string, st markov.TreeStats)
 }
 
@@ -44,16 +45,5 @@ func (h Hooks) ObserveModel(name string, p markov.Predictor) {
 	}
 	if st, ok := markov.StatsOf(p); ok {
 		h.OnModel(name, st)
-	}
-}
-
-// ObserveModels reports every named run's trained predictor, the
-// post-Compare bookend in the sweep-style experiments.
-func (h Hooks) ObserveModels(runs []sim.NamedRun) {
-	if h.OnModel == nil {
-		return
-	}
-	for _, r := range runs {
-		h.ObserveModel(r.Name, r.Options.Predictor)
 	}
 }

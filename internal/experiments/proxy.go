@@ -76,15 +76,14 @@ func RunFigure5(w *Workload, cfg Figure5Config) (*Figure5, error) {
 		return clients[i] < clients[j]
 	})
 
-	// Train the three models once; prediction does not mutate counts,
-	// so each model can serve every population size, and PB-PPM both
-	// of its size thresholds.
+	// Train the models once, LRS-PPM reading the PPM's trie; prediction
+	// does not mutate counts, so each model can serve every population
+	// size, and PB-PPM both of its size thresholds.
 	mPPM := ppm.New(ppm.Config{})
-	mLRS := lrs.New(lrs.Config{})
+	mLRS := lrs.Of(mPPM, lrs.Config{})
 	mPB := paperPB(w)(rank)
 	w.Hooks.Phases.Time(sim.PhaseTrain, func() {
 		sim.Train(mPPM, train)
-		sim.Train(mLRS, train)
 		sim.Train(mPB, train)
 	})
 	w.Hooks.ObserveModel(ModelPPM, mPPM)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pbppm/internal/lrs"
+	"pbppm/internal/markov"
 	"pbppm/internal/metrics"
 	"pbppm/internal/ppm"
 	"pbppm/internal/sim"
@@ -53,6 +54,13 @@ type SweepConfig struct {
 // no-prefetch baseline. The last split of the §4 sweep (not the
 // observation sweep) also trains and replays the Top-10 pusher, the
 // related-work baseline, under the 10 KB cap.
+//
+// The standard model and LRS-PPM learn the day before each test day
+// instead of retraining from day 0; frozen images are canonical, so
+// that matches whole-window training. LRS-PPM reads the unbounded
+// standard model's trie; the observation sweep, whose standard model
+// is 3-PPM, keeps an unbounded trie for it. PB-PPM grades each
+// window's ranking, so it and Top-10 train on the whole window.
 func Sweep(w *Workload, cfg SweepConfig) ([]DayResult, error) {
 	maxDays := cfg.MaxTrainDays
 	if maxDays == 0 {
@@ -63,6 +71,14 @@ func Sweep(w *Workload, cfg SweepConfig) ([]DayResult, error) {
 			maxDays, maxDays+1, w.Days())
 	}
 
+	full := ppm.New(ppm.Config{})
+	standard, std, learners := ModelPPM, full, []*ppm.Model{full}
+	if cfg.Observation {
+		standard, std = Model3PPM, ppm.New(ppm.Config{Height: 3})
+		learners = append(learners, std)
+	}
+	mLRS := lrs.Of(full, lrs.Config{})
+
 	var out []DayResult
 	for k := 1; k <= maxDays; k++ {
 		train := w.DaySessions(0, k)
@@ -71,50 +87,40 @@ func Sweep(w *Workload, cfg SweepConfig) ([]DayResult, error) {
 			return nil, fmt.Errorf("experiments: day %d: empty train (%d) or test (%d) window",
 				k, len(train), len(test))
 		}
+		w.Hooks.Phases.Time(sim.PhaseTrain, func() {
+			for _, m := range learners {
+				sim.Train(m, w.DaySessions(k-1, k))
+			}
+		})
 		rank := Ranking(train)
 
 		common := sim.Options{
 			Path:            w.Path,
 			Grades:          rank,
 			PredictOnHitToo: cfg.Observation,
+			Sizes:           sim.BuildSizeTable(train, test),
 		}
 		w.Hooks.apply(&common)
-		runs := []sim.NamedRun{}
-		addRun := func(name string, opt sim.Options) {
-			runs = append(runs, sim.NamedRun{Name: name, Options: opt})
+		dr := DayResult{TrainDays: k, Results: map[string]metrics.Result{ModelNone: sim.Run(test, common)}}
+		replay := func(name string, p markov.Predictor, maxBytes int64) {
+			o := common
+			o.Predictor, o.MaxPrefetchBytes = p, maxBytes
+			res := sim.Run(test, o)
+			res.Model = name
+			dr.Results[name] = res
+			if k == maxDays {
+				w.Hooks.ObserveModel(name, p)
+			}
 		}
-
-		standard, height := ModelPPM, 0
-		if cfg.Observation {
-			standard, height = Model3PPM, 3
+		trained := func(p markov.Predictor) markov.Predictor {
+			w.Hooks.Phases.Time(sim.PhaseTrain, func() { sim.Train(p, train) })
+			return p
 		}
-		o := common
-		o.Predictor = ppm.New(ppm.Config{Height: height})
-		o.MaxPrefetchBytes = sim.DefaultMaxPrefetchBytes
-		addRun(standard, o)
-
-		o = common
-		o.Predictor = lrs.New(lrs.Config{})
-		o.MaxPrefetchBytes = sim.DefaultMaxPrefetchBytes
-		addRun(ModelLRS, o)
-
-		o = common
-		o.Predictor = paperPB(w)(rank)
-		o.MaxPrefetchBytes = sim.PBMaxPrefetchBytes
-		addRun(ModelPB, o)
-
+		replay(standard, std, sim.DefaultMaxPrefetchBytes)
+		replay(ModelLRS, mLRS, sim.DefaultMaxPrefetchBytes)
+		replay(ModelPB, trained(paperPB(w)(rank)), sim.PBMaxPrefetchBytes)
 		if k == maxDays && !cfg.Observation {
-			o = common
-			o.Predictor = topn.New()
-			o.MaxPrefetchBytes = sim.DefaultMaxPrefetchBytes
-			addRun(ModelTop10, o)
-		}
-
-		results := sim.Compare(train, test, runs)
-		w.Hooks.ObserveModels(runs)
-		dr := DayResult{TrainDays: k, Results: make(map[string]metrics.Result, len(results))}
-		for _, r := range results {
-			dr.Results[r.Model] = r
+			replay(ModelTop10, trained(topn.New()), sim.DefaultMaxPrefetchBytes)
 		}
 		out = append(out, dr)
 	}

@@ -6,14 +6,17 @@
 // Construction follows the paper's description — "each branch in the
 // model is further cut and paste into multiple sub-branches starting
 // from different URLs", i.e. every suffix of each repeating pattern
-// appears as its own branch. We obtain exactly that tree by building
-// the full suffix trie of the training sessions and pruning every node
-// whose occurrence count is below the repeat threshold: a suffix of a
-// repeating subsequence is itself repeating, so all sub-branches
-// survive with their true occurrence counts.
+// appears as its own branch. We obtain exactly that tree from the full
+// suffix trie of the training sessions, an unbounded standard PPM's
+// (Of reads one), by dropping every node whose occurrence count is
+// below the repeat threshold: a suffix of a repeating subsequence is
+// itself repeating, so all sub-branches survive with their true
+// occurrence counts.
 package lrs
 
 import (
+	"fmt"
+
 	"pbppm/internal/markov"
 	"pbppm/internal/ppm"
 )
@@ -29,53 +32,42 @@ type Config struct {
 	Threshold float64
 }
 
-func (c Config) threshold() float64 { return ppm.ThresholdOrDefault(c.Threshold) }
-
 // Model is an LRS-PPM predictor.
 type Model struct {
 	cfg Config
-	// full is the complete suffix trie including count-1 nodes; it is
-	// retained so that later training can promote sequences across the
-	// repeat threshold.
-	full *markov.Tree
-	// pruned is the repeating-only prediction tree, rebuilt lazily
-	// after training.
-	pruned *markov.Tree
-	dirty  bool
+	// std holds the full suffix trie, count-1 nodes included, so later
+	// training can promote sequences across the repeat threshold.
+	std *ppm.Model
+	// repeating is std's trie cut to its repeating nodes at root count
+	// seen; every trained suffix adds 1 to the root count.
+	repeating *markov.Tree
+	seen      int64
 }
 
 var _ markov.Predictor = (*Model)(nil)
 var _ markov.Freezer = (*Model)(nil)
 
-// New returns an empty LRS model.
-func New(cfg Config) *Model {
-	return &Model{cfg: cfg, full: markov.NewTree(), pruned: markov.NewTree()}
+// New returns an empty LRS model over an unbounded standard model of
+// its own.
+func New(cfg Config) *Model { return Of(ppm.New(ppm.Config{}), cfg) }
+
+// Of returns the LRS model that reads std's suffix trie and serves its
+// sequences that repeat at least twice; training either model trains
+// that trie. std must be unbounded, as a height cap cuts repeating
+// subsequences short: Of panics otherwise, a programmer error.
+func Of(std *ppm.Model, cfg Config) *Model {
+	if name := std.Name(); name != "PPM" {
+		panic(fmt.Sprintf("lrs: %s is height-capped; LRS needs the unbounded standard model's trie", name))
+	}
+	return &Model{cfg: cfg, std: std}
 }
 
 // Name identifies the model.
 func (m *Model) Name() string { return "LRS-PPM" }
 
-// TrainSequence inserts every suffix of seq into the underlying suffix
-// trie. The prediction tree is rebuilt lazily on the next Predict or
-// NodeCount call.
-func (m *Model) TrainSequence(seq []string) {
-	m.full.InsertSuffixes(seq, 0) // unbounded: repeating subsequences stay whole
-	m.dirty = true
-}
-
-// rebuild materializes the repeating-only prediction tree. The copy
-// shares the full trie's symbol table (CopyIf), so it costs no URL
-// duplication; that is safe because the model's contract already
-// forbids training concurrently with other methods.
-func (m *Model) rebuild() {
-	if !m.dirty {
-		return
-	}
-	m.dirty = false
-	m.pruned = m.full.CopyIf(func(_, child uint32) bool {
-		return m.full.Count(child) >= repeatThreshold
-	})
-}
+// TrainSequence inserts every suffix of seq into the standard model's
+// suffix trie.
+func (m *Model) TrainSequence(seq []string) { m.std.TrainSequence(seq) }
 
 // Predict finds the deepest repeating-sequence node matching the
 // longest suffix of the context — the paper's "longest matching method"
@@ -86,36 +78,32 @@ func (m *Model) Predict(context []string) []markov.Prediction {
 	return m.Freeze().Predict(context)
 }
 
-// Freeze materializes the repeating-only prediction tree and returns
-// its immutable arena-backed snapshot, the model's one predict
+// Freeze returns the immutable arena-backed snapshot of the
+// repeating-only prediction tree, the model's one predict
 // implementation: no per-node GC load and no allocations on the serving
 // path. The full suffix trie is a training-time artifact and is not
 // frozen.
 func (m *Model) Freeze() markov.Predictor {
-	m.rebuild()
-	return markov.NewFrozenTree(m.pruned.Freeze(), markov.FrozenParams{Name: m.Name(), Threshold: m.cfg.threshold()})
+	return markov.NewFrozenTree(m.Tree().Freeze(), markov.FrozenParams{Name: m.Name(), Threshold: ppm.ThresholdOrDefault(m.cfg.Threshold)})
 }
 
 // NodeCount reports the storage requirement of the repeating-only tree,
-// the paper's space metric for LRS. The retained full trie is a
-// training-time artifact and is not part of the served model.
-func (m *Model) NodeCount() int {
-	m.rebuild()
-	return m.pruned.NodeCount()
-}
+// the paper's space metric for LRS. The full trie is a training-time
+// artifact and is not part of the served model.
+func (m *Model) NodeCount() int { return m.Tree().NodeCount() }
 
 // Patterns returns the longest repeating subsequences currently stored:
 // every root-to-leaf path of the repeating-only tree, with the leaf's
 // occurrence count. Paths are emitted in deterministic (sorted) order.
 // This is primarily a diagnostic and test hook.
 func (m *Model) Patterns() []Pattern {
-	m.rebuild()
+	tr := m.Tree()
 	var out []Pattern
-	m.pruned.Walk(func(path []string, n uint32) {
-		if m.pruned.IsLeaf(n) {
+	tr.Walk(func(path []string, n uint32) {
+		if tr.IsLeaf(n) {
 			p := make([]string, len(path))
 			copy(p, path)
-			out = append(out, Pattern{URLs: p, Count: m.pruned.Count(n)})
+			out = append(out, Pattern{URLs: p, Count: tr.Count(n)})
 		}
 	})
 	return out
@@ -127,8 +115,17 @@ type Pattern struct {
 	Count int64
 }
 
-// Tree exposes the repeating-only prediction tree for diagnostics.
+// Tree returns the repeating-only prediction tree, copied again from
+// the full trie only after training. The copy shares the trie's symbol
+// table (CopyIf), which is safe because training must not run
+// concurrently with other methods.
 func (m *Model) Tree() *markov.Tree {
-	m.rebuild()
-	return m.pruned
+	full := m.std.Tree()
+	if seen := full.Count(markov.Root); m.repeating == nil || seen != m.seen {
+		m.repeating = full.CopyIf(func(_, child uint32) bool {
+			return full.Count(child) >= repeatThreshold
+		})
+		m.seen = seen
+	}
+	return m.repeating
 }
